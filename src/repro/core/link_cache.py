@@ -17,18 +17,12 @@ paper's rules, all enforced here:
 Storage layout
 --------------
 
-Entries live in an append-only **slot list** with eviction tombstoning
-(the same pattern as :class:`~repro.core.live_index.LiveAddressIndex`),
-plus a small ``address -> slot`` index for O(1) membership.  The live
-subsequence of the slot list is exactly the insertion order the old
-dict-backed spelling iterated in — dicts preserve insertion order
-across deletions, and both layouts append re-insertions at the end — so
-policy inputs (and hence the golden trace digests) are bit-identical.
-The list is compacted when tombstones outnumber live entries (once it
-has outgrown ``capacity``), bounding it at ~2x capacity however long
-churn runs; iteration touches one flat, mostly-dense object array
-instead of hash-table buckets — and when there are no tombstones at
-all, the snapshot/iteration paths hand back the dense list directly.
+One insertion-ordered ``dict[Address, CacheEntry]``.  Dicts keep
+insertion order across deletions and a re-inserted address goes to the
+end, so iteration order is "oldest surviving insert first" — the order
+every policy input (and hence the golden trace digests) is defined on.
+Membership, eviction and the k-th-resident walk of a Random eviction
+contest all run in C on that one structure.
 """
 
 from __future__ import annotations
@@ -55,39 +49,33 @@ class LinkCache:
             owner are silently refused.
     """
 
-    __slots__ = ("capacity", "owner", "_slots", "_index", "_live")
+    __slots__ = ("capacity", "owner", "_entries")
 
     def __init__(self, capacity: int, owner: Address) -> None:
         if capacity < 0:
             raise ConfigError(f"capacity must be >= 0, got {capacity}")
         self.capacity = int(capacity)
         self.owner = owner
-        #: Append-only entry slots; evicted entries tombstone to None.
-        self._slots: List[Optional[CacheEntry]] = []
-        #: address -> index into ``_slots`` for the live entry.
-        self._index: Dict[Address, int] = {}
-        self._live = 0
+        #: address -> entry, in insertion order.
+        self._entries: Dict[Address, CacheEntry] = {}
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._entries)
 
     def __contains__(self, address: Address) -> bool:
-        return address in self._index
+        return address in self._entries
 
     def get(self, address: Address) -> Optional[CacheEntry]:
         """The entry for ``address``, or None."""
-        idx = self._index.get(address)
-        return None if idx is None else self._slots[idx]
+        return self._entries.get(address)
 
     def entries(self) -> List[CacheEntry]:
         """Snapshot list of entries (insertion-ordered)."""
-        if self._live == len(self._slots):
-            return list(self._slots)  # type: ignore[arg-type]
-        return [e for e in self._slots if e is not None]
+        return list(self._entries.values())
 
     def iter_entries(self) -> Iterable[CacheEntry]:
         """Live view of the entries (insertion-ordered), no copy.
@@ -95,38 +83,19 @@ class LinkCache:
         For read-only hot paths (health sampling); callers must not
         mutate the cache while iterating — use :meth:`entries` for that.
         """
-        if self._live == len(self._slots):
-            return self._slots  # type: ignore[return-value]
-        return (e for e in self._slots if e is not None)
+        return self._entries.values()
 
     def addresses(self) -> Iterator[Address]:
         """Iterate over cached addresses (insertion-ordered)."""
-        return (e.address for e in self._slots if e is not None)
+        return iter(self._entries)
 
     @property
     def is_full(self) -> bool:
-        return self._live >= self.capacity
+        return len(self._entries) >= self.capacity
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-
-    def _append(self, entry: CacheEntry) -> None:
-        self._index[entry.address] = len(self._slots)
-        self._slots.append(entry)
-        self._live += 1
-
-    def _drop_slot(self, address: Address) -> None:
-        idx = self._index.pop(address)
-        self._slots[idx] = None
-        self._live -= 1
-        # Compact when tombstones dominate (and the list has outgrown
-        # capacity — below that, filtering is pure churn).
-        slots = self._slots
-        if len(slots) > self.capacity and self._live * 2 < len(slots):
-            live = [e for e in slots if e is not None]
-            self._slots = live
-            self._index = {e.address: i for i, e in enumerate(live)}
 
     def insert(
         self,
@@ -146,7 +115,8 @@ class LinkCache:
         address = entry.address
         if address == self.owner:
             return False
-        if address in self._index:
+        entries = self._entries
+        if address in entries:
             # Paper: fields of an existing entry are not updated from pongs.
             return False
         if self.capacity == 0:
@@ -154,52 +124,41 @@ class LinkCache:
             # contest with no residents would burn a Random-policy draw
             # deciding nothing.
             return False
-        if self._live < self.capacity:
-            self._append(entry)
-            return True
-        # Full: the incoming entry competes with residents for a slot.
-        # choose_victim_from picks the same victim choose_victim would
-        # over list(residents) + [entry], minus the combined-list copy.
-        victim = replacement.choose_victim_from(
-            self.iter_entries(), self._live, entry, now, rng
-        )
-        if victim is None or victim.address == address:
-            return False
-        self._drop_slot(victim.address)
-        self._append(entry)
+        if len(entries) >= self.capacity:
+            # Full: the incoming entry competes with residents for a slot.
+            # choose_victim_from picks the same victim choose_victim would
+            # over list(residents) + [entry], minus the combined-list copy.
+            victim = replacement.choose_victim_from(
+                entries.values(), len(entries), entry, now, rng
+            )
+            if victim is None or victim.address == address:
+                return False
+            del entries[victim.address]
+        entries[address] = entry
         return True
 
     def evict(self, address: Address) -> bool:
         """Remove ``address`` (dead peer, refused probe); True if present."""
-        if address not in self._index:
-            return False
-        self._drop_slot(address)
-        return True
+        return self._entries.pop(address, None) is not None
 
     def touch(self, address: Address, now: float) -> None:
         """Update TS after a direct interaction with ``address`` (no-op if absent)."""
-        idx = self._index.get(address)
-        if idx is not None:
-            entry = self._slots[idx]
-            assert entry is not None
+        entry = self._entries.get(address)
+        if entry is not None:
             entry.touch(now)
 
     def record_results(self, address: Address, num_results: int, now: float) -> None:
         """Reset NumRes for ``address`` after a query reply (no-op if absent)."""
-        idx = self._index.get(address)
-        if idx is not None:
-            entry = self._slots[idx]
-            assert entry is not None
+        entry = self._entries.get(address)
+        if entry is not None:
             entry.record_results(num_results, now)
 
     def clear(self) -> None:
         """Drop all entries."""
-        self._slots.clear()
-        self._index.clear()
-        self._live = 0
+        self._entries.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"LinkCache(owner={self.owner}, size={self._live}/"
+            f"LinkCache(owner={self.owner}, size={len(self._entries)}/"
             f"{self.capacity})"
         )

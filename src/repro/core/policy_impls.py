@@ -70,7 +70,7 @@ class RandomPolicy(Policy):
             ordered = list(entries)
             rng.shuffle(ordered)
             return ordered
-        return rng.sample(list(entries), k)
+        return rng.sample(entries, k)
 
     def choose_victim(
         self,
@@ -96,7 +96,7 @@ class RandomPolicy(Policy):
         i = rng.randrange(n_residents + 1)
         if i == n_residents:
             return candidate
-        return next(islice(iter(residents), i, None))
+        return next(islice(residents, i, None))
 
 
 @register_policy

@@ -56,8 +56,9 @@ class QueryCache:
             True if admitted.
         """
         address = entry.address
-        if address in self._seen or address in self._entries:
+        if address in self._seen:
             return False
+        self._seen.add(address)
         self._entries[address] = entry
         return True
 
@@ -66,15 +67,17 @@ class QueryCache:
         self._seen.add(address)
 
     def was_seen(self, address: Address) -> bool:
-        """Whether ``address`` is excluded from (re-)admission."""
+        """Whether ``address`` is excluded from (re-)admission.
+
+        True for the owner and for every address excluded, probed or
+        pooled this query — exactly when :meth:`add` would refuse it, so
+        pong ingestion asks here *before* copying an entry.
+        """
         return address in self._seen
 
     def pop(self, address: Address) -> Optional[CacheEntry]:
-        """Remove and return the entry for ``address`` (marking it seen)."""
-        entry = self._entries.pop(address, None)
-        if entry is not None:
-            self._seen.add(address)
-        return entry
+        """Remove and return the entry for ``address`` (it stays seen)."""
+        return self._entries.pop(address, None)
 
     def entries(self) -> List[CacheEntry]:
         """Snapshot of current (unconsumed) entries."""

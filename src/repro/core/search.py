@@ -421,6 +421,8 @@ def execute_query(
                     if defense.blocked(shared.address):
                         continue
                     defense.record_import(shared.address, reply.pong.sender)
+                if query_cache.was_seen(shared.address):
+                    continue
                 imported = shared.copy_for_import(reset, wave_time)
                 if query_cache.add(imported):
                     pool.add(imported)

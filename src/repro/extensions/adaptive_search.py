@@ -123,6 +123,8 @@ def execute_adaptive_query(
                 response_time = (waves - 1) * spacing + outcome.rtt
             reset = policies.reset_num_results
             for shared in reply.pong.entries:
+                if query_cache.was_seen(shared.address):
+                    continue
                 imported = shared.copy_for_import(reset)
                 if query_cache.add(imported):
                     pool.add(imported)

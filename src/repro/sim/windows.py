@@ -147,21 +147,26 @@ class BucketedRateLimiter:
             return False
         return self.count(now) + 1 > self.limit
 
-    def record(self, now: float) -> None:
-        """Record one event in ``now``'s bucket (order-independent)."""
-        bucket = self._bucket(now)
-        self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
+    def _store(self, bucket: int, count: int) -> None:
+        self._buckets[bucket] = count
         self._total += 1
         if bucket > self._max_bucket:
             self._max_bucket = bucket
         if len(self._buckets) > self._PRUNE_THRESHOLD:
             self._prune()
 
+    def record(self, now: float) -> None:
+        """Record one event in ``now``'s bucket (order-independent)."""
+        bucket = self._bucket(now)
+        self._store(bucket, self._buckets.get(bucket, 0) + 1)
+
     def try_record(self, now: float) -> bool:
         """Record unless the bucket is full; True if admitted."""
-        if self.would_exceed(now):
+        bucket = self._bucket(now)
+        count = self._buckets.get(bucket, 0)
+        if self.limit is not None and count >= self.limit:
             return False
-        self.record(now)
+        self._store(bucket, count + 1)
         return True
 
     def _prune(self) -> None:

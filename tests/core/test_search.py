@@ -6,9 +6,10 @@ import random
 
 import pytest
 
+from repro.core.entry import CacheEntry
 from repro.core.params import ProtocolParams
 from repro.core.policies import get_ordering_policy
-from repro.core.search import CandidatePool, execute_query
+from repro.core.search import CandidatePool, QueryResult, execute_query
 from repro.network.transport import Transport
 from tests.conftest import make_entry
 from tests.core.helpers import make_peer
@@ -184,6 +185,82 @@ class TestPongChaining:
         entry = querier.link_cache.get(2)
         assert entry is not None
         assert entry.num_res == 1
+
+
+class TestPongIngestCopies:
+    """Pong entries are copied only once admission is certain."""
+
+    @pytest.fixture
+    def copied(self, monkeypatch):
+        """Addresses ``CacheEntry.copy_for_import`` was called on."""
+        calls = []
+        original = CacheEntry.copy_for_import
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.address)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CacheEntry, "copy_for_import", counting)
+        return calls
+
+    def test_already_seen_pongs_copy_nothing(self, rng, copied):
+        protocol = ProtocolParams(cache_size=10, pong_size=5)
+        querier = make_peer(0, protocol=protocol, library=frozenset())
+        a = make_peer(1, protocol=protocol, library=frozenset())
+        b = make_peer(2, protocol=protocol, library=frozenset())
+        # Every pong entry points at the querier or a peer it already caches.
+        for peer, addresses in ((a, (0, 2)), (b, (0, 1))):
+            for address in addresses:
+                peer.link_cache.insert(
+                    make_entry(address), peer.policies.replacement, 0.0, peer._policy_rng
+                )
+        transport = wire(querier, [a, b])
+        cache_entries_for(querier, [a, b])
+        result = execute_query(querier, 42, transport, 0.0, rng=rng)
+        assert copied == []
+        assert (result.probes, result.good_probes) == (2, 2)
+        assert result.pool_exhausted
+        assert sorted(querier.link_cache.addresses()) == [1, 2]
+
+    def test_mixed_pongs_copy_exactly_the_admitted(self, rng, copied):
+        protocol = ProtocolParams(cache_size=10, pong_size=5)
+        peers = [
+            make_peer(
+                address,
+                protocol=protocol,
+                library=frozenset({42}) if address in (4, 5) else frozenset(),
+                seed=address,
+            )
+            for address in range(6)
+        ]
+        # 0 caches {1, 2}; their pongs mix seen (0, 2, a repeated 3) with new.
+        for owner, addresses in ((0, (1, 2)), (1, (0, 2, 3, 4)), (2, (3, 5))):
+            peer = peers[owner]
+            for address in addresses:
+                peer.link_cache.insert(
+                    make_entry(address, num_files=address),
+                    peer.policies.replacement, 0.0, peer._policy_rng,
+                )
+        querier = peers[0]
+        transport = wire(querier, peers[1:])
+        result = execute_query(
+            querier, 42, transport, 0.0, rng=rng, desired_results=5
+        )
+        assert sorted(copied) == [3, 4, 5]
+        # Outcome and cache recorded at the parent commit (which made six
+        # copies to admit the same three).
+        assert result == QueryResult(
+            satisfied=False, results=2, probes=5, good_probes=5, dead_probes=0,
+            refused_probes=0, duration=1.0, response_time=None,
+            pool_exhausted=True,
+        )
+        assert querier.link_cache.entries() == [
+            CacheEntry(address=1, ts=0.4, num_files=1, num_res=0, born=0.0),
+            CacheEntry(address=2, ts=0.0, num_files=2, num_res=0, born=0.0),
+            CacheEntry(address=5, ts=0.2, num_files=5, num_res=1, born=0.0),
+            CacheEntry(address=3, ts=0.2 * 3, num_files=3, num_res=0, born=0.0),
+            CacheEntry(address=4, ts=0.8, num_files=4, num_res=1, born=0.4),
+        ]
 
 
 class TestCapacityAndBackoff:

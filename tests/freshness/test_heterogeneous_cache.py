@@ -74,7 +74,7 @@ class TestOneSlotCache:
 
 class TestMixedSizesUnderChurn:
     """Caches of different sizes evolving side by side stay bounded and
-    correct through tombstone compaction."""
+    keep insertion order through evictions and refills."""
 
     @pytest.mark.parametrize("capacity", [1, 2, 5, 13])
     def test_insert_evict_cycles_stay_bounded(
@@ -82,25 +82,23 @@ class TestMixedSizesUnderChurn:
     ):
         rng = random.Random(capacity)
         cache = LinkCache(capacity=capacity, owner=0)
-        model: set[int] = set()
+        model: list[int] = []  # resident addresses, oldest insert first
         for step in range(400):
             addr = 1 + (step * 7) % 60
             if step % 3 == 2 and model:
                 victim = sorted(model)[step % len(model)]
                 assert cache.evict(victim) is True
-                model.discard(victim)
+                model.remove(victim)
             elif addr not in model:
                 if cache.insert(make_entry(addr), random_replacement, float(step), rng):
-                    model.add(addr)
-                    if len(model) > capacity:
-                        # Policy evicted a resident; resync from the cache.
-                        model = set(cache.addresses())
+                    # A full cache dropped one resident for the newcomer;
+                    # survivors keep their order, the newcomer goes last.
+                    model = [a for a in model if a in cache] + [addr]
             assert len(cache) == len(model) <= capacity
-            assert set(cache.addresses()) == model
-        # Compaction keeps the slot list near capacity, not history-sized.
-        assert len(cache._slots) <= max(2 * capacity, 1) + 1
+            assert list(cache.addresses()) == model
+            assert [e.address for e in cache.entries()] == model
 
-    def test_compaction_preserves_insertion_order(self, random_replacement, rng):
+    def test_refill_keeps_insertion_order(self, random_replacement, rng):
         cache = LinkCache(capacity=4, owner=0)
         for a in (1, 2, 3, 4):
             cache.insert(make_entry(a), random_replacement, 0.0, rng)
@@ -110,6 +108,11 @@ class TestMixedSizesUnderChurn:
         cache.insert(make_entry(6), random_replacement, 1.0, rng)
         # Survivors first (in original order), then re-fills.
         assert [e.address for e in cache.entries()] == [2, 4, 5, 6]
+        assert list(cache.addresses()) == [2, 4, 5, 6]
+        # A re-inserted address goes to the end, not back to its old place.
+        cache.evict(2)
+        cache.insert(make_entry(2), random_replacement, 2.0, rng)
+        assert list(cache.addresses()) == [4, 5, 6, 2]
 
 
 class TestPeerCapacityOverride:

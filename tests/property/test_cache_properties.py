@@ -64,6 +64,113 @@ def test_link_cache_first_writer_wins(entries, replacement_name):
             assert (cached.ts, cached.num_files) == (ts, num_files)
 
 
+class _ListCache:
+    """Reference the link cache must equal: residents in a plain list,
+    the victim picked by ``Policy.choose_victim`` over
+    ``residents + [candidate]``."""
+
+    def __init__(self, capacity, owner):
+        self.capacity = capacity
+        self.owner = owner
+        self.residents = []
+
+    def get(self, address):
+        return next((e for e in self.residents if e.address == address), None)
+
+    def insert(self, entry, policy, now, rng):
+        if entry.address == self.owner or self.get(entry.address) is not None:
+            return False
+        if self.capacity == 0:
+            return False
+        if len(self.residents) >= self.capacity:
+            victim = policy.choose_victim(self.residents + [entry], now, rng)
+            if victim is entry:
+                return False
+            self.residents = [e for e in self.residents if e is not victim]
+        self.residents.append(entry)
+        return True
+
+    def evict(self, address):
+        entry = self.get(address)
+        if entry is None:
+            return False
+        self.residents = [e for e in self.residents if e is not entry]
+        return True
+
+    def touch(self, address, now):
+        entry = self.get(address)
+        if entry is not None:
+            entry.touch(now)
+
+    def record_results(self, address, num_results, now):
+        entry = self.get(address)
+        if entry is not None:
+            entry.record_results(num_results, now)
+
+
+#: Addresses 100.. are the prefilled residents, so ops hit both
+#: residents and strangers at every capacity.
+_model_addresses = st.integers(min_value=0, max_value=12) | st.integers(
+    min_value=100, max_value=205
+)
+_model_times = st.floats(min_value=0, max_value=1e4, allow_nan=False)
+_model_ops = st.one_of(
+    st.tuples(
+        st.just("insert"),
+        st.builds(
+            CacheEntry,
+            address=_model_addresses,
+            ts=_model_times,
+            num_files=st.integers(min_value=0, max_value=20),
+            num_res=st.integers(min_value=0, max_value=5),
+        ),
+        _model_times,
+    ),
+    st.tuples(st.just("evict"), _model_addresses),
+    st.tuples(st.just("touch"), _model_addresses, _model_times),
+    st.tuples(
+        st.just("record_results"),
+        _model_addresses,
+        st.integers(min_value=0, max_value=5),
+        _model_times,
+    ),
+)
+
+
+@given(
+    st.lists(_model_ops, max_size=60),
+    st.sampled_from([0, 1, 3, 100]),
+    st.sampled_from(["Random", "LFS"]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_link_cache_equals_list_model(ops, capacity, replacement_name, prefill, seed):
+    """Same returns, same ``entries()`` order, same RNG draws as the
+    list-backed reference after every step — the property the golden
+    trace digests rely on."""
+    policy = get_replacement_policy(replacement_name)
+    cache, model = LinkCache(capacity, owner=0), _ListCache(capacity, owner=0)
+    rng_cache, rng_model = random.Random(seed), random.Random(seed)
+    if prefill:
+        fill = [("insert", CacheEntry(100 + i, num_files=i % 7), 0.0) for i in range(capacity)]
+        ops = fill + ops
+    for op, *args in ops:
+        if op == "insert":
+            entry, now = args
+            got = cache.insert(entry.copy(), policy, now, rng_cache)
+            want = model.insert(entry.copy(), policy, now, rng_model)
+        else:
+            got = getattr(cache, op)(*args)
+            want = getattr(model, op)(*args)
+        assert got == want
+        assert cache.entries() == model.residents
+        assert list(cache.iter_entries()) == model.residents
+        assert list(cache.addresses()) == [e.address for e in model.residents]
+        assert len(cache) == len(model.residents) <= capacity
+        assert rng_cache.getstate() == rng_model.getstate()
+
+
 @given(
     st.lists(entry_strategy, max_size=60),
     st.sets(st.integers(min_value=0, max_value=50), max_size=10),
