@@ -39,8 +39,7 @@ from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
 from repro.core.policies import get_replacement_policy
 from repro.experiments.runner import run_guess_config
-from repro.sim.engine import EventHandle, Simulator
-from repro.sim.wheel import HeapScheduler, TimingWheel
+from repro.sim.engine import Simulator
 
 RESULTS_PATH = pathlib.Path(__file__).resolve().parent.parent / (
     "BENCH_kernel.json"
@@ -64,8 +63,6 @@ _KNOBS = {
         sweep_size=150,
         sweep_duration=400.0,
         sweep_trials=4,
-        timer_population=1_000_000,
-        timer_rounds=3,
         scaling_cells=((1_000, 120.0), (10_000, 120.0), (100_000, 60.0)),
     ),
     "tiny": dict(
@@ -77,8 +74,6 @@ _KNOBS = {
         sweep_size=150,
         sweep_duration=400.0,
         sweep_trials=4,
-        timer_population=20_000,
-        timer_rounds=3,
         scaling_cells=((200, 30.0), (1_000, 30.0)),
     ),
 }[SCALE]
@@ -216,70 +211,12 @@ def test_link_cache_random_inserts_per_sec(benchmark):
     _RESULTS["link_cache_random_inserts_per_sec"] = count / _mean_seconds(benchmark)
 
 
-def _drive_scheduler(sched, population: int, rounds: int) -> float:
-    """Pump self-rescheduling timers through one scheduler, directly.
-
-    Bypasses the ``Simulator`` so handle allocation and action dispatch
-    (identical for both schedulers) don't dilute the measured quantity:
-    the scheduler's own push/pop cost with ``population`` timers
-    pending.  Each pop reschedules the same handle one interval later,
-    so the pending set stays at ``population`` for the whole run —
-    exactly the engine's steady-state ping/death workload shape.
-    """
-    interval = 30.0
-    rng = random.Random(1234)
-    for seq in range(population):
-        when = rng.random() * interval
-        handle = EventHandle(when, 0, seq, None, "", (), None)
-        sched.push((when, 0, seq, handle))
-    seq = population
-    pops = population * rounds
-    horizon = float("inf")
-    started = time.perf_counter()  # repro: allow-wallclock (benchmark timing)
-    for _ in range(pops):
-        handle = sched.pop_next(horizon)
-        when = handle.time + interval
-        handle.time = when
-        sched.push((when, 0, seq, handle))
-        seq += 1
-    elapsed = time.perf_counter() - started  # repro: allow-wallclock
-    return pops / elapsed
-
-
-def test_scheduler_wheel_vs_heap_events_per_sec():
-    """The tentpole claim: >= 2x scheduler throughput at timer scale.
-
-    The heap pays O(log n) comparisons per operation with n timers
-    pending; the wheel pays O(1) bucket appends and tail pops.  At the
-    bench scale's million-timer population the wheel must clear twice
-    the heap's events/s; the tiny (CI) scale only sanity-checks that
-    both run and records the numbers.
-    """
-    population = _KNOBS["timer_population"]
-    rounds = _KNOBS["timer_rounds"]
-    heap_rate = _drive_scheduler(HeapScheduler(), population, rounds)
-    wheel_rate = _drive_scheduler(TimingWheel(), population, rounds)
-    speedup = wheel_rate / heap_rate
-    _RESULTS["scheduler_heap_events_per_sec"] = heap_rate
-    _RESULTS["scheduler_wheel_events_per_sec"] = wheel_rate
-    _RESULTS["scheduler_wheel_speedup"] = speedup
-    _RESULTS["scheduler_timer_population"] = population
-    assert heap_rate > 0 and wheel_rate > 0
-    if SCALE == "bench":
-        assert speedup >= 2.0, (
-            f"wheel speedup {speedup:.2f}x below the 2x bar "
-            f"({wheel_rate:,.0f} vs {heap_rate:,.0f} ev/s)"
-        )
-
-
 #: Runs one scaling cell in a fresh interpreter and prints a JSON line:
 #: the child's RSS is then that cell's population alone, not whatever
 #: the benchmark process accumulated before it.
 _SCALING_CELL_SCRIPT = """
 import json, resource, sys, time
-network_size, duration, scheduler = (
-    int(sys.argv[1]), float(sys.argv[2]), sys.argv[3]
-)
+network_size, duration = int(sys.argv[1]), float(sys.argv[2])
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
 
@@ -300,7 +237,6 @@ sim = GuessSimulation(
     SystemParams(network_size=network_size, query_rate=0.0),
     ProtocolParams(cache_size=10),
     seed=7,
-    scheduler=scheduler,
 )
 started = time.perf_counter()
 sim.run(duration)
@@ -312,9 +248,7 @@ print(json.dumps({
 """
 
 
-def _run_scaling_cell(
-    network_size: int, duration: float, scheduler: str
-) -> dict:
+def _run_scaling_cell(network_size: int, duration: float) -> dict:
     src = pathlib.Path(repro.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
@@ -324,7 +258,6 @@ def _run_scaling_cell(
             _SCALING_CELL_SCRIPT,
             str(network_size),
             str(duration),
-            scheduler,
         ],
         env=env,
         capture_output=True,
@@ -347,21 +280,12 @@ def test_peer_scaling_curve():
     """
     largest = 0
     for network_size, duration in _KNOBS["scaling_cells"]:
-        wheel = _run_scaling_cell(network_size, duration, "wheel")
-        heap = _run_scaling_cell(network_size, duration, "heap")
-        bytes_per_peer = wheel["rss_bytes"] / network_size
-        _RESULTS[f"scale_n{network_size}_wheel_events_per_sec"] = (
-            wheel["events_per_sec"]
-        )
-        _RESULTS[f"scale_n{network_size}_heap_events_per_sec"] = (
-            heap["events_per_sec"]
-        )
-        _RESULTS[f"scale_n{network_size}_rss_mb"] = (
-            wheel["rss_bytes"] / (1024 * 1024)
-        )
+        cell = _run_scaling_cell(network_size, duration)
+        bytes_per_peer = cell["rss_bytes"] / network_size
+        _RESULTS[f"scale_n{network_size}_heap_events_per_sec"] = cell["events_per_sec"]
+        _RESULTS[f"scale_n{network_size}_rss_mb"] = cell["rss_bytes"] / (1024 * 1024)
         _RESULTS[f"scale_n{network_size}_rss_bytes_per_peer"] = bytes_per_peer
-        assert wheel["events_per_sec"] > 0
-        assert heap["events_per_sec"] > 0
+        assert cell["events_per_sec"] > 0
         if network_size > largest:
             largest = network_size
             if SCALE == "bench":

@@ -384,8 +384,8 @@ class GossipPlan:
     A harvested pong is normally consumed only by the probing peer; with
     an enabled plan the harvest is also pushed to ``fanout`` link-cache
     contacts per hop, for ``ttl`` hops, each hop ``hop_delay`` seconds
-    after the previous one (through the engine, so both schedulers and
-    the fault layer apply).
+    after the previous one (through the engine, so the fault layer
+    applies).
 
     ``fanout=0`` or ``ttl=0`` is the documented no-op: the simulation
     keeps the exact pre-gossip code path (:meth:`GossipRelay.from_plan`

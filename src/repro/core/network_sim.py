@@ -38,7 +38,7 @@ from repro.core.peer import GuessPeer
 from repro.core.peer_store import PeerStore
 from repro.core.policies import PolicySet
 from repro.core.search import execute_query
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy, probe_with_retry
@@ -89,8 +89,9 @@ class GuessSimulation:
             ``system.lifespan_multiplier``).
         file_model: shared-file-count model override.
         keep_queries: retain every individual query result in the report.
-        health_sample_interval: spacing of cache-health samples; ``None``
-            disables sampling (saves time in ping-only sweeps).
+        health_sample_interval: spacing of cache-health samples in
+            seconds, > 0; ``None`` disables sampling (saves time in
+            ping-only sweeps).
         latency: optional round-trip-time model for delivered probes
             (see :mod:`repro.network.latency`); defaults to the
             transport's constant model.  Affects only response-time
@@ -105,11 +106,6 @@ class GuessSimulation:
             fired event is folded into a digest exposed as
             :attr:`trace_digest`, so two same-``(seed, params)`` runs can
             be asserted bit-for-bit identical.
-        scheduler: engine event-queue structure — ``"heap"`` (the
-            reference oracle) or ``"wheel"`` (the timing wheel; use it
-            for large populations).  Both fire events in exactly the
-            same order, so the choice never affects results — only
-            wall-clock (see :mod:`repro.sim.wheel`).
         observe: optional :class:`~repro.observe.plan.ObservationPlan`
             attaching query-span recording and/or a shared metrics
             registry.  ``None`` or a no-op plan builds no observers and
@@ -174,7 +170,6 @@ class GuessSimulation:
         latency=None,
         faults: Optional[FaultPlan] = None,
         trace_hash: bool = False,
-        scheduler: str = "heap",
         observe: Optional[ObservationPlan] = None,
         scenarios: Optional[ScenarioPlan] = None,
         resilience: Optional[ResiliencePolicy] = None,
@@ -182,9 +177,14 @@ class GuessSimulation:
         gossip: Optional[GossipPlan] = None,
         freshness: Optional[FreshnessPlan] = None,
     ) -> None:
+        if health_sample_interval is not None and not health_sample_interval > 0:
+            raise ConfigError(
+                "health_sample_interval must be > 0 (or None to disable "
+                f"sampling), got {health_sample_interval}"
+            )
         self.system = system
         self.protocol = protocol.normalized()
-        self.engine = Simulator(trace_hash=trace_hash, scheduler=scheduler)
+        self.engine = Simulator(trace_hash=trace_hash)
         self.rng = RngRegistry(seed)
         self.faults = FaultInjector.from_plan(faults, self.rng)
         # Both follow the from_plan -> None invisibility contract: a
@@ -242,9 +242,9 @@ class GuessSimulation:
         ghosts = self._allocator.allocate_many(GHOST_ADDRESS_COUNT)
         self.directory = AttackDirectory(ghost_addresses=ghosts)
         # Struct-of-arrays peer registry: the live-peer object map plus
-        # scalar columns (alive/role/harvested flags, file counts,
-        # capacities) indexed by dense address — the hot membership
-        # checks below are bytearray loads, not dict/set hashing.
+        # scalar columns (alive/role/harvested flags) indexed by dense
+        # address — the hot membership checks below are bytearray loads,
+        # not dict/set hashing.
         self._store = PeerStore(reserve=GHOST_ADDRESS_COUNT)
         self._health_interval = health_sample_interval
         self._reported = False
@@ -727,8 +727,8 @@ class GuessSimulation:
 
         The probing peer becomes the rumor's origin/first carrier; the
         first hop fires ``hop_delay`` later so dissemination rides the
-        engine (both schedulers, the fault layer, and receiver rate
-        limits all apply).  The per-rumor ``seen`` set is shared through
+        engine (the fault layer and receiver rate limits both
+        apply).  The per-rumor ``seen`` set is shared through
         event args — events fire deterministically, so the mutation
         order (hence every target choice) is reproducible.
         """

@@ -19,9 +19,6 @@ Columns (all indexed by address):
   ``a in live_peers and a not in live_malicious`` double lookup it
   replaces (roles never change and addresses are never recycled).
 * ``harvested`` — lifetime counters absorbed exactly once per peer.
-* ``num_files`` / ``capacity`` — advertised file count and probe-rate
-  capacity, the scalar columns the intra-trial sharding work
-  (ROADMAP item 2) will exchange instead of peer objects.
 
 The store also owns the live-peer **object map** (a ``dict`` preserving
 birth order — iteration order is digest-load-bearing for health
@@ -35,7 +32,6 @@ never *what* the answer is, and the golden trace digests in
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Iterator, List, Optional
 
 from repro.core.live_index import LiveAddressIndex
@@ -59,9 +55,8 @@ class PeerStore:
     The dense-address invariant: every address that can ever appear in
     a cache entry was handed out by the simulation's single allocator,
     and the simulation registers every allocated address (ghosts via
-    ``reserve`` / :meth:`note_ghost`, peers via :meth:`add` at birth)
-    before it can circulate — so column reads never need a bounds
-    check.
+    ``reserve``, peers via :meth:`add` at birth) before it can circulate
+    — so column reads never need a bounds check.
     """
 
     __slots__ = (
@@ -70,8 +65,6 @@ class PeerStore:
         "_alive",
         "_malicious",
         "_harvested",
-        "_num_files",
-        "_capacity",
     )
 
     def __init__(self, reserve: int = 0) -> None:
@@ -80,8 +73,6 @@ class PeerStore:
         self._alive = bytearray(reserve)
         self._malicious = bytearray(reserve)
         self._harvested = bytearray(reserve)
-        self._num_files = array("l", bytes(8 * reserve)) if reserve else array("l")
-        self._capacity = array("l", bytes(8 * reserve)) if reserve else array("l")
 
     # ------------------------------------------------------------------
     # Column management
@@ -96,13 +87,6 @@ class PeerStore:
         self._alive.extend(bytes(grow))
         self._malicious.extend(bytes(grow))
         self._harvested.extend(bytes(grow))
-        zeros = array("l", bytes(self._num_files.itemsize * grow))
-        self._num_files.extend(zeros)
-        self._capacity.extend(zeros)
-
-    def note_ghost(self, address: Address) -> None:
-        """Cover an allocated-but-never-born address (stays dead)."""
-        self._ensure(address)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -140,28 +124,12 @@ class PeerStore:
         """The role column (read-only use; index by address)."""
         return self._malicious
 
-    def is_alive(self, address: Address) -> bool:
-        """True while ``address`` hosts a live peer."""
-        return bool(self._alive[address])
-
-    def is_live_good(self, address: Address) -> bool:
-        """True for a live, protocol-following peer."""
-        return bool(self._alive[address]) and not self._malicious[address]
-
-    def num_files_of(self, address: Address) -> int:
-        """Advertised shared-file count (0 for ghosts/unregistered)."""
-        return self._num_files[address]
-
-    def capacity_of(self, address: Address) -> int:
-        """Probe-rate capacity column (0 = unlimited/unregistered)."""
-        return self._capacity[address]
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def add(self, peer: GuessPeer) -> None:
-        """Register a newborn peer and populate its scalar columns."""
+        """Register a newborn peer and set its alive/role flags."""
         address = peer.address
         self._ensure(address)
         self._peers[address] = peer
@@ -169,9 +137,6 @@ class PeerStore:
         self._alive[address] = 1
         if peer.malicious:
             self._malicious[address] = 1
-        self._num_files[address] = peer.num_files
-        limiter = peer._limiter
-        self._capacity[address] = limiter.limit if limiter is not None else 0
 
     def remove(self, address: Address) -> Optional[GuessPeer]:
         """Unregister a departing peer; returns it (None if absent)."""

@@ -8,8 +8,9 @@ core.  This module supplies the missing abstraction:
 * :class:`TrialSpec` — a frozen, picklable description of one seeded
   trial (the seed is derived *before* dispatch, in the parent, so worker
   placement can never change which seed a trial gets);
-* :func:`execute_trial` — a module-level worker function (picklable by
-  reference) that builds, runs, and reports one simulation;
+* :func:`build_simulation` — the one place a spec becomes a
+  simulation — and :func:`execute_trial`, a module-level worker function
+  (picklable by reference) that builds, runs, and reports one;
 * :class:`TrialExecutor` — the strategy interface, with
   :class:`SerialTrialExecutor` (in-process, zero overhead) and
   :class:`ProcessTrialExecutor` (a lazily started
@@ -127,9 +128,6 @@ class TrialSpec:
         faults: optional fault plan (frozen, hence picklable); ``None``
             or an all-zeros plan runs the fault-free code path.
         trace_hash: enable the engine's determinism sanitizer.
-        scheduler: engine event-queue structure (``"heap"`` or
-            ``"wheel"``); either fires events in exactly the same order,
-            so this knob trades wall-clock only, never results.
         chaos: optional crash injection (:class:`ChaosSpec`); fires in
             :func:`execute_trial` before the simulation exists, so a
             surviving attempt's report is untouched by it.
@@ -160,7 +158,6 @@ class TrialSpec:
     health_sample_interval: Optional[float] = 60.0
     faults: Optional[FaultPlan] = None
     trace_hash: bool = False
-    scheduler: str = "heap"
     chaos: Optional[ChaosSpec] = None
     scenarios: Optional[ScenarioPlan] = None
     resilience: Optional[ResiliencePolicy] = None
@@ -169,11 +166,14 @@ class TrialSpec:
     freshness: Optional[FreshnessPlan] = None
 
 
-def execute_trial(spec: TrialSpec) -> SimulationReport:
-    """Run one trial to completion (module-level, hence process-picklable)."""
-    if spec.chaos is not None:
-        _apply_chaos(spec.chaos)
-    sim = GuessSimulation(
+def build_simulation(spec: TrialSpec) -> GuessSimulation:
+    """The simulation ``spec`` describes, built but not yet run.
+
+    The one place a :class:`TrialSpec` becomes a
+    :class:`~repro.core.network_sim.GuessSimulation`: a field added to
+    the spec is wired here and nowhere else.
+    """
+    return GuessSimulation(
         spec.system,
         spec.protocol,
         seed=spec.seed,
@@ -182,13 +182,19 @@ def execute_trial(spec: TrialSpec) -> SimulationReport:
         health_sample_interval=spec.health_sample_interval,
         faults=spec.faults,
         trace_hash=spec.trace_hash,
-        scheduler=spec.scheduler,
         scenarios=spec.scenarios,
         resilience=spec.resilience,
         satisfaction_window=spec.satisfaction_window,
         gossip=spec.gossip,
         freshness=spec.freshness,
     )
+
+
+def execute_trial(spec: TrialSpec) -> SimulationReport:
+    """Run one trial to completion (module-level, hence process-picklable)."""
+    if spec.chaos is not None:
+        _apply_chaos(spec.chaos)
+    sim = build_simulation(spec)
     # Profiling hook: when a profiler is active in this process, the
     # engine reports this trial's (events, wall, sim-seconds) sample.
     # The profiler only reads engine counters — the simulation itself is

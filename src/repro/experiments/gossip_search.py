@@ -33,12 +33,11 @@ directly::
 The module CLI's ``--verify-parallel`` flag re-runs the suite serially
 and on a process pool and fails unless the rendered reports are
 byte-identical — the gossip subsystem's serial-vs-parallel determinism
-check used by the ``gossip-smoke`` CI job.
+check used by the ``suite-smoke`` CI job.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -49,11 +48,12 @@ from repro.baselines.gossip import GossipParams, GossipPlan, GossipSearch
 from repro.core.params import ProtocolParams, SystemParams
 from repro.errors import TrialFailure
 from repro.experiments.executor import TrialExecutor, get_executor
-from repro.experiments.profiles import PROFILES, Profile, get_profile
+from repro.experiments.profiles import Profile
 from repro.experiments.runner import (
     ExperimentResult,
     averaged,
     run_guess_config,
+    suite_main,
 )
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.workload.content import ContentModel
@@ -193,7 +193,6 @@ def _guess_row(
     plan: Optional[GossipPlan],
     ping_stretch: float,
     executor: TrialExecutor | None,
-    scheduler: str,
 ) -> Dict[str, float]:
     """One simulated GUESS cell (plain or gossip-assisted).
 
@@ -218,7 +217,6 @@ def _guess_row(
         base_seed=BASE_SEED,
         gossip=plan,
         executor=executor,
-        scheduler=scheduler,
     )
     live = [r for r in reports if not isinstance(r, TrialFailure)]
     messages = [
@@ -244,7 +242,6 @@ def _guess_row(
 def run_gossip_compare(
     profile: Profile,
     executor: TrialExecutor | None = None,
-    scheduler: str = "heap",
 ) -> ExperimentResult:
     """The seven-row comparison table (flooding, three rumor modes,
     plain GUESS, two gossip-assisted cells)."""
@@ -272,7 +269,7 @@ def run_gossip_compare(
             "-",
             "-",
         ))
-    plain = _guess_row(profile, None, 1.0, executor, scheduler)
+    plain = _guess_row(profile, None, 1.0, executor)
     rows.append((
         "guess",
         plain["satisfied"],
@@ -283,7 +280,7 @@ def run_gossip_compare(
         plain["frac_live"],
     ))
     for label, plan, stretch in ASSISTED_CELLS:
-        cell = _guess_row(profile, plan, stretch, executor, scheduler)
+        cell = _guess_row(profile, plan, stretch, executor)
         rows.append((
             label,
             cell["satisfied"],
@@ -379,95 +376,27 @@ def run_suite(
     profile: Profile,
     workers: int = 1,
     executor: TrialExecutor | None = None,
-    scheduler: str = "heap",
 ) -> List[ExperimentResult]:
     """``gossip_compare`` and ``gossip_faulty``.
 
     An explicit ``executor`` (e.g. the supervised executor shared by
     ``run_all --supervise``) overrides ``workers`` and stays open for
-    the caller to close.  ``scheduler`` picks the engine event queue
-    per trial ("heap" or "wheel"); results are identical either way.
+    the caller to close.
     """
     if executor is None:
         with get_executor(workers) as owned:
-            return run_suite(profile, executor=owned, scheduler=scheduler)
+            return run_suite(profile, executor=owned)
     return [
-        run_gossip_compare(profile, executor, scheduler),
+        run_gossip_compare(profile, executor),
         run_gossip_faulty(profile),
     ]
 
 
-def _render(results: List[ExperimentResult]) -> str:
-    return "\n\n".join(result.render() for result in results)
-
-
 def main(argv: List[str] | None = None) -> int:
-    """Module CLI; see the module docstring.  Returns an exit code."""
-    parser = argparse.ArgumentParser(
-        description="Run the gossip-search comparison suite."
+    """Module CLI; see :func:`~repro.experiments.runner.suite_main`."""
+    return suite_main(
+        run_suite, "Run the gossip-search comparison suite.", argv
     )
-    parser.add_argument(
-        "--profile",
-        default="smoke",
-        choices=sorted(PROFILES),
-        help="scale profile (default: smoke)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="trial-level parallelism (0 = one per CPU, default: serial)",
-    )
-    parser.add_argument(
-        "--verify-parallel",
-        action="store_true",
-        help=(
-            "run the suite serially AND on --workers processes and fail "
-            "unless the rendered reports are byte-identical"
-        ),
-    )
-    parser.add_argument(
-        "--scheduler",
-        default="heap",
-        choices=("heap", "wheel"),
-        help=(
-            "engine event queue per trial (default: heap); the wheel is "
-            "faster at scale and fires events in exactly the same order"
-        ),
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        help="also write the rendered results to this file",
-    )
-    args = parser.parse_args(argv)
-    if args.workers < 0:
-        parser.error(f"--workers must be >= 0, got {args.workers}")
-    profile = get_profile(args.profile)
-
-    if args.verify_parallel:
-        if args.workers == 1:
-            parser.error("--verify-parallel needs --workers N (N != 1)")
-        serial = _render(run_suite(profile, workers=1, scheduler=args.scheduler))
-        parallel = _render(
-            run_suite(profile, workers=args.workers, scheduler=args.scheduler)
-        )
-        if serial != parallel:
-            print("FAIL: serial and parallel reports differ", file=sys.stderr)
-            return 1
-        print(f"serial == workers={args.workers}: reports byte-identical")
-        text = serial
-    else:
-        text = _render(
-            run_suite(profile, workers=args.workers, scheduler=args.scheduler)
-        )
-
-    print(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    return 0
 
 
 if __name__ == "__main__":

@@ -34,22 +34,22 @@ directly::
 The module CLI's ``--verify-parallel`` flag re-runs the suite serially
 and on a process pool and fails unless the rendered reports are
 byte-identical — the fault subsystem's serial-vs-parallel determinism
-check used by the ``faults-smoke`` CI job.
+check used by the ``suite-smoke`` CI job.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import Dict, List, Tuple
 
 from repro.core.params import ProtocolParams, SystemParams
 from repro.experiments.executor import TrialExecutor, get_executor
-from repro.experiments.profiles import PROFILES, Profile, get_profile
+from repro.experiments.profiles import Profile
 from repro.experiments.runner import (
     ExperimentResult,
     averaged,
     run_guess_config,
+    suite_main,
 )
 from repro.faults.plan import FaultPlan
 
@@ -70,7 +70,6 @@ def _measure_cell(
     loss: float,
     retries: int,
     executor: TrialExecutor | None = None,
-    scheduler: str = "heap",
 ) -> Dict[str, float]:
     """Run one (loss rate, retry budget) cell and fold its metrics."""
     protocol = ProtocolParams(probe_retries=retries)
@@ -83,7 +82,6 @@ def _measure_cell(
         base_seed=BASE_SEED,
         faults=FaultPlan(loss_rate=loss),
         executor=executor,
-        scheduler=scheduler,
     )
     return {
         "satisfied": averaged(reports, "satisfaction_rate"),
@@ -100,13 +98,10 @@ def _measure_cell(
 def _sweep(
     profile: Profile,
     executor: TrialExecutor | None = None,
-    scheduler: str = "heap",
 ) -> Dict[Tuple[float, int], Dict[str, float]]:
     """The full loss × retry grid, cells in deterministic sweep order."""
     return {
-        (loss, retries): _measure_cell(
-            profile, loss, retries, executor, scheduler
-        )
+        (loss, retries): _measure_cell(profile, loss, retries, executor)
         for retries in RETRY_BUDGETS
         for loss in LOSS_RATES
     }
@@ -115,10 +110,9 @@ def _sweep(
 def run_loss_grid(
     profile: Profile,
     executor: TrialExecutor | None = None,
-    scheduler: str = "heap",
 ) -> List[ExperimentResult]:
     """Both results from one grid sweep (the cells are shared)."""
-    cells = _sweep(profile, executor, scheduler)
+    cells = _sweep(profile, executor)
     rows = tuple(
         (
             loss,
@@ -179,92 +173,24 @@ def run_suite(
     profile: Profile,
     workers: int = 1,
     executor: TrialExecutor | None = None,
-    scheduler: str = "heap",
 ) -> List[ExperimentResult]:
     """``loss_grid`` and ``loss_satisfaction``.
 
     An explicit ``executor`` (e.g. the supervised executor shared by
     ``run_all --supervise``) overrides ``workers`` and stays open for
-    the caller to close.  ``scheduler`` picks the engine event queue
-    per trial ("heap" or "wheel"); results are identical either way.
+    the caller to close.
     """
     if executor is None:
         with get_executor(workers) as owned:
-            return run_suite(profile, executor=owned, scheduler=scheduler)
-    return run_loss_grid(profile, executor, scheduler)
-
-
-def _render(results: List[ExperimentResult]) -> str:
-    return "\n\n".join(result.render() for result in results)
+            return run_suite(profile, executor=owned)
+    return run_loss_grid(profile, executor)
 
 
 def main(argv: List[str] | None = None) -> int:
-    """Module CLI; see the module docstring.  Returns an exit code."""
-    parser = argparse.ArgumentParser(
-        description="Run the packet-loss robustness suite."
+    """Module CLI; see :func:`~repro.experiments.runner.suite_main`."""
+    return suite_main(
+        run_suite, "Run the packet-loss robustness suite.", argv
     )
-    parser.add_argument(
-        "--profile",
-        default="smoke",
-        choices=sorted(PROFILES),
-        help="scale profile (default: smoke)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="trial-level parallelism (0 = one per CPU, default: serial)",
-    )
-    parser.add_argument(
-        "--verify-parallel",
-        action="store_true",
-        help=(
-            "run the suite serially AND on --workers processes and fail "
-            "unless the rendered reports are byte-identical"
-        ),
-    )
-    parser.add_argument(
-        "--scheduler",
-        default="heap",
-        choices=("heap", "wheel"),
-        help=(
-            "engine event queue per trial (default: heap); the wheel is "
-            "faster at scale and fires events in exactly the same order"
-        ),
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        help="also write the rendered results to this file",
-    )
-    args = parser.parse_args(argv)
-    if args.workers < 0:
-        parser.error(f"--workers must be >= 0, got {args.workers}")
-    profile = get_profile(args.profile)
-
-    if args.verify_parallel:
-        if args.workers == 1:
-            parser.error("--verify-parallel needs --workers N (N != 1)")
-        serial = _render(run_suite(profile, workers=1, scheduler=args.scheduler))
-        parallel = _render(
-            run_suite(profile, workers=args.workers, scheduler=args.scheduler)
-        )
-        if serial != parallel:
-            print("FAIL: serial and parallel reports differ", file=sys.stderr)
-            return 1
-        print(f"serial == workers={args.workers}: reports byte-identical")
-        text = serial
-    else:
-        text = _render(
-            run_suite(profile, workers=args.workers, scheduler=args.scheduler)
-        )
-
-    print(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    return 0
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@
 configuration for ``trials`` seeded repetitions and returns the reports;
 :func:`averaged` folds an attribute across them.  Experiments compose
 these into sweeps and package the output as
-:class:`ExperimentResult` records that the CLI renders.
+:class:`ExperimentResult` records that the CLI renders;
+:func:`suite_main` is the module CLI every stand-alone suite shares.
 
 Trials are independent seeded runs, so ``workers=N`` (or an explicit
 :class:`~repro.experiments.executor.TrialExecutor`) fans them out over a
@@ -15,6 +16,8 @@ serial output.
 
 from __future__ import annotations
 
+import argparse
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -26,8 +29,10 @@ from repro.experiments.executor import (
     ChaosSpec,
     TrialExecutor,
     TrialSpec,
+    build_simulation,
     get_executor,
 )
+from repro.experiments.profiles import PROFILES, get_profile
 from repro.faults.plan import FaultPlan
 from repro.freshness.plan import FreshnessPlan
 from repro.metrics.collectors import SimulationReport
@@ -93,7 +98,6 @@ def run_guess_config(
     workers: int = 1,
     executor: Optional[TrialExecutor] = None,
     trace_hash: bool = False,
-    scheduler: str = "heap",
     chaos: Optional[Mapping[int, ChaosSpec]] = None,
     scenarios: Optional[ScenarioPlan] = None,
     resilience: Optional[ResiliencePolicy] = None,
@@ -128,10 +132,6 @@ def run_guess_config(
             manifest recorder is active, so every recorded configuration
             carries per-trial digests that :func:`replay_config` can
             verify bit for bit.
-        scheduler: engine event-queue structure (``"heap"`` or
-            ``"wheel"``) applied to every trial.  Either fires events in
-            exactly the same order, so sweep results are independent of
-            this knob — big sweeps pick ``"wheel"`` purely for speed.
         chaos: optional ``{trial index: ChaosSpec}`` crash injection for
             supervisor drills — the chosen trials sabotage themselves in
             the worker before their simulation is built.  Ignored on the
@@ -174,7 +174,6 @@ def run_guess_config(
             health_sample_interval=health_sample_interval,
             faults=faults,
             trace_hash=capture,
-            scheduler=scheduler,
             chaos=chaos.get(trial) if chaos is not None else None,
             scenarios=scenarios,
             resilience=resilience,
@@ -187,22 +186,7 @@ def run_guess_config(
     if mutate is not None:
         reports: List[SimulationReport] = []
         for spec in specs:
-            sim = GuessSimulation(
-                system,
-                protocol,
-                seed=spec.seed,
-                warmup=warmup,
-                keep_queries=keep_queries,
-                health_sample_interval=health_sample_interval,
-                faults=faults,
-                trace_hash=capture,
-                scheduler=scheduler,
-                scenarios=scenarios,
-                resilience=resilience,
-                satisfaction_window=satisfaction_window,
-                gossip=gossip,
-                freshness=freshness,
-            )
+            sim = build_simulation(spec)
             mutate(sim)
             sim.run(warmup + duration)
             reports.append(sim.report())
@@ -248,3 +232,72 @@ def averaged(
         for report in reports
         if not isinstance(report, TrialFailure)
     ])
+
+
+def _render(results: List[ExperimentResult]) -> str:
+    return "\n\n".join(result.render() for result in results)
+
+
+def suite_main(
+    run_suite: Callable[..., List[ExperimentResult]],
+    description: str,
+    argv: Optional[List[str]] = None,
+) -> int:
+    """The module CLI shared by the stand-alone suites.
+
+    ``run_suite(profile, workers=N)`` is the suite's entry point.
+    ``--verify-parallel`` runs it serially and on ``--workers``
+    processes and fails unless the rendered reports are byte-identical
+    (the serial-vs-parallel determinism check the ``suite-smoke`` CI job
+    runs).  Returns an exit code.
+    """
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument(
+        "--profile",
+        default="smoke",
+        choices=sorted(PROFILES),
+        help="scale profile (default: smoke)",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="trial-level parallelism (0 = one per CPU, default: serial)",
+    )
+    parser.add_argument(
+        "--verify-parallel",
+        action="store_true",
+        help=(
+            "run the suite serially AND on --workers processes and fail "
+            "unless the rendered reports are byte-identical"
+        ),
+    )
+    parser.add_argument(
+        "--output",
+        default=None,
+        help="also write the rendered results to this file",
+    )
+    args = parser.parse_args(argv)
+    if args.workers < 0:
+        parser.error(f"--workers must be >= 0, got {args.workers}")
+    profile = get_profile(args.profile)
+
+    if args.verify_parallel:
+        if args.workers == 1:
+            parser.error("--verify-parallel needs --workers N (N != 1)")
+        serial = _render(run_suite(profile, workers=1))
+        parallel = _render(run_suite(profile, workers=args.workers))
+        if serial != parallel:
+            print("FAIL: serial and parallel reports differ", file=sys.stderr)
+            return 1
+        print(f"serial == workers={args.workers}: reports byte-identical")
+        text = serial
+    else:
+        text = _render(run_suite(profile, workers=args.workers))
+
+    print(text)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    return 0

@@ -140,7 +140,7 @@ class FreshnessPlan:
             only the subject's direct contacts.  0 disables push
             invalidation entirely.
         notify_delay: virtual seconds between propagation hops (through
-            the engine, so both schedulers and the fault layer apply).
+            the engine, so the fault layer applies).
         on_overload: whether a maintenance ping tripping a circuit
             breaker (the target shed load past the failure threshold)
             also triggers a notice wave about the overloaded address.

@@ -1,10 +1,8 @@
 """A deterministic discrete-event simulation engine.
 
 The engine is a priority queue of :class:`~repro.sim.events.Event`
-records behind a pluggable scheduler (see :mod:`repro.sim.wheel`):
-``scheduler="heap"`` is the classic binary heap, ``scheduler="wheel"``
-a timing-wheel/calendar queue with O(1) amortized insertion for
-timer-dominated workloads.  Either way the engine guarantees:
+records held in a binary heap (:class:`repro.sim.wheel.HeapScheduler`).
+The engine guarantees:
 
 * events fire in nondecreasing time order;
 * same-time events fire in ``priority`` order, then scheduling order;
@@ -14,11 +12,6 @@ timer-dominated workloads.  Either way the engine guarantees:
   O(1) and does not disturb the queue — and when tombstones outnumber
   live events the scheduler compacts, so mass cancellation never grows
   the queue unboundedly.
-
-The two schedulers implement the exact same firing-order contract —
-the golden trace digests reproduce bit-for-bit under both — so the
-heap stays available as the reference oracle while the wheel carries
-large-population runs.
 
 The engine knows nothing about peers or protocols — higher layers schedule
 plain callbacks.  This mirrors how the paper's custom simulator is described
@@ -37,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.errors import SimulationError
 from repro.sim.events import EventPriority
-from repro.sim.wheel import make_scheduler
+from repro.sim.wheel import HeapScheduler
 
 
 class TraceHasher:
@@ -159,12 +152,6 @@ class Simulator:
             :class:`TraceHasher` so two same-seed runs can be compared
             via :attr:`trace_digest` (the determinism sanitizer).  Off
             by default — it costs one hash update per event.
-        scheduler: pending-event structure — ``"heap"`` (the classic
-            binary heap, the reference oracle) or ``"wheel"`` (the
-            timing-wheel/calendar queue, O(1) amortized insertion; use
-            it for large populations).  Both fire events in exactly the
-            same order; a scheduler instance from
-            :mod:`repro.sim.wheel` is also accepted.
     """
 
     def __init__(
@@ -172,14 +159,11 @@ class Simulator:
         start_time: float = 0.0,
         *,
         trace_hash: bool = False,
-        scheduler: str | Any = "heap",
     ) -> None:
         if start_time < 0:
             raise SimulationError(f"start_time must be >= 0, got {start_time}")
         self._now = float(start_time)
-        self._queue = (
-            make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-        )
+        self._queue = HeapScheduler()
         self._seq = 0
         self._running = False
         self._events_executed = 0
@@ -212,7 +196,7 @@ class Simulator:
 
     @property
     def scheduler(self) -> str:
-        """Name of the active scheduler (``"heap"`` or ``"wheel"``)."""
+        """Name of the event-queue structure (``"heap"``)."""
         return self._queue.name
 
     @property

@@ -1,72 +1,25 @@
-"""Pluggable event schedulers: binary heap and hierarchical timing wheel.
+"""The engine's pending-event queue: a binary heap with lazy tombstones.
 
-The engine's scheduling workload is timer-dominated: every live peer
-keeps a periodic ping timer and a one-shot death timer, so at network
-size *n* the pending set holds ~2n events and the binary heap pays
-O(log n) tuple comparisons per push *and* per pop.  At the million-peer
-scale the heap itself — not the protocol — becomes the kernel ceiling
-(the same observation the OPNET flooding-search analysis makes about
-simulator harnesses capping evaluation scale).
+:class:`HeapScheduler` is the one scheduler.  Events pop in
+``(time, priority, seq)`` order — time, then priority class, then
+scheduling order — the firing-order contract the golden trace digests
+in ``tests/integration`` pin.
 
-Two schedulers implement one contract:
+The module is named for the timing wheel it also used to hold, removed
+after an end-to-end measurement (EXPERIMENTS.md "Kernel scaling").  The
+path stays because ``bench/trace.py`` imports :func:`make_scheduler`
+from here; ROADMAP lists the rename.
 
-* :class:`HeapScheduler` — the reference oracle: exactly the classic
-  ``heapq`` queue the engine always used.
-* :class:`TimingWheel` — a calendar-queue / timing-wheel hybrid with
-  O(1) amortized insertion for the timer-dominated workload and an
-  overflow heap for far-future events.
-
-**The firing-order contract is bit-for-bit identical** for both: events
-pop in ``(time, priority, seq)`` order — time, then priority class, then
-scheduling order.  The golden trace digests in ``tests/integration``
-reproduce under either scheduler, and a hypothesis property test drives
-both through random schedules (ties, cancellations, far-future times)
-asserting identical fired sequences.
-
-Wheel geometry
---------------
-
-Pending events live in one of three containers, by distance from the
-cursor:
-
-* the **near window** — all events with ``time < near_end``, split into
-  a *sorted run* (the current bucket, Timsort-sorted descending once so
-  successive minima are O(1) tail pops) and a tiny *incursion heap* for
-  events scheduled into the already-open window while it drains (e.g. a
-  same-instant rebirth scheduled by the death event itself);
-* the **bucket ring** — ``slots`` circular buckets of width ``tick``
-  seconds covering ``[near_end, near_end + slots*tick)``; insertion is
-  an O(1) unsorted append;
-* the **overflow heap** — everything beyond the ring's horizon (e.g.
-  lifetimes drawn days into the future).
-
-When the near window drains, the cursor advances one bucket: the
-bucket is sorted once in C (Timsort — cost paid per event per
-lifetime, not per comparison level as in a heap) and becomes the new
-sorted run, and any overflow events that fell inside the ring's new
-horizon migrate into their buckets.  Empty stretches are skipped by
-jumping the cursor to the overflow minimum.  An event is never placed
-in a bucket *later* than its timestamp's true bucket (a floor-division
-guard handles float rounding), so an event can only ever reach the
-near window *early* — where exact key order is restored by the sort —
-never late.
-
-Tombstone hygiene
------------------
-
-Cancellation stays O(1) and lazy: a cancelled event is skipped when it
-surfaces.  Each scheduler counts its pending tombstones and, when they
-outnumber live events (beyond a small floor), compacts: filters every
-container, re-heapifies, and increments ``compactions``.  Mass
-cancellation therefore cannot grow the queue unboundedly, and the
-cancelled ratio is exported to the observability registry by
-:class:`~repro.core.network_sim.GuessSimulation` (reading counters never
-perturbs the run).
+Tombstone hygiene: cancellation is O(1) and lazy — a cancelled event is
+skipped when it surfaces.  The scheduler counts pending tombstones and,
+when they outnumber live events (beyond a small floor), filters the
+heap, re-heapifies and increments ``compactions``, so mass cancellation
+cannot grow the queue unboundedly.  ``GuessSimulation.report`` exports
+the counters to the observability registry (reads never perturb a run).
 """
 
 from __future__ import annotations
 
-import math
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -83,32 +36,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Queues smaller than this skip compaction (filtering is pure churn).
 _COMPACT_MIN_SIZE = 64
 
-#: Default bucket width in seconds.  Protocol timers (pings, probe
-#: spacing, deaths) are seconds-scale, so one-second buckets keep the
-#: near heap at roughly "one second of workload" regardless of network
-#: size.
-DEFAULT_TICK = 1.0
 
-#: Default ring size: 1024 one-second buckets cover a ~17-minute
-#: horizon, which holds the vast majority of drawn peer lifetimes; the
-#: far tail waits in the overflow heap.
-DEFAULT_SLOTS = 1024
+class HeapScheduler:
+    """Binary-heap event queue: O(log n) push/pop, lazy cancellation.
 
-
-class _SchedulerBase:
-    """Tombstone accounting shared by both schedulers.
-
-    Subclasses implement ``push`` / ``pop_next`` / ``_compact`` and
-    maintain ``_count`` (pending items, tombstones included).  Queue
-    items are ``(time, priority, seq, handle)`` tuples.
+    Queue items are ``(time, priority, seq, handle)`` tuples; ``_count``
+    is the number of pending items, tombstones included.
     """
 
-    __slots__ = ("_count", "_tombstones", "_compactions")
+    __slots__ = ("_heap", "_count", "_tombstones", "_compactions")
 
     #: Human-readable scheduler name (``Simulator.scheduler``).
-    name = "base"
+    name = "heap"
 
     def __init__(self) -> None:
+        self._heap: List["QueueItem"] = []
         self._count = 0
         self._tombstones = 0
         self._compactions = 0
@@ -146,26 +88,6 @@ class _SchedulerBase:
         self._count -= 1
         self._tombstones -= 1
 
-    def _compact(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class HeapScheduler(_SchedulerBase):
-    """The classic binary-heap event queue (reference oracle).
-
-    O(log n) push/pop.  Kept selectable forever: it is the structure the
-    original golden digests were recorded against, and the hypothesis
-    equivalence suite uses it as the ordering oracle for the wheel.
-    """
-
-    __slots__ = ("_heap",)
-
-    name = "heap"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: List["QueueItem"] = []
-
     def push(self, item: "QueueItem") -> None:
         heappush(self._heap, item)
         self._count += 1
@@ -201,279 +123,8 @@ class HeapScheduler(_SchedulerBase):
         self._tombstones = 0
 
 
-class TimingWheel(_SchedulerBase):
-    """Calendar-queue scheduler: O(1) amortized insert for timer traffic.
-
-    Args:
-        tick: bucket width in simulated seconds.
-        slots: number of buckets in the ring; the ring spans
-            ``slots * tick`` seconds past the cursor.
-
-    See the module docstring for the geometry and the ordering argument.
-    """
-
-    __slots__ = (
-        "_tick",
-        "_slots",
-        "_span",
-        "_buckets",
-        "_sorted",
-        "_incursion",
-        "_cursor",
-        "_near_end",
-        "_overflow",
-        "_bucket_count",
-    )
-
-    name = "wheel"
-
-    def __init__(
-        self, tick: float = DEFAULT_TICK, slots: int = DEFAULT_SLOTS
-    ) -> None:
-        super().__init__()
-        if not tick > 0 or not math.isfinite(tick):
-            raise ConfigError(f"wheel tick must be finite and > 0, got {tick}")
-        if slots < 1:
-            raise ConfigError(f"wheel slots must be >= 1, got {slots}")
-        self._tick = float(tick)
-        self._slots = int(slots)
-        self._span = self._tick * self._slots
-        self._buckets: List[List["QueueItem"]] = [[] for _ in range(slots)]
-        #: The draining bucket, sorted DESCENDING once (Timsort, C) so
-        #: successive minima pop O(1) from the tail — together with
-        #: ``_incursion`` this holds every pending event with
-        #: ``time < _near_end``.
-        self._sorted: List["QueueItem"] = []
-        #: Small heap of events scheduled *into* the near window while
-        #: it drains (e.g. a same-instant rebirth scheduled by a death
-        #: event); typically a handful of items.
-        self._incursion: List["QueueItem"] = []
-        #: Absolute index of the next bucket to drain; bucket *i* covers
-        #: ``[i*tick, (i+1)*tick)``.
-        self._cursor = 0
-        self._near_end = 0.0
-        self._overflow: List["QueueItem"] = []
-        self._bucket_count = 0
-
-    # ------------------------------------------------------------------
-    # Insertion
-    # ------------------------------------------------------------------
-
-    def _bucket_index(self, time: float) -> int:
-        """Absolute bucket index for ``time``, never later than its true
-        bucket (float-rounding guard) and never before the cursor."""
-        idx = int(time / self._tick)
-        if idx * self._tick > time:
-            idx -= 1
-        if idx < self._cursor:
-            idx = self._cursor
-        return idx
-
-    def push(self, item: "QueueItem") -> None:
-        time = item[0]
-        near_end = self._near_end
-        if time < near_end:
-            heappush(self._incursion, item)
-        elif time - near_end < self._span:
-            # _bucket_index, inlined: this is the O(1) hot path that
-            # replaces the heap's O(log n) sift for ring-range timers.
-            tick = self._tick
-            idx = int(time / tick)
-            if idx * tick > time:
-                idx -= 1
-            if idx < self._cursor:
-                idx = self._cursor
-            if idx - self._cursor < self._slots:
-                self._buckets[idx % self._slots].append(item)
-                self._bucket_count += 1
-            else:
-                # The float span test admits boundary times whose true
-                # bucket is cursor + slots (non-distributivity, e.g.
-                # 3.5 - 19*0.1 < 16*0.1); bucketing one would alias an
-                # in-ring slot and fire early.  Index math is the
-                # authority: out-of-ring goes to overflow.
-                heappush(self._overflow, item)
-        else:
-            heappush(self._overflow, item)
-        self._count += 1
-
-    # ------------------------------------------------------------------
-    # Cursor advance
-    # ------------------------------------------------------------------
-
-    def _migrate_overflow(self) -> None:
-        """Pull overflow events that now fall inside the ring.
-
-        The float window test is only a pre-filter (it rejects inf and
-        the far tail cheaply); the bucket *index* decides admission, so
-        a boundary time can never be placed at ``cursor + slots`` where
-        it would alias an in-ring slot.
-        """
-        overflow = self._overflow
-        near_end = self._near_end
-        span = self._span
-        limit = self._cursor + self._slots
-        while overflow and overflow[0][0] - near_end < span:
-            idx = self._bucket_index(overflow[0][0])
-            if idx >= limit:
-                return
-            item = heappop(overflow)
-            self._buckets[idx % self._slots].append(item)
-            self._bucket_count += 1
-
-    def _advance(self) -> bool:
-        """Refill the near window from the next non-empty bucket.
-
-        Returns False when nothing is pending anywhere.  Only called
-        with an empty near window (sorted run *and* incursion heap), so
-        a drained bucket can *become* the near window — one descending
-        Timsort pass, then O(1) tail pops — without a merge.
-        """
-        while True:
-            if self._bucket_count:
-                slot = self._cursor % self._slots
-                bucket: Optional[List["QueueItem"]] = self._buckets[slot]
-                if bucket:
-                    # Detach before migrating: the freed slot now maps to
-                    # the far edge of the ring (cursor - 1 + slots), and a
-                    # migrated overflow event may land exactly there.
-                    self._buckets[slot] = []
-                    self._bucket_count -= len(bucket)
-                else:
-                    # Drop the alias to the (empty) in-place list: the
-                    # migrate below may append to this very slot, and
-                    # serving that list as the run while it stays in the
-                    # ring would desync _bucket_count and fire the far
-                    # edge's events a full ring-span early.
-                    bucket = None
-                self._cursor += 1
-                self._near_end = self._cursor * self._tick
-                self._migrate_overflow()
-                if bucket:
-                    bucket.sort(reverse=True)
-                    self._sorted = bucket
-                    return True
-                continue
-            if self._overflow:
-                head = self._overflow[0][0]
-                if not math.isfinite(head):
-                    # Degenerate (e.g. inf) timestamps: no finite bucket
-                    # exists; serve the remainder straight as a sorted run.
-                    self._overflow.sort(reverse=True)
-                    self._sorted = self._overflow
-                    self._overflow = []
-                    self._near_end = math.inf
-                    return True
-                # Jump the cursor to the overflow minimum's bucket.
-                self._cursor = self._bucket_index(head)
-                self._near_end = self._cursor * self._tick
-                self._migrate_overflow()
-                continue
-            return False
-
-    # ------------------------------------------------------------------
-    # Pop
-    # ------------------------------------------------------------------
-
-    def pop_next(self, horizon: float) -> Optional["EventHandle"]:
-        """Pop the earliest live event if its time is <= ``horizon``.
-
-        The near window's minimum is the global minimum (everything in
-        the ring or overflow is at or past ``near_end``, which bounds
-        every near-window timestamp).  The common case — no incursions —
-        is a single O(1) tail pop from the sorted run.
-        """
-        while True:
-            ns = self._sorted
-            inc = self._incursion
-            if ns:
-                item = ns[-1]
-                if inc and inc[0] < item:
-                    item = inc[0]
-                    handle = item[3]
-                    if handle._cancelled:
-                        heappop(inc)
-                        self._discard_tombstone()
-                        continue
-                    if item[0] > horizon:
-                        return None
-                    heappop(inc)
-                    self._count -= 1
-                    return handle
-                handle = item[3]
-                if handle._cancelled:
-                    ns.pop()
-                    self._discard_tombstone()
-                    continue
-                if item[0] > horizon:
-                    return None
-                ns.pop()
-                self._count -= 1
-                return handle
-            if inc:
-                item = inc[0]
-                handle = item[3]
-                if handle._cancelled:
-                    heappop(inc)
-                    self._discard_tombstone()
-                    continue
-                if item[0] > horizon:
-                    return None
-                heappop(inc)
-                self._count -= 1
-                return handle
-            if not self._advance():
-                return None
-
-    # ------------------------------------------------------------------
-    # Hygiene
-    # ------------------------------------------------------------------
-
-    def _compact(self) -> None:
-        # A filtered descending run stays descending; no re-sort needed.
-        live_sorted = [
-            item for item in self._sorted if not item[3]._cancelled
-        ]
-        self._sorted = live_sorted
-        live_incursion = [
-            item for item in self._incursion if not item[3]._cancelled
-        ]
-        heapify(live_incursion)
-        self._incursion = live_incursion
-        live_overflow = [
-            item for item in self._overflow if not item[3]._cancelled
-        ]
-        heapify(live_overflow)
-        self._overflow = live_overflow
-        bucket_count = 0
-        for i, bucket in enumerate(self._buckets):
-            if bucket:
-                kept = [item for item in bucket if not item[3]._cancelled]
-                self._buckets[i] = kept
-                bucket_count += len(kept)
-        self._bucket_count = bucket_count
-        self._count = (
-            len(live_sorted)
-            + len(live_incursion)
-            + len(live_overflow)
-            + bucket_count
-        )
-        self._tombstones = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TimingWheel(tick={self._tick}, slots={self._slots}, "
-            f"pending={self._count}, near={len(self._sorted)}, "
-            f"overflow={len(self._overflow)})"
-        )
-
-
-def make_scheduler(name: str) -> _SchedulerBase:
-    """Build a scheduler by name (``"heap"`` or ``"wheel"``)."""
-    if name == "heap":
-        return HeapScheduler()
-    if name == "wheel":
-        return TimingWheel()
-    raise ConfigError(
-        f"unknown scheduler {name!r}; expected 'heap' or 'wheel'"
-    )
+def make_scheduler(name: str) -> HeapScheduler:
+    """Build the scheduler named ``name``; only ``"heap"`` exists."""
+    if name != "heap":
+        raise ConfigError(f"unknown scheduler {name!r}; expected 'heap'")
+    return HeapScheduler()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import BadPongBehavior, ProtocolParams, SystemParams
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 
 
 def small_sim(**kwargs):
@@ -151,6 +151,13 @@ class TestQueriesAndMetrics:
         sim = small_sim(health_sample_interval=None)
         sim.run(300.0)
         assert sim.report().health_samples == ()
+
+    @pytest.mark.parametrize("interval", [0.0, -5.0])
+    def test_nonpositive_health_sample_interval_rejected(self, interval):
+        # Rejected at construction: interval 0 would reschedule the
+        # sampler at ``now`` forever, so ``run`` would never return.
+        with pytest.raises(ConfigError, match="health_sample_interval"):
+            small_sim(health_sample_interval=interval)
 
     def test_report_only_once(self):
         sim = small_sim()

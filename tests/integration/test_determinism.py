@@ -39,7 +39,6 @@ def run_once(seed: int, *, percent_bad: float = 0.0,
              behavior: BadPongBehavior = BadPongBehavior.DEAD,
              faults: FaultPlan | None = None, probe_retries: int = 0,
              observe: ObservationPlan | None = None,
-             scheduler: str = "heap",
              scenarios: ScenarioPlan | None = None,
              resilience: ResiliencePolicy | None = None,
              gossip: GossipPlan | None = None,
@@ -56,7 +55,6 @@ def run_once(seed: int, *, percent_bad: float = 0.0,
         faults=faults,
         trace_hash=True,
         observe=observe,
-        scheduler=scheduler,
         scenarios=scenarios,
         resilience=resilience,
         gossip=gossip,
@@ -159,11 +157,11 @@ class TestGossipAssistedPins:
     """Fourth golden pin: the gossip-assisted GUESS hybrid.
 
     A fixed-seed cell with epidemic pong dissemination armed
-    (``GossipPlan(fanout=2, ttl=2)``) is pinned under both schedulers,
-    and the *disabled* plan (``fanout=0``) must be contractually
-    invisible — it reproduces every pre-gossip pin bit for bit, because
-    :meth:`GossipRelay.from_plan` returns ``None`` and the ping path
-    keeps its exact pre-gossip branch.
+    (``GossipPlan(fanout=2, ttl=2)``) is pinned, and the *disabled* plan
+    (``fanout=0``) must be contractually invisible — it reproduces every
+    pre-gossip pin bit for bit, because :meth:`GossipRelay.from_plan`
+    returns ``None`` and the ping path keeps its exact pre-gossip
+    branch.
     """
 
     #: The armed cell actually disseminates: the digest must differ from
@@ -181,15 +179,6 @@ class TestGossipAssistedPins:
         assert report.gossip_rumors > 0
         assert report.gossip_pushes > 0
         assert report.gossip_imports > 0
-
-    def test_armed_gossip_pin_reproduced_on_wheel(self):
-        digest, heap_report = run_once(7, gossip=self.ARMED)
-        wheel_digest, wheel_report = run_once(
-            7, gossip=self.ARMED, scheduler="wheel"
-        )
-        assert digest == self.PIN
-        assert wheel_digest == self.PIN
-        assert heap_report == wheel_report
 
     def test_armed_gossip_actually_changes_the_run(self):
         clean_digest, _ = run_once(7)
@@ -246,9 +235,9 @@ class TestFreshnessPins:
     """Fifth golden pin: push invalidation + heterogeneous cache sizing.
 
     A fixed-seed cell with the freshness layer armed (budgeted departure
-    notices, interest-path forwarding, power-law cache sizing) is pinned
-    under both schedulers, and a *disabled* :class:`FreshnessPlan` must
-    be contractually invisible — :meth:`FreshnessMediator.from_plan`
+    notices, interest-path forwarding, power-law cache sizing) is
+    pinned, and a *disabled* :class:`FreshnessPlan` must be
+    contractually invisible — :meth:`FreshnessMediator.from_plan`
     returns ``None`` for it, so every earlier pin reproduces bit for
     bit.
     """
@@ -268,15 +257,6 @@ class TestFreshnessPins:
         assert report.freshness_notices_delivered > 0
         assert report.freshness_purges > 0
         assert report.freshness_refresh_imports > 0
-
-    def test_armed_freshness_pin_reproduced_on_wheel(self):
-        digest, heap_report = run_once(7, freshness=self.ARMED)
-        wheel_digest, wheel_report = run_once(
-            7, freshness=self.ARMED, scheduler="wheel"
-        )
-        assert digest == self.PIN
-        assert wheel_digest == self.PIN
-        assert heap_report == wheel_report
 
     def test_armed_freshness_actually_changes_the_run(self):
         clean_digest, _ = run_once(7)
@@ -346,42 +326,6 @@ class TestFreshnessPins:
         )
         assert serial == parallel
         assert sum(r.freshness_notices for r in serial) > 0
-
-
-class TestWheelSchedulerPins:
-    """Every golden pin reproduces under ``scheduler="wheel"``.
-
-    The timing wheel replaces the engine's heap with a calendar queue;
-    its firing-order contract is *bit-for-bit* identity, and these pins
-    are the end-to-end proof: the full protocol stack — churn, pings,
-    query bursts, colluding pongs, packet loss with retries — produces
-    the identical executed-event digest on either scheduler.
-    """
-
-    def test_clean_pin_reproduced_on_wheel(self):
-        digest, report = run_once(7, scheduler="wheel")
-        assert digest == "6433f3abe18fda0f316241089d67313b"
-        assert report.queries > 0
-
-    def test_attack_pin_reproduced_on_wheel(self):
-        digest, _ = run_once(
-            11, percent_bad=10.0, behavior=BadPongBehavior.BAD,
-            scheduler="wheel",
-        )
-        assert digest == "23d74325e25c2c9e44279d38a317edbe"
-
-    def test_loss_retry_pin_reproduced_on_wheel(self):
-        digest, report = run_once(
-            7, faults=FaultPlan(loss_rate=0.05), probe_retries=2,
-            scheduler="wheel",
-        )
-        assert digest == "6433f3abe18fda0f316241089d67313b"
-        assert report.spurious_timeout_probes > 0
-
-    def test_wheel_and_heap_reports_identical(self):
-        _, heap_report = run_once(7)
-        _, wheel_report = run_once(7, scheduler="wheel")
-        assert heap_report == wheel_report
 
 
 class TestObservationInvisibility:
@@ -492,14 +436,6 @@ class TestScenarioInvisibility:
         )
         assert digest_a == digest_b
         assert report_a == report_b
-
-    def test_stormy_pin_reproduced_on_wheel(self):
-        heap_digest, heap_report = run_once(7, scenarios=self.STORMY)
-        wheel_digest, wheel_report = run_once(
-            7, scenarios=self.STORMY, scheduler="wheel"
-        )
-        assert wheel_digest == heap_digest
-        assert wheel_report == heap_report
 
 
 class TestFaultDeterminism:

@@ -194,10 +194,9 @@ class TestWindowSnapshot:
 
 class TestSchedulerHygieneGauges:
     """``GuessSimulation.report()`` exports the engine's tombstone
-    telemetry (satellite of the timing-wheel PR) into the registry."""
+    telemetry into the registry."""
 
-    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-    def test_report_sets_engine_gauges(self, scheduler):
+    def test_report_sets_engine_gauges(self):
         from repro.core.network_sim import GuessSimulation
         from repro.core.params import ProtocolParams, SystemParams
         from repro.observe.plan import ObservationPlan
@@ -207,7 +206,6 @@ class TestSchedulerHygieneGauges:
             ProtocolParams(cache_size=10),
             seed=5,
             observe=ObservationPlan(registry=True),
-            scheduler=scheduler,
         )
         sim.run(60.0)
         sim.report()

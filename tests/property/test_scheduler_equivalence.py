@@ -1,12 +1,12 @@
-"""Heap-vs-wheel equivalence: identical fired sequences, always.
+"""The engine against an ordering oracle: fired order is key order, always.
 
-The timing wheel's whole contract is that it is *indistinguishable*
-from the reference heap — same events, same order, bit for bit.  The
-golden-digest pins prove it for three specific protocol runs; these
-properties prove it for adversarial schedules hypothesis invents:
-same-tick ties, float bucket boundaries, far-future overflow times,
-mid-run cancellations, and events that schedule more events (including
-at the current instant, the incursion-heap path).
+The engine's contract is that events fire in ``(time, priority, seq)``
+order.  The golden-digest pins prove it for specific protocol runs;
+these properties prove it for adversarial schedules hypothesis invents —
+same-instant ties, far-future times, cancellations past the queue's
+compaction threshold, and events that schedule more events (including at
+the current instant) — by comparing the engine with an oracle that
+shares no code with it: a plain list of pending keys and ``min()``.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
-from repro.sim.wheel import TimingWheel
 
-#: Mixes sub-tick floats, exact bucket boundaries (multiples of 0.1 and
-#: 1.0 stress float non-distributivity in the wheel geometry), and
-#: far-future times that exercise the overflow heap.
+#: Mixes arbitrary floats, grids that collide often (ties), and
+#: far-future times.
 times = st.one_of(
     st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
     st.integers(min_value=0, max_value=80).map(lambda i: i * 0.1),
@@ -35,37 +33,54 @@ priorities = st.sampled_from(list(EventPriority))
 events = st.tuples(times, priorities, st.booleans())
 
 
-def run_schedule(scheduler, schedule, followups):
-    """Fire a schedule on one engine; returns the (time, prio, seq) log.
+def run_schedule(schedule, followups):
+    """Fire a schedule; returns ``(fired, expected, leftover)`` key lists.
+
+    ``fired`` is the ``(time, priority, seq)`` of each event in the order
+    the engine ran it; ``expected`` is what the oracle says should have
+    run at that step — the minimum key among the events that were
+    scheduled, not cancelled and not yet fired at that moment;
+    ``leftover`` is what the oracle still holds when the engine stops.
 
     ``followups`` drives the dynamic part: event *i* reschedules itself
     ``followups[i] % 3`` times at deterministic offsets, including 0.0
-    (the same-instant case served by the wheel's incursion heap).
+    (a same-instant follow-up, which may sort *before* events already
+    pending — hence a pending-set oracle, not one global sort).
     """
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
+    keys = {}
+    pending = []
     fired = []
+    expected = []
 
-    def make_action(index, depth):
-        def action():
-            fired.append((sim.now, index, depth))
-            extra = followups[index % len(followups)] % 3 if followups else 0
-            if depth < extra:
-                offset = (0.0, 0.25, 17.0)[depth]
-                sim.schedule(
-                    sim.now + offset,
-                    make_action(index, depth + 1),
-                    priority=EventPriority(
-                        list(EventPriority)[index % len(EventPriority)]
-                    ),
-                )
-        return action
-
-    for index, (time, priority, cancel) in enumerate(schedule):
-        handle = sim.schedule(time, make_action(index, 0), priority=priority)
+    def add(time, priority, index, depth, cancel=False):
+        handle = sim.schedule(time, action, priority=priority, args=(index, depth))
+        keys[index, depth] = (handle.time, handle.priority, handle.seq)
         if cancel:
             handle.cancel()
+        else:
+            pending.append(keys[index, depth])
+
+    def action(index, depth):
+        fired.append(keys[index, depth])
+        head = min(pending, default=None)
+        expected.append(head)
+        if head is not None:
+            pending.remove(head)
+        extra = followups[index % len(followups)] % 3 if followups else 0
+        if depth < extra:
+            offset = (0.0, 0.25, 17.0)[depth]
+            add(
+                sim.now + offset,
+                list(EventPriority)[index % len(EventPriority)],
+                index,
+                depth + 1,
+            )
+
+    for index, (time, priority, cancel) in enumerate(schedule):
+        add(time, priority, index, 0, cancel)
     sim.run_until(math.inf)
-    return fired
+    return fired, expected, pending
 
 
 @given(
@@ -73,47 +88,43 @@ def run_schedule(scheduler, schedule, followups):
     st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8),
 )
 @settings(max_examples=80, deadline=None)
-def test_wheel_fires_identical_sequence_to_heap(schedule, followups):
-    assert run_schedule("heap", schedule, followups) == run_schedule(
-        "wheel", schedule, followups
-    )
+def test_each_fired_event_is_the_pending_minimum(schedule, followups):
+    fired, expected, leftover = run_schedule(schedule, followups)
+    assert fired == expected
+    assert leftover == []
 
 
 @given(st.lists(events, max_size=60))
 @settings(max_examples=80, deadline=None)
-def test_static_schedules_identical_without_followups(schedule):
-    assert run_schedule("heap", schedule, []) == run_schedule(
-        "wheel", schedule, []
-    )
+def test_static_schedule_fires_live_events_in_key_order(schedule):
+    """Without follow-ups the oracle collapses to one sort: the fired
+    log is exactly the uncancelled events sorted by (time, priority, seq)."""
+    fired, _, leftover = run_schedule(schedule, [])
+    live = [
+        (time, int(priority), seq)
+        for seq, (time, priority, cancel) in enumerate(schedule)
+        if not cancel
+    ]
+    assert fired == sorted(live)
+    assert leftover == []
 
 
-@given(
-    st.lists(events, max_size=40),
-    st.floats(min_value=0.01, max_value=3.0, allow_nan=False),
-    st.integers(min_value=1, max_value=32),
-)
+#: Cancel three in four: with more than 64 pending and most of them
+#: tombstones the queue compacts while the schedule is still being built.
+mostly_cancelled = st.integers(min_value=0, max_value=3).map(bool)
+
+
+@given(st.lists(st.tuples(times, mostly_cancelled), min_size=70, max_size=200))
 @settings(max_examples=60, deadline=None)
-def test_equivalence_holds_for_any_wheel_geometry(schedule, tick, slots):
-    """Tiny rings and awkward ticks force constant overflow migration
-    and slot aliasing; the fired sequence must still match the heap."""
-    wheel = TimingWheel(tick=tick, slots=slots)
-    assert run_schedule("heap", schedule, []) == run_schedule(
-        wheel, schedule, []
+def test_cancel_heavy_schedule_fires_survivors_in_key_order(schedule):
+    """Compaction must drop tombstones only: survivors still fire in order."""
+    fired, _, leftover = run_schedule(
+        [(time, EventPriority.PROTOCOL, cancel) for time, cancel in schedule], []
     )
-
-
-@given(st.lists(st.tuples(times, st.booleans()), max_size=50))
-@settings(max_examples=60, deadline=None)
-def test_cancellation_equivalence(schedule):
-    """Cancel-heavy schedules (compaction territory) stay equivalent."""
-    logs = []
-    for scheduler in ("heap", "wheel"):
-        sim = Simulator(scheduler=scheduler)
-        fired = []
-        for index, (time, cancel) in enumerate(schedule):
-            handle = sim.schedule(time, lambda i=index: fired.append(i))
-            if cancel:
-                handle.cancel()
-        sim.run_until(math.inf)
-        logs.append(fired)
-    assert logs[0] == logs[1]
+    live = [
+        (time, int(EventPriority.PROTOCOL), seq)
+        for seq, (time, cancel) in enumerate(schedule)
+        if not cancel
+    ]
+    assert fired == sorted(live)
+    assert leftover == []
