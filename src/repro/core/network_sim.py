@@ -609,23 +609,29 @@ class GuessSimulation:
             args=(peer,),
         )
 
-    def _do_ping(self, peer: GuessPeer, now: float) -> None:
+    def _do_ping(self, peer: GuessPeer, now: float) -> Optional[bool]:
         """One maintenance ping per Section 2.2.
 
         With ``probe_retries > 0`` a timed-out ping is re-sent per the
         retry policy before the entry is declared dead — over a lossy
         wire this is what separates corpse collection from wrongful
         eviction of live neighbours.
+
+        Returns:
+            What the ping found: ``True`` a corpse (final timeout),
+            ``False`` a live target (a pong or a refusal — both prove
+            liveness), ``None`` when no ping was sent (empty cache or an
+            open breaker).
         """
         entry = peer.choose_ping_target(now)
         if entry is None:
-            return
+            return None
         breakers = peer.breakers
         if breakers is not None and not breakers.allow(entry.address, now):
             # Open breaker: spare the overloaded target this ping and
             # keep the entry cached for the half-open trial later.
             self.collector.record_suppressed_ping(now)
-            return
+            return None
         if self._retry is None:
             outcome = self.transport.probe(
                 peer.address, entry.address, peer.ping_message(), now
@@ -666,7 +672,7 @@ class GuessSimulation:
                 denied=denied,
                 stale=departed_at is not None and entry.born < departed_at,
             )
-            return
+            return True
         if outcome.status is ProbeStatus.REFUSED:
             refusal_evicted = False
             if breakers is not None:
@@ -706,7 +712,7 @@ class GuessSimulation:
                 refusal_evicted=refusal_evicted,
                 denied=denied,
             )
-            return
+            return False
         if breakers is not None:
             breakers.record_success(entry.address)
         peer.link_cache.touch(entry.address, now)
@@ -717,6 +723,7 @@ class GuessSimulation:
         )
         if self.gossip is not None and outcome.response.entries:
             self._seed_rumor(peer, outcome.response, now)
+        return False
 
     # ------------------------------------------------------------------
     # Gossip-assisted dissemination (repro.baselines.gossip)

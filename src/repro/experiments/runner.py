@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.baselines.gossip import GossipPlan
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
 from repro.errors import TrialFailure
@@ -33,13 +32,9 @@ from repro.experiments.executor import (
     get_executor,
 )
 from repro.experiments.profiles import PROFILES, get_profile
-from repro.faults.plan import FaultPlan
-from repro.freshness.plan import FreshnessPlan
 from repro.metrics.collectors import SimulationReport
 from repro.metrics.summary import mean
 from repro.observe.manifest import active_manifest_recorder
-from repro.resilience.policy import ResiliencePolicy
-from repro.resilience.scenarios import ScenarioPlan
 from repro.reporting.series import format_series_block
 from repro.reporting.tables import format_table
 from repro.sim.rng import derive_seed
@@ -91,19 +86,12 @@ def run_guess_config(
     warmup: float,
     trials: int = 1,
     base_seed: int = 0,
-    keep_queries: bool = False,
-    health_sample_interval: Optional[float] = 60.0,
-    faults: Optional[FaultPlan] = None,
     mutate: Optional[Callable[[GuessSimulation], None]] = None,
     workers: int = 1,
     executor: Optional[TrialExecutor] = None,
     trace_hash: bool = False,
     chaos: Optional[Mapping[int, ChaosSpec]] = None,
-    scenarios: Optional[ScenarioPlan] = None,
-    resilience: Optional[ResiliencePolicy] = None,
-    satisfaction_window: Optional[float] = None,
-    gossip: Optional[GossipPlan] = None,
-    freshness: Optional[FreshnessPlan] = None,
+    **spec_fields: Any,
 ) -> List[SimulationReport]:
     """Run one configuration ``trials`` times with derived seeds.
 
@@ -113,10 +101,6 @@ def run_guess_config(
         warmup: seconds before metrics collection starts.
         trials: number of independent seeded runs.
         base_seed: trial seeds derive from this (stable across sweeps).
-        keep_queries: retain per-query records in the reports.
-        health_sample_interval: cache-health sampling period (None = off).
-        faults: optional fault plan applied to every trial; ``None`` or
-            an all-zeros plan reproduces the fault-free runs exactly.
         mutate: optional hook called with each simulation before running
             (used by extension analyses to instrument internals).  A
             mutate hook pins execution to this process — it pokes at live
@@ -130,31 +114,19 @@ def run_guess_config(
         trace_hash: fold every trial's event stream into a trace digest
             (:attr:`SimulationReport.trace_digest`).  Forced on while a
             manifest recorder is active, so every recorded configuration
-            carries per-trial digests that :func:`replay_config` can
-            verify bit for bit.
+            carries per-trial digests that
+            :func:`~repro.observe.manifest.replay_config` can verify bit
+            for bit.
         chaos: optional ``{trial index: ChaosSpec}`` crash injection for
             supervisor drills — the chosen trials sabotage themselves in
             the worker before their simulation is built.  Ignored on the
             ``mutate`` path (which runs in-process, where an injected
             ``os._exit`` would kill the parent).
-        scenarios: optional correlated-failure plan (churn storms, flash
-            crowds) applied to every trial; ``None`` or an all-noop plan
-            reproduces the scenario-free runs exactly.  Recorded in the
-            manifest alongside the fault plan.
-        resilience: optional graceful-degradation policy armed on every
-            peer of every trial; ``None`` or an all-off policy changes
-            nothing.
-        satisfaction_window: width of the collector's windowed
-            satisfaction channel (feeds time-to-recovery); ``None``
-            disables it.
-        gossip: optional gossip-assisted GUESS plan applied to every
-            trial; ``None`` or a no-op plan reproduces the gossip-free
-            runs exactly.  Recorded in the manifest alongside the fault
-            plan.
-        freshness: optional cache-freshness plan (push invalidation +
-            heterogeneous cache sizing) applied to every trial; ``None``
-            or a no-op plan reproduces the freshness-free runs exactly.
-            Recorded in the manifest alongside the fault plan.
+        **spec_fields: any other :class:`TrialSpec` field by name
+            (``keep_queries``, ``health_sample_interval``, ``faults`` and
+            the optional plans), applied to every trial and recorded in
+            the manifest; the spec's docstring describes each one, and a
+            name it does not declare is a ``TypeError``.
 
     Returns:
         One report per trial, in trial order.  Under a supervised
@@ -162,24 +134,20 @@ def run_guess_config(
         :class:`~repro.errors.TrialFailure` in its slot.
     """
     recorder = active_manifest_recorder()
-    capture = trace_hash or recorder is not None
+    template = TrialSpec(
+        system=system,
+        protocol=protocol,
+        duration=duration,
+        warmup=warmup,
+        seed=0,
+        trace_hash=trace_hash or recorder is not None,
+        **spec_fields,
+    )
     specs = [
-        TrialSpec(
-            system=system,
-            protocol=protocol,
-            duration=duration,
-            warmup=warmup,
+        replace(
+            template,
             seed=derive_seed(base_seed, f"trial:{trial}"),
-            keep_queries=keep_queries,
-            health_sample_interval=health_sample_interval,
-            faults=faults,
-            trace_hash=capture,
             chaos=chaos.get(trial) if chaos is not None else None,
-            scenarios=scenarios,
-            resilience=resilience,
-            satisfaction_window=satisfaction_window,
-            gossip=gossip,
-            freshness=freshness,
         )
         for trial in range(trials)
     ]
@@ -197,22 +165,11 @@ def run_guess_config(
             reports = owned.run_trials(specs)
     if recorder is not None:
         recorder.record_config(
-            system=system,
-            protocol=protocol,
-            faults=faults,
-            duration=duration,
-            warmup=warmup,
+            template,
             trials=trials,
             base_seed=base_seed,
-            health_sample_interval=health_sample_interval,
-            keep_queries=keep_queries,
             seeds=[spec.seed for spec in specs],
             digests=[report.trace_digest for report in reports],
-            scenarios=scenarios,
-            resilience=resilience,
-            satisfaction_window=satisfaction_window,
-            gossip=gossip,
-            freshness=freshness,
         )
     return reports
 

@@ -17,7 +17,6 @@ from repro.core.network_sim import GuessSimulation
 from repro.core.peer import GuessPeer
 from repro.extensions.adaptive_ping import AdaptivePingController
 from repro.network.address import Address
-from repro.network.transport import ProbeStatus
 from repro.sim.events import EventPriority
 
 ControllerFactory = Callable[[float], AdaptivePingController]
@@ -85,7 +84,9 @@ class AdaptiveMaintenanceSimulation(GuessSimulation):
         if not peer.is_alive(now):
             return
         controller = self._controllers.get(peer.address)
-        self._do_adaptive_ping(peer, now, controller)
+        dead = self._do_ping(peer, now)
+        if controller is not None and dead is not None:
+            controller.observe(dead=dead)
         interval = (
             controller.interval
             if controller is not None
@@ -97,36 +98,3 @@ class AdaptiveMaintenanceSimulation(GuessSimulation):
             priority=EventPriority.PROTOCOL,
             label="adaptive-ping",
         )
-
-    def _do_adaptive_ping(
-        self,
-        peer: GuessPeer,
-        now: float,
-        controller: Optional[AdaptivePingController],
-    ) -> None:
-        """One maintenance ping, with the outcome fed to the controller."""
-        entry = peer.choose_ping_target(now)
-        if entry is None:
-            return
-        outcome = self.transport.probe(
-            peer.address, entry.address, peer.ping_message(), now
-        )
-        if outcome.status is ProbeStatus.TIMEOUT:
-            peer.link_cache.evict(entry.address)
-            self.collector.record_ping(dead=True, time=now)
-            if controller is not None:
-                controller.observe(dead=True)
-            return
-        if outcome.status is ProbeStatus.REFUSED:
-            if not self.protocol.do_backoff:
-                peer.link_cache.evict(entry.address)
-            self.collector.record_ping(dead=False, time=now)
-            # A refusal proves liveness; the controller counts it live.
-            if controller is not None:
-                controller.observe(dead=False)
-            return
-        peer.link_cache.touch(entry.address, now)
-        peer.import_pong_to_link_cache(outcome.response, now)
-        self.collector.record_ping(dead=False, time=now)
-        if controller is not None:
-            controller.observe(dead=False)

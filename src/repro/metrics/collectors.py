@@ -17,7 +17,8 @@ docstring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # annotation-only: a runtime import would close the
@@ -53,30 +54,64 @@ class CacheHealthSample:
     cache_fill: float
 
 
+#: The registry counters, named by the :class:`SimulationReport` field
+#: each one feeds; the instrument is registered as ``"sim." + field`` and
+#: :meth:`MetricsCollector.build_report` copies every one across by name.
+COUNTER_FIELDS = (
+    "pings_sent",
+    "dead_pings",
+    "spurious_dead_pings",
+    "ping_retries",
+    "ping_retry_recoveries",
+    "wrongful_ping_evictions",
+    "births",
+    "deaths",
+    "queries",
+    "dead_ping_evictions",
+    "refusal_ping_evictions",
+    "suppressed_pings",
+    "ping_retries_denied",
+    # The gossip-assisted relay channel.
+    "gossip_rumors",
+    "gossip_pushes",
+    "gossip_delivered",
+    "gossip_refused",
+    "gossip_imports",
+    "gossip_suppressed_forwards",
+    # The freshness layer (stale split + push invalidation).
+    "stale_dead_pings",
+    "freshness_notices",
+    "freshness_notices_delivered",
+    "freshness_notices_refused",
+    "freshness_purges",
+    "freshness_refresh_imports",
+)
+
+
 @dataclass(slots=True)
 class _QueryAggregate:
-    """Streaming sums over recorded queries (memory-light default path)."""
+    """Streaming sums over recorded queries (memory-light default path).
 
-    count: int = 0
-    satisfied: int = 0
-    probes: int = 0
-    good: int = 0
-    dead: int = 0
-    stale_dead: int = 0
-    refused: int = 0
-    results: int = 0
-    spurious: int = 0
-    retries: int = 0
-    recoveries: int = 0
-    wrongful: int = 0
-    dead_evictions: int = 0
-    refusal_evictions: int = 0
-    suppressed: int = 0
-    retries_denied: int = 0
-    honest_results: int = 0
-    honest_satisfied: int = 0
-    response_time_sum: float = 0.0
-    response_time_count: int = 0
+    Every field is the :class:`SimulationReport` field it becomes.
+    """
+
+    satisfied_queries: int = 0
+    total_probes: int = 0
+    good_probes: int = 0
+    dead_probes: int = 0
+    stale_dead_query_probes: int = 0
+    refused_probes: int = 0
+    total_results: int = 0
+    spurious_timeout_probes: int = 0
+    probe_retries: int = 0
+    retry_recovered_probes: int = 0
+    wrongful_query_evictions: int = 0
+    dead_query_evictions: int = 0
+    refusal_query_evictions: int = 0
+    suppressed_query_probes: int = 0
+    query_retries_denied: int = 0
+    total_honest_results: int = 0
+    honest_satisfied_queries: int = 0
 
 
 class MetricsCollector:
@@ -93,8 +128,7 @@ class MetricsCollector:
             :class:`~repro.observe.registry.MetricsRegistry` holding the
             collector's counters (a private one is built by default).
             Sharing a windowed registry yields per-window snapshots of
-            ping/churn activity; the compatibility properties below keep
-            every historical read site working unchanged.
+            ping/churn activity.
         satisfaction_window: width in virtual seconds of the dedicated
             satisfaction-tracking windows (the raw material for the
             time-to-recovery metric in
@@ -105,34 +139,6 @@ class MetricsCollector:
             the shared observability ``registry``.
     """
 
-    #: Registry names of the collector's instruments.
-    METRIC_PINGS_SENT = "sim.pings_sent"
-    METRIC_DEAD_PINGS = "sim.dead_pings"
-    METRIC_SPURIOUS_DEAD_PINGS = "sim.spurious_dead_pings"
-    METRIC_PING_RETRIES = "sim.ping_retries"
-    METRIC_PING_RETRY_RECOVERIES = "sim.ping_retry_recoveries"
-    METRIC_WRONGFUL_PING_EVICTIONS = "sim.wrongful_ping_evictions"
-    METRIC_BIRTHS = "sim.births"
-    METRIC_DEATHS = "sim.deaths"
-    METRIC_QUERIES = "sim.queries"
-    METRIC_DEAD_PING_EVICTIONS = "sim.dead_ping_evictions"
-    METRIC_REFUSAL_PING_EVICTIONS = "sim.refusal_ping_evictions"
-    METRIC_SUPPRESSED_PINGS = "sim.suppressed_pings"
-    METRIC_PING_RETRIES_DENIED = "sim.ping_retries_denied"
-    #: Instruments of the freshness layer (stale split + push invalidation).
-    METRIC_STALE_DEAD_PINGS = "sim.stale_dead_pings"
-    METRIC_FRESHNESS_NOTICES = "sim.freshness_notices"
-    METRIC_FRESHNESS_DELIVERED = "sim.freshness_notices_delivered"
-    METRIC_FRESHNESS_REFUSED = "sim.freshness_notices_refused"
-    METRIC_FRESHNESS_PURGES = "sim.freshness_purges"
-    METRIC_FRESHNESS_REFRESH_IMPORTS = "sim.freshness_refresh_imports"
-    #: Instruments of the gossip-assisted relay channel.
-    METRIC_GOSSIP_RUMORS = "sim.gossip_rumors"
-    METRIC_GOSSIP_PUSHES = "sim.gossip_pushes"
-    METRIC_GOSSIP_DELIVERED = "sim.gossip_delivered"
-    METRIC_GOSSIP_REFUSED = "sim.gossip_refused"
-    METRIC_GOSSIP_IMPORTS = "sim.gossip_imports"
-    METRIC_GOSSIP_SUPPRESSED = "sim.gossip_suppressed_forwards"
     #: Instruments of the private satisfaction-window channel.
     METRIC_WINDOW_QUERIES = "sim.window_queries"
     METRIC_WINDOW_SATISFIED = "sim.window_satisfied"
@@ -149,75 +155,18 @@ class MetricsCollector:
         self.warmup = float(warmup)
         self.keep_queries = bool(keep_queries)
         self._agg = _QueryAggregate()
+        self._response_time_sum = 0.0
+        self._response_times = 0
         self._queries: List[QueryResult] = []
         self._loads: Dict[Address, int] = {}
         self._refusals: Dict[Address, int] = {}
         self._health: List[CacheHealthSample] = []
         self._registry = registry if registry is not None else MetricsRegistry()
         self._observed = registry is not None
-        self._c_pings = self._registry.counter(self.METRIC_PINGS_SENT)
-        self._c_dead_pings = self._registry.counter(self.METRIC_DEAD_PINGS)
-        self._c_spurious_dead = self._registry.counter(
-            self.METRIC_SPURIOUS_DEAD_PINGS
-        )
-        self._c_ping_retries = self._registry.counter(self.METRIC_PING_RETRIES)
-        self._c_ping_recoveries = self._registry.counter(
-            self.METRIC_PING_RETRY_RECOVERIES
-        )
-        self._c_wrongful_pings = self._registry.counter(
-            self.METRIC_WRONGFUL_PING_EVICTIONS
-        )
-        self._c_births = self._registry.counter(self.METRIC_BIRTHS)
-        self._c_deaths = self._registry.counter(self.METRIC_DEATHS)
-        self._c_queries = self._registry.counter(self.METRIC_QUERIES)
-        self._c_dead_ping_evictions = self._registry.counter(
-            self.METRIC_DEAD_PING_EVICTIONS
-        )
-        self._c_refusal_ping_evictions = self._registry.counter(
-            self.METRIC_REFUSAL_PING_EVICTIONS
-        )
-        self._c_suppressed_pings = self._registry.counter(
-            self.METRIC_SUPPRESSED_PINGS
-        )
-        self._c_ping_denied = self._registry.counter(
-            self.METRIC_PING_RETRIES_DENIED
-        )
-        self._c_gossip_rumors = self._registry.counter(
-            self.METRIC_GOSSIP_RUMORS
-        )
-        self._c_gossip_pushes = self._registry.counter(
-            self.METRIC_GOSSIP_PUSHES
-        )
-        self._c_gossip_delivered = self._registry.counter(
-            self.METRIC_GOSSIP_DELIVERED
-        )
-        self._c_gossip_refused = self._registry.counter(
-            self.METRIC_GOSSIP_REFUSED
-        )
-        self._c_gossip_imports = self._registry.counter(
-            self.METRIC_GOSSIP_IMPORTS
-        )
-        self._c_gossip_suppressed = self._registry.counter(
-            self.METRIC_GOSSIP_SUPPRESSED
-        )
-        self._c_stale_dead_pings = self._registry.counter(
-            self.METRIC_STALE_DEAD_PINGS
-        )
-        self._c_freshness_notices = self._registry.counter(
-            self.METRIC_FRESHNESS_NOTICES
-        )
-        self._c_freshness_delivered = self._registry.counter(
-            self.METRIC_FRESHNESS_DELIVERED
-        )
-        self._c_freshness_refused = self._registry.counter(
-            self.METRIC_FRESHNESS_REFUSED
-        )
-        self._c_freshness_purges = self._registry.counter(
-            self.METRIC_FRESHNESS_PURGES
-        )
-        self._c_freshness_refresh = self._registry.counter(
-            self.METRIC_FRESHNESS_REFRESH_IMPORTS
-        )
+        self._c = SimpleNamespace(**{
+            name: self._registry.counter("sim." + name)
+            for name in COUNTER_FIELDS
+        })
         # The satisfaction-window channel: a private windowed registry
         # so the report can expose per-window (queries, satisfied) rows
         # whether or not a shared observability registry is attached.
@@ -250,41 +199,46 @@ class MetricsCollector:
     # Feeding
     # ------------------------------------------------------------------
 
-    def record_query(self, result: QueryResult, time: float) -> None:
-        """Record one query outcome (ignored during warmup)."""
+    def _measured(self, time: float) -> bool:
+        """False during warmup; otherwise advance a shared registry's windows."""
         if time < self.warmup:
-            return
+            return False
         if self._observed:
             self._registry.advance(time)
+        return True
+
+    def record_query(self, result: QueryResult, time: float) -> None:
+        """Record one query outcome (ignored during warmup)."""
+        if not self._measured(time):
+            return
         if self._sat_registry is not None:
             self._sat_registry.advance(time)
             self._sat_queries.inc()
             if result.satisfied:
                 self._sat_satisfied.inc()
             self._last_query_time = time
-        self._c_queries.inc()
+        self._c.queries.inc()
         agg = self._agg
-        agg.count += 1
-        agg.satisfied += 1 if result.satisfied else 0
-        agg.probes += result.probes
-        agg.good += result.good_probes
-        agg.dead += result.dead_probes
-        agg.stale_dead += result.stale_dead_probes
-        agg.refused += result.refused_probes
-        agg.results += result.results
-        agg.spurious += result.spurious_timeouts
-        agg.retries += result.retries
-        agg.recoveries += result.retry_recoveries
-        agg.wrongful += result.wrongful_evictions
-        agg.dead_evictions += result.dead_evictions
-        agg.refusal_evictions += result.refusal_evictions
-        agg.suppressed += result.suppressed_probes
-        agg.retries_denied += result.retries_denied
-        agg.honest_results += result.verified_results
-        agg.honest_satisfied += 1 if result.verified_satisfied else 0
+        agg.satisfied_queries += 1 if result.satisfied else 0
+        agg.total_probes += result.probes
+        agg.good_probes += result.good_probes
+        agg.dead_probes += result.dead_probes
+        agg.stale_dead_query_probes += result.stale_dead_probes
+        agg.refused_probes += result.refused_probes
+        agg.total_results += result.results
+        agg.spurious_timeout_probes += result.spurious_timeouts
+        agg.probe_retries += result.retries
+        agg.retry_recovered_probes += result.retry_recoveries
+        agg.wrongful_query_evictions += result.wrongful_evictions
+        agg.dead_query_evictions += result.dead_evictions
+        agg.refusal_query_evictions += result.refusal_evictions
+        agg.suppressed_query_probes += result.suppressed_probes
+        agg.query_retries_denied += result.retries_denied
+        agg.total_honest_results += result.verified_results
+        agg.honest_satisfied_queries += 1 if result.verified_satisfied else 0
         if result.response_time is not None:
-            agg.response_time_sum += result.response_time
-            agg.response_time_count += 1
+            self._response_time_sum += result.response_time
+            self._response_times += 1
         if self.keep_queries:
             self._queries.append(result)
 
@@ -322,36 +276,33 @@ class MetricsCollector:
                 probe push invalidation targets (vs dead-on-arrival
                 imports and ghost addresses).
         """
-        if time < self.warmup:
+        if not self._measured(time):
             return
-        if self._observed:
-            self._registry.advance(time)
-        self._c_pings.inc()
-        self._c_ping_retries.inc(retries)
+        c = self._c
+        c.pings_sent.inc()
+        c.ping_retries.inc(retries)
         if recovered:
-            self._c_ping_recoveries.inc()
+            c.ping_retry_recoveries.inc()
         if denied:
-            self._c_ping_denied.inc()
+            c.ping_retries_denied.inc()
         if refusal_evicted:
-            self._c_refusal_ping_evictions.inc()
+            c.refusal_ping_evictions.inc()
         if dead:
-            self._c_dead_pings.inc()
+            c.dead_pings.inc()
             if spurious:
-                self._c_spurious_dead.inc()
+                c.spurious_dead_pings.inc()
             if wrongful:
-                self._c_wrongful_pings.inc()
+                c.wrongful_ping_evictions.inc()
             if dead_evicted:
-                self._c_dead_ping_evictions.inc()
+                c.dead_ping_evictions.inc()
             if stale:
-                self._c_stale_dead_pings.inc()
+                c.stale_dead_pings.inc()
 
     def record_gossip_rumor(self, time: float) -> None:
         """Count one rumor seeded from a ping's pong harvest."""
-        if time < self.warmup:
+        if not self._measured(time):
             return
-        if self._observed:
-            self._registry.advance(time)
-        self._c_gossip_rumors.inc()
+        self._c.gossip_rumors.inc()
 
     def record_gossip_push(
         self,
@@ -369,24 +320,21 @@ class MetricsCollector:
             imported: cache entries the receiver actually admitted.
             refused: the receiver shed the push (rate limit / shedding).
         """
-        if time < self.warmup:
+        if not self._measured(time):
             return
-        if self._observed:
-            self._registry.advance(time)
-        self._c_gossip_pushes.inc()
+        c = self._c
+        c.gossip_pushes.inc()
         if delivered:
-            self._c_gossip_delivered.inc()
-            self._c_gossip_imports.inc(imported)
+            c.gossip_delivered.inc()
+            c.gossip_imports.inc(imported)
         elif refused:
-            self._c_gossip_refused.inc()
+            c.gossip_refused.inc()
 
     def record_gossip_suppressed_forward(self, time: float) -> None:
         """Count a forwarding hop a suppress-mode reporter refused to relay."""
-        if time < self.warmup:
+        if not self._measured(time):
             return
-        if self._observed:
-            self._registry.advance(time)
-        self._c_gossip_suppressed.inc()
+        self._c.gossip_suppressed_forwards.inc()
 
     def record_freshness_notice(
         self,
@@ -405,47 +353,38 @@ class MetricsCollector:
                 the stale entry — the interest-path forwarding signal.
             refused: the receiver shed the notice (rate limit).
         """
-        if time < self.warmup:
+        if not self._measured(time):
             return
-        if self._observed:
-            self._registry.advance(time)
-        self._c_freshness_notices.inc()
+        c = self._c
+        c.freshness_notices.inc()
         if delivered:
-            self._c_freshness_delivered.inc()
+            c.freshness_notices_delivered.inc()
             if purged:
-                self._c_freshness_purges.inc()
+                c.freshness_purges.inc()
         elif refused:
-            self._c_freshness_refused.inc()
+            c.freshness_notices_refused.inc()
 
     def record_freshness_refresh(self, time: float, imported: int) -> None:
         """Count entries a notifier imported off a ``CacheUpdateAck`` pong."""
-        if time < self.warmup:
+        if not self._measured(time):
             return
-        if self._observed:
-            self._registry.advance(time)
-        self._c_freshness_refresh.inc(imported)
+        self._c.freshness_refresh_imports.inc(imported)
 
     def record_suppressed_ping(self, time: float) -> None:
         """Record a maintenance ping skipped by an open circuit breaker."""
-        if time < self.warmup:
+        if not self._measured(time):
             return
-        if self._observed:
-            self._registry.advance(time)
-        self._c_suppressed_pings.inc()
+        self._c.suppressed_pings.inc()
 
     def record_death(self, time: float) -> None:
         """Count a peer departure (post-warmup)."""
-        if time >= self.warmup:
-            if self._observed:
-                self._registry.advance(time)
-            self._c_deaths.inc()
+        if self._measured(time):
+            self._c.deaths.inc()
 
     def record_birth(self, time: float) -> None:
         """Count a peer arrival (post-warmup)."""
-        if time >= self.warmup:
-            if self._observed:
-                self._registry.advance(time)
-            self._c_births.inc()
+        if self._measured(time):
+            self._c.births.inc()
 
     def harvest_peer(
         self,
@@ -490,114 +429,10 @@ class MetricsCollector:
         self.transport_refusals = refusals
         self.transport_spurious_timeouts = spurious_timeouts
 
-    # ------------------------------------------------------------------
-    # Registry access and compatibility properties
-    # ------------------------------------------------------------------
-    # The scalar counters moved into a MetricsRegistry (named
-    # instruments, optional windowing); these properties keep every
-    # historical read site — and the report construction below —
-    # working on plain ints.
-
     @property
     def registry(self) -> MetricsRegistry:
         """The registry holding this collector's instruments."""
         return self._registry
-
-    @property
-    def pings_sent(self) -> int:
-        return self._c_pings.value
-
-    @property
-    def dead_pings(self) -> int:
-        return self._c_dead_pings.value
-
-    @property
-    def spurious_dead_pings(self) -> int:
-        return self._c_spurious_dead.value
-
-    @property
-    def ping_retries(self) -> int:
-        return self._c_ping_retries.value
-
-    @property
-    def ping_retry_recoveries(self) -> int:
-        return self._c_ping_recoveries.value
-
-    @property
-    def wrongful_ping_evictions(self) -> int:
-        return self._c_wrongful_pings.value
-
-    @property
-    def births(self) -> int:
-        return self._c_births.value
-
-    @property
-    def deaths(self) -> int:
-        return self._c_deaths.value
-
-    @property
-    def dead_ping_evictions(self) -> int:
-        return self._c_dead_ping_evictions.value
-
-    @property
-    def refusal_ping_evictions(self) -> int:
-        return self._c_refusal_ping_evictions.value
-
-    @property
-    def suppressed_pings(self) -> int:
-        return self._c_suppressed_pings.value
-
-    @property
-    def ping_retries_denied(self) -> int:
-        return self._c_ping_denied.value
-
-    @property
-    def gossip_rumors(self) -> int:
-        return self._c_gossip_rumors.value
-
-    @property
-    def gossip_pushes(self) -> int:
-        return self._c_gossip_pushes.value
-
-    @property
-    def gossip_delivered(self) -> int:
-        return self._c_gossip_delivered.value
-
-    @property
-    def gossip_refused(self) -> int:
-        return self._c_gossip_refused.value
-
-    @property
-    def gossip_imports(self) -> int:
-        return self._c_gossip_imports.value
-
-    @property
-    def gossip_suppressed_forwards(self) -> int:
-        return self._c_gossip_suppressed.value
-
-    @property
-    def stale_dead_pings(self) -> int:
-        return self._c_stale_dead_pings.value
-
-    @property
-    def freshness_notices(self) -> int:
-        return self._c_freshness_notices.value
-
-    @property
-    def freshness_notices_delivered(self) -> int:
-        return self._c_freshness_delivered.value
-
-    @property
-    def freshness_notices_refused(self) -> int:
-        return self._c_freshness_refused.value
-
-    @property
-    def freshness_purges(self) -> int:
-        return self._c_freshness_purges.value
-
-    @property
-    def freshness_refresh_imports(self) -> int:
-        return self._c_freshness_refresh.value
 
     def _satisfaction_windows(self) -> tuple:
         """Flush and render the satisfaction channel's window rows.
@@ -640,59 +475,18 @@ class MetricsCollector:
                 :attr:`SimulationReport.trace_digest` so manifests can
                 record it per trial.
         """
-        agg = self._agg
         return SimulationReport(
-            queries=agg.count,
-            satisfied_queries=agg.satisfied,
-            total_probes=agg.probes,
-            good_probes=agg.good,
-            dead_probes=agg.dead,
-            refused_probes=agg.refused,
+            **{name: counter.value for name, counter in vars(self._c).items()},
+            **asdict(self._agg),
             mean_response_time=(
-                agg.response_time_sum / agg.response_time_count
-                if agg.response_time_count
+                self._response_time_sum / self._response_times
+                if self._response_times
                 else None
             ),
-            pings_sent=self.pings_sent,
-            dead_pings=self.dead_pings,
-            births=self.births,
-            deaths=self.deaths,
             loads=dict(self._loads),
             refusals=dict(self._refusals),
             health_samples=tuple(self._health),
             query_results=tuple(self._queries) if self.keep_queries else (),
-            total_results=agg.results,
-            spurious_timeout_probes=agg.spurious,
-            probe_retries=agg.retries,
-            retry_recovered_probes=agg.recoveries,
-            wrongful_query_evictions=agg.wrongful,
-            dead_query_evictions=agg.dead_evictions,
-            refusal_query_evictions=agg.refusal_evictions,
-            suppressed_query_probes=agg.suppressed,
-            query_retries_denied=agg.retries_denied,
-            total_honest_results=agg.honest_results,
-            honest_satisfied_queries=agg.honest_satisfied,
-            gossip_rumors=self.gossip_rumors,
-            gossip_pushes=self.gossip_pushes,
-            gossip_delivered=self.gossip_delivered,
-            gossip_refused=self.gossip_refused,
-            gossip_imports=self.gossip_imports,
-            gossip_suppressed_forwards=self.gossip_suppressed_forwards,
-            stale_dead_query_probes=agg.stale_dead,
-            stale_dead_pings=self.stale_dead_pings,
-            freshness_notices=self.freshness_notices,
-            freshness_notices_delivered=self.freshness_notices_delivered,
-            freshness_notices_refused=self.freshness_notices_refused,
-            freshness_purges=self.freshness_purges,
-            freshness_refresh_imports=self.freshness_refresh_imports,
-            spurious_dead_pings=self.spurious_dead_pings,
-            ping_retries=self.ping_retries,
-            ping_retry_recoveries=self.ping_retry_recoveries,
-            wrongful_ping_evictions=self.wrongful_ping_evictions,
-            dead_ping_evictions=self.dead_ping_evictions,
-            refusal_ping_evictions=self.refusal_ping_evictions,
-            suppressed_pings=self.suppressed_pings,
-            ping_retries_denied=self.ping_retries_denied,
             pings_shed=self.pings_shed_total,
             satisfaction_windows=self._satisfaction_windows(),
             transport_probes_sent=self.transport_probes_sent,

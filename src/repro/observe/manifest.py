@@ -2,13 +2,13 @@
 
 Every ``run_all`` invocation writes a ``manifest.json`` capturing, for
 each configuration :func:`~repro.experiments.runner.run_guess_config`
-executed: the full :class:`~repro.core.params.SystemParams`,
-:class:`~repro.core.params.ProtocolParams` and
-:class:`~repro.faults.plan.FaultPlan`, the derived per-trial seeds, and
-each trial's trace digest — plus the package version, profile, suite
-list and wall clock.  Any published number is then reproducible from its
-manifest alone: :func:`replay_config` re-runs a recorded configuration
-and :func:`verify_manifest` asserts the digests match bit for bit
+executed: every field of its
+:class:`~repro.experiments.executor.TrialSpec` (parameters and plans),
+the derived per-trial seeds, and each trial's trace digest — plus the
+package version, profile, suite list and wall clock.  Any published
+number is then reproducible from its manifest alone:
+:func:`replay_config` re-runs a recorded configuration and
+:func:`verify_manifest` asserts the digests match bit for bit
 (``python -m repro.observe.manifest manifest.json`` from the CLI).
 
 Capture piggybacks on the one choke point all suites share:
@@ -26,8 +26,10 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
+from types import UnionType
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -38,21 +40,12 @@ from typing import (
     Sequence,
     Tuple,
     Union,
+    get_args,
+    get_origin,
+    get_type_hints,
 )
 
-from repro.baselines.gossip import GossipPlan
-from repro.core.params import BadPongBehavior, ProtocolParams, SystemParams
-from repro.faults.plan import (
-    BrownoutSpec,
-    FaultPlan,
-    GilbertElliott,
-    PartitionWindow,
-)
-from repro.freshness.plan import CacheSizing, FreshnessPlan
-from repro.resilience.breaker import BreakerSpec
-from repro.resilience.budget import BudgetSpec
-from repro.resilience.policy import ResiliencePolicy, SheddingSpec
-from repro.resilience.scenarios import ChurnStorm, FlashCrowd, ScenarioPlan
+from repro.errors import ConfigError
 from repro.sim.rng import derive_seed
 
 if TYPE_CHECKING:
@@ -61,152 +54,78 @@ if TYPE_CHECKING:
 #: Bumped when the manifest layout changes incompatibly.
 MANIFEST_VERSION = 1
 
+#: An entry is one :class:`TrialSpec` minus the fields that differ per
+#: trial (or that the recorder forces), plus the keys describing the run.
+PER_TRIAL_FIELDS = ("seed", "trace_hash", "chaos")
+RUN_KEYS = ("trials", "base_seed", "seeds", "trace_digests")
+
 
 # ----------------------------------------------------------------------
 # Parameter (de)serialisation
 # ----------------------------------------------------------------------
 
 
-def system_to_jsonable(system: SystemParams) -> Dict[str, Any]:
-    """JSON-ready dict for :class:`SystemParams` (enum by name)."""
-    data = asdict(system)
-    data["bad_pong_behavior"] = system.bad_pong_behavior.name
-    return data
+def to_jsonable(value: Any) -> Any:
+    """JSON-ready form of a parameter value, driven by its type.
 
-
-def system_from_jsonable(data: Dict[str, Any]) -> SystemParams:
-    """Inverse of :func:`system_to_jsonable`."""
-    data = dict(data)
-    data["bad_pong_behavior"] = BadPongBehavior[data["bad_pong_behavior"]]
-    return SystemParams(**data)
-
-
-def protocol_to_jsonable(protocol: ProtocolParams) -> Dict[str, Any]:
-    """JSON-ready dict for :class:`ProtocolParams` (all scalars)."""
-    return asdict(protocol)
-
-
-def protocol_from_jsonable(data: Dict[str, Any]) -> ProtocolParams:
-    """Inverse of :func:`protocol_to_jsonable`."""
-    return ProtocolParams(**data)
-
-
-def faults_to_jsonable(faults: Optional[FaultPlan]) -> Optional[Dict[str, Any]]:
-    """JSON-ready dict for a :class:`FaultPlan` (None stays None)."""
-    if faults is None:
-        return None
-    data = asdict(faults)
-    data["partitions"] = [asdict(window) for window in faults.partitions]
-    return data
-
-
-def faults_from_jsonable(data: Optional[Dict[str, Any]]) -> Optional[FaultPlan]:
-    """Inverse of :func:`faults_to_jsonable`."""
-    if data is None:
-        return None
-    return FaultPlan(
-        loss_rate=data["loss_rate"],
-        burst=GilbertElliott(**data["burst"]),
-        jitter=data["jitter"],
-        brownouts=BrownoutSpec(**data["brownouts"]),
-        partitions=tuple(
-            PartitionWindow(**window) for window in data["partitions"]
-        ),
-    )
-
-
-def scenarios_to_jsonable(
-    scenarios: Optional[ScenarioPlan],
-) -> Optional[Dict[str, Any]]:
-    """JSON-ready dict for a :class:`ScenarioPlan` (None stays None)."""
-    if scenarios is None:
-        return None
-    return {
-        "storms": [asdict(storm) for storm in scenarios.storms],
-        "crowds": [asdict(crowd) for crowd in scenarios.crowds],
-    }
-
-
-def scenarios_from_jsonable(
-    data: Optional[Dict[str, Any]],
-) -> Optional[ScenarioPlan]:
-    """Inverse of :func:`scenarios_to_jsonable`."""
-    if data is None:
-        return None
-    return ScenarioPlan(
-        storms=tuple(ChurnStorm(**storm) for storm in data["storms"]),
-        crowds=tuple(FlashCrowd(**crowd) for crowd in data["crowds"]),
-    )
-
-
-def resilience_to_jsonable(
-    policy: Optional[ResiliencePolicy],
-) -> Optional[Dict[str, Any]]:
-    """JSON-ready dict for a :class:`ResiliencePolicy` (None stays None)."""
-    if policy is None:
-        return None
-    return {
-        "breaker": asdict(policy.breaker) if policy.breaker else None,
-        "budget": asdict(policy.budget) if policy.budget else None,
-        "shedding": asdict(policy.shedding) if policy.shedding else None,
-    }
-
-
-def resilience_from_jsonable(
-    data: Optional[Dict[str, Any]],
-) -> Optional[ResiliencePolicy]:
-    """Inverse of :func:`resilience_to_jsonable`."""
-    if data is None:
-        return None
-    return ResiliencePolicy(
-        breaker=BreakerSpec(**data["breaker"]) if data["breaker"] else None,
-        budget=BudgetSpec(**data["budget"]) if data["budget"] else None,
-        shedding=(
-            SheddingSpec(**data["shedding"]) if data["shedding"] else None
-        ),
-    )
-
-
-def gossip_to_jsonable(
-    gossip: Optional[GossipPlan],
-) -> Optional[Dict[str, Any]]:
-    """JSON-ready dict for a :class:`GossipPlan` (None stays None)."""
-    if gossip is None:
-        return None
-    return asdict(gossip)
-
-
-def gossip_from_jsonable(
-    data: Optional[Dict[str, Any]],
-) -> Optional[GossipPlan]:
-    """Inverse of :func:`gossip_to_jsonable`."""
-    if data is None:
-        return None
-    return GossipPlan(**data)
-
-
-def freshness_to_jsonable(
-    freshness: Optional[FreshnessPlan],
-) -> Optional[Dict[str, Any]]:
-    """JSON-ready dict for a :class:`FreshnessPlan` (None stays None).
-
-    ``asdict`` recurses into the nested :class:`CacheSizing`, so the
-    entry is a plain two-level dict of scalars.
+    A dataclass becomes a dict of its fields, an enum its member name, a
+    tuple a list; scalars and ``None`` pass through.
     """
-    if freshness is None:
-        return None
-    return asdict(freshness)
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: to_jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.name
+    if isinstance(value, tuple):
+        return [to_jsonable(item) for item in value]
+    return value
 
 
-def freshness_from_jsonable(
-    data: Optional[Dict[str, Any]],
-) -> Optional[FreshnessPlan]:
-    """Inverse of :func:`freshness_to_jsonable`."""
-    if data is None:
-        return None
-    data = dict(data)
-    data["sizing"] = CacheSizing(**data["sizing"])
-    return FreshnessPlan(**data)
+def from_jsonable(kind: Any, data: Any, path: str = "") -> Any:
+    """Inverse of :func:`to_jsonable` for a value annotated ``kind``.
+
+    ``kind`` is a dataclass, an enum, ``Optional[X]`` / ``X | None``,
+    ``Tuple[X, ...]`` or a scalar type.  A key a dataclass dict lacks
+    falls back to the field's default, so manifests written before the
+    field existed still load.
+
+    Raises:
+        ConfigError: naming the dotted ``path`` of an unknown field, an
+            unknown enum name or a wrongly shaped container.
+    """
+    if get_origin(kind) in (Union, UnionType):
+        if data is None:
+            return None
+        (kind,) = (arg for arg in get_args(kind) if arg is not type(None))
+    if get_origin(kind) is tuple:
+        if not isinstance(data, list):
+            raise _malformed(path, f"expected a list, got {data!r}")
+        return tuple(
+            from_jsonable(get_args(kind)[0], value, f"{path}[{index}]")
+            for index, value in enumerate(data)
+        )
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        if not isinstance(data, str) or data not in kind.__members__:
+            raise _malformed(path, f"unknown {kind.__name__} name {data!r}")
+        return kind[data]
+    declared = getattr(kind, "__dataclass_fields__", None)
+    if declared is None:
+        return data
+    if not isinstance(data, dict):
+        raise _malformed(path, f"expected an object, got {data!r}")
+    hints = get_type_hints(kind)
+    values = {}
+    for name, value in data.items():
+        if name not in declared:
+            raise _malformed(f"{path}.{name}", f"unknown field of {kind.__name__}")
+        values[name] = from_jsonable(hints[name], value, f"{path}.{name}")
+    try:
+        return kind(**values)
+    except TypeError as error:  # a field without a default is missing
+        raise _malformed(path, str(error)) from None
+
+
+def _malformed(path: str, message: str) -> ConfigError:
+    return ConfigError(f"{path.lstrip('.') or 'entry'}: {message}")
 
 
 # ----------------------------------------------------------------------
@@ -222,43 +141,28 @@ class ManifestRecorder:
 
     def record_config(
         self,
+        spec: TrialSpec,
         *,
-        system: SystemParams,
-        protocol: ProtocolParams,
-        faults: Optional[FaultPlan],
-        duration: float,
-        warmup: float,
         trials: int,
         base_seed: int,
-        health_sample_interval: Optional[float],
         seeds: Sequence[int],
         digests: Sequence[Optional[str]],
-        keep_queries: bool = False,
-        scenarios: Optional[ScenarioPlan] = None,
-        resilience: Optional[ResiliencePolicy] = None,
-        satisfaction_window: Optional[float] = None,
-        gossip: Optional[GossipPlan] = None,
-        freshness: Optional[FreshnessPlan] = None,
     ) -> None:
-        """Append one executed configuration with its seeds and digests."""
-        self.configs.append({
-            "system": system_to_jsonable(system),
-            "protocol": protocol_to_jsonable(protocol),
-            "faults": faults_to_jsonable(faults),
-            "scenarios": scenarios_to_jsonable(scenarios),
-            "resilience": resilience_to_jsonable(resilience),
-            "gossip": gossip_to_jsonable(gossip),
-            "freshness": freshness_to_jsonable(freshness),
-            "satisfaction_window": satisfaction_window,
-            "duration": duration,
-            "warmup": warmup,
-            "trials": trials,
-            "base_seed": base_seed,
-            "health_sample_interval": health_sample_interval,
-            "keep_queries": keep_queries,
-            "seeds": list(seeds),
-            "trace_digests": list(digests),
-        })
+        """Append one executed configuration with its seeds and digests.
+
+        ``spec`` is any one of its trials; every field outside
+        :data:`PER_TRIAL_FIELDS` is written, whatever fields there are.
+        """
+        entry: Dict[str, Any] = to_jsonable(spec)
+        for name in PER_TRIAL_FIELDS:
+            del entry[name]
+        entry.update(
+            trials=trials,
+            base_seed=base_seed,
+            seeds=list(seeds),
+            trace_digests=list(digests),
+        )
+        self.configs.append(entry)
 
     def build(
         self,
@@ -330,65 +234,38 @@ def load_manifest(path: Union[str, Path]) -> Dict[str, Any]:
 def specs_for_entry(entry: Dict[str, Any]) -> List[TrialSpec]:
     """Reconstruct a config entry's :class:`TrialSpec` list exactly.
 
-    Rebuilds the specs the way
-    :func:`~repro.experiments.runner.run_guess_config` built them when
-    the entry was recorded: seeds re-derived from ``base_seed`` and
-    ``trace_hash`` forced on (the recorder forces it while active).
-    This is what lets the supervisor's checkpoint journal — keyed by
-    spec fingerprints — be verified against a manifest on resume.
+    The one decoder of manifest entries: rebuilds the specs the way
+    :func:`~repro.experiments.runner.run_guess_config` built them —
+    seeds re-derived from ``base_seed``, ``trace_hash`` forced on as the
+    recorder forces it.  :func:`replay_config` runs these specs and the
+    supervisor verifies its journal (keyed by spec fingerprints) against
+    them.  The executor import is lazy because the runner imports this
+    module for the active-recorder hook.
 
-    Imports the executor lazily for the same reason :func:`replay_config`
-    imports the runner lazily: the runner imports this module for the
-    active-recorder hook, so a module-level import back would cycle.
+    Raises:
+        ConfigError: the entry is malformed (see :func:`from_jsonable`).
     """
     from repro.experiments.executor import TrialSpec
 
+    data = {key: value for key, value in entry.items() if key not in RUN_KEYS}
+    data.update(seed=0, trace_hash=True)
+    template = from_jsonable(TrialSpec, data)
+    try:
+        trials, base_seed = entry["trials"], entry["base_seed"]
+    except KeyError as missing:
+        raise _malformed("", f"missing key {missing}") from None
     return [
-        TrialSpec(
-            system=system_from_jsonable(entry["system"]),
-            protocol=protocol_from_jsonable(entry["protocol"]),
-            duration=entry["duration"],
-            warmup=entry["warmup"],
-            seed=derive_seed(entry["base_seed"], f"trial:{trial}"),
-            keep_queries=entry.get("keep_queries", False),
-            health_sample_interval=entry["health_sample_interval"],
-            faults=faults_from_jsonable(entry["faults"]),
-            trace_hash=True,
-            scenarios=scenarios_from_jsonable(entry.get("scenarios")),
-            resilience=resilience_from_jsonable(entry.get("resilience")),
-            satisfaction_window=entry.get("satisfaction_window"),
-            gossip=gossip_from_jsonable(entry.get("gossip")),
-            freshness=freshness_from_jsonable(entry.get("freshness")),
-        )
-        for trial in range(entry["trials"])
+        replace(template, seed=derive_seed(base_seed, f"trial:{trial}"))
+        for trial in range(trials)
     ]
 
 
 def replay_config(entry: Dict[str, Any], *, workers: int = 1) -> Tuple[str, ...]:
-    """Re-run one recorded configuration; return its trace digests.
+    """Re-run one recorded configuration; return its trace digests."""
+    from repro.experiments.executor import get_executor
 
-    Imports the runner lazily: the runner module imports this module for
-    the active-recorder hook, so a module-level import back would cycle.
-    """
-    from repro.experiments.runner import run_guess_config
-
-    reports = run_guess_config(
-        system_from_jsonable(entry["system"]),
-        protocol_from_jsonable(entry["protocol"]),
-        duration=entry["duration"],
-        warmup=entry["warmup"],
-        trials=entry["trials"],
-        base_seed=entry["base_seed"],
-        health_sample_interval=entry["health_sample_interval"],
-        faults=faults_from_jsonable(entry["faults"]),
-        workers=workers,
-        trace_hash=True,
-        scenarios=scenarios_from_jsonable(entry.get("scenarios")),
-        resilience=resilience_from_jsonable(entry.get("resilience")),
-        satisfaction_window=entry.get("satisfaction_window"),
-        gossip=gossip_from_jsonable(entry.get("gossip")),
-        freshness=freshness_from_jsonable(entry.get("freshness")),
-    )
+    with get_executor(workers) as executor:
+        reports = executor.run_trials(specs_for_entry(entry))
     return tuple(report.trace_digest for report in reports)
 
 
@@ -396,15 +273,16 @@ def verify_manifest(manifest: Dict[str, Any], *, workers: int = 1) -> List[str]:
     """Replay every config entry; return human-readable mismatch lines.
 
     An empty return means the manifest reproduced bit for bit: every
-    recorded seed re-derives and every trace digest matches.
+    entry decodes, every seed re-derives and every trace digest matches.
     """
     problems: List[str] = []
     for index, entry in enumerate(manifest.get("configs", [])):
-        expected_seeds = [
-            derive_seed(entry["base_seed"], f"trial:{trial}")
-            for trial in range(entry["trials"])
-        ]
-        if expected_seeds != entry["seeds"]:
+        try:
+            specs = specs_for_entry(entry)
+        except ConfigError as error:
+            problems.append(f"config {index}: {error}")
+            continue
+        if [spec.seed for spec in specs] != entry["seeds"]:
             problems.append(
                 f"config {index}: recorded seeds do not re-derive from "
                 f"base_seed {entry['base_seed']}"

@@ -33,7 +33,7 @@ class TestDoPing:
                 break
             sim._do_ping(pinger, now=1.0)
         assert victim_address not in pinger.link_cache
-        assert sim.collector.dead_pings >= 1
+        assert sim.report().dead_pings >= 1
 
     def test_live_target_ts_refreshed(self):
         sim = build_sim(ping_probe="LRU")  # stalest first: deterministic
@@ -58,7 +58,7 @@ class TestDoPing:
         pinger = sim.live_good_peers[0]
         pinger.link_cache.clear()
         sim._do_ping(pinger, now=1.0)  # must not raise
-        assert sim.collector.pings_sent == 1 or sim.collector.pings_sent == 0
+        assert sim.report().pings_sent == 0
 
     def test_refused_ping_evicts_without_backoff(self):
         sim = build_sim()
@@ -76,7 +76,7 @@ class TestDoPing:
                 pinger.link_cache.evict(address)
         sim._do_ping(pinger, now=1.0)
         assert target_address not in pinger.link_cache
-        assert sim.collector.dead_pings == 0  # refusal is not a death
+        assert sim.report().dead_pings == 0  # refusal is not a death
 
     def test_refused_ping_kept_with_backoff(self):
         sim = build_sim(do_backoff=True)

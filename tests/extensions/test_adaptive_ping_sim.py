@@ -87,3 +87,23 @@ class TestAdaptation:
         adaptive_lcc = adaptive.snapshot_overlay().largest_component_size()
         fixed_lcc = fixed.snapshot_overlay().largest_component_size()
         assert adaptive_lcc >= fixed_lcc
+
+
+class TestPingsThroughTheBaseClass:
+    def test_retries_stale_split_and_gossip_apply_to_adaptive_pings(self):
+        """The adaptive cycle pings through ``GuessSimulation._do_ping``,
+        so every layer armed on the base class is armed here too."""
+        from repro.baselines.gossip import GossipPlan
+
+        sim = AdaptiveMaintenanceSimulation(
+            SystemParams(network_size=200, query_rate=0.0),
+            ProtocolParams(cache_size=20, probe_retries=2),
+            seed=3,
+            gossip=GossipPlan(fanout=1, ttl=2),
+        )
+        sim.run(600.0)
+        report = sim.report()
+        assert report.dead_ping_evictions == report.dead_pings > 0
+        assert report.stale_dead_pings > 0
+        assert report.ping_retries > 0
+        assert report.gossip_rumors > 0

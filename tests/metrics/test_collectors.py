@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.core.search import QueryResult
-from repro.metrics.collectors import CacheHealthSample, MetricsCollector
+from repro.metrics.collectors import (
+    COUNTER_FIELDS,
+    CacheHealthSample,
+    MetricsCollector,
+    SimulationReport,
+)
 
 
 def query_result(
@@ -290,3 +295,58 @@ class TestSatisfactionWindows:
         collector.record_query(query_result(), 25.0)
         windows = collector.build_report().satisfaction_windows
         assert windows == ((20.0, 30.0, 1, 1),)
+
+
+class TestCountersFeedTheReportByName:
+    """A counter is declared once: its name is a report field."""
+
+    def test_declared_counters_are_report_fields(self):
+        assert len(set(COUNTER_FIELDS)) == len(COUNTER_FIELDS) == 25
+        assert set(COUNTER_FIELDS) <= {f.name for f in fields(SimulationReport)}
+
+    def test_registry_and_report_agree_on_an_armed_run(self):
+        # bench/workloads.py's armed_n500 recipe (all five plans armed,
+        # so every counter group is fed) at 100 peers.
+        from repro import GuessSimulation, ProtocolParams, SystemParams
+        from repro.baselines.gossip import GossipPlan
+        from repro.faults.plan import FaultPlan
+        from repro.freshness.plan import CacheSizing, FreshnessPlan
+        from repro.resilience import (
+            ChurnStorm,
+            FlashCrowd,
+            ResiliencePolicy,
+            ScenarioPlan,
+        )
+        from repro.workload.files import FileCountModel
+
+        sim = GuessSimulation(
+            SystemParams(network_size=100),
+            ProtocolParams(cache_size=30, probe_retries=2),
+            seed=7,
+            file_model=FileCountModel(tail_p=0.0),
+            faults=FaultPlan(loss_rate=0.05),
+            scenarios=ScenarioPlan(
+                storms=(ChurnStorm(start=40.0, width=10.0, fraction=0.4),),
+                crowds=(FlashCrowd(start=40.0, end=100.0, multiplier=3.0),),
+            ),
+            resilience=ResiliencePolicy.all_on(),
+            satisfaction_window=25.0,
+            gossip=GossipPlan(fanout=1, ttl=2),
+            freshness=FreshnessPlan(
+                notify_budget=3,
+                depth=2,
+                sizing=CacheSizing(policy="power-law", max_capacity=120),
+            ),
+        )
+        sim.run(120.0)
+        report = sim.report()
+        totals = sim.collector.registry.snapshot()
+        for name in COUNTER_FIELDS:
+            assert totals["sim." + name] == getattr(report, name), name
+        fed = {name for name in COUNTER_FIELDS if getattr(report, name)}
+        # Each group saw traffic, so the equalities above are not 0 == 0.
+        assert {
+            "queries", "pings_sent", "dead_pings", "deaths", "ping_retries",
+            "gossip_pushes", "gossip_imports", "stale_dead_pings",
+            "freshness_notices", "freshness_purges",
+        } <= fed

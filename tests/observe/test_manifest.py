@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
+from pathlib import Path
+from typing import Optional
 
 import pytest
 
+from repro.baselines.gossip import GossipPlan
 from repro.core.params import BadPongBehavior, ProtocolParams, SystemParams
+from repro.errors import ConfigError
+from repro.experiments.executor import SerialTrialExecutor, TrialSpec
 from repro.experiments.runner import run_guess_config
 from repro.faults.plan import (
     BrownoutSpec,
@@ -14,24 +20,20 @@ from repro.faults.plan import (
     GilbertElliott,
     PartitionWindow,
 )
+from repro.freshness.plan import CacheSizing, FreshnessPlan
 from repro.observe.manifest import (
     MANIFEST_VERSION,
+    PER_TRIAL_FIELDS,
+    RUN_KEYS,
     ManifestRecorder,
     activated,
     active_manifest_recorder,
-    faults_from_jsonable,
-    faults_to_jsonable,
+    from_jsonable,
     load_manifest,
     main,
-    protocol_from_jsonable,
-    protocol_to_jsonable,
     replay_config,
-    resilience_from_jsonable,
-    resilience_to_jsonable,
-    scenarios_from_jsonable,
-    scenarios_to_jsonable,
-    system_from_jsonable,
-    system_to_jsonable,
+    specs_for_entry,
+    to_jsonable,
     verify_manifest,
     write_manifest,
 )
@@ -61,57 +63,55 @@ RICH_FAULTS = FaultPlan(
 SMALL_SYSTEM = SystemParams(network_size=40)
 SMALL_KW = dict(duration=20.0, warmup=0.0, trials=2, base_seed=9)
 
-
-class TestParamRoundTrips:
-    def test_system_round_trips_with_enum(self):
-        system = SystemParams(
+#: ``(annotation, value)`` pairs the codec must carry through JSON text.
+ROUND_TRIPS = {
+    "system-with-enum": (
+        SystemParams,
+        SystemParams(
             network_size=77,
             percent_bad_peers=12.5,
             bad_pong_behavior=BadPongBehavior.BAD,
-        )
-        data = json.loads(json.dumps(system_to_jsonable(system)))
-        assert system_from_jsonable(data) == system
-
-    def test_protocol_round_trips(self):
-        protocol = ProtocolParams(cache_size=17, probe_retries=2)
-        data = json.loads(json.dumps(protocol_to_jsonable(protocol)))
-        assert protocol_from_jsonable(data) == protocol
-
-    def test_faults_none_passthrough(self):
-        assert faults_to_jsonable(None) is None
-        assert faults_from_jsonable(None) is None
-
-    def test_rich_fault_plan_round_trips(self):
-        data = json.loads(json.dumps(faults_to_jsonable(RICH_FAULTS)))
-        assert faults_from_jsonable(data) == RICH_FAULTS
-
-    def test_scenarios_none_passthrough(self):
-        assert scenarios_to_jsonable(None) is None
-        assert scenarios_from_jsonable(None) is None
-
-    def test_scenario_plan_round_trips(self):
-        plan = ScenarioPlan(
+        ),
+    ),
+    "protocol": (ProtocolParams, ProtocolParams(cache_size=17, probe_retries=2)),
+    "faults-none": (Optional[FaultPlan], None),
+    "faults-rich": (FaultPlan, RICH_FAULTS),
+    "scenarios-none": (Optional[ScenarioPlan], None),
+    "scenarios": (
+        ScenarioPlan,
+        ScenarioPlan(
             storms=(
                 ChurnStorm(start=100.0, width=20.0, fraction=0.4),
                 ChurnStorm(start=200.0, width=5.0, fraction=0.0),
             ),
             crowds=(FlashCrowd(start=100.0, end=300.0, multiplier=5.0),),
-        )
-        data = json.loads(json.dumps(scenarios_to_jsonable(plan)))
-        assert scenarios_from_jsonable(data) == plan
+        ),
+    ),
+    "resilience-none": (Optional[ResiliencePolicy], None),
+    "resilience-all-on": (ResiliencePolicy, ResiliencePolicy.all_on()),
+    "resilience-breaker-only": (
+        ResiliencePolicy,
+        ResiliencePolicy(breaker=BreakerSpec(failure_threshold=5)),
+    ),
+    "resilience-empty": (ResiliencePolicy, ResiliencePolicy()),
+    "gossip": (GossipPlan, GossipPlan(fanout=2, ttl=3, hop_delay=0.1)),
+    "freshness-with-sizing": (
+        FreshnessPlan,
+        FreshnessPlan(
+            notify_budget=3,
+            depth=2,
+            sizing=CacheSizing(policy="power-law", max_capacity=30),
+        ),
+    ),
+}
 
-    def test_resilience_none_passthrough(self):
-        assert resilience_to_jsonable(None) is None
-        assert resilience_from_jsonable(None) is None
 
-    def test_resilience_policy_round_trips(self):
-        for policy in (
-            ResiliencePolicy.all_on(),
-            ResiliencePolicy(breaker=BreakerSpec(failure_threshold=5)),
-            ResiliencePolicy(),
-        ):
-            data = json.loads(json.dumps(resilience_to_jsonable(policy)))
-            assert resilience_from_jsonable(data) == policy
+class TestParamRoundTrips:
+    @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
+    def test_round_trips_through_json(self, case):
+        kind, value = ROUND_TRIPS[case]
+        data = json.loads(json.dumps(to_jsonable(value)))
+        assert from_jsonable(kind, data) == value
 
 
 class TestRecorderCapture:
@@ -253,11 +253,9 @@ class TestScenarioReplay:
 
     def test_entry_records_the_plan(self, recorded):
         (entry,) = recorded["configs"]
-        assert scenarios_from_jsonable(entry["scenarios"]) == self.PLAN
-        assert (
-            resilience_from_jsonable(entry["resilience"])
-            == ResiliencePolicy.all_on()
-        )
+        (spec, _) = specs_for_entry(entry)
+        assert spec.scenarios == self.PLAN
+        assert spec.resilience == ResiliencePolicy.all_on()
         assert entry["satisfaction_window"] == 10.0
 
     def test_json_round_trip_preserves_entry(self, recorded):
@@ -285,3 +283,176 @@ class TestScenarioReplay:
             if key not in ("scenarios", "resilience", "satisfaction_window")
         }
         assert replay_config(legacy) == tuple(legacy["trace_digests"])
+
+
+#: Written by the parent of the commit that introduced the type-driven
+#: codec (70e773a, ten hand-written codec functions), running exactly
+#: :func:`_armed_run` under an active recorder.
+ARMED_MANIFEST = Path(__file__).parent / "data" / "manifest_v1_armed.json"
+
+
+class _RecordingExecutor(SerialTrialExecutor):
+    """Serial executor that remembers the specs it was handed."""
+
+    def __init__(self):
+        self.specs = []
+
+    def run_trials(self, specs):
+        self.specs.extend(specs)
+        return super().run_trials(specs)
+
+
+def _armed_run(executor):
+    """One tiny configuration with all five plans armed."""
+    return run_guess_config(
+        SystemParams(
+            network_size=40,
+            percent_bad_peers=5.0,
+            bad_pong_behavior=BadPongBehavior.BAD,
+        ),
+        ProtocolParams(cache_size=12, probe_retries=1, do_backoff=True),
+        duration=20.0,
+        warmup=5.0,
+        trials=2,
+        base_seed=14,
+        executor=executor,
+        keep_queries=True,
+        health_sample_interval=10.0,
+        faults=FaultPlan(
+            loss_rate=0.05,
+            burst=GilbertElliott(
+                loss_good=0.01, loss_bad=0.4,
+                p_good_to_bad=0.02, p_bad_to_good=0.3,
+            ),
+            jitter=0.02,
+            brownouts=BrownoutSpec(rate=0.001, duration=3.0),
+            partitions=(
+                PartitionWindow(start=8.0, end=12.0, fraction=0.25, salt=3),
+            ),
+        ),
+        scenarios=ScenarioPlan(
+            storms=(ChurnStorm(start=10.0, width=5.0, fraction=0.3),),
+            crowds=(FlashCrowd(start=10.0, end=20.0, multiplier=3.0),),
+        ),
+        resilience=ResiliencePolicy.all_on(),
+        satisfaction_window=5.0,
+        gossip=GossipPlan(fanout=2, ttl=2),
+        freshness=FreshnessPlan(
+            notify_budget=3,
+            depth=2,
+            sizing=CacheSizing(policy="power-law", max_capacity=30),
+        ),
+    )
+
+
+def _configs_text(manifest):
+    return json.dumps(manifest["configs"], indent=2, sort_keys=True)
+
+
+class TestLayoutPinnedFromOutside:
+    """The v1 layout is whatever the committed parent-written file holds."""
+
+    @pytest.fixture(scope="class")
+    def armed(self):
+        recorder, executor = ManifestRecorder(), _RecordingExecutor()
+        with activated(recorder):
+            _armed_run(executor)
+        manifest = recorder.build(
+            profile="micro", suites=["armed"], workers=1,
+            wall_clock_seconds=0.0,
+        )
+        return manifest, executor.specs
+
+    def test_recorder_emits_the_parents_configs_bytes(self, armed):
+        manifest, _ = armed
+        assert _configs_text(manifest) == _configs_text(
+            load_manifest(ARMED_MANIFEST)
+        )
+
+    def test_specs_for_entry_rebuilds_the_specs_that_ran(self, armed):
+        _, ran = armed
+        (entry,) = load_manifest(ARMED_MANIFEST)["configs"]
+        rebuilt = specs_for_entry(entry)
+        assert rebuilt == ran
+        # repr(spec) is the supervisor's journal fingerprint.
+        assert [repr(spec) for spec in rebuilt] == [repr(spec) for spec in ran]
+        assert all(spec.freshness.sizing.max_capacity == 30 for spec in ran)
+
+    def test_parent_written_manifest_verifies(self):
+        assert verify_manifest(load_manifest(ARMED_MANIFEST)) == []
+
+    def test_entry_keys_are_the_spec_fields(self, armed):
+        # Adding a TrialSpec field adds its manifest key with no edit in
+        # manifest.py or runner.py; this fails if that stops being true.
+        manifest, _ = armed
+        (entry,) = manifest["configs"]
+        spec_fields = {spec.name for spec in fields(TrialSpec)}
+        assert set(PER_TRIAL_FIELDS) < spec_fields
+        assert set(entry) == (spec_fields - set(PER_TRIAL_FIELDS)) | set(RUN_KEYS)
+
+
+def _set(path, value):
+    """Mutation: assign ``value`` at ``path`` (keys / indices) of an entry."""
+
+    def mutate(entry):
+        *parents, last = path
+        for key in parents:
+            entry = entry[key]
+        entry[last] = value
+
+    return mutate
+
+
+def _drop(key):
+    return lambda entry: entry.pop(key)
+
+
+#: ``id -> (mutation of the armed entry, text the ConfigError must carry)``.
+MALFORMED = {
+    "unknown-plan-field": (_set(("gossip", "hops"), 3), "gossip.hops"),
+    "unknown-entry-key": (_set(("schedulr",), "heap"), "schedulr"),
+    "unknown-nested-field": (
+        _set(("faults", "partitions", 0, "bogus"), 1),
+        "faults.partitions[0].bogus",
+    ),
+    "unknown-enum-name": (
+        _set(("system", "bad_pong_behavior"), "NOPE"),
+        "system.bad_pong_behavior",
+    ),
+    "enum-not-a-name": (
+        _set(("system", "bad_pong_behavior"), ["DEAD"]),
+        "system.bad_pong_behavior",
+    ),
+    "object-where-list": (
+        _set(("faults", "partitions"), {"start": 1.0, "end": 2.0}),
+        "faults.partitions",
+    ),
+    "list-where-object": (_set(("scenarios",), []), "scenarios"),
+    "scalar-where-object": (_set(("freshness", "sizing"), 7), "freshness.sizing"),
+    "missing-required-field": (_drop("duration"), "duration"),
+    "missing-run-key": (_drop("trials"), "trials"),
+}
+
+
+class TestMalformedEntriesFailTyped:
+    @pytest.fixture()
+    def manifest(self):
+        return load_manifest(ARMED_MANIFEST)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_decoder_names_the_path(self, manifest, case):
+        mutate, where = MALFORMED[case]
+        (entry,) = manifest["configs"]
+        mutate(entry)
+        with pytest.raises(ConfigError) as caught:
+            specs_for_entry(entry)
+        assert where in str(caught.value)
+        (problem,) = verify_manifest(manifest)
+        assert problem == f"config 0: {caught.value}"
+
+    def test_cli_exits_1_with_a_problem_line(self, manifest, tmp_path, capsys):
+        manifest["configs"][0]["gossip"]["hops"] = 3
+        path = tmp_path / "bad.json"
+        write_manifest(path, manifest)
+        assert main([str(path)]) == 1
+        assert capsys.readouterr().out.startswith("config 0: gossip.hops")
