@@ -3,7 +3,8 @@
 These pin the throughput of the paths PR 2 optimized — the event loop's
 args-based dispatch, ``GuessSimulation``'s friend sampling and health
 snapshots, and ``LinkCache``'s full-cache insert contest (key-based
-and Random with interleaved evictions) — plus the
+and Random with interleaved evictions) and the k-th-live-peer lookup
+against its one-line ``islice`` spelling — plus the
 parallel trial executor's end-to-end speedup.  Each test folds its
 measured rate into a module-level result dict; a module-scoped fixture
 merges the dict into ``BENCH_kernel.json`` at the repo root so the
@@ -21,6 +22,8 @@ show speedup <= 1 (process spawn overhead with no parallelism to win).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import os
 import pathlib
@@ -29,6 +32,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -37,6 +41,7 @@ from repro.core.entry import CacheEntry
 from repro.core.link_cache import LinkCache
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
+from repro.core.peer_store import PeerStore
 from repro.core.policies import get_replacement_policy
 from repro.experiments.runner import run_guess_config
 from repro.sim.engine import Simulator
@@ -64,6 +69,7 @@ _KNOBS = {
         sweep_duration=400.0,
         sweep_trials=4,
         scaling_cells=((1_000, 120.0), (10_000, 120.0), (100_000, 60.0)),
+        kth_live_sizes=(10_000, 100_000),
     ),
     "tiny": dict(
         engine_events=5_000,
@@ -75,6 +81,7 @@ _KNOBS = {
         sweep_duration=400.0,
         sweep_trials=4,
         scaling_cells=((200, 30.0), (1_000, 30.0)),
+        kth_live_sizes=(1_000, 5_000),
     ),
 }[SCALE]
 
@@ -209,6 +216,55 @@ def test_link_cache_random_inserts_per_sec(benchmark):
     size = benchmark(run)
     assert 50 <= size <= 100
     _RESULTS["link_cache_random_inserts_per_sec"] = count / _mean_seconds(benchmark)
+
+
+@functools.lru_cache(maxsize=None)
+def _churned_store(live: int) -> PeerStore:
+    """``live`` peers after ``live`` death/rebirth steps.
+
+    Every step removes a uniformly drawn live peer and adds a new
+    address, as ``_on_death`` + ``_spawn_peer`` do, so the peer dict has
+    the holes a long run leaves.  The store only reads ``address`` and
+    ``malicious``, so the peers are bare namespaces.
+    """
+    rng = random.Random(0)
+    store = PeerStore()
+    for address in range(live):
+        store.add(types.SimpleNamespace(address=address, malicious=False))
+    for address in range(live, 2 * live):
+        store.remove(store.kth_live(rng.randrange(live)).address)
+        store.add(types.SimpleNamespace(address=address, malicious=False))
+    return store
+
+
+@pytest.mark.parametrize("spelling", ["fenwick", "islice"])
+@pytest.mark.parametrize("live", _KNOBS["kth_live_sizes"])
+def test_kth_live_per_sec(benchmark, live, spelling):
+    """``PeerStore.kth_live`` against its simpler replacement.
+
+    ROADMAP item 2 asks every PR-2/PR-7 structure for "a layer bench
+    that shows the win, or a simpler replacement".  The replacement for
+    :class:`~repro.core.live_index.LiveAddressIndex` is one line over
+    the peer dict, O(k) instead of O(log n); both are timed on the same
+    churned store and the same draws, and must pick the same peers.
+    """
+    store = _churned_store(live)
+    rng = random.Random(1)
+    ks = [rng.randrange(live) for _ in range(200)]
+    peers = store._peers
+    if spelling == "fenwick":
+        kth = store.kth_live
+    else:
+        def kth(k):
+            return next(itertools.islice(peers.values(), k, None))
+
+    def run():
+        return [kth(k) for k in ks]
+
+    picked = benchmark(run)
+    assert picked == [store.kth_live(k) for k in ks]
+    rate = len(ks) / _mean_seconds(benchmark)
+    _RESULTS[f"kth_live_{spelling}_n{live}_per_sec"] = rate
 
 
 #: Runs one scaling cell in a fresh interpreter and prints a JSON line:

@@ -35,7 +35,6 @@ from repro.core import (
     CacheEntry,
     FaultyReporter,
     GuessPeer,
-    GuessSimulation,
     LinkCache,
     MaliciousPeer,
     PolicySet,
@@ -46,6 +45,7 @@ from repro.core import (
     execute_query,
     registered_policy_names,
 )
+from repro.core.network_sim import GuessSimulation
 from repro.errors import (
     ConfigError,
     ExecutionError,

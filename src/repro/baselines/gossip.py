@@ -17,8 +17,9 @@ RNG substreams (statically enforced by an RD007 contract in
 * :class:`GossipPlan` / :class:`GossipRelay` — the **gossip-assisted
   GUESS** hybrid: instead of a harvested pong being consumed only by the
   probing peer, the harvest is epidemically disseminated to ``fanout``
-  link-cache contacts per hop for ``ttl`` hops (the wiring lives in
-  :mod:`repro.core.network_sim`).  :meth:`GossipRelay.from_plan` returns
+  link-cache contacts per hop for ``ttl`` hops (the relay owns the hop
+  handler; :mod:`repro.core.network_sim` only calls ``seed_rumor`` from
+  its two harvest sites).  :meth:`GossipRelay.from_plan` returns
   ``None`` for disabled plans, mirroring the
   :meth:`repro.faults.FaultInjector.from_plan` convention, so a
   ``fanout=0`` plan keeps the exact pre-gossip code path and the golden
@@ -53,13 +54,21 @@ return path), and satisfaction is judged on the honest channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.baselines.extent import PopulationView
 from repro.baselines.gnutella import GnutellaOverlay
+from repro.core.messages import GossipPush
 from repro.errors import TopologyError, WorkloadError
+from repro.network.address import Address
+from repro.network.transport import ProbeStatus
+from repro.sim.events import EventPriority
 from repro.sim.rng import RngRegistry
 from repro.workload.content import ContentModel
+
+if TYPE_CHECKING:  # annotation-only: network_sim imports this module
+    from repro.core.network_sim import GuessSimulation
+    from repro.core.peer import GuessPeer
 
 #: Rumor-spreading variants: who initiates contacts each round.
 GOSSIP_MODES: Tuple[str, ...] = ("push", "pull", "push-pull")
@@ -413,24 +422,27 @@ class GossipPlan:
 
 
 class GossipRelay:
-    """Contact selection for gossip-assisted GUESS dissemination.
+    """Gossip-assisted GUESS dissemination: who is told, who forwards.
 
-    Holds the plan and the single ``gossip:relay`` stream all hybrid-mode
-    randomness comes from; the event wiring lives in
-    :class:`~repro.core.network_sim.GuessSimulation`.  Build via
-    :meth:`from_plan`, which returns ``None`` for disabled plans.
+    Holds the plan, the single ``gossip:relay`` stream all hybrid-mode
+    randomness comes from, and the simulation through which the hop
+    handler reaches engine, transport, peer store and collector.  Build
+    via :meth:`from_plan`, which returns ``None`` for disabled plans.
     """
 
-    __slots__ = ("plan", "_rng")
+    __slots__ = ("plan", "_rng", "_sim")
 
-    def __init__(self, plan: GossipPlan, rng: RngRegistry) -> None:
+    def __init__(
+        self, plan: GossipPlan, rng: RngRegistry, sim: GuessSimulation
+    ) -> None:
         self.plan = plan
         self._rng = rng.stream("gossip:relay")
+        self._sim = sim
 
     @classmethod
     def from_plan(
-        cls, plan: Optional[GossipPlan], rng: RngRegistry
-    ) -> Optional["GossipRelay"]:
+        cls, plan: Optional[GossipPlan], rng: RngRegistry, sim: GuessSimulation
+    ) -> Optional[GossipRelay]:
         """The relay for ``plan``, or None if the plan can do nothing.
 
         Returning None (not an inert relay) is what makes the disabled
@@ -439,11 +451,11 @@ class GossipRelay:
         """
         if plan is None or plan.is_noop():
             return None
-        return cls(plan, rng)
+        return cls(plan, rng, sim)
 
     def pick_targets(
-        self, candidates: Sequence[object], seen: Set[object]
-    ) -> List[object]:
+        self, candidates: Sequence[Address], seen: Set[Address]
+    ) -> List[Address]:
         """Up to ``fanout`` addresses from ``candidates`` not yet rumored.
 
         ``candidates`` must arrive in a deterministic order (link caches
@@ -454,3 +466,87 @@ class GossipRelay:
         if len(fresh) <= self.plan.fanout:
             return fresh
         return self._rng.sample(fresh, self.plan.fanout)
+
+    def seed_rumor(self, carrier: GuessPeer, pong, now: float) -> None:
+        """Start one epidemic rumor from a freshly harvested pong.
+
+        The probing peer becomes the rumor's origin/first carrier; the
+        first hop fires ``hop_delay`` later so dissemination rides the
+        engine (the fault layer and receiver rate limits both
+        apply).  The per-rumor ``seen`` set is shared through
+        event args — events fire deterministically, so the mutation
+        order (hence every target choice) is reproducible.
+        """
+        sim = self._sim
+        sim.collector.record_gossip_rumor(now)
+        origin = carrier.address
+        seen = {origin, pong.sender}
+        sim.engine.schedule(
+            now + self.plan.hop_delay,
+            self._hop,
+            priority=EventPriority.PROTOCOL,
+            label="gossip",
+            args=(origin, origin, pong.entries, self.plan.ttl, seen),
+        )
+
+    def _hop(
+        self,
+        carrier_address: Address,
+        origin: Address,
+        entries,
+        ttl: int,
+        seen: Set[Address],
+    ) -> None:
+        """Push the rumor from one carrier to up to ``fanout`` fresh contacts.
+
+        Delivered pushes import entries at the receiver (attributed to
+        the rumor's origin) and — while ``ttl`` lasts — make the
+        receiver the next hop's carrier.  Malicious peers and
+        suppress-mode faulty reporters accept rumors but never relay
+        them (the suppression is counted).  A carrier that died before
+        its hop fired drops the rumor, exactly like a lost packet.
+        """
+        sim = self._sim
+        now = sim.engine.now
+        store = sim.store
+        carrier = store.get(carrier_address)
+        if carrier is None or not carrier.is_alive(now):
+            return
+        targets = self.pick_targets(
+            [entry.address for entry in carrier.link_cache.entries()], seen
+        )
+        if not targets:
+            return
+        message = GossipPush(
+            sender=carrier_address, origin=origin, entries=entries, ttl=ttl
+        )
+        probe = sim.transport.probe
+        record_push = sim.collector.record_gossip_push
+        for target_address in targets:
+            seen.add(target_address)
+            outcome = probe(carrier_address, target_address, message, now)
+            if outcome.status is ProbeStatus.DELIVERED:
+                record_push(
+                    now, delivered=True, imported=outcome.response.imported
+                )
+                if ttl <= 1:
+                    continue
+                target = store.get(target_address)
+                if target is None:
+                    continue
+                if target.malicious or target.suppresses_gossip:
+                    sim.collector.record_gossip_suppressed_forward(now)
+                    continue
+                sim.engine.schedule(
+                    now + self.plan.hop_delay,
+                    self._hop,
+                    priority=EventPriority.PROTOCOL,
+                    label="gossip",
+                    args=(target_address, origin, entries, ttl - 1, seen),
+                )
+            else:
+                record_push(
+                    now,
+                    delivered=False,
+                    refused=outcome.status is ProbeStatus.REFUSED,
+                )

@@ -4,7 +4,11 @@ Public surface:
 
 * :class:`~repro.core.params.SystemParams` /
   :class:`~repro.core.params.ProtocolParams` — Tables 1 and 2.
-* :class:`~repro.core.network_sim.GuessSimulation` — a runnable network.
+* :class:`~repro.core.network_sim.GuessSimulation` — a runnable network;
+  import it from :mod:`repro` or :mod:`repro.core.network_sim`.  It is
+  not re-exported here: ``network_sim`` imports the optional layers, the
+  layers import this package's leaf modules (``repro.core.messages``),
+  and importing a leaf runs this file first.
 * :class:`~repro.core.peer.GuessPeer` /
   :class:`~repro.core.malicious.MaliciousPeer` — peer behaviours.
 * The policy framework (:mod:`repro.core.policies`,
@@ -22,7 +26,6 @@ from repro.core.malicious import (
     MaliciousPeer,
 )
 from repro.core.messages import Ping, Pong, Query, QueryReply, Refusal
-from repro.core.network_sim import GuessSimulation
 from repro.core.params import (
     BadPongBehavior,
     ProtocolParams,
@@ -53,7 +56,6 @@ __all__ = [
     "Query",
     "QueryReply",
     "Refusal",
-    "GuessSimulation",
     "BadPongBehavior",
     "ProtocolParams",
     "SystemParams",

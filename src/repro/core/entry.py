@@ -72,7 +72,7 @@ class CacheEntry:
         clone.born = self.born
         return clone
 
-    def copy_for_import(self, reset_num_results: bool, now: float = 0.0) -> "CacheEntry":
+    def copy_for_import(self, reset_num_results: bool, now: float) -> "CacheEntry":
         """Copy used when ingesting an entry learned from another peer.
 
         Args:
@@ -81,7 +81,8 @@ class CacheEntry:
                 the entry.
             now: import time, stamped as the new owner's ``born`` —
                 acquisition age is per-owner, never inherited from the
-                pong's carrier.
+                pong's carrier.  Required: a defaulted import time books
+                every later dead probe against the entry as stale.
         """
         entry = self.copy()
         if reset_num_results:

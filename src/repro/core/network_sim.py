@@ -19,6 +19,12 @@ The simulation holds one shared :class:`PolicySet` (policies are
 stateless), one transport, one attack directory, and one metrics
 collector; the report combines query outcomes, per-peer loads, and
 periodic cache-health samples.
+
+This module runs that lifecycle only.  A layer that sends its own probes
+(gossip dissemination, push invalidation) keeps its handlers in its own
+package: its object is handed the simulation once, at construction, and
+each lifecycle site here makes one guarded, direct call into it
+(``_on_death``, both live branches of ``_do_ping``, ``_query_burst``).
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from typing import List, Optional
 from repro.baselines.gossip import GossipPlan, GossipRelay
 from repro.core.entry import CacheEntry
 from repro.core.malicious import AttackDirectory, FaultyReporter, MaliciousPeer
-from repro.core.messages import CacheUpdate, GossipPush
 from repro.core.params import (
     ProtocolParams,
     SystemParams,
@@ -53,7 +58,6 @@ from repro.network.address import Address, AddressAllocator
 from repro.network.overlay import OverlaySnapshot
 from repro.network.transport import ProbeStatus, Transport
 from repro.observe.plan import Observation, ObservationPlan
-from repro.resilience.breaker import OPEN
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.scenarios import ChurnStorm, ScenarioDriver, ScenarioPlan
 from repro.sim.engine import Simulator
@@ -194,11 +198,11 @@ class GuessSimulation:
         # None for a missing/no-op plan (fanout=0 or ttl=0): the ping
         # success path then carries no gossip branch at all, and the
         # gossip:* substreams are never instantiated.
-        self.gossip = GossipRelay.from_plan(gossip, self.rng)
+        self.gossip = GossipRelay.from_plan(gossip, self.rng, self)
         # None for a missing/no-op plan: uniform cache sizes, no
         # departure notices, and the freshness:* substreams are never
         # instantiated (the same from_plan -> None contract).
-        self.freshness = FreshnessMediator.from_plan(freshness, self.rng)
+        self.freshness = FreshnessMediator.from_plan(freshness, self.rng, self)
         # None for a missing/no-op plan: the hot paths below then carry
         # no observer branches at all (the from_plan -> None contract).
         self.observation = Observation.from_plan(observe)
@@ -470,7 +474,16 @@ class GuessSimulation:
                 label="burst",
                 args=(peer,),
             )
+        self._peer_spawned(peer)
         return peer
+
+    def _peer_spawned(self, peer: GuessPeer) -> None:
+        """Extension seam, called last for every newborn (bootstrap too).
+
+        A no-op here; extensions with per-peer state override it (or
+        wrap it on a live instance) instead of re-declaring
+        :meth:`_spawn_peer`'s signature.
+        """
 
     def _seed_from_friend(
         self, newborn: GuessPeer, friend: GuessPeer, now: float
@@ -506,8 +519,8 @@ class GuessSimulation:
         self.directory.record_death(address)
         self.collector.record_death(now)
         self._harvest(peer)
-        if self.freshness is not None and self.freshness.plan.invalidates:
-            self._notify_departure(peer, now)
+        if self.freshness is not None:
+            self.freshness.notify_departure(peer)
 
         # Rebirth keeps the live population at NetworkSize.  The newborn's
         # role is a coin flip, keeping PercentBadPeers (and
@@ -679,29 +692,8 @@ class GuessSimulation:
                 # The breaker substitutes for refusal eviction: the
                 # entry stays cached, probes stop once it trips.
                 breakers.record_refusal(entry.address, now)
-                if (
-                    self.freshness is not None
-                    and self.freshness.plan.on_overload
-                    and self.freshness.plan.invalidates
-                    and breakers.state_of(entry.address) == OPEN
-                ):
-                    # The refusal just tripped the breaker: the prober
-                    # spreads the overload verdict so other holders
-                    # demote (or purge) their pointer before paying
-                    # their own refusals.
-                    self.engine.schedule(
-                        now + self.freshness.plan.notify_delay,
-                        self._invalidation_hop,
-                        priority=EventPriority.PROTOCOL,
-                        label="freshness",
-                        args=(
-                            peer.address,
-                            entry.address,
-                            self.freshness.plan.depth,
-                            {peer.address, entry.address},
-                            False,
-                        ),
-                    )
+                if self.freshness is not None:
+                    self.freshness.notify_overload(peer, entry.address, now)
             elif not self.protocol.do_backoff:
                 refusal_evicted = peer.link_cache.evict(entry.address)
             self.collector.record_ping(
@@ -722,207 +714,8 @@ class GuessSimulation:
             denied=denied,
         )
         if self.gossip is not None and outcome.response.entries:
-            self._seed_rumor(peer, outcome.response, now)
+            self.gossip.seed_rumor(peer, outcome.response, now)
         return False
-
-    # ------------------------------------------------------------------
-    # Gossip-assisted dissemination (repro.baselines.gossip)
-    # ------------------------------------------------------------------
-
-    def _seed_rumor(self, carrier: GuessPeer, pong, now: float) -> None:
-        """Start one epidemic rumor from a freshly harvested pong.
-
-        The probing peer becomes the rumor's origin/first carrier; the
-        first hop fires ``hop_delay`` later so dissemination rides the
-        engine (the fault layer and receiver rate limits both
-        apply).  The per-rumor ``seen`` set is shared through
-        event args — events fire deterministically, so the mutation
-        order (hence every target choice) is reproducible.
-        """
-        relay = self.gossip
-        assert relay is not None  # guarded at the call site
-        self.collector.record_gossip_rumor(now)
-        seen = {carrier.address, pong.sender}
-        self.engine.schedule(
-            now + relay.plan.hop_delay,
-            self._gossip_hop,
-            priority=EventPriority.PROTOCOL,
-            label="gossip",
-            args=(carrier.address, carrier.address, pong.entries, relay.plan.ttl, seen),
-        )
-
-    def _gossip_hop(
-        self,
-        carrier_address: Address,
-        origin: Address,
-        entries,
-        ttl: int,
-        seen: set,
-    ) -> None:
-        """Push the rumor from one carrier to up to ``fanout`` fresh contacts.
-
-        Delivered pushes import entries at the receiver (attributed to
-        the rumor's origin) and — while ``ttl`` lasts — make the
-        receiver the next hop's carrier.  Malicious peers and
-        suppress-mode faulty reporters accept rumors but never relay
-        them (the suppression is counted).  A carrier that died before
-        its hop fired drops the rumor, exactly like a lost packet.
-        """
-        now = self.engine.now
-        carrier = self._store.get(carrier_address)
-        if carrier is None or not carrier.is_alive(now):
-            return
-        relay = self.gossip
-        assert relay is not None  # hops are only scheduled when armed
-        targets = relay.pick_targets(
-            [entry.address for entry in carrier.link_cache.entries()], seen
-        )
-        if not targets:
-            return
-        message = GossipPush(
-            sender=carrier_address, origin=origin, entries=entries, ttl=ttl
-        )
-        for target_address in targets:
-            seen.add(target_address)
-            outcome = self.transport.probe(
-                carrier_address, target_address, message, now
-            )
-            if outcome.status is ProbeStatus.DELIVERED:
-                self.collector.record_gossip_push(
-                    now, delivered=True, imported=outcome.response.imported
-                )
-                if ttl <= 1:
-                    continue
-                target = self._store.get(target_address)
-                if target is None:
-                    continue
-                if target.malicious or target.suppresses_gossip:
-                    self.collector.record_gossip_suppressed_forward(now)
-                    continue
-                self.engine.schedule(
-                    now + relay.plan.hop_delay,
-                    self._gossip_hop,
-                    priority=EventPriority.PROTOCOL,
-                    label="gossip",
-                    args=(target_address, origin, entries, ttl - 1, seen),
-                )
-            else:
-                self.collector.record_gossip_push(
-                    now,
-                    delivered=False,
-                    refused=outcome.status is ProbeStatus.REFUSED,
-                )
-
-    # ------------------------------------------------------------------
-    # Push invalidation (repro.freshness)
-    # ------------------------------------------------------------------
-
-    def _notify_departure(self, victim: GuessPeer, now: float) -> None:
-        """Hop 0 of a departure notice: the victim warns its contacts.
-
-        The dying peer's own link cache approximates "who holds a
-        pointer to me" (the introduction rule makes acquaintance roughly
-        symmetric).  Up to ``notify_budget`` contacts get a
-        ``CacheUpdate(departed=True)`` in the death instant — the victim
-        is already unregistered, but UDP sends need no live source.
-        Contacts that actually held (and purged) the stale entry forward
-        the notice along the interest path while depth lasts; the dead
-        victim cannot ingest the acks' refresh pongs, so hop 0 imports
-        nothing.
-        """
-        mediator = self.freshness
-        assert mediator is not None  # guarded at the call site
-        subject = victim.address
-        seen = {subject}
-        contacts = mediator.pick_contacts(
-            [entry.address for entry in victim.link_cache.entries()], seen
-        )
-        if not contacts:
-            return
-        depth = mediator.plan.depth
-        message = CacheUpdate(sender=subject, subject=subject, departed=True)
-        for target_address in contacts:
-            seen.add(target_address)
-            outcome = self.transport.probe(subject, target_address, message, now)
-            if outcome.status is ProbeStatus.DELIVERED:
-                ack = outcome.response
-                self.collector.record_freshness_notice(
-                    now, delivered=True, purged=ack.purged
-                )
-                if ack.purged and depth > 1:
-                    self.engine.schedule(
-                        now + mediator.plan.notify_delay,
-                        self._invalidation_hop,
-                        priority=EventPriority.PROTOCOL,
-                        label="freshness",
-                        args=(target_address, subject, depth - 1, seen, True),
-                    )
-            else:
-                self.collector.record_freshness_notice(
-                    now,
-                    delivered=False,
-                    refused=outcome.status is ProbeStatus.REFUSED,
-                )
-
-    def _invalidation_hop(
-        self,
-        carrier_address: Address,
-        subject: Address,
-        ttl: int,
-        seen: set,
-        departed: bool,
-    ) -> None:
-        """Forward a cache-update notice one interest-path hop.
-
-        The carrier (a peer that held — and purged or demoted — the
-        stale entry) warns up to ``notify_budget`` of its own contacts.
-        Only receivers that also held the entry (``ack.purged``) extend
-        the path, so propagation follows interest and dies out where
-        nobody cached the subject.  Each delivered ack piggybacks a
-        pong the live carrier ingests — the purge doubles as a refresh.
-        A carrier that died before its hop fired drops the notice.
-        """
-        now = self.engine.now
-        carrier = self._store.get(carrier_address)
-        if carrier is None or not carrier.is_alive(now):
-            return
-        mediator = self.freshness
-        assert mediator is not None  # hops are only scheduled when armed
-        contacts = mediator.pick_contacts(
-            [entry.address for entry in carrier.link_cache.entries()], seen
-        )
-        if not contacts:
-            return
-        message = CacheUpdate(
-            sender=carrier_address, subject=subject, departed=departed
-        )
-        for target_address in contacts:
-            seen.add(target_address)
-            outcome = self.transport.probe(
-                carrier_address, target_address, message, now
-            )
-            if outcome.status is ProbeStatus.DELIVERED:
-                ack = outcome.response
-                self.collector.record_freshness_notice(
-                    now, delivered=True, purged=ack.purged
-                )
-                if ack.pong.entries:
-                    imported = carrier.import_pong_to_link_cache(ack.pong, now)
-                    self.collector.record_freshness_refresh(now, imported)
-                if ack.purged and ttl > 1:
-                    self.engine.schedule(
-                        now + mediator.plan.notify_delay,
-                        self._invalidation_hop,
-                        priority=EventPriority.PROTOCOL,
-                        label="freshness",
-                        args=(target_address, subject, ttl - 1, seen, departed),
-                    )
-            else:
-                self.collector.record_freshness_notice(
-                    now,
-                    delivered=False,
-                    refused=outcome.status is ProbeStatus.REFUSED,
-                )
 
     # ------------------------------------------------------------------
     # Queries
@@ -963,7 +756,7 @@ class GuessSimulation:
             self.collector.record_query(result, cursor)
             if harvests:
                 for pong in harvests:
-                    self._seed_rumor(peer, pong, cursor)
+                    self.gossip.seed_rumor(peer, pong, cursor)
             cursor += result.duration
         delay = self.bursts.next_burst_delay(queries_rng)
         if self.scenario is not None:

@@ -59,17 +59,11 @@ class AdaptiveMaintenanceSimulation(GuessSimulation):
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def _spawn_peer(self, now, malicious, faulty=False, friend=None,
-                    is_rebirth=False):
-        peer = super()._spawn_peer(
-            now, malicious, faulty=faulty, friend=friend,
-            is_rebirth=is_rebirth,
-        )
-        if not malicious:
+    def _peer_spawned(self, peer: GuessPeer) -> None:
+        if not peer.malicious:
             self._controllers[peer.address] = self._controller_factory(
                 self.protocol.ping_interval
             )
-        return peer
 
     def _on_death(self, peer):
         self._controllers.pop(peer.address, None)
@@ -94,7 +88,8 @@ class AdaptiveMaintenanceSimulation(GuessSimulation):
         )
         self.engine.schedule_after(
             interval,
-            lambda: self._ping_cycle(peer),
+            self._ping_cycle,
             priority=EventPriority.PROTOCOL,
             label="adaptive-ping",
+            args=(peer,),
         )

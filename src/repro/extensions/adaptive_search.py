@@ -125,7 +125,7 @@ def execute_adaptive_query(
             for shared in reply.pong.entries:
                 if query_cache.was_seen(shared.address):
                     continue
-                imported = shared.copy_for_import(reset)
+                imported = shared.copy_for_import(reset, wave_time)
                 if query_cache.add(imported):
                     pool.add(imported)
                     peer.offer_entry_to_link_cache(imported, wave_time)

@@ -152,22 +152,17 @@ class PongDefense:
 def install_defense(sim, config: DefenseConfig | None = None) -> None:
     """Equip every current *and future* good peer of ``sim`` with defense.
 
-    Wraps the simulation's peer spawner so newborns are protected too.
+    Wraps the simulation's spawn seam so newborns are protected too.
     """
     for peer in sim.live_peers:
         if not peer.malicious:
             peer.defense = PongDefense(config)
 
-    original_spawn = sim._spawn_peer
+    inner = sim._peer_spawned
 
-    def spawning(now, malicious, faulty=False, friend=None,
-                 is_rebirth=False):
-        peer = original_spawn(
-            now, malicious, faulty=faulty, friend=friend,
-            is_rebirth=is_rebirth,
-        )
+    def spawned(peer):
+        inner(peer)
         if not peer.malicious:
             peer.defense = PongDefense(config)
-        return peer
 
-    sim._spawn_peer = spawning
+    sim._peer_spawned = spawned

@@ -100,18 +100,12 @@ class SelfishGuessSimulation(GuessSimulation):
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def _spawn_peer(self, now, malicious, faulty=False, friend=None,
-                    is_rebirth=False):
-        peer = super()._spawn_peer(
-            now, malicious, faulty=faulty, friend=friend,
-            is_rebirth=is_rebirth,
-        )
-        if not malicious and self._selfish_fraction > 0.0:
+    def _peer_spawned(self, peer: GuessPeer) -> None:
+        if not peer.malicious and self._selfish_fraction > 0.0:
             if self.rng.stream("selfish").random() < self._selfish_fraction:
                 self._selfish.add(peer.address)
                 if self._budget_factory is not None:
                     self._budgets[peer.address] = self._budget_factory()
-        return peer
 
     def _on_death(self, peer):
         self._selfish.discard(peer.address)
@@ -148,9 +142,10 @@ class SelfishGuessSimulation(GuessSimulation):
         if delay != float("inf"):
             self.engine.schedule_after(
                 delay,
-                lambda: self._query_burst(peer),
+                self._query_burst,
                 priority=EventPriority.QUERY,
                 label="selfish-burst",
+                args=(peer,),
             )
 
     def _record_selfish(self, result, time: float) -> None:

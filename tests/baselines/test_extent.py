@@ -33,7 +33,7 @@ class TestConstruction:
             PopulationView.synthesize(0, rng)
 
     def test_from_simulation_excludes_malicious(self):
-        from repro.core import GuessSimulation, ProtocolParams, SystemParams
+        from repro import GuessSimulation, ProtocolParams, SystemParams
 
         sim = GuessSimulation(
             SystemParams(network_size=40, percent_bad_peers=25.0, query_rate=0.0),

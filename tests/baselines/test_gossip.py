@@ -18,6 +18,10 @@ from repro.errors import TopologyError, WorkloadError
 from repro.sim.rng import RngRegistry
 from repro.workload.content import ContentModel
 
+#: These tests pick targets; nothing is ever sent,
+#: so the relay/mediator gets no simulation to send it in.
+NO_SIM = None
+
 
 def overlay_of(n, degree=4, seed=44):
     return GnutellaOverlay(n, degree=degree, rng=random.Random(seed))
@@ -186,17 +190,17 @@ class TestGossipPlanRelay:
         None, GossipPlan(), GossipPlan(fanout=0), GossipPlan(fanout=2, ttl=0)
     ])
     def test_from_plan_gates_noops_to_none(self, plan):
-        assert GossipRelay.from_plan(plan, RngRegistry(0)) is None
+        assert GossipRelay.from_plan(plan, RngRegistry(0), NO_SIM) is None
 
     def test_from_plan_builds_relay_for_armed_plan(self):
         relay = GossipRelay.from_plan(GossipPlan(fanout=2, ttl=2),
-                                      RngRegistry(0))
+                                      RngRegistry(0), NO_SIM)
         assert relay is not None
         assert relay.plan.fanout == 2
 
     def test_pick_targets_excludes_seen_and_respects_fanout(self):
         relay = GossipRelay.from_plan(GossipPlan(fanout=2, ttl=1),
-                                      RngRegistry(1))
+                                      RngRegistry(1), NO_SIM)
         candidates = [10, 11, 12, 13]
         picked = relay.pick_targets(candidates, {11, 13})
         assert picked == [10, 12]  # <= fanout fresh: all of them, in order

@@ -25,13 +25,13 @@ class TestCopy:
 
     def test_copy_for_import_resets_num_res(self):
         entry = CacheEntry(address=1, ts=2.0, num_files=5, num_res=9)
-        imported = entry.copy_for_import(reset_num_results=True)
+        imported = entry.copy_for_import(reset_num_results=True, now=4.0)
         assert imported.num_res == 0
         assert imported.num_files == 5  # only NumRes is distrusted
 
     def test_copy_for_import_without_reset(self):
         entry = CacheEntry(address=1, num_res=9)
-        assert entry.copy_for_import(reset_num_results=False).num_res == 9
+        assert entry.copy_for_import(reset_num_results=False, now=4.0).num_res == 9
 
 
 class TestTouch:

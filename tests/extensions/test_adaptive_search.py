@@ -108,6 +108,37 @@ class TestEscalation:
         assert result.results == 2
 
 
+class TestImportedPointerAge:
+    def test_admitted_pong_entries_are_born_at_the_query(self, rng):
+        """An imported pointer's ``born`` is when *this* peer learned it.
+
+        The stale/fresh dead-probe split compares ``born`` with the
+        target's departure time, so an import stamped 0.0 would be
+        booked stale however late it was acquired.
+        """
+        querier, transport = build_network(3)
+        known = set(querier.link_cache.addresses())
+        for holder in (1, 2, 3):
+            peer = transport.endpoint(holder)
+            for address in range(10 * holder, 10 * holder + 4):
+                # Live, or the query's own dead probe evicts the import.
+                transport.register(
+                    address,
+                    make_peer(address, protocol=peer.protocol, library=frozenset()),
+                )
+                peer.link_cache.insert(
+                    make_entry(address), peer.policies.replacement, 0.0,
+                    peer._policy_rng,
+                )
+        execute_adaptive_query(querier, 42, transport, 50.0, rng=rng)
+        learned = [
+            entry for entry in querier.link_cache.entries()
+            if entry.address not in known
+        ]
+        assert learned
+        assert all(entry.born >= 50.0 for entry in learned)
+
+
 class TestValidation:
     def test_rejects_bad_params(self, rng):
         querier, transport = build_network(1)

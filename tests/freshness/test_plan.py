@@ -12,6 +12,10 @@ from repro.freshness import CACHE_SIZING_POLICIES, CacheSizing, FreshnessPlan
 from repro.freshness.mediator import FreshnessMediator
 from repro.sim.rng import RngRegistry
 
+#: These tests pick contacts and draw capacities; nothing is ever sent,
+#: so the relay/mediator gets no simulation to send it in.
+NO_SIM = None
+
 
 class TestCacheSizingValidation:
     def test_default_is_noop(self):
@@ -150,27 +154,28 @@ class TestFreshnessPlanValidation:
 
 class TestMediatorGating:
     def test_from_plan_none(self):
-        assert FreshnessMediator.from_plan(None, RngRegistry(1)) is None
+        assert FreshnessMediator.from_plan(None, RngRegistry(1), NO_SIM) is None
 
     def test_from_plan_noop(self):
-        assert FreshnessMediator.from_plan(FreshnessPlan(), RngRegistry(1)) is None
+        mediator = FreshnessMediator.from_plan(FreshnessPlan(), RngRegistry(1), NO_SIM)
+        assert mediator is None
 
     def test_from_plan_armed(self):
         mediator = FreshnessMediator.from_plan(
-            FreshnessPlan(notify_budget=2), RngRegistry(1)
+            FreshnessPlan(notify_budget=2), RngRegistry(1), NO_SIM
         )
         assert mediator is not None
         assert mediator.plan.notify_budget == 2
 
     def test_uniform_sizing_under_armed_plan_returns_base(self):
         mediator = FreshnessMediator.from_plan(
-            FreshnessPlan(notify_budget=2), RngRegistry(1)
+            FreshnessPlan(notify_budget=2), RngRegistry(1), NO_SIM
         )
         assert mediator.cache_capacity(30, 5000) == 30
 
     def test_pick_contacts_respects_budget_and_seen(self):
         mediator = FreshnessMediator.from_plan(
-            FreshnessPlan(notify_budget=2), RngRegistry(1)
+            FreshnessPlan(notify_budget=2), RngRegistry(1), NO_SIM
         )
         contacts = mediator.pick_contacts([1, 2, 3, 4], {2})
         assert len(contacts) == 2
@@ -180,7 +185,7 @@ class TestMediatorGating:
     def test_pick_contacts_under_budget_is_draw_free(self):
         registry = RngRegistry(1)
         mediator = FreshnessMediator.from_plan(
-            FreshnessPlan(notify_budget=5), registry
+            FreshnessPlan(notify_budget=5), registry, NO_SIM
         )
         stream = registry.stream("freshness:notify")
         before = stream.getstate()

@@ -495,3 +495,71 @@ class TestFaultDeterminism:
         assert report_a.retry_recovery_rate == report_b.retry_recovery_rate
         assert report_a.probe_retries + report_a.ping_retries > 0
         assert report_a.retry_recovered_probes + report_a.ping_retry_recoveries > 0
+
+
+class TestAllArmedPin:
+    """Sixth pin, and the first armed *combination*: resilience (breakers
+    included), gossip and freshness with ``on_overload=True`` in one run.
+
+    It is the only cell in which a breaker trip sends an overload notice
+    (559 notices against 21 with ``on_overload=False``), so it is what
+    holds the gossip and invalidation hop handlers — and the overload
+    branch of the ping path — still while they move between modules.
+    Recorded at 9ccef5c, before the handlers left ``network_sim.py``.
+    The op counts are exact, not ``> 0``: they are noise-free, so a
+    refactor that keeps the digest but books a probe twice still fails.
+    """
+
+    SYSTEM = SystemParams(network_size=200, max_probes_per_second=2)
+    PROTOCOL = ProtocolParams(cache_size=20, ping_interval=5.0)
+    PLANS = dict(
+        resilience=ResiliencePolicy.all_on(),
+        gossip=GossipPlan(fanout=2, ttl=2),
+        freshness=FreshnessPlan(notify_budget=3, depth=2, on_overload=True),
+    )
+    PIN = "688aed3fb71c039e6a0c2d320e8631dd"
+    OP_COUNTS = {
+        "freshness_notices": 559,
+        "freshness_purges": 46,
+        "freshness_refresh_imports": 729,
+        "gossip_rumors": 15923,
+        "gossip_pushes": 39138,
+        "gossip_suppressed_forwards": 0,
+        "suppressed_pings": 24,
+        "transport_probes_sent": 61105,
+    }
+
+    def run_cell(self, **overrides):
+        sim = GuessSimulation(
+            self.SYSTEM, self.PROTOCOL, seed=7, trace_hash=True,
+            **{**self.PLANS, **overrides},
+        )
+        sim.run(200.0)
+        return sim.trace_digest, sim.report()
+
+    def test_all_armed_digest_and_op_counts_pinned(self):
+        digest, report = self.run_cell()
+        assert digest == self.PIN
+        counts = {name: getattr(report, name) for name in self.OP_COUNTS}
+        assert counts == self.OP_COUNTS
+
+    def test_overload_notices_actually_fire(self):
+        digest, report = self.run_cell(
+            freshness=FreshnessPlan(notify_budget=3, depth=2, on_overload=False)
+        )
+        assert digest != self.PIN
+        assert report.freshness_notices < self.OP_COUNTS["freshness_notices"]
+
+    def test_parallel_trials_identical_to_serial(self):
+        kwargs = dict(
+            duration=100.0, warmup=20.0, trials=2, base_seed=37, **self.PLANS
+        )
+        serial = run_guess_config(
+            self.SYSTEM, self.PROTOCOL, workers=1, **kwargs
+        )
+        parallel = run_guess_config(
+            self.SYSTEM, self.PROTOCOL, workers=2, **kwargs
+        )
+        assert serial == parallel
+        assert sum(r.freshness_notices for r in serial) > 0
+        assert sum(r.gossip_pushes for r in serial) > 0

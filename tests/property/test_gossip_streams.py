@@ -46,6 +46,10 @@ interleaves = st.lists(st.booleans(), min_size=1, max_size=40)
 #: any fanout below, so pick_targets always actually samples.
 CANDIDATES = tuple(range(100, 140))
 
+#: The relay only picks targets here; nothing is sent, so it gets no
+#: simulation to send it in.
+NO_SIM = None
+
 
 @given(seed=seeds, loss=rates, fanout=st.integers(1, 5),
        interleave=interleaves)
@@ -58,7 +62,9 @@ def test_relay_draws_never_perturb_the_loss_stream(
     alone = FaultInjector(FaultPlan(loss_rate=loss), RngRegistry(seed))
     registry = RngRegistry(seed)
     with_gossip = FaultInjector(FaultPlan(loss_rate=loss), registry)
-    relay = GossipRelay.from_plan(GossipPlan(fanout=fanout, ttl=2), registry)
+    relay = GossipRelay.from_plan(
+        GossipPlan(fanout=fanout, ttl=2), registry, NO_SIM
+    )
     assert relay is not None
     expected, observed = [], []
     for flag in interleave:
@@ -83,7 +89,9 @@ def test_relay_draws_never_perturb_the_scenario_stream(
     alone = ScenarioDriver.from_plan(plan, RngRegistry(seed))
     registry = RngRegistry(seed)
     with_gossip = ScenarioDriver.from_plan(plan, registry)
-    relay = GossipRelay.from_plan(GossipPlan(fanout=fanout, ttl=1), registry)
+    relay = GossipRelay.from_plan(
+        GossipPlan(fanout=fanout, ttl=1), registry, NO_SIM
+    )
     storm = plan.storms[0]
     expected, observed = [], []
     for flag in interleave:

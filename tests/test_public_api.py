@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,28 @@ class TestSubpackageImports:
         mod = importlib.import_module(module)
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{module}.{name}"
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.freshness",
+            "repro.baselines.gossip",
+            "repro.core",
+            "repro.core.messages",
+            "repro.extensions.detection",
+        ],
+    )
+    def test_importable_first_in_a_fresh_interpreter(self, module):
+        """``network_sim`` imports the gossip and freshness layers, and
+        they import ``repro.core.messages`` back: whichever end a fresh
+        interpreter enters the loop from must finish importing."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_policy_registry_names(self):
         assert repro.registered_policy_names() == [
