@@ -242,8 +242,9 @@ def _churned_store(live: int) -> PeerStore:
 def test_kth_live_per_sec(benchmark, live, spelling):
     """``PeerStore.kth_live`` against its simpler replacement.
 
-    ROADMAP item 2 asks every PR-2/PR-7 structure for "a layer bench
-    that shows the win, or a simpler replacement".  The replacement for
+    A ROADMAP item closed by PR 15 asked every PR-2/PR-7 structure for
+    "a layer bench that shows the win, or a simpler replacement" (the
+    index stayed, on these cells).  The replacement for
     :class:`~repro.core.live_index.LiveAddressIndex` is one line over
     the peer dict, O(k) instead of O(log n); both are timed on the same
     churned store and the same draws, and must pick the same peers.

@@ -24,7 +24,7 @@ This module runs that lifecycle only.  A layer that sends its own probes
 (gossip dissemination, push invalidation) keeps its handlers in its own
 package: its object is handed the simulation once, at construction, and
 each lifecycle site here makes one guarded, direct call into it
-(``_on_death``, both live branches of ``_do_ping``, ``_query_burst``).
+(``_on_death``, both live branches of ``_do_ping``, ``_run_query``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.core.params import (
 from repro.core.peer import GuessPeer
 from repro.core.peer_store import PeerStore
 from repro.core.policies import PolicySet
-from repro.core.search import execute_query
+from repro.core.search import QueryResult, execute_query
 from repro.errors import ConfigError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -728,36 +728,10 @@ class GuessSimulation:
             return
         queries_rng = self.rng.stream("queries")
         size = self.bursts.burst_size(queries_rng)
-        recorder = self._span_recorder
         cursor = now
         for _ in range(size):
             target = self.content.draw_query_target(queries_rng)
-            span = (
-                recorder.begin(peer.address, target, cursor)
-                if recorder is not None
-                else None
-            )
-            # With gossip armed, delivered query-reply pongs seed rumors
-            # too (not just ping harvests); None keeps the query loop
-            # append-free so the gossip-off digest is untouched.
-            harvests: Optional[List] = [] if self.gossip is not None else None
-            result = execute_query(
-                peer,
-                target,
-                self.transport,
-                cursor,
-                rng=self.rng.stream("policies"),
-                desired_results=self.system.num_desired_results,
-                span=span,
-                harvests=harvests,
-            )
-            if span is not None:
-                recorder.finish(span, result)
-            self.collector.record_query(result, cursor)
-            if harvests:
-                for pong in harvests:
-                    self.gossip.seed_rumor(peer, pong, cursor)
-            cursor += result.duration
+            cursor += self._run_query(peer, target, cursor).duration
         delay = self.bursts.next_burst_delay(queries_rng)
         if self.scenario is not None:
             delay = self.scenario.warp_delay(now, delay)
@@ -769,6 +743,41 @@ class GuessSimulation:
                 label="burst",
                 args=(peer,),
             )
+
+    def _run_query(self, peer: GuessPeer, target: int, now: float) -> QueryResult:
+        """Execute and book one query of a burst.
+
+        The second subclass seam (after :meth:`_peer_spawned`): an
+        extension whose peers query differently overrides this, and the
+        burst loop — cursor advance, flash-crowd warp — stays the one above.
+        """
+        recorder = self._span_recorder
+        span = (
+            recorder.begin(peer.address, target, now)
+            if recorder is not None
+            else None
+        )
+        # With gossip armed, delivered query-reply pongs seed rumors
+        # too (not just ping harvests); None keeps the query loop
+        # append-free so the gossip-off digest is untouched.
+        harvests: Optional[List] = [] if self.gossip is not None else None
+        result = execute_query(
+            peer,
+            target,
+            self.transport,
+            now,
+            rng=self.rng.stream("policies"),
+            desired_results=self.system.num_desired_results,
+            span=span,
+            harvests=harvests,
+        )
+        if span is not None:
+            recorder.finish(span, result)
+        self.collector.record_query(result, now)
+        if harvests:
+            for pong in harvests:
+                self.gossip.seed_rumor(peer, pong, now)
+        return result
 
     # ------------------------------------------------------------------
     # Health sampling

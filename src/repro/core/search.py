@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Protocol, Tuple
 
 from repro.core.entry import CacheEntry
 from repro.core.messages import Pong, QueryReply
@@ -86,6 +86,14 @@ class CandidatePool:
 
     def __len__(self) -> int:
         return len(self._bag) if self._policy.randomized else len(self._heap)
+
+
+class WaveWidth(Protocol):
+    """A query's wave widths: ``initial``, then ``next(results the wave gained)``."""
+
+    initial: int
+
+    def next(self, gained: int) -> int: ...
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,6 +192,7 @@ def execute_query(
     max_probes: Optional[int] = None,
     span: Optional["QuerySpan"] = None,
     harvests: Optional[List["Pong"]] = None,
+    width: Optional[WaveWidth] = None,
 ) -> QueryResult:
     """Run one GUESS query from ``peer`` for ``target_file``.
 
@@ -207,6 +216,8 @@ def execute_query(
             (gossip-assisted GUESS).  ``None`` (the default, and the
             only value ever passed when the gossip plan is disabled)
             keeps the loop append-free and the trace digest untouched.
+        width: optional per-query :class:`WaveWidth` rule, asked after each
+            wave for the next one's width; ``None`` is ``parallel_probes``.
 
     Returns:
         A :class:`QueryResult`.
@@ -214,7 +225,7 @@ def execute_query(
     protocol = peer.protocol
     policies = peer.policies
     spacing = protocol.probe_spacing
-    walkers = protocol.parallel_probes
+    walkers = protocol.parallel_probes if width is None else width.initial
 
     pool = CandidatePool(policies.query_probe, rng, now)
     link_entries = peer.link_cache.entries()
@@ -237,6 +248,7 @@ def execute_query(
     dead_evictions = refusal_evictions = suppressed = denied = 0
     probes = 0
     waves = 0
+    booked = 0  # results already reported to ``width``
     response_time: Optional[float] = None
     retry = (
         RetryPolicy.from_protocol(protocol)
@@ -273,27 +285,24 @@ def execute_query(
         for entry in wave:
             address = entry.address
             query_cache.mark_seen(address)
+            if span is not None:
+                # What every record of this probe shares, whatever its fate.
+                probe_site = dict(
+                    wave=waves - 1, time=wave_time, target=address,
+                    origin="link" if address in link_addresses else "query",
+                )
             if breakers is not None and not breakers.allow(address, wave_time):
                 # Open breaker: the target recently shed load, so spare
                 # it this probe and keep the entry cached for later.
                 suppressed += 1
                 if span is not None:
-                    span.record_probe(
-                        wave=waves - 1,
-                        time=wave_time,
-                        target=address,
-                        origin="link" if address in link_addresses else "query",
-                        status="suppressed",
-                    )
+                    span.record_probe(**probe_site, status="suppressed")
                 continue
             if defense is not None and defense.blocked(address):
                 blocked_evicted = peer.link_cache.evict(address)
                 if span is not None:
                     span.record_probe(
-                        wave=waves - 1,
-                        time=wave_time,
-                        target=address,
-                        origin="link" if address in link_addresses else "query",
+                        **probe_site,
                         status="blocked",
                         evicted=blocked_evicted,
                         eviction_cause="blocked" if blocked_evicted else None,
@@ -318,6 +327,9 @@ def execute_query(
                 # slips by its slowest probe's backoff, not the sum.
                 if attempt.delay > wave_slip:
                     wave_slip = attempt.delay
+                if span is not None:
+                    probe_site["retries"] = attempt.retries
+                    probe_site["recovered"] = attempt.recovered
             probes += 1
 
             if outcome.status is ProbeStatus.TIMEOUT:
@@ -342,13 +354,9 @@ def execute_query(
                     defense.record_dead(address)
                 if span is not None:
                     span.record_probe(
-                        wave=waves - 1,
-                        time=wave_time,
-                        target=address,
-                        origin="link" if address in link_addresses else "query",
+                        **probe_site,
                         status="timeout",
                         rtt=outcome.rtt,
-                        retries=0 if retry is None else attempt.retries,
                         spurious=outcome.spurious,
                         evicted=evicted,
                         eviction_cause="dead" if evicted else None,
@@ -370,14 +378,9 @@ def execute_query(
                         refusal_evictions += 1
                 if span is not None:
                     span.record_probe(
-                        wave=waves - 1,
-                        time=wave_time,
-                        target=address,
-                        origin="link" if address in link_addresses else "query",
+                        **probe_site,
                         status="refused",
                         rtt=outcome.rtt,
-                        retries=0 if retry is None else attempt.retries,
-                        recovered=False if retry is None else attempt.recovered,
                         evicted=refusal_evicted,
                         eviction_cause="refusal" if refusal_evicted else None,
                     )
@@ -431,23 +434,20 @@ def execute_query(
 
             if span is not None:
                 span.record_probe(
-                    wave=waves - 1,
-                    time=wave_time,
-                    target=address,
-                    origin="link" if address in link_addresses else "query",
+                    **probe_site,
                     status="delivered",
                     rtt=outcome.rtt,
-                    retries=0 if retry is None else attempt.retries,
-                    recovered=False if retry is None else attempt.recovered,
                     results=reply.num_results,
                     pong_entries=len(reply.pong.entries),
                     admitted=admitted,
                 )
 
         slip += wave_slip
+        if width is not None:
+            walkers = width.next(results - booked)
+            booked = results
 
     satisfied = results >= desired_results
-    duration = waves * spacing + slip
     query_cache.clear()
     return QueryResult(
         satisfied=satisfied,
@@ -457,9 +457,9 @@ def execute_query(
         dead_probes=dead,
         refused_probes=refused,
         stale_dead_probes=stale_dead,
-        duration=duration,
+        duration=waves * spacing + slip,
         response_time=response_time if satisfied else None,
-        pool_exhausted=not satisfied and pool.pop() is None,
+        pool_exhausted=not satisfied and len(pool) == 0,
         spurious_timeouts=spurious,
         retries=retries,
         retry_recoveries=recoveries,

@@ -28,7 +28,10 @@ from repro.experiments.runner import (
     averaged,
     run_guess_config,
 )
-from repro.extensions.adaptive_search import execute_adaptive_query
+from repro.extensions.adaptive_search import (
+    EscalatingWidth,
+    execute_adaptive_query,
+)
 from repro.extensions.detection import DefenseConfig, install_defense
 from repro.metrics.summary import mean, quantile
 from repro.network.transport import Transport
@@ -158,19 +161,14 @@ def run_adaptive_search_ablation(profile: Profile) -> ExperimentResult:
     )
     rng = random.Random(1)
 
-    def fixed_k(target, now):
-        original = querier.protocol
-        querier.protocol = original.with_(parallel_probes=10)
-        try:
-            return execute_query(querier, target, transport, now, rng=rng)
-        finally:
-            querier.protocol = original
-
     modes = {
         "serial (k=1)": lambda target, now: execute_query(
             querier, target, transport, now, rng=rng
         ),
-        "fixed k=10": fixed_k,
+        "fixed k=10": lambda target, now: execute_query(
+            querier, target, transport, now, rng=rng,
+            width=EscalatingWidth(10, ceiling=10),
+        ),
         "adaptive": lambda target, now: execute_adaptive_query(
             querier, target, transport, now, rng=rng,
             initial_walkers=1, escalation_period=3, max_walkers=32,
@@ -418,12 +416,15 @@ def run_suite(
 ) -> List[ExperimentResult]:
     """All seven ablations.
 
-    The adaptive-search, detection, and selfish ablations instrument live
-    simulation objects (mutate hooks / bespoke drivers), so they always
-    run in-process; the other four fan their trials out over ``workers``
-    — or over an explicit ``executor`` (e.g. the supervised executor
-    shared by ``run_all --supervise``), which overrides ``workers`` and
-    stays open for the caller to close.
+    The adaptive-search, detection, and selfish ablations are not
+    ``TrialSpec``s yet: adaptive-search drives ``execute_query`` directly
+    on a static network (its three rows differ only in the ``width=``
+    rule), detection uses a ``mutate`` hook and selfish a
+    ``GuessSimulation`` subclass, so they always run in-process; the
+    other four fan their trials out over ``workers`` — or over an
+    explicit ``executor`` (e.g. the supervised executor shared by
+    ``run_all --supervise``), which overrides ``workers`` and stays open
+    for the caller to close.
     """
     if executor is None:
         with get_executor(workers) as owned:

@@ -8,7 +8,8 @@ with the same harness:
   (§6.1's concluding guidance: shrink the interval when probes keep
   finding corpses, relax it when everything is live).
 * :mod:`repro.extensions.adaptive_search` — adaptive k-parallel probing
-  (§6.2: double the probe rate when successive waves return nothing).
+  (§6.2: double the probe rate when successive waves return nothing),
+  as a wave-width rule the core probe loop asks.
 * :mod:`repro.extensions.detection` — malicious-peer detection from pong
   provenance (§6.4: flag sources whose shared entries keep turning out
   dead or that only ever advertise each other), with blacklisting wired
@@ -23,7 +24,10 @@ the paper's figures never import it.
 
 from repro.extensions.adaptive_ping import AdaptivePingController
 from repro.extensions.adaptive_ping_sim import AdaptiveMaintenanceSimulation
-from repro.extensions.adaptive_search import execute_adaptive_query
+from repro.extensions.adaptive_search import (
+    EscalatingWidth,
+    execute_adaptive_query,
+)
 from repro.extensions.detection import DefenseConfig, PongDefense
 from repro.extensions.selfish import ProbeBudget, execute_selfish_query
 from repro.extensions.selfish_sim import SelfishGuessSimulation, SelfishReport
@@ -31,6 +35,7 @@ from repro.extensions.selfish_sim import SelfishGuessSimulation, SelfishReport
 __all__ = [
     "AdaptivePingController",
     "AdaptiveMaintenanceSimulation",
+    "EscalatingWidth",
     "execute_adaptive_query",
     "DefenseConfig",
     "PongDefense",

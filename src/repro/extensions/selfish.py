@@ -25,6 +25,7 @@ from typing import Optional
 from repro.core.peer import GuessPeer
 from repro.core.search import QueryResult, execute_query
 from repro.errors import ConfigError
+from repro.extensions.adaptive_search import EscalatingWidth
 from repro.network.transport import Transport
 
 
@@ -126,23 +127,17 @@ def execute_selfish_query(
 
     # A "wave" as wide as the whole network: every candidate the peer
     # ever learns of during the query is in flight essentially at once.
-    selfish_protocol = peer.protocol.with_(
-        parallel_probes=max(1, len(peer.link_cache) * 64)
+    blast = max(1, len(peer.link_cache) * 64)
+    result = execute_query(
+        peer,
+        target_file,
+        transport,
+        now,
+        rng=rng,
+        desired_results=desired_results,
+        max_probes=max_probes,
+        width=EscalatingWidth(blast, ceiling=blast),
     )
-    original_protocol = peer.protocol
-    peer.protocol = selfish_protocol
-    try:
-        result = execute_query(
-            peer,
-            target_file,
-            transport,
-            now,
-            rng=rng,
-            desired_results=desired_results,
-            max_probes=max_probes,
-        )
-    finally:
-        peer.protocol = original_protocol
     if budget is not None:
         budget.spend(now, result.probes)
     return result

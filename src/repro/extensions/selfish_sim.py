@@ -24,11 +24,11 @@ from typing import Callable, Dict, Optional, Set
 
 from repro.core.network_sim import GuessSimulation
 from repro.core.peer import GuessPeer
+from repro.core.search import QueryResult
 from repro.errors import ConfigError
 from repro.extensions.selfish import ProbeBudget, execute_selfish_query
 from repro.metrics.summary import mean, ratio
 from repro.network.address import Address
-from repro.sim.events import EventPriority
 
 BudgetFactory = Callable[[], ProbeBudget]
 
@@ -116,37 +116,20 @@ class SelfishGuessSimulation(GuessSimulation):
     # Query routing
     # ------------------------------------------------------------------
 
-    def _query_burst(self, peer: GuessPeer) -> None:
+    def _run_query(self, peer: GuessPeer, target: int, now: float) -> QueryResult:
         if peer.address not in self._selfish:
-            super()._query_burst(peer)
-            return
-        now = self.engine.now
-        if not peer.is_alive(now):
-            return
-        queries_rng = self.rng.stream("queries")
-        size = self.bursts.burst_size(queries_rng)
-        budget = self._budgets.get(peer.address)
-        for _ in range(size):
-            target = self.content.draw_query_target(queries_rng)
-            result = execute_selfish_query(
-                peer,
-                target,
-                self.transport,
-                now,
-                rng=self.rng.stream("policies"),
-                desired_results=self.system.num_desired_results,
-                budget=budget,
-            )
-            self._record_selfish(result, now)
-        delay = self.bursts.next_burst_delay(queries_rng)
-        if delay != float("inf"):
-            self.engine.schedule_after(
-                delay,
-                self._query_burst,
-                priority=EventPriority.QUERY,
-                label="selfish-burst",
-                args=(peer,),
-            )
+            return super()._run_query(peer, target, now)
+        result = execute_selfish_query(
+            peer,
+            target,
+            self.transport,
+            now,
+            rng=self.rng.stream("policies"),
+            desired_results=self.system.num_desired_results,
+            budget=self._budgets.get(peer.address),
+        )
+        self._record_selfish(result, now)
+        return result
 
     def _record_selfish(self, result, time: float) -> None:
         if time < self.collector.warmup:

@@ -106,3 +106,52 @@ class TestBehaviour:
         selfish = sim.selfish_report()
         assert selfish.queries == 0
         assert selfish.unsatisfied_rate == 0.0
+
+
+class TestBurstInheritance:
+    """Selfish bursts run the base burst loop; only the query differs."""
+
+    @staticmethod
+    def record_selfish_queries(sim, monkeypatch):
+        """Log ``(burst event time, peer, query timestamp)`` per selfish query."""
+        from repro.extensions import selfish_sim
+
+        calls = []
+        real = selfish_sim.execute_selfish_query
+
+        def spy(peer, target, transport, now, **kwargs):
+            calls.append((sim.engine.now, peer.address, now))
+            return real(peer, target, transport, now, **kwargs)
+
+        monkeypatch.setattr(selfish_sim, "execute_selfish_query", spy)
+        return calls
+
+    def test_flash_crowd_warps_selfish_bursts(self, monkeypatch):
+        from repro.resilience.scenarios import FlashCrowd, ScenarioPlan
+
+        sim = SelfishGuessSimulation(
+            SystemParams(network_size=100, query_rate=0.05),
+            ProtocolParams(cache_size=20),
+            seed=9,
+            percent_selfish=100.0,
+            scenarios=ScenarioPlan(crowds=(FlashCrowd(200.0, 400.0, 10.0),)),
+        )
+        calls = self.record_selfish_queries(sim, monkeypatch)
+        sim.run(600.0)
+        bursts = {(event, peer) for event, peer, _ in calls}
+        inside = sum(1 for event, _ in bursts if 200.0 <= event < 400.0)
+        after = sum(1 for event, _ in bursts if 400.0 <= event < 600.0)
+        assert inside > 3 * after > 0
+
+    def test_queries_of_one_selfish_burst_advance_in_time(self, monkeypatch):
+        sim = build(percent_selfish=100.0)
+        calls = self.record_selfish_queries(sim, monkeypatch)
+        sim.run(600.0)
+        by_burst = {}
+        for event, peer, stamp in calls:
+            by_burst.setdefault((event, peer), []).append(stamp)
+        multi = [stamps for stamps in by_burst.values() if len(stamps) > 1]
+        assert multi
+        for (event, _), stamps in by_burst.items():
+            assert stamps[0] == event
+            assert all(a < b for a, b in zip(stamps, stamps[1:]))

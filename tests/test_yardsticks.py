@@ -22,13 +22,39 @@ def line_count(path: Path) -> int:
 
 
 def test_network_sim_runs_the_lifecycle_only():
-    # Ceiling may only be lowered (ROADMAP item 3 targets < 600).
+    # Ceiling may only be lowered (ROADMAP item 6(b) targets < 600).
     assert line_count(SRC / "core" / "network_sim.py") <= 900
 
 
 def test_collectors_size():
-    # Ceiling may only be lowered (ROADMAP item 3 targets < 500).
+    # Ceiling may only be lowered (ROADMAP item 6(b) targets < 500).
     assert line_count(SRC / "metrics" / "collectors.py") <= 800
+
+
+def test_one_probe_loop_size():
+    # Ceilings may only be lowered: a search variant is a width rule
+    # ``execute_query`` asks, never a second copy of its loop.
+    assert line_count(SRC / "core" / "search.py") <= 477
+    extensions = sorted((SRC / "extensions").glob("*.py"))
+    assert sum(line_count(path) for path in extensions) <= 846
+
+
+def test_protocol_is_assigned_at_construction_only():
+    # Widening one query is ``execute_query(width=...)``; swapping a live
+    # peer's ProtocolParams to get there is the pattern this forbids.
+    sites = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        )
+        if re.search(r"\.protocol\s*=[^=]", line)
+    ]
+    assert len(sites) == 2, sites
+    assert {site.rsplit(":", 1)[0] for site in sites} == {
+        "core/peer.py",
+        "core/network_sim.py",
+    }
 
 
 def test_simulation_keyword_arguments():
