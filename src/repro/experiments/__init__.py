@@ -4,7 +4,8 @@ Every experiment follows the same contract: ``run_<id>(profile)`` takes a
 :class:`~repro.experiments.profiles.Profile` (scale knobs: durations,
 network sizes, trial counts) and returns one or more
 :class:`~repro.experiments.runner.ExperimentResult` records that render
-to the table/series the paper reports.
+to the table/series the paper reports; ``run_suite(profile, executor)``
+returns a module's whole list (``run_all.SUITES`` is the registry).
 
 ========================  ==========================================
 ``cache_size``            Table 3, Figures 3, 4, 5
@@ -14,6 +15,11 @@ to the table/series the paper reports.
 ``fairness``              Figure 13
 ``capacity``              Figures 14, 15
 ``malicious``             Figures 16-18 (Dead), 19-21 (colluding)
+``ablations``             the seven ``ablation-*`` tables (DESIGN §5)
+``packet_loss``           ``loss_grid``, ``loss_satisfaction``
+``churn_storm``           ``storm_grid``, ``storm_recovery``
+``gossip_search``         ``gossip_compare``, ``gossip_faulty``
+``cache_freshness``       ``freshness_grid``, ``freshness_recovery``
 ========================  ==========================================
 
 Run everything via ``python -m repro.experiments.run_all --profile quick``.

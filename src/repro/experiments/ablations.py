@@ -21,12 +21,14 @@ from repro.baselines.extent import PopulationView
 from repro.core.entry import CacheEntry
 from repro.core.params import BadPongBehavior, ProtocolParams, SystemParams
 from repro.core.search import execute_query
-from repro.experiments.executor import TrialExecutor, get_executor
+from repro.experiments.executor import TrialExecutor
 from repro.experiments.profiles import Profile
 from repro.experiments.runner import (
+    Cell,
     ExperimentResult,
-    averaged,
+    grid_table,
     run_guess_config,
+    run_sweep,
 )
 from repro.extensions.adaptive_search import (
     EscalatingWidth,
@@ -44,34 +46,29 @@ def run_parallel_ablation(
     profile: Profile, executor: TrialExecutor | None = None
 ) -> ExperimentResult:
     """Fixed-k parallel probing: probes vs response time."""
-    rows = []
-    for k in PARALLEL_WALKERS:
-        reports = run_guess_config(
+    cells = {
+        k: Cell.at(
+            profile,
             SystemParams(network_size=profile.reference_size),
             ProtocolParams(parallel_probes=k),
-            duration=profile.duration,
-            warmup=profile.warmup,
-            trials=profile.trials,
-            base_seed=0xAB1,
-            executor=executor,
+            0xAB1,
         )
-        rows.append(
-            (
-                k,
-                averaged(reports, "probes_per_query"),
-                averaged(reports, "unsatisfied_rate"),
-                mean([
-                    r.mean_response_time
-                    for r in reports
-                    if r.mean_response_time is not None
-                ]),
-            )
-        )
-    return ExperimentResult(
-        experiment_id="ablation-parallel",
-        title="k-parallel probing: probes vs response time",
-        columns=("k", "Probes/Query", "Unsatisfied", "MeanResponse(s)"),
-        rows=tuple(rows),
+        for k in PARALLEL_WALKERS
+    }
+    metrics = {
+        "Probes/Query": "probes_per_query",
+        "Unsatisfied": "unsatisfied_rate",
+        "MeanResponse(s)": lambda reports: mean([
+            r.mean_response_time
+            for r in reports
+            if r.mean_response_time is not None
+        ]),
+    }
+    return grid_table(
+        "ablation-parallel",
+        "k-parallel probing: probes vs response time",
+        ("k",),
+        run_sweep(cells, metrics, executor),
         notes="probes grow by <= ~k-1; response time shrinks ~k-fold",
     )
 
@@ -80,34 +77,28 @@ def run_backoff_ablation(
     profile: Profile, executor: TrialExecutor | None = None
 ) -> ExperimentResult:
     """The DoBackoff flag under tight capacity and the MR stack."""
-    rows = []
-    for do_backoff in (False, True):
-        protocol = ProtocolParams.all_same_policy("MR", do_backoff=do_backoff)
-        reports = run_guess_config(
+    cells = {
+        do_backoff: Cell.at(
+            profile,
             SystemParams(
                 network_size=profile.reference_size,
                 max_probes_per_second=2,
             ),
-            protocol,
-            duration=profile.duration,
-            warmup=profile.warmup,
-            trials=profile.trials,
-            base_seed=0xAB2,
-            executor=executor,
+            ProtocolParams.all_same_policy("MR", do_backoff=do_backoff),
+            0xAB2,
         )
-        rows.append(
-            (
-                do_backoff,
-                averaged(reports, "probes_per_query"),
-                averaged(reports, "refused_probes_per_query"),
-                averaged(reports, "unsatisfied_rate"),
-            )
-        )
-    return ExperimentResult(
-        experiment_id="ablation-backoff",
-        title="DoBackoff under tight capacity (MR policies)",
-        columns=("DoBackoff", "Probes/Query", "Refused/Query", "Unsatisfied"),
-        rows=tuple(rows),
+        for do_backoff in (False, True)
+    }
+    metrics = {
+        "Probes/Query": "probes_per_query",
+        "Refused/Query": "refused_probes_per_query",
+        "Unsatisfied": "unsatisfied_rate",
+    }
+    return grid_table(
+        "ablation-backoff",
+        "DoBackoff under tight capacity (MR policies)",
+        ("DoBackoff",),
+        run_sweep(cells, metrics, executor),
         notes=(
             "evict-on-refusal (DoBackoff=No) sheds hotspot load; keeping "
             "entries (Yes) re-probes overloaded peers"
@@ -334,30 +325,25 @@ def run_pong_size_ablation(
     limited to the link cache, so satisfaction drops) and the
     diminishing returns beyond a handful of entries.
     """
-    rows = []
-    for pong_size in PONG_SIZES:
-        reports = run_guess_config(
+    cells = {
+        pong_size: Cell.at(
+            profile,
             SystemParams(network_size=profile.reference_size),
             ProtocolParams(pong_size=pong_size),
-            duration=profile.duration,
-            warmup=profile.warmup,
-            trials=profile.trials,
-            base_seed=0xAB3 + pong_size,
-            executor=executor,
+            0xAB3 + pong_size,
         )
-        rows.append(
-            (
-                pong_size,
-                averaged(reports, "probes_per_query"),
-                averaged(reports, "unsatisfied_rate"),
-                averaged(reports, "mean_fraction_live"),
-            )
-        )
-    return ExperimentResult(
-        experiment_id="ablation-pongsize",
-        title="PongSize: entry sharing vs search reach",
-        columns=("PongSize", "Probes/Query", "Unsatisfied", "FractionLive"),
-        rows=tuple(rows),
+        for pong_size in PONG_SIZES
+    }
+    metrics = {
+        "Probes/Query": "probes_per_query",
+        "Unsatisfied": "unsatisfied_rate",
+        "FractionLive": "mean_fraction_live",
+    }
+    return grid_table(
+        "ablation-pongsize",
+        "PongSize: entry sharing vs search reach",
+        ("PongSize",),
+        run_sweep(cells, metrics, executor),
         notes=(
             "PongSize 0 cripples satisfaction (no query-cache chaining); "
             "returns diminish past a handful of shared entries"
@@ -375,33 +361,28 @@ def run_intro_prob_ablation(
     a poisoning hazard; this ablation measures the search-side effect
     of turning it off or up.
     """
-    rows = []
-    for intro_prob in INTRO_PROBS:
-        reports = run_guess_config(
+    cells = {
+        intro_prob: Cell.at(
+            profile,
             SystemParams(
                 network_size=profile.reference_size,
                 lifespan_multiplier=0.3,  # churn makes introduction matter
             ),
             ProtocolParams(intro_prob=intro_prob),
-            duration=profile.duration,
-            warmup=profile.warmup,
-            trials=profile.trials,
-            base_seed=0xAB4 + int(intro_prob * 100),
-            executor=executor,
+            0xAB4 + int(intro_prob * 100),
         )
-        rows.append(
-            (
-                intro_prob,
-                averaged(reports, "probes_per_query"),
-                averaged(reports, "unsatisfied_rate"),
-                averaged(reports, "mean_cache_fill"),
-            )
-        )
-    return ExperimentResult(
-        experiment_id="ablation-introprob",
-        title="IntroProb: introduction rate vs cache population under churn",
-        columns=("IntroProb", "Probes/Query", "Unsatisfied", "CacheFill"),
-        rows=tuple(rows),
+        for intro_prob in INTRO_PROBS
+    }
+    metrics = {
+        "Probes/Query": "probes_per_query",
+        "Unsatisfied": "unsatisfied_rate",
+        "CacheFill": "mean_cache_fill",
+    }
+    return grid_table(
+        "ablation-introprob",
+        "IntroProb: introduction rate vs cache population under churn",
+        ("IntroProb",),
+        run_sweep(cells, metrics, executor),
         notes=(
             "introduction keeps caches populated under churn; the network "
             "functions across the sweep (pong sharing is the main channel)"
@@ -410,9 +391,7 @@ def run_intro_prob_ablation(
 
 
 def run_suite(
-    profile: Profile,
-    workers: int = 1,
-    executor: TrialExecutor | None = None,
+    profile: Profile, executor: TrialExecutor | None = None
 ) -> List[ExperimentResult]:
     """All seven ablations.
 
@@ -421,14 +400,8 @@ def run_suite(
     on a static network (its three rows differ only in the ``width=``
     rule), detection uses a ``mutate`` hook and selfish a
     ``GuessSimulation`` subclass, so they always run in-process; the
-    other four fan their trials out over ``workers`` — or over an
-    explicit ``executor`` (e.g. the supervised executor shared by
-    ``run_all --supervise``), which overrides ``workers`` and stays open
-    for the caller to close.
+    other four are sweeps dispatched on ``executor``.
     """
-    if executor is None:
-        with get_executor(workers) as owned:
-            return run_suite(profile, executor=owned)
     return [
         run_parallel_ablation(profile, executor),
         run_backoff_ablation(profile, executor),

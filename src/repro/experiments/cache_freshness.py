@@ -46,40 +46,26 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.params import ProtocolParams, SystemParams
-from repro.errors import TrialFailure
-from repro.experiments.executor import TrialExecutor, get_executor
+from repro.experiments.churn_storm import (
+    SATISFACTION_WINDOW,
+    STORM_FRACTIONS,
+    mean_recovery,
+    storm_plan,
+)
+from repro.experiments.executor import TrialExecutor
 from repro.experiments.profiles import Profile
 from repro.experiments.runner import (
+    Cell,
     ExperimentResult,
-    averaged,
-    run_guess_config,
+    Metric,
+    grid_curves,
+    grid_table,
+    run_sweep,
     suite_main,
 )
 from repro.freshness import CacheSizing, FreshnessPlan
 from repro.metrics.summary import mean, ratio
 from repro.observe.staleness import summarize_staleness
-from repro.resilience import (
-    ChurnStorm,
-    ScenarioPlan,
-    baseline_rate,
-    time_to_recovery,
-)
-from repro.resilience.recovery import to_windows
-
-#: Fraction of the live population each storm removes.
-STORM_FRACTIONS: Tuple[float, ...] = (0.3, 0.5)
-
-#: Seconds over which the storm's departures spread.
-STORM_WIDTH = 20.0
-
-#: Width of the windowed satisfaction channel feeding time-to-recovery.
-SATISFACTION_WINDOW = 25.0
-
-#: Recovered = windowed satisfaction back within this much of baseline.
-RECOVERY_THRESHOLD = 0.9
-
-#: Windows with fewer queries than this are too sparse to call recovery.
-MIN_WINDOW_QUERIES = 5
 
 #: Not anchored to a paper figure; only sharing across the grid matters.
 BASE_SEED = 0xF4E5
@@ -102,132 +88,70 @@ SIZING = CacheSizing(
 INVALIDATE = FreshnessPlan(notify_budget=6, depth=2)
 
 #: Mode name -> FreshnessPlan (None = paper baseline), sweep order.
-MODES: Tuple[Tuple[str, Optional[FreshnessPlan]], ...] = (
-    ("off", None),
-    ("invalidate", INVALIDATE),
-    ("size", FreshnessPlan(sizing=SIZING)),
-    ("full", INVALIDATE.with_(sizing=SIZING)),
-)
+MODES: Dict[str, Optional[FreshnessPlan]] = {
+    "off": None,
+    "invalidate": INVALIDATE,
+    "size": FreshnessPlan(sizing=SIZING),
+    "full": INVALIDATE.with_(sizing=SIZING),
+}
 
 
-def storm_plan(profile: Profile, fraction: float) -> ScenarioPlan:
-    """One storm landing 30% of the way into the measured window.
+def cells(profile: Profile) -> Dict[Tuple[float, str], Cell]:
+    """The (storm fraction, mode) grid, in sweep order.
 
-    No flash crowd rides it (unlike the ``churn_storm`` suite): the
-    question here is cache staleness, not overload, so the query rate
-    stays flat and every dead probe is churn's doing.
+    The storm is ``churn_storm``'s without the flash crowd: the question
+    here is cache staleness, not overload, so the query rate stays flat
+    and every dead probe is churn's doing.
     """
-    start = profile.warmup + 0.3 * profile.duration
-    return ScenarioPlan(
-        storms=(
-            ChurnStorm(start=start, width=STORM_WIDTH, fraction=fraction),
-        ),
-    )
-
-
-def _recovery_seconds(report, plan: ScenarioPlan) -> float:
-    """Time-to-recovery for one trial (inf when it never recovers)."""
-    storm = plan.storms[0]
-    windows = to_windows(report.satisfaction_windows)
-    baseline = baseline_rate(windows, before=storm.start)
-    return time_to_recovery(
-        windows,
-        after=storm.start + storm.width,
-        baseline=baseline,
-        threshold=RECOVERY_THRESHOLD,
-        min_queries=MIN_WINDOW_QUERIES,
-    )
-
-
-def _measure_cell(
-    profile: Profile,
-    fraction: float,
-    freshness: Optional[FreshnessPlan],
-    executor: TrialExecutor | None = None,
-) -> Dict[str, float]:
-    """Run one (storm fraction, mode) cell and fold its metrics."""
-    plan = storm_plan(profile, fraction)
-    reports = run_guess_config(
-        SystemParams(network_size=profile.network_sizes[0]),
-        PROTOCOL,
-        duration=profile.duration,
-        warmup=profile.warmup,
-        trials=profile.trials,
-        base_seed=BASE_SEED,
-        scenarios=plan,
-        freshness=freshness,
-        satisfaction_window=SATISFACTION_WINDOW,
-        executor=executor,
-    )
-    completed = [r for r in reports if not isinstance(r, TrialFailure)]
-    recoveries = [_recovery_seconds(report, plan) for report in completed]
-    staleness = [summarize_staleness(report) for report in completed]
     return {
-        "satisfied": averaged(reports, "satisfaction_rate"),
-        "dead_per_query": averaged(reports, "dead_probes_per_query"),
-        "stale_dead": mean([s.stale_dead_probes for s in staleness]),
-        "fresh_dead": mean([s.fresh_dead_probes for s in staleness]),
-        "stale_frac": mean([s.stale_fraction for s in staleness]),
-        "notices_per_query": mean(
-            [ratio(r.freshness_notices, r.queries) for r in completed]
-        ),
-        "purges": averaged(reports, "freshness_purges"),
-        "refresh": averaged(reports, "freshness_refresh_imports"),
-        "recovery": mean(recoveries),
-    }
-
-
-def _sweep(
-    profile: Profile,
-    executor: TrialExecutor | None = None,
-) -> Dict[Tuple[float, str], Dict[str, float]]:
-    """The fraction × mode grid, cells in deterministic order."""
-    return {
-        (fraction, mode): _measure_cell(profile, fraction, freshness, executor)
-        for mode, freshness in MODES
+        (fraction, mode): Cell.at(
+            profile,
+            SystemParams(network_size=profile.network_sizes[0]),
+            PROTOCOL,
+            BASE_SEED,
+            scenarios=storm_plan(profile, fraction, crowd=False),
+            freshness=freshness,
+            satisfaction_window=SATISFACTION_WINDOW,
+        )
+        for mode, freshness in MODES.items()
         for fraction in STORM_FRACTIONS
     }
 
 
-def run_freshness_grid(
-    profile: Profile,
-    executor: TrialExecutor | None = None,
-) -> List[ExperimentResult]:
-    """Both results from one grid sweep (the cells are shared)."""
-    cells = _sweep(profile, executor)
-    rows = tuple(
-        (
-            fraction,
-            mode,
-            cell["satisfied"],
-            cell["dead_per_query"],
-            cell["stale_dead"],
-            cell["fresh_dead"],
-            cell["stale_frac"],
-            cell["notices_per_query"],
-            cell["purges"],
-            cell["refresh"],
-            cell["recovery"],
-        )
-        for (fraction, mode), cell in cells.items()
+def _mean_staleness(name: str) -> Metric:
+    """Mean of one :class:`~repro.observe.staleness.StalenessSummary` field."""
+    return lambda reports: mean(
+        [getattr(summarize_staleness(report), name) for report in reports]
     )
-    grid = ExperimentResult(
-        experiment_id="freshness_grid",
-        title="Cache freshness under churn: storm fraction × mechanism",
-        columns=(
-            "Fraction",
-            "Mode",
-            "Satisfied",
-            "DeadIP/Query",
-            "StaleDead",
-            "FreshDead",
-            "StaleFrac",
-            "Notices/Query",
-            "Purges",
-            "Refresh",
-            "Recovery(s)",
+
+
+def metrics(profile: Profile) -> Dict[str, Metric]:
+    """``freshness_grid`` column -> report property or fold."""
+    return {
+        "Satisfied": "satisfaction_rate",
+        "DeadIP/Query": "dead_probes_per_query",
+        "StaleDead": _mean_staleness("stale_dead_probes"),
+        "FreshDead": _mean_staleness("fresh_dead_probes"),
+        "StaleFrac": _mean_staleness("stale_fraction"),
+        "Notices/Query": lambda reports: mean(
+            [ratio(r.freshness_notices, r.queries) for r in reports]
         ),
-        rows=rows,
+        "Purges": "freshness_purges",
+        "Refresh": "freshness_refresh_imports",
+        "Recovery(s)": mean_recovery(profile),
+    }
+
+
+def run_suite(
+    profile: Profile, executor: TrialExecutor | None = None
+) -> List[ExperimentResult]:
+    """``freshness_grid`` and ``freshness_recovery`` from one sweep."""
+    measured = run_sweep(cells(profile), metrics(profile), executor)
+    grid = grid_table(
+        "freshness_grid",
+        "Cache freshness under churn: storm fraction × mechanism",
+        ("Fraction", "Mode"),
+        measured,
         notes=(
             "stale dead probes (target departed after the pointer was "
             "acquired) are the waste push invalidation can prevent; "
@@ -236,16 +160,12 @@ def run_freshness_grid(
             "actually hit, 'full' composes both"
         ),
     )
-    recovery = ExperimentResult(
-        experiment_id="freshness_recovery",
-        title="Time-to-recovery vs storm fraction, per freshness mode",
-        series={
-            f"mode={mode}": [
-                (fraction, cells[(fraction, mode)]["recovery"])
-                for fraction in STORM_FRACTIONS
-            ]
-            for mode, _ in MODES
-        },
+    recovery = grid_curves(
+        "freshness_recovery",
+        "Time-to-recovery vs storm fraction, per freshness mode",
+        measured,
+        "Recovery(s)",
+        label="mode={}",
         x_label="storm fraction",
         notes=(
             "push invalidation purges corpses ahead of the probe path, "
@@ -254,23 +174,6 @@ def run_freshness_grid(
         ),
     )
     return [grid, recovery]
-
-
-def run_suite(
-    profile: Profile,
-    workers: int = 1,
-    executor: TrialExecutor | None = None,
-) -> List[ExperimentResult]:
-    """``freshness_grid`` and ``freshness_recovery``.
-
-    An explicit ``executor`` (e.g. the supervised executor shared by
-    ``run_all --supervise``) overrides ``workers`` and stays open for
-    the caller to close.
-    """
-    if executor is None:
-        with get_executor(workers) as owned:
-            return run_suite(profile, executor=owned)
-    return run_freshness_grid(profile, executor)
 
 
 def main(argv: List[str] | None = None) -> int:

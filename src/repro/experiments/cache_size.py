@@ -22,12 +22,13 @@ from dataclasses import replace
 from typing import Dict, List, Tuple
 
 from repro.core.params import ProtocolParams, SystemParams
-from repro.experiments.executor import TrialExecutor, get_executor
+from repro.experiments.executor import TrialExecutor
 from repro.experiments.profiles import Profile
 from repro.experiments.runner import (
+    Cell,
     ExperimentResult,
-    averaged,
-    run_guess_config,
+    Metric,
+    run_sweep,
 )
 
 #: The paper stresses cache maintenance with short lifetimes.
@@ -38,49 +39,38 @@ TABLE3_CACHE_SIZES = (10, 20, 50, 100, 200, 500)
 
 SweepKey = Tuple[int, int]  # (network_size, cache_size)
 
+#: The trial-averaged values every consumer of the sweep needs.
+METRICS: Dict[str, Metric] = {
+    "probes_per_query": "probes_per_query",
+    "good_per_query": "good_probes_per_query",
+    "dead_per_query": "dead_probes_per_query",
+    "unsatisfied": "unsatisfied_rate",
+    "fraction_live": "mean_fraction_live",
+    "absolute_live": "mean_absolute_live",
+    "cache_fill": "mean_cache_fill",
+}
 
-def sweep_cache_sizes(
-    profile: Profile,
-    network_sizes: Tuple[int, ...] | None = None,
-    executor: TrialExecutor | None = None,
-) -> Dict[SweepKey, dict]:
-    """Run the (NetworkSize × CacheSize) grid once; share across figures.
 
-    Returns:
-        ``{(n, cache): metrics}`` where metrics holds the trial-averaged
-        values every consumer of this sweep needs.
+def cells(
+    profile: Profile, network_sizes: Tuple[int, ...] | None = None
+) -> Dict[SweepKey, Cell]:
+    """The (NetworkSize × CacheSize) grid, shared across the figures.
+
+    CacheSize is clamped to the network size (clamped duplicates are
+    one cell).
     """
-    sizes = network_sizes or profile.network_sizes
-    results: Dict[SweepKey, dict] = {}
-    for n in sizes:
-        for cache in profile.cache_sizes:
-            cache_size = min(cache, n)
-            if (n, cache_size) in results:
-                continue
-            system = SystemParams(
-                network_size=n,
-                lifespan_multiplier=LIFESPAN_MULTIPLIER,
-            )
-            protocol = ProtocolParams(cache_size=cache_size)
-            reports = run_guess_config(
-                system,
-                protocol,
-                duration=profile.duration,
-                warmup=profile.warmup,
-                trials=profile.trials,
-                base_seed=hash_seed(n, cache_size),
-                executor=executor,
-            )
-            results[(n, cache_size)] = {
-                "probes_per_query": averaged(reports, "probes_per_query"),
-                "good_per_query": averaged(reports, "good_probes_per_query"),
-                "dead_per_query": averaged(reports, "dead_probes_per_query"),
-                "unsatisfied": averaged(reports, "unsatisfied_rate"),
-                "fraction_live": averaged(reports, "mean_fraction_live"),
-                "absolute_live": averaged(reports, "mean_absolute_live"),
-                "cache_fill": averaged(reports, "mean_cache_fill"),
-            }
-    return results
+    return {
+        (n, cache): Cell.at(
+            profile,
+            SystemParams(
+                network_size=n, lifespan_multiplier=LIFESPAN_MULTIPLIER
+            ),
+            ProtocolParams(cache_size=cache),
+            hash_seed(n, cache),
+        )
+        for n in network_sizes or profile.network_sizes
+        for cache in dict.fromkeys(min(c, n) for c in profile.cache_sizes)
+    }
 
 
 def hash_seed(n: int, cache: int) -> int:
@@ -100,7 +90,7 @@ def run_table3(
         narrowed = replace(
             profile, cache_sizes=tuple(dict.fromkeys(cache_sizes))
         )
-        sweep = sweep_cache_sizes(narrowed, network_sizes=(n,))
+        sweep = run_sweep(cells(narrowed, network_sizes=(n,)), METRICS)
     rows = []
     for cache in dict.fromkeys(cache_sizes):
         cell = sweep.get((n, cache))
@@ -123,7 +113,8 @@ def run_fig3(
     profile: Profile, sweep: Dict[SweepKey, dict] | None = None
 ) -> ExperimentResult:
     """Figure 3: probes/query vs CacheSize, one series per NetworkSize."""
-    sweep = sweep if sweep is not None else sweep_cache_sizes(profile)
+    if sweep is None:
+        sweep = run_sweep(cells(profile), METRICS)
     series = _series_by_network(sweep, "probes_per_query")
     return ExperimentResult(
         experiment_id="fig3",
@@ -138,7 +129,8 @@ def run_fig4(
     profile: Profile, sweep: Dict[SweepKey, dict] | None = None
 ) -> ExperimentResult:
     """Figure 4: unsatisfaction vs CacheSize, one series per NetworkSize."""
-    sweep = sweep if sweep is not None else sweep_cache_sizes(profile)
+    if sweep is None:
+        sweep = run_sweep(cells(profile), METRICS)
     series = _series_by_network(sweep, "unsatisfied")
     return ExperimentResult(
         experiment_id="fig4",
@@ -158,7 +150,7 @@ def run_fig5(
     """Figure 5: dead vs good probes per query at the reference size."""
     n = profile.reference_size
     if sweep is None:
-        sweep = sweep_cache_sizes(profile, network_sizes=(n,))
+        sweep = run_sweep(cells(profile, network_sizes=(n,)), METRICS)
     dead = []
     good = []
     for (net, cache), cell in sorted(sweep.items()):
@@ -182,20 +174,10 @@ def run_fig5(
 
 
 def run_suite(
-    profile: Profile,
-    workers: int = 1,
-    executor: TrialExecutor | None = None,
+    profile: Profile, executor: TrialExecutor | None = None
 ) -> List[ExperimentResult]:
-    """Table 3 + Figures 3-5 from a single shared sweep.
-
-    An explicit ``executor`` (e.g. the supervised executor shared by
-    ``run_all --supervise``) overrides ``workers`` and stays open for
-    the caller to close.
-    """
-    if executor is None:
-        with get_executor(workers) as owned:
-            return run_suite(profile, executor=owned)
-    sweep = sweep_cache_sizes(profile, executor=executor)
+    """Table 3 + Figures 3-5 from a single shared sweep."""
+    sweep = run_sweep(cells(profile), METRICS, executor)
     reference_only = {
         key: value
         for key, value in sweep.items()

@@ -15,52 +15,41 @@ many link caches and get hammered.  Expected shapes:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.params import ProtocolParams, SystemParams
-from repro.experiments.executor import TrialExecutor, get_executor
+from repro.experiments.executor import TrialExecutor
 from repro.experiments.profiles import Profile
 from repro.experiments.runner import (
+    Cell,
     ExperimentResult,
-    averaged,
-    run_guess_config,
+    Metric,
+    run_sweep,
 )
 
 #: Capacity sweep from the paper's Figure 14 bar groups.
 CAPACITIES: Tuple[int, ...] = (50, 10, 5, 1)
 
+METRICS: Dict[str, Metric] = {
+    "good": "good_probes_per_query",
+    "refused": "refused_probes_per_query",
+    "dead": "dead_probes_per_query",
+    "unsat": "unsatisfied_rate",
+}
 
-def sweep_capacity(
-    profile: Profile,
-    network_sizes: Sequence[int] | None = None,
-    capacities: Sequence[int] = CAPACITIES,
-    executor: TrialExecutor | None = None,
-) -> Dict[Tuple[int, int], Dict[str, float]]:
+
+def cells(profile: Profile) -> Dict[Tuple[int, int], Cell]:
     """(NetworkSize × MaxProbesPerSecond) grid under the MR policies."""
-    sizes = tuple(network_sizes or profile.network_sizes)
-    protocol = ProtocolParams.all_same_policy("MR")
-    results: Dict[Tuple[int, int], Dict[str, float]] = {}
-    for n in sizes:
-        for capacity in capacities:
-            system = SystemParams(
-                network_size=n, max_probes_per_second=capacity
-            )
-            reports = run_guess_config(
-                system,
-                protocol,
-                duration=profile.duration,
-                warmup=profile.warmup,
-                trials=profile.trials,
-                base_seed=n * 31 + capacity,
-                executor=executor,
-            )
-            results[(n, capacity)] = {
-                "good": averaged(reports, "good_probes_per_query"),
-                "refused": averaged(reports, "refused_probes_per_query"),
-                "dead": averaged(reports, "dead_probes_per_query"),
-                "unsat": averaged(reports, "unsatisfied_rate"),
-            }
-    return results
+    return {
+        (n, capacity): Cell.at(
+            profile,
+            SystemParams(network_size=n, max_probes_per_second=capacity),
+            ProtocolParams.all_same_policy("MR"),
+            n * 31 + capacity,
+        )
+        for n in profile.network_sizes
+        for capacity in CAPACITIES
+    }
 
 
 def run_fig14(
@@ -68,7 +57,8 @@ def run_fig14(
     sweep: Dict[Tuple[int, int], Dict[str, float]] | None = None,
 ) -> ExperimentResult:
     """Figure 14: probe breakdown vs (NetworkSize, capacity), MR policies."""
-    sweep = sweep if sweep is not None else sweep_capacity(profile)
+    if sweep is None:
+        sweep = run_sweep(cells(profile), METRICS)
     rows = tuple(
         (
             n,
@@ -104,7 +94,8 @@ def run_fig15(
     sweep: Dict[Tuple[int, int], Dict[str, float]] | None = None,
 ) -> ExperimentResult:
     """Figure 15: unsatisfaction vs capacity, one series per NetworkSize."""
-    sweep = sweep if sweep is not None else sweep_capacity(profile)
+    if sweep is None:
+        sweep = run_sweep(cells(profile), METRICS)
     series: Dict[str, List[Tuple[float, float]]] = {}
     for (n, capacity), cell in sorted(sweep.items()):
         series.setdefault(f"N={n}", []).append(
@@ -123,18 +114,8 @@ def run_fig15(
 
 
 def run_suite(
-    profile: Profile,
-    workers: int = 1,
-    executor: TrialExecutor | None = None,
+    profile: Profile, executor: TrialExecutor | None = None
 ) -> List[ExperimentResult]:
-    """Figures 14 and 15 from one shared sweep.
-
-    An explicit ``executor`` (e.g. the supervised executor shared by
-    ``run_all --supervise``) overrides ``workers`` and stays open for
-    the caller to close.
-    """
-    if executor is None:
-        with get_executor(workers) as owned:
-            return run_suite(profile, executor=owned)
-    sweep = sweep_capacity(profile, executor=executor)
+    """Figures 14 and 15 from one shared sweep."""
+    sweep = run_sweep(cells(profile), METRICS, executor)
     return [run_fig14(profile, sweep), run_fig15(profile, sweep)]

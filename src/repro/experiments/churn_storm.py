@@ -41,18 +41,21 @@ determinism check used by the ``suite-smoke`` CI job.
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.params import ProtocolParams, SystemParams
-from repro.errors import TrialFailure
-from repro.experiments.executor import TrialExecutor, get_executor
+from repro.experiments.executor import TrialExecutor
 from repro.experiments.profiles import Profile
 from repro.experiments.runner import (
+    Cell,
     ExperimentResult,
-    averaged,
-    run_guess_config,
+    Metric,
+    grid_curves,
+    grid_table,
+    run_sweep,
     suite_main,
 )
+from repro.metrics.collectors import SimulationReport
 from repro.metrics.summary import mean
 from repro.resilience import (
     ChurnStorm,
@@ -93,132 +96,102 @@ BASE_SEED = 0xC0B
 PROTOCOL = ProtocolParams(cache_size=30, probe_retries=2, do_backoff=False)
 MAX_PROBES_PER_SECOND = 4
 
+#: Mechanisms setting -> resilience policy (None = paper behaviour).
+MECHANISMS: Dict[str, Optional[ResiliencePolicy]] = {
+    "off": None,
+    "on": ResiliencePolicy.all_on(),
+}
 
-def storm_plan(profile: Profile, fraction: float) -> ScenarioPlan:
-    """The suite's scenario: one storm with a flash crowd riding it.
 
-    The storm lands 30% of the way into the measured window and the
-    crowd persists from the storm's onset to the end of the run, so the
-    recovery has to happen *under* elevated load.
+def storm_start(profile: Profile) -> float:
+    """The storm lands 30% of the way into the measured window."""
+    return profile.warmup + 0.3 * profile.duration
+
+
+def storm_plan(
+    profile: Profile, fraction: float, crowd: bool = True
+) -> ScenarioPlan:
+    """One storm, by default with a flash crowd riding it.
+
+    The crowd persists from the storm's onset to the end of the run, so
+    the recovery has to happen *under* elevated load.
     """
-    start = profile.warmup + 0.3 * profile.duration
+    start = storm_start(profile)
+    rider = FlashCrowd(
+        start=start, end=profile.total_time, multiplier=CROWD_MULTIPLIER
+    )
     return ScenarioPlan(
         storms=(
             ChurnStorm(start=start, width=STORM_WIDTH, fraction=fraction),
         ),
-        crowds=(
-            FlashCrowd(
-                start=start,
-                end=profile.total_time,
-                multiplier=CROWD_MULTIPLIER,
+        crowds=(rider,) if crowd else (),
+    )
+
+
+def mean_recovery(profile: Profile) -> Metric:
+    """The time-to-recovery metric (a trial that never recovers is inf)."""
+    start = storm_start(profile)
+
+    def metric(reports: Sequence[SimulationReport]) -> float:
+        seconds = []
+        for report in reports:
+            windows = to_windows(report.satisfaction_windows)
+            seconds.append(time_to_recovery(
+                windows,
+                after=start + STORM_WIDTH,
+                baseline=baseline_rate(windows, before=start),
+                threshold=RECOVERY_THRESHOLD,
+                min_queries=MIN_WINDOW_QUERIES,
+            ))
+        return mean(seconds)
+
+    return metric
+
+
+def cells(profile: Profile) -> Dict[Tuple[float, str], Cell]:
+    """The (storm fraction, mechanisms) grid, in sweep order."""
+    return {
+        (fraction, setting): Cell.at(
+            profile,
+            SystemParams(
+                network_size=profile.network_sizes[0],
+                max_probes_per_second=MAX_PROBES_PER_SECOND,
             ),
-        ),
-    )
-
-
-def _recovery_seconds(report, plan: ScenarioPlan) -> float:
-    """Time-to-recovery for one trial (inf when it never recovers)."""
-    storm = plan.storms[0]
-    windows = to_windows(report.satisfaction_windows)
-    baseline = baseline_rate(windows, before=storm.start)
-    return time_to_recovery(
-        windows,
-        after=storm.start + storm.width,
-        baseline=baseline,
-        threshold=RECOVERY_THRESHOLD,
-        min_queries=MIN_WINDOW_QUERIES,
-    )
-
-
-def _measure_cell(
-    profile: Profile,
-    fraction: float,
-    armed: bool,
-    executor: TrialExecutor | None = None,
-) -> Dict[str, float]:
-    """Run one (storm fraction, mechanisms) cell and fold its metrics."""
-    plan = storm_plan(profile, fraction)
-    reports = run_guess_config(
-        SystemParams(
-            network_size=profile.network_sizes[0],
-            max_probes_per_second=MAX_PROBES_PER_SECOND,
-        ),
-        PROTOCOL,
-        duration=profile.duration,
-        warmup=profile.warmup,
-        trials=profile.trials,
-        base_seed=BASE_SEED,
-        scenarios=plan,
-        resilience=ResiliencePolicy.all_on() if armed else None,
-        satisfaction_window=SATISFACTION_WINDOW,
-        executor=executor,
-    )
-    recoveries = [
-        _recovery_seconds(report, plan)
-        for report in reports
-        if not isinstance(report, TrialFailure)
-    ]
-    return {
-        "satisfied": averaged(reports, "satisfaction_rate"),
-        "results": averaged(reports, "results_per_query"),
-        "refusal_evict": averaged(reports, "refusal_evictions"),
-        "dead_evict": averaged(reports, "dead_evictions"),
-        "suppressed": averaged(reports, "suppressed_probes"),
-        "denied": averaged(reports, "retries_denied"),
-        "shed": averaged(reports, "pings_shed"),
-        "recovery": mean(recoveries),
-    }
-
-
-def _sweep(
-    profile: Profile,
-    executor: TrialExecutor | None = None,
-) -> Dict[Tuple[float, bool], Dict[str, float]]:
-    """The fraction × mechanisms grid, cells in deterministic order."""
-    return {
-        (fraction, armed): _measure_cell(profile, fraction, armed, executor)
-        for armed in (False, True)
+            PROTOCOL,
+            BASE_SEED,
+            scenarios=storm_plan(profile, fraction),
+            resilience=policy,
+            satisfaction_window=SATISFACTION_WINDOW,
+        )
+        for setting, policy in MECHANISMS.items()
         for fraction in STORM_FRACTIONS
     }
 
 
-def run_storm_grid(
-    profile: Profile,
-    executor: TrialExecutor | None = None,
+def metrics(profile: Profile) -> Dict[str, Metric]:
+    """``storm_grid`` column -> report property or fold."""
+    return {
+        "Satisfied": "satisfaction_rate",
+        "Results/Query": "results_per_query",
+        "RefusalEvict": "refusal_evictions",
+        "DeadEvict": "dead_evictions",
+        "Suppressed": "suppressed_probes",
+        "Denied": "retries_denied",
+        "Shed": "pings_shed",
+        "Recovery(s)": mean_recovery(profile),
+    }
+
+
+def run_suite(
+    profile: Profile, executor: TrialExecutor | None = None
 ) -> List[ExperimentResult]:
-    """Both results from one grid sweep (the cells are shared)."""
-    cells = _sweep(profile, executor)
-    rows = tuple(
-        (
-            fraction,
-            "on" if armed else "off",
-            cell["satisfied"],
-            cell["results"],
-            cell["refusal_evict"],
-            cell["dead_evict"],
-            cell["suppressed"],
-            cell["denied"],
-            cell["shed"],
-            cell["recovery"],
-        )
-        for (fraction, armed), cell in cells.items()
-    )
-    grid = ExperimentResult(
-        experiment_id="storm_grid",
-        title="GUESS under churn storms: storm fraction × resilience",
-        columns=(
-            "Fraction",
-            "Mechanisms",
-            "Satisfied",
-            "Results/Query",
-            "RefusalEvict",
-            "DeadEvict",
-            "Suppressed",
-            "Denied",
-            "Shed",
-            "Recovery(s)",
-        ),
-        rows=rows,
+    """``storm_grid`` and ``storm_recovery`` from one sweep."""
+    measured = run_sweep(cells(profile), metrics(profile), executor)
+    grid = grid_table(
+        "storm_grid",
+        "GUESS under churn storms: storm fraction × resilience",
+        ("Fraction", "Mechanisms"),
+        measured,
         notes=(
             "the storm craters windowed satisfaction; breakers convert "
             "refusal evictions into suppressions, budgets cap retry "
@@ -226,16 +199,12 @@ def run_storm_grid(
             "they shorten time-to-recovery"
         ),
     )
-    recovery = ExperimentResult(
-        experiment_id="storm_recovery",
-        title="Time-to-recovery vs storm fraction, per mechanisms setting",
-        series={
-            f"mechanisms={'on' if armed else 'off'}": [
-                (fraction, cells[(fraction, armed)]["recovery"])
-                for fraction in STORM_FRACTIONS
-            ]
-            for armed in (False, True)
-        },
+    recovery = grid_curves(
+        "storm_recovery",
+        "Time-to-recovery vs storm fraction, per mechanisms setting",
+        measured,
+        "Recovery(s)",
+        label="mechanisms={}",
         x_label="storm fraction",
         notes=(
             "recovery takes longer the larger the storm; the resilience "
@@ -243,23 +212,6 @@ def run_storm_grid(
         ),
     )
     return [grid, recovery]
-
-
-def run_suite(
-    profile: Profile,
-    workers: int = 1,
-    executor: TrialExecutor | None = None,
-) -> List[ExperimentResult]:
-    """``storm_grid`` and ``storm_recovery``.
-
-    An explicit ``executor`` (e.g. the supervised executor shared by
-    ``run_all --supervise``) overrides ``workers`` and stays open for
-    the caller to close.
-    """
-    if executor is None:
-        with get_executor(workers) as owned:
-            return run_suite(profile, executor=owned)
-    return run_storm_grid(profile, executor)
 
 
 def main(argv: List[str] | None = None) -> int:

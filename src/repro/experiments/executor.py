@@ -16,8 +16,8 @@ core.  This module supplies the missing abstraction:
   :class:`ProcessTrialExecutor` (a lazily started
   :class:`~concurrent.futures.ProcessPoolExecutor`) implementations;
 * :func:`get_executor` — the ``workers=N`` factory used by
-  :func:`~repro.experiments.runner.run_guess_config`, every suite's
-  ``run_suite(..., workers=N)``, and ``run_all --workers N``.
+  :func:`~repro.experiments.runner.run_guess_config`, the suites' module
+  CLI, and ``run_all --workers N``.
 
 Determinism guarantee: each trial owns a private
 :class:`~repro.sim.rng.RngRegistry` seeded from its spec — no RNG state
@@ -281,6 +281,10 @@ class ProcessTrialExecutor(TrialExecutor):
 
     Args:
         workers: pool size; ``None`` or 0 means ``os.cpu_count()``.
+
+    Attributes:
+        pool_started: True once any batch has gone to worker processes
+            (read it to tell a parallel run from a serial one in disguise).
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:
@@ -288,12 +292,14 @@ class ProcessTrialExecutor(TrialExecutor):
         if resolved < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         self.workers = int(resolved)
+        self.pool_started = False
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         """The live pool, spawning (or respawning after discard) lazily."""
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self.pool_started = True
         return self._pool
 
     def _discard_pool(self) -> None:

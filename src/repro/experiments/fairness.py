@@ -14,9 +14,14 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.params import ProtocolParams, SystemParams
-from repro.experiments.executor import TrialExecutor, get_executor
+from repro.experiments.executor import TrialExecutor
 from repro.experiments.profiles import Profile
-from repro.experiments.runner import ExperimentResult, run_guess_config
+from repro.experiments.runner import (
+    Cell,
+    ExperimentResult,
+    Metric,
+    run_sweep,
+)
 from repro.metrics.load import LoadDistribution, merge_loads
 
 #: The figure's QueryProbe/CacheReplacement combinations.
@@ -30,30 +35,29 @@ COMBOS: Tuple[Tuple[str, str], ...] = (
 #: Ranked points kept per series (log-thinned like the paper's x-axis).
 SERIES_POINTS = 40
 
+#: Per-peer loads merged across the combo's trials.
+METRICS: Dict[str, Metric] = {
+    "load": lambda reports: LoadDistribution(
+        merge_loads([report.loads for report in reports])
+    ),
+}
 
-def measure_load_distribution(
-    profile: Profile,
-    query_probe: str,
-    cache_replacement: str,
-    base_seed: int,
-    executor: TrialExecutor | None = None,
-) -> LoadDistribution:
-    """Run one combo and merge per-peer loads across trials."""
-    protocol = ProtocolParams(
-        query_probe=query_probe,
-        query_pong=query_probe if query_probe != "Random" else "Random",
-        cache_replacement=cache_replacement,
-    )
-    reports = run_guess_config(
-        SystemParams(network_size=profile.reference_size),
-        protocol,
-        duration=profile.duration,
-        warmup=profile.warmup,
-        trials=profile.trials,
-        base_seed=base_seed,
-        executor=executor,
-    )
-    return LoadDistribution(merge_loads([r.loads for r in reports]))
+
+def cells(profile: Profile) -> Dict[str, Cell]:
+    """One cell per policy combination, keyed by its series label."""
+    return {
+        f"{probe}/{replacement}": Cell.at(
+            profile,
+            SystemParams(network_size=profile.reference_size),
+            ProtocolParams(
+                query_probe=probe,
+                query_pong=probe,
+                cache_replacement=replacement,
+            ),
+            0xF13 + index,
+        )
+        for index, (probe, replacement) in enumerate(COMBOS)
+    }
 
 
 def run_fig13(
@@ -62,15 +66,9 @@ def run_fig13(
     """Figure 13: ranked load per policy combination."""
     series: Dict[str, Sequence[Tuple[float, float]]] = {}
     rows: List[tuple] = []
-    for index, (probe, replacement) in enumerate(COMBOS):
-        label = f"{probe}/{replacement}"
-        dist = measure_load_distribution(
-            profile,
-            probe,
-            replacement,
-            base_seed=0xF13 + index,
-            executor=executor,
-        )
+    measured = run_sweep(cells(profile), METRICS, executor)
+    for label, values in measured.items():
+        dist = values["load"]
         series[label] = [
             (float(rank), float(load))
             for rank, load in dist.series(max_points=SERIES_POINTS)
@@ -101,17 +99,7 @@ def run_fig13(
 
 
 def run_suite(
-    profile: Profile,
-    workers: int = 1,
-    executor: TrialExecutor | None = None,
+    profile: Profile, executor: TrialExecutor | None = None
 ) -> List[ExperimentResult]:
-    """Figure 13.
-
-    An explicit ``executor`` (e.g. the supervised executor shared by
-    ``run_all --supervise``) overrides ``workers`` and stays open for
-    the caller to close.
-    """
-    if executor is None:
-        with get_executor(workers) as owned:
-            return run_suite(profile, executor=owned)
+    """Figure 13."""
     return [run_fig13(profile, executor)]

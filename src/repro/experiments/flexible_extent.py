@@ -27,13 +27,39 @@ from repro.baselines.extent import PopulationView
 from repro.baselines.gnutella import fixed_extent_tradeoff
 from repro.baselines.iterative_deepening import IterativeDeepeningSearch
 from repro.core.params import ProtocolParams, SystemParams
-from repro.experiments.executor import TrialExecutor, get_executor
+from repro.experiments.executor import TrialExecutor
 from repro.experiments.profiles import Profile
 from repro.experiments.runner import (
+    Cell,
     ExperimentResult,
-    averaged,
-    run_guess_config,
+    Metric,
+    run_sweep,
 )
+
+#: The two measured GUESS points: series label -> protocol.
+GUESS_POINTS: Dict[str, ProtocolParams] = {
+    "GUESS Random": ProtocolParams(),
+    "GUESS QueryPong=MFS": ProtocolParams(query_pong="MFS"),
+}
+
+#: A point's (x, y): average query cost, then unsatisfaction.
+METRICS: Dict[str, Metric] = {
+    "cost": "probes_per_query",
+    "unsat": "unsatisfied_rate",
+}
+
+
+def cells(profile: Profile) -> Dict[str, Cell]:
+    """One full-protocol cell per GUESS point, at a shared seed."""
+    return {
+        label: Cell.at(
+            profile,
+            SystemParams(network_size=profile.reference_size),
+            protocol,
+            0xF1608,
+        )
+        for label, protocol in GUESS_POINTS.items()
+    }
 
 
 def _log_spaced_extents(max_extent: int, points: int = 24) -> List[int]:
@@ -70,24 +96,11 @@ def run_fig8(
     deepening = IterativeDeepeningSearch(view, schedule=schedule)
     itd_cost, itd_unsat = deepening.evaluate(targets, rng)
 
-    guess_points: Dict[str, Tuple[float, float]] = {}
-    for label, protocol in (
-        ("GUESS Random", ProtocolParams()),
-        ("GUESS QueryPong=MFS", ProtocolParams(query_pong="MFS")),
-    ):
-        reports = run_guess_config(
-            SystemParams(network_size=n),
-            protocol,
-            duration=profile.duration,
-            warmup=profile.warmup,
-            trials=profile.trials,
-            base_seed=0xF1608,
-            executor=executor,
-        )
-        guess_points[label] = (
-            averaged(reports, "probes_per_query"),
-            averaged(reports, "unsatisfied_rate"),
-        )
+    measured = run_sweep(cells(profile), METRICS, executor)
+    guess_points: Dict[str, Tuple[float, float]] = {
+        label: (values["cost"], values["unsat"])
+        for label, values in measured.items()
+    }
 
     series: Dict[str, Sequence[Tuple[float, float]]] = {
         "FixedExtent(Gnutella)": fixed_series,
@@ -119,17 +132,7 @@ def run_fig8(
 
 
 def run_suite(
-    profile: Profile,
-    workers: int = 1,
-    executor: TrialExecutor | None = None,
+    profile: Profile, executor: TrialExecutor | None = None
 ) -> List[ExperimentResult]:
-    """Figure 8.
-
-    An explicit ``executor`` (e.g. the supervised executor shared by
-    ``run_all --supervise``) overrides ``workers`` and stays open for
-    the caller to close.
-    """
-    if executor is None:
-        with get_executor(workers) as owned:
-            return run_suite(profile, executor=owned)
+    """Figure 8."""
     return [run_fig8(profile, executor)]

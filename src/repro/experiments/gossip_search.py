@@ -21,9 +21,9 @@ closes that gap with two results:
 
 All static-population randomness (view/overlay synthesis, workloads)
 derives from ``BASE_SEED`` under ``gossip:*`` stream names; the
-simulated GUESS cells run through
-:func:`~repro.experiments.runner.run_guess_config` at the same base
-seed, so every row of a table shares its population story.
+simulated GUESS cells are one
+:func:`~repro.experiments.runner.run_sweep` at the same base seed, so
+every row of a table shares its population story.
 
 Run via ``python -m repro.experiments.run_all --suite gossip_search`` or
 directly::
@@ -46,13 +46,13 @@ from repro.baselines.extent import PopulationView
 from repro.baselines.gnutella import GnutellaOverlay
 from repro.baselines.gossip import GossipParams, GossipPlan, GossipSearch
 from repro.core.params import ProtocolParams, SystemParams
-from repro.errors import TrialFailure
-from repro.experiments.executor import TrialExecutor, get_executor
+from repro.experiments.executor import TrialExecutor
 from repro.experiments.profiles import Profile
 from repro.experiments.runner import (
+    Cell,
     ExperimentResult,
-    averaged,
-    run_guess_config,
+    Metric,
+    run_sweep,
     suite_main,
 )
 from repro.sim.rng import RngRegistry, derive_seed
@@ -95,15 +95,43 @@ GUESS_LIFESPAN_MULTIPLIER = 0.5
 #: trial cells would make the committed table a coin flip.
 MIN_GUESS_TRIALS = 4
 
-#: The two gossip-assisted cells: (label, plan, ping-interval stretch).
-#: Each armed plan costs at most ``fanout + fanout**2`` pushes per
-#: successful ping (ttl=2) or ``fanout`` (ttl=1), so the stretch factor
-#: is 1 + that bound — the ping budget the pushes replace — keeping the
-#: cell's total message budget at (or just below) plain GUESS's.
-ASSISTED_CELLS: Tuple[Tuple[str, GossipPlan, float], ...] = (
-    ("guess+gossip k=1 t=1", GossipPlan(fanout=1, ttl=1), 2.0),
-    ("guess+gossip k=2 t=2", GossipPlan(fanout=2, ttl=2), 7.0),
-)
+#: The simulated cells: label -> (plan, ping-interval stretch).  Each
+#: armed plan costs at most ``fanout + fanout**2`` pushes per successful
+#: ping (ttl=2) or ``fanout`` (ttl=1), so the stretch factor is 1 + that
+#: bound — the ping budget the pushes replace — keeping the cell's total
+#: message budget at (or just below) plain GUESS's.
+GUESS_CELLS: Dict[str, Tuple[Optional[GossipPlan], float]] = {
+    "guess": (None, 1.0),
+    "guess+gossip k=1 t=1": (GossipPlan(fanout=1, ttl=1), 2.0),
+    "guess+gossip k=2 t=2": (GossipPlan(fanout=2, ttl=2), 7.0),
+}
+
+
+def _average(values: List[float]) -> float:
+    """Plain left-to-right mean: the committed tables were summed this way."""
+    return sum(values) / len(values) if values else 0.0
+
+
+#: ``gossip_compare`` column -> report property or fold.  ``Msgs/Query``
+#: folds the *whole* post-warmup wire bill — query probes, maintenance
+#: pings, and gossip pushes — over the measured queries, so the assisted
+#: rows' budget is directly comparable to plain GUESS's.
+GUESS_METRICS: Dict[str, Metric] = {
+    "Satisfied": "satisfaction_rate",
+    "Msgs/Query": lambda reports: _average([
+        (r.total_probes + r.pings_sent + r.gossip_pushes) / r.queries
+        for r in reports
+        if r.queries
+    ]),
+    "MaxLoad": lambda reports: _average([
+        float(r.load_distribution().load_at_rank(1))
+        for r in reports
+        if len(r.load_distribution())
+    ]),
+    "Results/Query": "results_per_query",
+    "Dead/Query": "dead_probes_per_query",
+    "FracLive": "mean_fraction_live",
+}
 
 
 def _population(
@@ -188,54 +216,24 @@ def _gossip_row(
     }
 
 
-def _guess_row(
-    profile: Profile,
-    plan: Optional[GossipPlan],
-    ping_stretch: float,
-    executor: TrialExecutor | None,
-) -> Dict[str, float]:
-    """One simulated GUESS cell (plain or gossip-assisted).
-
-    ``Msgs/Query`` folds the *whole* post-warmup wire bill — query
-    probes, maintenance pings, and gossip pushes — over the measured
-    queries, so the assisted rows' budget is directly comparable to
-    plain GUESS's.
-    """
-    protocol = ProtocolParams(
-        cache_size=GUESS_PROTOCOL.cache_size,
-        ping_interval=GUESS_PING_INTERVAL * ping_stretch,
-    )
-    reports = run_guess_config(
-        SystemParams(
-            network_size=profile.reference_size,
-            lifespan_multiplier=GUESS_LIFESPAN_MULTIPLIER,
-        ),
-        protocol,
-        duration=profile.duration,
-        warmup=profile.warmup,
-        trials=max(profile.trials, MIN_GUESS_TRIALS),
-        base_seed=BASE_SEED,
-        gossip=plan,
-        executor=executor,
-    )
-    live = [r for r in reports if not isinstance(r, TrialFailure)]
-    messages = [
-        (r.total_probes + r.pings_sent + r.gossip_pushes) / r.queries
-        for r in live
-        if r.queries
-    ]
-    max_loads = [
-        float(r.load_distribution().load_at_rank(1))
-        for r in live
-        if len(r.load_distribution())
-    ]
+def guess_cells(profile: Profile) -> Dict[str, Cell]:
+    """The simulated GUESS cells (plain and gossip-assisted)."""
     return {
-        "satisfied": averaged(reports, "satisfaction_rate"),
-        "messages": sum(messages) / len(messages) if messages else 0.0,
-        "max_load": sum(max_loads) / len(max_loads) if max_loads else 0.0,
-        "results": averaged(reports, "results_per_query"),
-        "dead": averaged(reports, "dead_probes_per_query"),
-        "frac_live": averaged(reports, "mean_fraction_live"),
+        label: Cell.at(
+            profile,
+            SystemParams(
+                network_size=profile.reference_size,
+                lifespan_multiplier=GUESS_LIFESPAN_MULTIPLIER,
+            ),
+            ProtocolParams(
+                cache_size=GUESS_PROTOCOL.cache_size,
+                ping_interval=GUESS_PING_INTERVAL * stretch,
+            ),
+            BASE_SEED,
+            trials=max(profile.trials, MIN_GUESS_TRIALS),
+            gossip=plan,
+        )
+        for label, (plan, stretch) in GUESS_CELLS.items()
     }
 
 
@@ -259,37 +257,18 @@ def run_gossip_compare(
         "-",
     ))
     for mode in ("push", "pull", "push-pull"):
-        cell = _gossip_row(profile, overlay, view, mode)
+        row = _gossip_row(profile, overlay, view, mode)
         rows.append((
             f"gossip {mode} k={GOSSIP_FANOUT} r={GOSSIP_ROUNDS}",
-            cell["satisfied"],
-            cell["messages"],
-            cell["max_load"],
-            cell["results"],
+            row["satisfied"],
+            row["messages"],
+            row["max_load"],
+            row["results"],
             "-",
             "-",
         ))
-    plain = _guess_row(profile, None, 1.0, executor)
-    rows.append((
-        "guess",
-        plain["satisfied"],
-        plain["messages"],
-        plain["max_load"],
-        plain["results"],
-        plain["dead"],
-        plain["frac_live"],
-    ))
-    for label, plan, stretch in ASSISTED_CELLS:
-        cell = _guess_row(profile, plan, stretch, executor)
-        rows.append((
-            label,
-            cell["satisfied"],
-            cell["messages"],
-            cell["max_load"],
-            cell["results"],
-            cell["dead"],
-            cell["frac_live"],
-        ))
+    measured = run_sweep(guess_cells(profile), GUESS_METRICS, executor)
+    rows.extend((label, *values.values()) for label, values in measured.items())
 
     return ExperimentResult(
         experiment_id="gossip_compare",
@@ -297,15 +276,7 @@ def run_gossip_compare(
             "Search mechanisms compared: flooding, rumor spreading, "
             "GUESS, gossip-assisted GUESS"
         ),
-        columns=(
-            "Mechanism",
-            "Satisfied",
-            "Msgs/Query",
-            "MaxLoad",
-            "Results/Query",
-            "Dead/Query",
-            "FracLive",
-        ),
+        columns=("Mechanism", *GUESS_METRICS),
         rows=tuple(rows),
         notes=(
             "flooding buys satisfaction with an order-of-magnitude "
@@ -334,7 +305,7 @@ def run_gossip_faulty(profile: Profile) -> ExperimentResult:
     ))
     for mode in ("inflate", "suppress"):
         for fraction in FAULTY_FRACTIONS:
-            cell = _gossip_row(
+            row = _gossip_row(
                 profile,
                 overlay,
                 view,
@@ -345,10 +316,10 @@ def run_gossip_faulty(profile: Profile) -> ExperimentResult:
             rows.append((
                 fraction,
                 mode,
-                cell["satisfied"],
-                cell["claimed"],
-                cell["results"],
-                cell["suppressed"],
+                row["satisfied"],
+                row["claimed"],
+                row["results"],
+                row["suppressed"],
             ))
     return ExperimentResult(
         experiment_id="gossip_faulty",
@@ -373,19 +344,9 @@ def run_gossip_faulty(profile: Profile) -> ExperimentResult:
 
 
 def run_suite(
-    profile: Profile,
-    workers: int = 1,
-    executor: TrialExecutor | None = None,
+    profile: Profile, executor: TrialExecutor | None = None
 ) -> List[ExperimentResult]:
-    """``gossip_compare`` and ``gossip_faulty``.
-
-    An explicit ``executor`` (e.g. the supervised executor shared by
-    ``run_all --supervise``) overrides ``workers`` and stays open for
-    the caller to close.
-    """
-    if executor is None:
-        with get_executor(workers) as owned:
-            return run_suite(profile, executor=owned)
+    """``gossip_compare`` and ``gossip_faulty``."""
     return [
         run_gossip_compare(profile, executor),
         run_gossip_faulty(profile),

@@ -18,15 +18,16 @@ Colluding attack (``BadPongBehavior = Bad``, Figures 19-21):
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.params import BadPongBehavior, ProtocolParams, SystemParams
-from repro.experiments.executor import TrialExecutor, get_executor
+from repro.experiments.executor import TrialExecutor
 from repro.experiments.profiles import Profile
 from repro.experiments.runner import (
+    Cell,
     ExperimentResult,
-    averaged,
-    run_guess_config,
+    Metric,
+    run_sweep,
 )
 
 #: Policy stacks compared in Figures 16-21.
@@ -35,15 +36,18 @@ POLICIES: Tuple[str, ...] = ("Random", "MR", "MR*", "MFS")
 #: Attacker percentages swept on the x-axis.
 BAD_PERCENTS: Tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
 
+METRICS: Dict[str, Metric] = {
+    "probes": "probes_per_query",
+    "unsat": "unsatisfied_rate",
+    "good_entries": "mean_good_entries",
+}
 
-def sweep_malicious(
+
+def cells(
     profile: Profile,
     behavior: BadPongBehavior,
-    bad_percents: Sequence[float] = BAD_PERCENTS,
-    policies: Sequence[str] = POLICIES,
     cache_size: int | None = None,
-    executor: TrialExecutor | None = None,
-) -> Dict[Tuple[str, float], Dict[str, float]]:
+) -> Dict[Tuple[str, float], Cell]:
     """(policy × PercentBadPeers) grid for one BadPongBehavior.
 
     Args:
@@ -54,31 +58,21 @@ def sweep_malicious(
             keeps the Table 2 default (100), correct at the paper's
             NetworkSize 1000.
     """
-    results: Dict[Tuple[str, float], Dict[str, float]] = {}
     overrides = {} if cache_size is None else {"cache_size": cache_size}
-    for p_index, policy in enumerate(policies):
-        protocol = ProtocolParams.all_same_policy(policy, **overrides)
-        for b_index, bad in enumerate(bad_percents):
-            system = SystemParams(
+    return {
+        (policy, bad): Cell.at(
+            profile,
+            SystemParams(
                 network_size=profile.reference_size,
                 percent_bad_peers=bad,
                 bad_pong_behavior=behavior,
-            )
-            reports = run_guess_config(
-                system,
-                protocol,
-                duration=profile.duration,
-                warmup=profile.warmup,
-                trials=profile.trials,
-                base_seed=0xBAD + p_index * 101 + b_index,
-                executor=executor,
-            )
-            results[(policy, bad)] = {
-                "probes": averaged(reports, "probes_per_query"),
-                "unsat": averaged(reports, "unsatisfied_rate"),
-                "good_entries": averaged(reports, "mean_good_entries"),
-            }
-    return results
+            ),
+            ProtocolParams.all_same_policy(policy, **overrides),
+            0xBAD + p_index * 101 + b_index,
+        )
+        for p_index, policy in enumerate(POLICIES)
+        for b_index, bad in enumerate(BAD_PERCENTS)
+    }
 
 
 def _series(
@@ -137,8 +131,8 @@ def run_fig16_18(
     executor: TrialExecutor | None = None,
 ) -> List[ExperimentResult]:
     """Figures 16, 17, 18: the non-colluding (Dead-pong) attack."""
-    sweep = sweep_malicious(
-        profile, BadPongBehavior.DEAD, cache_size=cache_size, executor=executor
+    sweep = run_sweep(
+        cells(profile, BadPongBehavior.DEAD, cache_size), METRICS, executor
     )
     return _three_figures(sweep, ("fig16", "fig17", "fig18"), collusion=False)
 
@@ -149,26 +143,16 @@ def run_fig19_21(
     executor: TrialExecutor | None = None,
 ) -> List[ExperimentResult]:
     """Figures 19, 20, 21: the colluding (Bad-pong) attack."""
-    sweep = sweep_malicious(
-        profile, BadPongBehavior.BAD, cache_size=cache_size, executor=executor
+    sweep = run_sweep(
+        cells(profile, BadPongBehavior.BAD, cache_size), METRICS, executor
     )
     return _three_figures(sweep, ("fig19", "fig20", "fig21"), collusion=True)
 
 
 def run_suite(
-    profile: Profile,
-    workers: int = 1,
-    executor: TrialExecutor | None = None,
+    profile: Profile, executor: TrialExecutor | None = None
 ) -> List[ExperimentResult]:
-    """Figures 16-21.
-
-    An explicit ``executor`` (e.g. the supervised executor shared by
-    ``run_all --supervise``) overrides ``workers`` and stays open for
-    the caller to close.
-    """
-    if executor is None:
-        with get_executor(workers) as owned:
-            return run_suite(profile, executor=owned)
+    """Figures 16-21, one sweep per BadPongBehavior."""
     return run_fig16_18(profile, executor=executor) + run_fig19_21(
         profile, executor=executor
     )

@@ -43,12 +43,15 @@ import sys
 from typing import Dict, List, Tuple
 
 from repro.core.params import ProtocolParams, SystemParams
-from repro.experiments.executor import TrialExecutor, get_executor
+from repro.experiments.executor import TrialExecutor
 from repro.experiments.profiles import Profile
 from repro.experiments.runner import (
+    Cell,
     ExperimentResult,
-    averaged,
-    run_guess_config,
+    Metric,
+    grid_curves,
+    grid_table,
+    run_sweep,
     suite_main,
 )
 from repro.faults.plan import FaultPlan
@@ -64,102 +67,56 @@ RETRY_BUDGETS: Tuple[int, ...] = (0, 2)
 #: baseline numbers bit-for-bit.
 BASE_SEED = 0x909
 
+#: ``loss_grid`` column -> the report property averaged into it.
+METRICS: Dict[str, Metric] = {
+    "Satisfied": "satisfaction_rate",
+    "Results/Query": "results_per_query",
+    "Probes/Query": "probes_per_query",
+    "DeadIPs/Query": "dead_probes_per_query",
+    "Spurious/Query": "spurious_timeouts_per_query",
+    "RecoveryRate": "retry_recovery_rate",
+    "FractionLive": "mean_fraction_live",
+    "WrongfulEvict": "wrongful_evictions",
+}
 
-def _measure_cell(
-    profile: Profile,
-    loss: float,
-    retries: int,
-    executor: TrialExecutor | None = None,
-) -> Dict[str, float]:
-    """Run one (loss rate, retry budget) cell and fold its metrics."""
-    protocol = ProtocolParams(probe_retries=retries)
-    reports = run_guess_config(
-        SystemParams(network_size=profile.reference_size),
-        protocol,
-        duration=profile.duration,
-        warmup=profile.warmup,
-        trials=profile.trials,
-        base_seed=BASE_SEED,
-        faults=FaultPlan(loss_rate=loss),
-        executor=executor,
-    )
+
+def cells(profile: Profile) -> Dict[Tuple[float, int], Cell]:
+    """The (loss rate, retry budget) grid, in sweep order."""
     return {
-        "satisfied": averaged(reports, "satisfaction_rate"),
-        "results": averaged(reports, "results_per_query"),
-        "probes": averaged(reports, "probes_per_query"),
-        "dead": averaged(reports, "dead_probes_per_query"),
-        "spurious": averaged(reports, "spurious_timeouts_per_query"),
-        "recovery": averaged(reports, "retry_recovery_rate"),
-        "live": averaged(reports, "mean_fraction_live"),
-        "wrongful": averaged(reports, "wrongful_evictions"),
-    }
-
-
-def _sweep(
-    profile: Profile,
-    executor: TrialExecutor | None = None,
-) -> Dict[Tuple[float, int], Dict[str, float]]:
-    """The full loss × retry grid, cells in deterministic sweep order."""
-    return {
-        (loss, retries): _measure_cell(profile, loss, retries, executor)
+        (loss, retries): Cell.at(
+            profile,
+            SystemParams(network_size=profile.reference_size),
+            ProtocolParams(probe_retries=retries),
+            BASE_SEED,
+            faults=FaultPlan(loss_rate=loss),
+        )
         for retries in RETRY_BUDGETS
         for loss in LOSS_RATES
     }
 
 
-def run_loss_grid(
-    profile: Profile,
-    executor: TrialExecutor | None = None,
+def run_suite(
+    profile: Profile, executor: TrialExecutor | None = None
 ) -> List[ExperimentResult]:
-    """Both results from one grid sweep (the cells are shared)."""
-    cells = _sweep(profile, executor)
-    rows = tuple(
-        (
-            loss,
-            retries,
-            cell["satisfied"],
-            cell["results"],
-            cell["probes"],
-            cell["dead"],
-            cell["spurious"],
-            cell["recovery"],
-            cell["live"],
-            cell["wrongful"],
-        )
-        for (loss, retries), cell in cells.items()
-    )
-    grid = ExperimentResult(
-        experiment_id="loss_grid",
-        title="GUESS under packet loss: loss rate × retry budget",
-        columns=(
-            "LossRate",
-            "Retries",
-            "Satisfied",
-            "Results/Query",
-            "Probes/Query",
-            "DeadIPs/Query",
-            "Spurious/Query",
-            "RecoveryRate",
-            "FractionLive",
-            "WrongfulEvict",
-        ),
-        rows=rows,
+    """``loss_grid`` and ``loss_satisfaction`` from one sweep."""
+    measured = run_sweep(cells(profile), METRICS, executor)
+    grid = grid_table(
+        "loss_grid",
+        "GUESS under packet loss: loss rate × retry budget",
+        ("LossRate", "Retries"),
+        measured,
         notes=(
             "loss inflates DeadIPs with spurious timeouts and wrongly "
             "evicts live entries (FractionLive sags); retries claw back "
             "satisfaction at the price of extra probes"
         ),
     )
-    satisfaction = ExperimentResult(
-        experiment_id="loss_satisfaction",
-        title="Query satisfaction vs packet loss, per retry budget",
-        series={
-            f"retries={retries}": [
-                (loss, cells[(loss, retries)]["satisfied"])
-                for loss in LOSS_RATES
-            ]
-            for retries in RETRY_BUDGETS
-        },
+    satisfaction = grid_curves(
+        "loss_satisfaction",
+        "Query satisfaction vs packet loss, per retry budget",
+        measured,
+        "Satisfied",
+        label="retries={}",
         x_label="loss rate",
         notes=(
             "satisfaction degrades with loss; a small retry budget "
@@ -167,23 +124,6 @@ def run_loss_grid(
         ),
     )
     return [grid, satisfaction]
-
-
-def run_suite(
-    profile: Profile,
-    workers: int = 1,
-    executor: TrialExecutor | None = None,
-) -> List[ExperimentResult]:
-    """``loss_grid`` and ``loss_satisfaction``.
-
-    An explicit ``executor`` (e.g. the supervised executor shared by
-    ``run_all --supervise``) overrides ``workers`` and stays open for
-    the caller to close.
-    """
-    if executor is None:
-        with get_executor(workers) as owned:
-            return run_suite(profile, executor=owned)
-    return run_loss_grid(profile, executor)
 
 
 def main(argv: List[str] | None = None) -> int:

@@ -21,7 +21,8 @@ from typing import Dict, List, Tuple
 
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
-from repro.experiments.executor import TrialExecutor, get_executor
+from repro.errors import TrialFailure
+from repro.experiments.executor import SerialTrialExecutor, TrialExecutor
 from repro.experiments.profiles import Profile
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.summary import mean
@@ -88,7 +89,8 @@ def measure_lcc(
     Runs a ping-only network (no queries) and averages the LCC over
     several late-run snapshots and over trials.  Trials are independent
     (seeds derived here, snapshots concatenated in trial order), so a
-    process-backed ``executor`` yields the identical mean.
+    process-backed ``executor`` yields the identical mean; a trial a
+    supervised executor quarantined drops out of it.
     """
     specs = [
         (
@@ -100,11 +102,9 @@ def measure_lcc(
         )
         for trial in range(trials)
     ]
-    if executor is None:
-        chunks = [_lcc_trial(spec) for spec in specs]
-    else:
-        chunks = executor.map(_lcc_trial, specs)
-    return mean([lcc for chunk in chunks for lcc in chunk])
+    chunks = (executor or SerialTrialExecutor()).map(_lcc_trial, specs)
+    done = [chunk for chunk in chunks if not isinstance(chunk, TrialFailure)]
+    return mean([lcc for chunk in done for lcc in chunk])
 
 
 def run_fig6(
@@ -171,17 +171,7 @@ def run_fig7(
 
 
 def run_suite(
-    profile: Profile,
-    workers: int = 1,
-    executor: TrialExecutor | None = None,
+    profile: Profile, executor: TrialExecutor | None = None
 ) -> List[ExperimentResult]:
-    """Figures 6 and 7.
-
-    An explicit ``executor`` (e.g. the supervised executor shared by
-    ``run_all --supervise``) overrides ``workers`` and stays open for
-    the caller to close.
-    """
-    if executor is None:
-        with get_executor(workers) as owned:
-            return run_suite(profile, executor=owned)
+    """Figures 6 and 7."""
     return [run_fig6(profile, executor), run_fig7(profile, executor)]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.core.params import ProtocolParams, SystemParams
-from repro.experiments.executor import TrialExecutor, get_executor
+from repro.experiments.executor import TrialExecutor
 from repro.experiments.profiles import Profile
 from repro.experiments.runner import (
     ExperimentResult,
@@ -159,19 +159,9 @@ def run_fig11(
 
 
 def run_suite(
-    profile: Profile,
-    workers: int = 1,
-    executor: TrialExecutor | None = None,
+    profile: Profile, executor: TrialExecutor | None = None
 ) -> List[ExperimentResult]:
-    """Figures 9, 10, 11, 12.
-
-    An explicit ``executor`` (e.g. the supervised executor shared by
-    ``run_all --supervise``) overrides ``workers`` and stays open for
-    the caller to close.
-    """
-    if executor is None:
-        with get_executor(workers) as owned:
-            return run_suite(profile, executor=owned)
+    """Figures 9, 10, 11, 12."""
     fig10, fig12 = run_fig10_12(profile, executor)
     return [
         run_fig9(profile, executor),

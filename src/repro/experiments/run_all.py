@@ -9,15 +9,9 @@ Usage::
     python -m repro.experiments.run_all --workers 2 --resume supervise.d
     repro-experiments --profile full --output results.txt
 
-``--only`` takes experiment ids (``table3``, ``fig3`` ... ``fig21``,
-``loss_grid``, ``loss_satisfaction``, ``storm_grid``,
-``storm_recovery``, ``gossip_compare``, ``gossip_faulty``,
-``freshness_grid``, ``freshness_recovery``) or suite names
-(``cache_size``, ``ping_interval``, ``flexible_extent``,
-``policy_comparison``, ``fairness``, ``capacity``, ``malicious``,
-``ablations``, ``packet_loss``, ``churn_storm``, ``gossip_search``,
-``cache_freshness``); ``--suite`` is an alias accepting the same
-tokens.
+``--only`` takes experiment ids or suite names — :data:`SUITES` is the
+one table of both, and ``--help`` lists it; ``--suite`` is an alias
+accepting the same tokens.
 
 ``--supervise`` runs every trial under
 :class:`~repro.experiments.supervisor.SupervisedTrialExecutor`:
@@ -40,7 +34,7 @@ import signal
 import sys
 import time
 from contextlib import ExitStack, nullcontext
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import (
     ablations,
@@ -56,6 +50,7 @@ from repro.experiments import (
     ping_interval,
     policy_comparison,
 )
+from repro.experiments.executor import get_executor
 from repro.experiments.profiles import PROFILES, get_profile
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.supervisor import (
@@ -74,52 +69,48 @@ from repro.observe.manifest import activated as manifest_activated
 from repro.observe.profiler import Profiler
 from repro.observe.profiler import activated as profiler_activated
 
-#: Suite name -> suite runner.
-SUITES: Dict[str, Callable] = {
-    "cache_size": cache_size.run_suite,
-    "ping_interval": ping_interval.run_suite,
-    "flexible_extent": flexible_extent.run_suite,
-    "policy_comparison": policy_comparison.run_suite,
-    "fairness": fairness.run_suite,
-    "capacity": capacity.run_suite,
-    "malicious": malicious.run_suite,
-    "ablations": ablations.run_suite,
-    "packet_loss": packet_loss.run_suite,
-    "churn_storm": churn_storm.run_suite,
-    "gossip_search": gossip_search.run_suite,
-    "cache_freshness": cache_freshness.run_suite,
+#: The one registry: suite name -> (runner, the experiment ids its
+#: results carry, in order).  Adding a suite is one row here.
+SUITES: Dict[str, Tuple[Callable, Tuple[str, ...]]] = {
+    "cache_size": (cache_size.run_suite, ("table3", "fig3", "fig4", "fig5")),
+    "ping_interval": (ping_interval.run_suite, ("fig6", "fig7")),
+    "flexible_extent": (flexible_extent.run_suite, ("fig8",)),
+    "policy_comparison": (
+        policy_comparison.run_suite, ("fig9", "fig10", "fig11", "fig12"),
+    ),
+    "fairness": (fairness.run_suite, ("fig13",)),
+    "capacity": (capacity.run_suite, ("fig14", "fig15")),
+    "malicious": (
+        malicious.run_suite,
+        ("fig16", "fig17", "fig18", "fig19", "fig20", "fig21"),
+    ),
+    "ablations": (
+        ablations.run_suite,
+        (
+            "ablation-parallel",
+            "ablation-backoff",
+            "ablation-adaptive-search",
+            "ablation-detection",
+            "ablation-selfish",
+            "ablation-pongsize",
+            "ablation-introprob",
+        ),
+    ),
+    "packet_loss": (packet_loss.run_suite, ("loss_grid", "loss_satisfaction")),
+    "churn_storm": (churn_storm.run_suite, ("storm_grid", "storm_recovery")),
+    "gossip_search": (
+        gossip_search.run_suite, ("gossip_compare", "gossip_faulty"),
+    ),
+    "cache_freshness": (
+        cache_freshness.run_suite, ("freshness_grid", "freshness_recovery"),
+    ),
 }
 
 #: Experiment id -> the suite that produces it.
 EXPERIMENT_SUITE: Dict[str, str] = {
-    "table3": "cache_size",
-    "fig3": "cache_size",
-    "fig4": "cache_size",
-    "fig5": "cache_size",
-    "fig6": "ping_interval",
-    "fig7": "ping_interval",
-    "fig8": "flexible_extent",
-    "fig9": "policy_comparison",
-    "fig10": "policy_comparison",
-    "fig11": "policy_comparison",
-    "fig12": "policy_comparison",
-    "fig13": "fairness",
-    "fig14": "capacity",
-    "fig15": "capacity",
-    "fig16": "malicious",
-    "fig17": "malicious",
-    "fig18": "malicious",
-    "fig19": "malicious",
-    "fig20": "malicious",
-    "fig21": "malicious",
-    "loss_grid": "packet_loss",
-    "loss_satisfaction": "packet_loss",
-    "storm_grid": "churn_storm",
-    "storm_recovery": "churn_storm",
-    "gossip_compare": "gossip_search",
-    "gossip_faulty": "gossip_search",
-    "freshness_grid": "cache_freshness",
-    "freshness_recovery": "cache_freshness",
+    experiment_id: suite
+    for suite, (_, experiment_ids) in SUITES.items()
+    for experiment_id in experiment_ids
 }
 
 #: Exit codes beyond 0/1: quarantines happened (sweep completed but some
@@ -166,7 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=None,
         metavar="ID",
-        help="experiment ids or suite names to run (default: everything)",
+        help=(
+            "experiment ids or suite names to run (default: everything): "
+            + "; ".join(
+                f"{suite} = {' '.join(ids)}"
+                for suite, (_, ids) in SUITES.items()
+            )
+        ),
     )
     parser.add_argument(
         "--suite",
@@ -186,10 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "run each configuration's trials on N worker processes "
-            "(0 = one per CPU, default: 1 = serial); results are "
-            "byte-identical to a serial run — seeds derive per trial "
-            "before dispatch and reports return in trial order"
+            "run each sweep's trials — every cell of the grid, as one "
+            "batch — on N worker processes (0 = one per CPU, default: "
+            "1 = serial); results are byte-identical to a serial run: "
+            "seeds derive per trial before dispatch and reports return "
+            "in (cell, trial) order"
         ),
     )
     parser.add_argument(
@@ -330,7 +328,11 @@ def main(argv: List[str] | None = None) -> int:
             stack.enter_context(manifest_activated(recorder))
         if profiler is not None:
             stack.enter_context(profiler_activated(profiler))
-        if supervised is not None:
+        executor = supervised
+        if supervised is None:
+            # One pool for the whole run, shared by every suite.
+            executor = stack.enter_context(get_executor(args.workers))
+        else:
             stack.callback(supervised.close)
             # Graceful SIGINT: first ^C drains in-flight trials (each is
             # journaled as it lands) and flushes partial outputs; a
@@ -362,8 +364,9 @@ def main(argv: List[str] | None = None) -> int:
             )
             try:
                 with phase:
-                    results: List[ExperimentResult] = SUITES[suite_name](
-                        profile, workers=args.workers, executor=supervised
+                    run_suite = SUITES[suite_name][0]
+                    results: List[ExperimentResult] = run_suite(
+                        profile, executor
                     )
             except SweepInterrupted:
                 interrupted = True

@@ -544,7 +544,7 @@ def manifest_trial_digests(manifest: dict) -> Dict[str, Optional[str]]:
     """``fingerprint -> recorded digest`` for every trial in a manifest.
 
     Reconstructs each config entry's :class:`TrialSpec` list exactly as
-    :func:`~repro.experiments.runner.run_guess_config` built it (seeds
+    :func:`~repro.experiments.runner.run_cells` built it (seeds
     re-derived, ``trace_hash`` forced as the recorder forces it), so the
     fingerprints match what a supervised run journals.
     """

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Sequence
 
 
@@ -10,8 +11,8 @@ def _render_cell(value: Any) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        if value != value:  # NaN
-            return "nan"
+        if not math.isfinite(value):  # "nan", "inf" (a trial never recovered)
+            return str(value)
         if value == int(value) and abs(value) < 1e12:
             return str(int(value))
         if abs(value) >= 100:

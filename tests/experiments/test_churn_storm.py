@@ -14,21 +14,10 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import churn_storm
-from repro.experiments.profiles import Profile, get_profile
-from repro.experiments.runner import ExperimentResult
-
-MICRO = Profile(
-    name="micro",
-    duration=120.0,
-    warmup=30.0,
-    trials=1,
-    network_sizes=(60,),
-    reference_size=60,
-    cache_sizes=(5, 20),
-    ping_intervals=(15.0, 120.0),
-    baseline_queries=60,
-    max_extent=60,
-)
+from repro.experiments.executor import get_executor
+from repro.experiments.profiles import get_profile
+from repro.experiments.runner import ExperimentResult, run_sweep
+from tests.experiments.helpers import MICRO, canned_suite, pinned
 
 
 def grid_cells(grid: ExperimentResult) -> dict:
@@ -38,7 +27,10 @@ def grid_cells(grid: ExperimentResult) -> dict:
 class TestSuiteShape:
     @pytest.fixture(scope="class")
     def results(self):
-        return churn_storm.run_suite(MICRO)
+        return pinned(
+            churn_storm.run_suite(MICRO),
+            "fcff76c7789dcf939ca2a9316c505c9fcfe31da40ac575db401fcac87a670c75",
+        )
 
     def test_ids(self, results):
         assert [r.experiment_id for r in results] == [
@@ -107,56 +99,51 @@ class TestMechanismsImprove:
     @pytest.fixture(scope="class")
     def cells(self):
         profile = get_profile("smoke")
-        return (
-            churn_storm._measure_cell(profile, self.FRACTION, False),
-            churn_storm._measure_cell(profile, self.FRACTION, True),
-        )
+        pair = {
+            key: cell
+            for key, cell in churn_storm.cells(profile).items()
+            if key[0] == self.FRACTION
+        }
+        measured = run_sweep(pair, churn_storm.metrics(profile))
+        return measured[(self.FRACTION, "off")], measured[(self.FRACTION, "on")]
 
     def test_recovery_strictly_improves(self, cells):
         off, on = cells
-        assert on["recovery"] < off["recovery"]
+        assert on["Recovery(s)"] < off["Recovery(s)"]
 
     def test_results_per_query_strictly_improves(self, cells):
         off, on = cells
-        assert on["results"] > off["results"]
+        assert on["Results/Query"] > off["Results/Query"]
 
     def test_improvement_is_attributable(self, cells):
         off, on = cells
         # The off cell evicts on refusal; the on cell never does, and
         # its budget/shedding counters show the mechanisms actually ran.
-        assert off["refusal_evict"] > 0.0
-        assert on["refusal_evict"] == 0.0
-        assert on["denied"] > 0.0
-        assert on["shed"] > 0.0
+        assert off["RefusalEvict"] > 0.0
+        assert on["RefusalEvict"] == 0.0
+        assert on["Denied"] > 0.0
+        assert on["Shed"] > 0.0
 
 
 class TestParallelEquality:
     def test_workers_2_report_is_byte_identical_to_serial(self):
-        serial = churn_storm.run_suite(MICRO, workers=1)
-        parallel = churn_storm.run_suite(MICRO, workers=2)
+        serial = churn_storm.run_suite(MICRO)
+        with get_executor(2) as pool:
+            parallel = churn_storm.run_suite(MICRO, pool)
+            # The grid goes out as one batch, so even one-trial cells
+            # reach the workers: this compares serial with parallel.
+            assert pool.pool_started
         assert [r.render() for r in serial] == [
             r.render() for r in parallel
         ]
 
 
 class TestCli:
-    def canned(self, tag):
-        return [
-            ExperimentResult(
-                experiment_id="storm_grid",
-                title=f"canned {tag}",
-                columns=("A",),
-                rows=((1.0,),),
-            )
-        ]
-
     def test_verify_parallel_passes_on_identical_reports(
         self, monkeypatch, capsys
     ):
         monkeypatch.setattr(
-            churn_storm,
-            "run_suite",
-            lambda profile, workers=1, **kw: self.canned("x"),
+            churn_storm, "run_suite", canned_suite("storm_grid", "canned x")
         )
         assert churn_storm.main(
             ["--profile", "smoke", "--workers", "2", "--verify-parallel"]
@@ -166,13 +153,7 @@ class TestCli:
     def test_verify_parallel_fails_on_divergent_reports(
         self, monkeypatch, capsys
     ):
-        monkeypatch.setattr(
-            churn_storm,
-            "run_suite",
-            lambda profile, workers=1, **kw: self.canned(
-                f"workers={workers}"
-            ),
-        )
+        monkeypatch.setattr(churn_storm, "run_suite", canned_suite("storm_grid"))
         assert churn_storm.main(
             ["--profile", "smoke", "--workers", "2", "--verify-parallel"]
         ) == 1
@@ -184,9 +165,7 @@ class TestCli:
 
     def test_output_file_written(self, monkeypatch, tmp_path):
         monkeypatch.setattr(
-            churn_storm,
-            "run_suite",
-            lambda profile, workers=1, **kw: self.canned("x"),
+            churn_storm, "run_suite", canned_suite("storm_grid", "canned x")
         )
         target = tmp_path / "storm.txt"
         assert churn_storm.main(["--output", str(target)]) == 0

@@ -13,21 +13,9 @@ import pytest
 
 from repro.core.params import ProtocolParams
 from repro.experiments import packet_loss, policy_comparison
-from repro.experiments.profiles import Profile
-from repro.experiments.runner import ExperimentResult
-
-MICRO = Profile(
-    name="micro",
-    duration=120.0,
-    warmup=30.0,
-    trials=1,
-    network_sizes=(60,),
-    reference_size=60,
-    cache_sizes=(5, 20),
-    ping_intervals=(15.0, 120.0),
-    baseline_queries=60,
-    max_extent=60,
-)
+from repro.experiments.executor import get_executor
+from repro.experiments.runner import ExperimentResult, run_sweep
+from tests.experiments.helpers import MICRO, canned_suite, pinned
 
 
 def grid_cells(grid: ExperimentResult) -> dict:
@@ -37,7 +25,10 @@ def grid_cells(grid: ExperimentResult) -> dict:
 class TestSuiteShape:
     @pytest.fixture(scope="class")
     def results(self):
-        return packet_loss.run_suite(MICRO)
+        return pinned(
+            packet_loss.run_suite(MICRO),
+            "1dedc5d1349525b2cb3e3599f3a0e9ed86b4df87b5f2229523eddb50500bbec6",
+        )
 
     def test_ids(self, results):
         assert [r.experiment_id for r in results] == [
@@ -97,40 +88,35 @@ class TestBaselineAnchor:
     def test_fault_free_cell_reproduces_fig9_random_numbers(self):
         """loss=0, retries=0 shares seed 0x909 and the default protocol
         with the fig9 Random cell — the numbers must match exactly."""
-        cell = packet_loss._measure_cell(MICRO, 0.0, 0)
+        anchor = {(0.0, 0): packet_loss.cells(MICRO)[(0.0, 0)]}
+        cell = run_sweep(anchor, packet_loss.METRICS)[(0.0, 0)]
         baseline = policy_comparison._measure(
             MICRO, ProtocolParams(), packet_loss.BASE_SEED
         )
-        assert cell["probes"] == baseline["total"]
-        assert cell["dead"] == baseline["dead"]
-        assert cell["satisfied"] == pytest.approx(1.0 - baseline["unsat"])
+        assert cell["Probes/Query"] == baseline["total"]
+        assert cell["DeadIPs/Query"] == baseline["dead"]
+        assert cell["Satisfied"] == pytest.approx(1.0 - baseline["unsat"])
 
 
 class TestParallelEquality:
     def test_workers_2_report_is_byte_identical_to_serial(self):
-        serial = packet_loss.run_suite(MICRO, workers=1)
-        parallel = packet_loss.run_suite(MICRO, workers=2)
+        serial = packet_loss.run_suite(MICRO)
+        with get_executor(2) as pool:
+            parallel = packet_loss.run_suite(MICRO, pool)
+            # The grid goes out as one batch, so even one-trial cells
+            # reach the workers: this compares serial with parallel.
+            assert pool.pool_started
         assert [r.render() for r in serial] == [
             r.render() for r in parallel
         ]
 
 
 class TestCli:
-    def canned(self, tag):
-        return [
-            ExperimentResult(
-                experiment_id="loss_grid",
-                title=f"canned {tag}",
-                columns=("A",),
-                rows=((1.0,),),
-            )
-        ]
-
     def test_verify_parallel_passes_on_identical_reports(
         self, monkeypatch, capsys
     ):
         monkeypatch.setattr(
-            packet_loss, "run_suite", lambda profile, workers=1, **kw: self.canned("x")
+            packet_loss, "run_suite", canned_suite("loss_grid", "canned x")
         )
         assert packet_loss.main(
             ["--profile", "smoke", "--workers", "2", "--verify-parallel"]
@@ -141,11 +127,7 @@ class TestCli:
     def test_verify_parallel_fails_on_divergent_reports(
         self, monkeypatch, capsys
     ):
-        monkeypatch.setattr(
-            packet_loss,
-            "run_suite",
-            lambda profile, workers=1, **kw: self.canned(f"workers={workers}"),
-        )
+        monkeypatch.setattr(packet_loss, "run_suite", canned_suite("loss_grid"))
         assert packet_loss.main(
             ["--profile", "smoke", "--workers", "2", "--verify-parallel"]
         ) == 1
@@ -157,7 +139,7 @@ class TestCli:
 
     def test_output_file_written(self, monkeypatch, tmp_path):
         monkeypatch.setattr(
-            packet_loss, "run_suite", lambda profile, workers=1, **kw: self.canned("x")
+            packet_loss, "run_suite", canned_suite("loss_grid", "canned x")
         )
         target = tmp_path / "loss.txt"
         assert packet_loss.main(["--output", str(target)]) == 0

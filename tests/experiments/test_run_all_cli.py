@@ -49,10 +49,28 @@ class TestCoverage:
             "freshness_grid",
             "freshness_recovery",
         }
-        assert set(EXPERIMENT_SUITE) == paper | beyond_paper
+        ablations = {
+            f"ablation-{name}"
+            for name in (
+                "parallel", "backoff", "adaptive-search", "detection",
+                "selfish", "pongsize", "introprob",
+            )
+        }
+        assert set(EXPERIMENT_SUITE) == paper | beyond_paper | ablations
 
     def test_all_mapped_suites_exist(self):
         assert set(EXPERIMENT_SUITE.values()) <= set(SUITES)
+
+    def test_ablation_ids_map_to_ablations(self):
+        # The ids EXPERIMENTS.md and DESIGN.md §5 label their rows with.
+        assert resolve_suites(["ablation-backoff"]) == ["ablations"]
+        assert resolve_suites(["ablation-selfish", "fig8"]) == [
+            "ablations", "flexible_extent",
+        ]
+
+    def test_no_id_is_declared_twice(self):
+        declared = [i for _, ids in SUITES.values() for i in ids]
+        assert len(declared) == len(set(declared)) == len(EXPERIMENT_SUITE)
 
     def test_packet_loss_ids_map_to_packet_loss(self):
         assert resolve_suites(["loss_grid"]) == ["packet_loss"]

@@ -11,39 +11,42 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import (
+    ablations,
+    cache_freshness,
     cache_size,
     capacity,
     fairness,
     flexible_extent,
+    gossip_search,
     malicious,
     packet_loss,
     ping_interval,
     policy_comparison,
 )
-from repro.experiments.profiles import Profile
+from repro.experiments.run_all import SUITES
 from repro.observe.manifest import ManifestRecorder, activated
+from tests.experiments.helpers import MICRO, pinned
 
-MICRO = Profile(
-    name="micro",
-    duration=120.0,
-    warmup=30.0,
-    trials=1,
-    network_sizes=(60,),
-    reference_size=60,
-    cache_sizes=(5, 20),
-    ping_intervals=(15.0, 120.0),
-    baseline_queries=60,
-    max_extent=60,
-)
+
+def ids(results, suite: str) -> list:
+    """The results' experiment ids — exactly ``suite``'s registry row."""
+    if not isinstance(results, list):
+        results = [results]
+    found = [result.experiment_id for result in results]
+    assert found == list(SUITES[suite][1])
+    return found
 
 
 class TestCacheSizeSuite:
     @pytest.fixture(scope="class")
     def results(self):
-        return cache_size.run_suite(MICRO)
+        return pinned(
+            cache_size.run_suite(MICRO),
+            "7c33a0931d4978e96abb2ef7ac7efc01a7fddc32af77fd563dcdb0cdc16571b3",
+        )
 
     def test_ids(self, results):
-        assert [r.experiment_id for r in results] == [
+        assert ids(results, "cache_size") == [
             "table3", "fig3", "fig4", "fig5",
         ]
 
@@ -67,10 +70,13 @@ class TestCacheSizeSuite:
 class TestPingIntervalSuite:
     @pytest.fixture(scope="class")
     def results(self):
-        return ping_interval.run_suite(MICRO)
+        return pinned(
+            ping_interval.run_suite(MICRO),
+            "8bc27db0029d8c26b4612e509bed78be4b3ca2e6a3c500b29bada472059670b8",
+        )
 
     def test_ids(self, results):
-        assert [r.experiment_id for r in results] == ["fig6", "fig7"]
+        assert ids(results, "ping_interval") == ["fig6", "fig7"]
 
     def test_fig6_lcc_bounds(self, results):
         for label, points in results[0].series.items():
@@ -86,10 +92,13 @@ class TestPingIntervalSuite:
 class TestFlexibleExtentSuite:
     @pytest.fixture(scope="class")
     def result(self):
-        return flexible_extent.run_fig8(MICRO)
+        return pinned(
+            flexible_extent.run_fig8(MICRO),
+            "44037f951e589e3b20253c28a9fc362f92160cffc751e4fdea3ea4ad77ea633d",
+        )
 
     def test_id(self, result):
-        assert result.experiment_id == "fig8"
+        assert ids(result, "flexible_extent") == ["fig8"]
 
     def test_mechanisms_present(self, result):
         assert "FixedExtent(Gnutella)" in result.series
@@ -111,10 +120,13 @@ class TestFlexibleExtentSuite:
 class TestPolicyComparisonSuite:
     @pytest.fixture(scope="class")
     def results(self):
-        return policy_comparison.run_suite(MICRO)
+        return pinned(
+            policy_comparison.run_suite(MICRO),
+            "5032bf7ebe7eaa17f20df91b4a0dfa2877f6887557dcd802d953d805b9849e57",
+        )
 
     def test_ids(self, results):
-        assert [r.experiment_id for r in results] == [
+        assert ids(results, "policy_comparison") == [
             "fig9", "fig10", "fig11", "fig12",
         ]
 
@@ -141,10 +153,13 @@ class TestPolicyComparisonSuite:
 class TestFairnessSuite:
     @pytest.fixture(scope="class")
     def result(self):
-        return fairness.run_fig13(MICRO)
+        return pinned(
+            fairness.run_fig13(MICRO),
+            "343a85b1fdec58cd71e99d80647a29c92c4f9254826d71d23ff8fcc5ed753e66",
+        )
 
     def test_id(self, result):
-        assert result.experiment_id == "fig13"
+        assert ids(result, "fairness") == ["fig13"]
 
     def test_all_combos_present(self, result):
         expected = {f"{p}/{r}" for p, r in fairness.COMBOS}
@@ -166,10 +181,13 @@ class TestFairnessSuite:
 class TestCapacitySuite:
     @pytest.fixture(scope="class")
     def results(self):
-        return capacity.run_suite(MICRO)
+        return pinned(
+            capacity.run_suite(MICRO),
+            "21c828343a6a5c372d99bf789efe8316f8304a4411e0f5f505d5b38c838a53fc",
+        )
 
     def test_ids(self, results):
-        assert [r.experiment_id for r in results] == ["fig14", "fig15"]
+        assert ids(results, "capacity") == ["fig14", "fig15"]
 
     def test_fig14_grid_complete(self, results):
         rows = results[0].rows
@@ -184,10 +202,13 @@ class TestCapacitySuite:
 class TestMaliciousSuite:
     @pytest.fixture(scope="class")
     def results(self):
-        return malicious.run_suite(MICRO)
+        return pinned(
+            malicious.run_suite(MICRO),
+            "ec79df45785d1336ba13deb6e256f4ef8bf77e8051ef52e143afbbf0ea72bcfc",
+        )
 
     def test_ids(self, results):
-        assert [r.experiment_id for r in results] == [
+        assert ids(results, "malicious") == [
             "fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
         ]
 
@@ -225,10 +246,13 @@ class TestPacketLossSuite:
 
     @pytest.fixture(scope="class")
     def results(self, captured):
-        return captured[0]
+        return pinned(
+            captured[0],
+            "1dedc5d1349525b2cb3e3599f3a0e9ed86b4df87b5f2229523eddb50500bbec6",
+        )
 
     def test_ids(self, results):
-        assert [r.experiment_id for r in results] == [
+        assert ids(results, "packet_loss") == [
             "loss_grid", "loss_satisfaction",
         ]
 
@@ -269,3 +293,64 @@ class TestPacketLossSuite:
             assert all(digest for digest in entry["trace_digests"])
         # The whole manifest survives a JSON round-trip untouched.
         assert json.loads(json.dumps(manifest)) == manifest
+
+
+class TestCacheFreshnessSuite:
+    @pytest.fixture(scope="class")
+    def results(self):
+        return pinned(
+            cache_freshness.run_suite(MICRO),
+            "abfe331d57296d05599564adf887d5ec775088ce72ba43487e6695e682321bb3",
+        )
+
+    def test_ids(self, results):
+        assert ids(results, "cache_freshness") == [
+            "freshness_grid", "freshness_recovery",
+        ]
+
+    def test_grid_complete(self, results):
+        assert [(row[0], row[1]) for row in results[0].rows] == [
+            (fraction, mode)
+            for mode in cache_freshness.MODES
+            for fraction in cache_freshness.STORM_FRACTIONS
+        ]
+
+
+class TestGossipSearchSuite:
+    @pytest.fixture(scope="class")
+    def results(self):
+        return pinned(
+            gossip_search.run_suite(MICRO),
+            "7d849a9f515cdcaf1cfc509b4701e9e1df20b297b423a0a3af5a6bb54c269ef2",
+        )
+
+    def test_ids(self, results):
+        assert ids(results, "gossip_search") == [
+            "gossip_compare", "gossip_faulty",
+        ]
+
+    def test_only_simulated_rows_report_cache_health(self, results):
+        for label, *_, dead, live in results[0].rows:
+            assert (dead == "-") == (live == "-") == (
+                not label.startswith("guess")
+            )
+
+
+class TestAblationsSuite:
+    @pytest.fixture(scope="class")
+    def results(self):
+        return pinned(
+            ablations.run_suite(MICRO),
+            "5c603a8e39f4e8ee6bf10a8cf72c80d5328a553f55f276648dd9e11cd2de31f2",
+        )
+
+    def test_ids(self, results):
+        assert ids(results, "ablations") == [
+            "ablation-parallel",
+            "ablation-backoff",
+            "ablation-adaptive-search",
+            "ablation-detection",
+            "ablation-selfish",
+            "ablation-pongsize",
+            "ablation-introprob",
+        ]

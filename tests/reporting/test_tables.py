@@ -14,6 +14,8 @@ class TestRenderCellTiers:
             (True, "yes"),
             (False, "no"),
             (float("nan"), "nan"),
+            (float("inf"), "inf"),  # time-to-recovery of a trial that never did
+            (float("-inf"), "-inf"),
             (3.0, "3"),  # integral float collapses to int text
             (-7.0, "-7"),
             (1e12, "1000000000000.0"),  # too big to trust int collapse

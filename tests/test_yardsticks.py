@@ -57,6 +57,37 @@ def test_protocol_is_assigned_at_construction_only():
     }
 
 
+def test_experiments_are_declarations():
+    # Ceilings may only be lowered: a suite is constants, ``cells`` and
+    # a metrics mapping on the one runner (ROADMAP item 6(c)).
+    experiments = SRC / "experiments"
+    assert sum(line_count(p) for p in experiments.glob("*.py")) <= 4440
+    grids = ("packet_loss", "churn_storm", "cache_freshness", "gossip_search")
+    assert sum(line_count(experiments / f"{g}.py") for g in grids) <= 915
+
+
+def test_suites_take_one_executor():
+    # ``workers=`` and ``executor=`` were two spellings of one argument:
+    # a suite is handed an executor, and only the CLIs build one.
+    signatures = [
+        signature
+        for path in sorted(SRC.rglob("*.py"))
+        for signature in re.findall(
+            r"def run_suite\((.*?)\)", path.read_text(encoding="utf-8"), re.S
+        )
+    ]
+    assert len(signatures) == 12
+    assert not [s for s in signatures if "workers" in s]
+    builders = {
+        path.name
+        for path in (SRC / "experiments").glob("*.py")
+        if re.search(
+            r"(?<!def )get_executor\(", path.read_text(encoding="utf-8")
+        )
+    }
+    assert builders == {"runner.py", "run_all.py"}
+
+
 def test_simulation_keyword_arguments():
     parameters = inspect.signature(GuessSimulation.__init__).parameters
     # Ceiling may only be lowered; self, system and protocol are not kwargs.
