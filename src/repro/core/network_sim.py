@@ -863,14 +863,9 @@ class GuessSimulation:
         self._reported = True
         registry = self.metrics_registry
         if registry is not None:
-            # Scheduler hygiene telemetry (satisfies the invisibility
-            # contract trivially: gauges are read-and-set after the run).
+            # Queue depth at the end of the run (satisfies the invisibility
+            # contract trivially: the gauge is read-and-set after the run).
             registry.gauge("engine_pending").set(self.engine.pending)
-            registry.gauge("engine_tombstones").set(self.engine.tombstones)
-            registry.gauge("engine_cancelled_ratio").set(
-                self.engine.cancelled_ratio
-            )
-            registry.gauge("engine_compactions").set(self.engine.compactions)
         for peer in self._store.values():
             self._harvest(peer)
         self.collector.record_transport(

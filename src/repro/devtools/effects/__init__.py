@@ -9,7 +9,7 @@ per-function effect set from a six-element lattice —
 Effect    Meaning
 ========  =====================================================
 RNG_DRAW       draws from (or derives seeds for) a random stream
-SCHEDULE       inserts/cancels/executes engine events
+SCHEDULE       inserts/executes engine events
 WALLCLOCK      reads the host clock
 FILE_IO        touches the filesystem
 UNORDERED_ITER iterates a set where order feeds a decision

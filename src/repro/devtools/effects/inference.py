@@ -38,7 +38,6 @@ INTRINSIC_EFFECTS: Mapping[str, FrozenSet[Effect]] = {
     "repro.sim.engine.Simulator.step": frozenset({Effect.SCHEDULE}),
     "repro.sim.engine.Simulator.run_until": frozenset({Effect.SCHEDULE}),
     "repro.sim.engine.Simulator.run_all": frozenset({Effect.SCHEDULE}),
-    "repro.sim.engine.EventHandle.cancel": frozenset({Effect.SCHEDULE}),
 }
 
 

@@ -507,7 +507,7 @@ class EngineHeapMutationVisitor(_ImportTracker):
                     RD005, node,
                     f"direct access to engine internal `.{node.attr}` "
                     "bypasses schedule()'s (time, priority, seq) ordering "
-                    "invariant; use schedule()/schedule_after()/cancel()",
+                    "invariant; use schedule()/schedule_after()",
                 )
             elif node.attr == ENGINE_CLOCK_ATTR and isinstance(
                 node.ctx, (ast.Store, ast.Del)

@@ -250,6 +250,22 @@ class TrialExecutor(ABC):
         self.close()
 
 
+def profiled_batch(run: Callable[[], List[Any]], size: int) -> List[Any]:
+    """``run()``, timed for the active profiler (if any) as one batch of ``size``.
+
+    Every executor's ``map`` dispatches through this; a batch that raises
+    is not recorded.
+    """
+    profiler = active_profiler()
+    if profiler is None:
+        return run()
+    started = time.perf_counter()  # repro: allow-wallclock (profiling)
+    results = run()
+    elapsed = time.perf_counter() - started  # repro: allow-wallclock
+    profiler.record_batch(size, elapsed)
+    return results
+
+
 class SerialTrialExecutor(TrialExecutor):
     """Run work items one after another in the calling process."""
 
@@ -260,15 +276,8 @@ class SerialTrialExecutor(TrialExecutor):
         fn: Callable[[_Item], Any],
         items: Iterable[_Item],
     ) -> List[Any]:
-        profiler = active_profiler()
-        if profiler is None:
-            return [fn(item) for item in items]
-        batch = list(items)
-        started = time.perf_counter()  # repro: allow-wallclock (profiling)
-        results = [fn(item) for item in batch]
-        elapsed = time.perf_counter() - started  # repro: allow-wallclock
-        profiler.record_batch(len(batch), elapsed)
-        return results
+        items = list(items)
+        return profiled_batch(lambda: [fn(item) for item in items], len(items))
 
 
 class ProcessTrialExecutor(TrialExecutor):
@@ -322,15 +331,8 @@ class ProcessTrialExecutor(TrialExecutor):
         items: Iterable[_Item],
     ) -> List[Any]:
         items = list(items)
-        profiler = active_profiler()
         if len(items) <= 1 or self.workers == 1:
-            if profiler is None:
-                return [fn(item) for item in items]
-            started = time.perf_counter()  # repro: allow-wallclock (profiling)
-            results = [fn(item) for item in items]
-            elapsed = time.perf_counter() - started  # repro: allow-wallclock
-            profiler.record_batch(len(items), elapsed)
-            return results
+            return profiled_batch(lambda: [fn(item) for item in items], len(items))
         pool = self._ensure_pool()
         # Executor.map preserves input order regardless of which worker
         # finishes first — the trial-order-stability guarantee.  Any
@@ -340,13 +342,7 @@ class ProcessTrialExecutor(TrialExecutor):
         # mid-iteration error would leave queued work running with no
         # one reading the results.
         try:
-            if profiler is None:
-                return list(pool.map(fn, items))
-            started = time.perf_counter()  # repro: allow-wallclock (profiling)
-            results = list(pool.map(fn, items))
-            elapsed = time.perf_counter() - started  # repro: allow-wallclock
-            profiler.record_batch(len(items), elapsed)
-            return results
+            return profiled_batch(lambda: list(pool.map(fn, items)), len(items))
         except BaseException:
             self._discard_pool()
             raise

@@ -308,9 +308,10 @@ def main(argv: List[str] | None = None) -> int:
                     )
                     supervised.close()
                     return 2
+            journaled = len(supervised.journal)
             print(
                 f"resuming from {checkpoint_dir}: "
-                f"{len(supervised.journal)} trial(s) already journaled"
+                f"{journaled} trial(s) already journaled"
             )
 
     blocks: List[str] = [
@@ -410,6 +411,13 @@ def main(argv: List[str] | None = None) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
+    if args.resume is not None:
+        ignored = len(supervised.journal.unmatched)
+        print(
+            f"resumed from {checkpoint_dir}: {journaled - ignored} journaled "
+            f"trial(s) reused, {ignored} matched no trial of this run and "
+            "were ignored (other flags, or a journal from another version?)"
+        )
     if recorder is not None:
         manifest = recorder.build(
             profile=profile.name,

@@ -60,8 +60,7 @@ from hashlib import sha256
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional
 
 from repro.errors import ConfigError, ExecutionError, TrialFailure
-from repro.experiments.executor import TrialExecutor, execute_trial
-from repro.observe.profiler import active_profiler
+from repro.experiments.executor import TrialExecutor, execute_trial, profiled_batch
 
 #: Journal filename used by ``run_all --supervise`` inside its
 #: checkpoint directory (gitignored via the ``*.journal.jsonl`` pattern).
@@ -132,6 +131,9 @@ class TrialJournal:
         self._digests: Dict[str, Optional[str]] = {}
         if resume:
             self._load()
+        #: Fingerprints loaded on resume that no :meth:`lookup` has asked
+        #: for: all of them, if the journal was written under other flags.
+        self.unmatched = set(self._cache)
         self._handle = open(self.path, "a" if resume else "w",
                             encoding="utf-8")
 
@@ -167,6 +169,7 @@ class TrialJournal:
 
     def lookup(self, fingerprint: str) -> Any:
         """The journaled report for ``fingerprint``, or the miss sentinel."""
+        self.unmatched.discard(fingerprint)
         return self._cache.get(fingerprint, _MISS)
 
     def _append(self, entry: dict) -> None:
@@ -359,14 +362,7 @@ class SupervisedTrialExecutor(TrialExecutor):
         :class:`SweepInterrupted` if a stop request left items undone.
         """
         items = list(items)
-        profiler = active_profiler()
-        if profiler is None:
-            return self._supervised(fn, items)
-        started = time.perf_counter()  # repro: allow-wallclock (profiling)
-        results = self._supervised(fn, items)
-        elapsed = time.perf_counter() - started  # repro: allow-wallclock
-        profiler.record_batch(len(items), elapsed)
-        return results
+        return profiled_batch(lambda: self._supervised(fn, items), len(items))
 
     def _supervised(self, fn: Callable, items: List[Any]) -> List[Any]:
         results: List[Any] = [_PENDING] * len(items)

@@ -25,6 +25,7 @@ if TYPE_CHECKING:  # annotation-only: a runtime import would close the
     # baselines → metrics → core → metrics cycle.
     from repro.core.search import QueryResult
 
+from repro.errors import ConfigError
 from repro.metrics.load import LoadDistribution
 from repro.metrics.summary import mean, ratio
 from repro.network.address import Address
@@ -151,7 +152,7 @@ class MetricsCollector:
         satisfaction_window: Optional[float] = None,
     ) -> None:
         if warmup < 0:
-            raise ValueError(f"warmup must be >= 0, got {warmup}")
+            raise ConfigError(f"warmup must be >= 0, got {warmup}")
         self.warmup = float(warmup)
         self.keep_queries = bool(keep_queries)
         self._agg = _QueryAggregate()

@@ -1,9 +1,10 @@
 """Discrete-event simulation substrate.
 
 This subpackage is the simulator the paper's authors built in-house: a
-deterministic event heap (:mod:`repro.sim.engine`), typed event records
+deterministic event heap (:mod:`repro.sim.engine` over the queue in
+:mod:`repro.sim.wheel`), the priority classes that break same-time ties
 (:mod:`repro.sim.events`), named seeded random streams
-(:mod:`repro.sim.rng`), and per-second sliding-window counters used to model
+(:mod:`repro.sim.rng`), and the per-second bucket counter that models
 ``MaxProbesPerSecond`` capacity limits (:mod:`repro.sim.windows`).
 
 The kernel is intentionally tiny and dependency-free; everything above it
@@ -11,17 +12,15 @@ The kernel is intentionally tiny and dependency-free; everything above it
 """
 
 from repro.sim.engine import Engine, Simulator, TraceHasher
-from repro.sim.events import Event, EventPriority
+from repro.sim.events import EventPriority
 from repro.sim.rng import RngRegistry
-from repro.sim.windows import BucketedRateLimiter, SlidingWindowCounter
+from repro.sim.windows import BucketedRateLimiter
 
 __all__ = [
     "Simulator",
     "Engine",
     "TraceHasher",
-    "Event",
     "EventPriority",
     "RngRegistry",
-    "SlidingWindowCounter",
     "BucketedRateLimiter",
 ]

@@ -1,17 +1,17 @@
 """A deterministic discrete-event simulation engine.
 
-The engine is a priority queue of :class:`~repro.sim.events.Event`
-records held in a binary heap (:class:`repro.sim.wheel.HeapScheduler`).
-The engine guarantees:
+An event is the tuple ``(time, priority, seq, action, label, args)``;
+the engine pushes it on a binary heap
+(:class:`repro.sim.wheel.HeapScheduler`), pops it and calls
+``action(*args)``.  The engine guarantees:
 
 * events fire in nondecreasing time order;
 * same-time events fire in ``priority`` order, then scheduling order;
 * the clock never moves backwards, and scheduling into the past raises
   :class:`~repro.errors.SimulationError`;
-* cancelled events are skipped lazily (tombstoning), so cancellation is
-  O(1) and does not disturb the queue — and when tombstones outnumber
-  live events the scheduler compacts, so mass cancellation never grows
-  the queue unboundedly.
+* a scheduled event always fires: ``schedule`` returns nothing to revoke
+  it with.  A handler whose subject may be gone by then (a dead peer's
+  next ping) checks when it fires and returns — DESIGN.md §10.
 
 The engine knows nothing about peers or protocols — higher layers schedule
 plain callbacks.  This mirrors how the paper's custom simulator is described
@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.errors import SimulationError
 from repro.sim.events import EventPriority
-from repro.sim.wheel import HeapScheduler
+from repro.sim.wheel import HeapScheduler, QueueItem
 
 
 class TraceHasher:
@@ -69,72 +69,6 @@ class TraceHasher:
     def digest(self) -> str:
         """Hex digest of the trace so far (non-destructive snapshot)."""
         return self._hash.copy().hexdigest()
-
-
-class EventHandle:
-    """A scheduled event and its cancellation handle.
-
-    The handle *is* the event record on the hot path: it carries the
-    ``(time, priority, seq)`` sort key, the callback, and the lifecycle
-    flags in one ``__slots__`` object, so scheduling allocates a single
-    object (plus the queue's key tuple) per event.  The equivalent
-    :class:`~repro.sim.events.Event` dataclass remains the documented
-    record format.
-
-    Cancellation is lazy: the event stays in the queue but is skipped
-    when popped.  ``active`` reports whether the event may still fire.
-    """
-
-    __slots__ = (
-        "time",
-        "priority",
-        "seq",
-        "action",
-        "label",
-        "args",
-        "_queue",
-        "_cancelled",
-        "_fired",
-    )
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        action: Callable[..., Any],
-        label: str,
-        args: tuple,
-        queue: Any = None,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.action = action
-        self.label = label
-        self.args = args
-        self._queue = queue
-        self._cancelled = False
-        self._fired = False
-
-    @property
-    def active(self) -> bool:
-        """True while the event is pending (not cancelled, not fired)."""
-        return not (self._cancelled or self._fired)
-
-    def cancel(self) -> bool:
-        """Prevent the event from firing.
-
-        Returns:
-            True if the event was pending and is now cancelled; False if it
-            had already fired or was already cancelled.
-        """
-        if not self.active:
-            return False
-        self._cancelled = True
-        if self._queue is not None:
-            self._queue.note_cancel()
-        return True
 
 
 class Simulator:
@@ -191,28 +125,13 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events still queued, including unpruned tombstones."""
+        """Number of events still queued."""
         return len(self._queue)
 
     @property
     def scheduler(self) -> str:
         """Name of the event-queue structure (``"heap"``)."""
         return self._queue.name
-
-    @property
-    def tombstones(self) -> int:
-        """Cancelled events still occupying queue slots (hygiene telemetry)."""
-        return self._queue.tombstones
-
-    @property
-    def compactions(self) -> int:
-        """Tombstone compaction passes the scheduler has performed."""
-        return self._queue.compactions
-
-    @property
-    def cancelled_ratio(self) -> float:
-        """Fraction of pending queue slots held by tombstones."""
-        return self._queue.cancelled_ratio
 
     @property
     def trace_digest(self) -> Optional[str]:
@@ -235,7 +154,7 @@ class Simulator:
         priority: EventPriority = EventPriority.PROTOCOL,
         label: str = "",
         args: tuple = (),
-    ) -> EventHandle:
+    ) -> None:
         """Schedule ``action`` to run at absolute time ``time``.
 
         Args:
@@ -245,11 +164,9 @@ class Simulator:
                 rather than wrapping the call in a lambda, which avoids
                 allocating a closure (and its cell variables) per event.
             priority: tie-break class for same-time events.
-            label: diagnostic tag.
-            args: positional arguments for ``action``.
-
-        Returns:
-            An :class:`EventHandle` usable to cancel the event.
+            label: diagnostic tag, folded into the trace digest.
+            args: positional arguments for ``action``; never part of the
+                ordering or the trace digest.
 
         Raises:
             SimulationError: if ``time`` precedes the current clock.
@@ -260,11 +177,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(
-            float(time), int(priority), seq, action, label, args, self._queue
-        )
-        self._queue.push((handle.time, handle.priority, seq, handle))
-        return handle
+        self._queue.push((float(time), int(priority), seq, action, label, args))
 
     def schedule_after(
         self,
@@ -274,7 +187,7 @@ class Simulator:
         priority: EventPriority = EventPriority.PROTOCOL,
         label: str = "",
         args: tuple = (),
-    ) -> EventHandle:
+    ) -> None:
         """Schedule ``action`` to run ``delay`` seconds from now.
 
         Raises:
@@ -282,7 +195,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.schedule(
+        self.schedule(
             self._now + delay, action, priority=priority, label=label, args=args
         )
 
@@ -290,28 +203,25 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
 
-    def _fire(self, handle: EventHandle) -> None:
-        """Advance the clock to ``handle`` and execute it (internal)."""
-        self._now = handle.time
-        handle._fired = True
+    def _fire(self, item: QueueItem) -> None:
+        """Advance the clock to ``item`` and execute it (internal)."""
+        when, priority, seq, action, label, args = item
+        self._now = when
         self._events_executed += 1
         if self._tracer is not None:
-            self._tracer.fold(
-                handle.time, handle.priority, handle.seq, handle.label
-            )
-        handle.action(*handle.args)
+            self._tracer.fold(when, priority, seq, label)
+        action(*args)
 
     def step(self) -> bool:
         """Fire the single next pending event.
 
         Returns:
-            True if an event fired; False if the queue was empty (after
-            discarding tombstones).
+            True if an event fired; False if the queue was empty.
         """
-        handle = self._queue.pop_next(float("inf"))
-        if handle is None:
+        item = self._queue.pop_next(float("inf"))
+        if item is None:
             return False
-        self._fire(handle)
+        self._fire(item)
         return True
 
     def run_until(self, end_time: float) -> int:
@@ -345,10 +255,10 @@ class Simulator:
         fire = self._fire
         try:
             while True:
-                handle = pop_next(end_time)
-                if handle is None:
+                item = pop_next(end_time)
+                if item is None:
                     break
-                fire(handle)
+                fire(item)
                 executed += 1
         finally:
             self._running = False

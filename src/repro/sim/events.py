@@ -1,4 +1,4 @@
-"""Event records for the discrete-event engine.
+"""Priority classes of the discrete-event engine.
 
 Events are ordered by ``(time, priority, seq)``.  The sequence number is a
 monotonically increasing tie-breaker assigned by the engine, which makes the
@@ -9,8 +9,6 @@ order — a property the reproducibility tests rely on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable
 
 
 class EventPriority(enum.IntEnum):
@@ -31,35 +29,3 @@ class EventPriority(enum.IntEnum):
     @classmethod
     def default(cls) -> "EventPriority":
         return cls.PROTOCOL
-
-
-@dataclass(frozen=True, slots=True)
-class Event:
-    """A scheduled callback.
-
-    Attributes:
-        time: simulation timestamp (seconds) at which the event fires.
-        priority: tie-break class for same-time events.
-        seq: engine-assigned monotone sequence number (scheduling order).
-        action: callable executed when the event fires; invoked as
-            ``action(*args)``.
-        label: human-readable tag used in engine traces and error messages.
-        args: positional arguments passed to ``action``.  Passing a bound
-            method plus ``args`` instead of a fresh closure keeps the hot
-            scheduling paths free of per-event cell allocations; ``args``
-            never participates in ordering or the trace digest.
-    """
-
-    time: float
-    priority: EventPriority
-    seq: int
-    action: Callable[..., Any] = field(compare=False)
-    label: str = field(default="", compare=False)
-    args: tuple = field(default=(), compare=False)
-
-    def sort_key(self) -> tuple[float, int, int]:
-        """Total ordering used by the engine's heap."""
-        return (self.time, int(self.priority), self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()

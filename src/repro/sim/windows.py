@@ -1,105 +1,14 @@
-"""Per-second sliding-window counters.
+"""Per-second capacity accounting.
 
 GUESS peers refuse probes once they have processed ``MaxProbesPerSecond``
 probes within a one-second window (paper Section 5/6.3).  The simulator
 timestamps every probe, so capacity accounting reduces to "how many events
-landed in the last second?".
-
-:class:`SlidingWindowCounter` keeps a deque of event timestamps no older
-than the window and answers both *query* ("would one more event exceed the
-limit?") and *record* operations in amortised O(1).
+landed in this second?" — :class:`BucketedRateLimiter`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque
-
 from repro.errors import ConfigError
-
-
-class SlidingWindowCounter:
-    """Counts events inside a trailing time window.
-
-    Args:
-        window: window length in seconds (must be > 0).
-        limit: maximum number of events allowed inside the window; ``None``
-            means unlimited (the counter still counts, never refuses).
-
-    The counter requires timestamps to be fed in nondecreasing order, which
-    the event engine guarantees.
-    """
-
-    __slots__ = ("window", "limit", "_times", "_total")
-
-    def __init__(self, window: float = 1.0, limit: int | None = None) -> None:
-        if window <= 0:
-            raise ConfigError(f"window must be > 0, got {window}")
-        if limit is not None and limit < 0:
-            raise ConfigError(f"limit must be >= 0 or None, got {limit}")
-        self.window = float(window)
-        self.limit = limit
-        self._times: Deque[float] = deque()
-        self._total = 0
-
-    def _expire(self, now: float) -> None:
-        cutoff = now - self.window
-        times = self._times
-        while times and times[0] <= cutoff:
-            times.popleft()
-
-    def count(self, now: float) -> int:
-        """Number of recorded events with timestamp in ``(now - window, now]``."""
-        self._expire(now)
-        return len(self._times)
-
-    def would_exceed(self, now: float) -> bool:
-        """True if recording one more event at ``now`` would break the limit."""
-        if self.limit is None:
-            return False
-        return self.count(now) + 1 > self.limit
-
-    def record(self, now: float) -> None:
-        """Record one event at timestamp ``now``.
-
-        Timestamps must be nondecreasing; feeding an older timestamp raises
-        :class:`~repro.errors.ConfigError` since it would silently corrupt
-        the window.
-        """
-        if self._times and now < self._times[-1]:
-            raise ConfigError(
-                f"timestamps must be nondecreasing: got {now} after {self._times[-1]}"
-            )
-        self._expire(now)
-        self._times.append(now)
-        self._total += 1
-
-    def try_record(self, now: float) -> bool:
-        """Record the event unless it would exceed the limit.
-
-        Returns:
-            True if the event was admitted, False if it was refused.
-        """
-        if self.would_exceed(now):
-            return False
-        self.record(now)
-        return True
-
-    @property
-    def total(self) -> int:
-        """Lifetime number of admitted events (ignores the window)."""
-        return self._total
-
-    def reset(self) -> None:
-        """Forget all recorded events (lifetime total included)."""
-        self._times.clear()
-        self._total = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SlidingWindowCounter(window={self.window}, limit={self.limit}, "
-            f"in_window={len(self._times)}, total={self._total})"
-        )
 
 
 class BucketedRateLimiter:

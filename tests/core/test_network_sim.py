@@ -159,6 +159,10 @@ class TestQueriesAndMetrics:
         with pytest.raises(ConfigError, match="health_sample_interval"):
             small_sim(health_sample_interval=interval)
 
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ConfigError, match="warmup"):
+            small_sim(warmup=-1.0)
+
     def test_report_only_once(self):
         sim = small_sim()
         sim.run(100.0)

@@ -113,7 +113,7 @@ class TestResolution:
 
     def test_ambiguous_names_never_fall_back(self):
         # `cancel` is on the blocklist: concurrent.futures.Future.cancel
-        # would otherwise be mistaken for EventHandle.cancel.
+        # would otherwise be mistaken for a program class's own `cancel`.
         assert "cancel" in AMBIGUOUS_METHOD_NAMES
         program = program_of(
             {

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 
+from repro.experiments.profiles import PROFILES
 from repro.experiments.run_all import main
 from repro.experiments.supervisor import (
     JOURNAL_FILENAME,
     PARTIAL_MANIFEST_FILENAME,
 )
 from repro.observe.manifest import load_manifest, verify_manifest, write_manifest
+from tests.experiments.helpers import MICRO
 
 
 def _digests(manifest: dict) -> list:
@@ -133,10 +135,45 @@ class TestMain:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert f"resuming from {checkpoint}" in out
+        assert f"resuming from {checkpoint}: 2 trial(s) already journaled" in out
+        assert (
+            f"resumed from {checkpoint}: 2 journaled trial(s) reused, "
+            "0 matched no trial of this run"
+        ) in out
         assert _digests(load_manifest(resumed_manifest)) == _digests(
             load_manifest(fresh_manifest)
         )
+
+    def test_resume_says_when_the_journal_matches_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A journal written under one profile is useless under another:
+        # every fingerprint misses and every trial re-runs.  That has to
+        # be a message, not silence.
+        monkeypatch.setitem(PROFILES, "micro", MICRO)
+        checkpoint = tmp_path / "ckpt"
+        code = main([
+            "--profile", "micro",
+            "--only", "fig8",
+            "--supervise",
+            "--checkpoint-dir", str(checkpoint),
+            "--no-manifest",
+        ])
+        assert code == 0
+        capsys.readouterr()
+        code = main([
+            "--profile", "smoke",
+            "--only", "fig8",
+            "--resume", str(checkpoint),
+            "--no-manifest",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"resuming from {checkpoint}: 2 trial(s) already journaled" in out
+        assert (
+            f"resumed from {checkpoint}: 0 journaled trial(s) reused, "
+            "2 matched no trial of this run and were ignored"
+        ) in out
 
     def test_resume_refuses_contradicting_partial_manifest(
         self, tmp_path, capsys

@@ -193,8 +193,8 @@ class TestWindowSnapshot:
 
 
 class TestSchedulerHygieneGauges:
-    """``GuessSimulation.report()`` exports the engine's tombstone
-    telemetry into the registry."""
+    """``GuessSimulation.report()`` exports the engine's queue depth
+    into the registry."""
 
     def test_report_sets_engine_gauges(self):
         from repro.core.network_sim import GuessSimulation
@@ -210,8 +210,4 @@ class TestSchedulerHygieneGauges:
         sim.run(60.0)
         sim.report()
         totals = sim.metrics_registry.snapshot()
-        assert totals["engine_pending"] == sim.engine.pending
-        assert totals["engine_tombstones"] == sim.engine.tombstones
-        assert totals["engine_cancelled_ratio"] == sim.engine.cancelled_ratio
-        assert totals["engine_compactions"] == sim.engine.compactions
-        assert 0.0 <= totals["engine_cancelled_ratio"] <= 1.0
+        assert totals["engine_pending"] == sim.engine.pending > 0

@@ -40,24 +40,6 @@ def test_clock_is_monotone(event_times):
     assert observed == sorted(observed)
 
 
-@given(
-    st.lists(st.tuples(times, st.booleans()), max_size=40),
-)
-@settings(max_examples=60)
-def test_cancellation_exactly_removes_cancelled(schedule):
-    sim = Simulator()
-    fired = []
-    expected = []
-    for index, (time, cancel) in enumerate(schedule):
-        handle = sim.schedule(time, lambda i=index: fired.append(i))
-        if cancel:
-            handle.cancel()
-        else:
-            expected.append(index)
-    sim.run_until(1e6 + 1)
-    assert sorted(fired) == expected
-
-
 @given(st.lists(times, max_size=30), times)
 @settings(max_examples=60)
 def test_horizon_partition(event_times, horizon):

@@ -3,10 +3,10 @@
 The engine's contract is that events fire in ``(time, priority, seq)``
 order.  The golden-digest pins prove it for specific protocol runs;
 these properties prove it for adversarial schedules hypothesis invents —
-same-instant ties, far-future times, cancellations past the queue's
-compaction threshold, and events that schedule more events (including at
-the current instant) — by comparing the engine with an oracle that
-shares no code with it: a plain list of pending keys and ``min()``.
+same-instant ties, far-future times, and events that schedule more
+events (including at the current instant) — by comparing the engine with
+an oracle that shares no code with it: a plain list of pending keys and
+``min()``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ times = st.one_of(
 )
 priorities = st.sampled_from(list(EventPriority))
 
-#: One scheduled event: (time, priority, cancel it before it fires?).
-events = st.tuples(times, priorities, st.booleans())
+#: One scheduled event: (time, priority).
+events = st.tuples(times, priorities)
 
 
 def run_schedule(schedule, followups):
@@ -39,7 +39,7 @@ def run_schedule(schedule, followups):
     ``fired`` is the ``(time, priority, seq)`` of each event in the order
     the engine ran it; ``expected`` is what the oracle says should have
     run at that step — the minimum key among the events that were
-    scheduled, not cancelled and not yet fired at that moment;
+    scheduled and not yet fired at that moment;
     ``leftover`` is what the oracle still holds when the engine stops.
 
     ``followups`` drives the dynamic part: event *i* reschedules itself
@@ -53,13 +53,11 @@ def run_schedule(schedule, followups):
     fired = []
     expected = []
 
-    def add(time, priority, index, depth, cancel=False):
-        handle = sim.schedule(time, action, priority=priority, args=(index, depth))
-        keys[index, depth] = (handle.time, handle.priority, handle.seq)
-        if cancel:
-            handle.cancel()
-        else:
-            pending.append(keys[index, depth])
+    def add(time, priority, index, depth):
+        # The engine numbers events in scheduling order, starting at 0.
+        keys[index, depth] = (float(time), int(priority), len(keys))
+        sim.schedule(time, action, priority=priority, args=(index, depth))
+        pending.append(keys[index, depth])
 
     def action(index, depth):
         fired.append(keys[index, depth])
@@ -77,8 +75,8 @@ def run_schedule(schedule, followups):
                 depth + 1,
             )
 
-    for index, (time, priority, cancel) in enumerate(schedule):
-        add(time, priority, index, 0, cancel)
+    for index, (time, priority) in enumerate(schedule):
+        add(time, priority, index, 0)
     sim.run_until(math.inf)
     return fired, expected, pending
 
@@ -96,35 +94,12 @@ def test_each_fired_event_is_the_pending_minimum(schedule, followups):
 
 @given(st.lists(events, max_size=60))
 @settings(max_examples=80, deadline=None)
-def test_static_schedule_fires_live_events_in_key_order(schedule):
+def test_static_schedule_fires_events_in_key_order(schedule):
     """Without follow-ups the oracle collapses to one sort: the fired
-    log is exactly the uncancelled events sorted by (time, priority, seq)."""
+    log is exactly the schedule sorted by (time, priority, seq)."""
     fired, _, leftover = run_schedule(schedule, [])
-    live = [
+    assert fired == sorted(
         (time, int(priority), seq)
-        for seq, (time, priority, cancel) in enumerate(schedule)
-        if not cancel
-    ]
-    assert fired == sorted(live)
-    assert leftover == []
-
-
-#: Cancel three in four: with more than 64 pending and most of them
-#: tombstones the queue compacts while the schedule is still being built.
-mostly_cancelled = st.integers(min_value=0, max_value=3).map(bool)
-
-
-@given(st.lists(st.tuples(times, mostly_cancelled), min_size=70, max_size=200))
-@settings(max_examples=60, deadline=None)
-def test_cancel_heavy_schedule_fires_survivors_in_key_order(schedule):
-    """Compaction must drop tombstones only: survivors still fire in order."""
-    fired, _, leftover = run_schedule(
-        [(time, EventPriority.PROTOCOL, cancel) for time, cancel in schedule], []
+        for seq, (time, priority) in enumerate(schedule)
     )
-    live = [
-        (time, int(EventPriority.PROTOCOL), seq)
-        for seq, (time, cancel) in enumerate(schedule)
-        if not cancel
-    ]
-    assert fired == sorted(live)
     assert leftover == []

@@ -37,6 +37,13 @@ class TestScheduling:
         sim.run_until(0.0)
         assert fired == [True]
 
+    def test_schedule_returns_nothing(self):
+        """A scheduled event always fires: there is no handle to revoke it."""
+        sim = Simulator()
+        assert sim.schedule(1.0, lambda: None) is None
+        assert sim.schedule_after(1.0, lambda: None) is None
+        assert sim.pending == 2
+
     def test_pending_counts_scheduled_events(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
@@ -163,38 +170,3 @@ class TestRunSemantics:
         sim.schedule(1.0, lambda: None)
         sim.run_until(2.0)
         assert sim.events_executed == 1
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(1.0, lambda: fired.append(True))
-        assert handle.cancel() is True
-        sim.run_until(2.0)
-        assert fired == []
-
-    def test_cancel_twice_returns_false(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        assert handle.cancel() is True
-        assert handle.cancel() is False
-
-    def test_cancel_after_fire_returns_false(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        sim.run_until(2.0)
-        assert handle.cancel() is False
-
-    def test_handle_active_lifecycle(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        assert handle.active
-        sim.run_until(2.0)
-        assert not handle.active
-
-    def test_handle_metadata(self):
-        sim = Simulator()
-        handle = sim.schedule(3.0, lambda: None, label="ping")
-        assert handle.time == 3.0
-        assert handle.label == "ping"

@@ -1,15 +1,8 @@
-"""Tests for event records and their ordering."""
+"""Tests for the priority classes that order same-time events."""
 
 from __future__ import annotations
 
-from repro.sim.events import Event, EventPriority
-
-
-def make_event(time=0.0, priority=EventPriority.PROTOCOL, seq=0):
-    return Event(
-        time=time, priority=priority, seq=seq, action=lambda: None,
-        label="test",
-    )
+from repro.sim.events import EventPriority
 
 
 class TestEventPriority:
@@ -21,34 +14,3 @@ class TestEventPriority:
 
     def test_default(self):
         assert EventPriority.default() is EventPriority.PROTOCOL
-
-
-class TestEventOrdering:
-    def test_time_dominates(self):
-        early = make_event(time=1.0, priority=EventPriority.METRICS, seq=9)
-        late = make_event(time=2.0, priority=EventPriority.DEATH, seq=0)
-        assert early < late
-
-    def test_priority_breaks_time_ties(self):
-        death = make_event(time=1.0, priority=EventPriority.DEATH, seq=9)
-        query = make_event(time=1.0, priority=EventPriority.QUERY, seq=0)
-        assert death < query
-
-    def test_seq_breaks_full_ties(self):
-        first = make_event(seq=1)
-        second = make_event(seq=2)
-        assert first < second
-
-    def test_sort_key_structure(self):
-        event = make_event(time=3.5, priority=EventPriority.BIRTH, seq=7)
-        assert event.sort_key() == (3.5, int(EventPriority.BIRTH), 7)
-
-    def test_sorting_a_mixed_list(self):
-        events = [
-            make_event(time=2.0, priority=EventPriority.DEATH, seq=3),
-            make_event(time=1.0, priority=EventPriority.QUERY, seq=2),
-            make_event(time=1.0, priority=EventPriority.DEATH, seq=1),
-            make_event(time=1.0, priority=EventPriority.DEATH, seq=0),
-        ]
-        ordered = sorted(events)
-        assert [e.seq for e in ordered] == [0, 1, 2, 3]

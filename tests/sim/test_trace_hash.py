@@ -67,16 +67,6 @@ class TestEngineTraceHash:
         b.run_until(2.0)
         assert a.trace_digest != b.trace_digest
 
-    def test_cancelled_events_do_not_reach_the_digest(self):
-        with_cancel = Simulator(trace_hash=True)
-        with_cancel.schedule(1.0, lambda: None, label="keep")
-        with_cancel.schedule(2.0, lambda: None, label="drop").cancel()
-        plain = Simulator(trace_hash=True)
-        plain.schedule(1.0, lambda: None, label="keep")
-        with_cancel.run_until(5.0)
-        plain.run_until(5.0)
-        assert with_cancel.trace_digest == plain.trace_digest
-
     def test_scheduling_order_is_part_of_the_trace(self):
         """Same-(time, priority) events are sequenced by scheduling order."""
         a, b = Simulator(trace_hash=True), Simulator(trace_hash=True)

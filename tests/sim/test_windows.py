@@ -1,74 +1,11 @@
-"""Tests for sliding-window and bucketed rate limiting."""
+"""Tests for per-second bucketed rate limiting."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim.windows import BucketedRateLimiter, SlidingWindowCounter
-
-
-class TestSlidingWindowCounter:
-    def test_counts_within_window(self):
-        counter = SlidingWindowCounter(window=1.0)
-        counter.record(0.1)
-        counter.record(0.5)
-        assert counter.count(0.9) == 2
-
-    def test_expires_old_events(self):
-        counter = SlidingWindowCounter(window=1.0)
-        counter.record(0.0)
-        counter.record(0.5)
-        assert counter.count(1.2) == 1
-        assert counter.count(1.6) == 0
-
-    def test_boundary_is_exclusive(self):
-        counter = SlidingWindowCounter(window=1.0)
-        counter.record(0.0)
-        # The event at t=0 falls outside the window (now - window, now]
-        # exactly at now=1.0.
-        assert counter.count(1.0) == 0
-
-    def test_limit_enforced(self):
-        counter = SlidingWindowCounter(window=1.0, limit=2)
-        assert counter.try_record(0.1)
-        assert counter.try_record(0.2)
-        assert not counter.try_record(0.3)
-        assert counter.total == 2
-
-    def test_limit_frees_as_window_moves(self):
-        counter = SlidingWindowCounter(window=1.0, limit=1)
-        assert counter.try_record(0.0)
-        assert not counter.try_record(0.5)
-        assert counter.try_record(1.5)
-
-    def test_unlimited_never_refuses(self):
-        counter = SlidingWindowCounter(window=1.0, limit=None)
-        for i in range(100):
-            assert counter.try_record(i * 0.001)
-
-    def test_zero_limit_refuses_everything(self):
-        counter = SlidingWindowCounter(window=1.0, limit=0)
-        assert not counter.try_record(0.0)
-
-    def test_decreasing_timestamps_rejected(self):
-        counter = SlidingWindowCounter(window=1.0)
-        counter.record(1.0)
-        with pytest.raises(ConfigError):
-            counter.record(0.5)
-
-    def test_reset(self):
-        counter = SlidingWindowCounter(window=1.0, limit=1)
-        counter.record(0.0)
-        counter.reset()
-        assert counter.total == 0
-        assert counter.try_record(0.0)
-
-    def test_invalid_params(self):
-        with pytest.raises(ConfigError):
-            SlidingWindowCounter(window=0.0)
-        with pytest.raises(ConfigError):
-            SlidingWindowCounter(window=1.0, limit=-1)
+from repro.sim.windows import BucketedRateLimiter
 
 
 class TestBucketedRateLimiter:
