@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, List, Tuple
+from typing import Collection, List, Tuple
 
 from repro.errors import WorkloadError
 from repro.workload.content import ContentModel
@@ -25,12 +25,12 @@ class PopulationView:
     """An immutable snapshot of live peers and their libraries.
 
     Attributes:
-        libraries: one frozenset of owned file ranks per live peer.
+        libraries: the owned file ranks of each live peer.
         content: the content model that generated them (supplies query
             targets).
     """
 
-    libraries: Tuple[FrozenSet[int], ...]
+    libraries: Tuple[Collection[int], ...]
     content: ContentModel
 
     @property

@@ -40,6 +40,7 @@ from repro.core.messages import Pong, Query, QueryReply
 from repro.core.params import BadPongBehavior
 from repro.core.peer import GuessPeer
 from repro.network.address import Address
+from repro.workload.content import EMPTY_LIBRARY
 
 #: Advertised library size: above the honest distribution's upper bound
 #: (50k), so MFS always prefers a poisoned entry to any honest one.
@@ -151,7 +152,7 @@ class MaliciousPeer(GuessPeer):
         self._attack_rng = attack_rng
         # The lie: advertise a huge library no matter what we hold.
         self.num_files = FAKE_NUM_FILES
-        self.library = frozenset()
+        self.library = EMPTY_LIBRARY
 
     def make_pong(self, pong_policy, time: float) -> Pong:
         """Fabricate a poisoned pong (ignores the cache and the policy)."""

@@ -63,7 +63,7 @@ from repro.resilience.scenarios import ChurnStorm, ScenarioDriver, ScenarioPlan
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
 from repro.sim.rng import RngRegistry
-from repro.workload.content import ContentModel
+from repro.workload.content import EMPTY_LIBRARY, ContentModel
 from repro.workload.files import FileCountModel
 from repro.workload.lifetimes import LifetimeModel
 from repro.workload.queries import QueryBurstProcess
@@ -323,31 +323,28 @@ class GuessSimulation:
 
         # Seed each cache with CacheSeedSize random living peers.
         topology_rng = self.rng.stream("topology")
+        policy_rng = self.rng.stream("policies")
+        replacement = self.policies.replacement
         addresses = [p.address for p in peers]
+        num_files = {p.address: p.num_files for p in peers}
+        k = min(self.cache_seed_size, n - 1)
         for peer in peers:
-            k = min(self.cache_seed_size, n - 1)
+            own = peer.address
             picked: set[Address] = set()
             while len(picked) < k:
                 candidate = addresses[topology_rng.randrange(n)]
-                if candidate != peer.address:
+                if candidate != own:
                     picked.add(candidate)
             # Sorted so cache contents (hence ping-target order) never
             # depend on set iteration order.
             for address in sorted(picked):
-                target = self._store.get(address)
-                assert target is not None  # seeded from the live roster
                 entry = CacheEntry(
                     address=address,
                     ts=0.0,
-                    num_files=target.num_files,
+                    num_files=num_files[address],
                     num_res=0,
                 )
-                peer.link_cache.insert(
-                    entry,
-                    self.policies.replacement,
-                    0.0,
-                    self.rng.stream("policies"),
-                )
+                peer.link_cache.insert(entry, replacement, 0.0, policy_rng)
 
         if self._health_interval is not None:
             self.engine.schedule(
@@ -397,7 +394,7 @@ class GuessSimulation:
         address = self._allocator.allocate()
         num_files = self.files.sample(self.rng.stream("files"))
         library = (
-            frozenset()
+            EMPTY_LIBRARY
             if malicious
             else self.content.build_library(self.rng.stream("content"), num_files)
         )

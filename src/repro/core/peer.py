@@ -23,7 +23,7 @@ cycle and query loop, driven by :mod:`repro.core.network_sim` and
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, Optional, Tuple
+from typing import Collection, Optional, Tuple
 
 from repro.core.entry import CacheEntry
 from repro.core.link_cache import LinkCache
@@ -55,7 +55,8 @@ class GuessPeer:
         address: this peer's address.
         num_files: advertised shared-file count (drives MFS at *other*
             peers; honest peers advertise their true library size).
-        library: set of owned file ranks.
+        library: owned file ranks; asked only ``in``, ``len`` and
+            iteration (:class:`~repro.workload.content.Library`).
         birth_time: when the peer joined.
         death_time: when it will silently leave.
         protocol: normalised protocol parameters.
@@ -120,7 +121,7 @@ class GuessPeer:
         address: Address,
         *,
         num_files: int,
-        library: FrozenSet[int],
+        library: Collection[int],
         birth_time: float,
         death_time: float,
         protocol: ProtocolParams,

@@ -18,7 +18,7 @@ statistics; the substitutions are documented in DESIGN.md §2.
   (1-5 queries per burst, paper Section 5.1).
 """
 
-from repro.workload.content import ContentModel
+from repro.workload.content import ContentModel, Library
 from repro.workload.distributions import (
     BoundedParetoSampler,
     EmpiricalSampler,
@@ -39,6 +39,7 @@ __all__ = [
     "load_trace",
     "save_trace",
     "ContentModel",
+    "Library",
     "BoundedParetoSampler",
     "EmpiricalSampler",
     "LogNormalSampler",

@@ -26,7 +26,9 @@ directly.
 from __future__ import annotations
 
 import random
-from typing import FrozenSet
+from array import array
+from bisect import bisect_left
+from typing import Collection, Iterable, Iterator
 
 from repro.errors import WorkloadError
 from repro.workload.distributions import ZipfSampler
@@ -48,6 +50,38 @@ DEFAULT_QUERY_EXPONENT = 0.8
 DEFAULT_NONEXISTENT_P = 0.05
 
 
+class Library:
+    """One peer's owned file ranks: a sorted, de-duplicated ``array("i")``.
+
+    A library is only ever asked ``in``, ``len`` and (ascending)
+    iteration, so it is not a set: a ``frozenset`` of 310 ranks sits in
+    a 2048-slot, 32 KiB hash table beside 28 bytes per boxed int, while
+    the same ranks as C ints cost 4 bytes each and give the garbage
+    collector nothing to trace (DESIGN.md §2).
+    """
+
+    __slots__ = ("_ranks",)
+
+    def __init__(self, ranks: Iterable[int] = ()) -> None:
+        self._ranks = array("i", sorted(set(ranks)))
+
+    def __contains__(self, rank: object) -> bool:
+        ranks = self._ranks
+        index = bisect_left(ranks, rank)
+        return index < len(ranks) and ranks[index] == rank
+
+    def __len__(self) -> int:
+        return len(self._ranks)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ranks)
+
+
+#: The one library of every peer that shares nothing (free riders,
+#: cache-poisoning attackers).
+EMPTY_LIBRARY = Library()
+
+
 class ContentModel:
     """Assigns libraries to peers and draws query targets.
 
@@ -57,9 +91,9 @@ class ContentModel:
         query_exponent: Zipf skew of query popularity.
         nonexistent_p: probability a query targets no existing file.
 
-    The model is stateless across peers: libraries are value objects
-    (frozensets of ranks) owned by the peers themselves, so peer death
-    needs no bookkeeping here.
+    The model is stateless across peers: libraries are immutable value
+    objects (:class:`Library`) owned by the peers themselves, so peer
+    death needs no bookkeeping here.
     """
 
     def __init__(
@@ -86,26 +120,27 @@ class ContentModel:
     # Libraries
     # ------------------------------------------------------------------
 
-    def build_library(self, rng: random.Random, num_files: int) -> FrozenSet[int]:
-        """Sample the library (set of file ranks) for a peer.
+    def build_library(self, rng: random.Random, num_files: int) -> Library:
+        """Sample the library (owned file ranks) for a peer.
 
         Args:
             rng: stream to draw from.
-            num_files: the peer's shared-file count.  Draws are made with
-                replacement, so the resulting set may be slightly smaller
-                than ``num_files`` (duplicates collapse) — harmless, since
+            num_files: the peer's shared-file count.  Exactly
+                ``min(num_files, 4 * catalog_size)`` draws are made, with
+                replacement, so the library may be slightly smaller than
+                ``num_files`` (duplicates collapse) — harmless, since
                 ``NumFiles`` advertises the nominal count, exactly like a
                 real client advertising its configured share.
 
         Returns:
-            Frozen set of owned ranks; empty for free riders.
+            The owned ranks; :data:`EMPTY_LIBRARY` for free riders.
         """
         if num_files < 0:
             raise WorkloadError(f"num_files must be >= 0, got {num_files}")
         if num_files == 0:
-            return frozenset()
+            return EMPTY_LIBRARY
         draws = min(num_files, self.catalog_size * 4)
-        return frozenset(self._ownership.sample_many(rng, draws))
+        return Library(self._ownership.sample_many(rng, draws))
 
     # ------------------------------------------------------------------
     # Queries
@@ -123,7 +158,7 @@ class ContentModel:
         return self._queries.sample(rng)
 
     @staticmethod
-    def matches(library: FrozenSet[int], target: int) -> bool:
+    def matches(library: Collection[int], target: int) -> bool:
         """Whether a peer owning ``library`` can answer a query for ``target``."""
         if target == NONEXISTENT_FILE:
             return False

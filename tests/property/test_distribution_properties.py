@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.unionfind import UnionFind
+from repro.workload.content import Library
 from repro.workload.distributions import (
     BoundedParetoSampler,
     EmpiricalSampler,
@@ -15,6 +16,17 @@ from repro.workload.distributions import (
 )
 
 seeds = st.integers(min_value=0, max_value=2**32)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=300)))
+@settings(max_examples=200)
+def test_library_answers_like_a_frozenset(ranks):
+    """The whole library contract: ``in``, ``len``, ascending iteration."""
+    library, reference = Library(ranks), frozenset(ranks)
+    assert len(library) == len(reference)
+    assert list(library) == sorted(reference)
+    for rank in range(-1, max(ranks, default=0) + 2):
+        assert (rank in library) == (rank in reference)
 
 
 @given(

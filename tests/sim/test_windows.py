@@ -47,6 +47,26 @@ class TestBucketedRateLimiter:
         assert limiter.count(999.5) == 1
         assert limiter.total == 1000
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_prune's horizon is max_bucket - 128, and max_bucket can be "
+        "an exhaustive query's forward-looking stamp hundreds of seconds "
+        "past the clock, so the current second is forgotten and a full "
+        "peer admits again; the fix needs the engine clock and may move "
+        "refusal counts (ROADMAP item 3(d))",
+    )
+    def test_prune_never_forgets_the_current_second(self):
+        limiter = BucketedRateLimiter(window=1.0, limit=3)
+        for second in range(250):  # a peer 250 s into its session
+            limiter.record(second + 0.5)
+        for _ in range(3):
+            assert limiter.try_record(250.1)  # second 250 is now full
+        limiter.record(450.0)  # one late probe of an exhaustive query
+        for second in range(251, 257):  # near-future stamps cross 256 buckets
+            limiter.record(float(second))
+        assert limiter.count(250.3) == 3
+        assert not limiter.try_record(250.3)
+
     def test_reset(self):
         limiter = BucketedRateLimiter(window=1.0, limit=1)
         limiter.record(0.0)

@@ -7,7 +7,12 @@ import random
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workload.content import NONEXISTENT_FILE, ContentModel
+from repro.workload.content import (
+    EMPTY_LIBRARY,
+    NONEXISTENT_FILE,
+    ContentModel,
+    Library,
+)
 
 
 @pytest.fixture
@@ -22,7 +27,8 @@ def model():
 
 class TestLibraries:
     def test_empty_for_free_riders(self, model, rng):
-        assert model.build_library(rng, 0) == frozenset()
+        assert model.build_library(rng, 0) is EMPTY_LIBRARY
+        assert len(EMPTY_LIBRARY) == 0 and list(EMPTY_LIBRARY) == []
 
     def test_library_size_close_to_requested(self, model, rng):
         library = model.build_library(rng, 50)
@@ -46,8 +52,27 @@ class TestLibraries:
         with pytest.raises(WorkloadError):
             model.build_library(rng, -1)
 
-    def test_library_is_frozenset(self, model, rng):
-        assert isinstance(model.build_library(rng, 10), frozenset)
+    def test_library_is_sorted_rank_array(self, model, rng):
+        library = model.build_library(rng, 400)
+        assert isinstance(library, Library)
+        ranks = list(library)
+        assert ranks == sorted(set(ranks)) and len(ranks) == len(library)
+
+    @pytest.mark.parametrize(
+        "num_files, draws",
+        [(0, 0), (1, 1), (325, 325), (4000, 4000), (9999, 4000)],
+    )
+    def test_build_library_leaves_the_stream_after_k_draws(
+        self, model, num_files, draws
+    ):
+        """"Same draws" as the frozenset spelling: one per file up to the
+        ``catalog_size * 4`` cap, duplicates included, so de-duplicating
+        *before* drawing (or redrawing a duplicate) fails here."""
+        built, plain = random.Random(11), random.Random(11)
+        model.build_library(built, num_files)
+        for _ in range(draws):
+            plain.random()
+        assert built.random() == plain.random()
 
 
 class TestQueries:
