@@ -46,7 +46,7 @@ from repro.core.search import QueryResult, execute_query
 from repro.errors import ConfigError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.faults.retry import RetryPolicy, probe_with_retry
+from repro.faults.retry import probe_with_retry
 from repro.freshness.mediator import FreshnessMediator
 from repro.freshness.plan import FreshnessPlan
 from repro.metrics.collectors import (
@@ -218,13 +218,6 @@ class GuessSimulation:
             faults=self.faults,
             metrics=shared_registry,
         )
-        # None when probe_retries == 0: the ping path then takes the
-        # exact single-send code path (no wrapper, no extra floats).
-        self._retry = (
-            RetryPolicy.from_protocol(self.protocol)
-            if self.protocol.probe_retries > 0
-            else None
-        )
         self.collector = MetricsCollector(
             warmup=warmup,
             keep_queries=keep_queries,
@@ -246,9 +239,9 @@ class GuessSimulation:
         ghosts = self._allocator.allocate_many(GHOST_ADDRESS_COUNT)
         self.directory = AttackDirectory(ghost_addresses=ghosts)
         # Struct-of-arrays peer registry: the live-peer object map plus
-        # scalar columns (alive/role/harvested flags) indexed by dense
-        # address — the hot membership checks below are bytearray loads,
-        # not dict/set hashing.
+        # scalar columns (alive/role flags) indexed by dense address —
+        # the hot membership checks below are bytearray loads, not
+        # dict/set hashing.
         self._store = PeerStore(reserve=GHOST_ADDRESS_COUNT)
         self._health_interval = health_sample_interval
         self._reported = False
@@ -515,7 +508,12 @@ class GuessSimulation:
         self.transport.unregister(address, time=now)
         self.directory.record_death(address)
         self.collector.record_death(now)
-        self._harvest(peer)
+        self.collector.harvest_peer(
+            peer.address,
+            peer.probes_received,
+            peer.probes_refused,
+            peer.pings_shed,
+        )
         if self.freshness is not None:
             self.freshness.notify_departure(peer)
 
@@ -590,17 +588,6 @@ class GuessSimulation:
         k = self.rng.stream("topology").randrange(count)
         return self._store.kth_live(k)
 
-    def _harvest(self, peer: GuessPeer) -> None:
-        """Absorb a peer's lifetime counters exactly once."""
-        if not self._store.mark_harvested(peer.address):
-            return
-        self.collector.harvest_peer(
-            peer.address,
-            peer.probes_received,
-            peer.probes_refused,
-            peer.pings_shed,
-        )
-
     # ------------------------------------------------------------------
     # Maintenance pings
     # ------------------------------------------------------------------
@@ -642,7 +629,8 @@ class GuessSimulation:
             # keep the entry cached for the half-open trial later.
             self.collector.record_suppressed_ping(now)
             return None
-        if self._retry is None:
+        retry = self.policies.retry
+        if retry is None:
             outcome = self.transport.probe(
                 peer.address, entry.address, peer.ping_message(), now
             )
@@ -652,7 +640,7 @@ class GuessSimulation:
         else:
             attempt = probe_with_retry(
                 self.transport,
-                self._retry,
+                retry,
                 peer.address,
                 entry.address,
                 peer.ping_message(),
@@ -864,7 +852,12 @@ class GuessSimulation:
             # contract trivially: the gauge is read-and-set after the run).
             registry.gauge("engine_pending").set(self.engine.pending)
         for peer in self._store.values():
-            self._harvest(peer)
+            self.collector.harvest_peer(
+                peer.address,
+                peer.probes_received,
+                peer.probes_refused,
+                peer.pings_shed,
+            )
         self.collector.record_transport(
             probes_sent=self.transport.probes_sent,
             timeouts=self.transport.timeouts,

@@ -1,14 +1,14 @@
 """Struct-of-arrays peer store: scalar columns keyed by dense addresses.
 
 At million-peer scale the simulation's hot membership questions — *is
-this address alive?  is it malicious?  was it harvested?* — were
-answered by hashing into a ``dict``/``set`` per cache entry per health
-sample.  Addresses are dense, monotonically increasing ints that are
-never reused (:mod:`repro.network.address`), which makes them perfect
-array indices: :class:`PeerStore` keeps one **byte/scalar column per
-fact**, so the same questions become fixed-offset ``bytearray`` loads
-with no hashing, no boxed key objects, and ~1 byte per peer per fact of
-RSS instead of hash-table slots.
+this address alive?  is it malicious?* — were answered by hashing into
+a ``dict``/``set`` per cache entry per health sample.  Addresses are
+dense, monotonically increasing ints that are never reused
+(:mod:`repro.network.address`), which makes them perfect array indices:
+:class:`PeerStore` keeps one **byte/scalar column per fact**, so the
+same questions become fixed-offset ``bytearray`` loads with no hashing,
+no boxed key objects, and ~1 byte per peer per fact of RSS instead of
+hash-table slots.
 
 Columns (all indexed by address):
 
@@ -18,7 +18,6 @@ Columns (all indexed by address):
   ``alive[a] and not malicious[a]``, exactly the
   ``a in live_peers and a not in live_malicious`` double lookup it
   replaces (roles never change and addresses are never recycled).
-* ``harvested`` — lifetime counters absorbed exactly once per peer.
 
 The store also owns the live-peer **object map** (a ``dict`` preserving
 birth order — iteration order is digest-load-bearing for health
@@ -64,7 +63,6 @@ class PeerStore:
         "_live_index",
         "_alive",
         "_malicious",
-        "_harvested",
     )
 
     def __init__(self, reserve: int = 0) -> None:
@@ -72,7 +70,6 @@ class PeerStore:
         self._live_index = LiveAddressIndex()
         self._alive = bytearray(reserve)
         self._malicious = bytearray(reserve)
-        self._harvested = bytearray(reserve)
 
     # ------------------------------------------------------------------
     # Column management
@@ -86,7 +83,6 @@ class PeerStore:
         grow = address + 1 - have + _GROW_CHUNK
         self._alive.extend(bytes(grow))
         self._malicious.extend(bytes(grow))
-        self._harvested.extend(bytes(grow))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -146,13 +142,6 @@ class PeerStore:
         self._live_index.discard(address)
         self._alive[address] = 0
         return peer
-
-    def mark_harvested(self, address: Address) -> bool:
-        """Record counter harvest; True the first time, False after."""
-        if self._harvested[address]:
-            return False
-        self._harvested[address] = 1
-        return True
 
     # ------------------------------------------------------------------
     # Sampling

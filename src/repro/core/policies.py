@@ -32,6 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Type
 
 from repro.core.entry import CacheEntry
 from repro.errors import PolicyError
+from repro.faults.retry import RetryPolicy
 
 
 class Policy(ABC):
@@ -227,6 +228,9 @@ class PolicySet:
         replacement: the eviction-key policy for CacheReplacement.
         reset_num_results: the MR*/LR* ingestion flag, carried here so
             entry-import paths need only the policy set.
+        retry: the :class:`~repro.faults.retry.RetryPolicy` the protocol's
+            retry knobs describe, or ``None`` at ``probe_retries == 0`` —
+            the probe paths then take the exact single-send code path.
     """
 
     __slots__ = (
@@ -236,6 +240,7 @@ class PolicySet:
         "ping_pong",
         "replacement",
         "reset_num_results",
+        "retry",
     )
 
     def __init__(
@@ -246,6 +251,7 @@ class PolicySet:
         ping_pong: Policy,
         replacement: Policy,
         reset_num_results: bool = False,
+        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.query_probe = query_probe
         self.query_pong = query_pong
@@ -253,6 +259,7 @@ class PolicySet:
         self.ping_pong = ping_pong
         self.replacement = replacement
         self.reset_num_results = bool(reset_num_results)
+        self.retry = retry
 
     @classmethod
     def from_protocol(cls, protocol) -> "PolicySet":
@@ -265,6 +272,11 @@ class PolicySet:
             ping_pong=get_ordering_policy(normalized.ping_pong),
             replacement=get_replacement_policy(normalized.cache_replacement),
             reset_num_results=normalized.reset_num_results,
+            retry=(
+                RetryPolicy.from_protocol(normalized)
+                if normalized.probe_retries > 0
+                else None
+            ),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -5,49 +5,77 @@ accumulated from the Pong messages received while executing one query.
 It lets the querying peer probe far more peers than its small link cache
 can hold.  Properties the paper specifies:
 
-* entries have the same format as link-cache entries;
+* it is seeded from the link cache, and entries have the same format;
 * an address already seen this query (probed, cached, or pooled) is not
   added again;
+* candidates are probed in QueryProbe order;
 * the cache is **discarded when the query completes** — maintaining it
   would cost too much (entries may still graduate to the link cache via
   the normal CacheReplacement path, handled by the search loop).
 
+An admitted entry is wanted for one thing only — to be popped, best
+first — so the cache *is* the query's candidate pool and holds unprobed
+candidates in the pop structure alone.  For key-based policies that is a
+max-heap on ``(key, -address)``: keys are fixed at admission, which is
+exact for every policy in the paper (an entry's rank only changes when
+it is probed, at which point it has already left the pool).  For the
+Random policy it is an array with O(1) swap-remove random pops.
+
 Determinism audit (RD003): ``_seen`` is a set used for membership tests
-only and is never iterated; candidate ordering always flows through
-``_entries``, an insertion-ordered dict, so ``entries()`` /
-``addresses()`` hand policy selection a deterministic sequence.
+only and is never iterated; pop order is the heap's total order on
+``(key, address)``, or the bag's insertion order under the policy stream.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+import heapq
+import random
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.entry import CacheEntry
+from repro.core.policies import Policy
 from repro.network.address import Address
 
 
 class QueryCache:
-    """Per-query scratch cache of candidate probe targets.
+    """Per-query scratch cache of probe candidates, popped best-first.
 
     Args:
         owner: the querying peer's address (never admitted).
-        excluded: addresses already known at query start (the link-cache
-            contents); pong entries duplicating them are not re-added.
+        policy: the QueryProbe policy ordering the pops.
+        rng: policy randomness stream (drawn from by Random pops only).
+        now: query issue time, at which admission keys are taken.
+        link_entries: the link-cache contents at query start — the first
+            candidates; pong entries duplicating them are not re-added.
     """
 
-    __slots__ = ("owner", "_entries", "_seen")
+    __slots__ = ("_policy", "_rng", "_now", "_seen", "_heap", "_bag")
 
-    def __init__(self, owner: Address, excluded: Set[Address] | None = None) -> None:
-        self.owner = owner
-        self._entries: Dict[Address, CacheEntry] = {}
-        self._seen: Set[Address] = set(excluded or ())
+    def __init__(
+        self,
+        owner: Address,
+        policy: Policy,
+        rng: random.Random,
+        now: float,
+        link_entries: Sequence[CacheEntry],
+    ) -> None:
+        self._policy = policy
+        self._rng = rng
+        self._now = now
+        self._seen: Set[Address] = {entry.address for entry in link_entries}
         self._seen.add(owner)
+        self._heap: List[Tuple[float, Address, CacheEntry]] = []
+        self._bag: List[CacheEntry] = []
+        if policy.randomized:
+            self._bag = list(link_entries)
+        else:
+            key = policy.key
+            self._heap = [(-key(e, now), e.address, e) for e in link_entries]
+            heapq.heapify(self._heap)
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, address: Address) -> bool:
-        return address in self._entries
+        """Candidates admitted and not yet popped."""
+        return len(self._bag) if self._policy.randomized else len(self._heap)
 
     def add(self, entry: CacheEntry) -> bool:
         """Admit ``entry`` unless its address has been seen this query.
@@ -59,38 +87,31 @@ class QueryCache:
         if address in self._seen:
             return False
         self._seen.add(address)
-        self._entries[address] = entry
+        if self._policy.randomized:
+            self._bag.append(entry)
+        else:
+            key = self._policy.key(entry, self._now)
+            heapq.heappush(self._heap, (-key, address, entry))
         return True
-
-    def mark_seen(self, address: Address) -> None:
-        """Record that ``address`` has been probed (or otherwise consumed)."""
-        self._seen.add(address)
 
     def was_seen(self, address: Address) -> bool:
         """Whether ``address`` is excluded from (re-)admission.
 
-        True for the owner and for every address excluded, probed or
-        pooled this query — exactly when :meth:`add` would refuse it, so
-        pong ingestion asks here *before* copying an entry.
+        True for the owner and for every address seeded or admitted this
+        query, popped or not — exactly when :meth:`add` would refuse it,
+        so pong ingestion asks here *before* copying an entry.
         """
         return address in self._seen
 
-    def pop(self, address: Address) -> Optional[CacheEntry]:
-        """Remove and return the entry for ``address`` (it stays seen)."""
-        return self._entries.pop(address, None)
-
-    def entries(self) -> List[CacheEntry]:
-        """Snapshot of current (unconsumed) entries."""
-        return list(self._entries.values())
-
-    def addresses(self) -> Iterator[Address]:
-        return iter(self._entries.keys())
-
-    def clear(self) -> None:
-        """Discard the scratch space (query completed)."""
-        self._entries.clear()
-        self._seen.clear()
-        self._seen.add(self.owner)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"QueryCache(owner={self.owner}, size={len(self._entries)})"
+    def pop(self) -> Optional[CacheEntry]:
+        """Pop the most-preferred candidate (it stays seen); None if empty."""
+        if self._policy.randomized:
+            bag = self._bag
+            if not bag:
+                return None
+            index = self._rng.randrange(len(bag))
+            bag[index], bag[-1] = bag[-1], bag[index]
+            return bag.pop()
+        if not self._heap:
+            return None
+        return heapq.heappop(self._heap)[2]

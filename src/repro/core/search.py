@@ -27,65 +27,23 @@ the loop is bit-identical to the pre-retry code.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, List, Optional, Protocol
 
 from repro.core.entry import CacheEntry
 from repro.core.messages import Pong, QueryReply
 from repro.core.peer import GuessPeer
-from repro.core.policies import Policy
 from repro.core.query_cache import QueryCache
-from repro.faults.retry import RetryPolicy, probe_with_retry
+from repro.faults.retry import probe_with_retry
 from repro.network.transport import ProbeStatus, Transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe.spans import QuerySpan
 
 
-class CandidatePool:
-    """Best-first pool of probe candidates under a QueryProbe policy.
-
-    For key-based policies the pool is a max-heap on
-    ``(key, -address)`` — keys are fixed at admission, which is exact for
-    every policy in the paper (an entry's rank only changes when it is
-    probed, at which point it has already left the pool).  For the Random
-    policy the pool is an array with O(1) swap-remove random pops.
-    """
-
-    __slots__ = ("_policy", "_rng", "_now", "_heap", "_bag")
-
-    def __init__(self, policy: Policy, rng: random.Random, now: float) -> None:
-        self._policy = policy
-        self._rng = rng
-        self._now = now
-        self._heap: List[Tuple[float, int, CacheEntry]] = []
-        self._bag: List[CacheEntry] = []
-
-    def add(self, entry: CacheEntry) -> None:
-        """Admit one candidate (caller guarantees address-uniqueness)."""
-        if self._policy.randomized:
-            self._bag.append(entry)
-        else:
-            key = self._policy.key(entry, self._now)
-            heapq.heappush(self._heap, (-key, entry.address, entry))
-
-    def pop(self) -> Optional[CacheEntry]:
-        """Remove and return the most-preferred candidate, or None."""
-        if self._policy.randomized:
-            bag = self._bag
-            if not bag:
-                return None
-            index = self._rng.randrange(len(bag))
-            bag[index], bag[-1] = bag[-1], bag[index]
-            return bag.pop()
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
-
-    def __len__(self) -> int:
-        return len(self._bag) if self._policy.randomized else len(self._heap)
+#: Resolved by name by ``bench/trace.py`` (frozen outside ``benchmark`` PRs).
+CandidatePool = QueryCache
 
 
 class WaveWidth(Protocol):
@@ -227,17 +185,13 @@ def execute_query(
     spacing = protocol.probe_spacing
     walkers = protocol.parallel_probes if width is None else width.initial
 
-    pool = CandidatePool(policies.query_probe, rng, now)
     link_entries = peer.link_cache.entries()
-    for entry in link_entries:
-        pool.add(entry)
-    # QueryCache copies this set, so reusing it below for span origin
-    # tagging ("link" vs "query" target) reads the same frozen snapshot.
-    link_addresses = {entry.address for entry in link_entries}
     query_cache = QueryCache(
-        owner=peer.address,
-        excluded=link_addresses,
+        peer.address, policies.query_probe, rng, now, link_entries
     )
+    if span is not None:
+        # Origin tags ("link" vs "query" target) read this frozen snapshot.
+        link_addresses = {entry.address for entry in link_entries}
 
     message = peer.query_message(target_file)
     results = 0
@@ -250,11 +204,7 @@ def execute_query(
     waves = 0
     booked = 0  # results already reported to ``width``
     response_time: Optional[float] = None
-    retry = (
-        RetryPolicy.from_protocol(protocol)
-        if protocol.probe_retries > 0
-        else None
-    )
+    retry = policies.retry
     # Cumulative timestamp slip from retry backoff: every second spent
     # waiting on re-sends pushes the remaining waves later.  Stays 0.0
     # without retries, leaving all timestamps bit-identical.
@@ -270,7 +220,7 @@ def execute_query(
         while len(wave) < walkers:
             if max_probes is not None and probes + len(wave) >= max_probes:
                 break
-            entry = pool.pop()
+            entry = query_cache.pop()
             if entry is None:
                 break
             wave.append(entry)
@@ -284,7 +234,6 @@ def execute_query(
         breakers = peer.breakers
         for entry in wave:
             address = entry.address
-            query_cache.mark_seen(address)
             if span is not None:
                 # What every record of this probe shares, whatever its fate.
                 probe_site = dict(
@@ -415,8 +364,8 @@ def execute_query(
             if harvests is not None and reply.pong.entries:
                 harvests.append(reply.pong)
 
-            # Ingest the piggybacked pong: query cache feeds the pool,
-            # and every shared entry is offered to the link cache too.
+            # Ingest the piggybacked pong: every entry the query cache
+            # admits is offered to the link cache too.
             reset = policies.reset_num_results
             admitted = 0
             for shared in reply.pong.entries:
@@ -428,7 +377,6 @@ def execute_query(
                     continue
                 imported = shared.copy_for_import(reset, wave_time)
                 if query_cache.add(imported):
-                    pool.add(imported)
                     peer.offer_entry_to_link_cache(imported, wave_time)
                     admitted += 1
 
@@ -448,7 +396,6 @@ def execute_query(
             booked = results
 
     satisfied = results >= desired_results
-    query_cache.clear()
     return QueryResult(
         satisfied=satisfied,
         results=results,
@@ -459,7 +406,7 @@ def execute_query(
         stale_dead_probes=stale_dead,
         duration=waves * spacing + slip,
         response_time=response_time if satisfied else None,
-        pool_exhausted=not satisfied and len(pool) == 0,
+        pool_exhausted=not satisfied and len(query_cache) == 0,
         spurious_timeouts=spurious,
         retries=retries,
         retry_recoveries=recoveries,

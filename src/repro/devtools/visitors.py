@@ -488,7 +488,7 @@ class EngineHeapMutationVisitor(_ImportTracker):
     """RD005: engine internals touched outside ``repro.sim.engine``.
 
     ``self._heap`` / ``self._now`` inside a class's own methods are that
-    class's private state (e.g. ``CandidatePool`` keeps its own heap) and
+    class's private state (e.g. ``QueryCache`` keeps its own heap) and
     are not flagged; the rule targets reaching *into another object* —
     ``sim._heap``, ``engine._now = ...`` — which bypasses ``schedule()``.
     """

@@ -19,6 +19,7 @@ from typing import List
 
 from repro.baselines.extent import PopulationView
 from repro.core.entry import CacheEntry
+from repro.core.network_sim import GuessSimulation
 from repro.core.params import BadPongBehavior, ProtocolParams, SystemParams
 from repro.core.search import execute_query
 from repro.experiments.executor import TrialExecutor
@@ -27,7 +28,6 @@ from repro.experiments.runner import (
     Cell,
     ExperimentResult,
     grid_table,
-    run_guess_config,
     run_sweep,
 )
 from repro.extensions.adaptive_search import (
@@ -37,6 +37,7 @@ from repro.extensions.adaptive_search import (
 from repro.extensions.detection import DefenseConfig, install_defense
 from repro.metrics.summary import mean, quantile
 from repro.network.transport import Transport
+from repro.sim.rng import derive_seed
 
 #: Walker counts swept by the parallel ablation.
 PARALLEL_WALKERS = (1, 2, 5, 10)
@@ -199,28 +200,29 @@ def run_adaptive_search_ablation(profile: Profile) -> ExperimentResult:
 
 def run_detection_ablation(profile: Profile) -> ExperimentResult:
     """Pong-provenance defense vs the colluding attack (MR stack)."""
+    # Poisoning accumulates over time; a fixed 700s exposure shows the
+    # collapse regardless of the profile's duration.
+    warmup, duration = 200.0, 700.0
+    system = SystemParams(
+        network_size=300,
+        percent_bad_peers=20.0,
+        bad_pong_behavior=BadPongBehavior.BAD,
+    )
+    protocol = ProtocolParams.all_same_policy("MR", cache_size=30)
     rows = []
     for defended in (False, True):
-
-        def mutate(sim, defended=defended):
+        reports = []
+        for trial in range(profile.trials):
+            sim = GuessSimulation(
+                system,
+                protocol,
+                seed=derive_seed(0xDEF, f"trial:{trial}"),
+                warmup=warmup,
+            )
             if defended:
                 install_defense(sim, DefenseConfig(min_observations=5))
-
-        reports = run_guess_config(
-            SystemParams(
-                network_size=300,
-                percent_bad_peers=20.0,
-                bad_pong_behavior=BadPongBehavior.BAD,
-            ),
-            ProtocolParams.all_same_policy("MR", cache_size=30),
-            # Poisoning accumulates over time; a fixed 700s exposure
-            # shows the collapse regardless of the profile's duration.
-            duration=700.0,
-            warmup=200.0,
-            trials=profile.trials,
-            base_seed=0xDEF,
-            mutate=mutate,
-        )
+            sim.run(warmup + duration)
+            reports.append(sim.report())
         rows.append(
             (
                 defended,
@@ -249,7 +251,6 @@ def run_selfish_ablation(profile: Profile) -> ExperimentResult:
     """
     from repro.extensions.selfish import ProbeBudget
     from repro.extensions.selfish_sim import SelfishGuessSimulation
-    from repro.sim.rng import derive_seed
 
     scenarios = (
         ("honest network", 0.0, None),
@@ -398,9 +399,10 @@ def run_suite(
     The adaptive-search, detection, and selfish ablations are not
     ``TrialSpec``s yet: adaptive-search drives ``execute_query`` directly
     on a static network (its three rows differ only in the ``width=``
-    rule), detection uses a ``mutate`` hook and selfish a
-    ``GuessSimulation`` subclass, so they always run in-process; the
-    other four are sweeps dispatched on ``executor``.
+    rule), detection installs its defense on a built simulation and
+    selfish is a ``GuessSimulation`` subclass, so they always run
+    in-process and outside the manifest; the other four are sweeps
+    dispatched on ``executor``.
     """
     return [
         run_parallel_ablation(profile, executor),

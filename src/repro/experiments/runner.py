@@ -36,7 +36,6 @@ from typing import (
     Union,
 )
 
-from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
 from repro.errors import TrialFailure
 from repro.experiments.executor import (
@@ -45,7 +44,6 @@ from repro.experiments.executor import (
     SerialTrialExecutor,
     TrialExecutor,
     TrialSpec,
-    build_simulation,
     get_executor,
 )
 from repro.experiments.profiles import PROFILES, Profile, get_profile
@@ -142,7 +140,6 @@ def run_cells(
     cells: Mapping[Hashable, Cell],
     executor: Optional[TrialExecutor] = None,
     *,
-    mutate: Optional[Callable[[GuessSimulation], None]] = None,
     chaos: Optional[Mapping[int, ChaosSpec]] = None,
 ) -> Dict[Hashable, list]:
     """Run every trial of every cell as one batch.
@@ -151,8 +148,7 @@ def run_cells(
     ``executor.run_trials`` call (serial when ``executor`` is omitted),
     the reports are cut back per cell, and each cell is recorded into
     the active manifest in cell order, exactly as if it had run alone.
-    ``mutate`` runs every trial in this process instead; ``chaos`` maps
-    positions in the flattened batch to crash injections.
+    ``chaos`` maps positions in the flattened batch to crash injections.
 
     Returns:
         ``{key: reports}`` in trial order.  Under a supervised executor
@@ -176,15 +172,7 @@ def run_cells(
             replace(spec, chaos=chaos.get(position))
             for position, spec in enumerate(batch)
         ]
-    if mutate is not None:
-        reports: list = []
-        for spec in batch:
-            sim = build_simulation(spec)
-            mutate(sim)
-            sim.run(spec.warmup + spec.duration)
-            reports.append(sim.report())
-    else:
-        reports = (executor or SerialTrialExecutor()).run_trials(batch)
+    reports = (executor or SerialTrialExecutor()).run_trials(batch)
     results: Dict[Hashable, list] = {}
     done = 0
     for (key, swept), template in zip(cells.items(), templates):
@@ -284,7 +272,6 @@ def run_guess_config(
     warmup: float,
     trials: int = 1,
     base_seed: int = 0,
-    mutate: Optional[Callable[[GuessSimulation], None]] = None,
     workers: int = 1,
     executor: Optional[TrialExecutor] = None,
     trace_hash: bool = False,
@@ -299,11 +286,6 @@ def run_guess_config(
         warmup: seconds before metrics collection starts.
         trials: number of independent seeded runs.
         base_seed: trial seeds derive from this (stable across sweeps).
-        mutate: optional hook called with each simulation before running
-            (used by extension analyses to instrument internals).  A
-            mutate hook pins execution to this process — it pokes at live
-            simulation objects, which cannot cross a process boundary —
-            so it composes with ``workers``/``executor`` by ignoring them.
         workers: trial-level parallelism; ``workers=N`` runs trials on N
             worker processes (0 = one per CPU).  Reports are identical to
             ``workers=1`` and arrive in the same (trial) order.
@@ -317,9 +299,7 @@ def run_guess_config(
             for bit.
         chaos: optional ``{trial index: ChaosSpec}`` crash injection for
             supervisor drills — the chosen trials sabotage themselves in
-            the worker before their simulation is built.  Ignored on the
-            ``mutate`` path (which runs in-process, where an injected
-            ``os._exit`` would kill the parent).
+            the worker before their simulation is built.
         **spec_fields: any other :class:`TrialSpec` field by name
             (``keep_queries``, ``health_sample_interval``, ``faults`` and
             the optional plans), applied to every trial and recorded in
@@ -338,7 +318,7 @@ def run_guess_config(
     cells = {None: Cell(spec, base_seed, trials)}
     owned = get_executor(workers) if executor is None else nullcontext(executor)
     with owned as running:
-        return run_cells(cells, running, mutate=mutate, chaos=chaos)[None]
+        return run_cells(cells, running, chaos=chaos)[None]
 
 
 def averaged(

@@ -666,11 +666,6 @@ class SimulationReport:
         """Satisfaction under honest result accounting."""
         return ratio(self.honest_satisfied_queries, self.queries)
 
-    @property
-    def gossip_delivery_rate(self) -> float:
-        """Fraction of GossipPush sends accepted by a live receiver."""
-        return ratio(self.gossip_delivered, self.gossip_pushes)
-
     # -- Freshness metrics (repro.freshness) -----------------------------
 
     @property
@@ -688,21 +683,6 @@ class SimulationReport:
     def fresh_dead_probes(self) -> int:
         """Dead probes no invalidation could have prevented."""
         return self.dead_probes + self.dead_pings - self.stale_dead_probes
-
-    @property
-    def stale_dead_fraction(self) -> float:
-        """Fraction of all dead probes charged to stale pointers."""
-        return ratio(self.stale_dead_probes, self.dead_probes + self.dead_pings)
-
-    @property
-    def freshness_delivery_rate(self) -> float:
-        """Fraction of CacheUpdate sends that reached a live peer."""
-        return ratio(self.freshness_notices_delivered, self.freshness_notices)
-
-    @property
-    def freshness_purge_rate(self) -> float:
-        """Fraction of delivered notices whose receiver held the entry."""
-        return ratio(self.freshness_purges, self.freshness_notices_delivered)
 
     @property
     def spurious_timeouts_per_query(self) -> float:

@@ -18,7 +18,8 @@ settings.load_profile("repro")
 
 from repro.core.entry import CacheEntry
 from repro.core.params import ProtocolParams, SystemParams
-from repro.core.policies import PolicySet
+from repro.core.policies import PolicySet, get_ordering_policy
+from repro.core.query_cache import QueryCache
 
 
 @pytest.fixture
@@ -51,4 +52,15 @@ def make_entry(
     """Terse entry constructor used across cache/policy tests."""
     return CacheEntry(
         address=address, ts=ts, num_files=num_files, num_res=num_res
+    )
+
+
+def make_query_cache(
+    policy: str = "Random", link_entries=(), *, owner: int = 0,
+    rng: random.Random | None = None, now: float = 0.0,
+) -> QueryCache:
+    """A query's scratch cache under the named QueryProbe policy."""
+    return QueryCache(
+        owner, get_ordering_policy(policy), rng or random.Random(13), now,
+        list(link_entries),
     )

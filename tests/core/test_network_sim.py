@@ -7,6 +7,7 @@ import pytest
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import BadPongBehavior, ProtocolParams, SystemParams
 from repro.errors import ConfigError, SimulationError
+from repro.resilience.scenarios import ChurnStorm, ScenarioPlan
 
 
 def small_sim(**kwargs):
@@ -101,6 +102,35 @@ class TestChurn:
         newborns = [p for p in sim.live_peers if p.birth_time > 0]
         assert newborns
         assert any(len(p.link_cache) > 0 for p in newborns)
+
+    def test_storm_victim_whose_natural_death_fires_later_is_booked_once(self):
+        # A peer leaves the store exactly once, and is harvested right
+        # there: the natural-death event a storm victim leaves behind finds
+        # the store empty-handed and books nothing (loads accumulate, so a
+        # second harvest would double them).
+        end = 600.0
+        sim = small_sim(
+            system=SystemParams(
+                network_size=80, query_rate=0.02, lifespan_multiplier=0.05
+            ),
+            scenarios=ScenarioPlan(
+                storms=(ChurnStorm(start=30.0, width=10.0, fraction=0.9),)
+            ),
+        )
+        sim.run(29.0)
+        natural = {peer: peer.death_time for peer in sim.live_peers}
+        sim.run(end - 29.0)
+        outlived = [
+            peer
+            for peer, death_time in natural.items()
+            if peer.death_time < death_time <= end  # forced early, event fired
+        ]
+        assert len(outlived) >= 10
+        report = sim.report()
+        assert report.deaths == report.births == len(report.loads) - 80
+        booked = [report.loads[peer.address] for peer in outlived]
+        assert booked == [peer.probes_received for peer in outlived]
+        assert sum(booked) > 0
 
 
 class TestDeterminism:

@@ -73,14 +73,6 @@ class TestColumns:
         assert store.alive_column[5000] == 1
         assert store.alive_column[4999] == 0
 
-    def test_mark_harvested_true_exactly_once(self):
-        store = PeerStore()
-        store.add(make_peer(1))
-        assert store.mark_harvested(1) is True
-        assert store.mark_harvested(1) is False
-        store.remove(1)
-        assert store.mark_harvested(1) is False
-
     def test_ghost_reserve_is_in_bounds_and_dead(self):
         store = PeerStore(reserve=64)
         assert len(store) == 0

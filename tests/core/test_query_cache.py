@@ -1,67 +1,120 @@
-"""Tests for the per-query scratch cache."""
+"""Tests for the per-query scratch cache (admission rule + best-first pop)."""
 
 from __future__ import annotations
 
-from repro.core.query_cache import QueryCache
+import random
+
+import pytest
+
 from tests.conftest import make_entry
+from tests.conftest import make_query_cache as make_cache
+
+
+def drain(cache):
+    return [entry.address for entry in iter(cache.pop, None)]
 
 
 class TestAdmission:
     def test_add_and_lookup(self):
-        cache = QueryCache(owner=0)
+        cache = make_cache()
+        assert not cache.was_seen(1)
         assert cache.add(make_entry(1))
-        assert 1 in cache
+        assert cache.was_seen(1)
         assert len(cache) == 1
 
     def test_owner_never_admitted(self):
-        cache = QueryCache(owner=7)
+        cache = make_cache(owner=7)
+        assert cache.was_seen(7)
         assert not cache.add(make_entry(7))
 
     def test_excluded_addresses_never_admitted(self):
-        cache = QueryCache(owner=0, excluded={3, 4})
+        # The link-cache contents are candidates already: a pong entry
+        # duplicating one is refused, so no address is probed twice.
+        cache = make_cache(link_entries=[make_entry(3), make_entry(4)])
         assert not cache.add(make_entry(3))
         assert cache.add(make_entry(5))
+        assert sorted(drain(cache)) == [3, 4, 5]
 
     def test_duplicate_not_readmitted(self):
-        cache = QueryCache(owner=0)
+        cache = make_cache()
         assert cache.add(make_entry(1))
         assert not cache.add(make_entry(1))
         assert len(cache) == 1
 
     def test_seen_address_not_admitted(self):
-        cache = QueryCache(owner=0)
-        cache.mark_seen(9)
-        assert not cache.add(make_entry(9))
+        cache = make_cache(link_entries=[make_entry(9)])
+        assert cache.pop().address == 9
+        # Probed (popped) link entries stay seen for the rest of the query.
         assert cache.was_seen(9)
+        assert not cache.add(make_entry(9))
+        assert len(cache) == 0
 
 
 class TestConsumption:
     def test_pop_removes_and_marks_seen(self):
-        cache = QueryCache(owner=0)
+        cache = make_cache()
         cache.add(make_entry(1))
-        entry = cache.pop(1)
+        entry = cache.pop()
         assert entry.address == 1
-        assert 1 not in cache
+        assert len(cache) == 0
         assert not cache.add(make_entry(1))  # seen now
 
     def test_pop_missing_returns_none(self):
-        assert QueryCache(owner=0).pop(5) is None
+        assert make_cache(policy="Random").pop() is None
+        assert make_cache(policy="MFS").pop() is None
 
-    def test_entries_and_addresses(self):
-        cache = QueryCache(owner=0)
-        cache.add(make_entry(2))
-        cache.add(make_entry(4))
-        assert sorted(e.address for e in cache.entries()) == [2, 4]
-        assert sorted(cache.addresses()) == [2, 4]
+    def test_len_counts_unpopped_candidates(self):
+        cache = make_cache("MR", [make_entry(1), make_entry(2)])
+        cache.add(make_entry(3))
+        assert len(cache) == 3
+        cache.pop()
+        assert len(cache) == 2
 
-    def test_clear_resets_everything(self):
-        cache = QueryCache(owner=0, excluded={3})
-        cache.add(make_entry(1))
-        cache.mark_seen(9)
-        cache.clear()
-        assert len(cache) == 0
-        # After clear (query over) the scratch space is reusable; only the
-        # owner stays excluded.
-        assert cache.add(make_entry(9))
-        assert cache.add(make_entry(3))
-        assert not cache.add(make_entry(0))
+    def test_key_policy_ties_break_on_lowest_address(self):
+        cache = make_cache(
+            link_entries=[make_entry(a, num_files=5) for a in (4, 2, 9)],
+            policy="MFS",
+        )
+        cache.add(make_entry(1, num_files=5))
+        assert drain(cache) == [1, 2, 4, 9]
+
+    def test_keys_are_taken_at_the_query_issue_time(self):
+        # An admission key is fixed when the entry is pooled: refreshing
+        # the entry afterwards (as a probe of it does) cannot reorder pops.
+        old, new = make_entry(1, ts=10.0), make_entry(2, ts=20.0)
+        cache = make_cache(link_entries=[old, new], policy="MRU", now=30.0)
+        old.ts = 99.0
+        assert drain(cache) == [2, 1]
+
+
+@pytest.mark.parametrize("policy", ["Random", "MFS", "MRU", "LRU", "MR"])
+def test_one_pass_seeding_pops_in_the_order_of_one_add_per_entry(policy):
+    """The constructor's bulk build is ``add`` per link entry, faster.
+
+    Same candidates, same pops, same draws from the policy stream — what
+    lets ``execute_query`` seed the cache without ~100 method calls.
+    """
+    source = random.Random(5)
+    entries = [
+        make_entry(
+            address,
+            ts=float(source.randrange(4)),
+            num_files=source.randrange(4),
+            num_res=source.randrange(3),
+        )
+        for address in source.sample(range(1, 200), 60)
+    ]
+    late = [make_entry(address, num_files=2) for address in (300, 301, 7)]
+    seeded = make_cache(link_entries=entries, policy=policy)
+    added = make_cache(policy=policy)
+    for entry in entries:
+        assert added.add(entry)
+    pops = []
+    for cache in (seeded, added):
+        order = [cache.pop().address for _ in range(20)]
+        for entry in late:
+            cache.add(entry)
+        pops.append(order + drain(cache))
+    assert pops[0] == pops[1]
+    assert len(pops[0]) == len({e.address for e in entries + late})
+    assert seeded._rng.getstate() == added._rng.getstate()

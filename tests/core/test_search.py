@@ -8,10 +8,9 @@ import pytest
 
 from repro.core.entry import CacheEntry
 from repro.core.params import ProtocolParams
-from repro.core.policies import get_ordering_policy
-from repro.core.search import CandidatePool, QueryResult, execute_query
+from repro.core.search import QueryResult, execute_query
 from repro.network.transport import Transport
-from tests.conftest import make_entry
+from tests.conftest import make_entry, make_query_cache
 from tests.core.helpers import make_peer
 
 
@@ -41,33 +40,33 @@ def cache_entries_for(querier, peers):
 
 
 class TestCandidatePool:
+    """A query's candidate pool is its :class:`QueryCache`."""
+
     def test_key_policy_pops_best_first(self, rng):
-        pool = CandidatePool(get_ordering_policy("MFS"), rng, 0.0)
-        pool.add(make_entry(1, num_files=5))
+        pool = make_query_cache("MFS", [make_entry(1, num_files=5)], rng=rng)
         pool.add(make_entry(2, num_files=50))
         pool.add(make_entry(3, num_files=20))
         assert [pool.pop().address for _ in range(3)] == [2, 3, 1]
         assert pool.pop() is None
 
     def test_random_policy_pops_everything(self, rng):
-        pool = CandidatePool(get_ordering_policy("Random"), rng, 0.0)
-        for a in range(10):
+        seeds = [make_entry(a) for a in range(1, 6)]
+        pool = make_query_cache("Random", seeds, rng=rng)
+        for a in range(6, 11):
             pool.add(make_entry(a))
         popped = {pool.pop().address for _ in range(10)}
-        assert popped == set(range(10))
+        assert popped == set(range(1, 11))
         assert pool.pop() is None
 
     def test_len(self, rng):
-        pool = CandidatePool(get_ordering_policy("MR"), rng, 0.0)
-        pool.add(make_entry(1))
+        pool = make_query_cache("MR", [make_entry(1)], rng=rng)
         pool.add(make_entry(2))
         assert len(pool) == 2
         pool.pop()
         assert len(pool) == 1
 
     def test_dynamic_insert_during_pops(self, rng):
-        pool = CandidatePool(get_ordering_policy("MFS"), rng, 0.0)
-        pool.add(make_entry(1, num_files=10))
+        pool = make_query_cache("MFS", [make_entry(1, num_files=10)], rng=rng)
         assert pool.pop().address == 1
         pool.add(make_entry(2, num_files=99))
         assert pool.pop().address == 2

@@ -206,22 +206,3 @@ class TestProfilerBatches:
         stats = profiler._stats[GLOBAL_PHASE]
         assert stats.batches == 1
         assert stats.batch_items == 3
-
-
-class TestMutateStaysInProcess:
-    def test_mutate_ignores_workers(self):
-        seen = []
-
-        def mutate(sim):
-            seen.append(sim.engine.now)
-
-        reports = run_guess_config(
-            SYSTEM,
-            PROTOCOL,
-            workers=4,
-            mutate=mutate,
-            **RUN_KWARGS,
-        )
-        # The hook ran in this process, once per trial.
-        assert len(seen) == RUN_KWARGS["trials"]
-        assert len(reports) == RUN_KWARGS["trials"]

@@ -83,17 +83,6 @@ class TestRunGuessConfig:
         ]
         assert runs[0] == runs[1]
 
-    def test_mutate_hook_called(self):
-        seen = []
-        run_guess_config(
-            SystemParams(network_size=40, query_rate=0.0),
-            ProtocolParams(cache_size=8),
-            duration=10.0,
-            warmup=0.0,
-            mutate=lambda sim: seen.append(sim.system.network_size),
-        )
-        assert seen == [40]
-
     def test_averaged(self):
         reports = run_guess_config(
             SystemParams(network_size=40, query_rate=0.02),

@@ -24,7 +24,7 @@ from repro.experiments import (
     policy_comparison,
 )
 from repro.experiments.run_all import SUITES
-from repro.observe.manifest import ManifestRecorder, activated
+from repro.observe.manifest import ManifestRecorder, activated, verify_manifest
 from tests.experiments.helpers import MICRO, pinned
 
 
@@ -338,11 +338,40 @@ class TestGossipSearchSuite:
 
 class TestAblationsSuite:
     @pytest.fixture(scope="class")
-    def results(self):
+    def captured(self):
+        """Suite results plus the manifest its run records."""
+        recorder = ManifestRecorder()
+        with activated(recorder):
+            results = ablations.run_suite(MICRO)
+        manifest = recorder.build(
+            profile=MICRO.name,
+            suites=["ablations"],
+            workers=1,
+            wall_clock_seconds=0.0,
+        )
+        return results, manifest
+
+    @pytest.fixture(scope="class")
+    def results(self, captured):
         return pinned(
-            ablations.run_suite(MICRO),
+            captured[0],
             "5c603a8e39f4e8ee6bf10a8cf72c80d5328a553f55f276648dd9e11cd2de31f2",
         )
+
+    def test_manifest_holds_the_sweeps_only_and_verifies(self, captured):
+        # A manifest entry is a promise that re-running its TrialSpec
+        # reproduces its digests.  The three in-process ablations
+        # (adaptive-search, detection, selfish) are not TrialSpecs, so they
+        # record nothing rather than an entry that replays something else.
+        _, manifest = captured
+        sweeps = (
+            len(ablations.PARALLEL_WALKERS)
+            + 2  # DoBackoff off / on
+            + len(ablations.PONG_SIZES)
+            + len(ablations.INTRO_PROBS)
+        )
+        assert len(manifest["configs"]) == sweeps == 13
+        assert verify_manifest(manifest) == []
 
     def test_ids(self, results):
         assert ids(results, "ablations") == [

@@ -1,0 +1,105 @@
+"""Degenerate configurations fail typed or run clean — never hang.
+
+ROADMAP aim 3: a configuration at the edge of the parameter space either
+raises a :mod:`repro.errors` type while it is being built or runs to a
+report.  Each case builds *and* runs inside an alarm, so a hang (the
+failure mode PR 13 found for ``health_sample_interval <= 0``) is a
+failed test, not a stuck suite.
+"""
+
+from __future__ import annotations
+
+import signal
+from contextlib import contextmanager
+
+import pytest
+
+from repro.baselines.gossip import GossipPlan
+from repro.core.network_sim import GuessSimulation
+from repro.core.params import ProtocolParams, SystemParams
+from repro.errors import ConfigError
+from repro.freshness import FreshnessPlan
+from repro.metrics.collectors import SimulationReport
+from repro.resilience import ChurnStorm, ScenarioPlan
+
+TIMEOUT_SECONDS = 20
+
+EVERYONE_DIES = ScenarioPlan(
+    storms=(ChurnStorm(start=10.0, width=5.0, fraction=1.0),)
+)
+
+
+@contextmanager
+def alarm(seconds: int):
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def simulate(*, runs=(60.0,), n=40, system=None, protocol=None, **plans):
+    """Build from raw keyword dicts, so a params error is part of the case."""
+    sim = GuessSimulation(
+        SystemParams(**{"network_size": n, **(system or {})}),
+        ProtocolParams(**{"cache_size": 10, **(protocol or {})}),
+        seed=5,
+        **plans,
+    )
+    for duration in runs:
+        sim.run(duration)
+    return sim.report()
+
+
+#: ``(simulate() arguments, expected)``: a ``repro.errors`` type, or what
+#: the report of a clean run must show for the case to have run at all.
+CASES = {
+    "zero-peers": (dict(n=0), ConfigError),
+    "one-peer": (dict(n=1), ConfigError),
+    "two-peers": (dict(n=2), lambda r: r.pings_sent > 0),
+    "all-malicious": (
+        dict(system=dict(percent_bad_peers=100.0)),
+        lambda r: r.queries == 0 and r.pings_sent > 0,
+    ),
+    "everyone-dies-in-a-storm": (
+        dict(scenarios=EVERYONE_DIES),
+        lambda r: r.deaths == r.births == 40 and r.queries > 0,
+    ),
+    "empty-pongs": (dict(protocol=dict(pong_size=0)), lambda r: r.queries > 0),
+    "zero-duration": (dict(runs=(0.0,)), lambda r: r.pings_sent == 0),
+    "zero-duration-then-run": (dict(runs=(0.0, 60.0)), lambda r: r.queries > 0),
+    "no-cache": (dict(protocol=dict(cache_size=0)), ConfigError),
+    "no-cache-gossip-armed": (
+        dict(protocol=dict(cache_size=0), gossip=GossipPlan(fanout=2, ttl=2)),
+        ConfigError,
+    ),
+    "no-cache-freshness-armed": (
+        dict(
+            protocol=dict(cache_size=0),
+            freshness=FreshnessPlan(notify_budget=3, depth=2),
+        ),
+        ConfigError,
+    ),
+    "zero-desired-results": (
+        dict(system=dict(num_desired_results=0)),
+        ConfigError,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_degenerate_configuration_fails_typed_or_reports(case):
+    arguments, expected = CASES[case]
+    with alarm(TIMEOUT_SECONDS):
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                simulate(**arguments)
+            return
+        report = simulate(**arguments)
+    assert isinstance(report, SimulationReport)
+    assert expected(report), report

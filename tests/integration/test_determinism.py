@@ -9,11 +9,16 @@ iteration anywhere in the stack changes the digest.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.baselines.gossip import GossipPlan
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import BadPongBehavior, ProtocolParams, SystemParams
+from repro.experiments.executor import ProcessTrialExecutor, TrialSpec
 from repro.experiments.runner import run_guess_config
 from repro.faults.plan import BrownoutSpec, FaultPlan, PartitionWindow
 from repro.freshness import CacheSizing, FreshnessPlan
@@ -33,6 +38,46 @@ DURATION = 400.0
 FULL_OBSERVATION = ObservationPlan(
     spans=True, registry=True, registry_window=50.0
 )
+
+
+#: ``report_fingerprint`` of the six pinned cells, recorded at 02dd4ce
+#: (the commit before the query cache became the candidate pool).  The
+#: trace digest folds ``(time, priority, seq, label)`` per fired event and
+#: a probe's outcome schedules nothing unless gossip or freshness is
+#: armed, so the digests cannot see the query path
+#: (``TestDigestBlindness``); these can.
+REPORT_PINS = {
+    "clean": "1b321497e725985c99748a2a1d570e10d2a83ddf70ddba1afc2f3fe94cf35329",
+    "attack": "681b5a3c4f4d0c1accf584505904c5626c6ab52fca4449f765599b00357ce886",
+    "loss-retry": "f734e98639b9726fd8fe9b5d9c3b7934fbbe2d5f4dccdcca5c766c6ea6f7791a",
+    "gossip": "103583999ac0e41f11426cec7e69e17cb9a8ad53d5c24ad8a6cee0e13f6e85bb",
+    "freshness": "ffe01b90b2724bccf88855ae9b2685d99d9c2555ed2ceeebb3ade6ead284084f",
+    "all-armed": "9d2236176decafb704a7c06591bc9a8ebe01ae48ece4882795fd483475c7480d",
+}
+
+
+def report_fingerprint(report) -> str:
+    """sha256 over everything a report measured, the trace digest excepted.
+
+    Every scalar field by name, plus the per-peer ``loads`` and
+    ``refusals`` in address order and the health samples in time order.
+    """
+    scalars = {
+        field.name: getattr(report, field.name)
+        for field in dataclasses.fields(report)
+        if field.name != "trace_digest"
+        and isinstance(
+            getattr(report, field.name), (type(None), bool, int, float, str)
+        )
+    }
+    payload = {
+        "scalars": scalars,
+        "loads": sorted(report.loads.items()),
+        "refusals": sorted(report.refusals.items()),
+        "health": [dataclasses.astuple(s) for s in report.health_samples],
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def run_once(seed: int, *, percent_bad: float = 0.0,
@@ -123,13 +168,15 @@ class TestGoldenDigests:
     def test_clean_network_digest_pinned(self):
         digest, report = run_once(7)
         assert digest == "6433f3abe18fda0f316241089d67313b"
+        assert report_fingerprint(report) == REPORT_PINS["clean"]
         assert report.queries > 0
 
     def test_colluding_attack_digest_pinned(self):
-        digest, _ = run_once(
+        digest, report = run_once(
             11, percent_bad=10.0, behavior=BadPongBehavior.BAD
         )
         assert digest == "23d74325e25c2c9e44279d38a317edbe"
+        assert report_fingerprint(report) == REPORT_PINS["attack"]
 
     def test_packet_loss_retry_digest_pinned(self):
         """Third pin: a packet-loss cell with retries enabled.
@@ -148,6 +195,7 @@ class TestGoldenDigests:
             7, faults=FaultPlan(loss_rate=0.05), probe_retries=2
         )
         assert digest == "6433f3abe18fda0f316241089d67313b"
+        assert report_fingerprint(report) == REPORT_PINS["loss-retry"]
         assert report.spurious_timeout_probes > 0
         assert report.probe_retries > 0
         assert report.retry_recovered_probes > 0
@@ -176,6 +224,7 @@ class TestGossipAssistedPins:
     def test_armed_gossip_digest_pinned(self):
         digest, report = run_once(7, gossip=self.ARMED)
         assert digest == self.PIN
+        assert report_fingerprint(report) == REPORT_PINS["gossip"]
         assert report.gossip_rumors > 0
         assert report.gossip_pushes > 0
         assert report.gossip_imports > 0
@@ -253,6 +302,7 @@ class TestFreshnessPins:
     def test_armed_freshness_digest_pinned(self):
         digest, report = run_once(7, freshness=self.ARMED)
         assert digest == self.PIN
+        assert report_fingerprint(report) == REPORT_PINS["freshness"]
         assert report.freshness_notices > 0
         assert report.freshness_notices_delivered > 0
         assert report.freshness_purges > 0
@@ -540,6 +590,7 @@ class TestAllArmedPin:
     def test_all_armed_digest_and_op_counts_pinned(self):
         digest, report = self.run_cell()
         assert digest == self.PIN
+        assert report_fingerprint(report) == REPORT_PINS["all-armed"]
         counts = {name: getattr(report, name) for name in self.OP_COUNTS}
         assert counts == self.OP_COUNTS
 
@@ -563,3 +614,95 @@ class TestAllArmedPin:
         assert serial == parallel
         assert sum(r.freshness_notices for r in serial) > 0
         assert sum(r.gossip_pushes for r in serial) > 0
+
+
+class TestReportPins:
+    """The six pinned cells as ``TrialSpec``s on a two-process pool.
+
+    The serial arm is asserted beside each digest above; this is the
+    ``workers=2`` arm: the same digests *and* the same report
+    fingerprints come back from worker processes.
+    """
+
+    @staticmethod
+    def spec(seed, *, percent_bad=0.0, behavior=BadPongBehavior.DEAD,
+             probe_retries=0, **plans) -> TrialSpec:
+        """``run_once`` as data (same sizes, same defaults)."""
+        return TrialSpec(
+            SystemParams(
+                network_size=100,
+                percent_bad_peers=percent_bad,
+                bad_pong_behavior=behavior,
+            ),
+            ProtocolParams(cache_size=30, probe_retries=probe_retries),
+            duration=DURATION, warmup=0.0, seed=seed, trace_hash=True, **plans,
+        )
+
+    def test_digests_and_fingerprints_hold_on_two_workers(self):
+        pinned = {
+            "clean": (self.spec(7), "6433f3abe18fda0f316241089d67313b"),
+            "attack": (
+                self.spec(11, percent_bad=10.0, behavior=BadPongBehavior.BAD),
+                "23d74325e25c2c9e44279d38a317edbe",
+            ),
+            "loss-retry": (
+                self.spec(7, probe_retries=2, faults=FaultPlan(loss_rate=0.05)),
+                "6433f3abe18fda0f316241089d67313b",
+            ),
+            "gossip": (
+                self.spec(7, gossip=TestGossipAssistedPins.ARMED),
+                TestGossipAssistedPins.PIN,
+            ),
+            "freshness": (
+                self.spec(7, freshness=TestFreshnessPins.ARMED),
+                TestFreshnessPins.PIN,
+            ),
+            "all-armed": (
+                TrialSpec(
+                    TestAllArmedPin.SYSTEM, TestAllArmedPin.PROTOCOL,
+                    duration=200.0, warmup=0.0, seed=7, trace_hash=True,
+                    **TestAllArmedPin.PLANS,
+                ),
+                TestAllArmedPin.PIN,
+            ),
+        }
+        with ProcessTrialExecutor(workers=2) as pool:
+            reports = pool.run_trials([spec for spec, _ in pinned.values()])
+            assert pool.pool_started
+        got = {
+            name: (report.trace_digest, report_fingerprint(report))
+            for name, report in zip(pinned, reports)
+        }
+        assert got == {
+            name: (digest, REPORT_PINS[name])
+            for name, (_, digest) in pinned.items()
+        }
+
+
+class TestDigestBlindness:
+    """What "digest bit-identical" does *not* say.
+
+    A query's probes resolve inside its burst event: unless gossip or
+    freshness is armed, no probe outcome schedules anything, so the
+    executed-event stream — all the trace digest folds — is the same
+    whatever the query loop did.  A change to the query path is held by
+    ``REPORT_PINS`` (and the op counts of ``TestAllArmedPin``), never by
+    a digest alone.
+    """
+
+    def test_the_digest_cannot_tell_one_walker_from_ten(self):
+        runs = []
+        for walkers in (1, 10):
+            sim = GuessSimulation(
+                SystemParams(network_size=100),
+                ProtocolParams(cache_size=30, parallel_probes=walkers),
+                seed=7,
+                trace_hash=True,
+            )
+            sim.run(DURATION)
+            runs.append((sim.trace_digest, sim.report()))
+        (serial_digest, serial), (wide_digest, wide) = runs
+        assert serial_digest == wide_digest == "6433f3abe18fda0f316241089d67313b"
+        assert serial.queries == wide.queries
+        assert serial.total_probes < wide.total_probes
+        assert report_fingerprint(serial) != report_fingerprint(wide)

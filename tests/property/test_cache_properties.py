@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.entry import CacheEntry
 from repro.core.link_cache import LinkCache
 from repro.core.policies import get_replacement_policy
-from repro.core.query_cache import QueryCache
+from tests.conftest import make_query_cache
 
 entry_strategy = st.builds(
     CacheEntry,
@@ -21,6 +21,8 @@ entry_strategy = st.builds(
 )
 
 replacement_names = st.sampled_from(["Random", "LRU", "MRU", "LFS", "LR"])
+
+policy_names = st.sampled_from(["Random", "MFS", "MRU", "LRU", "MR"])
 
 
 @given(
@@ -173,31 +175,37 @@ def test_link_cache_equals_list_model(ops, capacity, replacement_name, prefill, 
 
 @given(
     st.lists(entry_strategy, max_size=60),
-    st.sets(st.integers(min_value=0, max_value=50), max_size=10),
+    st.sets(st.integers(min_value=1, max_value=50), max_size=10),
+    policy_names,
 )
 @settings(max_examples=80)
-def test_query_cache_never_admits_seen_or_excluded(entries, excluded):
-    cache = QueryCache(owner=0, excluded=excluded)
+def test_query_cache_never_admits_seen_or_excluded(entries, excluded, policy_name):
+    link_entries = [CacheEntry(address=a) for a in sorted(excluded)]
+    cache = make_query_cache(policy_name, link_entries)
     admitted = set()
     for entry in entries:
-        if cache.add(entry):
+        seen = cache.was_seen(entry.address)
+        assert cache.add(entry) is not seen
+        if not seen:
             admitted.add(entry.address)
     # Nothing excluded or owned was admitted; no duplicates possible.
     assert 0 not in admitted
     assert admitted.isdisjoint(excluded)
-    assert len(admitted) == len(cache)
+    assert len(admitted) + len(link_entries) == len(cache)
+    # Every candidate is popped exactly once: the link entries and the
+    # admitted, nothing else.
+    popped = [entry.address for entry in iter(cache.pop, None)]
+    assert sorted(popped) == sorted(admitted | excluded)
 
 
-@given(st.lists(entry_strategy, max_size=60))
+@given(st.lists(entry_strategy, max_size=60), policy_names)
 @settings(max_examples=80)
-def test_query_cache_pop_is_terminal(entries):
+def test_query_cache_pop_is_terminal(entries, policy_name):
     """A popped address can never re-enter the scratch space."""
-    cache = QueryCache(owner=0)
+    cache = make_query_cache(policy_name)
     for entry in entries:
         cache.add(entry)
-    popped = [e.address for e in list(cache.entries())[:5]]
-    for address in popped:
-        cache.pop(address)
+    popped = [cache.pop().address for _ in range(min(5, len(cache)))]
     for entry in entries:
         if entry.address in popped:
             assert not cache.add(entry)
