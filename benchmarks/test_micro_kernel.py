@@ -39,11 +39,18 @@ import pytest
 import repro
 from repro.core.entry import CacheEntry
 from repro.core.link_cache import LinkCache
+from repro.core.messages import Query
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
+from repro.core.peer import GuessPeer
 from repro.core.peer_store import PeerStore
-from repro.core.policies import get_replacement_policy
+from repro.core.policies import (
+    PolicySet,
+    get_ordering_policy,
+    get_replacement_policy,
+)
 from repro.experiments.runner import run_guess_config
+from repro.network.transport import Transport
 from repro.sim.engine import Simulator
 
 RESULTS_PATH = pathlib.Path(__file__).resolve().parent.parent / (
@@ -221,6 +228,69 @@ def test_link_cache_random_inserts_per_sec(benchmark):
     size = benchmark(run)
     assert 50 <= size <= 100
     _RESULTS["link_cache_random_inserts_per_sec"] = count / _mean_seconds(benchmark)
+
+
+def test_query_probe_roundtrips_per_sec(benchmark):
+    """One ``Transport.probe`` of a ``Query``: the reply path, end to end.
+
+    What a simulated probe costs at Table-1/2 defaults (ROADMAP item
+    10(a)): library lookup, ``make_pong`` over a full 100-entry cache
+    under the Random policy, the introduction coin and the three reply
+    records (no capacity limit, so no rate limiter).  Every probe comes
+    from another sender, as in a 5000-peer run, so one in ten is
+    introduced through a full-cache eviction contest.
+    """
+    protocol = ProtocolParams().normalized()
+    policies = PolicySet.from_protocol(protocol)
+    count = _KNOBS["inserts"]
+    queries = [
+        Query(sender=1_000 + i, target_file=7, sender_num_files=3)
+        for i in range(count)
+    ]
+
+    def run():
+        responder = GuessPeer(
+            1,
+            num_files=3,
+            library=frozenset({1, 2, 3}),
+            birth_time=0.0,
+            death_time=1e9,
+            protocol=protocol,
+            policies=policies,
+            max_probes_per_second=None,
+            policy_rng=random.Random(0),
+            intro_rng=random.Random(1),
+        )
+        for address in range(2, 2 + protocol.cache_size):
+            responder.offer_entry_to_link_cache(CacheEntry(address=address), 0.0)
+        transport = Transport()
+        transport.register(1, responder)
+        probe = transport.probe
+        shown = 0
+        for query in queries:
+            reply = probe(query.sender, 1, query, 1.0).response
+            shown += len(reply.pong.entries)
+        return shown
+
+    assert benchmark(run) == count * protocol.pong_size
+    _RESULTS["query_probe_roundtrips_per_sec"] = count / _mean_seconds(benchmark)
+
+
+def test_random_select_top_per_sec(benchmark):
+    """``RandomPolicy.select_top``: 5 of 100, the draw behind every pong."""
+    policy = get_ordering_policy("Random")
+    entries = [CacheEntry(address=i) for i in range(100)]
+    count = _KNOBS["inserts"]
+
+    def run():
+        rng = random.Random(0)
+        picked = 0
+        for _ in range(count):
+            picked += len(policy.select_top(entries, 5, 0.0, rng))
+        return picked
+
+    assert benchmark(run) == count * 5
+    _RESULTS["random_select_top_per_sec"] = count / _mean_seconds(benchmark)
 
 
 @functools.lru_cache(maxsize=None)

@@ -476,17 +476,22 @@ class GossipRelay:
         apply).  The per-rumor ``seen`` set is shared through
         event args — events fire deterministically, so the mutation
         order (hence every target choice) is reproducible.
+
+        A pong shows the responder's own entries and is valid for the
+        exchange only; the rumor outlives this event, so it carries a
+        snapshot taken now.
         """
         sim = self._sim
         sim.collector.record_gossip_rumor(now)
         origin = carrier.address
         seen = {origin, pong.sender}
+        entries = tuple(entry.copy() for entry in pong.entries)
         sim.engine.schedule(
             now + self.plan.hop_delay,
             self._hop,
             priority=EventPriority.PROTOCOL,
             label="gossip",
-            args=(origin, origin, pong.entries, self.plan.ttl, seen),
+            args=(origin, origin, entries, self.plan.ttl, seen),
         )
 
     def _hop(

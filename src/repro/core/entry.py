@@ -24,10 +24,17 @@ protocol path):
   invalidation) and **dead-on-arrival** (the pointer was imported after
   the death, e.g. from another peer's stale pong or a poisoned one).
 
-Entries are mutable (TS and NumRes change in place) but cheap to copy:
-pongs carry *copies*, never shared references — two peers updating one
-shared entry object would be action-at-a-distance that no real network
-has.
+Entries are mutable (TS and NumRes change in place) and every stored
+entry has exactly one owner — two peers updating one shared entry object
+would be action-at-a-distance that no real network has.  The rule that
+keeps it so: *a pong shows entries; whoever keeps one clones it*.  A
+:class:`~repro.core.messages.Pong` carries the responder's own resident
+objects as a view valid for the exchange; the receiver reads them and
+stores only what :meth:`CacheEntry.copy_for_import` returns (the link-cache
+import and the query cache's admission are the two sites), and the gossip
+rumor relay, which holds a pong past its event, snapshots the entries when
+it seeds.  An entry the receiver does not keep — most of them: the query
+cache has usually seen the address already — is never cloned.
 """
 
 from __future__ import annotations
@@ -58,11 +65,11 @@ class CacheEntry:
     born: float = 0.0
 
     def copy(self) -> "CacheEntry":
-        """An independent copy, as carried in a Pong message.
+        """An independent copy, for whoever keeps an entry it was shown.
 
-        Spelled via ``__new__`` + direct slot stores: pong construction
-        copies ``PongSize`` entries per ping on the hot path, and
-        skipping dataclass ``__init__`` roughly halves the cost.
+        Spelled via ``__new__`` + direct slot stores: every admitted pong
+        entry is cloned once on the query path, and skipping dataclass
+        ``__init__`` roughly halves the cost.
         """
         clone = object.__new__(CacheEntry)
         clone.address = self.address

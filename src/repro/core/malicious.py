@@ -176,11 +176,10 @@ class MaliciousPeer(GuessPeer):
             )
             for address in addresses
         )
-        return Pong(sender=self.address, entries=entries)
+        return Pong(self.address, entries)
 
     def _handle_query(self, message, time: float):
         """Answer with zero results and a poisoned pong (Section 6.4)."""
-        self.queries_received += 1
         reply = super()._handle_query(message, time)
         # super() counted a match against our (empty) library: force zero
         # results explicitly for clarity and future-proofing.

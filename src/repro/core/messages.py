@@ -5,7 +5,8 @@ Four message kinds cover the protocol (paper Section 2):
 * :class:`Ping` — link-cache maintenance probe.
 * :class:`Query` — a search probe carrying the target descriptor.
 * :class:`Pong` — the reply to a Ping, and also piggybacked on every
-  query reply; carries copied cache entries for sharing.
+  query reply; shows the receiver a selection of the responder's cache
+  entries.
 * :class:`QueryReply` — results count plus the piggybacked Pong.
 
 Every probe carries the sender's address and advertised file count so the
@@ -26,7 +27,7 @@ candidates — a purge is also a refresh opportunity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from repro.core.entry import CacheEntry
 from repro.network.address import Address
@@ -49,25 +50,39 @@ class Query:
     sender_num_files: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class Pong:
+class _PongFields(NamedTuple):
+    sender: Address
+    entries: Tuple[CacheEntry, ...]
+
+
+class Pong(_PongFields):
     """Cache-entry sharing payload.
 
-    Entries are copies of the responder's link-cache entries (selected by
-    its PingPong or QueryPong policy); receivers must never mutate a
-    pong's entries in place — they import copies.
+    A pong *shows* entries; whoever keeps one clones it.  ``entries`` are
+    the responder's own link-cache residents (selected by its PingPong or
+    QueryPong policy), valid as a view for the exchange that delivered
+    them: a receiver reads them and stores only what
+    :meth:`~repro.core.entry.CacheEntry.copy_for_import` returns, never
+    mutates them in place, and a component that holds a pong past its
+    event (the gossip rumor relay) snapshots them first.
+
+    A named tuple, like :class:`QueryReply` and
+    :class:`~repro.network.transport.ProbeOutcome`: one is built per
+    delivered probe, and a tuple is immutable without a per-field
+    ``object.__setattr__``.
     """
 
-    sender: Address
-    entries: Tuple[CacheEntry, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(self.entries))
+    def __new__(
+        cls, sender: Address, entries: Iterable[CacheEntry] = ()
+    ) -> "Pong":
+        if type(entries) is not tuple:
+            entries = tuple(entries)
+        return tuple.__new__(cls, (sender, entries))
 
 
-@dataclass(frozen=True, slots=True)
-class QueryReply:
+class QueryReply(NamedTuple):
     """Reply to a Query probe.
 
     Attributes:
@@ -108,7 +123,7 @@ class GossipPush:
     Attributes:
         sender: the peer forwarding the rumor (this hop's carrier).
         origin: the peer whose ping harvest seeded the rumor.
-        entries: the disseminated cache-entry copies.
+        entries: the rumor's snapshot of the harvested pong's entries.
         ttl: remaining forwarding hops after this delivery.
     """
 

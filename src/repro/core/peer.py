@@ -247,7 +247,7 @@ class GuessPeer:
         self.results_served += num_results
         pong = self.make_pong(self.policies.query_pong, time)
         self._maybe_introduce(message.sender, message.sender_num_files, time)
-        return QueryReply(sender=self.address, num_results=num_results, pong=pong)
+        return QueryReply(self.address, num_results, pong)
 
     def _handle_gossip(self, message: GossipPush, time: float) -> GossipAck:
         """Ingest an epidemically disseminated pong harvest.
@@ -258,7 +258,7 @@ class GuessPeer:
         rumor carries no advertised file count.
         """
         imported = self.import_pong_to_link_cache(
-            Pong(sender=message.origin, entries=message.entries), time
+            Pong(message.origin, message.entries), time
         )
         return GossipAck(sender=self.address, imported=imported)
 
@@ -294,17 +294,19 @@ class GuessPeer:
     # ------------------------------------------------------------------
 
     def make_pong(self, pong_policy, time: float) -> Pong:
-        """Build a Pong of up to ``PongSize`` *copied* link-cache entries."""
+        """Build a Pong showing up to ``PongSize`` link-cache entries.
+
+        The entries are this peer's residents, not clones: the receiver
+        clones what it keeps (:meth:`import_pong_to_link_cache`, the
+        query cache's admission), so an entry nobody keeps costs nothing.
+        """
         selected = pong_policy.select_top(
             self.link_cache.entries(),
             self.protocol.pong_size,
             time,
             self._policy_rng,
         )
-        return Pong(
-            sender=self.address,
-            entries=tuple(entry.copy() for entry in selected),
-        )
+        return Pong(self.address, tuple(selected))
 
     def _maybe_introduce(
         self, prober: Address, prober_num_files: int, time: float

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from itertools import islice
+from math import ceil, log
 from typing import Iterable, List, Optional, Sequence
 
 from repro.core.entry import CacheEntry
@@ -64,13 +65,32 @@ class RandomPolicy(Policy):
         now: float,
         rng: random.Random,
     ) -> List[CacheEntry]:
-        if k <= 0 or not entries:
+        n = len(entries)
+        if k <= 0 or not n:
             return []
-        if k >= len(entries):
+        if k >= n:
             ordered = list(entries)
             rng.shuffle(ordered)
             return ordered
-        return rng.sample(entries, k)
+        if n <= (21 if k <= 5 else 21 + 4 ** ceil(log(k * 3, 4))):
+            # ``sample`` copies a population this small into a pool and
+            # swap-removes from it; caches of ten take this branch.
+            return rng.sample(entries, k)
+        # What ``rng.sample(entries, k)`` does above that size, draw for
+        # draw: k distinct indices by rejection from ``getrandbits`` (the
+        # stdlib's ``_randbelow`` loop and its ``while j in selected``
+        # loop are one loop here) — without sample's argument checks, its
+        # ``set`` and its pre-sized result list, on a path taken once per
+        # pong.  ``picked`` is a list because k is PongSize (5).
+        getrandbits = rng.getrandbits
+        bits = n.bit_length()
+        picked: List[int] = []
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in picked:
+                j = getrandbits(bits)
+            picked.append(j)
+        return [entries[j] for j in picked]
 
     def choose_victim(
         self,

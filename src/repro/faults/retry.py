@@ -24,7 +24,7 @@ to the pre-retry code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -178,11 +178,11 @@ def probe_with_retry(
         outcome = transport.probe(src, dst, message, time + delay)
         attempts += 1
         if outcome.status is not ProbeStatus.TIMEOUT:
-            final = replace(outcome, rtt=delay + outcome.rtt)
+            final = outcome._replace(rtt=delay + outcome.rtt)
             return RetriedProbe(
                 final, attempts=attempts, recovered=True, delay=delay
             )
-    final = replace(outcome, rtt=delay + outcome.rtt)
+    final = outcome._replace(rtt=delay + outcome.rtt)
     return RetriedProbe(
         final, attempts=attempts, recovered=False, delay=delay, denied=denied
     )

@@ -30,8 +30,7 @@ the historical fault-free code, bit for bit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional, Protocol
 
 from repro.network.address import Address
 from repro.observe.registry import MetricsRegistry
@@ -53,9 +52,8 @@ class ProbeStatus(enum.Enum):
     """The target was alive but over its capacity limit and said so."""
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeOutcome:
-    """Result of one probe.
+class ProbeOutcome(NamedTuple):
+    """Result of one probe (a named tuple: one is built per probe).
 
     RTT charging rules (both deliberate, and asserted by the transport
     tests):
@@ -243,13 +241,11 @@ class Transport:
             # a timeout either way, and skipping the draw keeps fault
             # streams a pure function of the live-probe sequence.
             self._c_timeouts.inc()
-            return ProbeOutcome(status=ProbeStatus.TIMEOUT, rtt=self.timeout)
+            return ProbeOutcome(ProbeStatus.TIMEOUT, None, self.timeout)
         if faults is not None and faults.should_drop(src, dst, time):
             self._c_timeouts.inc()
             self._c_spurious.inc()
-            return ProbeOutcome(
-                status=ProbeStatus.TIMEOUT, rtt=self.timeout, spurious=True
-            )
+            return ProbeOutcome(ProbeStatus.TIMEOUT, None, self.timeout, True)
         accepted, response = endpoint.receive_probe(message, time)
         rtt = self._latency(src, dst)
         if faults is not None:
@@ -258,8 +254,8 @@ class Transport:
             self._rtt_hist.observe(rtt)
         if not accepted:
             self._c_refusals.inc()
-            return ProbeOutcome(status=ProbeStatus.REFUSED, response=response, rtt=rtt)
-        return ProbeOutcome(status=ProbeStatus.DELIVERED, response=response, rtt=rtt)
+            return ProbeOutcome(ProbeStatus.REFUSED, response, rtt)
+        return ProbeOutcome(ProbeStatus.DELIVERED, response, rtt)
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -14,9 +14,13 @@ from repro.baselines.gossip import (
     GossipRelay,
     GossipSearch,
 )
+from repro.core.messages import GossipPush, Pong
+from repro.core.network_sim import GuessSimulation
+from repro.core.params import ProtocolParams, SystemParams
 from repro.errors import TopologyError, WorkloadError
 from repro.sim.rng import RngRegistry
 from repro.workload.content import ContentModel
+from tests.conftest import make_entry
 
 #: These tests pick targets; nothing is ever sent,
 #: so the relay/mediator gets no simulation to send it in.
@@ -207,3 +211,40 @@ class TestGossipPlanRelay:
         picked = relay.pick_targets(candidates, set())
         assert len(picked) == 2
         assert set(picked) <= set(candidates)
+
+    def test_rumor_carries_the_seed_time_snapshot(self, monkeypatch):
+        """A pong shows the responder's residents and the rumor outlives
+        the event that harvested it, so ``seed_rumor`` snapshots: a
+        responder touching its entries before the hop fires must not
+        change what the hop's ``GossipPush`` delivers."""
+        sim = GuessSimulation(
+            SystemParams(network_size=20, query_rate=0.0),
+            ProtocolParams(cache_size=10),
+            seed=3,
+            gossip=GossipPlan(fanout=2, ttl=1),
+        )
+        carrier = next(p for p in sim.store.live_peers() if len(p.link_cache))
+        residents = (make_entry(901, ts=1.0, num_res=1), make_entry(902, ts=2.0))
+        pushes = []
+        probe = sim.transport.probe
+
+        def recording(src, dst, message, time):
+            if isinstance(message, GossipPush) and message.origin == carrier.address:
+                pushes.append(message)
+            return probe(src, dst, message, time)
+
+        monkeypatch.setattr(sim.transport, "probe", recording)
+        sim.gossip.seed_rumor(carrier, Pong(900, residents), sim.engine.now)
+        for resident in residents:
+            resident.ts += 100.0
+            resident.num_res = 9
+        sim.run(sim.gossip.plan.hop_delay)
+        harvested = [p for p in pushes if p.entries[0].address == 901]
+        assert harvested
+        for push in harvested:
+            assert all(
+                sent is not shown for sent, shown in zip(push.entries, residents)
+            )
+            assert [(e.address, e.ts, e.num_res) for e in push.entries] == [
+                (901, 1.0, 1), (902, 2.0, 0),
+            ]

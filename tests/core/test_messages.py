@@ -2,7 +2,22 @@
 
 from __future__ import annotations
 
-from repro.core.messages import Ping, Pong, Query, QueryReply, Refusal
+import dataclasses
+
+import pytest
+
+from repro.core.messages import (
+    CacheUpdate,
+    CacheUpdateAck,
+    GossipAck,
+    GossipPush,
+    Ping,
+    Pong,
+    Query,
+    QueryReply,
+    Refusal,
+)
+from repro.network.transport import ProbeOutcome, ProbeStatus
 from tests.conftest import make_entry
 
 
@@ -34,10 +49,29 @@ class TestMessages:
         assert Refusal(sender=5).sender == 5
 
     def test_messages_are_frozen(self):
-        ping = Ping(sender=1)
-        try:
-            ping.sender = 2
-            raised = False
-        except AttributeError:
-            raised = True
-        assert raised
+        """Every wire record, dataclass or named tuple, refuses assignment."""
+        records = [
+            Ping(sender=1),
+            Query(sender=1, target_file=2),
+            Pong(sender=1, entries=(make_entry(2),)),
+            QueryReply(sender=1, num_results=0, pong=Pong(sender=1)),
+            Refusal(sender=1),
+            GossipPush(sender=1, origin=2),
+            GossipAck(sender=1),
+            CacheUpdate(sender=1, subject=2),
+            CacheUpdateAck(sender=1, purged=False, pong=Pong(sender=1)),
+            ProbeOutcome(status=ProbeStatus.TIMEOUT, rtt=0.2),
+        ]
+        for record in records:
+            if dataclasses.is_dataclass(record):
+                names = [field.name for field in dataclasses.fields(record)]
+            else:
+                names = record._fields
+            assert names
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 2)
+            # No ``__dict__`` to grow either (a slotted frozen dataclass
+            # raises TypeError here, a named tuple AttributeError).
+            with pytest.raises((AttributeError, TypeError)):
+                record.not_a_field = 2

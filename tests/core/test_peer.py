@@ -32,12 +32,20 @@ class TestPingHandling:
         assert peer.pings_received == 1
 
     def test_pong_entries_are_copies(self):
-        peer = make_peer(1)
-        cached = make_entry(5, ts=1.0, num_files=3)
-        peer.link_cache.insert(cached, peer.policies.replacement, 0.0, peer._policy_rng)
-        _, pong = peer.receive_probe(Ping(sender=2), 1.0)
-        pong.entries[0].ts = 999.0
-        assert peer.link_cache.get(5).ts == 1.0
+        """A pong shows the responder's residents; the keeper clones them."""
+        responder = make_peer(1)
+        resident = make_entry(5, ts=1.0, num_files=3, num_res=2)
+        assert responder.offer_entry_to_link_cache(resident, 0.0)
+        _, pong = responder.receive_probe(Ping(sender=2), 1.0)
+        assert pong.entries[0] is resident
+        prober = make_peer(2)
+        assert prober.import_pong_to_link_cache(pong, 1.0) == 1
+        kept = prober.link_cache.get(5)
+        assert kept is not resident
+        resident.ts = 999.0
+        resident.num_res = 7
+        assert (kept.ts, kept.num_files, kept.num_res) == (1.0, 3, 2)
+        assert responder.link_cache.get(5).ts == 999.0
 
     def test_pong_respects_pong_size(self):
         protocol = ProtocolParams(cache_size=20, pong_size=3)

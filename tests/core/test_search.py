@@ -284,6 +284,29 @@ class TestPongIngestCopies:
         ]
 
 
+    def test_admitted_entry_is_the_queriers_own(self, rng):
+        """The keeper's rule at the query cache: what a query admits from
+        a pong is a clone, so the responder's resident and the querier's
+        entry never alias."""
+        protocol = ProtocolParams(cache_size=10, pong_size=5)
+        querier = make_peer(0, protocol=protocol, library=frozenset())
+        relay = make_peer(1, protocol=protocol, library=frozenset())
+        owner = make_peer(2, protocol=protocol, library=frozenset({42}))
+        resident = make_entry(2, ts=0.0, num_files=9)
+        assert relay.offer_entry_to_link_cache(resident, 0.0)
+        transport = wire(querier, [relay, owner])
+        cache_entries_for(querier, [relay])
+        assert execute_query(querier, 42, transport, 0.0, rng=rng).satisfied
+        # Probing the owner updated the querier's entry, not the relay's.
+        kept = querier.link_cache.get(2)
+        assert kept is not resident
+        assert (kept.ts, kept.num_res) == (0.2, 1)
+        assert (resident.ts, resident.num_res) == (0.0, 0)
+        resident.ts = 999.0
+        resident.num_files = 0
+        assert (kept.ts, kept.num_files) == (0.2, 9)
+
+
 class TestCapacityAndBackoff:
     def _overloaded_pair(self, do_backoff):
         protocol = ProtocolParams(cache_size=10, do_backoff=do_backoff)

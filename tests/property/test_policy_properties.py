@@ -92,6 +92,34 @@ def test_select_top_prefix_of_order(entries, policy_name):
     assert [e.address for e in top3] == [e.address for e in ordered[:3]]
 
 
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(max_examples=10)
+def test_random_select_top_is_random_sample_draw_for_draw(seed):
+    """``RandomPolicy.select_top`` spells ``random.sample`` out; the stdlib
+    is the oracle.  Every n in [0, 300] and k in [0, 12] — ``sample``'s
+    pool branch (n <= 21, or <= 85 once k > 5), its rejection branch and
+    the shuffle at k >= n — must return the same objects in the same
+    order and leave the stream in the same state, or a pong differs and
+    every pin moves.  A CPython that changes ``sample`` fails here."""
+    policy = get_ordering_policy("Random")
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    population = [CacheEntry(address=a) for a in range(300)]
+    for n in range(301):
+        entries = population[:n]
+        for k in range(13):
+            top = policy.select_top(entries, k, 1e5, ours)
+            if k == 0:
+                expected = []
+            elif k >= n:
+                expected = list(entries)
+                stdlib.shuffle(expected)
+            else:
+                expected = stdlib.sample(entries, k)
+            assert [id(e) for e in top] == [id(e) for e in expected], (n, k)
+        # A draw too many or too few never heals, so once per row will do.
+        assert ours.getstate() == stdlib.getstate(), n
+
+
 @given(entry_lists, st.sampled_from(sorted(REPLACEMENT_KEY_POLICY)))
 @settings(max_examples=100)
 def test_replacement_victim_is_member(entries, replacement_name):

@@ -12,8 +12,11 @@ import re
 import tracemalloc
 from pathlib import Path
 
+from repro.baselines.gossip import GossipRelay
+from repro.core.entry import CacheEntry
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
+from tests.integration import test_determinism as pins
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
@@ -163,6 +166,54 @@ def test_bytes_per_peer():
     assert sum(per_peer.values()) <= 4.5 * 1024, owners
     workload = sum(b for name, b in per_peer.items() if "/workload/" in name)
     assert workload <= 1.8 * 1024, owners
+
+
+def _clone_counts(monkeypatch, system, protocol, **plans):
+    """``(copy, copy_for_import, entries seed_rumor was shown)`` over 60 sim-s."""
+    counts = {"copy": 0, "import": 0, "rumor": 0}
+    copy, copy_for_import = CacheEntry.copy, CacheEntry.copy_for_import
+    seed_rumor = GossipRelay.seed_rumor
+
+    def counted_copy(entry):
+        counts["copy"] += 1
+        return copy(entry)
+
+    def counted_import(entry, reset_num_results, now):
+        counts["import"] += 1
+        return copy_for_import(entry, reset_num_results, now)
+
+    def counted_seed(relay, carrier, pong, now):
+        counts["rumor"] += len(pong.entries)
+        return seed_rumor(relay, carrier, pong, now)
+
+    monkeypatch.setattr(CacheEntry, "copy", counted_copy)
+    monkeypatch.setattr(CacheEntry, "copy_for_import", counted_import)
+    monkeypatch.setattr(GossipRelay, "seed_rumor", counted_seed)
+    sim = GuessSimulation(system, protocol, seed=7, **plans)
+    sim.run(60.0)
+    assert sim.transport.probes_sent > 10_000
+    return counts["copy"], counts["import"], counts["rumor"]
+
+
+def test_an_entry_is_cloned_by_whoever_keeps_it(monkeypatch):
+    # Exact, not a ceiling: a pong shows entries and only a keeper clones
+    # (``core/entry.py``).  Table-1/2 defaults: every clone is an import.
+    # A sender-side clone in ``make_pong`` is PongSize extra per pong.
+    copies, imports, _ = _clone_counts(
+        monkeypatch, SystemParams(network_size=300), ProtocolParams()
+    )
+    assert imports > 0
+    assert copies == imports
+
+
+def test_armed_gossip_adds_only_the_rumor_snapshot(monkeypatch):
+    # The one holder of a pong past its event snapshots what it was shown.
+    recipe = pins.TestAllArmedPin
+    copies, imports, snapshotted = _clone_counts(
+        monkeypatch, recipe.SYSTEM, recipe.PROTOCOL, **recipe.PLANS
+    )
+    assert imports > 0 and snapshotted > 0
+    assert copies == imports + snapshotted
 
 
 def test_simulation_keyword_arguments():
