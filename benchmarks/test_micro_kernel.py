@@ -2,8 +2,9 @@
 
 These pin the throughput of the paths PR 2 optimized — the event loop's
 args-based dispatch, ``GuessSimulation``'s friend sampling and health
-snapshots, and ``LinkCache``'s full-cache insert contest (key-based
-and Random with interleaved evictions) and the k-th-live-peer lookup
+snapshots, and ``LinkCache``'s full-cache insert contest (key-based,
+key-based with every contestant tied, and Random with interleaved
+evictions), a key-based pong's top-k and the k-th-live-peer lookup
 against its one-line ``islice`` spelling — plus the
 parallel trial executor's end-to-end speedup.  Each test folds its
 measured rate into a module-level result dict; a module-scoped fixture
@@ -183,15 +184,10 @@ def test_sim_events_per_sec(benchmark):
     _RESULTS["sim_seconds_per_sec"] = duration / mean
 
 
-def test_link_cache_inserts_per_sec(benchmark):
-    """Full-cache inserts: every one runs the no-copy eviction contest."""
-    policy = get_replacement_policy("LFS")
+def _full_cache_inserts_per_sec(benchmark, replacement, entries) -> float:
+    """Insert ``entries`` into a cache of 100 under a key-based policy."""
+    policy = get_replacement_policy(replacement)
     rng = random.Random(0)
-    count = _KNOBS["inserts"]
-    entries = [
-        CacheEntry(address=i, num_files=rng.randrange(1000))
-        for i in range(1, count + 1)
-    ]
 
     def run():
         cache = LinkCache(capacity=100, owner=0)
@@ -199,9 +195,33 @@ def test_link_cache_inserts_per_sec(benchmark):
             cache.insert(entry, policy, 0.0, rng)
         return len(cache)
 
-    size = benchmark(run)
-    assert size == 100
-    _RESULTS["link_cache_inserts_per_sec"] = count / _mean_seconds(benchmark)
+    assert benchmark(run) == 100
+    return len(entries) / _mean_seconds(benchmark)
+
+
+def test_link_cache_inserts_per_sec(benchmark):
+    """Full-cache inserts: every one runs the no-copy eviction contest."""
+    rng = random.Random(0)
+    entries = [
+        CacheEntry(address=i, num_files=rng.randrange(1000))
+        for i in range(1, _KNOBS["inserts"] + 1)
+    ]
+    _RESULTS["link_cache_inserts_per_sec"] = _full_cache_inserts_per_sec(
+        benchmark, "LFS", entries
+    )
+
+
+def test_keyed_tied_contest_per_sec(benchmark):
+    """LR inserts into a full cache where every ``NumRes`` is 0.
+
+    The tie path of a key-based contest at its worst: all 101 contestants
+    share the losing value, so each is settled on address alone.  LR never
+    leaves the tie path in a run (its lowest ``NumRes`` is always shared).
+    """
+    entries = [CacheEntry(address=i) for i in range(1, _KNOBS["inserts"] + 1)]
+    _RESULTS["keyed_tied_contest_per_sec"] = _full_cache_inserts_per_sec(
+        benchmark, "LR", entries
+    )
 
 
 def test_link_cache_random_inserts_per_sec(benchmark):
@@ -291,6 +311,31 @@ def test_random_select_top_per_sec(benchmark):
 
     assert benchmark(run) == count * 5
     _RESULTS["random_select_top_per_sec"] = count / _mean_seconds(benchmark)
+
+
+def test_keyed_select_top_per_sec(benchmark):
+    """Key-based ``select_top``: 5 of 100 under MFS, a keyed pong.
+
+    ``NumFiles`` as a cache holds it: a third free riders at 0, the rest
+    spread, one poisoned claim.
+    """
+    policy = get_ordering_policy("MFS")
+    rng = random.Random(0)
+    entries = [
+        CacheEntry(address=i, num_files=rng.choice((0, rng.randrange(1, 1000))))
+        for i in range(100)
+    ]
+    entries[40].num_files = 60_000
+    count = _KNOBS["inserts"]
+
+    def run():
+        picked = 0
+        for _ in range(count):
+            picked += len(policy.select_top(entries, 5, 0.0, rng))
+        return picked
+
+    assert benchmark(run) == count * 5
+    _RESULTS["keyed_select_top_per_sec"] = count / _mean_seconds(benchmark)
 
 
 @functools.lru_cache(maxsize=None)

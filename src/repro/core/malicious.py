@@ -33,7 +33,8 @@ satisfaction channel next to the perceived one.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from bisect import bisect_left
+from typing import List, Optional, Sequence
 
 from repro.core.entry import CacheEntry
 from repro.core.messages import Pong, Query, QueryReply
@@ -66,19 +67,29 @@ class AttackDirectory:
         self.live_malicious: set[Address] = set()
         self.live_good: set[Address] = set()
         self._ghosts: List[Address] = list(ghost_addresses)
+        # Each live roster in address order, sorted on the first draw
+        # after a birth or death changed it (None), not once per pong.
+        self._malicious_roster: Optional[List[Address]] = None
+        self._good_roster: Optional[List[Address]] = None
 
     def record_death(self, address: Address) -> None:
         """A peer departed; its address is now poison material."""
         self.dead_addresses.append(address)
-        self.live_malicious.discard(address)
-        self.live_good.discard(address)
+        if address in self.live_malicious:
+            self.live_malicious.remove(address)
+            self._malicious_roster = None
+        if address in self.live_good:
+            self.live_good.remove(address)
+            self._good_roster = None
 
     def record_birth(self, address: Address, malicious: bool) -> None:
         """Register a newborn in the appropriate roster."""
         if malicious:
             self.live_malicious.add(address)
+            self._malicious_roster = None
         else:
             self.live_good.add(address)
+            self._good_roster = None
 
     def sample_dead(self, rng: random.Random, k: int) -> List[Address]:
         """Up to ``k`` dead addresses, padded with ghosts when churn is young."""
@@ -102,23 +113,34 @@ class AttackDirectory:
         """Up to ``k`` live malicious addresses other than ``exclude``."""
         if k <= 0:
             return []
-        # Sort the roster before sampling: the draw (and the pong entry
-        # order when k >= len(pool)) must not depend on set iteration order.
-        pool = [a for a in sorted(self.live_malicious) if a != exclude]
-        if not pool:
-            return []
-        if k >= len(pool):
-            return list(pool)
-        return rng.sample(pool, k)
+        # The roster is sorted: the draw (and the pong entry order when
+        # k >= len(pool)) must not depend on set iteration order.
+        roster = self._malicious_roster
+        if roster is None:
+            roster = self._malicious_roster = sorted(self.live_malicious)
+        # The pool is the roster minus ``exclude``; sampling positions of
+        # it and stepping over the gap is ``rng.sample(pool, k)`` draw for
+        # draw, without building the pool for every pong.
+        size = len(roster)
+        gap = bisect_left(roster, exclude)
+        if gap < size and roster[gap] == exclude:
+            size -= 1
+        else:
+            gap = size
+        if k >= size:
+            return roster[:gap] + roster[gap + 1:]
+        return [roster[i + (i >= gap)] for i in rng.sample(range(size), k)]
 
     def sample_good(self, rng: random.Random, k: int) -> List[Address]:
         """Up to ``k`` live good addresses."""
-        if k <= 0 or not self.live_good:
+        if k <= 0:
             return []
-        pool = sorted(self.live_good)
-        if k >= len(pool):
-            return pool
-        return rng.sample(pool, k)
+        roster = self._good_roster
+        if roster is None:
+            roster = self._good_roster = sorted(self.live_good)
+        if k >= len(roster):
+            return list(roster)
+        return rng.sample(roster, k)
 
 
 class MaliciousPeer(GuessPeer):

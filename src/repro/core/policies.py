@@ -10,50 +10,111 @@ PingPong              entries preferred when answering a Ping with a Pong
 CacheReplacement      which entry is evicted from a full link cache
 ====================  =====================================================
 
-All five reduce to one abstraction: a **ranking** over entries.
+All five reduce to one piece of data: **a field and a direction**.  A
+key-based policy names the :class:`~repro.core.entry.CacheEntry`
+attribute it ranks on and the end it prefers — MRU ``ts`` high, LRU
+``ts`` low, MFS ``num_files`` high, MR ``num_res`` high — and
+:class:`Policy` implements every role once over that field:
 
-* Probe/pong roles prefer the entry with the *highest* key.
-* The replacement role evicts the entry with the *lowest* key, and the
-  paper names replacement policies after what they evict — so replacement
-  "LFS" (evict Least Files Shared) ranks with the MFS key, replacement
-  "MRU" (evict Most Recently Used) ranks with the LRU key, and so on.
-  :data:`REPLACEMENT_KEY_POLICY` encodes that reversal.
+* Probe/pong roles prefer the entry at the preferred end; entries tied
+  on the field go lowest address first.
+* The replacement role evicts the entry at the *other* end, the highest
+  address among those tied there, and the paper names replacement
+  policies after what they evict — so replacement "LFS" (evict Least
+  Files Shared) ranks with the MFS field, replacement "MRU" with the LRU
+  one, and so on.  :data:`REPLACEMENT_KEY_POLICY` encodes that reversal.
 
-Concrete key functions live in :mod:`repro.core.policy_impls`; this module
-defines the interface and the registry.
+Ties are the common case (``NumRes`` is mostly 0, free riders all share
+0 files), so both tie rules are part of every digest.  ``Random`` has no
+field and draws instead.  Concrete declarations live in
+:mod:`repro.core.policy_impls`; this module defines the interface and
+the registry.
 """
 
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
-from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Type
+from itertools import compress, islice, repeat
+from operator import attrgetter, eq
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Type
 
 from repro.core.entry import CacheEntry
 from repro.errors import PolicyError
 from repro.faults.retry import RetryPolicy
 
+_ADDRESS = attrgetter("address")
 
-class Policy(ABC):
-    """A ranking over cache entries.
 
-    Subclasses implement :meth:`key`; the framework supplies selection
-    (best-first), pong construction (top-k) and eviction (worst-first).
-    ``Random`` overrides the selection methods directly since it has no
-    meaningful key.
+def _holder(
+    entries: Iterable[CacheEntry], values: list, extreme, lowest: bool
+) -> CacheEntry:
+    """The entry whose field is ``extreme``, given every entry's in ``values``.
+
+    ``entries`` is walked again, so a sequence or a dict view, never an
+    iterator.  A shared extreme is settled on address among its holders
+    (the lowest, or the highest) — the common case for ``NumRes``.
+    """
+    if values.count(extreme) == 1:
+        return next(islice(entries, values.index(extreme), None))
+    tied = compress(entries, map(eq, values, repeat(extreme)))
+    return (min if lowest else max)(tied, key=_ADDRESS)
+
+
+class Policy:
+    """A ranking over cache entries: a field and a direction.
+
+    Subclasses declare :attr:`field` (and :attr:`prefers_low`); selection
+    (best-first), pong construction (top-k) and eviction (worst-first)
+    are implemented here, once, on C-level primitives over the field: a
+    pong ranks a 100-entry cache and a full cache holds a contest per
+    insert, so a Python frame per entry would be most of a keyed run.
+    ``Random`` has no field and overrides every method.
     """
 
     #: Registry name; set by subclasses.
     name: str = ""
 
-    #: True only for the Random policy; lets hot paths (the candidate
-    #: pool) pick a cheap strategy without isinstance checks.
+    #: True only for the Random policy; lets hot paths (the query
+    #: cache) pick a cheap strategy without isinstance checks.
     randomized: bool = False
 
-    @abstractmethod
+    #: The ``CacheEntry`` attribute ranked on; empty only for Random.
+    field: str = ""
+
+    #: True when the low end of :attr:`field` is the preferred one.
+    prefers_low: bool = False
+
+    _value: Callable[[CacheEntry], float]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.field:
+            cls._value = attrgetter(cls.field)
+        elif not cls.randomized:
+            raise PolicyError(
+                f"{cls.__name__} must name the CacheEntry field it ranks on"
+            )
+
     def key(self, entry: CacheEntry, now: float) -> float:
-        """Ranking key for ``entry`` at time ``now``; higher is preferred."""
+        """Ranking key for ``entry``; higher is preferred.
+
+        The raw field, negated for the low end: ``num_files`` / ``num_res``
+        stay ints, which order exactly as their floats below 2**53 (the
+        largest claim anyone makes is ``FAKE_NUM_FILES``, 60 000).
+        """
+        del now  # no field ages
+        value = self._value(entry)
+        return -value if self.prefers_low else value
+
+    def _end(
+        self, entries: Iterable[CacheEntry], preferred: bool
+    ) -> Optional[CacheEntry]:
+        """The entry at the preferred end of the ranking, or at the other."""
+        values = list(map(self._value, entries))
+        if not values:
+            return None
+        extreme = (min if self.prefers_low == preferred else max)(values)
+        return _holder(entries, values, extreme, preferred)
 
     # ------------------------------------------------------------------
     # Selection (probe ordering)
@@ -65,15 +126,9 @@ class Policy(ABC):
         now: float,
         rng: random.Random,
     ) -> Optional[CacheEntry]:
-        """The single most-preferred entry, or None if ``entries`` is empty.
-
-        Ties break on address for determinism (two entries never share an
-        address within one cache).
-        """
-        if not entries:
-            return None
-        del rng  # deterministic policies ignore the stream
-        return max(entries, key=lambda e: (self.key(e, now), -e.address))
+        """The single most-preferred entry, or None if ``entries`` is empty."""
+        del now, rng  # deterministic policies ignore the stream
+        return self._end(entries, True)
 
     def order(
         self,
@@ -81,11 +136,11 @@ class Policy(ABC):
         now: float,
         rng: random.Random,
     ) -> List[CacheEntry]:
-        """All entries, most-preferred first."""
-        del rng
-        return sorted(
-            entries, key=lambda e: (self.key(e, now), -e.address), reverse=True
-        )
+        """All entries, most-preferred first, ties lowest address first."""
+        del now, rng
+        ordered = sorted(entries, key=_ADDRESS)
+        ordered.sort(key=self._value, reverse=not self.prefers_low)
+        return ordered
 
     def select_top(
         self,
@@ -110,10 +165,8 @@ class Policy(ABC):
         rng: random.Random,
     ) -> Optional[CacheEntry]:
         """The least-preferred entry — the one a full cache evicts."""
-        if not entries:
-            return None
-        del rng
-        return min(entries, key=lambda e: (self.key(e, now), -e.address))
+        del now, rng
+        return self._end(entries, False)
 
     def choose_victim_from(
         self,
@@ -123,27 +176,29 @@ class Policy(ABC):
         now: float,
         rng: random.Random,
     ) -> Optional[CacheEntry]:
-        """Victim among ``residents`` plus ``candidate`` — allocation-free.
+        """Victim among ``residents`` plus ``candidate``.
 
-        The hot path of a full :class:`~repro.core.link_cache.LinkCache`:
-        semantically identical to
+        The hot path of a full :class:`~repro.core.link_cache.LinkCache`,
+        which passes its ``dict.values()`` view: semantically identical to
         ``choose_victim(list(residents) + [candidate], now, rng)`` (the
         candidate logically last, ties resolved identically) without
-        materialising the combined contestant list per insert.
-
-        Subclasses that override :meth:`choose_victim` but not this
-        method keep their exact semantics through the list-building
-        fallback below.
+        building the combined list — the candidate meets the residents'
+        worst field first, then their victim.
         """
-        if type(self).choose_victim is not Policy.choose_victim:
-            contestants = list(residents)
-            contestants.append(candidate)
-            return self.choose_victim(contestants, now, rng)
-        del rng, n_residents
-        return min(
-            chain(residents, (candidate,)),
-            key=lambda e: (self.key(e, now), -e.address),
-        )
+        del n_residents, now, rng
+        values = list(map(self._value, residents))
+        if not values:
+            return candidate
+        worst = (max if self.prefers_low else min)(values)
+        ours = self._value(candidate)
+        if ours != worst and (ours > worst) == self.prefers_low:
+            # Strictly worse than every resident, so alone at that end:
+            # where most contests of a settled cache end.
+            return candidate
+        victim = _holder(residents, values, worst, False)
+        if ours == worst and candidate.address > victim.address:
+            return candidate
+        return victim
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -162,10 +217,8 @@ def register_policy(cls: Type[Policy]) -> Type[Policy]:
     return cls
 
 
-#: Replacement-role name -> ordering-policy name whose key ranks it.
-#: Eviction takes the *minimum* key, so "evict Least Files Shared" uses
-#: the MFS key, and "evict Most Recently Used" uses the LRU key (whose
-#: maximum is the least-recently-used entry, hence minimum is most-recent).
+#: Replacement-role name -> the ordering policy whose least-preferred
+#: entry it evicts.
 REPLACEMENT_KEY_POLICY: Dict[str, str] = {
     "Random": "Random",
     "LRU": "MRU",   # evict least-recently-used -> min TS -> MRU key
@@ -179,18 +232,19 @@ REPLACEMENT_KEY_POLICY: Dict[str, str] = {
 def get_ordering_policy(name: str) -> Policy:
     """Instantiate the ordering policy registered as ``name``.
 
-    ``MR*`` resolves to the MR ordering (the starred behaviour lives in
-    entry ingestion, not ranking — see ``ProtocolParams.normalized``).
+    ``MR*`` — the one starred ordering the paper defines — resolves to
+    the MR ordering (the starred behaviour lives in entry ingestion, not
+    ranking — see ``ProtocolParams.normalized``).
 
     Raises:
-        PolicyError: for unknown names.
+        PolicyError: for unknown names, a star on anything else included.
     """
-    base = name.rstrip("*") if name.endswith("*") else name
     try:
-        return _ORDERING_REGISTRY[base]()
+        return _ORDERING_REGISTRY["MR" if name == "MR*" else name]()
     except KeyError:
         raise PolicyError(
-            f"unknown ordering policy {name!r}; known: {sorted(_ORDERING_REGISTRY)}"
+            f"unknown ordering policy {name!r}; "
+            f"known: {sorted(_ORDERING_REGISTRY)} and 'MR*'"
         ) from None
 
 

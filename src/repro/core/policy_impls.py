@@ -11,8 +11,10 @@ MR*       MR ranking over first-hand NumRes only (the ingestion-time
           reset lives in ``ProtocolParams.reset_num_results``)
 ========  ==========================================================
 
-Eviction counterparts (LFS, LR, and the swapped LRU/MRU) reuse these key
-functions through :data:`repro.core.policies.REPLACEMENT_KEY_POLICY`.
+The four key-based ones are declarations — the ``CacheEntry`` field and
+which end of it is preferred; :class:`~repro.core.policies.Policy` does
+the ranking.  Eviction counterparts (LFS, LR, and the swapped LRU/MRU)
+reuse them through :data:`repro.core.policies.REPLACEMENT_KEY_POLICY`.
 """
 
 from __future__ import annotations
@@ -32,11 +34,6 @@ class RandomPolicy(Policy):
 
     name = "Random"
     randomized = True
-
-    def key(self, entry: CacheEntry, now: float) -> float:
-        # A constant key makes the generic paths degenerate; the overrides
-        # below supply the actual randomness.
-        return 0.0
 
     def select_best(
         self,
@@ -124,9 +121,7 @@ class MostRecentlyUsedPolicy(Policy):
     """Prefer the freshest TS: least likely to be dead, least wasted work."""
 
     name = "MRU"
-
-    def key(self, entry: CacheEntry, now: float) -> float:
-        return entry.ts
+    field = "ts"
 
 
 @register_policy
@@ -134,9 +129,8 @@ class LeastRecentlyUsedPolicy(Policy):
     """Prefer the stalest TS: spreads load fairly, risks dead probes."""
 
     name = "LRU"
-
-    def key(self, entry: CacheEntry, now: float) -> float:
-        return -entry.ts
+    field = "ts"
+    prefers_low = True
 
 
 @register_policy
@@ -149,9 +143,7 @@ class MostFilesSharedPolicy(Policy):
     """
 
     name = "MFS"
-
-    def key(self, entry: CacheEntry, now: float) -> float:
-        return float(entry.num_files)
+    field = "num_files"
 
 
 @register_policy
@@ -165,6 +157,4 @@ class MostResultsPolicy(Policy):
     """
 
     name = "MR"
-
-    def key(self, entry: CacheEntry, now: float) -> float:
-        return float(entry.num_res)
+    field = "num_res"

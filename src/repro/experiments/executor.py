@@ -29,6 +29,7 @@ A parallel sweep is therefore byte-identical to the serial one, which
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from abc import ABC, abstractmethod
@@ -201,11 +202,15 @@ def execute_trial(spec: TrialSpec) -> SimulationReport:
     # untouched.  Pool workers see no active profiler (it does not cross
     # process boundaries); their wall time is covered by the parent's
     # batch samples.
-    profiler = active_profiler()
-    if profiler is not None:
-        sim.engine.profiler = profiler
+    sim.engine.profiler = active_profiler()
     sim.run(spec.warmup + spec.duration)
-    return sim.report()
+    report = sim.report()
+    # A finished simulation is cyclic garbage (the queue holds its bound
+    # methods): free it now, or a sweep's peak memory counts the trials
+    # still waiting for a generation-2 pass.
+    del sim
+    gc.collect()
+    return report
 
 
 _Item = TypeVar("_Item")
@@ -311,17 +316,18 @@ class ProcessTrialExecutor(TrialExecutor):
             self.pool_started = True
         return self._pool
 
-    def _discard_pool(self) -> None:
+    def _discard_pool(self, wait: bool = False) -> None:
         """Retire the current pool (broken or poisoned) without raising.
 
         The next batch respawns a fresh pool via :meth:`_ensure_pool`;
-        pending work is cancelled — nothing keeps running unobserved.
+        pending work is cancelled — nothing keeps running unobserved —
+        unless ``wait`` asks for it to finish first.
         """
         pool, self._pool = self._pool, None
         if pool is None:
             return
         try:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=wait, cancel_futures=not wait)
         except Exception:  # a broken pool may refuse even a shutdown
             pass
 
@@ -349,13 +355,7 @@ class ProcessTrialExecutor(TrialExecutor):
 
     def close(self) -> None:
         """Shut the pool down; safe to call repeatedly or on a dead pool."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        try:
-            pool.shutdown(wait=True)
-        except Exception:  # already-broken pools shut down best-effort
-            pass
+        self._discard_pool(wait=True)
 
 
 def get_executor(workers: Optional[int]) -> TrialExecutor:

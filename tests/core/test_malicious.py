@@ -75,6 +75,34 @@ class TestAttackDirectory:
         assert directory.sample_malicious(rng, 0, exclude=0) == []
         assert directory.sample_good(rng, 0) == []
 
+    def test_kept_roster_draws_what_sorting_per_pong_drew(self):
+        """The roster is sorted when it changes; the oracle sorts per call.
+
+        Same picks in the same order and the same stream state, for every
+        roster size, with the excluded address in the roster and absent,
+        across deaths and births between draws.
+        """
+        ours, oracle = random.Random(5), random.Random(5)
+        directory = AttackDirectory()
+        for size in range(41):
+            if size:
+                directory.record_birth(3 * size, malicious=True)
+                directory.record_birth(3 * size + 1, malicious=False)
+            if size % 7 == 6:
+                directory.record_death(3 * (size - 2))
+                directory.record_death(3 * (size - 2) + 1)
+            for k in range(9):
+                for exclude in (3 * (size // 2), 3 * (size // 2) + 2, -1, 999):
+                    pool = [
+                        a for a in sorted(directory.live_malicious) if a != exclude
+                    ]
+                    expected = list(pool) if k >= len(pool) else oracle.sample(pool, k)
+                    assert directory.sample_malicious(ours, k, exclude) == expected
+                pool = sorted(directory.live_good)
+                expected = pool if k >= len(pool) else oracle.sample(pool, k)
+                assert directory.sample_good(ours, k) == expected
+            assert ours.getstate() == oracle.getstate(), size
+
 
 class TestMaliciousPeer:
     def test_advertises_fake_files(self):

@@ -9,6 +9,7 @@ import pytest
 from repro.core.params import ProtocolParams
 from repro.core.policies import (
     REPLACEMENT_KEY_POLICY,
+    Policy,
     PolicySet,
     get_ordering_policy,
     get_replacement_policy,
@@ -48,6 +49,19 @@ class TestRegistry:
 
     def test_star_resolves_to_base(self):
         assert get_ordering_policy("MR*").name == "MR"
+
+    @pytest.mark.parametrize(
+        "name", ["MRU*", "LRU*", "MFS*", "Random*", "Random**", "MR**", "*", ""]
+    )
+    def test_only_mr_may_be_starred(self, name):
+        with pytest.raises(PolicyError, match="unknown ordering policy"):
+            get_ordering_policy(name)
+
+    def test_a_key_based_policy_must_name_its_field(self):
+        with pytest.raises(PolicyError, match="field"):
+
+            class Fieldless(Policy):
+                name = "fieldless"
 
     def test_replacement_reversal_table(self):
         # Replacement names are what gets *evicted*; the key policy is
@@ -179,7 +193,8 @@ class TestChooseVictimFrom:
     ``choose_victim_from(residents, n, candidate, ...)`` is the hot-path
     replacement for ``choose_victim(list(residents) + [candidate], ...)``
     — same victim, same RNG consumption — for every registered policy
-    and for custom subclasses that only override ``choose_victim``.
+    (a subclass overriding ``choose_victim`` alone is not supported: a
+    key-based policy is a field and a direction, nothing to override).
     """
 
     @pytest.mark.parametrize(
@@ -207,20 +222,12 @@ class TestChooseVictimFrom:
         )
         assert victim is candidate
 
-    def test_custom_subclass_fallback(self, entries):
-        """Overriding only choose_victim still works through the base."""
-        from repro.core.policies import Policy
-
-        class EvictHighestAddress(Policy):
-            def key(self, entry, now):
-                return 0.0
-
-            def choose_victim(self, contestants, now, rng):
-                return max(contestants, key=lambda e: e.address)
-
-        policy = EvictHighestAddress()
-        candidate = make_entry(999)
-        victim = policy.choose_victim_from(
-            entries, len(entries), candidate, 0.0, random.Random(0)
-        )
-        assert victim is candidate
+    def test_candidate_wins_a_tie_only_against_lower_addresses(self):
+        policy = get_replacement_policy("LR")
+        residents = {a: make_entry(a) for a in (4, 8, 6)}
+        for address, victim in ((9, 9), (7, 8), (1, 8)):
+            candidate = make_entry(address)
+            picked = policy.choose_victim_from(
+                residents.values(), 3, candidate, 0.0, random.Random(0)
+            )
+            assert picked.address == victim

@@ -10,10 +10,13 @@ by tests/integration/test_determinism.py).
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import ConfigError
+from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
 from repro.experiments.executor import (
     ChaosSpec,
@@ -114,6 +117,25 @@ class TestSerialParallelEquivalence:
                 SYSTEM, PROTOCOL, executor=executor, **RUN_KWARGS
             )
         assert _report_fields(first[0]) == _report_fields(second[0])
+
+
+class TestTrialTeardown:
+    def test_a_finished_trial_leaves_no_simulation_behind(self):
+        # The simulation is cyclic garbage once its report is out; with the
+        # collector off, only ``execute_trial`` itself can have freed it.
+        def simulations():
+            return {
+                id(o) for o in gc.get_objects() if isinstance(o, GuessSimulation)
+            }
+
+        gc.disable()
+        try:
+            before = simulations()
+            report = execute_trial(_spec(seed=42))
+            assert simulations() <= before
+        finally:
+            gc.enable()
+        assert report.total_probes > 0
 
 
 class TestPoolLifecycle:

@@ -129,3 +129,105 @@ def test_replacement_victim_is_member(entries, replacement_name):
         assert victim in entries
     else:
         assert victim is None
+
+
+# ----------------------------------------------------------------------
+# The tuple-key oracle: what "ranking" meant before a policy was a field
+# and a direction, written out once, here, so the C-level spelling in
+# ``core/policies.py`` has something to be equal to.
+# ----------------------------------------------------------------------
+
+_ORACLE_KEYS = {
+    "MRU": lambda e: e.ts,
+    "LRU": lambda e: -e.ts,
+    "MFS": lambda e: float(e.num_files),
+    "MR": lambda e: float(e.num_res),
+}
+
+# Ties are the common case in a run (NumRes is mostly 0, free riders all
+# share 0 files, a pong stamps one TS on five entries), so the pools are
+# small; the one 60 000 is a poisoned entry's claim.
+tied_entry_lists = st.lists(
+    st.builds(
+        CacheEntry,
+        address=st.integers(min_value=0, max_value=500),
+        ts=st.sampled_from([0.0, 12.5, 300.0]),
+        num_files=st.sampled_from([0, 0, 0, 3, 3, 17, 60_000]),
+        num_res=st.integers(min_value=0, max_value=1),
+    ),
+    max_size=120,
+    unique_by=lambda e: e.address,
+)
+
+
+def _oracle_rank(policy_name):
+    key = _ORACLE_KEYS[policy_name]
+    return lambda e: (key(e), -e.address)
+
+
+def _same_objects(actual, expected):
+    assert [id(e) for e in actual] == [id(e) for e in expected]
+
+
+@given(tied_entry_lists, deterministic_policies)
+@settings(max_examples=150, deadline=None)
+def test_selection_matches_the_tuple_key_oracle(entries, policy_name):
+    policy = get_ordering_policy(policy_name)
+    key, rank = _ORACLE_KEYS[policy_name], _oracle_rank(policy_name)
+    rng = random.Random(3)
+    state = rng.getstate()
+    ordered = sorted(entries, key=rank, reverse=True)
+    _same_objects(policy.order(entries, 60.0, rng), ordered)
+    _same_objects(policy.order(iter(entries), 60.0, rng), ordered)
+    for k in range(len(entries) + 2):
+        _same_objects(policy.select_top(entries, k, 60.0, rng), ordered[:k])
+    best = policy.select_best(entries, 60.0, rng)
+    victim = policy.choose_victim(entries, 60.0, rng)
+    if entries:
+        assert best is max(entries, key=rank)
+        assert victim is min(entries, key=rank)
+        assert [policy.key(e, 60.0) for e in entries] == [key(e) for e in entries]
+    else:
+        assert best is None and victim is None
+    assert rng.getstate() == state
+
+
+@given(
+    tied_entry_lists.filter(bool),
+    deterministic_policies,
+    st.sampled_from(["tied", "worst", "best"]),
+    st.sampled_from(["above", "below", "between"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_contest_matches_the_tuple_key_oracle(entries, policy_name, standing, where):
+    """``choose_victim_from`` over a ``dict.values()`` view, as ``LinkCache``
+    calls it, against ``min`` over residents + candidate on the tuple key:
+    the candidate tied with the residents' worst, strictly worse than all
+    of them and strictly better, its address above, below and among theirs.
+    """
+    policy = get_ordering_policy(policy_name)
+    rank = _oracle_rank(policy_name)
+    address = {
+        "above": 1_000,
+        "below": -1,
+        "between": next(a for a in range(502) if all(e.address != a for e in entries)),
+    }[where]
+    if standing == "tied":
+        twin = min(entries, key=rank)
+        fields = dict(ts=twin.ts, num_files=twin.num_files, num_res=twin.num_res)
+    else:
+        # LRU prefers the low end, so its worst is the high one.
+        low = (standing == "worst") != (policy_name == "LRU")
+        value = -1 if low else 10**9
+        fields = dict(ts=float(value), num_files=value, num_res=value)
+    candidate = CacheEntry(address=address, **fields)
+    residents = {e.address: e for e in entries}
+    rng = random.Random(3)
+    state = rng.getstate()
+    victim = policy.choose_victim_from(
+        residents.values(), len(residents), candidate, 60.0, rng
+    )
+    assert victim is min(entries + [candidate], key=rank)
+    if standing != "tied":
+        assert (victim is candidate) == (standing == "worst")
+    assert rng.getstate() == state

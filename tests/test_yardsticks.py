@@ -16,6 +16,8 @@ from repro.baselines.gossip import GossipRelay
 from repro.core.entry import CacheEntry
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
+from repro.core.policies import get_ordering_policy, registered_policy_names
+from repro.core.query_cache import QueryCache
 from tests.integration import test_determinism as pins
 
 REPO = Path(__file__).resolve().parents[1]
@@ -214,6 +216,65 @@ def test_armed_gossip_adds_only_the_rumor_snapshot(monkeypatch):
     )
     assert imports > 0 and snapshotted > 0
     assert copies == imports + snapshotted
+
+
+def _key_calls(monkeypatch, **policies):
+    """``(Policy.key calls, query-cache seeds + admissions)`` over 60 sim-s."""
+    counts = {"key": 0, "ranked": 0}
+    init, add = QueryCache.__init__, QueryCache.add
+
+    def counted(key):
+        def counted_key(policy, entry, now):
+            counts["key"] += 1
+            return key(policy, entry, now)
+
+        return counted_key
+
+    def counted_init(cache, owner, policy, rng, now, link_entries):
+        counts["ranked"] += len(link_entries)
+        init(cache, owner, policy, rng, now, link_entries)
+
+    def counted_add(cache, entry):
+        admitted = add(cache, entry)
+        counts["ranked"] += admitted
+        return admitted
+
+    # Every spelling of ``key``: the base's and any a subclass grows back.
+    policy_classes = {type(get_ordering_policy(n)) for n in registered_policy_names()}
+    for owner in {base for cls in policy_classes for base in cls.__mro__}:
+        if "key" in vars(owner):
+            monkeypatch.setattr(owner, "key", counted(vars(owner)["key"]))
+    monkeypatch.setattr(QueryCache, "__init__", counted_init)
+    monkeypatch.setattr(QueryCache, "add", counted_add)
+    protocol = ProtocolParams(
+        query_pong="MFS", cache_replacement="LRU", **policies
+    )
+    sim = GuessSimulation(SystemParams(network_size=300), protocol, seed=7)
+    sim.run(60.0)
+    assert sim.transport.probes_sent > 5_000
+    return counts["key"], counts["ranked"]
+
+
+def test_ranking_calls_back_into_python_once_per_heap_push(monkeypatch):
+    # Exact, not a ceiling: a key-based pong or eviction contest ranks on
+    # the entry's field in C (``core/policies.py``); a ``key()`` call per
+    # entry per pong is ~100 per probe, millions over this run.
+    keyed, _ = _key_calls(monkeypatch)
+    assert keyed == 0
+    # The one caller left is the query cache's heap: one key per entry it
+    # is seeded with or admits, when QueryProbe is key-based.
+    keyed, ranked = _key_calls(monkeypatch, query_probe="MFS")
+    assert ranked > 10_000
+    assert keyed == ranked
+
+
+def test_policies_are_declarations():
+    policies = SRC / "core" / "policies.py"
+    # The tuple-key spelling lives in tests/property only.
+    assert "lambda" not in policies.read_text(encoding="utf-8")
+    # Ceiling may only be lowered.
+    impls = SRC / "core" / "policy_impls.py"
+    assert line_count(policies) + line_count(impls) <= 504
 
 
 def test_simulation_keyword_arguments():
