@@ -3,8 +3,10 @@
 These pin the throughput of the paths PR 2 optimized — the event loop's
 args-based dispatch, ``GuessSimulation``'s friend sampling and health
 snapshots, and ``LinkCache``'s full-cache insert contest (key-based,
-key-based with every contestant tied, and Random with interleaved
-evictions), a key-based pong's top-k and the k-th-live-peer lookup
+key-based with every contestant tied, Random with interleaved
+evictions, and Random in a full cache of ten), a Random pong's top-k
+from caches of 100 and of 10, a key-based pong's top-k and the
+k-th-live-peer lookup
 against its one-line ``islice`` spelling — plus the
 parallel trial executor's end-to-end speedup.  Each test folds its
 measured rate into a module-level result dict; a module-scoped fixture
@@ -311,6 +313,48 @@ def test_random_select_top_per_sec(benchmark):
 
     assert benchmark(run) == count * 5
     _RESULTS["random_select_top_per_sec"] = count / _mean_seconds(benchmark)
+
+
+def test_random_pool_select_top_per_sec(benchmark):
+    """``RandomPolicy.select_top``: 5 of 10, every pong of ``churn_n10000``.
+
+    A population this small takes ``sample``'s pool branch (swap-remove),
+    not the rejection branch the 5-of-100 cell above measures.
+    """
+    policy = get_ordering_policy("Random")
+    entries = [CacheEntry(address=i) for i in range(10)]
+    count = _KNOBS["inserts"]
+
+    def run():
+        rng = random.Random(0)
+        picked = 0
+        for _ in range(count):
+            picked += len(policy.select_top(entries, 5, 0.0, rng))
+        return picked
+
+    assert benchmark(run) == count * 5
+    _RESULTS["random_pool_select_top_per_sec"] = count / _mean_seconds(benchmark)
+
+
+def test_random_contest_per_sec(benchmark):
+    """Random-replacement inserts into a full cache of 10.
+
+    ``churn_n10000``'s caches: always full, so every insert is one
+    ``choose_victim_from`` draw over ten residents and the candidate.
+    """
+    policy = get_replacement_policy("Random")
+    count = _KNOBS["inserts"]
+    entries = [CacheEntry(address=i) for i in range(1, count + 1)]
+
+    def run():
+        rng = random.Random(0)
+        cache = LinkCache(capacity=10, owner=0)
+        for entry in entries:
+            cache.insert(entry, policy, 0.0, rng)
+        return len(cache)
+
+    assert benchmark(run) == 10
+    _RESULTS["random_contest_per_sec"] = count / _mean_seconds(benchmark)
 
 
 def test_keyed_select_top_per_sec(benchmark):

@@ -62,7 +62,7 @@ from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.scenarios import ChurnStorm, ScenarioDriver, ScenarioPlan
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, randbelow
 from repro.workload.content import EMPTY_LIBRARY, ContentModel
 from repro.workload.files import FileCountModel
 from repro.workload.lifetimes import LifetimeModel
@@ -325,7 +325,7 @@ class GuessSimulation:
             own = peer.address
             picked: set[Address] = set()
             while len(picked) < k:
-                candidate = addresses[topology_rng.randrange(n)]
+                candidate = addresses[randbelow(topology_rng, n)]
                 if candidate != own:
                     picked.add(candidate)
             # Sorted so cache contents (hence ping-target order) never
@@ -585,7 +585,7 @@ class GuessSimulation:
         count = len(self._store)
         if not count:
             return None
-        k = self.rng.stream("topology").randrange(count)
+        k = randbelow(self.rng.stream("topology"), count)
         return self._store.kth_live(k)
 
     # ------------------------------------------------------------------

@@ -26,6 +26,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.core.entry import CacheEntry
 from repro.core.policies import Policy, register_policy
+from repro.sim.rng import randbelow
 
 
 @register_policy
@@ -43,7 +44,10 @@ class RandomPolicy(Policy):
     ) -> Optional[CacheEntry]:
         if not entries:
             return None
-        return entries[rng.randrange(len(entries))]
+        return entries[randbelow(rng, len(entries))]
+
+    #: A full cache evicts the way a probe picks: one uniform draw.
+    choose_victim = select_best
 
     def order(
         self,
@@ -69,17 +73,24 @@ class RandomPolicy(Policy):
             ordered = list(entries)
             rng.shuffle(ordered)
             return ordered
-        if n <= (21 if k <= 5 else 21 + 4 ** ceil(log(k * 3, 4))):
-            # ``sample`` copies a population this small into a pool and
-            # swap-removes from it; caches of ten take this branch.
-            return rng.sample(entries, k)
-        # What ``rng.sample(entries, k)`` does above that size, draw for
-        # draw: k distinct indices by rejection from ``getrandbits`` (the
-        # stdlib's ``_randbelow`` loop and its ``while j in selected``
-        # loop are one loop here) — without sample's argument checks, its
-        # ``set`` and its pre-sized result list, on a path taken once per
-        # pong.  ``picked`` is a list because k is PongSize (5).
+        # What ``sample`` returns, draw for draw, once per pong: without its
+        # argument checks and without a ``_randbelow`` frame per index.
         getrandbits = rng.getrandbits
+        if n <= (21 if k <= 5 else 21 + 4 ** ceil(log(k * 3, 4))):
+            # sample's branch for a population this small (caches of ten):
+            # swap-remove from a pool, each index below the m still in it.
+            pool = list(entries)
+            top: List[CacheEntry] = []
+            for m in range(n, n - k, -1):
+                bits = m.bit_length()
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                top.append(pool[j])
+                pool[j] = pool[m - 1]
+            return top
+        # Above it, k distinct indices by rejection: the ``_randbelow`` loop
+        # and ``while j in selected`` are one loop; k is PongSize (5).
         bits = n.bit_length()
         picked: List[int] = []
         for _ in range(k):
@@ -89,16 +100,6 @@ class RandomPolicy(Policy):
             picked.append(j)
         return [entries[j] for j in picked]
 
-    def choose_victim(
-        self,
-        entries: Sequence[CacheEntry],
-        now: float,
-        rng: random.Random,
-    ) -> Optional[CacheEntry]:
-        if not entries:
-            return None
-        return entries[rng.randrange(len(entries))]
-
     def choose_victim_from(
         self,
         residents: Iterable[CacheEntry],
@@ -107,10 +108,9 @@ class RandomPolicy(Policy):
         now: float,
         rng: random.Random,
     ) -> Optional[CacheEntry]:
-        # Same single randrange(n+1) draw and the same element the base
-        # spelling would index in list(residents) + [candidate], with no
-        # combined-list allocation.
-        i = rng.randrange(n_residents + 1)
+        # The one draw and the element ``choose_victim`` would take from
+        # list(residents) + [candidate], with no combined-list allocation.
+        i = randbelow(rng, n_residents + 1)
         if i == n_residents:
             return candidate
         return next(islice(residents, i, None))

@@ -35,6 +35,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 from repro.core.entry import CacheEntry
 from repro.core.policies import Policy
 from repro.network.address import Address
+from repro.sim.rng import randbelow
 
 
 class QueryCache:
@@ -64,11 +65,9 @@ class QueryCache:
         self._now = now
         self._seen: Set[Address] = {entry.address for entry in link_entries}
         self._seen.add(owner)
+        self._bag = list(link_entries) if policy.randomized else []
         self._heap: List[Tuple[float, Address, CacheEntry]] = []
-        self._bag: List[CacheEntry] = []
-        if policy.randomized:
-            self._bag = list(link_entries)
-        else:
+        if not policy.randomized:
             key = policy.key
             self._heap = [(-key(e, now), e.address, e) for e in link_entries]
             heapq.heapify(self._heap)
@@ -109,7 +108,7 @@ class QueryCache:
             bag = self._bag
             if not bag:
                 return None
-            index = self._rng.randrange(len(bag))
+            index = randbelow(self._rng, len(bag))
             bag[index], bag[-1] = bag[-1], bag[index]
             return bag.pop()
         if not self._heap:

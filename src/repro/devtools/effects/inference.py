@@ -9,8 +9,8 @@ enough to reconstruct a witness call chain for diagnostics.
 
 A small set of *intrinsic* effects seeds the analysis when the relevant
 kernel modules are part of the program: ``derive_seed`` and
-``RngRegistry.stream``/``spawn`` are RNG consumption even though their
-bodies are hash arithmetic, and the ``Simulator`` event-insertion and
+``RngRegistry.stream`` are RNG consumption even though their bodies are
+hash arithmetic, and the ``Simulator`` event-insertion and
 event-execution entry points are SCHEDULE regardless of what the resolver
 sees inside them.
 """
@@ -32,7 +32,6 @@ from repro.devtools.effects.model import (
 INTRINSIC_EFFECTS: Mapping[str, FrozenSet[Effect]] = {
     "repro.sim.rng.derive_seed": frozenset({Effect.RNG_DRAW}),
     "repro.sim.rng.RngRegistry.stream": frozenset({Effect.RNG_DRAW}),
-    "repro.sim.rng.RngRegistry.spawn": frozenset({Effect.RNG_DRAW}),
     "repro.sim.engine.Simulator.schedule": frozenset({Effect.SCHEDULE}),
     "repro.sim.engine.Simulator.schedule_after": frozenset({Effect.SCHEDULE}),
     "repro.sim.engine.Simulator.step": frozenset({Effect.SCHEDULE}),

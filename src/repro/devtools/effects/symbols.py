@@ -173,6 +173,9 @@ class _ModuleExtractor(ast.NodeVisitor):
         self._class_nesting = 0
         #: Local name -> local class name, per top-level function.
         self._local_types: Dict[str, str] = {}
+        #: Local name -> the rng draw method bound to it
+        #: (``getrandbits = rng.getrandbits``), per top-level function.
+        self._draw_aliases: Dict[str, str] = {}
         self._type_checking_depth = 0
 
     # Imports ------------------------------------------------------------
@@ -263,12 +266,12 @@ class _ModuleExtractor(ast.NodeVisitor):
             self.table.functions[node.name] = info
         self.table.raw_calls[qualname] = []
 
-        outer, outer_types = self._current, self._local_types
-        self._current, self._local_types = info, {}
+        outer = self._current, self._local_types, self._draw_aliases
+        self._current, self._local_types, self._draw_aliases = info, {}, {}
         self._bind_annotated_params(node)
         for stmt in node.body:
             self.visit(stmt)
-        self._current, self._local_types = outer, outer_types
+        self._current, self._local_types, self._draw_aliases = outer
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._enter_function(node)
@@ -324,7 +327,32 @@ class _ModuleExtractor(ast.NodeVisitor):
         self._current_class = cls
         for stmt in node.body:
             self.visit(stmt)
+            if isinstance(stmt, ast.Assign):
+                self._alias_method(cls, stmt)
         self._current_class = None
+
+    def _alias_method(self, cls: ClassInfo, node: ast.Assign) -> None:
+        """``b = a`` in a class body, ``a`` a method: ``b`` is a method calling ``a``.
+
+        The alias is a name a caller can reach the same body through, so
+        it gets a table row of its own and inherits ``a``'s effects.
+        """
+        value = node.value
+        if not isinstance(value, ast.Name) or value.id not in cls.methods:
+            return
+        for target in node.targets:
+            if not isinstance(target, ast.Name):
+                continue
+            qualname = f"{cls.qualname}.{target.id}"
+            cls.methods[target.id] = FunctionInfo(
+                qualname=qualname,
+                module=self.table.name,
+                path=self.table.path,
+                lineno=node.lineno,
+            )
+            self.table.raw_calls[qualname] = [
+                RawCall(line=node.lineno, attr=value.id, receiver=(RECV_SELF, cls.name))
+            ]
 
     @staticmethod
     def _collect_attr_types(node: ast.ClassDef, cls: ClassInfo) -> None:
@@ -393,6 +421,21 @@ class _ModuleExtractor(ast.NodeVisitor):
 
     def visit_Assign(self, node: ast.Assign) -> None:
         self.generic_visit(node)
+        # ``getrandbits = rng.getrandbits``: a later ``getrandbits(k)`` draws.
+        value = node.value
+        drawn = (
+            value.attr
+            if isinstance(value, ast.Attribute)
+            and value.attr in RNG_DRAW_METHODS
+            and UnorderedIterationVisitor._is_rngish(value.value)
+            else None
+        )
+        for target in node.targets:
+            if isinstance(target, ast.Name):
+                if drawn is None:
+                    self._draw_aliases.pop(target.id, None)
+                else:
+                    self._draw_aliases[target.id] = drawn
         # ``v = ClassName(...)`` binds a local instance type.
         if isinstance(node.value, ast.Call) and isinstance(
             node.value.func, ast.Name
@@ -468,7 +511,10 @@ class _ModuleExtractor(ast.NodeVisitor):
             self.table.raw_calls[self._current.qualname].append(raw)
 
     def _direct_effects_name_call(self, node: ast.Call, name: str) -> None:
-        if name == "open":
+        drawn = self._draw_aliases.get(name)
+        if drawn is not None:
+            self._effect(Effect.RNG_DRAW, node, f"rng.{drawn}() draw via {name}")
+        elif name == "open":
             self._effect(Effect.FILE_IO, node, "open() call")
         elif name == "derive_seed" or (
             self.table.from_imports.get(name, ("", ""))

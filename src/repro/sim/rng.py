@@ -11,15 +11,15 @@ deterministically from a single master seed, so
   pitfall).
 
 Streams are plain :class:`random.Random` instances: the simulator makes
-millions of scalar draws, where the stdlib generator is considerably faster
-than going through numpy for single values.
+millions of scalar draws, where the stdlib beats numpy for single values;
+an index draw is :func:`randbelow`, ``randrange``'s rule in one frame.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator
+from typing import Dict
 
 
 def derive_seed(master_seed: int, stream_name: str) -> int:
@@ -33,6 +33,18 @@ def derive_seed(master_seed: int, stream_name: str) -> int:
         f"{master_seed}:{stream_name}".encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big")
+
+
+def randbelow(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` in one frame, not two: same value, same state after.
+    ``n < 1`` raises ``ValueError`` (``getrandbits(0)`` is 0: no end)."""
+    if n < 1:
+        raise ValueError(f"empty range for randbelow({n})")
+    bits = n.bit_length()
+    j = rng.getrandbits(bits)
+    while j >= n:
+        j = rng.getrandbits(bits)
+    return j
 
 
 class RngRegistry:
@@ -62,18 +74,6 @@ class RngRegistry:
             stream = random.Random(derive_seed(self._master_seed, name))
             self._streams[name] = stream
         return stream
-
-    def spawn(self, name: str) -> "RngRegistry":
-        """Create a child registry whose master seed derives from ``name``.
-
-        Used to give each trial of a multi-trial experiment an independent
-        but reproducible seed space.
-        """
-        return RngRegistry(derive_seed(self._master_seed, f"spawn:{name}"))
-
-    def names(self) -> Iterator[str]:
-        """Names of streams that have been instantiated so far."""
-        return iter(sorted(self._streams))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -138,25 +138,22 @@ class TestQueryBasics:
 
     def test_capped_random_query_draws_only_for_the_probes_it_sent(self):
         """Reporting ``pool_exhausted`` must not pop (and so draw) again."""
-
-        class CountingRandom(random.Random):
-            draws = 0
-
-            def randrange(self, *args, **kwargs):
-                self.draws += 1
-                return super().randrange(*args, **kwargs)
-
         querier = make_peer(0, library=frozenset())
         assert querier.policies.query_probe.randomized
         others = [make_peer(i, library=frozenset()) for i in range(1, 9)]
         transport = wire(querier, others)
         cache_entries_for(querier, others)
-        counting = CountingRandom(13)
+        stream = random.Random(13)
         result = execute_query(
-            querier, 42, transport, 0.0, rng=counting, max_probes=3
+            querier, 42, transport, 0.0, rng=stream, max_probes=3
         )
         assert result.probes == 3
-        assert counting.draws == 3
+        # The eight seeds pop from a bag of 8, 7, then 6 (the empty pongs
+        # admit nothing): three index draws and not one more.
+        reference = random.Random(13)
+        for remaining in (8, 7, 6):
+            reference.randrange(remaining)
+        assert stream.getstate() == reference.getstate()
 
 
 class TestPongChaining:

@@ -78,6 +78,23 @@ class TestResolution:
         )
         assert "repro.alpha.Base.step" in edges(program, "repro.alpha.Child.run")
 
+    def test_class_body_alias_is_a_method_calling_its_target(self):
+        program = program_of(
+            {
+                "repro.alpha": (
+                    "class Picker:\n"
+                    "    def pick(self, rng, items):\n"
+                    "        return items[rng.randrange(len(items))]\n"
+                    "\n"
+                    "    evict = pick\n"
+                ),
+            }
+        )
+        apply_intrinsics(program)
+        table = propagate(program)
+        assert edges(program, "repro.alpha.Picker.evict") == {"repro.alpha.Picker.pick"}
+        assert Effect.RNG_DRAW in table.effects["repro.alpha.Picker.evict"]
+
     def test_constructor_bound_local(self):
         program = program_of(
             {

@@ -25,6 +25,7 @@ from repro.devtools.effects.contracts import (
     load_contracts,
 )
 from repro.devtools.effects.driver import collect_sources
+from repro.devtools.lint import main
 from repro.devtools.linter import iter_python_files
 from repro.devtools.rules import EFFECT_RULE_IDS
 
@@ -106,3 +107,25 @@ def test_removing_replay_exemption_fails_the_run(repo_sources):
     result = run_check(repo_sources, contracts=contracts)
     rd006 = [v for v in result.violations if v.rule.id == "RD006"]
     assert rd006, "RD006 exemptions for manifest replay are load-bearing"
+
+
+def test_effects_report_sees_every_random_index_draw(tmp_path):
+    # ``randbelow`` draws through ``rng.getrandbits``; the Random policy's
+    # pick, eviction and contest and the query cache's pop draw through
+    # it, and ``choose_victim`` is a class-body alias of ``select_best``.
+    # A draw the table loses is one RD006 can no longer catch.
+    report = tmp_path / "effects.tsv"
+    argv = ["--rules", "RD006-RD010", "--effects-report", str(report), str(SRC)]
+    assert main(argv) == 0
+    effects = dict(
+        line.split("\t")[:2]
+        for line in report.read_text(encoding="utf-8").splitlines()[1:-1]
+    )
+    for qualname in (
+        "repro.sim.rng.randbelow",
+        "repro.core.policy_impls.RandomPolicy.select_best",
+        "repro.core.policy_impls.RandomPolicy.choose_victim",
+        "repro.core.policy_impls.RandomPolicy.choose_victim_from",
+        "repro.core.query_cache.QueryCache.pop",
+    ):
+        assert "RNG_DRAW" in effects.get(qualname, ""), qualname

@@ -1,0 +1,99 @@
+"""Every Random-policy index draw is the ``randrange`` draw it replaced.
+
+``repro.sim.rng.randbelow`` is ``randrange``'s rule in one frame; the
+simulator's per-event draws (probe and ping targets, eviction contests,
+query-cache pops) go through it.  The oracle here is the stdlib: the same
+value, the same element and the same generator state afterwards, or a
+pong differs and every golden pin moves.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.entry import CacheEntry
+from repro.core.policies import get_ordering_policy, get_replacement_policy
+from repro.sim.rng import randbelow
+from tests.conftest import make_query_cache
+
+seeds = st.integers(min_value=0, max_value=2**63 - 1)
+
+#: Every n up to one past 2**12, then each larger power of two and its
+#: neighbours, where ``getrandbits`` spans several 32-bit words.
+RANGES = list(range(1, 4098)) + [
+    2**b + d for b in range(13, 70) for d in (-1, 0, 1)
+]
+
+
+@given(seeds)
+@settings(max_examples=5, deadline=None)
+def test_randbelow_is_randrange_value_and_state(seed):
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    for n in RANGES:
+        assert randbelow(ours, n) == stdlib.randrange(n), n
+        assert ours.getstate() == stdlib.getstate(), n
+
+
+def _population(size):
+    return [CacheEntry(address=a) for a in range(size)]
+
+
+@given(seeds, st.integers(min_value=0, max_value=150))
+@settings(max_examples=60, deadline=None)
+def test_random_select_best_and_victim_are_one_randrange(seed, size):
+    entries = _population(size)
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    for method in ("select_best", "choose_victim"):
+        policy = (
+            get_ordering_policy("Random")
+            if method == "select_best"
+            else get_replacement_policy("Random")
+        )
+        picked = getattr(policy, method)(entries, 0.0, ours)
+        expected = entries[stdlib.randrange(size)] if entries else None
+        assert picked is expected, method
+        assert ours.getstate() == stdlib.getstate(), method
+
+
+@given(seeds, st.integers(min_value=0, max_value=150))
+@settings(max_examples=60, deadline=None)
+def test_random_contest_is_one_randrange_over_residents_and_candidate(seed, size):
+    """As ``LinkCache`` calls it: a ``dict.values()`` view of the residents."""
+    residents = {e.address: e for e in _population(size)}
+    candidate = CacheEntry(address=10_000)
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    policy = get_replacement_policy("Random")
+    for _ in range(5):
+        victim = policy.choose_victim_from(
+            residents.values(), len(residents), candidate, 0.0, ours
+        )
+        contestants = list(residents.values()) + [candidate]
+        assert victim is contestants[stdlib.randrange(len(contestants))]
+    assert ours.getstate() == stdlib.getstate()
+
+
+@given(seeds, st.lists(st.integers(min_value=0, max_value=4), max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_random_query_cache_pops_in_the_randrange_swap_remove_order(seed, adds):
+    """Seeds, then pops with ``adds[i]`` admissions before pop i."""
+    seeded = _population(10)
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    cache = make_query_cache("Random", seeded, rng=ours)
+    bag = list(seeded)
+    fresh = iter(range(100, 1_000))
+    for count in adds:
+        for _ in range(count):
+            entry = CacheEntry(address=next(fresh))
+            assert cache.add(entry)
+            bag.append(entry)
+        popped = cache.pop()
+        if not bag:
+            assert popped is None
+            continue
+        index = stdlib.randrange(len(bag))
+        bag[index], bag[-1] = bag[-1], bag[index]
+        assert popped is bag.pop()
+    assert ours.getstate() == stdlib.getstate()

@@ -85,14 +85,3 @@ def test_distinct_names_get_distinct_seeds(seed, name_a, name_b):
     if name_a == name_b:
         return
     assert derive_seed(seed, name_a) != derive_seed(seed, name_b)
-
-
-@given(seed=seeds, name=stream_names)
-@settings(max_examples=40)
-def test_spawned_registries_replay_identically(seed, name):
-    a = RngRegistry(seed).spawn(name)
-    b = RngRegistry(seed).spawn(name)
-    assert a.master_seed == b.master_seed
-    assert [a.stream("s").random() for _ in range(8)] == [
-        b.stream("s").random() for _ in range(8)
-    ]

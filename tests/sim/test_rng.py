@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from repro.sim.rng import RngRegistry, derive_seed
+import random
+
+import pytest
+
+from repro.sim.rng import RngRegistry, derive_seed, randbelow
+from tests.integration.test_degenerate_configs import TIMEOUT_SECONDS, alarm
 
 
 class TestDeriveSeed:
@@ -49,21 +54,16 @@ class TestRngRegistry:
         b2 = reg2.stream("b").random()
         assert b1 == b2
 
-    def test_spawn_changes_seed_space(self):
-        parent = RngRegistry(7)
-        child = parent.spawn("trial-1")
-        assert child.master_seed != parent.master_seed
-        assert (
-            child.stream("a").random() != parent.stream("a").random()
-        )
 
-    def test_spawn_deterministic(self):
-        a = RngRegistry(7).spawn("t").stream("s").random()
-        b = RngRegistry(7).spawn("t").stream("s").random()
-        assert a == b
-
-    def test_names_lists_instantiated_streams(self):
-        reg = RngRegistry(0)
-        reg.stream("b")
-        reg.stream("a")
-        assert list(reg.names()) == ["a", "b"]
+class TestRandbelow:
+    # Draw for draw ``randrange``: tests/property/test_random_draws.py.
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_range_raises_instead_of_hanging(self, n):
+        # getrandbits(0) is 0 and 0 >= 0, so the bare loop spins forever.
+        rng = random.Random(7)
+        state = rng.getstate()
+        with alarm(TIMEOUT_SECONDS), pytest.raises(ValueError):
+            randbelow(rng, n)
+        with pytest.raises(ValueError):
+            rng.randrange(n)
+        assert rng.getstate() == state
