@@ -1,26 +1,10 @@
 """Offline analysis helpers.
 
-Tools for digging into simulation output beyond the paper's headline
-metrics:
-
 * :mod:`repro.analysis.overlay_stats` — structural statistics of the
   conceptual overlay (degree distributions, path lengths, robustness to
   node removal — the §3.3 fragmentation-attack lens).
-* :mod:`repro.analysis.response_time` — response-time distributions and
-  the serial/parallel what-if arithmetic of §6.2.
-* :mod:`repro.analysis.churn` — session/churn statistics of a workload.
 """
 
-from repro.analysis.churn import ChurnStats
 from repro.analysis.overlay_stats import OverlayStats
-from repro.analysis.response_time import (
-    ResponseTimeStats,
-    parallel_response_estimate,
-)
 
-__all__ = [
-    "ChurnStats",
-    "OverlayStats",
-    "ResponseTimeStats",
-    "parallel_response_estimate",
-]
+__all__ = ["OverlayStats"]

@@ -4,9 +4,7 @@ The paper argues (§3.3) that GUESS is exposed to *fragmentation attacks*
 when well-connected peers vanish simultaneously.  :class:`OverlayStats`
 quantifies that exposure for a snapshot:
 
-* in/out degree distributions (who would be missed?);
-* mean shortest-path length sampled by BFS (how quickly can pong
-  chaining reach the network?);
+* the in-degree distribution (who would be missed?);
 * a targeted-removal experiment: drop the top in-degree peers and
   measure the surviving largest component — the attack the paper
   describes, run as analysis.
@@ -14,11 +12,10 @@ quantifies that exposure for a snapshot:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Sequence
 
 from repro.errors import TopologyError
-from repro.metrics.summary import mean, quantile
+from repro.metrics.summary import quantile
 from repro.network.address import Address
 from repro.network.overlay import OverlaySnapshot
 from repro.network.unionfind import UnionFind
@@ -29,7 +26,6 @@ class OverlayStats:
 
     def __init__(self, snapshot: OverlaySnapshot) -> None:
         self.snapshot = snapshot
-        self._out: Dict[Address, int] = snapshot.out_degrees()
         in_degrees: Dict[Address, int] = {a: 0 for a in snapshot.live}
         for targets in snapshot.edges.values():
             for target in targets:
@@ -39,13 +35,6 @@ class OverlayStats:
     # ------------------------------------------------------------------
     # Degrees
     # ------------------------------------------------------------------
-
-    def out_degree_quantiles(self, qs: Sequence[float] = (0.5, 0.9, 0.99)):
-        """Selected quantiles of the live out-degree distribution."""
-        values = [float(v) for v in self._out.values()]
-        if not values:
-            return {q: 0.0 for q in qs}
-        return {q: quantile(values, q) for q in qs}
 
     def in_degree_quantiles(self, qs: Sequence[float] = (0.5, 0.9, 0.99)):
         """Selected quantiles of the in-degree (who-points-at-me) distribution."""
@@ -62,36 +51,6 @@ class OverlayStats:
         """
         ranked = sorted(self._in.items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[:k]
-
-    # ------------------------------------------------------------------
-    # Distances
-    # ------------------------------------------------------------------
-
-    def mean_reach_path_length(self, sources: Sequence[Address]) -> float:
-        """Mean directed BFS distance from ``sources`` to reachable peers.
-
-        This approximates how many pong-chaining steps separate a
-        querier from the rest of the network.
-
-        Raises:
-            TopologyError: if a source is not live.
-        """
-        totals: List[float] = []
-        for source in sources:
-            if source not in self.snapshot.live:
-                raise TopologyError(f"source {source} is not live")
-            distances = {source: 0}
-            frontier = deque([source])
-            while frontier:
-                node = frontier.popleft()
-                for target in self.snapshot.edges.get(node, ()):
-                    if target not in distances:
-                        distances[target] = distances[node] + 1
-                        frontier.append(target)
-            reached = [d for d in distances.values() if d > 0]
-            if reached:
-                totals.append(mean([float(d) for d in reached]))
-        return mean(totals)
 
     # ------------------------------------------------------------------
     # Fragmentation attack

@@ -16,11 +16,7 @@ gossip-search comparison suite.
 """
 
 from repro.baselines.extent import PopulationView
-from repro.baselines.gnutella import (
-    FixedExtentSearch,
-    GnutellaOverlay,
-    fixed_extent_tradeoff,
-)
+from repro.baselines.gnutella import GnutellaOverlay, fixed_extent_tradeoff
 from repro.baselines.gossip import (
     GossipParams,
     GossipPlan,
@@ -32,7 +28,6 @@ from repro.baselines.iterative_deepening import IterativeDeepeningSearch
 
 __all__ = [
     "PopulationView",
-    "FixedExtentSearch",
     "GnutellaOverlay",
     "fixed_extent_tradeoff",
     "GossipParams",

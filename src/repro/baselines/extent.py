@@ -4,9 +4,8 @@ Forwarding mechanisms are insensitive to link-cache state — a flood
 reaches whichever peers sit within the TTL radius, which for the random
 overlays Gnutella forms is statistically a random subset of the live
 population.  The baselines therefore operate on a :class:`PopulationView`:
-the live peers, their libraries, and the content model, either captured
-from a running :class:`~repro.core.network_sim.GuessSimulation` (so GUESS
-and the baselines see the *same* network state) or synthesised directly.
+the live peers, their libraries, and the content model, synthesised
+from the same content and file-count models GUESS draws from.
 """
 
 from __future__ import annotations
@@ -37,14 +36,6 @@ class PopulationView:
     def size(self) -> int:
         """Number of live peers."""
         return len(self.libraries)
-
-    @classmethod
-    def from_simulation(cls, sim) -> "PopulationView":
-        """Capture the live good peers of a running GUESS simulation."""
-        libraries = tuple(
-            peer.library for peer in sim.live_peers if not peer.malicious
-        )
-        return cls(libraries=libraries, content=sim.content)
 
     @classmethod
     def synthesize(

@@ -6,18 +6,16 @@ costs that full radius regardless of the item's popularity, and cannot
 stop early.  Two granularities are provided:
 
 * :class:`GnutellaOverlay` — an explicit random overlay with TTL-bounded
-  flooding (used by tests and the response-time extension analyses);
-* :class:`FixedExtentSearch` / :func:`fixed_extent_tradeoff` — the
-  statistical equivalent the paper sweeps in Figure 8: a query reaching
-  extent ``E`` costs ``E`` probes and fails iff none of ``E`` uniformly
-  chosen peers owns the target.
+  flooding (the flood baseline of the gossip-search comparison);
+* :func:`fixed_extent_tradeoff` — the statistical equivalent the paper
+  sweeps in Figure 8: a query reaching extent ``E`` costs ``E`` probes
+  and fails iff none of ``E`` uniformly chosen peers owns the target.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.baselines.extent import PopulationView
@@ -77,87 +75,9 @@ class GnutellaOverlay:
                 v for v in range(n) if len(self._neighbors[v]) < degree
             ]
 
-    @classmethod
-    def power_law(
-        cls, n: int, attach: int, rng: random.Random
-    ) -> "GnutellaOverlay":
-        """A preferential-attachment (Barabási-Albert) overlay.
-
-        The paper (§3.3) attributes Gnutella's fragmentation weakness to
-        the power-law topology "that naturally arises from peers' local
-        connection decisions" — highly connected hubs whose removal
-        shatters the network.  This builder grows exactly that topology:
-        each arriving peer attaches to ``attach`` existing peers chosen
-        proportionally to their current degree.
-
-        Args:
-            n: number of peers.
-            attach: links each newcomer creates (>= 1, < n).
-            rng: topology randomness.
-
-        Returns:
-            An overlay instance (``degree`` reports the attachment
-            parameter; realised degrees are heavy-tailed by design).
-        """
-        if n < 3:
-            raise TopologyError(f"power-law overlay needs >= 3 peers, got {n}")
-        if not 1 <= attach < n:
-            raise TopologyError(
-                f"attach must be in [1, {n - 1}], got {attach}"
-            )
-        overlay = cls.__new__(cls)
-        overlay.n = n
-        overlay.degree = attach
-        overlay._neighbors = [set() for _ in range(n)]
-        # Seed clique of attach+1 nodes.
-        seed_size = attach + 1
-        for a in range(seed_size):
-            for b in range(a + 1, seed_size):
-                overlay._neighbors[a].add(b)
-                overlay._neighbors[b].add(a)
-        # Degree-proportional sampling via the repeated-endpoints list.
-        endpoints: List[int] = []
-        for node in range(seed_size):
-            endpoints.extend([node] * len(overlay._neighbors[node]))
-        for newcomer in range(seed_size, n):
-            chosen: Set[int] = set()
-            attempts = 0
-            while len(chosen) < attach and attempts < attach * 50:
-                attempts += 1
-                chosen.add(endpoints[rng.randrange(len(endpoints))])
-            for node in chosen:
-                overlay._neighbors[newcomer].add(node)
-                overlay._neighbors[node].add(newcomer)
-                endpoints.append(node)
-                endpoints.append(newcomer)
-        return overlay
-
     def neighbors(self, peer: int) -> Set[int]:
         """The neighbor set of ``peer``."""
         return set(self._neighbors[peer])
-
-    def degree_sequence(self) -> List[int]:
-        """Realised degrees, descending (power-law overlays: heavy head)."""
-        return sorted(
-            (len(neighbors) for neighbors in self._neighbors), reverse=True
-        )
-
-    def lcc_after_removal(self, doomed: Set[int]) -> int:
-        """Largest connected component after deleting ``doomed`` peers.
-
-        The §3.3 fragmentation-attack metric, applied to this overlay.
-        """
-        from repro.network.unionfind import UnionFind
-
-        survivors = [v for v in range(self.n) if v not in doomed]
-        if not survivors:
-            return 0
-        uf = UnionFind(survivors)
-        for v in survivors:
-            for neighbor in self._neighbors[v]:
-                if neighbor not in doomed:
-                    uf.union(v, neighbor)
-        return uf.largest_component_size()
 
     def flood_reach(self, source: int, ttl: int) -> List[int]:
         """Peers reached by a TTL-bounded flood from ``source``.
@@ -184,43 +104,6 @@ class GnutellaOverlay:
                     frontier.append((neighbor, depth + 1))
         return reached
 
-    def flood_transmissions(self, source: int, ttl: int) -> Tuple[int, int]:
-        """Exact transmission count of a TTL-bounded flood.
-
-        Returns:
-            ``(transmissions, duplicates)``.  Every peer that receives
-            the query with remaining TTL forwards it to all neighbours
-            except the link it arrived on; ``transmissions`` counts each
-            such message, and ``duplicates`` the ones arriving at peers
-            that had already seen the query — the overhead
-            :meth:`flood_query`'s probe-unit cost ignores, and the
-            "amplification effect" behind the paper's §3.3 DoS
-            discussion.
-        """
-        if not 0 <= source < self.n:
-            raise TopologyError(f"source {source} out of range")
-        if ttl < 0:
-            raise TopologyError(f"ttl must be >= 0, got {ttl}")
-        seen = {source}
-        transmissions = 0
-        duplicates = 0
-        # frontier: (node, received_from, depth)
-        frontier = deque([(source, None, 0)])
-        while frontier:
-            node, received_from, depth = frontier.popleft()
-            if depth == ttl:
-                continue
-            for neighbor in self._neighbors[node]:
-                if neighbor == received_from:
-                    continue
-                transmissions += 1
-                if neighbor in seen:
-                    duplicates += 1
-                    continue
-                seen.add(neighbor)
-                frontier.append((neighbor, node, depth + 1))
-        return transmissions, duplicates
-
     def flood_receipts(self, source: int, ttl: int) -> Dict[int, int]:
         """Per-peer receipt counts of a TTL-bounded flood.
 
@@ -228,8 +111,10 @@ class GnutellaOverlay:
             Mapping of peer to the number of copies of the query it
             received (duplicates included) — the per-peer load column of
             the gossip-search comparison, where flooding's max load is
-            its duplicate hot-spots.  The source itself never appears
-            (a peer does not message itself).
+            its duplicate hot-spots.  Every peer that receives the query
+            with remaining TTL forwards it to all neighbours except the
+            link it arrived on.  The source itself never appears (a peer
+            does not message itself).
         """
         if not 0 <= source < self.n:
             raise TopologyError(f"source {source} out of range")
@@ -251,19 +136,6 @@ class GnutellaOverlay:
                 seen.add(neighbor)
                 frontier.append((neighbor, node, depth + 1))
         return receipts
-
-    def amplification_factor(self, source: int, ttl: int) -> float:
-        """Transmissions caused per message the source itself sends.
-
-        The §3.3 DoS lever: a malicious Gnutella peer spends
-        ``deg(source)`` messages and the network amplifies them by this
-        factor.  GUESS's non-forwarding design pins this at 1.0.
-        """
-        transmissions, _ = self.flood_transmissions(source, ttl)
-        degree = len(self._neighbors[source])
-        if degree == 0 or transmissions == 0:
-            return 0.0
-        return transmissions / degree
 
     def flood_query(
         self, view: PopulationView, source: int, target: int, ttl: int
@@ -287,40 +159,6 @@ class GnutellaOverlay:
         return len(reached), results
 
 
-@dataclass(frozen=True)
-class FixedExtentSearch:
-    """The statistical fixed-extent mechanism swept in Figure 8.
-
-    A query configured with extent ``E`` always costs ``E`` probes and is
-    satisfied iff at least ``desired_results`` of ``E`` uniformly chosen
-    peers own the target (desired_results=1 in the paper's sweep).
-    """
-
-    view: PopulationView
-    extent: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.extent <= self.view.size:
-            raise WorkloadError(
-                f"extent must be in [1, {self.view.size}], got {self.extent}"
-            )
-
-    def unsat_probability(self, target: int) -> float:
-        """Exact P(query for ``target`` unsatisfied at this extent)."""
-        owners = self.view.owners_of(target)
-        if owners == 0:
-            return 1.0
-        return self.view.unsat_probability_curve(owners, self.extent)[-1]
-
-    def run(self, target: int, rng: random.Random) -> Tuple[int, bool]:
-        """One sampled query: returns ``(cost, satisfied)``."""
-        position = self.view.sample_first_owner_position(
-            self.view.owners_of(target), rng
-        )
-        satisfied = position is not None and position <= self.extent
-        return self.extent, satisfied
-
-
 def fixed_extent_tradeoff(
     view: PopulationView,
     targets: Sequence[int],
@@ -335,9 +173,9 @@ def fixed_extent_tradeoff(
     if not targets:
         raise WorkloadError("need at least one query target")
     max_extent = max(extents)
-    if max_extent > view.size:
+    if min(extents) < 1 or max_extent > view.size:
         raise WorkloadError(
-            f"max extent {max_extent} exceeds population {view.size}"
+            f"extents must be in [1, {view.size}], got {sorted(extents)}"
         )
     # One owner-count pass per query, then share the curve across extents.
     per_extent_sums: Dict[int, float] = {extent: 0.0 for extent in extents}

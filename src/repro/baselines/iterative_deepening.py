@@ -95,23 +95,3 @@ class IterativeDeepeningSearch:
             if not satisfied:
                 unsatisfied += 1
         return mean(costs), unsatisfied / len(targets)
-
-    def expected_cost_curve(self, target: int) -> Tuple[float, float]:
-        """Analytic ``(expected cost, unsat probability)`` for one target.
-
-        Uses the exact hypergeometric no-owner-within-extent
-        probabilities, avoiding sampling noise where the experiment wants
-        smooth numbers.
-        """
-        owners = self.view.owners_of(target)
-        schedule = self._clamped_schedule()
-        max_extent = schedule[-1]
-        if owners == 0:
-            return float(sum(schedule)), 1.0
-        curve = self.view.unsat_probability_curve(owners, max_extent)
-        expected_cost = 0.0
-        reach_round_p = 1.0  # P(still unsatisfied when this round starts)
-        for index, extent in enumerate(schedule):
-            expected_cost += reach_round_p * extent
-            reach_round_p = curve[extent - 1]
-        return expected_cost, curve[schedule[-1] - 1]

@@ -28,7 +28,7 @@ contest all run in C on that one structure.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List
 
 from repro.core.entry import CacheEntry
 from repro.core.policies import Policy
@@ -69,10 +69,6 @@ class LinkCache:
     def __contains__(self, address: Address) -> bool:
         return address in self._entries
 
-    def get(self, address: Address) -> Optional[CacheEntry]:
-        """The entry for ``address``, or None."""
-        return self._entries.get(address)
-
     def entries(self) -> List[CacheEntry]:
         """Snapshot list of entries (insertion-ordered)."""
         return list(self._entries.values())
@@ -88,10 +84,6 @@ class LinkCache:
     def addresses(self) -> Iterator[Address]:
         """Iterate over cached addresses (insertion-ordered)."""
         return iter(self._entries)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._entries) >= self.capacity
 
     # ------------------------------------------------------------------
     # Mutation
@@ -152,10 +144,6 @@ class LinkCache:
         entry = self._entries.get(address)
         if entry is not None:
             entry.record_results(num_results, now)
-
-    def clear(self) -> None:
-        """Drop all entries."""
-        self._entries.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

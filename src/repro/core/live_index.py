@@ -24,7 +24,7 @@ regardless of how long churn runs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.network.address import Address
 
@@ -59,15 +59,6 @@ class LiveAddressIndex:
 
     def __contains__(self, address: Address) -> bool:
         return address in self._pos
-
-    def live_addresses(self) -> Iterator[Address]:
-        """Live addresses in insertion order (diagnostics/tests)."""
-        return (a for a in self._order if a is not None)
-
-    @property
-    def slots(self) -> int:
-        """Order-list length including tombstones (compaction telemetry)."""
-        return len(self._order)
 
     # ------------------------------------------------------------------
     # Mutation

@@ -96,10 +96,6 @@ class GuessSimulation:
         health_sample_interval: spacing of cache-health samples in
             seconds, > 0; ``None`` disables sampling (saves time in
             ping-only sweeps).
-        latency: optional round-trip-time model for delivered probes
-            (see :mod:`repro.network.latency`); defaults to the
-            transport's constant model.  Affects only response-time
-            metrics, never probe counts.
         faults: optional :class:`~repro.faults.plan.FaultPlan` making
             the wire unreliable (packet loss, brownouts, partitions,
             jitter).  ``None`` or an all-zeros plan builds no injector
@@ -171,7 +167,6 @@ class GuessSimulation:
         file_model: Optional[FileCountModel] = None,
         keep_queries: bool = False,
         health_sample_interval: Optional[float] = DEFAULT_HEALTH_SAMPLE_INTERVAL,
-        latency=None,
         faults: Optional[FaultPlan] = None,
         trace_hash: bool = False,
         observe: Optional[ObservationPlan] = None,
@@ -214,7 +209,6 @@ class GuessSimulation:
         )
         self.transport = Transport(
             timeout=self.protocol.probe_spacing,
-            latency=latency,
             faults=self.faults,
             metrics=shared_registry,
         )
@@ -285,10 +279,6 @@ class GuessSimulation:
     def live_good_peers(self) -> List[GuessPeer]:
         """Currently live protocol-following peers."""
         return [p for p in self._store.values() if not p.malicious]
-
-    def peer(self, address: Address) -> Optional[GuessPeer]:
-        """The live peer at ``address``, or None."""
-        return self._store.get(address)
 
     # ------------------------------------------------------------------
     # Bootstrap
@@ -606,29 +596,23 @@ class GuessSimulation:
             args=(peer,),
         )
 
-    def _do_ping(self, peer: GuessPeer, now: float) -> Optional[bool]:
+    def _do_ping(self, peer: GuessPeer, now: float) -> None:
         """One maintenance ping per Section 2.2.
 
         With ``probe_retries > 0`` a timed-out ping is re-sent per the
         retry policy before the entry is declared dead — over a lossy
         wire this is what separates corpse collection from wrongful
         eviction of live neighbours.
-
-        Returns:
-            What the ping found: ``True`` a corpse (final timeout),
-            ``False`` a live target (a pong or a refusal — both prove
-            liveness), ``None`` when no ping was sent (empty cache or an
-            open breaker).
         """
         entry = peer.choose_ping_target(now)
         if entry is None:
-            return None
+            return
         breakers = peer.breakers
         if breakers is not None and not breakers.allow(entry.address, now):
             # Open breaker: spare the overloaded target this ping and
             # keep the entry cached for the half-open trial later.
             self.collector.record_suppressed_ping(now)
-            return None
+            return
         retry = self.policies.retry
         if retry is None:
             outcome = self.transport.probe(
@@ -670,7 +654,7 @@ class GuessSimulation:
                 denied=denied,
                 stale=departed_at is not None and entry.born < departed_at,
             )
-            return True
+            return
         if outcome.status is ProbeStatus.REFUSED:
             refusal_evicted = False
             if breakers is not None:
@@ -689,7 +673,7 @@ class GuessSimulation:
                 refusal_evicted=refusal_evicted,
                 denied=denied,
             )
-            return False
+            return
         if breakers is not None:
             breakers.record_success(entry.address)
         peer.link_cache.touch(entry.address, now)
@@ -700,7 +684,6 @@ class GuessSimulation:
         )
         if self.gossip is not None and outcome.response.entries:
             self.gossip.seed_rumor(peer, outcome.response, now)
-        return False
 
     # ------------------------------------------------------------------
     # Queries

@@ -158,10 +158,6 @@ class SystemParams:
         """percent_faulty_reporters as a probability."""
         return self.percent_faulty_reporters / 100.0
 
-    def with_(self, **changes) -> "SystemParams":
-        """Return a copy with ``changes`` applied (sweep helper)."""
-        return replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -309,10 +305,6 @@ class ProtocolParams:
             cache_replacement=unstar(self.cache_replacement),
             reset_num_results=True,
         )
-
-    def with_(self, **changes) -> "ProtocolParams":
-        """Return a copy with ``changes`` applied (sweep helper)."""
-        return replace(self, **changes)
 
     @classmethod
     def all_same_policy(cls, policy: str, **overrides) -> "ProtocolParams":

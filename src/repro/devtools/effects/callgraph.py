@@ -64,12 +64,6 @@ class Program:
     #: File-level problems (unreadable/unparsable files).
     errors: List[str] = field(default_factory=list)
 
-    def function_at_def(self, path: str, line: int) -> Optional[FunctionInfo]:
-        for info in self.functions.values():
-            if info.path == path and info.lineno == line:
-                return info
-        return None
-
 
 def build_program(sources: Dict[str, Tuple[str, str]]) -> Program:
     """Build and resolve a program from ``{module: (path, source)}``."""

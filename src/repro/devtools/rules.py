@@ -9,7 +9,7 @@ parser, and the fixture tests a single source of truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List
+from typing import Callable, Dict, List
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,14 +84,6 @@ def rules_for_pragma_key(key: str) -> List[Rule]:
     """Rules suppressed by pragma token ``key`` (slug or id, any case)."""
     lowered = key.lower()
     return [rule for rule in RULES.values() if lowered in rule.pragma_keys]
-
-
-def all_pragma_keys() -> Iterable[str]:
-    """Every token accepted after ``allow-`` in a suppression pragma."""
-    keys: List[str] = []
-    for rule in RULES.values():
-        keys.extend(sorted(rule.pragma_keys))
-    return keys
 
 
 RD001 = register_rule(

@@ -23,7 +23,6 @@ the paper's figures never import it.
 """
 
 from repro.extensions.adaptive_ping import AdaptivePingController
-from repro.extensions.adaptive_ping_sim import AdaptiveMaintenanceSimulation
 from repro.extensions.adaptive_search import (
     EscalatingWidth,
     execute_adaptive_query,
@@ -34,7 +33,6 @@ from repro.extensions.selfish_sim import SelfishGuessSimulation, SelfishReport
 
 __all__ = [
     "AdaptivePingController",
-    "AdaptiveMaintenanceSimulation",
     "EscalatingWidth",
     "execute_adaptive_query",
     "DefenseConfig",

@@ -138,11 +138,6 @@ class PongDefense:
     # Introspection
     # ------------------------------------------------------------------
 
-    @property
-    def blacklist(self) -> Set[Address]:
-        """Addresses this peer refuses to deal with (copy)."""
-        return set(self._blacklist)
-
     def source_stats(self, source: Address) -> tuple[int, int, int, int]:
         """``(shared, dead, barren, productive)`` for ``source``."""
         record = self._sources.get(source, _SourceRecord())

@@ -27,7 +27,7 @@ from repro.core.peer import GuessPeer
 from repro.core.search import QueryResult
 from repro.errors import ConfigError
 from repro.extensions.selfish import ProbeBudget, execute_selfish_query
-from repro.metrics.summary import mean, ratio
+from repro.metrics.summary import ratio
 from repro.network.address import Address
 
 BudgetFactory = Callable[[], ProbeBudget]
@@ -52,12 +52,6 @@ class SelfishReport:
     probes_per_query: float
     mean_response_time: Optional[float]
     broke_queries: int
-
-    @property
-    def unsatisfied_rate(self) -> float:
-        if self.queries == 0:
-            return 0.0
-        return 1.0 - self.satisfied / self.queries
 
 
 class SelfishGuessSimulation(GuessSimulation):
@@ -147,11 +141,6 @@ class SelfishGuessSimulation(GuessSimulation):
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-
-    @property
-    def selfish_peers(self) -> Set[Address]:
-        """Addresses of currently live selfish peers (copy)."""
-        return set(self._selfish)
 
     def selfish_report(self) -> SelfishReport:
         """Summary of the selfish minority's own experience."""

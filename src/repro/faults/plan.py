@@ -31,8 +31,8 @@ bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import ConfigError
 
@@ -190,7 +190,3 @@ class FaultPlan:
             and not self.brownouts.enabled
             and not self.partitions
         )
-
-    def with_(self, **changes: Any) -> "FaultPlan":
-        """Return a copy with ``changes`` applied (sweep helper)."""
-        return replace(self, **changes)

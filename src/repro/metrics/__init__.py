@@ -14,7 +14,7 @@ from repro.metrics.collectors import (
     SimulationReport,
 )
 from repro.metrics.load import LoadDistribution
-from repro.metrics.summary import mean, quantile, stderr
+from repro.metrics.summary import mean, quantile
 
 __all__ = [
     "CacheHealthSample",
@@ -23,5 +23,4 @@ __all__ = [
     "LoadDistribution",
     "mean",
     "quantile",
-    "stderr",
 ]

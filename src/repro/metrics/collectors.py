@@ -17,7 +17,9 @@ docstring.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import hashlib
+import json
+from dataclasses import asdict, astuple, dataclass, field, fields
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -599,6 +601,30 @@ class SimulationReport:
     #: and verified bit for bit.
     trace_digest: Optional[str] = None
 
+    def fingerprint(self) -> str:
+        """sha256 over everything the run measured, the trace digest excepted.
+
+        Every scalar field by name, plus the per-peer ``loads`` and
+        ``refusals`` in address order and the health samples in time
+        order.  The trace digest folds fired events only, so two runs
+        whose queries probed differently can share it; they never share
+        this.
+        """
+        scalars = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "trace_digest"
+            and isinstance(getattr(self, f.name), (type(None), bool, int, float, str))
+        }
+        payload = {
+            "scalars": scalars,
+            "loads": sorted(self.loads.items()),
+            "refusals": sorted(self.refusals.items()),
+            "health": [astuple(s) for s in self.health_samples],
+        }
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
     # -- Paper metrics --------------------------------------------------
 
     @property
@@ -633,24 +659,12 @@ class SimulationReport:
         """Complement of :attr:`unsatisfied_rate`."""
         return 1.0 - self.unsatisfied_rate
 
-    @property
-    def wasted_probe_fraction(self) -> float:
-        """Fraction of all probes that were wasted on dead peers."""
-        return ratio(self.dead_probes, self.total_probes)
-
-    @property
-    def dead_ping_fraction(self) -> float:
-        """Fraction of maintenance pings that discovered a corpse."""
-        return ratio(self.dead_pings, self.pings_sent)
-
-    # -- Fault / retry metrics (repro.faults) ----------------------------
+    # -- Honest accounting (repro.core.malicious.FaultyReporter) ---------
 
     @property
     def results_per_query(self) -> float:
         """Average results returned per query (as *claimed* by responders)."""
         return ratio(self.total_results, self.queries)
-
-    # -- Honest accounting (repro.core.malicious.FaultyReporter) ---------
 
     @property
     def honest_results_per_query(self) -> float:
@@ -661,43 +675,13 @@ class SimulationReport:
         """
         return ratio(self.total_honest_results, self.queries)
 
-    @property
-    def honest_satisfaction_rate(self) -> float:
-        """Satisfaction under honest result accounting."""
-        return ratio(self.honest_satisfied_queries, self.queries)
-
-    # -- Freshness metrics (repro.freshness) -----------------------------
-
-    @property
-    def stale_dead_probes(self) -> int:
-        """Dead probes (query + ping paths) charged to *stale* pointers.
-
-        Stale = the pointer's target departed after the owner acquired
-        it; exactly the waste push invalidation can prevent.  The
-        remainder (:attr:`fresh_dead_probes`) is dead-on-arrival imports
-        and ghost addresses, which no notice could have saved.
-        """
-        return self.stale_dead_query_probes + self.stale_dead_pings
-
-    @property
-    def fresh_dead_probes(self) -> int:
-        """Dead probes no invalidation could have prevented."""
-        return self.dead_probes + self.dead_pings - self.stale_dead_probes
+    # -- Fault / retry metrics (repro.faults) ----------------------------
 
     @property
     def spurious_timeouts_per_query(self) -> float:
         """Average live-target timeouts per query (loss masquerading as
         death; 0 without fault injection)."""
         return ratio(self.spurious_timeout_probes, self.queries)
-
-    @property
-    def spurious_timeout_fraction(self) -> float:
-        """Fraction of query dead-probes that were actually lost packets.
-
-        This is how badly loss corrupts the paper's DeadIPs accounting:
-        at 1.0, every "dead" probe the query loop charged was wrong.
-        """
-        return ratio(self.spurious_timeout_probes, self.dead_probes)
 
     @property
     def retry_recovery_rate(self) -> float:
@@ -744,11 +728,6 @@ class SimulationReport:
     def retries_denied(self) -> int:
         """Retry schedules cut short by exhausted token budgets."""
         return self.query_retries_denied + self.ping_retries_denied
-
-    @property
-    def spurious_dead_ping_fraction(self) -> float:
-        """Fraction of dead pings whose target was actually live."""
-        return ratio(self.spurious_dead_pings, self.dead_pings)
 
     # -- Cache health (Table 3, Figures 18/21) ---------------------------
 

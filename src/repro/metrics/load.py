@@ -35,10 +35,6 @@ class LoadDistribution:
         """Total probes received across all peers."""
         return sum(self._ranked)
 
-    def ranked(self) -> List[int]:
-        """Loads in descending order (rank 1 first)."""
-        return list(self._ranked)
-
     def load_at_rank(self, rank: int) -> int:
         """Load of the ``rank``-th most-loaded peer (1-based).
 

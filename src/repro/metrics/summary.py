@@ -21,23 +21,6 @@ def mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-def variance(values: Sequence[float]) -> float:
-    """Sample variance (n-1 denominator); 0.0 for fewer than two values."""
-    n = len(values)
-    if n < 2:
-        return 0.0
-    m = mean(values)
-    return math.fsum((v - m) ** 2 for v in values) / (n - 1)
-
-
-def stderr(values: Sequence[float]) -> float:
-    """Standard error of the mean; 0.0 for fewer than two values."""
-    n = len(values)
-    if n < 2:
-        return 0.0
-    return math.sqrt(variance(values) / n)
-
-
 def quantile(values: Sequence[float], q: float) -> float:
     """Linear-interpolated quantile, ``q`` in [0, 1].
 

@@ -7,7 +7,7 @@ on but does not make part of the contribution:
   addresses; addresses are never reused, so a pointer to a dead peer stays
   dead (exactly the property that makes link-cache staleness a problem).
 * :mod:`repro.network.transport` — UDP probe semantics: no connection
-  state, silent loss when the target is gone, optional latency model.
+  state, silent loss when the target is gone, a fixed round trip.
 * :mod:`repro.network.unionfind` — disjoint-set forest used by the
   connectivity experiments (Figures 6 and 7).
 * :mod:`repro.network.overlay` — extraction and analysis of the
@@ -15,7 +15,7 @@ on but does not make part of the contribution:
 """
 
 from repro.network.address import Address, AddressAllocator
-from repro.network.overlay import OverlaySnapshot, largest_component_size
+from repro.network.overlay import OverlaySnapshot
 from repro.network.transport import ProbeOutcome, ProbeStatus, Transport
 from repro.network.unionfind import UnionFind
 
@@ -23,7 +23,6 @@ __all__ = [
     "Address",
     "AddressAllocator",
     "OverlaySnapshot",
-    "largest_component_size",
     "ProbeOutcome",
     "ProbeStatus",
     "Transport",

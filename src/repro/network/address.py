@@ -14,8 +14,6 @@ handed out by :class:`AddressAllocator`.  Two properties matter:
 
 from __future__ import annotations
 
-from typing import Iterator
-
 # An address is just an integer.  The alias documents intent in signatures.
 Address = int
 
@@ -50,15 +48,6 @@ class AddressAllocator:
         first = self._next
         self._next += count
         return list(range(first, first + count))
-
-    @property
-    def allocated(self) -> int:
-        """Total number of addresses handed out so far."""
-        return self._next
-
-    def all_allocated(self) -> Iterator[Address]:
-        """Iterate over every address allocated so far (0..allocated-1)."""
-        return iter(range(self._next))
 
     def __contains__(self, address: Address) -> bool:
         """True if ``address`` has been allocated by this allocator."""

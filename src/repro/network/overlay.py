@@ -8,17 +8,12 @@ the size of the largest connected component as PingInterval varies
 reading that any pointer lets information flow once contact is made (the
 introduction mechanism makes contact bidirectional with probability
 ``IntroProb``).
-
-Both undirected (union-find) and directed (Tarjan SCC-free BFS
-reachability) views are provided; the experiments use the undirected one,
-the directed one backs extension analyses.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.errors import TopologyError
 from repro.network.address import Address
@@ -84,62 +79,3 @@ class OverlaySnapshot:
             for target in targets:
                 uf.union(owner, target)
         return uf.largest_component_size()
-
-    def component_sizes(self) -> List[int]:
-        """Sizes of all weakly connected components, descending."""
-        uf = UnionFind(self.live)
-        for owner, targets in self.edges.items():
-            for target in targets:
-                uf.union(owner, target)
-        return sorted(uf.component_sizes(), reverse=True)
-
-    def num_components(self) -> int:
-        """Number of weakly connected components."""
-        uf = UnionFind(self.live)
-        for owner, targets in self.edges.items():
-            for target in targets:
-                uf.union(owner, target)
-        return uf.num_components()
-
-    # ------------------------------------------------------------------
-    # Directed reachability (extension analyses)
-    # ------------------------------------------------------------------
-
-    def reachable_from(self, source: Address) -> Set[Address]:
-        """Peers reachable from ``source`` following pointers forward.
-
-        This is the set of peers ``source`` could eventually probe using
-        only its own cache plus pong chaining, ignoring timing.
-        """
-        if source not in self.live:
-            raise TopologyError(f"source {source} is not live")
-        seen: Set[Address] = {source}
-        frontier: deque[Address] = deque([source])
-        while frontier:
-            node = frontier.popleft()
-            for target in self.edges.get(node, ()):
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        return seen
-
-    def out_degrees(self) -> Dict[Address, int]:
-        """Live out-degree (number of live pointers) per live peer."""
-        return {
-            owner: len(self.edges.get(owner, ()))
-            for owner in self.live
-        }
-
-    def mean_live_out_degree(self) -> float:
-        """Average number of live pointers per live peer."""
-        if not self.live:
-            return 0.0
-        return sum(len(t) for t in self.edges.values()) / len(self.live)
-
-
-def largest_component_size(
-    live: Iterable[Address],
-    cache_contents: Mapping[Address, Iterable[Address]],
-) -> int:
-    """Convenience wrapper: LCC size straight from raw cache contents."""
-    return OverlaySnapshot.from_caches(live, cache_contents).largest_component_size()

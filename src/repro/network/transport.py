@@ -9,8 +9,8 @@ timing out.  The transport models exactly that:
   absence of a reply;
 * probes to live endpoints are handed to the endpoint, which may answer or
   explicitly **refuse** (the overload signal of Section 6.3);
-* an optional latency model prices each delivered round trip for
-  response-time accounting.
+* a delivered or refused probe costs one fixed round trip, a quarter of
+  the timeout, for response-time accounting.
 
 The transport is synchronous: the GUESS query loop is strictly serial (one
 probe, then reply-or-timeout, then the next probe), so a function call that
@@ -30,7 +30,7 @@ the historical fault-free code, bit for bit.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional, Protocol
 
 from repro.network.address import Address
 from repro.observe.registry import MetricsRegistry
@@ -61,8 +61,8 @@ class ProbeOutcome(NamedTuple):
     * **Timeouts are charged the full timeout period** — the sender
       learns nothing until it has waited the whole window, so that wait
       is the probe's true cost.
-    * **Refusals are charged the full delivery latency**, exactly like a
-      delivered probe: a refusal is a real reply from a live peer (the
+    * **Refusals are charged the round trip**, exactly like a delivered
+      probe: a refusal is a real reply from a live peer (the
       overload notice travels the same round trip as a pong would), so
       the sender pays the wire time even though it gets no entries back.
 
@@ -70,7 +70,7 @@ class ProbeOutcome(NamedTuple):
         status: terminal status.
         response: payload returned by the endpoint (``None`` unless
             :attr:`ProbeStatus.DELIVERED` or a refusal notice).
-        rtt: modelled round-trip time in seconds, per the rules above.
+        rtt: round-trip time in seconds, per the rules above.
         spurious: True only for a :attr:`ProbeStatus.TIMEOUT` caused by
             fault injection against a **live** endpoint — a lost packet,
             brownout stall, or partition cut, not a death.  The protocol
@@ -83,10 +83,6 @@ class ProbeOutcome(NamedTuple):
     response: Any = None
     rtt: float = 0.0
     spurious: bool = False
-
-    @property
-    def delivered(self) -> bool:
-        return self.status is ProbeStatus.DELIVERED
 
 
 class Endpoint(Protocol):
@@ -105,25 +101,13 @@ class Endpoint(Protocol):
         """
 
 
-LatencyModel = Callable[[Address, Address], float]
-
-
-def constant_latency(rtt: float = 0.05) -> LatencyModel:
-    """A latency model charging the same round-trip time to every pair."""
-    if rtt < 0:
-        raise ValueError(f"rtt must be >= 0, got {rtt}")
-    return lambda src, dst: rtt
-
-
 class Transport:
     """Directory of endpoints plus UDP probe semantics.
 
     Args:
         timeout: seconds a sender waits before concluding a probe is lost.
             The GUESS spec's inter-probe spacing (0.2 s) is used as the
-            default.
-        latency: round-trip pricing for delivered probes; defaults to a
-            4× faster-than-timeout constant.
+            default.  A delivered or refused probe costs ``timeout / 4``.
         faults: optional fault injector; when set, probes to live
             endpoints may be dropped (spurious timeouts) and delivered
             RTTs may pick up jitter.  ``None`` (the default, and what an
@@ -149,14 +133,13 @@ class Transport:
     def __init__(
         self,
         timeout: float = 0.2,
-        latency: Optional[LatencyModel] = None,
         faults: Optional["FaultInjector"] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         self.timeout = float(timeout)
-        self._latency = latency or constant_latency(timeout / 4.0)
+        self._rtt = timeout / 4.0
         self._faults = faults
         self._directory: Dict[Address, Endpoint] = {}
         #: address -> virtual time it was unregistered (departed).  Pure
@@ -208,10 +191,6 @@ class Transport:
         """
         return self._departures.get(address)
 
-    def endpoint(self, address: Address) -> Optional[Endpoint]:
-        """The endpoint bound to ``address``, or None."""
-        return self._directory.get(address)
-
     def __len__(self) -> int:
         return len(self._directory)
 
@@ -226,7 +205,7 @@ class Transport:
 
         Returns:
             A :class:`ProbeOutcome`; timeouts carry ``rtt == timeout``,
-            refusals and deliveries the modelled delivery latency.
+            refusals and deliveries ``timeout / 4`` plus any fault jitter.
         """
         if self._observed:
             # Window rolling is driven by virtual probe timestamps only
@@ -247,7 +226,7 @@ class Transport:
             self._c_spurious.inc()
             return ProbeOutcome(ProbeStatus.TIMEOUT, None, self.timeout, True)
         accepted, response = endpoint.receive_probe(message, time)
-        rtt = self._latency(src, dst)
+        rtt = self._rtt
         if faults is not None:
             rtt += faults.extra_rtt()
         if self._rtt_hist is not None:

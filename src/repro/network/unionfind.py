@@ -9,7 +9,7 @@ NetworkSize.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List
+from typing import Dict, Hashable, Iterable
 
 
 class UnionFind:
@@ -78,24 +78,6 @@ class UnionFind:
         if self._size[root_a] > self._max_size:
             self._max_size = self._size[root_a]
         return True
-
-    def connected(self, a: Hashable, b: Hashable) -> bool:
-        """True if ``a`` and ``b`` are in the same component."""
-        if a not in self._parent or b not in self._parent:
-            return False
-        return self.find(a) == self.find(b)
-
-    def component_size(self, item: Hashable) -> int:
-        """Size of the component containing ``item``."""
-        return self._size[self.find(item)]
-
-    def component_sizes(self) -> List[int]:
-        """Sizes of all components, unordered."""
-        return list(self._size.values())
-
-    def num_components(self) -> int:
-        """Number of disjoint components."""
-        return len(self._size)
 
     def largest_component_size(self) -> int:
         """Size of the largest component (0 if empty)."""

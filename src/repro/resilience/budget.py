@@ -73,11 +73,6 @@ class RetryBudget:
             )
             self._last = now
 
-    def tokens(self, now: float) -> float:
-        """Current (fractional) token balance at virtual time ``now``."""
-        self._refill(now)
-        return self._tokens
-
     def try_spend(self, now: float) -> bool:
         """Spend one token for a retry attempt; False if exhausted."""
         self._refill(now)

@@ -13,8 +13,8 @@ reproduces bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import ScenarioError
 from repro.resilience.breaker import BreakerSpec
@@ -78,10 +78,6 @@ class ResiliencePolicy:
             and self.budget is None
             and (self.shedding is None or not self.shedding.enabled)
         )
-
-    def with_(self, **changes: Any) -> "ResiliencePolicy":
-        """Return a copy with ``changes`` applied (sweep helper)."""
-        return replace(self, **changes)
 
     @classmethod
     def all_on(cls) -> "ResiliencePolicy":

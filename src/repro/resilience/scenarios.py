@@ -37,8 +37,8 @@ profile the crowd windows describe).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.errors import ScenarioError
 from repro.sim.rng import RngRegistry
@@ -163,10 +163,6 @@ class ScenarioPlan:
         return not any(s.enabled for s in self.storms) and not any(
             c.enabled for c in self.crowds
         )
-
-    def with_(self, **changes: Any) -> "ScenarioPlan":
-        """Return a copy with ``changes`` applied (sweep helper)."""
-        return replace(self, **changes)
 
 
 class ScenarioDriver:

@@ -44,11 +44,10 @@ class TraceHasher:
     counterpart of the static rules in :mod:`repro.devtools`.
     """
 
-    __slots__ = ("_hash", "_events")
+    __slots__ = ("_hash",)
 
     def __init__(self) -> None:
         self._hash = hashlib.blake2b(digest_size=16)
-        self._events = 0
 
     def fold(self, time: float, priority: int, seq: int, label: str) -> None:
         """Absorb one fired event into the digest.
@@ -59,12 +58,6 @@ class TraceHasher:
         self._hash.update(
             f"{time.hex()}|{priority}|{seq}|{label}\n".encode("utf-8")
         )
-        self._events += 1
-
-    @property
-    def events_folded(self) -> int:
-        """Number of events absorbed so far."""
-        return self._events
 
     def digest(self) -> str:
         """Hex digest of the trace so far (non-destructive snapshot)."""

@@ -25,7 +25,3 @@ class EventPriority(enum.IntEnum):
     PROTOCOL = 2
     QUERY = 3
     METRICS = 4
-
-    @classmethod
-    def default(cls) -> "EventPriority":
-        return cls.PROTOCOL

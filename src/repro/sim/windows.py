@@ -27,7 +27,7 @@ class BucketedRateLimiter:
         limit: maximum events per bucket; ``None`` disables refusal.
     """
 
-    __slots__ = ("window", "limit", "_buckets", "_total", "_max_bucket")
+    __slots__ = ("window", "limit", "_buckets", "_max_bucket")
 
     #: Number of live buckets that triggers a prune sweep.
     _PRUNE_THRESHOLD = 256
@@ -40,7 +40,6 @@ class BucketedRateLimiter:
         self.window = float(window)
         self.limit = limit
         self._buckets: dict[int, int] = {}
-        self._total = 0
         self._max_bucket = -1
 
     def _bucket(self, now: float) -> int:
@@ -50,24 +49,12 @@ class BucketedRateLimiter:
         """Events recorded in the bucket containing ``now``."""
         return self._buckets.get(self._bucket(now), 0)
 
-    def would_exceed(self, now: float) -> bool:
-        """True if one more event in ``now``'s bucket would break the limit."""
-        if self.limit is None:
-            return False
-        return self.count(now) + 1 > self.limit
-
     def _store(self, bucket: int, count: int) -> None:
         self._buckets[bucket] = count
-        self._total += 1
         if bucket > self._max_bucket:
             self._max_bucket = bucket
         if len(self._buckets) > self._PRUNE_THRESHOLD:
             self._prune()
-
-    def record(self, now: float) -> None:
-        """Record one event in ``now``'s bucket (order-independent)."""
-        bucket = self._bucket(now)
-        self._store(bucket, self._buckets.get(bucket, 0) + 1)
 
     def try_record(self, now: float) -> bool:
         """Record unless the bucket is full; True if admitted."""
@@ -88,19 +75,5 @@ class BucketedRateLimiter:
             if bucket >= horizon
         }
 
-    @property
-    def total(self) -> int:
-        """Lifetime number of recorded events."""
-        return self._total
-
-    def reset(self) -> None:
-        """Forget all recorded events."""
-        self._buckets.clear()
-        self._total = 0
-        self._max_bucket = -1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BucketedRateLimiter(window={self.window}, limit={self.limit}, "
-            f"total={self._total})"
-        )
+        return f"BucketedRateLimiter(window={self.window}, limit={self.limit})"

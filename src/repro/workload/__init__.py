@@ -9,7 +9,8 @@ statistics; the substitutions are documented in DESIGN.md §2.
 * :mod:`repro.workload.distributions` — reusable samplers (Zipf,
   log-normal, Pareto, empirical).
 * :mod:`repro.workload.lifetimes` — peer session durations with the
-  ``LifespanMultiplier`` stress knob.
+  ``LifespanMultiplier`` stress knob; a measured trace swaps in as
+  ``LifetimeModel(sample=values)``.
 * :mod:`repro.workload.files` — shared-file counts (free riders + heavy
   tail).
 * :mod:`repro.workload.content` — the file catalog, ownership assignment
@@ -28,16 +29,8 @@ from repro.workload.distributions import (
 from repro.workload.files import FileCountModel
 from repro.workload.lifetimes import LifetimeModel
 from repro.workload.queries import QueryBurstProcess
-from repro.workload.trace_io import (
-    lifetime_model_from_file,
-    load_trace,
-    save_trace,
-)
 
 __all__ = [
-    "lifetime_model_from_file",
-    "load_trace",
-    "save_trace",
     "ContentModel",
     "Library",
     "BoundedParetoSampler",

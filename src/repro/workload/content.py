@@ -163,10 +163,3 @@ class ContentModel:
         if target == NONEXISTENT_FILE:
             return False
         return target in library
-
-    def expected_owner_probability(self, rank: int) -> float:
-        """Probability mass of ``rank`` under the ownership distribution.
-
-        Diagnostic used by calibration tests to reason about replication.
-        """
-        return self._ownership.probability(rank)

@@ -47,13 +47,6 @@ class ZipfSampler:
         cdf[-1] = 1.0  # guard against float round-off
         self._cdf = cdf
 
-    def probability(self, rank: int) -> float:
-        """Probability mass of ``rank`` (1-based)."""
-        if not 1 <= rank <= self.n:
-            raise WorkloadError(f"rank must be in [1, {self.n}], got {rank}")
-        lo = self._cdf[rank - 2] if rank >= 2 else 0.0
-        return self._cdf[rank - 1] - lo
-
     def sample(self, rng: random.Random) -> int:
         """Draw a rank in ``[1, n]``."""
         return bisect.bisect_left(self._cdf, rng.random()) + 1
@@ -89,10 +82,6 @@ class LogNormalSampler:
     def sample(self, rng: random.Random) -> float:
         """Draw one positive value."""
         return rng.lognormvariate(self._mu, self.sigma)
-
-    def mean(self) -> float:
-        """Analytic mean ``exp(mu + sigma^2 / 2)``."""
-        return math.exp(self._mu + self.sigma**2 / 2.0)
 
 
 class BoundedParetoSampler:
@@ -157,20 +146,6 @@ class EmpiricalSampler:
         if len(values) == 1:
             return values[0]
         position = rng.random() * (len(values) - 1)
-        index = int(position)
-        frac = position - index
-        if index + 1 >= len(values):
-            return values[-1]
-        return values[index] * (1.0 - frac) + values[index + 1] * frac
-
-    def quantile(self, q: float) -> float:
-        """Interpolated empirical quantile, ``q`` in [0, 1]."""
-        if not 0.0 <= q <= 1.0:
-            raise WorkloadError(f"q must be in [0, 1], got {q}")
-        values = self._values
-        if len(values) == 1:
-            return values[0]
-        position = q * (len(values) - 1)
         index = int(position)
         frac = position - index
         if index + 1 >= len(values):

@@ -87,9 +87,3 @@ class FileCountModel:
         if rng.random() < self.tail_p:
             return max(1, int(round(self._tail.sample(rng))))
         return max(1, int(round(self._body.sample(rng))))
-
-    def sample_many(self, rng: random.Random, count: int) -> list[int]:
-        """Draw ``count`` i.i.d. shared-file counts."""
-        if count < 0:
-            raise WorkloadError(f"count must be >= 0, got {count}")
-        return [self.sample(rng) for _ in range(count)]

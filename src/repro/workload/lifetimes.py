@@ -18,7 +18,6 @@ import random
 from typing import Optional, Sequence
 
 from repro.errors import WorkloadError
-from repro.sim.rng import RngRegistry
 from repro.workload.distributions import EmpiricalSampler, LogNormalSampler
 
 #: Median Gnutella session time reported by Saroiu et al. (~60 minutes).
@@ -88,19 +87,3 @@ class LifetimeModel:
     def sample(self, rng: random.Random) -> float:
         """Draw one lifetime in seconds (scaled by the multiplier)."""
         return self._sampler.sample(rng) * self.multiplier
-
-    def median(self) -> float:
-        """Median of the scaled distribution."""
-        return self._sampler.quantile(0.5) * self.multiplier
-
-    @classmethod
-    def from_registry(
-        cls, rng_registry: RngRegistry, multiplier: float = 1.0
-    ) -> "LifetimeModel":
-        """Build a model bound to the registry's ``lifetimes`` stream.
-
-        Provided for symmetry with other workload factories; the model
-        itself is stateless across draws, so this simply constructs it.
-        """
-        del rng_registry  # lifetimes resample a fixed trace; no stream needed
-        return cls(multiplier=multiplier)

@@ -40,34 +40,10 @@ class TestDegrees:
         stats = OverlayStats(snap)
         assert stats.most_referenced(2) == [(3, 2), (4, 2)]
 
-    def test_out_degree_quantiles(self):
-        stats = OverlayStats(star_snapshot(11))
-        qs = stats.out_degree_quantiles((0.5,))
-        assert qs[0.5] == pytest.approx(1.0)  # spokes have out-degree 1
-
     def test_empty_snapshot_quantiles(self):
         snap = OverlaySnapshot.from_caches(live=[], cache_contents={})
         stats = OverlayStats(snap)
-        assert stats.out_degree_quantiles((0.5,)) == {0.5: 0.0}
         assert stats.in_degree_quantiles((0.5,)) == {0.5: 0.0}
-
-
-class TestPathLengths:
-    def test_chain_distances(self):
-        stats = OverlayStats(chain_snapshot(4))  # 0->1->2->3
-        # From 0: distances 1, 2, 3 -> mean 2.
-        assert stats.mean_reach_path_length([0]) == pytest.approx(2.0)
-
-    def test_sink_contributes_nothing(self):
-        stats = OverlayStats(chain_snapshot(3))
-        # From the sink nothing is reachable; mean over sources with
-        # reach only.
-        assert stats.mean_reach_path_length([2]) == 0.0
-
-    def test_dead_source_rejected(self):
-        stats = OverlayStats(chain_snapshot(3))
-        with pytest.raises(TopologyError):
-            stats.mean_reach_path_length([99])
 
 
 class TestRemovalExperiments:

@@ -32,17 +32,6 @@ class TestConstruction:
         with pytest.raises(WorkloadError):
             PopulationView.synthesize(0, rng)
 
-    def test_from_simulation_excludes_malicious(self):
-        from repro import GuessSimulation, ProtocolParams, SystemParams
-
-        sim = GuessSimulation(
-            SystemParams(network_size=40, percent_bad_peers=25.0, query_rate=0.0),
-            ProtocolParams(cache_size=5),
-            seed=1,
-        )
-        view = PopulationView.from_simulation(sim)
-        assert view.size == 30
-
 
 class TestOwners:
     def test_owners_of(self):

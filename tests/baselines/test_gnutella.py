@@ -7,11 +7,7 @@ import random
 import pytest
 
 from repro.baselines.extent import PopulationView
-from repro.baselines.gnutella import (
-    FixedExtentSearch,
-    GnutellaOverlay,
-    fixed_extent_tradeoff,
-)
+from repro.baselines.gnutella import GnutellaOverlay, fixed_extent_tradeoff
 from repro.errors import TopologyError, WorkloadError
 from repro.workload.content import ContentModel
 
@@ -82,72 +78,68 @@ class TestGnutellaOverlay:
             overlay.flood_reach(0, -1)
 
 
+
 class TestFloodTransmissions:
+    """Per-peer receipts: every message a TTL-bounded flood transmits."""
+
     def test_ttl_zero_sends_nothing(self, rng):
         overlay = GnutellaOverlay(20, degree=3, rng=rng)
-        assert overlay.flood_transmissions(0, 0) == (0, 0)
+        assert overlay.flood_receipts(0, 0) == {}
 
     def test_ttl_one_sends_degree_messages(self, rng):
         overlay = GnutellaOverlay(20, degree=3, rng=rng)
-        transmissions, duplicates = overlay.flood_transmissions(5, 1)
-        assert transmissions == len(overlay.neighbors(5))
-        assert duplicates == 0
+        receipts = overlay.flood_receipts(5, 1)
+        assert set(receipts) == overlay.neighbors(5)
+        assert set(receipts.values()) == {1}
 
     def test_transmissions_cover_reach_plus_duplicates(self, rng):
         overlay = GnutellaOverlay(100, degree=4, rng=rng)
-        transmissions, duplicates = overlay.flood_transmissions(0, 4)
-        reached = len(overlay.flood_reach(0, 4))
-        # Every reached peer consumed one non-duplicate transmission.
-        assert transmissions == reached + duplicates
+        receipts = overlay.flood_receipts(0, 4)
+        # Every reached peer received the query; the rest are duplicates.
+        assert set(receipts) == set(overlay.flood_reach(0, 4))
 
     def test_duplicates_appear_in_cyclic_topologies(self, rng):
         # A full flood over a connected graph with cycles must generate
         # duplicate deliveries (this is Gnutella's waste).
         overlay = GnutellaOverlay(50, degree=4, rng=rng)
-        _, duplicates = overlay.flood_transmissions(0, 50)
-        assert duplicates > 0
+        assert max(overlay.flood_receipts(0, 50).values()) > 1
 
     def test_amplification_grows_with_ttl(self, rng):
+        # Transmissions per message the source itself sends (the §3.3
+        # DoS lever; GUESS's non-forwarding design pins it at 1).
         overlay = GnutellaOverlay(200, degree=4, rng=rng)
-        amp2 = overlay.amplification_factor(0, 2)
-        amp5 = overlay.amplification_factor(0, 5)
+        degree = len(overlay.neighbors(0))
+        amp2 = sum(overlay.flood_receipts(0, 2).values()) / degree
+        amp5 = sum(overlay.flood_receipts(0, 5).values()) / degree
         assert amp5 > amp2 >= 1.0
 
     def test_invalid_args(self, rng):
         overlay = GnutellaOverlay(10, degree=3, rng=rng)
         with pytest.raises(TopologyError):
-            overlay.flood_transmissions(99, 1)
+            overlay.flood_receipts(99, 1)
         with pytest.raises(TopologyError):
-            overlay.flood_transmissions(0, -1)
+            overlay.flood_receipts(0, -1)
 
 
 class TestFixedExtentSearch:
-    def test_cost_is_always_extent(self, rng):
-        view = fixed_view([{42}] * 10)
-        search = FixedExtentSearch(view, extent=7)
-        cost, satisfied = search.run(42, rng)
-        assert cost == 7
-        assert satisfied
+    """One target's exact unsatisfaction at one extent (Figure 8)."""
 
     def test_unsat_probability_exact(self):
         view = fixed_view([{42}, {}, {}, {}])
-        search = FixedExtentSearch(view, extent=2)
-        assert search.unsat_probability(42) == pytest.approx(0.5)
+        [(extent, unsat)] = fixed_extent_tradeoff(view, [42], [2])
+        assert extent == 2
+        assert unsat == pytest.approx(0.5)
 
-    def test_nonexistent_item_never_satisfied(self, rng):
+    def test_nonexistent_item_never_satisfied(self):
         view = fixed_view([{1}] * 10)
-        search = FixedExtentSearch(view, extent=10)
-        assert search.unsat_probability(99) == 1.0
-        _, satisfied = search.run(99, rng)
-        assert not satisfied
+        assert fixed_extent_tradeoff(view, [99], [10]) == [(10, 1.0)]
 
     def test_extent_bounds(self):
         view = fixed_view([{1}] * 5)
         with pytest.raises(WorkloadError):
-            FixedExtentSearch(view, extent=0)
+            fixed_extent_tradeoff(view, [1], [0])
         with pytest.raises(WorkloadError):
-            FixedExtentSearch(view, extent=6)
-
+            fixed_extent_tradeoff(view, [1], [6])
 
 class TestTradeoffCurve:
     def test_unsat_decreases_with_extent(self, rng):

@@ -81,29 +81,3 @@ class TestEvaluate:
         view = fixed_view([{1}] * 10)
         with pytest.raises(WorkloadError):
             IterativeDeepeningSearch(view, schedule=(5,)).evaluate([], rng)
-
-
-class TestAnalyticCurve:
-    def test_no_owner(self):
-        view = fixed_view([{1}] * 10)
-        search = IterativeDeepeningSearch(view, schedule=(5, 10))
-        cost, unsat = search.expected_cost_curve(99)
-        assert cost == 15.0
-        assert unsat == 1.0
-
-    def test_everyone_owns(self):
-        view = fixed_view([{42}] * 10)
-        search = IterativeDeepeningSearch(view, schedule=(5, 10))
-        cost, unsat = search.expected_cost_curve(42)
-        assert cost == pytest.approx(5.0)
-        assert unsat == pytest.approx(0.0)
-
-    def test_matches_sampled_mean(self, rng):
-        view = fixed_view([{42}] * 2 + [{}] * 38)
-        search = IterativeDeepeningSearch(view, schedule=(10, 40))
-        analytic_cost, analytic_unsat = search.expected_cost_curve(42)
-        samples = [search.run(42, rng) for _ in range(4000)]
-        sampled_cost = sum(c for c, _ in samples) / len(samples)
-        sampled_unsat = sum(1 for _, s in samples if not s) / len(samples)
-        assert sampled_cost == pytest.approx(analytic_cost, rel=0.05)
-        assert sampled_unsat == pytest.approx(analytic_unsat, abs=0.02)

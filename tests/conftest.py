@@ -64,3 +64,8 @@ def make_query_cache(
         owner, get_ordering_policy(policy), rng or random.Random(13), now,
         list(link_entries),
     )
+
+
+def cached(cache, address: int) -> CacheEntry | None:
+    """The entry a link cache holds for ``address``, or None."""
+    return next((e for e in cache.iter_entries() if e.address == address), None)

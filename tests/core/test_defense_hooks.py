@@ -111,7 +111,7 @@ class TestSearchHooks:
         # blocked peer was evicted without a probe.
         assert not result.satisfied
         assert 3 not in querier.link_cache
-        assert transport.endpoint(3).probes_received == 0
+        assert transport._directory[3].probes_received == 0
 
     def test_blocked_pong_entries_not_pooled(self, rng):
         protocol = ProtocolParams(cache_size=20, pong_size=5)

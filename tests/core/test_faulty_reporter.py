@@ -104,7 +104,7 @@ class TestHonestAccounting:
         report = run_sim(percent_faulty=30.0, mode="inflate")
         assert report.queries > 0
         assert report.results_per_query > report.honest_results_per_query
-        assert report.satisfaction_rate >= report.honest_satisfaction_rate
+        assert report.satisfied_queries >= report.honest_satisfied_queries
 
     def test_suppressors_deflate_the_claimed_channel(self):
         report = run_sim(percent_faulty=30.0, mode="suppress")
@@ -123,7 +123,7 @@ class TestHonestAccounting:
     def test_no_reporters_means_channels_agree(self):
         report = run_sim(percent_faulty=0.0)
         assert report.honest_results_per_query == report.results_per_query
-        assert report.honest_satisfaction_rate == report.satisfaction_rate
+        assert report.honest_satisfied_queries == report.satisfied_queries
 
     def test_reporter_population_is_deterministic(self):
         a = run_sim(percent_faulty=20.0, mode="suppress")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
+from tests.conftest import cached
 
 
 def build_sim(**protocol_kwargs):
@@ -40,8 +41,8 @@ class TestSeedFromFriend:
         ]
         assert shared, "expected at least one copied entry"
         address = shared[0]
-        newborn.link_cache.get(address).num_res = 999
-        assert friend.link_cache.get(address).num_res != 999
+        cached(newborn.link_cache, address).num_res = 999
+        assert cached(friend.link_cache, address).num_res != 999
 
     def test_reset_num_results_applies_to_copied_entries(self):
         sim = build_sim(reset_num_results=True)
@@ -53,7 +54,7 @@ class TestSeedFromFriend:
         for address in newborn.link_cache.addresses():
             if address == friend.address:
                 continue
-            assert newborn.link_cache.get(address).num_res == 0
+            assert cached(newborn.link_cache, address).num_res == 0
 
     def test_without_reset_num_results_hearsay_kept(self):
         sim = build_sim()
@@ -62,7 +63,7 @@ class TestSeedFromFriend:
             entry.num_res = 7
         newborn = sim._spawn_peer(10.0, malicious=False, friend=friend)
         copied = [
-            newborn.link_cache.get(a)
+            cached(newborn.link_cache, a)
             for a in newborn.link_cache.addresses()
             if a != friend.address
         ]
@@ -73,7 +74,7 @@ class TestSeedFromFriend:
         sim = build_sim()
         friend = sim.live_good_peers[0]
         newborn = sim._spawn_peer(25.0, malicious=False, friend=friend)
-        entry = newborn.link_cache.get(friend.address)
+        entry = cached(newborn.link_cache, friend.address)
         assert entry is not None
         assert entry.ts == 25.0
         assert entry.num_files == friend.num_files

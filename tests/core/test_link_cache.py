@@ -9,7 +9,7 @@ import pytest
 from repro.core.link_cache import LinkCache
 from repro.core.policies import get_replacement_policy
 from repro.errors import ConfigError
-from tests.conftest import make_entry
+from tests.conftest import cached, make_entry
 
 
 @pytest.fixture
@@ -32,7 +32,7 @@ class TestBasics:
         cache = LinkCache(capacity=3, owner=0)
         assert cache.insert(make_entry(1), random_replacement, 0.0, rng)
         assert 1 in cache
-        assert cache.get(1).address == 1
+        assert cached(cache, 1).address == 1
         assert len(cache) == 1
 
     def test_own_address_refused(self, random_replacement, rng):
@@ -47,8 +47,8 @@ class TestBasics:
         assert not cache.insert(
             make_entry(1, ts=99.0, num_files=999), random_replacement, 1.0, rng
         )
-        assert cache.get(1).ts == 5.0
-        assert cache.get(1).num_files == 10
+        assert cached(cache, 1).ts == 5.0
+        assert cached(cache, 1).num_files == 10
 
     def test_capacity_validated(self):
         # Zero is legal (heterogeneous CacheSizing can assign it);
@@ -62,12 +62,6 @@ class TestBasics:
         assert cache.evict(1) is True
         assert cache.evict(1) is False
         assert 1 not in cache
-
-    def test_clear(self, random_replacement, rng):
-        cache = LinkCache(capacity=3, owner=0)
-        cache.insert(make_entry(1), random_replacement, 0.0, rng)
-        cache.clear()
-        assert len(cache) == 0
 
     def test_entries_snapshot(self, random_replacement, rng):
         cache = LinkCache(capacity=5, owner=0)
@@ -89,7 +83,7 @@ class TestEvictionContest:
         cache = LinkCache(capacity=2, owner=0)
         cache.insert(make_entry(1, num_files=100), lfs, 0.0, rng)
         cache.insert(make_entry(2, num_files=5), lfs, 0.0, rng)
-        assert cache.is_full
+        assert len(cache) == cache.capacity
         # Newcomer with 50 files beats the 5-file resident under LFS.
         assert cache.insert(make_entry(3, num_files=50), lfs, 1.0, rng)
         assert 2 not in cache
@@ -115,7 +109,7 @@ class TestFieldUpdates:
         cache = LinkCache(capacity=3, owner=0)
         cache.insert(make_entry(1, ts=0.0), random_replacement, 0.0, rng)
         cache.touch(1, 9.0)
-        assert cache.get(1).ts == 9.0
+        assert cached(cache, 1).ts == 9.0
 
     def test_touch_missing_is_noop(self, random_replacement, rng):
         LinkCache(capacity=3, owner=0).touch(5, 1.0)  # must not raise
@@ -124,8 +118,8 @@ class TestFieldUpdates:
         cache = LinkCache(capacity=3, owner=0)
         cache.insert(make_entry(1), random_replacement, 0.0, rng)
         cache.record_results(1, 3, 2.0)
-        assert cache.get(1).num_res == 3
-        assert cache.get(1).ts == 2.0
+        assert cached(cache, 1).num_res == 3
+        assert cached(cache, 1).ts == 2.0
 
     def test_record_results_missing_is_noop(self, random_replacement, rng):
         LinkCache(capacity=3, owner=0).record_results(5, 1, 1.0)

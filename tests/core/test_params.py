@@ -69,11 +69,6 @@ class TestSystemValidation:
     def test_bad_fraction(self):
         assert SystemParams(percent_bad_peers=20.0).bad_peer_fraction == 0.2
 
-    def test_with_(self):
-        params = SystemParams().with_(network_size=500)
-        assert params.network_size == 500
-        assert params.query_rate == pytest.approx(9.26e-3)
-
 
 class TestProtocolValidation:
     @pytest.mark.parametrize(

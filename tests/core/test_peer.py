@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.messages import Ping, Pong, Query, QueryReply, Refusal
 from repro.core.params import ProtocolParams
-from tests.conftest import make_entry
+from tests.conftest import cached, make_entry
 from tests.core.helpers import make_peer
 
 
@@ -40,12 +40,12 @@ class TestPingHandling:
         assert pong.entries[0] is resident
         prober = make_peer(2)
         assert prober.import_pong_to_link_cache(pong, 1.0) == 1
-        kept = prober.link_cache.get(5)
+        kept = cached(prober.link_cache, 5)
         assert kept is not resident
         resident.ts = 999.0
         resident.num_res = 7
         assert (kept.ts, kept.num_files, kept.num_res) == (1.0, 3, 2)
-        assert responder.link_cache.get(5).ts == 999.0
+        assert cached(responder.link_cache, 5).ts == 999.0
 
     def test_pong_respects_pong_size(self):
         protocol = ProtocolParams(cache_size=20, pong_size=3)
@@ -120,7 +120,7 @@ class TestIntroduction:
         protocol = ProtocolParams(cache_size=50, intro_prob=1.0)
         peer = make_peer(1, protocol=protocol)
         peer.receive_probe(Ping(sender=2, sender_num_files=9), 3.0)
-        entry = peer.link_cache.get(2)
+        entry = cached(peer.link_cache, 2)
         assert entry is not None
         assert entry.num_files == 9
         assert entry.ts == 3.0
@@ -144,7 +144,7 @@ class TestIntroduction:
         peer = make_peer(1, protocol=protocol)
         peer.receive_probe(Ping(sender=2, sender_num_files=9), 3.0)
         peer.receive_probe(Ping(sender=2, sender_num_files=77), 5.0)
-        assert peer.link_cache.get(2).num_files == 9
+        assert cached(peer.link_cache, 2).num_files == 9
 
 
 class TestImportPong:
@@ -155,20 +155,20 @@ class TestImportPong:
         inserted = peer.import_pong_to_link_cache(pong, 1.0)
         assert inserted == 1
         shared.num_files = 999
-        assert peer.link_cache.get(5).num_files == 10
+        assert cached(peer.link_cache, 5).num_files == 10
 
     def test_import_honours_reset_num_results(self):
         protocol = ProtocolParams(cache_size=10, reset_num_results=True)
         peer = make_peer(1, protocol=protocol)
         pong = Pong(sender=2, entries=(make_entry(5, num_res=9),))
         peer.import_pong_to_link_cache(pong, 1.0)
-        assert peer.link_cache.get(5).num_res == 0
+        assert cached(peer.link_cache, 5).num_res == 0
 
     def test_import_without_reset_keeps_num_res(self):
         peer = make_peer(1)
         pong = Pong(sender=2, entries=(make_entry(5, num_res=9),))
         peer.import_pong_to_link_cache(pong, 1.0)
-        assert peer.link_cache.get(5).num_res == 9
+        assert cached(peer.link_cache, 5).num_res == 9
 
     def test_import_skips_own_address(self):
         peer = make_peer(1)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
+from tests.conftest import cached
 
 
 def build_sim(**protocol_overrides):
@@ -40,7 +41,7 @@ class TestDoPing:
         pinger = sim.live_good_peers[0]
         target = pinger.choose_ping_target(5.0)
         sim._do_ping(pinger, now=5.0)
-        assert pinger.link_cache.get(target.address).ts == 5.0
+        assert cached(pinger.link_cache, target.address).ts == 5.0
 
     def test_pong_entries_imported(self):
         sim = build_sim()
@@ -56,7 +57,8 @@ class TestDoPing:
     def test_empty_cache_ping_is_noop(self):
         sim = build_sim()
         pinger = sim.live_good_peers[0]
-        pinger.link_cache.clear()
+        for address in list(pinger.link_cache.addresses()):
+            pinger.link_cache.evict(address)
         sim._do_ping(pinger, now=1.0)  # must not raise
         assert sim.report().pings_sent == 0
 
@@ -64,12 +66,11 @@ class TestDoPing:
         sim = build_sim()
         pinger = sim.live_good_peers[0]
         target_address = next(iter(pinger.link_cache.addresses()))
-        target = sim.peer(target_address)
+        target = sim.store.get(target_address)
         # Exhaust the target's capacity for this second.
         for _ in range(200):
-            if target._limiter.would_exceed(1.0):
+            if not target._limiter.try_record(1.0):
                 break
-            target._limiter.record(1.0)
         # Force the pinger to ping exactly this target by clearing others.
         for address in list(pinger.link_cache.addresses()):
             if address != target_address:
@@ -82,11 +83,10 @@ class TestDoPing:
         sim = build_sim(do_backoff=True)
         pinger = sim.live_good_peers[0]
         target_address = next(iter(pinger.link_cache.addresses()))
-        target = sim.peer(target_address)
+        target = sim.store.get(target_address)
         for _ in range(200):
-            if target._limiter.would_exceed(1.0):
+            if not target._limiter.try_record(1.0):
                 break
-            target._limiter.record(1.0)
         for address in list(pinger.link_cache.addresses()):
             if address != target_address:
                 pinger.link_cache.evict(address)

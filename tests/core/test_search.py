@@ -10,7 +10,7 @@ from repro.core.entry import CacheEntry
 from repro.core.params import ProtocolParams
 from repro.core.search import QueryResult, execute_query
 from repro.network.transport import Transport
-from tests.conftest import make_entry, make_query_cache
+from tests.conftest import cached, make_entry, make_query_cache
 from tests.core.helpers import make_peer
 
 
@@ -200,7 +200,7 @@ class TestPongChaining:
         execute_query(querier, 42, transport, 0.0, rng=rng)
         # The owner answered; it should now be in the querier's link cache
         # with its NumRes recorded.
-        entry = querier.link_cache.get(2)
+        entry = cached(querier.link_cache, 2)
         assert entry is not None
         assert entry.num_res == 1
 
@@ -295,7 +295,7 @@ class TestPongIngestCopies:
         cache_entries_for(querier, [relay])
         assert execute_query(querier, 42, transport, 0.0, rng=rng).satisfied
         # Probing the owner updated the querier's entry, not the relay's.
-        kept = querier.link_cache.get(2)
+        kept = cached(querier.link_cache, 2)
         assert kept is not resident
         assert (kept.ts, kept.num_res) == (0.2, 1)
         assert (resident.ts, resident.num_res) == (0.0, 0)
@@ -369,7 +369,7 @@ class TestTimingAndParallelism:
         result = execute_query(querier, 42, transport, 0.0, rng=rng)
         # Owner has fewest files -> probed last (4th probe, wave index 1).
         assert result.satisfied
-        assert result.response_time == pytest.approx(0.2 + transport._latency(0, 9))
+        assert result.response_time == pytest.approx(0.2 + transport.timeout / 4)
 
     def test_probe_timestamps_respect_mid_query_death(self, rng):
         """A peer dying between waves must not answer a later probe."""

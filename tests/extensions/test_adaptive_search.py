@@ -119,7 +119,7 @@ class TestImportedPointerAge:
         querier, transport = build_network(3)
         known = set(querier.link_cache.addresses())
         for holder in (1, 2, 3):
-            peer = transport.endpoint(holder)
+            peer = transport._directory[holder]
             for address in range(10 * holder, 10 * holder + 4):
                 # Live, or the query's own dead probe evicts the import.
                 transport.register(

@@ -196,7 +196,7 @@ class TestInheritedFromTheOneLoop:
         result = search(querier, 42, transport, 1.0, rng=random.Random(1))
         assert result.suppressed_probes == 1
         assert result.probes == 7
-        assert transport.endpoint(4).probes_received == 0
+        assert transport._directory[4].probes_received == 0
         assert 4 in querier.link_cache  # spared, not evicted
 
     def test_a_blacklisted_entry_is_never_probed(self, search):
@@ -205,5 +205,5 @@ class TestInheritedFromTheOneLoop:
         querier.defense._blacklist.add(4)
         result = search(querier, 42, transport, 0.0, rng=random.Random(1))
         assert result.probes == 7
-        assert transport.endpoint(4).probes_received == 0
+        assert transport._directory[4].probes_received == 0
         assert 4 not in querier.link_cache

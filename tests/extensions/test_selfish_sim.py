@@ -26,16 +26,16 @@ def build(percent_selfish=20.0, budget_factory=None, seed=9, **system_kw):
 class TestComposition:
     def test_selfish_fraction_roughly_respected(self):
         sim = build(percent_selfish=30.0)
-        assert 15 <= len(sim.selfish_peers) <= 45
+        assert 15 <= len(sim._selfish) <= 45
 
     def test_zero_percent_means_none(self):
         sim = build(percent_selfish=0.0)
-        assert sim.selfish_peers == set()
+        assert sim._selfish == set()
 
     def test_selfish_are_good_peers(self):
         sim = build(percent_selfish=30.0, percent_bad_peers=20.0)
         bad = {p.address for p in sim.live_peers if p.malicious}
-        assert sim.selfish_peers.isdisjoint(bad)
+        assert sim._selfish.isdisjoint(bad)
 
     def test_invalid_percent(self):
         with pytest.raises(ConfigError):
@@ -45,7 +45,7 @@ class TestComposition:
         sim = build(percent_selfish=30.0, lifespan_multiplier=0.05)
         sim.run(1200.0)
         live = {p.address for p in sim.live_peers}
-        assert sim.selfish_peers <= live
+        assert sim._selfish <= live
 
 
 class TestBehaviour:
@@ -97,15 +97,13 @@ class TestBehaviour:
         sim = build(percent_selfish=20.0)
         sim.run(600.0)
         selfish = sim.selfish_report()
-        assert 0.0 <= selfish.unsatisfied_rate <= 1.0
-        assert selfish.satisfied <= selfish.queries
+        assert 0 <= selfish.satisfied <= selfish.queries
 
     def test_no_selfish_report_is_empty(self):
         sim = build(percent_selfish=0.0)
         sim.run(300.0)
         selfish = sim.selfish_report()
-        assert selfish.queries == 0
-        assert selfish.unsatisfied_rate == 0.0
+        assert selfish.queries == selfish.satisfied == 0
 
 
 class TestBurstInheritance:

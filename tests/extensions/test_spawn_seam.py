@@ -1,11 +1,11 @@
 """The spawn seam: every extension reaches churn replacements too.
 
-Three mechanisms give each good peer extension state of their own — two
-subclasses overriding ``GuessSimulation._peer_spawned`` and
+Two mechanisms give each good peer extension state of its own — a
+subclass overriding ``GuessSimulation._peer_spawned`` and
 ``install_defense`` wrapping it on a live instance.  A peer role added to
 ``_spawn_peer`` (faulty reporters were the last one) must not need a
-matching edit in any of them, so the run below is churn-heavy, has all
-three roles in the population, and checks the peers born *after* the
+matching edit in either, so the run below is churn-heavy, has all three
+roles in the population, and checks the peers born *after* the
 bootstrap.
 """
 
@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
-from repro.extensions.adaptive_ping_sim import AdaptiveMaintenanceSimulation
 from repro.extensions.detection import install_defense
 from repro.extensions.selfish_sim import SelfishGuessSimulation
 
@@ -30,12 +29,7 @@ PROTOCOL = ProtocolParams(cache_size=15)
 
 def selfish():
     sim = SelfishGuessSimulation(SYSTEM, PROTOCOL, seed=5, percent_selfish=100.0)
-    return sim, lambda peer: peer.address in sim.selfish_peers
-
-
-def adaptive():
-    sim = AdaptiveMaintenanceSimulation(SYSTEM, PROTOCOL, seed=5)
-    return sim, lambda peer: sim.controller_for(peer.address) is not None
+    return sim, lambda peer: peer.address in sim._selfish
 
 
 def defended():
@@ -44,7 +38,7 @@ def defended():
     return sim, lambda peer: peer.defense is not None
 
 
-@pytest.mark.parametrize("build", [selfish, adaptive, defended])
+@pytest.mark.parametrize("build", [selfish, defended])
 def test_churn_replacements_carry_extension_state(build):
     sim, equipped = build()
     sim.run(300.0)

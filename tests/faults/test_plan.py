@@ -85,12 +85,6 @@ class TestNoop:
 
 
 class TestPlumbing:
-    def test_with_returns_modified_copy(self):
-        base = FaultPlan(loss_rate=0.1)
-        bumped = base.with_(loss_rate=0.2, jitter=0.05)
-        assert base.loss_rate == 0.1
-        assert bumped.loss_rate == 0.2
-        assert bumped.jitter == 0.05
 
     def test_plans_hash_and_pickle(self):
         plan = FaultPlan(

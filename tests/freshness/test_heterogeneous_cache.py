@@ -33,7 +33,6 @@ class TestZeroSlotCache:
         cache = LinkCache(capacity=0, owner=0)
         assert not cache.insert(make_entry(1), random_replacement, 0.0, rng)
         assert len(cache) == 0
-        assert not cache.is_full or cache.capacity == 0
 
     def test_refusal_burns_no_policy_draw(self, random_replacement):
         """A zero-slot cache must not consult the replacement policy —
@@ -57,8 +56,7 @@ class TestOneSlotCache:
     def test_single_resident(self, random_replacement, rng):
         cache = LinkCache(capacity=1, owner=0)
         assert cache.insert(make_entry(1), random_replacement, 0.0, rng)
-        assert cache.is_full
-        assert len(cache) == 1
+        assert len(cache) == cache.capacity == 1
 
     def test_eviction_contest_is_head_to_head(self, lfs, rng):
         cache = LinkCache(capacity=1, owner=0)

@@ -10,7 +10,7 @@ from repro.metrics.load import LoadDistribution, merge_loads
 class TestLoadDistribution:
     def test_ranked_descending(self):
         dist = LoadDistribution({1: 5, 2: 50, 3: 10})
-        assert dist.ranked() == [50, 10, 5]
+        assert [dist.load_at_rank(r) for r in (1, 2, 3)] == [50, 10, 5]
 
     def test_total(self):
         assert LoadDistribution({1: 5, 2: 10}).total == 15

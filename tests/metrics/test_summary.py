@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.metrics.summary import mean, quantile, ratio, stderr, variance
+from repro.metrics.summary import mean, quantile, ratio
 
 
 class TestMean:
@@ -16,27 +16,6 @@ class TestMean:
 
     def test_single(self):
         assert mean([7.0]) == 7.0
-
-
-class TestVariance:
-    def test_known_value(self):
-        assert variance([1.0, 2.0, 3.0]) == pytest.approx(1.0)
-
-    def test_constant_sequence(self):
-        assert variance([5.0, 5.0, 5.0]) == 0.0
-
-    def test_degenerate(self):
-        assert variance([]) == 0.0
-        assert variance([1.0]) == 0.0
-
-
-class TestStderr:
-    def test_known_value(self):
-        assert stderr([1.0, 2.0, 3.0]) == pytest.approx((1.0 / 3.0) ** 0.5)
-
-    def test_degenerate(self):
-        assert stderr([]) == 0.0
-        assert stderr([1.0]) == 0.0
 
 
 class TestQuantile:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TopologyError
-from repro.network.overlay import OverlaySnapshot, largest_component_size
+from repro.network.overlay import OverlaySnapshot
 
 
 class TestConstruction:
@@ -22,7 +22,6 @@ class TestConstruction:
     def test_empty_network(self):
         snap = OverlaySnapshot.from_caches(live=[], cache_contents={})
         assert snap.largest_component_size() == 0
-        assert snap.component_sizes() == []
 
 
 class TestConnectivity:
@@ -32,23 +31,19 @@ class TestConnectivity:
             cache_contents={i: [i + 1] for i in range(4)},
         )
         assert snap.largest_component_size() == 5
-        assert snap.num_components() == 1
 
     def test_two_components(self):
         snap = OverlaySnapshot.from_caches(
             live=range(6),
             cache_contents={0: [1], 1: [2], 3: [4]},
         )
-        assert sorted(snap.component_sizes(), reverse=True) == [3, 2, 1]
         assert snap.largest_component_size() == 3
-        assert snap.num_components() == 3
 
     def test_isolated_peers_are_singletons(self):
         snap = OverlaySnapshot.from_caches(
             live=[1, 2, 3], cache_contents={}
         )
         assert snap.largest_component_size() == 1
-        assert snap.num_components() == 3
 
     def test_direction_ignored_for_components(self):
         # One-way pointer still joins the weak component.
@@ -56,39 +51,3 @@ class TestConnectivity:
             live=[1, 2], cache_contents={1: [2]}
         )
         assert snap.largest_component_size() == 2
-
-    def test_convenience_wrapper(self):
-        assert largest_component_size([1, 2], {1: [2]}) == 2
-
-
-class TestDirectedViews:
-    def test_reachable_follows_direction(self):
-        snap = OverlaySnapshot.from_caches(
-            live=[1, 2, 3],
-            cache_contents={1: [2], 2: [3]},
-        )
-        assert snap.reachable_from(1) == {1, 2, 3}
-        assert snap.reachable_from(3) == {3}
-
-    def test_reachable_from_dead_rejected(self):
-        snap = OverlaySnapshot.from_caches(live=[1], cache_contents={})
-        with pytest.raises(TopologyError):
-            snap.reachable_from(99)
-
-    def test_out_degrees(self):
-        snap = OverlaySnapshot.from_caches(
-            live=[1, 2, 3],
-            cache_contents={1: [2, 3], 2: [3]},
-        )
-        assert snap.out_degrees() == {1: 2, 2: 1, 3: 0}
-
-    def test_mean_live_out_degree(self):
-        snap = OverlaySnapshot.from_caches(
-            live=[1, 2, 3],
-            cache_contents={1: [2, 3], 2: [3]},
-        )
-        assert snap.mean_live_out_degree() == pytest.approx(1.0)
-
-    def test_mean_out_degree_empty(self):
-        snap = OverlaySnapshot.from_caches(live=[], cache_contents={})
-        assert snap.mean_live_out_degree() == 0.0

@@ -6,11 +6,7 @@ import pytest
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.network.transport import (
-    ProbeStatus,
-    Transport,
-    constant_latency,
-)
+from repro.network.transport import ProbeStatus, Transport
 from repro.sim.rng import RngRegistry
 
 
@@ -36,7 +32,8 @@ class TestDirectory:
         transport = Transport()
         endpoint = FakeEndpoint()
         transport.register(5, endpoint)
-        assert transport.endpoint(5) is endpoint
+        transport.probe(1, 5, "msg", 0.0)
+        assert endpoint.received == [("msg", 0.0)]
         assert len(transport) == 1
 
     def test_double_register_rejected(self):
@@ -50,7 +47,8 @@ class TestDirectory:
         transport.register(5, FakeEndpoint())
         transport.unregister(5)
         transport.unregister(5)
-        assert transport.endpoint(5) is None
+        assert len(transport) == 0
+        assert transport.probe(1, 5, "msg", 0.0).status is ProbeStatus.TIMEOUT
 
 
 class TestProbing:
@@ -60,7 +58,6 @@ class TestProbing:
         transport.register(9, endpoint)
         outcome = transport.probe(1, 9, "msg", 10.0)
         assert outcome.status is ProbeStatus.DELIVERED
-        assert outcome.delivered
         assert outcome.response == "hello"
         assert endpoint.received == [("msg", 10.0)]
 
@@ -69,7 +66,6 @@ class TestProbing:
         outcome = transport.probe(1, 42, "msg", 0.0)
         assert outcome.status is ProbeStatus.TIMEOUT
         assert outcome.rtt == pytest.approx(0.2)
-        assert not outcome.delivered
 
     def test_dead_endpoint_times_out(self):
         transport = Transport()
@@ -87,10 +83,12 @@ class TestProbing:
         assert outcome.response == "busy"
 
     def test_latency_model_applied(self):
-        transport = Transport(latency=constant_latency(0.07))
+        # One fixed round trip, a quarter of the timeout, for every pair.
+        transport = Transport(timeout=0.28)
         transport.register(9, FakeEndpoint())
-        outcome = transport.probe(1, 9, "msg", 0.0)
-        assert outcome.rtt == pytest.approx(0.07)
+        transport.register(10, FakeEndpoint())
+        assert transport.probe(1, 9, "msg", 0.0).rtt == 0.28 / 4
+        assert transport.probe(3, 10, "msg", 0.0).rtt == 0.28 / 4
 
     def test_counters(self):
         transport = Transport()
@@ -126,8 +124,10 @@ class TestProbing:
             Transport(timeout=0.0)
 
     def test_invalid_latency(self):
+        # The round trip is timeout / 4: a negative one needs a negative
+        # timeout, which the constructor refuses.
         with pytest.raises(ValueError):
-            constant_latency(-0.1)
+            Transport(timeout=-0.1)
 
 
 class TestRttCharging:
@@ -135,13 +135,13 @@ class TestRttCharging:
 
     * A TIMEOUT is charged the **full timeout period** — the sender
       learns nothing until the whole window has elapsed.
-    * A REFUSED probe is charged the **full delivery latency** — the
-      refusal notice is a real reply from a live peer and travels the
-      same round trip a pong would.
+    * A REFUSED probe is charged the **round trip** (``timeout / 4``) —
+      the refusal notice is a real reply from a live peer and travels
+      the same round trip a pong would.
     """
 
     def test_timeout_charged_full_timeout_period(self):
-        transport = Transport(timeout=0.35, latency=constant_latency(0.01))
+        transport = Transport(timeout=0.35)
         transport.register(9, FakeEndpoint(alive=False))
         dead = transport.probe(1, 9, "m", 0.0)
         unregistered = transport.probe(1, 77, "m", 0.0)
@@ -149,14 +149,14 @@ class TestRttCharging:
         assert unregistered.rtt == pytest.approx(0.35)
 
     def test_refusal_charged_full_delivery_latency(self):
-        transport = Transport(timeout=0.35, latency=constant_latency(0.07))
+        transport = Transport(timeout=0.35)
         transport.register(9, FakeEndpoint(accept=False, response="busy"))
         refused = transport.probe(1, 9, "m", 0.0)
         assert refused.status is ProbeStatus.REFUSED
-        assert refused.rtt == pytest.approx(0.07)
+        assert refused.rtt == pytest.approx(0.35 / 4)
 
     def test_refusal_and_delivery_cost_the_same_wire_time(self):
-        transport = Transport(latency=constant_latency(0.04))
+        transport = Transport(timeout=0.16)
         transport.register(8, FakeEndpoint())
         transport.register(9, FakeEndpoint(accept=False))
         assert transport.probe(1, 8, "m", 0.0).rtt == pytest.approx(
@@ -205,11 +205,10 @@ class TestFaultInjection:
         assert verdicts_a == verdicts_b
 
     def test_jitter_reprices_delivered_rtt_only(self):
-        transport = self.make_transport(
-            FaultPlan(jitter=0.5), latency=constant_latency(0.05)
-        )
+        transport = self.make_transport(FaultPlan(jitter=0.5), timeout=0.2)
         transport.register(9, FakeEndpoint())
         rtts = [transport.probe(1, 9, "m", float(t)).rtt for t in range(50)]
+        # Jitter adds on top of the round trip, timeout / 4 = 0.05.
         assert all(0.05 <= rtt < 0.55 for rtt in rtts)
         assert len(set(rtts)) > 1
         assert transport.timeouts == 0  # jitter never drops probes

@@ -2,23 +2,30 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.network.unionfind import UnionFind
+
+
+def sizes(uf, items):
+    """Component sizes over ``items``, ascending, read through ``find``."""
+    return sorted(Counter(uf.find(item) for item in items).values())
 
 
 class TestUnionFind:
     def test_singletons(self):
         uf = UnionFind(range(5))
         assert len(uf) == 5
-        assert uf.num_components() == 5
+        assert sizes(uf, range(5)) == [1] * 5
         assert uf.largest_component_size() == 1
 
     def test_union_merges(self):
         uf = UnionFind()
         assert uf.union(1, 2) is True
-        assert uf.connected(1, 2)
-        assert uf.num_components() == 1
+        assert uf.find(1) == uf.find(2)
+        assert sizes(uf, [1, 2]) == [2]
 
     def test_union_idempotent(self):
         uf = UnionFind()
@@ -29,16 +36,15 @@ class TestUnionFind:
         uf = UnionFind()
         uf.union("a", "b")
         uf.union("b", "c")
-        assert uf.connected("a", "c")
+        assert uf.find("a") == uf.find("c")
 
     def test_component_sizes_exact(self):
         uf = UnionFind(range(6))
         uf.union(0, 1)
         uf.union(1, 2)
         uf.union(3, 4)
-        assert sorted(uf.component_sizes()) == [1, 2, 3]
-        assert uf.component_size(0) == 3
-        assert uf.component_size(4) == 2
+        assert sizes(uf, range(6)) == [1, 2, 3]
+        assert uf.find(0) == uf.find(2) != uf.find(4) == uf.find(3)
         assert uf.largest_component_size() == 3
 
     def test_union_adds_unknown_items(self):
@@ -49,11 +55,6 @@ class TestUnionFind:
     def test_find_unknown_raises(self):
         with pytest.raises(KeyError):
             UnionFind().find(99)
-
-    def test_connected_unknown_is_false(self):
-        uf = UnionFind([1])
-        assert not uf.connected(1, 2)
-        assert not uf.connected(2, 3)
 
     def test_add_idempotent(self):
         uf = UnionFind()
@@ -68,9 +69,9 @@ class TestUnionFind:
         uf = UnionFind()
         for i in range(99):
             uf.union(i, i + 1)
-        assert uf.num_components() == 1
+        assert sizes(uf, range(100)) == [100]
         assert uf.largest_component_size() == 100
-        assert uf.connected(0, 99)
+        assert uf.find(0) == uf.find(99)
 
     def test_two_clusters_then_bridge(self):
         uf = UnionFind()
@@ -78,7 +79,8 @@ class TestUnionFind:
             uf.union(i, i + 1)        # 0-5 chain
         for i in range(10, 14):
             uf.union(i, i + 1)        # 10-14 chain
-        assert uf.num_components() == 2
+        members = [*range(5), *range(10, 15)]
+        assert sizes(uf, members) == [5, 5]
         uf.union(0, 10)
-        assert uf.num_components() == 1
+        assert sizes(uf, members) == [10]
         assert uf.largest_component_size() == 10

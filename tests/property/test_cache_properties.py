@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.entry import CacheEntry
 from repro.core.link_cache import LinkCache
 from repro.core.policies import get_replacement_policy
-from tests.conftest import make_query_cache
+from tests.conftest import cached, make_query_cache
 
 entry_strategy = st.builds(
     CacheEntry,
@@ -57,13 +57,13 @@ def test_link_cache_first_writer_wins(entries, replacement_name):
         cache.insert(entry, policy, entry.ts, rng)
         if entry.address in cache and entry.address not in first_seen:
             first_seen[entry.address] = (
-                cache.get(entry.address).ts,
-                cache.get(entry.address).num_files,
+                cached(cache, entry.address).ts,
+                cached(cache, entry.address).num_files,
             )
     for address, (ts, num_files) in first_seen.items():
-        cached = cache.get(address)
-        if cached is not None:
-            assert (cached.ts, cached.num_files) == (ts, num_files)
+        held = cached(cache, address)
+        if held is not None:
+            assert (held.ts, held.num_files) == (ts, num_files)
 
 
 class _ListCache:

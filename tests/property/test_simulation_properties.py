@@ -74,7 +74,7 @@ def test_simulation_invariants(system, protocol, seed):
     )
     assert report.satisfied_queries <= report.queries
     assert 0.0 <= report.unsatisfied_rate <= 1.0
-    assert 0.0 <= report.wasted_probe_fraction <= 1.0
+    assert 0 <= report.dead_probes <= report.total_probes
     # Loads cover everyone who ever lived, with non-negative counts.
     assert all(load >= 0 for load in report.loads.values())
     assert len(report.loads) == system.network_size + report.births

@@ -21,7 +21,7 @@ class TestBudgetSpec:
 class TestRetryBudget:
     def test_starts_full(self):
         budget = RetryBudget(BudgetSpec(capacity=5, refill_interval=10.0))
-        assert budget.tokens(0.0) == 5.0
+        assert [budget.try_spend(0.0) for _ in range(6)] == [True] * 5 + [False]
 
     def test_exhaustion_denies(self):
         budget = RetryBudget(BudgetSpec(capacity=3, refill_interval=10.0))
@@ -43,11 +43,12 @@ class TestRetryBudget:
         budget.try_spend(0.0)
         budget.try_spend(0.0)
         assert not budget.try_spend(5.0)  # only half a token banked
-        assert budget.tokens(5.0) == pytest.approx(0.5)
+        assert budget.try_spend(10.0)  # the half was kept: one whole token
+        assert not budget.try_spend(10.0)
 
     def test_refill_caps_at_capacity(self):
         budget = RetryBudget(BudgetSpec(capacity=2, refill_interval=1.0))
-        assert budget.tokens(1000.0) == 2.0
+        assert [budget.try_spend(1000.0) for _ in range(3)] == [True, True, False]
 
     def test_out_of_order_consults_are_monotone(self):
         # Retries land at now + accumulated delay while the next query
@@ -55,7 +56,7 @@ class TestRetryBudget:
         budget = RetryBudget(BudgetSpec(capacity=2, refill_interval=10.0))
         budget.try_spend(50.0)
         budget.try_spend(50.0)
-        assert budget.tokens(40.0) == 0.0  # stale clock: no un-refill
+        assert not budget.try_spend(40.0)  # stale clock: no un-refill
         assert budget.try_spend(60.0)
 
     def test_denied_counter_accumulates(self):

@@ -56,8 +56,3 @@ class TestResiliencePolicy:
     def test_picklable(self):
         policy = ResiliencePolicy.all_on()
         assert pickle.loads(pickle.dumps(policy)) == policy
-
-    def test_with_returns_modified_copy(self):
-        policy = ResiliencePolicy()
-        armed = policy.with_(breaker=BreakerSpec(failure_threshold=5))
-        assert policy.is_noop() and not armed.is_noop()

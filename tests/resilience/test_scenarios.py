@@ -110,13 +110,6 @@ class TestScenarioPlan:
         )
         assert pickle.loads(pickle.dumps(plan)) == plan
 
-    def test_with_returns_modified_copy(self):
-        plan = ScenarioPlan()
-        stormy = plan.with_(
-            storms=(ChurnStorm(start=0.0, width=5.0, fraction=0.2),)
-        )
-        assert plan.is_noop() and not stormy.is_noop()
-
 
 class TestScenarioDriver:
     def test_from_plan_gates_none_and_noop(self):

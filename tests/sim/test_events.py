@@ -11,6 +11,3 @@ class TestEventPriority:
         assert EventPriority.BIRTH < EventPriority.PROTOCOL
         assert EventPriority.PROTOCOL < EventPriority.QUERY
         assert EventPriority.QUERY < EventPriority.METRICS
-
-    def test_default(self):
-        assert EventPriority.default() is EventPriority.PROTOCOL

@@ -122,12 +122,6 @@ class TestCalibration:
                 unsatisfiable += 1
         assert 0.02 <= unsatisfiable / queries <= 0.14
 
-    def test_ownership_probability_accessor(self):
-        model = ContentModel(catalog_size=100, ownership_exponent=1.0)
-        assert model.expected_owner_probability(
-            1
-        ) > model.expected_owner_probability(50)
-
     def test_invalid_params(self):
         with pytest.raises(WorkloadError):
             ContentModel(catalog_size=0)

@@ -21,6 +21,22 @@ def rng():
     return random.Random(123)
 
 
+def pmf(sampler, rank):
+    """Probability mass of ``rank``, read off the sampler's CDF."""
+    cdf = sampler._cdf
+    return cdf[rank - 1] - (cdf[rank - 2] if rank >= 2 else 0.0)
+
+
+class FixedDraw:
+    """An rng whose ``random()`` is always ``u``: one point on the CDF."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
 class TestZipfSampler:
     def test_samples_in_range(self, rng):
         sampler = ZipfSampler(100, 1.0)
@@ -29,29 +45,29 @@ class TestZipfSampler:
 
     def test_probabilities_sum_to_one(self):
         sampler = ZipfSampler(50, 0.8)
-        total = sum(sampler.probability(r) for r in range(1, 51))
+        total = sum(pmf(sampler, r) for r in range(1, 51))
         assert total == pytest.approx(1.0)
 
     def test_rank_one_most_probable(self):
         sampler = ZipfSampler(100, 1.0)
-        assert sampler.probability(1) > sampler.probability(2)
-        assert sampler.probability(2) > sampler.probability(50)
+        assert pmf(sampler, 1) > pmf(sampler, 2)
+        assert pmf(sampler, 2) > pmf(sampler, 50)
 
     def test_skew_increases_head_mass(self):
         flat = ZipfSampler(100, 0.2)
         steep = ZipfSampler(100, 1.5)
-        assert steep.probability(1) > flat.probability(1)
+        assert pmf(steep, 1) > pmf(flat, 1)
 
     def test_exponent_zero_is_uniform(self):
         sampler = ZipfSampler(10, 0.0)
-        probs = [sampler.probability(r) for r in range(1, 11)]
+        probs = [pmf(sampler, r) for r in range(1, 11)]
         assert all(p == pytest.approx(0.1) for p in probs)
 
     def test_empirical_head_frequency(self, rng):
         sampler = ZipfSampler(1000, 1.0)
         draws = sampler.sample_many(rng, 20_000)
         frequency = draws.count(1) / len(draws)
-        assert frequency == pytest.approx(sampler.probability(1), rel=0.15)
+        assert frequency == pytest.approx(pmf(sampler, 1), rel=0.15)
 
     def test_sample_many_length(self, rng):
         assert len(ZipfSampler(10).sample_many(rng, 7)) == 7
@@ -65,8 +81,6 @@ class TestZipfSampler:
             ZipfSampler(0)
         with pytest.raises(WorkloadError):
             ZipfSampler(10, -1.0)
-        with pytest.raises(WorkloadError):
-            ZipfSampler(10).probability(11)
 
 
 class TestLogNormalSampler:
@@ -80,10 +94,12 @@ class TestLogNormalSampler:
         empirical_median = draws[len(draws) // 2]
         assert empirical_median == pytest.approx(100.0, rel=0.15)
 
-    def test_mean_formula(self):
+    def test_mean_formula(self, rng):
+        # The log-normal mean is the median times exp(sigma**2 / 2).
         sampler = LogNormalSampler(median=10.0, sigma=0.5)
-        assert sampler.mean() == pytest.approx(
-            10.0 * math.exp(0.5**2 / 2)
+        draws = [sampler.sample(rng) for _ in range(20_000)]
+        assert sum(draws) / len(draws) == pytest.approx(
+            10.0 * math.exp(0.5**2 / 2), rel=0.02
         )
 
     def test_invalid_params(self):
@@ -119,7 +135,7 @@ class TestEmpiricalSampler:
     def test_single_observation(self, rng):
         sampler = EmpiricalSampler([42.0])
         assert sampler.sample(rng) == 42.0
-        assert sampler.quantile(0.3) == 42.0
+        assert sampler.sample(FixedDraw(0.3)) == 42.0
 
     def test_samples_within_observed_range(self, rng):
         sampler = EmpiricalSampler([1.0, 5.0, 9.0])
@@ -127,14 +143,11 @@ class TestEmpiricalSampler:
             assert 1.0 <= sampler.sample(rng) <= 9.0
 
     def test_quantiles(self):
+        # A draw is the interpolated quantile at a uniform point.
         sampler = EmpiricalSampler([0.0, 10.0])
-        assert sampler.quantile(0.0) == 0.0
-        assert sampler.quantile(0.5) == pytest.approx(5.0)
-        assert sampler.quantile(1.0) == 10.0
-
-    def test_quantile_out_of_range(self):
-        with pytest.raises(WorkloadError):
-            EmpiricalSampler([1.0]).quantile(1.5)
+        assert sampler.sample(FixedDraw(0.0)) == 0.0
+        assert sampler.sample(FixedDraw(0.5)) == pytest.approx(5.0)
+        assert sampler.sample(FixedDraw(0.75)) == pytest.approx(7.5)
 
     def test_empty_rejected(self):
         with pytest.raises(WorkloadError):

@@ -25,7 +25,7 @@ class TestFileCountModel:
 
     def test_free_rider_fraction(self, rng):
         model = FileCountModel(free_rider_p=0.25)
-        draws = model.sample_many(rng, 8000)
+        draws = [model.sample(rng) for _ in range(8000)]
         zero_fraction = draws.count(0) / len(draws)
         assert zero_fraction == pytest.approx(0.25, abs=0.03)
 
@@ -35,13 +35,13 @@ class TestFileCountModel:
 
     def test_heavy_tail_present(self, rng):
         model = FileCountModel()
-        draws = model.sample_many(rng, 8000)
+        draws = [model.sample(rng) for _ in range(8000)]
         assert max(draws) > 1000  # the Pareto tail fires
 
     def test_skew_top_sharers_dominate(self, rng):
         # The Saroiu headline: a small minority serves most content.
         model = FileCountModel()
-        draws = sorted(model.sample_many(rng, 5000), reverse=True)
+        draws = sorted((model.sample(rng) for _ in range(5000)), reverse=True)
         top = sum(draws[: len(draws) // 10])
         assert top / max(1, sum(draws)) > 0.5
 
@@ -50,15 +50,8 @@ class TestFileCountModel:
             tail_p=1.0 - 1e-9, free_rider_p=0.0,
             tail_lower=100.0, tail_upper=200.0,
         )
-        draws = model.sample_many(rng, 300)
+        draws = [model.sample(rng) for _ in range(300)]
         assert all(100 <= v <= 200 for v in draws)
-
-    def test_sample_many_count(self, rng):
-        assert len(FileCountModel().sample_many(rng, 13)) == 13
-
-    def test_sample_many_negative_rejected(self, rng):
-        with pytest.raises(WorkloadError):
-            FileCountModel().sample_many(rng, -1)
 
     def test_invalid_probabilities(self):
         with pytest.raises(WorkloadError):
