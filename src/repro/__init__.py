@@ -59,7 +59,7 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, RetryPolicy
 from repro.metrics import LoadDistribution, MetricsCollector, SimulationReport
-from repro.observe import MetricsRegistry, ObservationPlan, SpanRecorder
+from repro.observe import ObservationPlan, SpanRecorder
 from repro.resilience import (
     BreakerSpec,
     BudgetSpec,
@@ -101,7 +101,6 @@ __all__ = [
     "ScenarioError",
     "ScenarioPlan",
     "SheddingSpec",
-    "MetricsRegistry",
     "ObservationPlan",
     "SpanRecorder",
     "ConfigError",

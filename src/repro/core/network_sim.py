@@ -57,7 +57,8 @@ from repro.metrics.collectors import (
 from repro.network.address import Address, AddressAllocator
 from repro.network.overlay import OverlaySnapshot
 from repro.network.transport import ProbeStatus, Transport
-from repro.observe.plan import Observation, ObservationPlan
+from repro.observe.plan import ObservationPlan
+from repro.observe.spans import SpanRecorder
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.scenarios import ChurnStorm, ScenarioDriver, ScenarioPlan
 from repro.sim.engine import Simulator
@@ -107,12 +108,12 @@ class GuessSimulation:
             :attr:`trace_digest`, so two same-``(seed, params)`` runs can
             be asserted bit-for-bit identical.
         observe: optional :class:`~repro.observe.plan.ObservationPlan`
-            attaching query-span recording and/or a shared metrics
-            registry.  ``None`` or a no-op plan builds no observers and
-            keeps the exact pre-observability code path; an enabled plan
-            must *still* leave the trace digest bit-identical —
-            observation never perturbs the simulation (the invisibility
-            contract, asserted by the determinism suite).
+            attaching query-span recording.  ``None`` or a plan without
+            spans builds no recorder and keeps the exact unobserved code
+            path; recording spans must *still* leave the trace digest and
+            the report bit-identical — observation never perturbs the
+            simulation (the invisibility contract, asserted by the
+            determinism suite).
         scenarios: optional
             :class:`~repro.resilience.scenarios.ScenarioPlan` of
             correlated trouble — churn storms (mass departures) and
@@ -198,24 +199,19 @@ class GuessSimulation:
         # departure notices, and the freshness:* substreams are never
         # instantiated (the same from_plan -> None contract).
         self.freshness = FreshnessMediator.from_plan(freshness, self.rng, self)
-        # None for a missing/no-op plan: the hot paths below then carry
-        # no observer branches at all (the from_plan -> None contract).
-        self.observation = Observation.from_plan(observe)
+        # None unless spans are asked for, like the from_plan -> None
+        # layers above: an unobserved run builds no recorder.
         self._span_recorder = (
-            self.observation.spans if self.observation is not None else None
-        )
-        shared_registry = (
-            self.observation.registry if self.observation is not None else None
+            SpanRecorder(capacity=observe.span_capacity)
+            if observe is not None and observe.spans
+            else None
         )
         self.transport = Transport(
-            timeout=self.protocol.probe_spacing,
-            faults=self.faults,
-            metrics=shared_registry,
+            timeout=self.protocol.probe_spacing, faults=self.faults
         )
         self.collector = MetricsCollector(
             warmup=warmup,
             keep_queries=keep_queries,
-            registry=shared_registry,
             satisfaction_window=satisfaction_window,
         )
         self.content = content or ContentModel()
@@ -259,11 +255,6 @@ class GuessSimulation:
     def span_recorder(self):
         """The attached :class:`~repro.observe.spans.SpanRecorder`, or None."""
         return self._span_recorder
-
-    @property
-    def metrics_registry(self):
-        """The shared observability registry, or None when not observed."""
-        return self.observation.registry if self.observation is not None else None
 
     @property
     def store(self) -> PeerStore:
@@ -829,11 +820,6 @@ class GuessSimulation:
         if self._reported:
             raise SimulationError("report() may only be called once per run")
         self._reported = True
-        registry = self.metrics_registry
-        if registry is not None:
-            # Queue depth at the end of the run (satisfies the invisibility
-            # contract trivially: the gauge is read-and-set after the run).
-            registry.gauge("engine_pending").set(self.engine.pending)
         for peer in self._store.values():
             self.collector.harvest_peer(
                 peer.address,

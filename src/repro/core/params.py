@@ -15,6 +15,7 @@ spent, and both are hashable so experiment runners can key caches on them.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Tuple
 
@@ -107,8 +108,11 @@ class SystemParams:
             raise ConfigError(
                 f"lifespan_multiplier must be > 0, got {self.lifespan_multiplier}"
             )
-        if self.query_rate < 0:
-            raise ConfigError(f"query_rate must be >= 0, got {self.query_rate}")
+        # An infinite rate would repeat bursts forever at one instant.
+        if not 0 <= self.query_rate < math.inf:
+            raise ConfigError(
+                f"query_rate must be >= 0 and finite, got {self.query_rate}"
+            )
         if (
             self.max_probes_per_second is not None
             and self.max_probes_per_second < 1

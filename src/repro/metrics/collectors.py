@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, astuple, dataclass, field, fields
-from types import SimpleNamespace
+from math import floor, inf
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # annotation-only: a runtime import would close the
@@ -31,7 +31,6 @@ from repro.errors import ConfigError
 from repro.metrics.load import LoadDistribution
 from repro.metrics.summary import mean, ratio
 from repro.network.address import Address
-from repro.observe.registry import MetricsRegistry
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,47 +56,16 @@ class CacheHealthSample:
     cache_fill: float
 
 
-#: The registry counters, named by the :class:`SimulationReport` field
-#: each one feeds; the instrument is registered as ``"sim." + field`` and
-#: :meth:`MetricsCollector.build_report` copies every one across by name.
-COUNTER_FIELDS = (
-    "pings_sent",
-    "dead_pings",
-    "spurious_dead_pings",
-    "ping_retries",
-    "ping_retry_recoveries",
-    "wrongful_ping_evictions",
-    "births",
-    "deaths",
-    "queries",
-    "dead_ping_evictions",
-    "refusal_ping_evictions",
-    "suppressed_pings",
-    "ping_retries_denied",
-    # The gossip-assisted relay channel.
-    "gossip_rumors",
-    "gossip_pushes",
-    "gossip_delivered",
-    "gossip_refused",
-    "gossip_imports",
-    "gossip_suppressed_forwards",
-    # The freshness layer (stale split + push invalidation).
-    "stale_dead_pings",
-    "freshness_notices",
-    "freshness_notices_delivered",
-    "freshness_notices_refused",
-    "freshness_purges",
-    "freshness_refresh_imports",
-)
-
-
 @dataclass(slots=True)
-class _QueryAggregate:
-    """Streaming sums over recorded queries (memory-light default path).
+class _Tally:
+    """Every count the collector keeps, each an ``int``.
 
-    Every field is the :class:`SimulationReport` field it becomes.
+    Every field is the :class:`SimulationReport` field it becomes;
+    :meth:`MetricsCollector.build_report` copies them across by name.
     """
 
+    # Queries (summed off each QueryResult).
+    queries: int = 0
     satisfied_queries: int = 0
     total_probes: int = 0
     good_probes: int = 0
@@ -115,6 +83,39 @@ class _QueryAggregate:
     query_retries_denied: int = 0
     total_honest_results: int = 0
     honest_satisfied_queries: int = 0
+    # Maintenance pings and churn.
+    pings_sent: int = 0
+    dead_pings: int = 0
+    spurious_dead_pings: int = 0
+    stale_dead_pings: int = 0
+    ping_retries: int = 0
+    ping_retry_recoveries: int = 0
+    wrongful_ping_evictions: int = 0
+    dead_ping_evictions: int = 0
+    refusal_ping_evictions: int = 0
+    suppressed_pings: int = 0
+    ping_retries_denied: int = 0
+    births: int = 0
+    deaths: int = 0
+    # The gossip-assisted relay channel.
+    gossip_rumors: int = 0
+    gossip_pushes: int = 0
+    gossip_delivered: int = 0
+    gossip_refused: int = 0
+    gossip_imports: int = 0
+    gossip_suppressed_forwards: int = 0
+    # The freshness layer's push invalidation.
+    freshness_notices: int = 0
+    freshness_notices_delivered: int = 0
+    freshness_notices_refused: int = 0
+    freshness_purges: int = 0
+    freshness_refresh_imports: int = 0
+    # Absorbed once, at report time: peer harvests and the wire totals.
+    pings_shed: int = 0
+    transport_probes_sent: int = 0
+    transport_timeouts: int = 0
+    transport_refusals: int = 0
+    transport_spurious_timeouts: int = 0
 
 
 class MetricsCollector:
@@ -127,118 +128,81 @@ class MetricsCollector:
         keep_queries: retain every :class:`QueryResult` (needed only by
             analyses that want full distributions; the aggregate path is
             default to keep long runs light).
-        registry: optional shared
-            :class:`~repro.observe.registry.MetricsRegistry` holding the
-            collector's counters (a private one is built by default).
-            Sharing a windowed registry yields per-window snapshots of
-            ping/churn activity.
-        satisfaction_window: width in virtual seconds of the dedicated
+        satisfaction_window: width in virtual seconds of the
             satisfaction-tracking windows (the raw material for the
             time-to-recovery metric in
             :mod:`repro.resilience.recovery`); ``None`` (the default)
             disables the channel and the report's
-            ``satisfaction_windows`` stays empty.  The channel uses a
-            *private* windowed registry so it composes independently of
-            the shared observability ``registry``.
+            ``satisfaction_windows`` stays empty.
     """
-
-    #: Instruments of the private satisfaction-window channel.
-    METRIC_WINDOW_QUERIES = "sim.window_queries"
-    METRIC_WINDOW_SATISFIED = "sim.window_satisfied"
 
     def __init__(
         self,
         warmup: float = 0.0,
         keep_queries: bool = False,
-        registry: Optional[MetricsRegistry] = None,
         satisfaction_window: Optional[float] = None,
     ) -> None:
-        if warmup < 0:
+        # Written so that NaN fails both checks.
+        if not warmup >= 0:
             raise ConfigError(f"warmup must be >= 0, got {warmup}")
+        if satisfaction_window is not None and not 0 < satisfaction_window < inf:
+            raise ConfigError(
+                "satisfaction_window must be > 0 and finite, got "
+                f"{satisfaction_window}"
+            )
         self.warmup = float(warmup)
         self.keep_queries = bool(keep_queries)
-        self._agg = _QueryAggregate()
+        self._tally = _Tally()
         self._response_time_sum = 0.0
         self._response_times = 0
         self._queries: List[QueryResult] = []
         self._loads: Dict[Address, int] = {}
         self._refusals: Dict[Address, int] = {}
         self._health: List[CacheHealthSample] = []
-        self._registry = registry if registry is not None else MetricsRegistry()
-        self._observed = registry is not None
-        self._c = SimpleNamespace(**{
-            name: self._registry.counter("sim." + name)
-            for name in COUNTER_FIELDS
-        })
-        # The satisfaction-window channel: a private windowed registry
-        # so the report can expose per-window (queries, satisfied) rows
-        # whether or not a shared observability registry is attached.
-        self._sat_registry = (
-            MetricsRegistry(window=satisfaction_window)
-            if satisfaction_window is not None
-            else None
+        # The satisfaction-window channel: one open window, the closed
+        # (start, end, queries, satisfied) rows, and the last query time
+        # the final flush counts from.
+        self._width = (
+            float(satisfaction_window) if satisfaction_window is not None else None
         )
-        self._sat_queries = (
-            self._sat_registry.counter(self.METRIC_WINDOW_QUERIES)
-            if self._sat_registry is not None
-            else None
-        )
-        self._sat_satisfied = (
-            self._sat_registry.counter(self.METRIC_WINDOW_SATISFIED)
-            if self._sat_registry is not None
-            else None
-        )
+        self._window_start = 0.0
+        self._window_queries = 0
+        self._window_satisfied = 0
+        self._windows: List[tuple] = []
         self._last_query_time = 0.0
-        self.pings_shed_total = 0
-        # Transport-lifetime counters, recorded once at report time (not
-        # warmup-filtered: they describe the wire, not the measurement
-        # window).
-        self.transport_probes_sent = 0
-        self.transport_timeouts = 0
-        self.transport_refusals = 0
-        self.transport_spurious_timeouts = 0
 
     # ------------------------------------------------------------------
     # Feeding
     # ------------------------------------------------------------------
 
-    def _measured(self, time: float) -> bool:
-        """False during warmup; otherwise advance a shared registry's windows."""
-        if time < self.warmup:
-            return False
-        if self._observed:
-            self._registry.advance(time)
-        return True
-
     def record_query(self, result: QueryResult, time: float) -> None:
         """Record one query outcome (ignored during warmup)."""
-        if not self._measured(time):
+        if time < self.warmup:
             return
-        if self._sat_registry is not None:
-            self._sat_registry.advance(time)
-            self._sat_queries.inc()
-            if result.satisfied:
-                self._sat_satisfied.inc()
+        if self._width is not None:
+            self._close_window(time)
+            self._window_queries += 1
+            self._window_satisfied += 1 if result.satisfied else 0
             self._last_query_time = time
-        self._c.queries.inc()
-        agg = self._agg
-        agg.satisfied_queries += 1 if result.satisfied else 0
-        agg.total_probes += result.probes
-        agg.good_probes += result.good_probes
-        agg.dead_probes += result.dead_probes
-        agg.stale_dead_query_probes += result.stale_dead_probes
-        agg.refused_probes += result.refused_probes
-        agg.total_results += result.results
-        agg.spurious_timeout_probes += result.spurious_timeouts
-        agg.probe_retries += result.retries
-        agg.retry_recovered_probes += result.retry_recoveries
-        agg.wrongful_query_evictions += result.wrongful_evictions
-        agg.dead_query_evictions += result.dead_evictions
-        agg.refusal_query_evictions += result.refusal_evictions
-        agg.suppressed_query_probes += result.suppressed_probes
-        agg.query_retries_denied += result.retries_denied
-        agg.total_honest_results += result.verified_results
-        agg.honest_satisfied_queries += 1 if result.verified_satisfied else 0
+        t = self._tally
+        t.queries += 1
+        t.satisfied_queries += 1 if result.satisfied else 0
+        t.total_probes += result.probes
+        t.good_probes += result.good_probes
+        t.dead_probes += result.dead_probes
+        t.stale_dead_query_probes += result.stale_dead_probes
+        t.refused_probes += result.refused_probes
+        t.total_results += result.results
+        t.spurious_timeout_probes += result.spurious_timeouts
+        t.probe_retries += result.retries
+        t.retry_recovered_probes += result.retry_recoveries
+        t.wrongful_query_evictions += result.wrongful_evictions
+        t.dead_query_evictions += result.dead_evictions
+        t.refusal_query_evictions += result.refusal_evictions
+        t.suppressed_query_probes += result.suppressed_probes
+        t.query_retries_denied += result.retries_denied
+        t.total_honest_results += result.verified_results
+        t.honest_satisfied_queries += 1 if result.verified_satisfied else 0
         if result.response_time is not None:
             self._response_time_sum += result.response_time
             self._response_times += 1
@@ -279,33 +243,32 @@ class MetricsCollector:
                 probe push invalidation targets (vs dead-on-arrival
                 imports and ghost addresses).
         """
-        if not self._measured(time):
+        if time < self.warmup:
             return
-        c = self._c
-        c.pings_sent.inc()
-        c.ping_retries.inc(retries)
+        t = self._tally
+        t.pings_sent += 1
+        t.ping_retries += retries
         if recovered:
-            c.ping_retry_recoveries.inc()
+            t.ping_retry_recoveries += 1
         if denied:
-            c.ping_retries_denied.inc()
+            t.ping_retries_denied += 1
         if refusal_evicted:
-            c.refusal_ping_evictions.inc()
+            t.refusal_ping_evictions += 1
         if dead:
-            c.dead_pings.inc()
+            t.dead_pings += 1
             if spurious:
-                c.spurious_dead_pings.inc()
+                t.spurious_dead_pings += 1
             if wrongful:
-                c.wrongful_ping_evictions.inc()
+                t.wrongful_ping_evictions += 1
             if dead_evicted:
-                c.dead_ping_evictions.inc()
+                t.dead_ping_evictions += 1
             if stale:
-                c.stale_dead_pings.inc()
+                t.stale_dead_pings += 1
 
     def record_gossip_rumor(self, time: float) -> None:
         """Count one rumor seeded from a ping's pong harvest."""
-        if not self._measured(time):
-            return
-        self._c.gossip_rumors.inc()
+        if time >= self.warmup:
+            self._tally.gossip_rumors += 1
 
     def record_gossip_push(
         self,
@@ -323,21 +286,20 @@ class MetricsCollector:
             imported: cache entries the receiver actually admitted.
             refused: the receiver shed the push (rate limit / shedding).
         """
-        if not self._measured(time):
+        if time < self.warmup:
             return
-        c = self._c
-        c.gossip_pushes.inc()
+        t = self._tally
+        t.gossip_pushes += 1
         if delivered:
-            c.gossip_delivered.inc()
-            c.gossip_imports.inc(imported)
+            t.gossip_delivered += 1
+            t.gossip_imports += imported
         elif refused:
-            c.gossip_refused.inc()
+            t.gossip_refused += 1
 
     def record_gossip_suppressed_forward(self, time: float) -> None:
         """Count a forwarding hop a suppress-mode reporter refused to relay."""
-        if not self._measured(time):
-            return
-        self._c.gossip_suppressed_forwards.inc()
+        if time >= self.warmup:
+            self._tally.gossip_suppressed_forwards += 1
 
     def record_freshness_notice(
         self,
@@ -356,38 +318,36 @@ class MetricsCollector:
                 the stale entry — the interest-path forwarding signal.
             refused: the receiver shed the notice (rate limit).
         """
-        if not self._measured(time):
+        if time < self.warmup:
             return
-        c = self._c
-        c.freshness_notices.inc()
+        t = self._tally
+        t.freshness_notices += 1
         if delivered:
-            c.freshness_notices_delivered.inc()
+            t.freshness_notices_delivered += 1
             if purged:
-                c.freshness_purges.inc()
+                t.freshness_purges += 1
         elif refused:
-            c.freshness_notices_refused.inc()
+            t.freshness_notices_refused += 1
 
     def record_freshness_refresh(self, time: float, imported: int) -> None:
         """Count entries a notifier imported off a ``CacheUpdateAck`` pong."""
-        if not self._measured(time):
-            return
-        self._c.freshness_refresh_imports.inc(imported)
+        if time >= self.warmup:
+            self._tally.freshness_refresh_imports += imported
 
     def record_suppressed_ping(self, time: float) -> None:
         """Record a maintenance ping skipped by an open circuit breaker."""
-        if not self._measured(time):
-            return
-        self._c.suppressed_pings.inc()
+        if time >= self.warmup:
+            self._tally.suppressed_pings += 1
 
     def record_death(self, time: float) -> None:
         """Count a peer departure (post-warmup)."""
-        if self._measured(time):
-            self._c.deaths.inc()
+        if time >= self.warmup:
+            self._tally.deaths += 1
 
     def record_birth(self, time: float) -> None:
         """Count a peer arrival (post-warmup)."""
-        if self._measured(time):
-            self._c.births.inc()
+        if time >= self.warmup:
+            self._tally.births += 1
 
     def harvest_peer(
         self,
@@ -406,7 +366,7 @@ class MetricsCollector:
         self._refusals[address] = (
             self._refusals.get(address, 0) + probes_refused
         )
-        self.pings_shed_total += pings_shed
+        self._tally.pings_shed += pings_shed
 
     def record_health_sample(self, sample: CacheHealthSample) -> None:
         """Append one periodic cache-health snapshot (post-warmup only)."""
@@ -427,41 +387,46 @@ class MetricsCollector:
         retries, warmup included — so they are the ground truth the
         per-channel (query/ping) accounting can be reconciled against.
         """
-        self.transport_probes_sent = probes_sent
-        self.transport_timeouts = timeouts
-        self.transport_refusals = refusals
-        self.transport_spurious_timeouts = spurious_timeouts
+        t = self._tally
+        t.transport_probes_sent = probes_sent
+        t.transport_timeouts = timeouts
+        t.transport_refusals = refusals
+        t.transport_spurious_timeouts = spurious_timeouts
 
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The registry holding this collector's instruments."""
-        return self._registry
+    def _close_window(self, now: float) -> None:
+        """Close the open satisfaction window if ``now`` is past its end.
+
+        A window covers ``[k*w, (k+1)*w)``; one that saw no query leaves
+        no row, and the next window opens at the one holding ``now``.  A
+        query timed before the open window (a burst's cursor runs ahead
+        of the clock) counts in the open window.
+        """
+        width = self._width
+        end = self._window_start + width
+        if now < end:
+            return
+        if self._window_queries:
+            self._windows.append((
+                self._window_start,
+                end,
+                self._window_queries,
+                self._window_satisfied,
+            ))
+            self._window_queries = self._window_satisfied = 0
+        self._window_start = floor(now / width) * width
 
     def _satisfaction_windows(self) -> tuple:
-        """Flush and render the satisfaction channel's window rows.
+        """Flush and return the satisfaction channel's window rows.
 
         Each row is a plain ``(start, end, queries, satisfied)`` tuple —
         :func:`repro.resilience.recovery.to_windows` adapts them.  The
-        final partial window is flushed by advancing one full width past
+        final partial window is flushed by closing at one full width past
         the last recorded query, so recovery tails are never dropped.
         """
-        if self._sat_registry is None:
+        if self._width is None:
             return ()
-        width = self._sat_registry.window
-        assert width is not None
-        self._sat_registry.advance(self._last_query_time + width)
-        rows = []
-        for snap in self._sat_registry.window_snapshots:
-            queries = int(snap.values.get(self.METRIC_WINDOW_QUERIES, 0))
-            if not queries:
-                continue
-            rows.append((
-                snap.start,
-                snap.end,
-                queries,
-                int(snap.values.get(self.METRIC_WINDOW_SATISFIED, 0)),
-            ))
-        return tuple(rows)
+        self._close_window(self._last_query_time + self._width)
+        return tuple(self._windows)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -479,8 +444,7 @@ class MetricsCollector:
                 record it per trial.
         """
         return SimulationReport(
-            **{name: counter.value for name, counter in vars(self._c).items()},
-            **asdict(self._agg),
+            **asdict(self._tally),
             mean_response_time=(
                 self._response_time_sum / self._response_times
                 if self._response_times
@@ -490,12 +454,7 @@ class MetricsCollector:
             refusals=dict(self._refusals),
             health_samples=tuple(self._health),
             query_results=tuple(self._queries) if self.keep_queries else (),
-            pings_shed=self.pings_shed_total,
             satisfaction_windows=self._satisfaction_windows(),
-            transport_probes_sent=self.transport_probes_sent,
-            transport_timeouts=self.transport_timeouts,
-            transport_refusals=self.transport_refusals,
-            transport_spurious_timeouts=self.transport_spurious_timeouts,
             trace_digest=trace_digest,
         )
 

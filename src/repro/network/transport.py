@@ -33,7 +33,6 @@ import enum
 from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional, Protocol
 
 from repro.network.address import Address
-from repro.observe.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
@@ -113,28 +112,12 @@ class Transport:
             RTTs may pick up jitter.  ``None`` (the default, and what an
             all-zeros :class:`~repro.faults.plan.FaultPlan` resolves to)
             keeps the exact fault-free code path.
-        metrics: optional shared
-            :class:`~repro.observe.registry.MetricsRegistry`.  The
-            transport's counters always live in a registry (a private
-            one by default); passing a shared registry additionally
-            enables the per-probe RTT histogram and drives the
-            registry's time windows from probe timestamps.  Either way
-            the counters are pure bookkeeping — the probe outcome
-            sequence is identical with or without a shared registry.
     """
-
-    #: Registry names of the transport's instruments.
-    METRIC_PROBES_SENT = "transport.probes_sent"
-    METRIC_TIMEOUTS = "transport.timeouts"
-    METRIC_REFUSALS = "transport.refusals"
-    METRIC_SPURIOUS_TIMEOUTS = "transport.spurious_timeouts"
-    METRIC_RTT = "transport.rtt"
 
     def __init__(
         self,
         timeout: float = 0.2,
         faults: Optional["FaultInjector"] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
@@ -146,15 +129,14 @@ class Transport:
         #: omniscient bookkeeping for the metrics layer's fresh-vs-stale
         #: dead-probe split; never read on any protocol path.
         self._departures: Dict[Address, float] = {}
-        self._metrics = metrics if metrics is not None else MetricsRegistry()
-        self._observed = metrics is not None
-        self._c_probes = self._metrics.counter(self.METRIC_PROBES_SENT)
-        self._c_timeouts = self._metrics.counter(self.METRIC_TIMEOUTS)
-        self._c_refusals = self._metrics.counter(self.METRIC_REFUSALS)
-        self._c_spurious = self._metrics.counter(self.METRIC_SPURIOUS_TIMEOUTS)
-        self._rtt_hist = (
-            self._metrics.histogram(self.METRIC_RTT) if self._observed else None
-        )
+        #: Wire totals over every probe (queries, pings, retries, warmup
+        #: included), read once at report time: timeouts count dead
+        #: targets and injected drops, spurious_timeouts the drops alone,
+        #: refusals the probes a live endpoint turned away.
+        self.probes_sent = 0
+        self.timeouts = 0
+        self.refusals = 0
+        self.spurious_timeouts = 0
 
     # ------------------------------------------------------------------
     # Directory management
@@ -207,67 +189,27 @@ class Transport:
             A :class:`ProbeOutcome`; timeouts carry ``rtt == timeout``,
             refusals and deliveries ``timeout / 4`` plus any fault jitter.
         """
-        if self._observed:
-            # Window rolling is driven by virtual probe timestamps only
-            # (never the wall clock), keeping the registry inert with
-            # respect to the event stream.
-            self._metrics.advance(time)
-        self._c_probes.inc()
+        self.probes_sent += 1
         faults = self._faults
         endpoint = self._directory.get(dst)
         if endpoint is None or not endpoint.is_alive(time):
             # Dead targets never consume fault randomness: the outcome is
             # a timeout either way, and skipping the draw keeps fault
             # streams a pure function of the live-probe sequence.
-            self._c_timeouts.inc()
+            self.timeouts += 1
             return ProbeOutcome(ProbeStatus.TIMEOUT, None, self.timeout)
         if faults is not None and faults.should_drop(src, dst, time):
-            self._c_timeouts.inc()
-            self._c_spurious.inc()
+            self.timeouts += 1
+            self.spurious_timeouts += 1
             return ProbeOutcome(ProbeStatus.TIMEOUT, None, self.timeout, True)
         accepted, response = endpoint.receive_probe(message, time)
         rtt = self._rtt
         if faults is not None:
             rtt += faults.extra_rtt()
-        if self._rtt_hist is not None:
-            self._rtt_hist.observe(rtt)
         if not accepted:
-            self._c_refusals.inc()
+            self.refusals += 1
             return ProbeOutcome(ProbeStatus.REFUSED, response, rtt)
         return ProbeOutcome(ProbeStatus.DELIVERED, response, rtt)
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The registry holding this transport's instruments."""
-        return self._metrics
-
-    # Compatibility properties: the counters moved into the registry,
-    # but every historical call site (and the report layer) still reads
-    # plain ints off the transport.
-
-    @property
-    def probes_sent(self) -> int:
-        """Total probes pushed through this transport."""
-        return self._c_probes.value
-
-    @property
-    def timeouts(self) -> int:
-        """Total probes that timed out (dead target or injected drop)."""
-        return self._c_timeouts.value
-
-    @property
-    def refusals(self) -> int:
-        """Total probes a live endpoint refused (overload)."""
-        return self._c_refusals.value
-
-    @property
-    def spurious_timeouts(self) -> int:
-        """Timeouts whose target was live (fault-injected drops only)."""
-        return self._c_spurious.value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

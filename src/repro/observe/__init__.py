@@ -1,13 +1,10 @@
 """repro.observe — the observability layer.
 
-Four channels, one contract:
+Three channels, one contract:
 
 * **query spans** (:mod:`repro.observe.spans`) — per-query causal
   lifecycles: probe order, per-probe outcome/RTT/retries, link- vs
   query-cache target origin, pong harvest, eviction causality;
-* **metrics registry** (:mod:`repro.observe.registry`) — named
-  counters/gauges/histograms with fixed-width time-window snapshots,
-  backing the transport's and collector's counters;
 * **profiling hooks** (:mod:`repro.observe.profiler`) — per-phase
   wall-clock and engine events/s sampling, surfaced by
   ``run_all --profile-report``;
@@ -16,34 +13,30 @@ Four channels, one contract:
   trace digests, package version) from which the run can be replayed
   and verified bit for bit.
 
-The contract: observation never perturbs the simulation.  Observers
-disabled (``Observation.from_plan`` → ``None``) means the exact
-pre-observability code path; observers enabled means the trace digest is
-*still* bit-identical, because recording only appends to observer-owned
-state — it never schedules events, draws randomness, or mutates protocol
-state.  ``tests/integration/test_determinism.py`` and
+The counts a report is built from are not an observer: they are plain
+``int`` tallies on the transport and the collector
+(:mod:`repro.metrics.collectors`), read once at the end of a run.
+
+The contract: observation never perturbs the simulation.  No span plan
+means no recorder and the exact unobserved code path; recording spans
+means the trace digest and the report are *still* bit-identical, because
+recording only appends to observer-owned state — it never schedules
+events, draws randomness, or mutates protocol state.
+``tests/integration/test_determinism.py`` and
 ``tests/property/test_observe_invisibility.py`` hold this line.
 """
 
 from typing import Any
 
-from repro.observe.plan import Observation, ObservationPlan
+from repro.observe.plan import ObservationPlan
 from repro.observe.profiler import Profiler, active_profiler
-from repro.observe.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    WindowSnapshot,
-)
 from repro.observe.spans import ProbeRecord, QuerySpan, SpanRecorder
 from repro.observe.staleness import StalenessSummary, summarize_staleness
 
-#: Manifest symbols resolve lazily: :mod:`repro.observe.manifest` needs
-#: the params and fault-plan modules, which sit *above* the transport in
-#: the import graph — and the transport imports this package for its
-#: registry.  Deferring the manifest import breaks that cycle without
-#: pushing lazy imports into every host module.
+#: Manifest symbols resolve lazily so that ``python -m
+#: repro.observe.manifest`` (the replay CLI) runs a module this package
+#: has not imported yet: an eager import here would make runpy warn that
+#: the module was "found in sys.modules" before it was executed.
 _MANIFEST_EXPORTS = frozenset({
     "ManifestRecorder",
     "load_manifest",
@@ -62,19 +55,13 @@ def __getattr__(name: str) -> Any:
 
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "ManifestRecorder",
-    "MetricsRegistry",
-    "Observation",
     "ObservationPlan",
     "ProbeRecord",
     "Profiler",
     "QuerySpan",
     "SpanRecorder",
     "StalenessSummary",
-    "WindowSnapshot",
     "active_profiler",
     "load_manifest",
     "summarize_staleness",

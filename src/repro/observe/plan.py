@@ -1,13 +1,10 @@
-"""Observation configuration and the no-op contract.
+"""Observation configuration.
 
-:class:`ObservationPlan` is the frozen, picklable description of which
-observers a simulation should carry; :meth:`Observation.from_plan`
-mirrors :meth:`repro.faults.injector.FaultInjector.from_plan` — a
-``None`` or all-disabled plan resolves to ``None``, so the host keeps
-the **exact pre-observability code path** (no extra attribute loads, no
-``if`` on a live object per probe).  An enabled plan builds the
-requested observers, and attaching them must still leave the trace
-digest bit-identical: observation never perturbs the simulation.
+:class:`ObservationPlan` is the frozen, picklable description of what a
+simulation should observe.  ``None`` or a plan without spans builds no
+recorder, so the host keeps the **exact unobserved code path**;
+recording spans must still leave the trace digest and the report
+bit-identical: observation never perturbs the simulation.
 """
 
 from __future__ import annotations
@@ -16,8 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.observe.registry import MetricsRegistry
-from repro.observe.spans import SpanRecorder
 
 
 @dataclass(frozen=True)
@@ -28,73 +23,13 @@ class ObservationPlan:
         spans: record per-query :class:`~repro.observe.spans.QuerySpan`
             lifecycles.
         span_capacity: ring size for retained spans (None = unbounded).
-        registry: attach a shared
-            :class:`~repro.observe.registry.MetricsRegistry` to the
-            transport and collector (named counters + RTT histogram).
-        registry_window: fixed window width in virtual seconds for
-            registry snapshots (None = lifetime totals only).
-
-    The all-defaults plan is a no-op: ``ObservationPlan().is_noop()`` is
-    True and ``Observation.from_plan`` returns ``None`` for it.
     """
 
     spans: bool = False
     span_capacity: Optional[int] = None
-    registry: bool = False
-    registry_window: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.span_capacity is not None and self.span_capacity < 1:
             raise ConfigError(
                 f"span_capacity must be >= 1, got {self.span_capacity}"
             )
-        if self.registry_window is not None and self.registry_window <= 0:
-            raise ConfigError(
-                f"registry_window must be > 0, got {self.registry_window}"
-            )
-
-    def is_noop(self) -> bool:
-        """True when no observer is requested."""
-        return not (self.spans or self.registry)
-
-
-class Observation:
-    """The live observer bundle built from an :class:`ObservationPlan`."""
-
-    __slots__ = ("plan", "spans", "registry")
-
-    def __init__(
-        self,
-        plan: ObservationPlan,
-        spans: Optional[SpanRecorder],
-        registry: Optional[MetricsRegistry],
-    ) -> None:
-        self.plan = plan
-        self.spans = spans
-        self.registry = registry
-
-    @classmethod
-    def from_plan(
-        cls, plan: Optional[ObservationPlan]
-    ) -> Optional["Observation"]:
-        """Build observers, or ``None`` for a missing/no-op plan.
-
-        Returning ``None`` (not an inert bundle) is the contract: hosts
-        branch on ``observation is None`` once at construction time and
-        keep the historical hot path untouched when observation is off.
-        """
-        if plan is None or plan.is_noop():
-            return None
-        spans = SpanRecorder(capacity=plan.span_capacity) if plan.spans else None
-        registry = (
-            MetricsRegistry(window=plan.registry_window)
-            if plan.registry
-            else None
-        )
-        return cls(plan, spans, registry)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Observation(spans={self.spans is not None}, "
-            f"registry={self.registry is not None})"
-        )

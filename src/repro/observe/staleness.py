@@ -13,48 +13,17 @@ two causes by the omniscient accounting in
   naming a corpse, or a ghost address that never existed.  No notice at
   departure time could have saved these.
 
-:func:`summarize_staleness` folds a report (anything exposing the
-relevant counters — typed structurally so this module never imports the
-metrics layer) into a :class:`StalenessSummary`, the row format the
-cache-freshness experiment suite prints.
+:func:`summarize_staleness` folds a report into a
+:class:`StalenessSummary`, the row format the cache-freshness experiment
+suite prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
+from repro.metrics.collectors import SimulationReport
 from repro.metrics.summary import ratio
-
-
-class StalenessSource(Protocol):
-    """Structural view of the report fields the summary folds.
-
-    :class:`~repro.metrics.collectors.SimulationReport` satisfies it;
-    the Protocol spelling avoids an observe -> metrics import (metrics
-    already imports observe for the registry).
-    """
-
-    @property
-    def queries(self) -> int: ...
-
-    @property
-    def dead_probes(self) -> int: ...
-
-    @property
-    def dead_pings(self) -> int: ...
-
-    @property
-    def stale_dead_query_probes(self) -> int: ...
-
-    @property
-    def stale_dead_pings(self) -> int: ...
-
-    @property
-    def freshness_notices(self) -> int: ...
-
-    @property
-    def freshness_purges(self) -> int: ...
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,7 +50,7 @@ class StalenessSummary:
     purges: int
 
 
-def summarize_staleness(report: StalenessSource) -> StalenessSummary:
+def summarize_staleness(report: SimulationReport) -> StalenessSummary:
     """Fold one report's counters into a :class:`StalenessSummary`."""
     dead = report.dead_probes + report.dead_pings
     stale = report.stale_dead_query_probes + report.stale_dead_pings

@@ -3,8 +3,8 @@
 A storm's damage shows up twice: the *dip* (how far query satisfaction
 falls) and the *scar* (how long it stays depressed while caches purge
 dead entries).  Mean satisfaction over a whole run blurs both into one
-number; the windowed registry from PR 4 keeps the time axis, and this
-module reduces its per-window (queries, satisfied) counters to a single
+number; the collector's satisfaction windows keep the time axis, and
+this module reduces their per-window (queries, satisfied) counts to a single
 time-to-recovery scalar: virtual seconds from a reference instant
 (usually the storm end) until windowed satisfaction first returns to a
 threshold fraction of its pre-storm baseline.
@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence, Tuple
 
 
 class SatisfactionWindow(NamedTuple):
-    """Per-window query counts, mirroring a registry window snapshot.
+    """Per-window query counts: one row of ``satisfaction_windows``.
 
     Attributes:
         start: window start, simulation seconds.

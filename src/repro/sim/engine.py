@@ -7,8 +7,8 @@ the engine pushes it on a binary heap
 
 * events fire in nondecreasing time order;
 * same-time events fire in ``priority`` order, then scheduling order;
-* the clock never moves backwards, and scheduling into the past raises
-  :class:`~repro.errors.SimulationError`;
+* the clock never moves backwards, and scheduling into the past (or at
+  a NaN time) raises :class:`~repro.errors.SimulationError`;
 * a scheduled event always fires: ``schedule`` returns nothing to revoke
   it with.  A handler whose subject may be gone by then (a dead peer's
   next ping) checks when it fires and returns — DESIGN.md §10.
@@ -162,9 +162,9 @@ class Simulator:
                 ordering or the trace digest.
 
         Raises:
-            SimulationError: if ``time`` precedes the current clock.
+            SimulationError: if ``time`` is NaN or precedes the clock.
         """
-        if time < self._now:
+        if not time >= self._now:  # NaN fails this too
             raise SimulationError(
                 f"cannot schedule event {label!r} at t={time} before now={self._now}"
             )
@@ -230,9 +230,9 @@ class Simulator:
 
         Raises:
             SimulationError: if ``end_time`` precedes the current clock or
-                the engine is re-entered from inside an event.
+                is NaN, or the engine is re-entered from inside an event.
         """
-        if end_time < self._now:
+        if not end_time >= self._now:  # NaN fails this too
             raise SimulationError(
                 f"run_until({end_time}) precedes current time {self._now}"
             )

@@ -9,6 +9,7 @@ failed test, not a stuck suite.
 
 from __future__ import annotations
 
+import math
 import signal
 from contextlib import contextmanager
 
@@ -17,7 +18,7 @@ import pytest
 from repro.baselines.gossip import GossipPlan
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.freshness import FreshnessPlan
 from repro.metrics.collectors import SimulationReport
 from repro.resilience import ChurnStorm, ScenarioPlan
@@ -89,6 +90,23 @@ CASES = {
         dict(system=dict(num_desired_results=0)),
         ConfigError,
     ),
+    "satisfaction-window-nan": (dict(satisfaction_window=math.nan), ConfigError),
+    "satisfaction-window-inf": (dict(satisfaction_window=math.inf), ConfigError),
+    "satisfaction-window-zero": (dict(satisfaction_window=0.0), ConfigError),
+    "warmup-nan": (dict(warmup=math.nan), ConfigError),
+    # An infinite rate repeats bursts forever at one instant (a hang).
+    "query-rate-inf": (dict(system=dict(query_rate=math.inf)), ConfigError),
+    "query-rate-nan": (dict(system=dict(query_rate=math.nan)), ConfigError),
+    # A NaN time never enters the engine: the first schedule refuses it.
+    "lifespan-multiplier-nan": (
+        dict(system=dict(lifespan_multiplier=math.nan)),
+        SimulationError,
+    ),
+    "ping-interval-nan": (
+        dict(protocol=dict(ping_interval=math.nan)),
+        SimulationError,
+    ),
+    "run-for-nan": (dict(runs=(math.nan,)), SimulationError),
 }
 
 

@@ -28,12 +28,10 @@ from repro.resilience import (
 
 DURATION = 400.0
 
-#: A fully armed observation plan: span recording plus a windowed shared
-#: registry.  Used to assert the invisibility contract — attaching it
-#: must reproduce every pinned digest bit for bit.
-FULL_OBSERVATION = ObservationPlan(
-    spans=True, registry=True, registry_window=50.0
-)
+#: A fully armed observation plan: unbounded span recording.  Used to
+#: assert the invisibility contract — attaching it must reproduce every
+#: pinned digest bit for bit.
+FULL_OBSERVATION = ObservationPlan(spans=True)
 
 
 #: ``report_fingerprint`` of the six pinned cells, recorded at 02dd4ce
@@ -358,10 +356,10 @@ class TestFreshnessPins:
 class TestObservationInvisibility:
     """Observers attached ⇒ every pinned digest still bit-identical.
 
-    The observability layer's core contract: span recording and the
-    shared metrics registry only append to observer-owned state — they
-    never schedule events, draw randomness, or mutate protocol state —
-    so enabling them reproduces the golden digests exactly.
+    The observability layer's core contract: span recording only appends
+    to observer-owned state — it never schedules events, draws
+    randomness, or mutates protocol state — so enabling it reproduces
+    the golden digests exactly.
     """
 
     def test_clean_pin_reproduced_with_observation(self):

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import fields, replace
+from math import floor, inf, nextafter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.search import QueryResult
 from repro.metrics.collectors import (
-    COUNTER_FIELDS,
     CacheHealthSample,
     MetricsCollector,
     SimulationReport,
+    _Tally,
 )
 
 
@@ -289,14 +292,90 @@ class TestSatisfactionWindows:
         assert windows == ((20.0, 30.0, 1, 1),)
 
 
+def registry_windows(width, warmup, queries):
+    """The satisfaction rows the windowed ``MetricsRegistry`` used to give.
+
+    A test-side copy of its ``advance`` and of the collector's flush, over
+    ``queries`` as ``(time, satisfied)`` pairs: a window closes once
+    ``now >= start + width`` and is kept only if some count changed in
+    it, the next one starts at ``floor(now / width) * width``, and the
+    last is flushed at the last query time plus ``width``.
+    """
+    window = float(width)
+    levels = {"queries": 0, "satisfied": 0}
+    marks = {"queries": 0.0, "satisfied": 0.0}
+    snapshots = []
+    start = 0.0
+
+    def advance(now):
+        nonlocal start
+        end = start + window
+        if now < end:
+            return
+        values = {}
+        for name, level in levels.items():
+            delta = float(level) - marks[name]
+            if delta != 0.0:
+                values[name] = delta
+            marks[name] = float(level)
+        if values:
+            snapshots.append((start, end, values))
+        start = floor(now / window) * window
+
+    last = 0.0
+    for time, satisfied in queries:
+        if time < warmup:
+            continue
+        advance(time)
+        levels["queries"] += 1
+        levels["satisfied"] += 1 if satisfied else 0
+        last = time
+    advance(last + window)
+    return tuple(
+        (start, end, int(values.get("queries", 0)), int(values.get("satisfied", 0)))
+        for start, end, values in snapshots
+        if int(values.get("queries", 0))
+    )
+
+
+@st.composite
+def satisfaction_runs(draw):
+    """``(width, warmup, queries)`` with query times on, and one ulp either
+    side of, window boundaries ``k * width``."""
+    width = draw(st.one_of(st.sampled_from([0.1, 1 / 3, 25.0]), st.floats(0.01, 50.0)))
+    boundary = st.builds(
+        lambda k, side: max(0.0, nextafter(k * width, side * inf) if side else k * width),
+        st.integers(0, 30),
+        st.sampled_from([-1, 0, 1]),
+    )
+    anywhere = st.floats(0.0, 30 * width)
+    times = sorted(draw(st.lists(st.one_of(boundary, anywhere), max_size=40)))
+    warmup = draw(st.one_of(st.just(0.0), boundary, anywhere))
+    satisfied = draw(st.lists(st.booleans(), min_size=len(times), max_size=len(times)))
+    return width, warmup, list(zip(times, satisfied))
+
+
+@given(satisfaction_runs())
+@settings(max_examples=300, deadline=None)
+def test_window_rows_follow_the_registry_arithmetic(run):
+    width, warmup, queries = run
+    collector = MetricsCollector(warmup=warmup, satisfaction_window=width)
+    for time, satisfied in queries:
+        collector.record_query(query_result(satisfied=satisfied), time)
+    windows = collector.build_report().satisfaction_windows
+    assert windows == registry_windows(width, warmup, queries)
+
+
 class TestCountersFeedTheReportByName:
-    """A counter is declared once: its name is a report field."""
+    """A count is declared once: its tally field is a report field."""
 
     def test_declared_counters_are_report_fields(self):
-        assert len(set(COUNTER_FIELDS)) == len(COUNTER_FIELDS) == 25
-        assert set(COUNTER_FIELDS) <= {f.name for f in fields(SimulationReport)}
+        tallied = [f.name for f in fields(_Tally)]
+        assert len(set(tallied)) == len(tallied) == 47
+        counts = {f.name for f in fields(SimulationReport) if f.type == "int"}
+        assert set(tallied) == counts
 
-    def test_registry_and_report_agree_on_an_armed_run(self):
+    def test_every_count_is_fed_on_an_armed_run(self):
         # bench/workloads.py's armed_n500 recipe (all five plans armed,
         # so every counter group is fed) at 100 peers.
         from repro import GuessSimulation, ProtocolParams, SystemParams
@@ -332,13 +411,13 @@ class TestCountersFeedTheReportByName:
         )
         sim.run(120.0)
         report = sim.report()
-        totals = sim.collector.registry.snapshot()
-        for name in COUNTER_FIELDS:
-            assert totals["sim." + name] == getattr(report, name), name
-        fed = {name for name in COUNTER_FIELDS if getattr(report, name)}
-        # Each group saw traffic, so the equalities above are not 0 == 0.
+        fed = {f.name for f in fields(_Tally) if getattr(report, f.name)}
+        # Each group saw traffic: queries, pings, churn, retries, gossip,
+        # freshness, and the wire totals absorbed at report time.
         assert {
             "queries", "pings_sent", "dead_pings", "deaths", "ping_retries",
             "gossip_pushes", "gossip_imports", "stale_dead_pings",
-            "freshness_notices", "freshness_purges",
+            "freshness_notices", "freshness_purges", "transport_probes_sent",
         } <= fed
+        assert report.transport_probes_sent == sim.transport.probes_sent
+        assert report.satisfaction_windows

@@ -1,4 +1,4 @@
-"""Tests for ObservationPlan validation and the from_plan no-op contract."""
+"""Tests for ObservationPlan validation and the no-op contract."""
 
 from __future__ import annotations
 
@@ -6,61 +6,36 @@ import pickle
 
 import pytest
 
+from repro.core.network_sim import GuessSimulation
+from repro.core.params import ProtocolParams, SystemParams
 from repro.errors import ConfigError
-from repro.observe.plan import Observation, ObservationPlan
-from repro.observe.registry import MetricsRegistry
-from repro.observe.spans import SpanRecorder
+from repro.observe.plan import ObservationPlan
+
+
+def recorder_for(plan):
+    """The span recorder a tiny simulation builds for ``plan``."""
+    sim = GuessSimulation(
+        SystemParams(network_size=20), ProtocolParams(cache_size=5), observe=plan
+    )
+    return sim.span_recorder
 
 
 class TestObservationPlan:
     def test_defaults_are_noop(self):
-        assert ObservationPlan().is_noop()
+        assert recorder_for(None) is None
+        assert recorder_for(ObservationPlan()) is None
+        assert recorder_for(ObservationPlan(span_capacity=8)) is None
 
     def test_any_observer_clears_noop(self):
-        assert not ObservationPlan(spans=True).is_noop()
-        assert not ObservationPlan(registry=True).is_noop()
+        recorder = recorder_for(ObservationPlan(spans=True, span_capacity=8))
+        assert recorder is not None
+        assert recorder.capacity == 8
 
     def test_bad_span_capacity_rejected(self):
         with pytest.raises(ConfigError):
             ObservationPlan(spans=True, span_capacity=0)
 
-    def test_bad_registry_window_rejected(self):
-        with pytest.raises(ConfigError):
-            ObservationPlan(registry=True, registry_window=-1.0)
-
     def test_plan_is_picklable(self):
         # Frozen + scalar fields: safe to ship across process boundaries.
-        plan = ObservationPlan(spans=True, registry=True, registry_window=5.0)
+        plan = ObservationPlan(spans=True, span_capacity=5)
         assert pickle.loads(pickle.dumps(plan)) == plan
-
-
-class TestFromPlan:
-    def test_none_plan_resolves_to_none(self):
-        assert Observation.from_plan(None) is None
-
-    def test_noop_plan_resolves_to_none(self):
-        assert Observation.from_plan(ObservationPlan()) is None
-
-    def test_spans_only(self):
-        observation = Observation.from_plan(
-            ObservationPlan(spans=True, span_capacity=8)
-        )
-        assert isinstance(observation.spans, SpanRecorder)
-        assert observation.spans.capacity == 8
-        assert observation.registry is None
-
-    def test_registry_only(self):
-        observation = Observation.from_plan(
-            ObservationPlan(registry=True, registry_window=25.0)
-        )
-        assert observation.spans is None
-        assert isinstance(observation.registry, MetricsRegistry)
-        assert observation.registry.window == 25.0
-
-    def test_both(self):
-        observation = Observation.from_plan(
-            ObservationPlan(spans=True, registry=True)
-        )
-        assert observation.spans is not None
-        assert observation.registry is not None
-        assert observation.registry.window is None

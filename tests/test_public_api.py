@@ -71,12 +71,16 @@ class TestSubpackageImports:
             "repro.core",
             "repro.core.messages",
             "repro.extensions.detection",
+            "repro.observe",
+            "repro.network.transport",
         ],
     )
     def test_importable_first_in_a_fresh_interpreter(self, module):
         """``network_sim`` imports the gossip and freshness layers, and
         they import ``repro.core.messages`` back: whichever end a fresh
-        interpreter enters the loop from must finish importing."""
+        interpreter enters the loop from must finish importing.  The
+        observe layer and the transport sit below the metrics layer and
+        must import on their own too."""
         src = str(Path(repro.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-c", f"import {module}"],
