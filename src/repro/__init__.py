@@ -59,7 +59,6 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, RetryPolicy
 from repro.metrics import LoadDistribution, MetricsCollector, SimulationReport
-from repro.observe import ObservationPlan, SpanRecorder
 from repro.resilience import (
     BreakerSpec,
     BudgetSpec,
@@ -101,8 +100,6 @@ __all__ = [
     "ScenarioError",
     "ScenarioPlan",
     "SheddingSpec",
-    "ObservationPlan",
-    "SpanRecorder",
     "ConfigError",
     "ExecutionError",
     "PolicyError",

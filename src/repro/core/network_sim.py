@@ -57,8 +57,6 @@ from repro.metrics.collectors import (
 from repro.network.address import Address, AddressAllocator
 from repro.network.overlay import OverlaySnapshot
 from repro.network.transport import ProbeStatus, Transport
-from repro.observe.plan import ObservationPlan
-from repro.observe.spans import SpanRecorder
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.scenarios import ChurnStorm, ScenarioDriver, ScenarioPlan
 from repro.sim.engine import Simulator
@@ -107,13 +105,6 @@ class GuessSimulation:
             fired event is folded into a digest exposed as
             :attr:`trace_digest`, so two same-``(seed, params)`` runs can
             be asserted bit-for-bit identical.
-        observe: optional :class:`~repro.observe.plan.ObservationPlan`
-            attaching query-span recording.  ``None`` or a plan without
-            spans builds no recorder and keeps the exact unobserved code
-            path; recording spans must *still* leave the trace digest and
-            the report bit-identical — observation never perturbs the
-            simulation (the invisibility contract, asserted by the
-            determinism suite).
         scenarios: optional
             :class:`~repro.resilience.scenarios.ScenarioPlan` of
             correlated trouble — churn storms (mass departures) and
@@ -170,7 +161,6 @@ class GuessSimulation:
         health_sample_interval: Optional[float] = DEFAULT_HEALTH_SAMPLE_INTERVAL,
         faults: Optional[FaultPlan] = None,
         trace_hash: bool = False,
-        observe: Optional[ObservationPlan] = None,
         scenarios: Optional[ScenarioPlan] = None,
         resilience: Optional[ResiliencePolicy] = None,
         satisfaction_window: Optional[float] = None,
@@ -199,13 +189,6 @@ class GuessSimulation:
         # departure notices, and the freshness:* substreams are never
         # instantiated (the same from_plan -> None contract).
         self.freshness = FreshnessMediator.from_plan(freshness, self.rng, self)
-        # None unless spans are asked for, like the from_plan -> None
-        # layers above: an unobserved run builds no recorder.
-        self._span_recorder = (
-            SpanRecorder(capacity=observe.span_capacity)
-            if observe is not None and observe.spans
-            else None
-        )
         self.transport = Transport(
             timeout=self.protocol.probe_spacing, faults=self.faults
         )
@@ -250,11 +233,6 @@ class GuessSimulation:
     def trace_digest(self) -> Optional[str]:
         """Executed-event digest (None unless ``trace_hash=True``)."""
         return self.engine.trace_digest
-
-    @property
-    def span_recorder(self):
-        """The attached :class:`~repro.observe.spans.SpanRecorder`, or None."""
-        return self._span_recorder
 
     @property
     def store(self) -> PeerStore:
@@ -710,12 +688,6 @@ class GuessSimulation:
         extension whose peers query differently overrides this, and the
         burst loop — cursor advance, flash-crowd warp — stays the one above.
         """
-        recorder = self._span_recorder
-        span = (
-            recorder.begin(peer.address, target, now)
-            if recorder is not None
-            else None
-        )
         # With gossip armed, delivered query-reply pongs seed rumors
         # too (not just ping harvests); None keeps the query loop
         # append-free so the gossip-off digest is untouched.
@@ -727,11 +699,8 @@ class GuessSimulation:
             now,
             rng=self.rng.stream("policies"),
             desired_results=self.system.num_desired_results,
-            span=span,
             harvests=harvests,
         )
-        if span is not None:
-            recorder.finish(span, result)
         self.collector.record_query(result, now)
         if harvests:
             for pong in harvests:
@@ -807,8 +776,11 @@ class GuessSimulation:
 
     def run(self, duration: float) -> None:
         """Advance the simulation by ``duration`` seconds."""
-        if duration < 0:
-            raise SimulationError(f"duration must be >= 0, got {duration}")
+        # Pings reschedule forever, so an infinite run never drains.
+        if not 0 <= duration < float("inf"):
+            raise SimulationError(
+                f"duration must be finite and >= 0, got {duration}"
+            )
         self.engine.run_until(self.engine.now + duration)
 
     def report(self) -> SimulationReport:

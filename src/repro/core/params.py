@@ -248,9 +248,10 @@ class ProtocolParams:
             raise ConfigError(
                 f"intro_prob must be in [0, 1], got {self.intro_prob}"
             )
-        if self.probe_spacing <= 0:
+        # Written so that NaN fails: a probe time is a finite number.
+        if not 0 < self.probe_spacing < math.inf:
             raise ConfigError(
-                f"probe_spacing must be > 0, got {self.probe_spacing}"
+                f"probe_spacing must be finite and > 0, got {self.probe_spacing}"
             )
         if self.parallel_probes < 1:
             raise ConfigError(
@@ -265,13 +266,14 @@ class ProtocolParams:
                 "retry_backoff must be 'fixed' or 'exponential', "
                 f"got {self.retry_backoff!r}"
             )
-        if self.retry_base is not None and self.retry_base < 0:
+        if self.retry_base is not None and not 0 <= self.retry_base < math.inf:
             raise ConfigError(
-                f"retry_base must be >= 0 or None, got {self.retry_base}"
+                f"retry_base must be finite and >= 0, or None, got {self.retry_base}"
             )
-        if self.retry_multiplier < 1.0:
+        if not 1.0 <= self.retry_multiplier < math.inf:
             raise ConfigError(
-                f"retry_multiplier must be >= 1, got {self.retry_multiplier}"
+                "retry_multiplier must be finite and >= 1, "
+                f"got {self.retry_multiplier}"
             )
 
     def uses_starred_policy(self) -> bool:

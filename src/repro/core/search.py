@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Protocol
+from typing import List, Optional, Protocol
 
 from repro.core.entry import CacheEntry
 from repro.core.messages import Pong, QueryReply
@@ -37,9 +37,6 @@ from repro.core.peer import GuessPeer
 from repro.core.query_cache import QueryCache
 from repro.faults.retry import probe_with_retry
 from repro.network.transport import ProbeStatus, Transport
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observe.spans import QuerySpan
 
 
 #: Resolved by name by ``bench/trace.py`` (frozen outside ``benchmark`` PRs).
@@ -148,7 +145,6 @@ def execute_query(
     rng: random.Random,
     desired_results: int = 1,
     max_probes: Optional[int] = None,
-    span: Optional["QuerySpan"] = None,
     harvests: Optional[List["Pong"]] = None,
     width: Optional[WaveWidth] = None,
 ) -> QueryResult:
@@ -163,11 +159,6 @@ def execute_query(
         desired_results: the ``NumDesiredResults`` stopping threshold.
         max_probes: optional hard cap on probes (used by extent ablations;
             the protocol itself probes to exhaustion).
-        span: optional :class:`~repro.observe.spans.QuerySpan` receiving
-            one :class:`~repro.observe.spans.ProbeRecord` per probe.
-            Recording is pure bookkeeping on the span object — it never
-            touches peer, cache, RNG, or transport state, so a traced
-            query is bit-identical to an untraced one.
         harvests: optional sink the non-empty pong of every delivered
             query reply is appended to, so the caller can seed gossip
             rumors from query harvests exactly like ping harvests
@@ -185,13 +176,9 @@ def execute_query(
     spacing = protocol.probe_spacing
     walkers = protocol.parallel_probes if width is None else width.initial
 
-    link_entries = peer.link_cache.entries()
     query_cache = QueryCache(
-        peer.address, policies.query_probe, rng, now, link_entries
+        peer.address, policies.query_probe, rng, now, peer.link_cache.entries()
     )
-    if span is not None:
-        # Origin tags ("link" vs "query" target) read this frozen snapshot.
-        link_addresses = {entry.address for entry in link_entries}
 
     message = peer.query_message(target_file)
     results = 0
@@ -234,28 +221,13 @@ def execute_query(
         breakers = peer.breakers
         for entry in wave:
             address = entry.address
-            if span is not None:
-                # What every record of this probe shares, whatever its fate.
-                probe_site = dict(
-                    wave=waves - 1, time=wave_time, target=address,
-                    origin="link" if address in link_addresses else "query",
-                )
             if breakers is not None and not breakers.allow(address, wave_time):
                 # Open breaker: the target recently shed load, so spare
                 # it this probe and keep the entry cached for later.
                 suppressed += 1
-                if span is not None:
-                    span.record_probe(**probe_site, status="suppressed")
                 continue
             if defense is not None and defense.blocked(address):
-                blocked_evicted = peer.link_cache.evict(address)
-                if span is not None:
-                    span.record_probe(
-                        **probe_site,
-                        status="blocked",
-                        evicted=blocked_evicted,
-                        eviction_cause="blocked" if blocked_evicted else None,
-                    )
+                peer.link_cache.evict(address)
                 continue
             if retry is None:
                 outcome = transport.probe(
@@ -276,9 +248,6 @@ def execute_query(
                 # slips by its slowest probe's backoff, not the sum.
                 if attempt.delay > wave_slip:
                     wave_slip = attempt.delay
-                if span is not None:
-                    probe_site["retries"] = attempt.retries
-                    probe_site["recovered"] = attempt.recovered
             probes += 1
 
             if outcome.status is ProbeStatus.TIMEOUT:
@@ -301,20 +270,10 @@ def execute_query(
                     breakers.discard(address)
                 if defense is not None:
                     defense.record_dead(address)
-                if span is not None:
-                    span.record_probe(
-                        **probe_site,
-                        status="timeout",
-                        rtt=outcome.rtt,
-                        spurious=outcome.spurious,
-                        evicted=evicted,
-                        eviction_cause="dead" if evicted else None,
-                    )
                 continue
 
             if outcome.status is ProbeStatus.REFUSED:
                 refused += 1
-                refusal_evicted = False
                 if breakers is not None:
                     # The breaker substitutes for refusal eviction: the
                     # entry stays cached, probes stop once it trips.
@@ -322,17 +281,8 @@ def execute_query(
                 elif not protocol.do_backoff:
                     # The paper's inherent throttling: treat the refusal
                     # like a death so the entry stops circulating in pongs.
-                    refusal_evicted = peer.link_cache.evict(address)
-                    if refusal_evicted:
+                    if peer.link_cache.evict(address):
                         refusal_evictions += 1
-                if span is not None:
-                    span.record_probe(
-                        **probe_site,
-                        status="refused",
-                        rtt=outcome.rtt,
-                        evicted=refusal_evicted,
-                        eviction_cause="refusal" if refusal_evicted else None,
-                    )
                 continue
 
             good += 1
@@ -367,7 +317,6 @@ def execute_query(
             # Ingest the piggybacked pong: every entry the query cache
             # admits is offered to the link cache too.
             reset = policies.reset_num_results
-            admitted = 0
             for shared in reply.pong.entries:
                 if defense is not None:
                     if defense.blocked(shared.address):
@@ -378,17 +327,6 @@ def execute_query(
                 imported = shared.copy_for_import(reset, wave_time)
                 if query_cache.add(imported):
                     peer.offer_entry_to_link_cache(imported, wave_time)
-                    admitted += 1
-
-            if span is not None:
-                span.record_probe(
-                    **probe_site,
-                    status="delivered",
-                    rtt=outcome.rtt,
-                    results=reply.num_results,
-                    pong_entries=len(reply.pong.entries),
-                    admitted=admitted,
-                )
 
         slip += wave_slip
         if width is not None:

@@ -24,6 +24,7 @@ to the pre-retry code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Tuple
 
@@ -66,13 +67,14 @@ class RetryPolicy:
             raise ConfigError(
                 f"backoff must be one of {BACKOFF_MODES}, got {self.backoff!r}"
             )
-        if self.base_delay < 0.0:
+        # Written so that NaN fails: every retried send has a finite time.
+        if not 0.0 <= self.base_delay < math.inf:
             raise ConfigError(
-                f"base_delay must be >= 0, got {self.base_delay}"
+                f"base_delay must be finite and >= 0, got {self.base_delay}"
             )
-        if self.multiplier < 1.0:
+        if not 1.0 <= self.multiplier < math.inf:
             raise ConfigError(
-                f"multiplier must be >= 1, got {self.multiplier}"
+                f"multiplier must be finite and >= 1, got {self.multiplier}"
             )
 
     @property

@@ -1,10 +1,7 @@
 """repro.observe — the observability layer.
 
-Three channels, one contract:
+Two channels, one contract:
 
-* **query spans** (:mod:`repro.observe.spans`) — per-query causal
-  lifecycles: probe order, per-probe outcome/RTT/retries, link- vs
-  query-cache target origin, pong harvest, eviction causality;
 * **profiling hooks** (:mod:`repro.observe.profiler`) — per-phase
   wall-clock and engine events/s sampling, surfaced by
   ``run_all --profile-report``;
@@ -15,22 +12,22 @@ Three channels, one contract:
 
 The counts a report is built from are not an observer: they are plain
 ``int`` tallies on the transport and the collector
-(:mod:`repro.metrics.collectors`), read once at the end of a run.
+(:mod:`repro.metrics.collectors`), read once at the end of a run, and
+:class:`~repro.core.search.QueryResult` is the one per-query record.
 
-The contract: observation never perturbs the simulation.  No span plan
-means no recorder and the exact unobserved code path; recording spans
-means the trace digest and the report are *still* bit-identical, because
-recording only appends to observer-owned state — it never schedules
-events, draws randomness, or mutates protocol state.
+The contract: observation never perturbs the simulation.  A profiler on
+the engine only reads the event counts the engine already keeps, and an
+active manifest recorder only forces the trace digest on and appends a
+config entry once the reports are back.  Neither schedules events, draws
+randomness, or mutates protocol state: a profiled run has the same trace
+digest and report, and a recorded one the same report fingerprint.
 ``tests/integration/test_determinism.py`` and
 ``tests/property/test_observe_invisibility.py`` hold this line.
 """
 
 from typing import Any
 
-from repro.observe.plan import ObservationPlan
 from repro.observe.profiler import Profiler, active_profiler
-from repro.observe.spans import ProbeRecord, QuerySpan, SpanRecorder
 from repro.observe.staleness import StalenessSummary, summarize_staleness
 
 #: Manifest symbols resolve lazily so that ``python -m
@@ -56,11 +53,7 @@ def __getattr__(name: str) -> Any:
 
 __all__ = [
     "ManifestRecorder",
-    "ObservationPlan",
-    "ProbeRecord",
     "Profiler",
-    "QuerySpan",
-    "SpanRecorder",
     "StalenessSummary",
     "active_profiler",
     "load_manifest",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.params import ProtocolParams
@@ -44,6 +46,12 @@ class TestRetryPolicy:
             RetryPolicy(base_delay=-0.1)
         with pytest.raises(ConfigError):
             RetryPolicy(multiplier=0.5)
+        # A retried send's time is finite: NaN and inf fail both bounds.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                RetryPolicy(base_delay=bad)
+            with pytest.raises(ConfigError):
+                RetryPolicy(backoff="exponential", multiplier=bad)
 
     def test_enabled(self):
         assert not RetryPolicy().enabled

@@ -18,7 +18,7 @@ from repro.experiments.executor import ProcessTrialExecutor, TrialSpec
 from repro.experiments.runner import run_guess_config
 from repro.faults.plan import BrownoutSpec, FaultPlan, PartitionWindow
 from repro.freshness import CacheSizing, FreshnessPlan
-from repro.observe.plan import ObservationPlan
+from repro.observe.profiler import GLOBAL_PHASE, Profiler
 from repro.resilience import (
     ChurnStorm,
     FlashCrowd,
@@ -27,12 +27,6 @@ from repro.resilience import (
 )
 
 DURATION = 400.0
-
-#: A fully armed observation plan: unbounded span recording.  Used to
-#: assert the invisibility contract — attaching it must reproduce every
-#: pinned digest bit for bit.
-FULL_OBSERVATION = ObservationPlan(spans=True)
-
 
 #: ``report_fingerprint`` of the six pinned cells, recorded at 02dd4ce
 #: (the commit before the query cache became the candidate pool).  The
@@ -58,7 +52,7 @@ def report_fingerprint(report) -> str:
 def run_once(seed: int, *, percent_bad: float = 0.0,
              behavior: BadPongBehavior = BadPongBehavior.DEAD,
              faults: FaultPlan | None = None, probe_retries: int = 0,
-             observe: ObservationPlan | None = None,
+             profiler: Profiler | None = None,
              scenarios: ScenarioPlan | None = None,
              resilience: ResiliencePolicy | None = None,
              gossip: GossipPlan | None = None,
@@ -74,12 +68,12 @@ def run_once(seed: int, *, percent_bad: float = 0.0,
         seed=seed,
         faults=faults,
         trace_hash=True,
-        observe=observe,
         scenarios=scenarios,
         resilience=resilience,
         gossip=gossip,
         freshness=freshness,
     )
+    sim.engine.profiler = profiler
     sim.run(DURATION)
     report = sim.report()
     return sim.trace_digest, report
@@ -356,34 +350,36 @@ class TestFreshnessPins:
 class TestObservationInvisibility:
     """Observers attached ⇒ every pinned digest still bit-identical.
 
-    The observability layer's core contract: span recording only appends
-    to observer-owned state — it never schedules events, draws
-    randomness, or mutates protocol state — so enabling it reproduces
-    the golden digests exactly.
+    The observability layer's core contract: a profiler on the engine
+    only reads the event counts the engine already keeps — it never
+    schedules events, draws randomness, or mutates protocol state — so
+    attaching one reproduces the golden digests exactly.
     """
 
     def test_clean_pin_reproduced_with_observation(self):
-        digest, report = run_once(7, observe=FULL_OBSERVATION)
+        profiler = Profiler()
+        digest, report = run_once(7, profiler=profiler)
         assert digest == "6433f3abe18fda0f316241089d67313b"
         assert report.queries > 0
+        assert profiler._stats[GLOBAL_PHASE].engine_events > 0
 
     def test_attack_pin_reproduced_with_observation(self):
         digest, _ = run_once(
             11, percent_bad=10.0, behavior=BadPongBehavior.BAD,
-            observe=FULL_OBSERVATION,
+            profiler=Profiler(),
         )
         assert digest == "23d74325e25c2c9e44279d38a317edbe"
 
     def test_loss_retry_pin_reproduced_with_observation(self):
         digest, _ = run_once(
             7, faults=FaultPlan(loss_rate=0.05), probe_retries=2,
-            observe=FULL_OBSERVATION,
+            profiler=Profiler(),
         )
         assert digest == "6433f3abe18fda0f316241089d67313b"
 
     def test_reports_identical_with_and_without_observation(self):
         _, plain = run_once(7)
-        _, observed = run_once(7, observe=FULL_OBSERVATION)
+        _, observed = run_once(7, profiler=Profiler())
         assert plain == observed
 
 

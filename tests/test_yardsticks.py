@@ -8,11 +8,11 @@ one takes the code somewhere it belongs instead of raising the number.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import inspect
 import random
 import re
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 from repro.baselines.gossip import GossipRelay
@@ -34,13 +34,13 @@ def line_count(path: Path) -> int:
 def test_src_size():
     # Ceiling may only be lowered: 20 752 lines before the execution
     # census (EXPERIMENTS.md) deleted what no workload, suite or CLI ran,
-    # 19 688 before the metrics registry went.
-    assert sum(line_count(path) for path in SRC.rglob("*.py")) <= 19171
+    # 19 688 before the metrics registry went, 19 171 before query spans.
+    assert sum(line_count(path) for path in SRC.rglob("*.py")) <= 18778
 
 
 def test_network_sim_runs_the_lifecycle_only():
     # Ceiling may only be lowered (ROADMAP item 6(b) targets < 600).
-    assert line_count(SRC / "core" / "network_sim.py") <= 851
+    assert line_count(SRC / "core" / "network_sim.py") <= 823
 
 
 def test_collectors_size():
@@ -53,9 +53,9 @@ def test_a_count_is_an_int():
     # collector's tally, read once at the end of a run.  A registry of
     # named instruments beside them, and the plan knobs and constructor
     # parameters that attached one, are what this forbids.
+    from repro.core.search import execute_query
     from repro.metrics.collectors import MetricsCollector
     from repro.network.transport import Transport
-    from repro.observe.plan import ObservationPlan
 
     found = [
         f"{path.relative_to(SRC)}: {word}"
@@ -64,7 +64,11 @@ def test_a_count_is_an_int():
         if word in path.read_text(encoding="utf-8")
     ]
     assert not found, found
-    assert [f.name for f in fields(ObservationPlan)] == ["spans", "span_capacity"]
+    # A query is recorded once, as its ``QueryResult``: no span recorder
+    # or plan to attach one, and no ``span=`` hook in the probe loop.
+    for gone in ("repro.observe.plan", "repro.observe.spans"):
+        assert importlib.util.find_spec(gone) is None, gone
+    assert "span" not in inspect.signature(execute_query).parameters
 
     def parameters(init):
         return list(inspect.signature(init).parameters)[1:]
@@ -81,11 +85,11 @@ def test_one_probe_loop_size():
     # Ceilings may only be lowered: a search variant is a width rule
     # ``execute_query`` asks, never a second copy of its loop.
     search = line_count(SRC / "core" / "search.py")
-    assert search <= 424
+    assert search <= 362
     extensions = sorted((SRC / "extensions").glob("*.py"))
     assert sum(line_count(path) for path in extensions) <= 733
     # §2.3 is one structure: the loop plus the cache it pops from.
-    assert search + line_count(SRC / "core" / "query_cache.py") <= 540
+    assert search + line_count(SRC / "core" / "query_cache.py") <= 478
 
 
 def test_the_query_cache_is_the_candidate_pool():
@@ -357,7 +361,7 @@ def test_a_churn_run_draws_through_getrandbits_alone(monkeypatch):
 def test_simulation_keyword_arguments():
     parameters = inspect.signature(GuessSimulation.__init__).parameters
     # Ceiling may only be lowered; self, system and protocol are not kwargs.
-    assert len(parameters) - 3 <= 15
+    assert len(parameters) - 3 <= 14
 
 
 def _imports(path: Path) -> list:
