@@ -28,8 +28,9 @@ from repro.resilience import (
 
 DURATION = 400.0
 
-#: ``report_fingerprint`` of the six pinned cells, recorded at 02dd4ce
-#: (the commit before the query cache became the candidate pool).  The
+#: ``report_fingerprint`` of the pinned cells, recorded at 02dd4ce (the
+#: commit before the query cache became the candidate pool; "keyed" at
+#: d231bbc, the commit before the link cache kept its orders).  The
 #: trace digest folds ``(time, priority, seq, label)`` per fired event and
 #: a probe's outcome schedules nothing unless gossip or freshness is
 #: armed, so the digests cannot see the query path
@@ -41,6 +42,7 @@ REPORT_PINS = {
     "gossip": "103583999ac0e41f11426cec7e69e17cb9a8ad53d5c24ad8a6cee0e13f6e85bb",
     "freshness": "ffe01b90b2724bccf88855ae9b2685d99d9c2555ed2ceeebb3ade6ead284084f",
     "all-armed": "9d2236176decafb704a7c06591bc9a8ebe01ae48ece4882795fd483475c7480d",
+    "keyed": "046ecd63b4e14daa527fccb68bd67ba15b9fd03ba6b59f32848cb8630d6637ad",
 }
 
 
@@ -587,8 +589,38 @@ class TestAllArmedPin:
         assert sum(r.gossip_pushes for r in serial) > 0
 
 
+class TestKeyedPin:
+    """Seventh pin, and the only key-based one: every other cell runs the
+    all-Random defaults, so no other pin sees a keyed pong, ping target
+    or eviction contest.
+
+    All three ranked fields and both directions: QueryPong MFS
+    (``num_files``, high), PingProbe MRU and PingPong LRU (``ts``, high
+    and low), LR* replacement (``num_res``, evict low) with the MR*
+    reset, and a key-based QueryProbe heap.
+    """
+
+    SYSTEM = SystemParams(network_size=100)
+    PROTOCOL = ProtocolParams(
+        cache_size=30,
+        query_probe="MR*",
+        query_pong="MFS",
+        ping_probe="MRU",
+        ping_pong="LRU",
+        cache_replacement="LR*",
+    )
+
+    def test_keyed_fingerprint_pinned(self):
+        assert self.PROTOCOL.normalized().reset_num_results
+        sim = GuessSimulation(self.SYSTEM, self.PROTOCOL, seed=7, trace_hash=True)
+        sim.run(DURATION)
+        report = sim.report()
+        assert sim.trace_digest == "6433f3abe18fda0f316241089d67313b"
+        assert report_fingerprint(report) == REPORT_PINS["keyed"]
+
+
 class TestReportPins:
-    """The six pinned cells as ``TrialSpec``s on a two-process pool.
+    """The seven pinned cells as ``TrialSpec``s on a two-process pool.
 
     The serial arm is asserted beside each digest above; this is the
     ``workers=2`` arm: the same digests *and* the same report
@@ -635,6 +667,13 @@ class TestReportPins:
                     **TestAllArmedPin.PLANS,
                 ),
                 TestAllArmedPin.PIN,
+            ),
+            "keyed": (
+                TrialSpec(
+                    TestKeyedPin.SYSTEM, TestKeyedPin.PROTOCOL,
+                    duration=DURATION, warmup=0.0, seed=7, trace_hash=True,
+                ),
+                "6433f3abe18fda0f316241089d67313b",
             ),
         }
         with ProcessTrialExecutor(workers=2) as pool:
