@@ -214,13 +214,16 @@ def test_link_cache_inserts_per_sec(benchmark):
 
 
 def test_keyed_tied_contest_per_sec(benchmark):
-    """LR inserts into a full cache where every ``NumRes`` is 0.
+    """LR inserts into a full cache of 100 where every ``NumRes`` is 0.
 
-    The tie path of a key-based contest at its worst: all 101 contestants
-    share the losing value, so each is settled on address alone.  LR never
-    leaves the tie path in a run (its lowest ``NumRes`` is always shared).
+    LR's contest in a run: its lowest ``NumRes`` is always shared, so
+    every contest is settled on address — here all 101 contestants tie.
+    Addresses arrive shuffled, so about half the candidates win: the cache
+    compares each with its LR ranking's victim end, and a winner moves
+    both ends of that ranking.
     """
     entries = [CacheEntry(address=i) for i in range(1, _KNOBS["inserts"] + 1)]
+    random.Random(5).shuffle(entries)
     _RESULTS["keyed_tied_contest_per_sec"] = _full_cache_inserts_per_sec(
         benchmark, "LR", entries
     )
@@ -358,24 +361,24 @@ def test_random_contest_per_sec(benchmark):
 
 
 def test_keyed_select_top_per_sec(benchmark):
-    """Key-based ``select_top``: 5 of 100 under MFS, a keyed pong.
+    """A key-based pong: 5 of a cache of 100 under MFS.
 
+    ``LinkCache.select_top`` slices the MFS ranking the cache keeps.
     ``NumFiles`` as a cache holds it: a third free riders at 0, the rest
     spread, one poisoned claim.
     """
     policy = get_ordering_policy("MFS")
     rng = random.Random(0)
-    entries = [
-        CacheEntry(address=i, num_files=rng.choice((0, rng.randrange(1, 1000))))
-        for i in range(100)
-    ]
-    entries[40].num_files = 60_000
+    cache = LinkCache(capacity=100, owner=0)
+    for i in range(1, 101):
+        files = 60_000 if i == 41 else rng.choice((0, rng.randrange(1, 1000)))
+        cache.insert(CacheEntry(address=i, num_files=files), policy, 0.0, rng)
     count = _KNOBS["inserts"]
 
     def run():
         picked = 0
         for _ in range(count):
-            picked += len(policy.select_top(entries, 5, 0.0, rng))
+            picked += len(cache.select_top(policy, 5, 0.0, rng))
         return picked
 
     assert benchmark(run) == count * 5

@@ -300,11 +300,8 @@ class GuessPeer:
         clones what it keeps (:meth:`import_pong_to_link_cache`, the
         query cache's admission), so an entry nobody keeps costs nothing.
         """
-        selected = pong_policy.select_top(
-            self.link_cache.entries(),
-            self.protocol.pong_size,
-            time,
-            self._policy_rng,
+        selected = self.link_cache.select_top(
+            pong_policy, self.protocol.pong_size, time, self._policy_rng
         )
         return Pong(self.address, tuple(selected))
 
@@ -363,8 +360,8 @@ class GuessPeer:
 
     def choose_ping_target(self, now: float) -> Optional[CacheEntry]:
         """The entry the PingProbe policy says to ping next."""
-        return self.policies.ping_probe.select_best(
-            self.link_cache.entries(), now, self._policy_rng
+        return self.link_cache.select_best(
+            self.policies.ping_probe, now, self._policy_rng
         )
 
     def ping_message(self) -> Ping:

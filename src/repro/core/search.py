@@ -176,8 +176,9 @@ def execute_query(
     spacing = protocol.probe_spacing
     walkers = protocol.parallel_probes if width is None else width.initial
 
+    link_cache = peer.link_cache  # a resident changes only through it
     query_cache = QueryCache(
-        peer.address, policies.query_probe, rng, now, peer.link_cache.entries()
+        peer.address, policies.query_probe, rng, now, link_cache.entries()
     )
 
     message = peer.query_message(target_file)
@@ -217,8 +218,7 @@ def execute_query(
         wave_time = now + wave_offset
         waves += 1
         wave_slip = 0.0
-        defense = peer.defense
-        breakers = peer.breakers
+        defense, breakers = peer.defense, peer.breakers
         for entry in wave:
             address = entry.address
             if breakers is not None and not breakers.allow(address, wave_time):
@@ -227,7 +227,7 @@ def execute_query(
                 suppressed += 1
                 continue
             if defense is not None and defense.blocked(address):
-                peer.link_cache.evict(address)
+                link_cache.evict(address)
                 continue
             if retry is None:
                 outcome = transport.probe(
@@ -259,7 +259,7 @@ def execute_query(
                 if departed_at is not None and entry.born < departed_at:
                     stale_dead += 1
                 # Discovered-dead entries leave the link cache immediately.
-                evicted = peer.link_cache.evict(address)
+                evicted = link_cache.evict(address)
                 if evicted:
                     dead_evictions += 1
                 if outcome.spurious:
@@ -281,7 +281,7 @@ def execute_query(
                 elif not protocol.do_backoff:
                     # The paper's inherent throttling: treat the refusal
                     # like a death so the entry stops circulating in pongs.
-                    if peer.link_cache.evict(address):
+                    if link_cache.evict(address):
                         refusal_evictions += 1
                 continue
 
@@ -293,9 +293,9 @@ def execute_query(
                 raise TypeError(f"query probe returned {reply!r}")
 
             # Reset NumRes from this response (Section 2.1); refresh TS.
-            entry.record_results(reply.num_results, wave_time)
-            peer.link_cache.record_results(address, reply.num_results, wave_time)
-            if reply.num_results > 0 and address not in peer.link_cache:
+            if not link_cache.record_results(address, reply.num_results, wave_time):
+                entry.record_results(reply.num_results, wave_time)  # not resident
+            if reply.num_results > 0 and address not in link_cache:
                 # A productive query-cache entry qualifies for the link
                 # cache ("qualifying entries may be inserted", §2.3).
                 peer.offer_entry_to_link_cache(entry, wave_time)

@@ -17,8 +17,13 @@ settings.register_profile(
 settings.load_profile("repro")
 
 from repro.core.entry import CacheEntry
+from repro.core.link_cache import LinkCache
 from repro.core.params import ProtocolParams, SystemParams
-from repro.core.policies import PolicySet, get_ordering_policy
+from repro.core.policies import (
+    PolicySet,
+    get_ordering_policy,
+    get_replacement_policy,
+)
 from repro.core.query_cache import QueryCache
 
 
@@ -69,3 +74,33 @@ def make_query_cache(
 def cached(cache, address: int) -> CacheEntry | None:
     """The entry a link cache holds for ``address``, or None."""
     return next((e for e in cache.iter_entries() if e.address == address), None)
+
+
+def cache_of(entries) -> LinkCache:
+    """A link cache holding exactly ``entries``, in order (no contest ran).
+
+    Where a policy's order over a list is read: a key-based policy's
+    ranking lives in the cache, a Random one draws from its entries.
+    """
+    cache = LinkCache(len(entries), owner=None)
+    fill = get_replacement_policy("Random")
+    for entry in entries:
+        assert cache.insert(entry, fill, 0.0, random.Random(0))
+    return cache
+
+
+def victim_end(policy, entries):
+    """The entry a full cache of ``entries`` would evict under key-based
+    ``policy`` (its ranking's last), or None for no entries."""
+    return next(reversed(cache_of(entries).ranking(policy).entries), None)
+
+
+def contest(policy, residents, candidate, now, rng) -> CacheEntry:
+    """The victim of one eviction contest: ``candidate`` offered to a full
+    cache of ``residents`` under replacement ``policy``."""
+    cache = LinkCache(len(residents), owner=None)
+    for entry in residents:
+        cache.insert(entry, policy, now, rng)
+    if not cache.insert(candidate, policy, now, rng):
+        return candidate
+    return next(e for e in residents if e.address not in cache)

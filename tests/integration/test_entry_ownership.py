@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
 from tests.integration import test_determinism as pins
+from tests.property.test_policy_properties import _oracle_rank
 
 
 def assert_no_entry_has_two_owners(sim: GuessSimulation) -> None:
@@ -43,3 +44,29 @@ def test_all_armed_run_shares_no_entry():
     report = sim.report()
     assert report.gossip_pushes > 0 and report.freshness_refresh_imports > 0
     assert_no_entry_has_two_owners(sim)
+
+
+def test_keyed_rankings_stay_sorted_through_whole_runs():
+    # The owner is also the only writer: a resident's TS and NumRes change
+    # through its ``LinkCache``, which keeps every ranking it holds in
+    # order.  A write that bypasses it (the query loop updating the entry
+    # it popped, say) leaves a ranking stale, and a fresh sort tells.
+    recipe = pins.TestKeyedPin
+    for plans in ({}, pins.TestAllArmedPin.PLANS):
+        sim = GuessSimulation(recipe.SYSTEM, recipe.PROTOCOL, seed=7, **plans)
+        sim.run(200.0)
+        policies = sim.policies
+        roles = (policies.query_pong, policies.ping_probe, policies.ping_pong,
+                 policies.replacement)
+        checked = 0
+        for peer in sim.store.live_peers():
+            for policy in roles:
+                held = peer.link_cache.ranking(policy).entries
+                fresh = sorted(
+                    peer.link_cache.entries(), key=_oracle_rank(policy.name),
+                    reverse=True,
+                )
+                assert [id(e) for e in held] == [id(e) for e in fresh]
+                checked += len(held)
+        assert checked > len(sim.store)
+        assert_no_entry_has_two_owners(sim)

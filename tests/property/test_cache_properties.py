@@ -9,8 +9,17 @@ from hypothesis import strategies as st
 
 from repro.core.entry import CacheEntry
 from repro.core.link_cache import LinkCache
-from repro.core.policies import get_replacement_policy
+from repro.core.policies import (
+    REPLACEMENT_KEY_POLICY,
+    get_ordering_policy,
+    get_replacement_policy,
+)
 from tests.conftest import cached, make_query_cache
+from tests.property.test_policy_properties import (
+    _ORACLE_KEYS,
+    _oracle_rank,
+    _same_objects,
+)
 
 entry_strategy = st.builds(
     CacheEntry,
@@ -67,9 +76,9 @@ def test_link_cache_first_writer_wins(entries, replacement_name):
 
 
 class _ListCache:
-    """Reference the link cache must equal: residents in a plain list,
-    the victim picked by ``Policy.choose_victim`` over
-    ``residents + [candidate]``."""
+    """Reference the link cache must equal: residents in a plain list, the
+    victim Random's ``choose_victim`` draw over ``residents + [candidate]``,
+    or for a key-based policy ``min`` over them on the tuple-key oracle."""
 
     def __init__(self, capacity, owner):
         self.capacity = capacity
@@ -85,7 +94,11 @@ class _ListCache:
         if self.capacity == 0:
             return False
         if len(self.residents) >= self.capacity:
-            victim = policy.choose_victim(self.residents + [entry], now, rng)
+            contestants = self.residents + [entry]
+            if policy.randomized:
+                victim = policy.choose_victim(contestants, now, rng)
+            else:
+                victim = min(contestants, key=_oracle_rank(policy.name))
             if victim is entry:
                 return False
             self.residents = [e for e in self.residents if e is not victim]
@@ -106,8 +119,10 @@ class _ListCache:
 
     def record_results(self, address, num_results, now):
         entry = self.get(address)
-        if entry is not None:
-            entry.record_results(num_results, now)
+        if entry is None:
+            return False
+        entry.record_results(num_results, now)
+        return True
 
 
 #: Addresses 100.. are the prefilled residents, so ops hit both
@@ -209,3 +224,120 @@ def test_query_cache_pop_is_terminal(entries, policy_name):
     for entry in entries:
         if entry.address in popped:
             assert not cache.add(entry)
+
+
+# ----------------------------------------------------------------------
+# The link cache keeps each key-based order: after every operation, every
+# ranking it holds is a fresh sort on the tuple-key oracle.
+# ----------------------------------------------------------------------
+
+_KEYED = ["MRU", "LRU", "MFS", "MR"]
+
+#: Few distinct values, so ties are the rule: a pong stamps one TS on
+#: five entries, NumRes is mostly 0, free riders share 0 files.  Address
+#: 0 is the owner's; 1..12 are prefilled, so most operations meet a
+#: resident.
+_tied_addresses = st.integers(min_value=0, max_value=15)
+_TIES = [0.0, 12.5, 300.0]
+_tied_times = st.sampled_from(_TIES)
+_ranked_ops = st.one_of(
+    st.tuples(
+        st.just("insert"),
+        st.builds(
+            CacheEntry,
+            address=_tied_addresses,
+            ts=_tied_times,
+            num_files=st.sampled_from([0, 0, 3, 17, 60_000]),
+            num_res=st.integers(min_value=0, max_value=1),
+        ),
+    ),
+    st.tuples(st.just("evict"), _tied_addresses),
+    st.tuples(st.just("touch"), _tied_addresses, _tied_times),
+    st.tuples(
+        st.just("record_results"),
+        _tied_addresses,
+        st.integers(min_value=0, max_value=1),
+        _tied_times,
+    ),
+    st.tuples(st.just("pong"), st.sampled_from(_KEYED + ["Random"]),
+              st.integers(min_value=0, max_value=6)),
+    st.tuples(st.just("ping"), st.sampled_from(_KEYED + ["Random"])),
+)
+
+
+def _fields(entries):
+    return [(e.address, e.ts, e.num_files, e.num_res) for e in entries]
+
+
+@given(
+    st.lists(_ranked_ops, min_size=5, max_size=80),
+    st.sampled_from([0, 1, 3, 10, 30]),
+    st.sampled_from(sorted(REPLACEMENT_KEY_POLICY)),
+    st.sets(st.sampled_from(_KEYED)),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=300, deadline=None)
+def test_every_ranking_is_a_fresh_oracle_sort(ops, capacity, replacement_name,
+                                             watched, prefill, seed):
+    """Insert / evict / touch / record_results under every replacement
+    policy, with pongs and ping targets under every ordering in between:
+    after each step every ranking the cache holds — the ``watched`` ones
+    from the start, the others from the pong or ping that first asked —
+    is the oracle's sort of the residents (same objects, and the ranks the
+    oracle's keys, negated), the pong is the oracle's top k, the ping
+    target its best, and the stream is where the list model's is."""
+    replacement = get_replacement_policy(replacement_name)
+    cache = LinkCache(capacity, owner=0)
+    model = _ListCache(capacity, owner=0)
+    rng_cache, rng_model = random.Random(seed), random.Random(seed)
+    asked = {name: get_ordering_policy(name) for name in watched}
+    for policy in asked.values():
+        assert cache.ranking(policy).entries == []
+    if prefill:
+        ops = [
+            ("insert", CacheEntry(a, _TIES[a % 3], a % 2, a % 3 // 2))
+            for a in range(1, 13)
+        ] + ops
+    for op, *args in ops:
+        if op == "insert":
+            (entry,) = args
+            got = cache.insert(entry.copy(), replacement, 0.0, rng_cache)
+            want = model.insert(entry.copy(), replacement, 0.0, rng_model)
+        elif op in ("pong", "ping"):
+            name, *k = args
+            policy = get_ordering_policy(name)
+            residents = cache.entries()
+            if op == "pong":
+                got = cache.select_top(policy, k[0], 0.0, rng_cache)
+            else:
+                got = cache.select_best(policy, 0.0, rng_cache)
+            if policy.randomized:
+                want = (
+                    policy.select_top(residents, k[0], 0.0, rng_model)
+                    if op == "pong"
+                    else policy.select_best(residents, 0.0, rng_model)
+                )
+            else:
+                asked[name] = policy
+                ordered = sorted(residents, key=_oracle_rank(name), reverse=True)
+                want = ordered[: k[0]] if op == "pong" else next(iter(ordered), None)
+            if op == "pong":
+                _same_objects(got, want)
+            else:
+                assert got is want
+            continue
+        else:
+            got = getattr(cache, op)(*args)
+            want = getattr(model, op)(*args)
+            if op == "record_results":
+                want = model.get(args[0]) is not None
+        assert got == want
+        assert _fields(cache.entries()) == _fields(model.residents)
+        assert rng_cache.getstate() == rng_model.getstate()
+        for name, policy in asked.items():
+            ranking = cache.ranking(policy)
+            ordered = sorted(cache.entries(), key=_oracle_rank(name), reverse=True)
+            _same_objects(ranking.entries, ordered)
+            assert ranking.ranks == [-_ORACLE_KEYS[name](e) for e in ordered]
+    assert rng_cache.getstate() == rng_model.getstate()

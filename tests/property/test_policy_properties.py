@@ -13,6 +13,7 @@ from repro.core.policies import (
     get_ordering_policy,
     get_replacement_policy,
 )
+from tests.conftest import cache_of, contest, victim_end
 
 # Unique addresses so ties break deterministically but entries differ.
 entry_lists = st.lists(
@@ -35,7 +36,8 @@ all_policies = st.sampled_from(["Random", "MRU", "LRU", "MFS", "MR"])
 @settings(max_examples=100)
 def test_order_is_permutation(entries, policy_name, seed):
     policy = get_ordering_policy(policy_name)
-    ordered = policy.order(entries, 1e5, random.Random(seed))
+    cache = cache_of(entries)
+    ordered = cache.select_top(policy, len(entries), 1e5, random.Random(seed))
     assert sorted(e.address for e in ordered) == sorted(
         e.address for e in entries
     )
@@ -45,7 +47,7 @@ def test_order_is_permutation(entries, policy_name, seed):
 @settings(max_examples=100)
 def test_order_sorted_by_key(entries, policy_name):
     policy = get_ordering_policy(policy_name)
-    ordered = policy.order(entries, 1e5, random.Random(0))
+    ordered = cache_of(entries).ranking(policy).entries
     keys = [policy.key(e, 1e5) for e in ordered]
     assert keys == sorted(keys, reverse=True)
 
@@ -54,9 +56,8 @@ def test_order_sorted_by_key(entries, policy_name):
 @settings(max_examples=100)
 def test_best_and_victim_are_extremes(entries, policy_name):
     policy = get_ordering_policy(policy_name)
-    rng = random.Random(0)
-    best = policy.select_best(entries, 1e5, rng)
-    victim = policy.choose_victim(entries, 1e5, rng)
+    best = cache_of(entries).select_best(policy, 1e5, random.Random(0))
+    victim = victim_end(policy, entries)
     if not entries:
         assert best is None and victim is None
         return
@@ -74,7 +75,7 @@ def test_best_and_victim_are_extremes(entries, policy_name):
 @settings(max_examples=100)
 def test_select_top_size_and_membership(entries, k, policy_name, seed):
     policy = get_ordering_policy(policy_name)
-    top = policy.select_top(entries, k, 1e5, random.Random(seed))
+    top = cache_of(entries).select_top(policy, k, 1e5, random.Random(seed))
     assert len(top) == min(k, len(entries))
     addresses = [e.address for e in top]
     assert len(set(addresses)) == len(addresses)
@@ -86,9 +87,9 @@ def test_select_top_size_and_membership(entries, k, policy_name, seed):
 @settings(max_examples=100)
 def test_select_top_prefix_of_order(entries, policy_name):
     policy = get_ordering_policy(policy_name)
-    rng = random.Random(0)
-    ordered = policy.order(entries, 1e5, rng)
-    top3 = policy.select_top(entries, 3, 1e5, rng)
+    cache = cache_of(entries)
+    ordered = cache.ranking(policy).entries
+    top3 = cache.select_top(policy, 3, 1e5, random.Random(0))
     assert [e.address for e in top3] == [e.address for e in ordered[:3]]
 
 
@@ -124,7 +125,10 @@ def test_random_select_top_is_random_sample_draw_for_draw(seed):
 @settings(max_examples=100)
 def test_replacement_victim_is_member(entries, replacement_name):
     policy = get_replacement_policy(replacement_name)
-    victim = policy.choose_victim(entries, 1e5, random.Random(0))
+    if policy.randomized:
+        victim = policy.choose_victim(entries, 1e5, random.Random(0))
+    else:
+        victim = victim_end(policy, entries)
     if entries:
         assert victim in entries
     else:
@@ -177,12 +181,14 @@ def test_selection_matches_the_tuple_key_oracle(entries, policy_name):
     rng = random.Random(3)
     state = rng.getstate()
     ordered = sorted(entries, key=rank, reverse=True)
-    _same_objects(policy.order(entries, 60.0, rng), ordered)
-    _same_objects(policy.order(iter(entries), 60.0, rng), ordered)
+    cache = cache_of(entries)
+    _same_objects(cache.ranking(policy).entries, ordered)
+    # Built from the residents in any insertion order: the same ranking.
+    _same_objects(cache_of(entries[::-1]).ranking(policy).entries, ordered)
     for k in range(len(entries) + 2):
-        _same_objects(policy.select_top(entries, k, 60.0, rng), ordered[:k])
-    best = policy.select_best(entries, 60.0, rng)
-    victim = policy.choose_victim(entries, 60.0, rng)
+        _same_objects(cache.select_top(policy, k, 60.0, rng), ordered[:k])
+    best = cache.select_best(policy, 60.0, rng)
+    victim = victim_end(policy, entries)
     if entries:
         assert best is max(entries, key=rank)
         assert victim is min(entries, key=rank)
@@ -200,10 +206,10 @@ def test_selection_matches_the_tuple_key_oracle(entries, policy_name):
 )
 @settings(max_examples=150, deadline=None)
 def test_contest_matches_the_tuple_key_oracle(entries, policy_name, standing, where):
-    """``choose_victim_from`` over a ``dict.values()`` view, as ``LinkCache``
-    calls it, against ``min`` over residents + candidate on the tuple key:
-    the candidate tied with the residents' worst, strictly worse than all
-    of them and strictly better, its address above, below and among theirs.
+    """A full ``LinkCache``'s contest against ``min`` over residents +
+    candidate on the tuple key: the candidate tied with the residents'
+    worst, strictly worse than all of them and strictly better, its
+    address above, below and among theirs.
     """
     policy = get_ordering_policy(policy_name)
     rank = _oracle_rank(policy_name)
@@ -221,12 +227,9 @@ def test_contest_matches_the_tuple_key_oracle(entries, policy_name, standing, wh
         value = -1 if low else 10**9
         fields = dict(ts=float(value), num_files=value, num_res=value)
     candidate = CacheEntry(address=address, **fields)
-    residents = {e.address: e for e in entries}
     rng = random.Random(3)
     state = rng.getstate()
-    victim = policy.choose_victim_from(
-        residents.values(), len(residents), candidate, 60.0, rng
-    )
+    victim = contest(policy, entries, candidate, 60.0, rng)
     assert victim is min(entries + [candidate], key=rank)
     if standing != "tied":
         assert (victim is candidate) == (standing == "worst")
