@@ -39,14 +39,13 @@ from repro.core.params import (
     SystemParams,
     default_cache_seed_size,
 )
-from repro.core.peer import GuessPeer
+from repro.core.peer import GuessPeer, ProbeTally
 from repro.core.peer_store import PeerStore
 from repro.core.policies import PolicySet
 from repro.core.search import QueryResult, execute_query
 from repro.errors import ConfigError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.faults.retry import probe_with_retry
 from repro.freshness.mediator import FreshnessMediator
 from repro.freshness.plan import FreshnessPlan
 from repro.metrics.collectors import (
@@ -566,93 +565,29 @@ class GuessSimulation:
         )
 
     def _do_ping(self, peer: GuessPeer, now: float) -> None:
-        """One maintenance ping per Section 2.2.
-
-        With ``probe_retries > 0`` a timed-out ping is re-sent per the
-        retry policy before the entry is declared dead — over a lossy
-        wire this is what separates corpse collection from wrongful
-        eviction of live neighbours.
-        """
+        """One maintenance ping per Section 2.2 (see :meth:`GuessPeer.probe_entry`)."""
         entry = peer.choose_ping_target(now)
         if entry is None:
             return
-        breakers = peer.breakers
-        if breakers is not None and not breakers.allow(entry.address, now):
+        tally = ProbeTally()
+        if peer.breakers is not None and not peer.breakers.allow(entry.address, now):
             # Open breaker: spare the overloaded target this ping and
             # keep the entry cached for the half-open trial later.
-            self.collector.record_suppressed_ping(now)
+            tally.suppressed_probes += 1
+            self.collector.record_ping(tally, now)
             return
-        retry = self.policies.retry
-        if retry is None:
-            outcome = self.transport.probe(
-                peer.address, entry.address, peer.ping_message(), now
-            )
-            retries = 0
-            recovered = False
-            denied = False
-        else:
-            attempt = probe_with_retry(
-                self.transport,
-                retry,
-                peer.address,
-                entry.address,
-                peer.ping_message(),
-                now,
-                peer.retry_budget,
-            )
-            outcome = attempt.outcome
-            retries = attempt.retries
-            recovered = attempt.recovered
-            denied = attempt.denied
-        if outcome.status is ProbeStatus.TIMEOUT:
-            evicted = peer.link_cache.evict(entry.address)
-            if breakers is not None:
-                breakers.discard(entry.address)
-            # Omniscient fresh-vs-stale split: stale means the pointer
-            # was acquired before its target departed (preventable by
-            # push invalidation); dead-on-arrival imports and ghost
-            # addresses count as fresh (no notice could have helped).
-            departed_at = self.transport.departure_time(entry.address)
-            self.collector.record_ping(
-                dead=True,
-                time=now,
-                spurious=outcome.spurious,
-                retries=retries,
-                wrongful=outcome.spurious and evicted,
-                dead_evicted=evicted,
-                denied=denied,
-                stale=departed_at is not None and entry.born < departed_at,
-            )
-            return
-        if outcome.status is ProbeStatus.REFUSED:
-            refusal_evicted = False
-            if breakers is not None:
-                # The breaker substitutes for refusal eviction: the
-                # entry stays cached, probes stop once it trips.
-                breakers.record_refusal(entry.address, now)
-                if self.freshness is not None:
-                    self.freshness.notify_overload(peer, entry.address, now)
-            elif not self.protocol.do_backoff:
-                refusal_evicted = peer.link_cache.evict(entry.address)
-            self.collector.record_ping(
-                dead=False,
-                time=now,
-                retries=retries,
-                recovered=recovered,
-                refusal_evicted=refusal_evicted,
-                denied=denied,
-            )
-            return
-        if breakers is not None:
-            breakers.record_success(entry.address)
-        peer.link_cache.touch(entry.address, now)
-        peer.import_pong_to_link_cache(outcome.response, now)
-        self.collector.record_ping(
-            dead=False, time=now, retries=retries, recovered=recovered,
-            denied=denied,
+        outcome, _ = peer.probe_entry(
+            entry, peer.ping_message(), self.transport, now, tally
         )
-        if self.gossip is not None and outcome.response.entries:
-            self.gossip.seed_rumor(peer, outcome.response, now)
+        self.collector.record_ping(tally, now)
+        status = outcome.status
+        if status is ProbeStatus.DELIVERED:
+            peer.link_cache.touch(entry.address, now)
+            peer.import_pong_to_link_cache(outcome.response, now)
+            if self.gossip is not None and outcome.response.entries:
+                self.gossip.seed_rumor(peer, outcome.response, now)
+        elif status is ProbeStatus.REFUSED and self.freshness is not None:
+            self.freshness.notify_overload(peer, entry.address, now)
 
     # ------------------------------------------------------------------
     # Queries

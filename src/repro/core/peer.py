@@ -17,7 +17,9 @@ cycle and query loop, driven by :mod:`repro.core.network_sim` and
 * apply the introduction rule: cache the prober with probability
   ``IntroProb`` (Section 2.2);
 * import pong entries through the CacheReplacement policy, honouring the
-  MR* ``reset_num_results`` ingestion rule.
+  MR* ``reset_num_results`` ingestion rule;
+* apply a probe's outcome to the prober's own cache, for pings and query
+  probes alike (:meth:`GuessPeer.probe_entry`).
 """
 
 from __future__ import annotations
@@ -40,12 +42,34 @@ from repro.core.messages import (
 )
 from repro.core.params import ProtocolParams
 from repro.core.policies import PolicySet
+from repro.faults.retry import probe_with_retry
 from repro.network.address import Address
+from repro.network.transport import ProbeOutcome, ProbeStatus, Transport
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.budget import RetryBudget
 from repro.resilience.policy import ResiliencePolicy
 from repro.sim.windows import BucketedRateLimiter
 from repro.workload.content import ContentModel
+
+
+class ProbeTally:
+    """Probe counts, named as :class:`~repro.core.search.QueryResult` names them.
+
+    A query keeps one for all its probes, a maintenance ping one of its own.
+    """
+
+    __slots__ = (
+        "probes", "good_probes", "dead_probes", "refused_probes",
+        "stale_dead_probes", "spurious_timeouts", "retries",
+        "retry_recoveries", "wrongful_evictions", "dead_evictions",
+        "refusal_evictions", "suppressed_probes", "retries_denied",
+    )
+
+    def __init__(self) -> None:
+        self.probes = self.good_probes = self.dead_probes = self.refused_probes = 0
+        self.stale_dead_probes = self.spurious_timeouts = self.retries = 0
+        self.retry_recoveries = self.wrongful_evictions = self.dead_evictions = 0
+        self.refusal_evictions = self.suppressed_probes = self.retries_denied = 0
 
 
 class GuessPeer:
@@ -111,9 +135,6 @@ class GuessPeer:
         "probes_received",
         "probes_refused",
         "pings_shed",
-        "pings_received",
-        "queries_received",
-        "results_served",
     )
 
     def __init__(
@@ -183,9 +204,6 @@ class GuessPeer:
         self.probes_received = 0
         self.probes_refused = 0
         self.pings_shed = 0
-        self.pings_received = 0
-        self.queries_received = 0
-        self.results_served = 0
 
     # ------------------------------------------------------------------
     # Liveness (Endpoint protocol)
@@ -234,17 +252,14 @@ class GuessPeer:
         raise TypeError(f"unsupported probe message: {message!r}")
 
     def _handle_ping(self, message: Ping, time: float) -> Pong:
-        self.pings_received += 1
         pong = self.make_pong(self.policies.ping_pong, time)
         self._maybe_introduce(message.sender, message.sender_num_files, time)
         return pong
 
     def _handle_query(self, message: Query, time: float) -> QueryReply:
-        self.queries_received += 1
         num_results = (
             1 if ContentModel.matches(self.library, message.target_file) else 0
         )
-        self.results_served += num_results
         pong = self.make_pong(self.policies.query_pong, time)
         self._maybe_introduce(message.sender, message.sender_num_files, time)
         return QueryReply(self.address, num_results, pong)
@@ -351,6 +366,74 @@ class GuessPeer:
             ):
                 inserted += 1
         return inserted
+
+    def probe_entry(
+        self,
+        entry: CacheEntry,
+        message: Ping | Query,
+        transport: Transport,
+        now: float,
+        tally: ProbeTally,
+    ) -> Tuple[ProbeOutcome, float]:
+        """Probe a cached entry, apply the outcome here, add its counts to ``tally``.
+
+        The message goes out through the retry policy when one is set.  A
+        timeout evicts the entry and drops its breaker; a refusal counts
+        against the breaker, or evicts under ``do_backoff=False`` without
+        breakers; a delivery closes the breaker.  Returns the outcome and
+        the virtual seconds its retries waited (0.0 without retries).
+        """
+        address = entry.address
+        retry = self.policies.retry
+        tally.probes += 1
+        if retry is None:
+            outcome = transport.probe(self.address, address, message, now)
+            delay = 0.0
+        else:
+            attempt = probe_with_retry(
+                transport, retry, self.address, address, message, now,
+                self.retry_budget,
+            )
+            outcome, delay = attempt.outcome, attempt.delay
+            tally.retries += attempt.retries
+            if attempt.recovered:
+                tally.retry_recoveries += 1
+            if attempt.denied:
+                tally.retries_denied += 1
+        status = outcome.status
+        breakers = self.breakers
+        if status is ProbeStatus.DELIVERED:
+            tally.good_probes += 1
+            if breakers is not None:
+                breakers.record_success(address)
+        elif status is ProbeStatus.REFUSED:
+            tally.refused_probes += 1
+            if breakers is not None:
+                # The breaker substitutes for refusal eviction: the
+                # entry stays cached, probes stop once it trips.
+                breakers.record_refusal(address, now)
+            elif not self.protocol.do_backoff and self.link_cache.evict(address):
+                # The paper's inherent throttling: treat the refusal like
+                # a death so the entry stops circulating in pongs.
+                tally.refusal_evictions += 1
+        else:
+            tally.dead_probes += 1
+            # Omniscient fresh-vs-stale split: stale means the pointer was
+            # acquired before its target departed (push invalidation could
+            # have purged it); dead-on-arrival imports and ghosts are fresh.
+            departed_at = transport.departure_time(address)
+            if departed_at is not None and entry.born < departed_at:
+                tally.stale_dead_probes += 1
+            evicted = self.link_cache.evict(address)
+            if evicted:
+                tally.dead_evictions += 1
+            if outcome.spurious:
+                tally.spurious_timeouts += 1
+                if evicted:
+                    tally.wrongful_evictions += 1
+            if breakers is not None:
+                breakers.discard(address)
+        return outcome, delay
 
     def offer_entry_to_link_cache(self, entry: CacheEntry, now: float) -> bool:
         """Offer one (already-imported) entry to the link cache."""

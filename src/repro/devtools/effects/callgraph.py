@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.devtools.effects.model import CallEdge, FunctionInfo
+from repro.devtools.effects.model import CallEdge, Effect, EffectSite, FunctionInfo
 from repro.devtools.effects.symbols import (
+    PATH_IO_ATTRS,
     RECV_MODULE,
     RECV_SELF,
     RECV_TYPED,
@@ -194,6 +195,28 @@ def _resolve_attr_call(
     return None
 
 
+def _path_io(
+    program: Program, table: ModuleTable, owner: FunctionInfo, call: RawCall
+) -> None:
+    """Tag a :data:`PATH_IO_ATTRS` call as path I/O unless it is the program's.
+
+    A receiver that may be a program object is presumed to be one when a
+    program class defines the method, so ``entry.touch(now)`` is
+    ``CacheEntry.touch``; an evidently outside receiver, or a name no
+    program class defines, is path I/O.  The first site in source order
+    wins, as for every direct effect.
+    """
+    if call.receiver is not None and call.receiver[0] == RECV_MODULE:
+        return
+    if not call.outside and call.attr in program.method_definers:
+        return
+    first = owner.direct.get(Effect.FILE_IO)
+    if first is None or call.line < first.line:
+        owner.direct[Effect.FILE_IO] = EffectSite(
+            table.path, call.line, f".{call.attr}() path I/O"
+        )
+
+
 def _resolve_calls(program: Program) -> None:
     """Fill every function's resolved ``calls`` list from its raw calls."""
     for module_name in sorted(program.modules):
@@ -208,6 +231,8 @@ def _resolve_calls(program: Program) -> None:
                     resolved = _resolve_name_call(program, table, call)
                 elif call.attr is not None:
                     resolved = _resolve_attr_call(program, table, owner, call)
+                    if call.attr in PATH_IO_ATTRS:
+                        _path_io(program, table, owner, call)
                 if resolved is not None and resolved != qualname:
                     owner.calls.append(CallEdge(callee=resolved, line=call.line))
                 elif resolved is None:

@@ -44,7 +44,8 @@ OS_FILE_FUNCS = frozenset(
     }
 )
 
-#: Attribute names that read/write paths regardless of receiver type.
+#: Attribute names that read/write paths when called on a path (the call
+#: graph decides which receivers are, ``RawCall.outside``).
 PATH_IO_ATTRS = frozenset(
     {
         "write_text", "read_text", "write_bytes", "read_bytes",
@@ -69,12 +70,16 @@ class RawCall:
     plus ``receiver`` for attribute calls (``obj.method(...)``), where
     ``receiver`` is ``(kind, value)``: a module fqn, the local class name
     of ``self``/``cls``, a statically known instance type, or ``None``.
+    ``outside`` marks a :data:`PATH_IO_ATTRS` call whose receiver is
+    evidently no program object: a ``/`` join, or rooted at a name
+    imported from outside ``repro`` (``Path(p).touch()``).
     """
 
     line: int
     func_name: Optional[str] = None
     attr: Optional[str] = None
     receiver: Optional[Tuple[str, str]] = None
+    outside: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -505,7 +510,10 @@ class _ModuleExtractor(ast.NodeVisitor):
             self._direct_effects_name_call(node, func.id)
         elif isinstance(func, ast.Attribute):
             receiver = self._receiver_of(func.value)
-            raw = RawCall(line=node.lineno, attr=func.attr, receiver=receiver)
+            outside = func.attr in PATH_IO_ATTRS and self._outside(func.value, receiver)
+            raw = RawCall(
+                line=node.lineno, attr=func.attr, receiver=receiver, outside=outside
+            )
             self._direct_effects_attr_call(node, func, receiver)
         if raw is not None:
             self.table.raw_calls[self._current.qualname].append(raw)
@@ -576,9 +584,6 @@ class _ModuleExtractor(ast.NodeVisitor):
         if module in FILE_IO_MODULES:
             self._effect(Effect.FILE_IO, node, f"{module}.{attr}() call")
             return
-        if module is None and attr in PATH_IO_ATTRS:
-            self._effect(Effect.FILE_IO, node, f".{attr}() path I/O")
-            return
         if attr in SCHEDULE_ATTRS:
             self._effect(Effect.SCHEDULE, node, f".{attr}() event insertion")
             return
@@ -589,6 +594,20 @@ class _ModuleExtractor(ast.NodeVisitor):
             self._effect(Effect.RNG_DRAW, node, "rng.stream() acquisition")
         elif attr == "derive_seed":
             self._effect(Effect.RNG_DRAW, node, "derive_seed() consumption")
+
+    def _outside(self, value: ast.expr, receiver: Optional[Tuple[str, str]]) -> bool:
+        """Whether a receiver is evidently no program object (``RawCall.outside``)."""
+        if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Div):
+            return True
+        if receiver is not None and receiver[0] == RECV_TYPED:
+            name = receiver[1]
+        else:
+            while isinstance(value, (ast.Call, ast.Attribute, ast.Subscript)):
+                value = value.func if isinstance(value, ast.Call) else value.value
+            name = value.id if isinstance(value, ast.Name) else ""
+        origin = self.table.from_imports.get(name)
+        module = origin[0] if origin else self.table.module_aliases.get(name)
+        return module is not None and module.split(".")[0] != "repro"
 
     def _is_datetime_receiver(self, value: ast.expr) -> bool:
         if isinstance(value, ast.Attribute):

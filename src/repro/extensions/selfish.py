@@ -50,10 +50,10 @@ class ProbeBudget:
         capacity: float,
         initial: Optional[float] = None,
     ) -> None:
-        if refill_rate < 0:
+        if not refill_rate >= 0:  # written so that NaN fails
             raise ConfigError(f"refill_rate must be >= 0, got {refill_rate}")
-        if capacity <= 0:
-            raise ConfigError(f"capacity must be > 0, got {capacity}")
+        if not 0 < capacity < float("inf"):
+            raise ConfigError(f"capacity must be > 0 and finite, got {capacity}")
         self.refill_rate = float(refill_rate)
         self.capacity = float(capacity)
         self._credit = float(capacity if initial is None else initial)

@@ -1,10 +1,8 @@
 """Probe retries with backoff.
 
-Over a lossy network a timeout no longer implies a dead peer, so the
-probe paths (the query loop in :mod:`repro.core.search` and the
-maintenance-ping path in :mod:`repro.core.network_sim`) may retry a
-timed-out probe before concluding the target is gone.  This module
-supplies the shared pieces:
+Over a lossy network a timeout no longer implies a dead peer, so a
+probe (:meth:`repro.core.peer.GuessPeer.probe_entry`) may be re-sent
+before the target is concluded gone.  This module supplies the pieces:
 
 * :class:`RetryPolicy` — how many attempts, and the fixed/exponential
   backoff schedule between them (configured by the

@@ -24,6 +24,7 @@ target is dead and eviction remains the right answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -50,13 +51,15 @@ class BreakerSpec:
     cooldown: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
+        # Written so that NaN fails both checks.
+        if not 1 <= self.failure_threshold < math.inf:
             raise ScenarioError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
+                "failure_threshold must be >= 1 and finite, got "
+                f"{self.failure_threshold}"
             )
-        if self.cooldown <= 0.0:
+        if not 0.0 < self.cooldown < math.inf:
             raise ScenarioError(
-                f"cooldown must be > 0, got {self.cooldown}"
+                f"cooldown must be > 0 and finite, got {self.cooldown}"
             )
 
 

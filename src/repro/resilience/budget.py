@@ -38,11 +38,12 @@ class BudgetSpec:
     refill_interval: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
+        # Written so that NaN fails both checks.
+        if not self.capacity >= 1:
             raise ScenarioError(
                 f"capacity must be >= 1, got {self.capacity}"
             )
-        if self.refill_interval <= 0.0:
+        if not self.refill_interval > 0.0:
             raise ScenarioError(
                 f"refill_interval must be > 0, got {self.refill_interval}"
             )

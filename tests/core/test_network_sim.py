@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.messages import Query
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import BadPongBehavior, ProtocolParams, SystemParams
 from repro.errors import ConfigError, SimulationError
@@ -255,9 +256,13 @@ class TestMaliciousComposition:
             seed=4,
         )
         sim.run(600.0)
-        for peer in sim.live_peers:
-            if peer.malicious:
-                assert peer.results_served == 0
+        bad = [peer for peer in sim.live_peers if peer.malicious]
+        assert any(peer.probes_received for peer in bad)
+        for peer in bad:
+            for target in range(1, 50):
+                query = Query(sender=0, target_file=target)
+                accepted, reply = peer.receive_probe(query, sim.now)
+                assert not accepted or reply.num_results == 0
 
     def test_roster_matches_peers(self):
         sim = GuessSimulation(

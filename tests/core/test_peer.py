@@ -29,7 +29,7 @@ class TestPingHandling:
         accepted, response = peer.receive_probe(Ping(sender=2), 1.0)
         assert accepted
         assert isinstance(response, Pong)
-        assert peer.pings_received == 1
+        assert peer.probes_received == 1
 
     def test_pong_entries_are_copies(self):
         """A pong shows the responder's residents; the keeper clones them."""
@@ -72,7 +72,7 @@ class TestQueryHandling:
         assert accepted
         assert isinstance(reply, QueryReply)
         assert reply.num_results == 1
-        assert peer.results_served == 1
+        assert peer.probes_received == 1
 
     def test_no_match_returns_zero_with_pong(self):
         peer = make_peer(1, library=frozenset({42}))
@@ -84,7 +84,7 @@ class TestQueryHandling:
         peer = make_peer(1)
         peer.receive_probe(Query(sender=2, target_file=1), 1.0)
         peer.receive_probe(Query(sender=3, target_file=2), 1.0)
-        assert peer.queries_received == 2
+        assert peer.probes_received == 2
 
     def test_unknown_message_type_rejected(self):
         peer = make_peer(1)

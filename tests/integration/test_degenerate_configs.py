@@ -18,10 +18,13 @@ import pytest
 from repro.baselines.gossip import GossipPlan
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, ScenarioError, SimulationError
+from repro.extensions.selfish import ProbeBudget
 from repro.freshness import FreshnessPlan
 from repro.metrics.collectors import SimulationReport
 from repro.resilience import ChurnStorm, ScenarioPlan
+from repro.resilience.breaker import BreakerSpec
+from repro.resilience.budget import BudgetSpec
 
 TIMEOUT_SECONDS = 20
 
@@ -156,3 +159,35 @@ def test_degenerate_configuration_fails_typed_or_reports(case):
         report = simulate(**arguments)
     assert isinstance(report, SimulationReport)
     assert expected(report), report
+
+
+#: Specs whose NaN or infinite knob was accepted, then misbehaved: the
+#: bucket refilled at every tick, or the breaker never opened or never
+#: half-opened, or ``available()`` raised an untyped ``OverflowError``.
+SPECS = {
+    "budget-refill-interval-nan": (
+        lambda: BudgetSpec(refill_interval=math.nan),
+        ScenarioError,
+    ),
+    "breaker-cooldown-nan": (lambda: BreakerSpec(cooldown=math.nan), ScenarioError),
+    "breaker-cooldown-inf": (lambda: BreakerSpec(cooldown=math.inf), ScenarioError),
+    "breaker-threshold-nan": (
+        lambda: BreakerSpec(failure_threshold=math.nan),
+        ScenarioError,
+    ),
+    "probe-budget-refill-rate-nan": (
+        lambda: ProbeBudget(refill_rate=math.nan, capacity=10),
+        ConfigError,
+    ),
+    "probe-budget-capacity-inf": (
+        lambda: ProbeBudget(refill_rate=1.0, capacity=math.inf),
+        ConfigError,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SPECS)
+def test_non_finite_spec_fails_typed(case):
+    build, expected = SPECS[case]
+    with pytest.raises(expected):
+        build()

@@ -13,6 +13,7 @@ import inspect
 import random
 import re
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 from repro.baselines.gossip import GossipRelay
@@ -35,18 +36,19 @@ def test_src_size():
     # Ceiling may only be lowered: 20 752 lines before the execution
     # census (EXPERIMENTS.md) deleted what no workload, suite or CLI ran,
     # 19 688 before the metrics registry went, 19 171 before query spans,
-    # 18 778 before the link cache kept the keyed orders.
-    assert sum(line_count(path) for path in SRC.rglob("*.py")) <= 18776
+    # 18 778 before the link cache kept the keyed orders, 18 776 before a
+    # probe's outcome was applied and booked in one place.
+    assert sum(line_count(path) for path in SRC.rglob("*.py")) <= 18684
 
 
 def test_network_sim_runs_the_lifecycle_only():
     # Ceiling may only be lowered (ROADMAP item 6(b) targets < 600).
-    assert line_count(SRC / "core" / "network_sim.py") <= 823
+    assert line_count(SRC / "core" / "network_sim.py") <= 758
 
 
 def test_collectors_size():
     # Ceiling may only be lowered (ROADMAP item 6(b) targets < 500).
-    assert line_count(SRC / "metrics" / "collectors.py") <= 717
+    assert line_count(SRC / "metrics" / "collectors.py") <= 627
 
 
 def test_a_count_is_an_int():
@@ -86,11 +88,44 @@ def test_one_probe_loop_size():
     # Ceilings may only be lowered: a search variant is a width rule
     # ``execute_query`` asks, never a second copy of its loop.
     search = line_count(SRC / "core" / "search.py")
-    assert search <= 362
+    assert search <= 296
     extensions = sorted((SRC / "extensions").glob("*.py"))
     assert sum(line_count(path) for path in extensions) <= 733
     # §2.3 is one structure: the loop plus the cache it pops from.
-    assert search + line_count(SRC / "core" / "query_cache.py") <= 478
+    assert search + line_count(SRC / "core" / "query_cache.py") <= 412
+
+
+def test_a_probe_is_booked_once():
+    # A ping and a query probe share one outcome rule and one tally
+    # (``GuessPeer.probe_entry``): a second copy of the retry branch, or of
+    # the evict / breaker / stale-split block, is what this forbids.
+    from repro.core.peer import ProbeTally
+    from repro.core.search import QueryResult
+    from repro.metrics.collectors import MetricsCollector, SimulationReport, _Tally
+
+    callers = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if "probe_with_retry(" in line and "def probe_with_retry(" not in line
+    ]
+    assert callers == ["core/peer.py"], callers
+    for relative in ("core/network_sim.py", "core/search.py"):
+        source = (SRC / relative).read_text(encoding="utf-8")
+        for gone in ("breakers.discard", "record_refusal", "record_success"):
+            assert gone not in source, (relative, gone)
+    parameters = list(inspect.signature(MetricsCollector.record_ping).parameters)
+    assert parameters == ["self", "tally", "time"]
+    assert not hasattr(MetricsCollector, "record_suppressed_ping")
+    # The per-probe counts are the query's; the collector's tally is the
+    # report's ``int`` fields, not a hand-written list of its own.
+    counts = {f.name for f in fields(QueryResult) if f.type == "int"} - {"results"}
+    assert set(ProbeTally.__slots__) == counts
+    collectors = (SRC / "metrics" / "collectors.py").read_text(encoding="utf-8")
+    assert "class _Tally" not in collectors
+    assert [f.name for f in fields(_Tally)] == [
+        f.name for f in fields(SimulationReport) if f.type == "int"
+    ]
 
 
 def test_the_query_cache_is_the_candidate_pool():
