@@ -30,11 +30,15 @@ would be action-at-a-distance that no real network has.  The rule that
 keeps it so: *a pong shows entries; whoever keeps one clones it*.  A
 :class:`~repro.core.messages.Pong` carries the responder's own resident
 objects as a view valid for the exchange; the receiver reads them and
-stores only what :meth:`CacheEntry.copy_for_import` returns (the link-cache
-import and the query cache's admission are the two sites), and the gossip
-rumor relay, which holds a pong past its event, snapshots the entries when
-it seeds.  An entry the receiver does not keep — most of them: the query
-cache has usually seen the address already — is never cloned.
+stores only the keeper's clone, :meth:`CacheEntry.copy` stamped with the
+import time.  The two keepers are the caches' intakes —
+:meth:`~repro.core.link_cache.LinkCache.admit` of a pong and
+:meth:`~repro.core.query_cache.QueryCache.add` — and each clones an
+entry only once it has decided to keep it; the gossip rumor relay, which
+holds a pong past its event, snapshots the entries when it seeds.  An
+entry the receiver does not keep — most of them: the query cache has
+usually seen the address already, and a full link cache's contest is
+usually lost — is never cloned.
 """
 
 from __future__ import annotations
@@ -64,38 +68,24 @@ class CacheEntry:
     num_res: int = 0
     born: float = 0.0
 
-    def copy(self) -> "CacheEntry":
+    def copy(
+        self, born: float | None = None, reset_num_results: bool = False
+    ) -> "CacheEntry":
         """An independent copy, for whoever keeps an entry it was shown.
 
-        Spelled via ``__new__`` + direct slot stores: every admitted pong
-        entry is cloned once on the query path, and skipping dataclass
-        ``__init__`` roughly halves the cost.
+        An import passes its time as ``born`` — acquisition age is the
+        keeper's, never the pong carrier's (``None`` keeps this entry's:
+        a snapshot) — and ``reset_num_results`` under MR*, so only
+        first-hand experience ranks the entry.  Spelled via ``__new__`` +
+        slot stores: skipping dataclass ``__init__`` halves the cost.
         """
         clone = object.__new__(CacheEntry)
         clone.address = self.address
         clone.ts = self.ts
         clone.num_files = self.num_files
-        clone.num_res = self.num_res
-        clone.born = self.born
+        clone.num_res = 0 if reset_num_results else self.num_res
+        clone.born = self.born if born is None else born
         return clone
-
-    def copy_for_import(self, reset_num_results: bool, now: float) -> "CacheEntry":
-        """Copy used when ingesting an entry learned from another peer.
-
-        Args:
-            reset_num_results: if True (the MR* behaviour), the imported
-                ``NumRes`` is zeroed so only first-hand experience ranks
-                the entry.
-            now: import time, stamped as the new owner's ``born`` —
-                acquisition age is per-owner, never inherited from the
-                pong's carrier.  Required: a defaulted import time books
-                every later dead probe against the entry as stale.
-        """
-        entry = self.copy()
-        if reset_num_results:
-            entry.num_res = 0
-        entry.born = now
-        return entry
 
     def touch(self, now: float) -> None:
         """Record a direct interaction at time ``now``.

@@ -61,10 +61,11 @@ class Pong(_PongFields):
     A pong *shows* entries; whoever keeps one clones it.  ``entries`` are
     the responder's own link-cache residents (selected by its PingPong or
     QueryPong policy), valid as a view for the exchange that delivered
-    them: a receiver reads them and stores only what
-    :meth:`~repro.core.entry.CacheEntry.copy_for_import` returns, never
-    mutates them in place, and a component that holds a pong past its
-    event (the gossip rumor relay) snapshots them first.
+    them: a receiver reads them and stores only its own clone
+    (:meth:`~repro.core.entry.CacheEntry.copy` stamped with the import
+    time, made by the cache that keeps the entry), never mutates them in
+    place, and a component that holds a pong past its event (the gossip
+    rumor relay) snapshots them first.
 
     A named tuple, like :class:`QueryReply` and
     :class:`~repro.network.transport.ProbeOutcome`: one is built per

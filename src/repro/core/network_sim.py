@@ -288,14 +288,13 @@ class GuessSimulation:
                     picked.add(candidate)
             # Sorted so cache contents (hence ping-target order) never
             # depend on set iteration order.
-            for address in sorted(picked):
-                entry = CacheEntry(
-                    address=address,
-                    ts=0.0,
-                    num_files=num_files[address],
-                    num_res=0,
-                )
-                peer.link_cache.insert(entry, replacement, 0.0, policy_rng)
+            peer.link_cache.admit(
+                [
+                    CacheEntry(address=address, num_files=num_files[address])
+                    for address in sorted(picked)
+                ],
+                replacement, 0.0, policy_rng,
+            )
 
         if self._health_interval is not None:
             self.engine.schedule(
@@ -449,13 +448,10 @@ class GuessSimulation:
         newborn.link_cache.insert(
             friend_entry, self.policies.replacement, now, policy_rng
         )
-        for entry in friend.link_cache.entries():
-            newborn.link_cache.insert(
-                entry.copy_for_import(reset, now),
-                self.policies.replacement,
-                now,
-                policy_rng,
-            )
+        newborn.link_cache.admit(
+            friend.link_cache.entries(), self.policies.replacement, now,
+            policy_rng, shown=True, reset_num_results=reset,
+        )
 
     def _on_death(self, peer: GuessPeer) -> None:
         """Depart silently; a replacement is born in the same instant."""

@@ -16,8 +16,8 @@ cycle and query loop, driven by :mod:`repro.core.network_sim` and
   keeps serving queries;
 * apply the introduction rule: cache the prober with probability
   ``IntroProb`` (Section 2.2);
-* import pong entries through the CacheReplacement policy, honouring the
-  MR* ``reset_num_results`` ingestion rule;
+* import a pong's entries through the CacheReplacement policy in one
+  call, honouring the MR* ``reset_num_results`` ingestion rule;
 * apply a probe's outcome to the prober's own cache, for pings and query
   probes alike (:meth:`GuessPeer.probe_entry`).
 """
@@ -25,7 +25,7 @@ cycle and query loop, driven by :mod:`repro.core.network_sim` and
 from __future__ import annotations
 
 import random
-from typing import Collection, Optional, Tuple
+from typing import Collection, Optional, Sequence, Tuple
 
 from repro.core.entry import CacheEntry
 from repro.core.link_cache import LinkCache
@@ -311,9 +311,9 @@ class GuessPeer:
     def make_pong(self, pong_policy, time: float) -> Pong:
         """Build a Pong showing up to ``PongSize`` link-cache entries.
 
-        The entries are this peer's residents, not clones: the receiver
-        clones what it keeps (:meth:`import_pong_to_link_cache`, the
-        query cache's admission), so an entry nobody keeps costs nothing.
+        The entries are this peer's residents, not clones: the receiver's
+        caches clone what they keep (``LinkCache.admit`` of a shown pong,
+        ``QueryCache.add``), so an entry nobody keeps costs nothing.
         """
         selected = self.link_cache.select_top(
             pong_policy, self.protocol.pong_size, time, self._policy_rng
@@ -343,29 +343,32 @@ class GuessPeer:
     # ------------------------------------------------------------------
 
     def import_pong_to_link_cache(self, pong: Pong, now: float) -> int:
-        """Ingest a pong's entries into the link cache.
+        """Ingest a pong's entries into the link cache, in one call.
 
         Applies the MR* ``reset_num_results`` rule and the replacement
-        policy; when defense hooks are installed, records provenance and
-        drops entries from (or pointing at) blacklisted peers.  Returns
-        the number of entries actually inserted.
+        policy, cloning only the entries kept; when defense hooks are
+        installed, drops a blacklisted sender's pong and the entries
+        :meth:`screen` drops.  Returns the number of entries inserted.
         """
-        defense = self.defense
-        if defense is not None and defense.blocked(pong.sender):
+        if self.defense is not None and self.defense.blocked(pong.sender):
             return 0
-        inserted = 0
-        reset = self.policies.reset_num_results
+        return self.link_cache.admit(
+            self.screen(pong), self.policies.replacement, now, self._policy_rng,
+            shown=True, reset_num_results=self.policies.reset_num_results,
+        )
+
+    def screen(self, pong: Pong) -> Sequence[CacheEntry]:
+        """``pong``'s entries not pointing at a blacklisted peer, each one
+        reported to the defense hooks as imported from the pong's sender."""
+        defense = self.defense
+        if defense is None:
+            return pong.entries
+        shown = []
         for entry in pong.entries:
-            if defense is not None:
-                if defense.blocked(entry.address):
-                    continue
+            if not defense.blocked(entry.address):
                 defense.record_import(entry.address, pong.sender)
-            candidate = entry.copy_for_import(reset, now)
-            if self.link_cache.insert(
-                candidate, self.policies.replacement, now, self._policy_rng
-            ):
-                inserted += 1
-        return inserted
+                shown.append(entry)
+        return shown
 
     def probe_entry(
         self,
@@ -434,12 +437,6 @@ class GuessPeer:
             if breakers is not None:
                 breakers.discard(address)
         return outcome, delay
-
-    def offer_entry_to_link_cache(self, entry: CacheEntry, now: float) -> bool:
-        """Offer one (already-imported) entry to the link cache."""
-        return self.link_cache.insert(
-            entry, self.policies.replacement, now, self._policy_rng
-        )
 
     def choose_ping_target(self, now: float) -> Optional[CacheEntry]:
         """The entry the PingProbe policy says to ping next."""

@@ -27,9 +27,11 @@ role reads one order over that field, which each link cache keeps
 
 Ties are the common case (``NumRes`` is mostly 0, free riders all share
 0 files), so both tie rules are part of every digest.  ``Random`` has no
-field and draws instead.  Concrete declarations live in
-:mod:`repro.core.policy_impls`; this module defines the interface and
-the registry.
+field: it declares ``randomized``, and the caches draw for it (a link
+cache its pongs, ping targets and contests, a query cache its pops).  A
+policy is a declaration and holds no code that reads entries.  Concrete
+declarations live in :mod:`repro.core.policy_impls`; this module defines
+the interface and the registry.
 """
 
 from __future__ import annotations
@@ -45,17 +47,17 @@ from repro.faults.retry import RetryPolicy
 class Policy:
     """A ranking over cache entries: a field and a direction.
 
-    Subclasses declare :attr:`field` (and :attr:`prefers_low`) and no
-    code: each link cache keeps the order they define
-    (:class:`~repro.core.link_cache.Ranking`), and the query cache's heap
-    ranks on :meth:`key`.  ``Random`` has no field; it draws instead.
+    Subclasses declare :attr:`field` (and :attr:`prefers_low`), or
+    :attr:`randomized`, and no code: each link cache keeps the order they
+    define (:class:`~repro.core.link_cache.Ranking`) or draws for Random,
+    and the query cache's heap ranks on :meth:`key`.
     """
 
     #: Registry name; set by subclasses.
     name: str = ""
 
-    #: True only for the Random policy; lets hot paths (the query
-    #: cache) pick a cheap strategy without isinstance checks.
+    #: True only for the Random policy: the caches draw instead of
+    #: reading a field, without isinstance checks.
     randomized: bool = False
 
     #: The ``CacheEntry`` attribute ranked on; empty only for Random.
@@ -65,11 +67,6 @@ class Policy:
     prefers_low: bool = False
 
     _value: Callable[[CacheEntry], float]
-
-    # Random's draws, which a link cache asks for when ``randomized``.
-    select_best: Callable[..., Optional[CacheEntry]]
-    select_top: Callable[..., List[CacheEntry]]
-    choose_victim_from: Callable[..., Optional[CacheEntry]]
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.entry import CacheEntry
 from repro.core.policies import Policy
@@ -76,31 +76,31 @@ class QueryCache:
         """Candidates admitted and not yet popped."""
         return len(self._bag) if self._policy.randomized else len(self._heap)
 
-    def add(self, entry: CacheEntry) -> bool:
-        """Admit ``entry`` unless its address has been seen this query.
+    def add(
+        self, entries: Iterable[CacheEntry], reset_num_results: bool, now: float
+    ) -> List[CacheEntry]:
+        """Admit a pong's ``entries`` whose address is unseen this query.
 
-        Returns:
-            True if admitted.
+        Seen are the owner and every address seeded or admitted (popped or
+        not), so also a second entry for one address.  Each admitted entry
+        is cloned (``born=now``, NumRes zeroed under ``reset_num_results``,
+        MR*), a refused one never; returns the clones, in pong order.
         """
-        address = entry.address
-        if address in self._seen:
-            return False
-        self._seen.add(address)
+        seen = self._seen
+        kept: List[CacheEntry] = []
+        for entry in entries:
+            address = entry.address
+            if address in seen:
+                continue
+            seen.add(address)
+            kept.append(entry.copy(now, reset_num_results))
         if self._policy.randomized:
-            self._bag.append(entry)
+            self._bag += kept
         else:
-            key = self._policy.key(entry, self._now)
-            heapq.heappush(self._heap, (-key, address, entry))
-        return True
-
-    def was_seen(self, address: Address) -> bool:
-        """Whether ``address`` is excluded from (re-)admission.
-
-        True for the owner and for every address seeded or admitted this
-        query, popped or not — exactly when :meth:`add` would refuse it,
-        so pong ingestion asks here *before* copying an entry.
-        """
-        return address in self._seen
+            key, at, heap = self._policy.key, self._now, self._heap
+            for entry in kept:
+                heapq.heappush(heap, (-key(entry, at), entry.address, entry))
+        return kept
 
     def pop(self) -> Optional[CacheEntry]:
         """Pop the most-preferred candidate (it stays seen); None if empty."""

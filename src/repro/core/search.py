@@ -173,6 +173,10 @@ def execute_query(
     walkers = protocol.parallel_probes if width is None else width.initial
 
     link_cache = peer.link_cache  # a resident changes only through it
+    # The peer's own stream decides its contests, as on every other path
+    # into its link cache; ``rng`` orders this query's pops.
+    replacement, policy_rng = policies.replacement, peer._policy_rng
+    reset = policies.reset_num_results
     query_cache = QueryCache(
         peer.address, policies.query_probe, rng, now, link_cache.entries()
     )
@@ -241,10 +245,10 @@ def execute_query(
             # Reset NumRes from this response (Section 2.1); refresh TS.
             if not link_cache.record_results(address, reply.num_results, wave_time):
                 entry.record_results(reply.num_results, wave_time)  # not resident
-            if reply.num_results > 0 and address not in link_cache:
-                # A productive query-cache entry qualifies for the link
-                # cache ("qualifying entries may be inserted", §2.3).
-                peer.offer_entry_to_link_cache(entry, wave_time)
+                if reply.num_results > 0:
+                    # A productive query-cache entry qualifies for the link
+                    # cache ("qualifying entries may be inserted", §2.3).
+                    link_cache.insert(entry, replacement, wave_time, policy_rng)
 
             results += reply.num_results
             honest_results += reply.verified_results
@@ -260,19 +264,12 @@ def execute_query(
             if harvests is not None and reply.pong.entries:
                 harvests.append(reply.pong)
 
-            # Ingest the piggybacked pong: every entry the query cache
-            # admits is offered to the link cache too.
-            reset = policies.reset_num_results
-            for shared in reply.pong.entries:
-                if defense is not None:
-                    if defense.blocked(shared.address):
-                        continue
-                    defense.record_import(shared.address, reply.pong.sender)
-                if query_cache.was_seen(shared.address):
-                    continue
-                imported = shared.copy_for_import(reset, wave_time)
-                if query_cache.add(imported):
-                    peer.offer_entry_to_link_cache(imported, wave_time)
+            # Ingest the piggybacked pong: the clones the query cache
+            # admits are offered to the link cache too, the same objects.
+            shown = reply.pong.entries if defense is None else peer.screen(reply.pong)
+            kept = query_cache.add(shown, reset, wave_time)
+            if kept:
+                link_cache.admit(kept, replacement, wave_time, policy_rng)
 
         slip += wave_slip
         if width is not None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from repro.core.entry import CacheEntry
 from repro.core.malicious import AttackDirectory, MaliciousPeer
 from repro.core.params import BadPongBehavior, ProtocolParams
 from repro.core.peer import GuessPeer
@@ -39,6 +40,13 @@ def make_peer(
         intro_rng=random.Random(seed + 1),
         resilience=resilience,
         cache_capacity=cache_capacity,
+    )
+
+
+def keep(peer: GuessPeer, entry: CacheEntry, now: float = 0.0) -> bool:
+    """Offer ``entry`` (the caller's own) to ``peer``'s link cache."""
+    return peer.link_cache.insert(
+        entry, peer.policies.replacement, now, peer._policy_rng
     )
 
 

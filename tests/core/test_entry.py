@@ -23,15 +23,20 @@ class TestCopy:
             3, 1.5, 42, 6,
         )
 
-    def test_copy_for_import_resets_num_res(self):
+    def test_import_copy_resets_num_res(self):
         entry = CacheEntry(address=1, ts=2.0, num_files=5, num_res=9)
-        imported = entry.copy_for_import(reset_num_results=True, now=4.0)
+        imported = entry.copy(4.0, reset_num_results=True)
         assert imported.num_res == 0
         assert imported.num_files == 5  # only NumRes is distrusted
+        assert (imported.ts, imported.born) == (2.0, 4.0)
+        assert entry.num_res == 9
 
-    def test_copy_for_import_without_reset(self):
-        entry = CacheEntry(address=1, num_res=9)
-        assert entry.copy_for_import(reset_num_results=False, now=4.0).num_res == 9
+    def test_import_copy_without_reset(self):
+        entry = CacheEntry(address=1, num_res=9, born=1.0)
+        imported = entry.copy(4.0)
+        assert (imported.num_res, imported.born) == (9, 4.0)
+        # No import time: a snapshot keeps the original's acquisition time.
+        assert entry.copy().born == 1.0
 
 
 class TestTouch:

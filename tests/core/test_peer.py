@@ -7,7 +7,7 @@ import pytest
 from repro.core.messages import Ping, Pong, Query, QueryReply, Refusal
 from repro.core.params import ProtocolParams
 from tests.conftest import cached, make_entry
-from tests.core.helpers import make_peer
+from tests.core.helpers import keep, make_peer
 
 
 class TestLiveness:
@@ -35,7 +35,7 @@ class TestPingHandling:
         """A pong shows the responder's residents; the keeper clones them."""
         responder = make_peer(1)
         resident = make_entry(5, ts=1.0, num_files=3, num_res=2)
-        assert responder.offer_entry_to_link_cache(resident, 0.0)
+        assert keep(responder, resident)
         _, pong = responder.receive_probe(Ping(sender=2), 1.0)
         assert pong.entries[0] is resident
         prober = make_peer(2)

@@ -142,7 +142,8 @@ class TestRandomPolicy:
     def test_select_best_uniform(self, entries):
         policy = get_ordering_policy("Random")
         rng = random.Random(0)
-        picks = {policy.select_best(entries, 0.0, rng).address for _ in range(200)}
+        cache = cache_of(entries)
+        picks = {cache.select_best(policy, 0.0, rng).address for _ in range(200)}
         assert picks == {1, 2, 3, 4}
 
     def test_order_is_permutation(self, entries):
@@ -152,20 +153,24 @@ class TestRandomPolicy:
 
     def test_select_top_k_distinct(self, entries):
         policy = get_ordering_policy("Random")
-        top = policy.select_top(entries, 3, 0.0, random.Random(2))
+        top = cache_of(entries).select_top(policy, 3, 0.0, random.Random(2))
         addresses = [e.address for e in top]
         assert len(addresses) == 3
         assert len(set(addresses)) == 3
 
     def test_select_top_k_larger_than_pool(self, entries):
         policy = get_ordering_policy("Random")
-        top = policy.select_top(entries, 10, 0.0, random.Random(3))
+        top = cache_of(entries).select_top(policy, 10, 0.0, random.Random(3))
         assert sorted(e.address for e in top) == [1, 2, 3, 4]
 
     def test_victim_uniform(self, entries):
         policy = get_replacement_policy("Random")
         rng = random.Random(4)
-        victims = {policy.choose_victim(entries, 0.0, rng).address for _ in range(200)}
+        residents, candidate = entries[:-1], entries[-1]
+        victims = {
+            contest(policy, residents, candidate, 0.0, rng).address
+            for _ in range(200)
+        }
         assert victims == {1, 2, 3, 4}
 
 
@@ -192,11 +197,11 @@ class TestPolicySet:
 class TestChooseVictimFrom:
     """A full cache's eviction contest must mirror the combined-list one.
 
-    The contest ``LinkCache.insert`` holds when full — Random's
-    ``choose_victim_from`` draw, or a key-based ranking's victim end
-    against the candidate — evicts what ``choose_victim`` over
-    ``residents + [candidate]`` would (the victim end of a ranking of
-    all of them, for a key-based policy), with the same RNG consumption.
+    The contest ``LinkCache.admit`` holds when full — Random's one index
+    draw, or a key-based ranking's victim end against the candidate —
+    evicts what ``randrange`` over ``residents + [candidate]`` picks (the
+    victim end of a ranking of all of them, for a key-based policy), with
+    the same RNG consumption.
     """
 
     @pytest.mark.parametrize(
@@ -208,7 +213,8 @@ class TestChooseVictimFrom:
         rng_a = random.Random(99)
         rng_b = random.Random(99)
         if policy.randomized:
-            expected = policy.choose_victim(entries + [candidate], 60.0, rng_a)
+            contestants = entries + [candidate]
+            expected = contestants[rng_a.randrange(len(contestants))]
         else:
             expected = victim_end(policy, entries + [candidate])
         actual = contest(policy, entries, candidate, 60.0, rng_b)

@@ -14,50 +14,70 @@ def drain(cache):
     return [entry.address for entry in iter(cache.pop, None)]
 
 
+def add(cache, *entries):
+    """Admit ``entries`` as one pong at time 0.0; the addresses kept."""
+    return [entry.address for entry in cache.add(entries, False, 0.0)]
+
+
 class TestAdmission:
     def test_add_and_lookup(self):
         cache = make_cache()
-        assert not cache.was_seen(1)
-        assert cache.add(make_entry(1))
-        assert cache.was_seen(1)
+        assert add(cache, make_entry(1)) == [1]
+        assert add(cache, make_entry(1)) == []
         assert len(cache) == 1
 
     def test_owner_never_admitted(self):
         cache = make_cache(owner=7)
-        assert cache.was_seen(7)
-        assert not cache.add(make_entry(7))
+        assert add(cache, make_entry(7)) == []
+        assert len(cache) == 0
 
     def test_excluded_addresses_never_admitted(self):
         # The link-cache contents are candidates already: a pong entry
         # duplicating one is refused, so no address is probed twice.
         cache = make_cache(link_entries=[make_entry(3), make_entry(4)])
-        assert not cache.add(make_entry(3))
-        assert cache.add(make_entry(5))
+        assert add(cache, make_entry(3), make_entry(5)) == [5]
         assert sorted(drain(cache)) == [3, 4, 5]
 
     def test_duplicate_not_readmitted(self):
         cache = make_cache()
-        assert cache.add(make_entry(1))
-        assert not cache.add(make_entry(1))
+        assert add(cache, make_entry(1), make_entry(1)) == [1]
+        assert add(cache, make_entry(1)) == []
         assert len(cache) == 1
 
     def test_seen_address_not_admitted(self):
         cache = make_cache(link_entries=[make_entry(9)])
         assert cache.pop().address == 9
         # Probed (popped) link entries stay seen for the rest of the query.
-        assert cache.was_seen(9)
-        assert not cache.add(make_entry(9))
+        assert add(cache, make_entry(9)) == []
         assert len(cache) == 0
+
+    @pytest.mark.parametrize("policy", ["Random", "MFS"])
+    @pytest.mark.parametrize("reset", [False, True])
+    def test_a_kept_entry_is_the_caches_own_clone(self, policy, reset):
+        # A pong shows entries: the cache keeps a clone stamped with the
+        # import time (NumRes zeroed under MR*), in pong order, and
+        # returns exactly the clones it pools.
+        shown = [make_entry(a, ts=2.0, num_files=a, num_res=4) for a in (5, 3, 5, 0)]
+        cache = make_cache(policy, [make_entry(3)])
+        kept = cache.add(shown, reset, 8.0)
+        assert [e.address for e in kept] == [5]
+        (clone,) = kept
+        assert clone is not shown[0]
+        assert (clone.ts, clone.num_files, clone.born) == (2.0, 5, 8.0)
+        assert clone.num_res == (0 if reset else 4)
+        assert shown[0].num_res == 4 and shown[0].born == 0.0
+        popped = list(iter(cache.pop, None))
+        assert any(entry is clone for entry in popped)
 
 
 class TestConsumption:
     def test_pop_removes_and_marks_seen(self):
         cache = make_cache()
-        cache.add(make_entry(1))
+        add(cache, make_entry(1))
         entry = cache.pop()
         assert entry.address == 1
         assert len(cache) == 0
-        assert not cache.add(make_entry(1))  # seen now
+        assert add(cache, make_entry(1)) == []  # seen now
 
     def test_pop_missing_returns_none(self):
         assert make_cache(policy="Random").pop() is None
@@ -65,7 +85,7 @@ class TestConsumption:
 
     def test_len_counts_unpopped_candidates(self):
         cache = make_cache("MR", [make_entry(1), make_entry(2)])
-        cache.add(make_entry(3))
+        add(cache, make_entry(3))
         assert len(cache) == 3
         cache.pop()
         assert len(cache) == 2
@@ -75,7 +95,7 @@ class TestConsumption:
             link_entries=[make_entry(a, num_files=5) for a in (4, 2, 9)],
             policy="MFS",
         )
-        cache.add(make_entry(1, num_files=5))
+        add(cache, make_entry(1, num_files=5))
         assert drain(cache) == [1, 2, 4, 9]
 
     def test_keys_are_taken_at_the_query_issue_time(self):
@@ -89,7 +109,7 @@ class TestConsumption:
 
 @pytest.mark.parametrize("policy", ["Random", "MFS", "MRU", "LRU", "MR"])
 def test_one_pass_seeding_pops_in_the_order_of_one_add_per_entry(policy):
-    """The constructor's bulk build is ``add`` per link entry, faster.
+    """The constructor's bulk build is ``add`` of the link entries, faster.
 
     Same candidates, same pops, same draws from the policy stream — what
     lets ``execute_query`` seed the cache without ~100 method calls.
@@ -107,13 +127,11 @@ def test_one_pass_seeding_pops_in_the_order_of_one_add_per_entry(policy):
     late = [make_entry(address, num_files=2) for address in (300, 301, 7)]
     seeded = make_cache(link_entries=entries, policy=policy)
     added = make_cache(policy=policy)
-    for entry in entries:
-        assert added.add(entry)
+    assert add(added, *entries) == [entry.address for entry in entries]
     pops = []
     for cache in (seeded, added):
         order = [cache.pop().address for _ in range(20)]
-        for entry in late:
-            cache.add(entry)
+        add(cache, *late)
         pops.append(order + drain(cache))
     assert pops[0] == pops[1]
     assert len(pops[0]) == len({e.address for e in entries + late})

@@ -44,23 +44,21 @@ class TestCandidatePool:
 
     def test_key_policy_pops_best_first(self, rng):
         pool = make_query_cache("MFS", [make_entry(1, num_files=5)], rng=rng)
-        pool.add(make_entry(2, num_files=50))
-        pool.add(make_entry(3, num_files=20))
+        pool.add([make_entry(2, num_files=50), make_entry(3, num_files=20)], False, 0.0)
         assert [pool.pop().address for _ in range(3)] == [2, 3, 1]
         assert pool.pop() is None
 
     def test_random_policy_pops_everything(self, rng):
         seeds = [make_entry(a) for a in range(1, 6)]
         pool = make_query_cache("Random", seeds, rng=rng)
-        for a in range(6, 11):
-            pool.add(make_entry(a))
+        pool.add([make_entry(a) for a in range(6, 11)], False, 0.0)
         popped = {pool.pop().address for _ in range(10)}
         assert popped == set(range(1, 11))
         assert pool.pop() is None
 
     def test_len(self, rng):
         pool = make_query_cache("MR", [make_entry(1)], rng=rng)
-        pool.add(make_entry(2))
+        pool.add([make_entry(2)], False, 0.0)
         assert len(pool) == 2
         pool.pop()
         assert len(pool) == 1
@@ -68,7 +66,7 @@ class TestCandidatePool:
     def test_dynamic_insert_during_pops(self, rng):
         pool = make_query_cache("MFS", [make_entry(1, num_files=10)], rng=rng)
         assert pool.pop().address == 1
-        pool.add(make_entry(2, num_files=99))
+        pool.add([make_entry(2, num_files=99)], False, 0.0)
         assert pool.pop().address == 2
 
 
@@ -210,15 +208,15 @@ class TestPongIngestCopies:
 
     @pytest.fixture
     def copied(self, monkeypatch):
-        """Addresses ``CacheEntry.copy_for_import`` was called on."""
+        """Addresses ``CacheEntry.copy`` (the keeper's clone) was called on."""
         calls = []
-        original = CacheEntry.copy_for_import
+        original = CacheEntry.copy
 
         def counting(self, *args, **kwargs):
             calls.append(self.address)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(CacheEntry, "copy_for_import", counting)
+        monkeypatch.setattr(CacheEntry, "copy", counting)
         return calls
 
     def test_already_seen_pongs_copy_nothing(self, rng, copied):
@@ -290,7 +288,9 @@ class TestPongIngestCopies:
         relay = make_peer(1, protocol=protocol, library=frozenset())
         owner = make_peer(2, protocol=protocol, library=frozenset({42}))
         resident = make_entry(2, ts=0.0, num_files=9)
-        assert relay.offer_entry_to_link_cache(resident, 0.0)
+        assert relay.link_cache.insert(
+            resident, relay.policies.replacement, 0.0, relay._policy_rng
+        )
         transport = wire(querier, [relay, owner])
         cache_entries_for(querier, [relay])
         assert execute_query(querier, 42, transport, 0.0, rng=rng).satisfied

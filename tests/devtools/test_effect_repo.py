@@ -110,10 +110,10 @@ def test_removing_replay_exemption_fails_the_run(repo_sources):
 
 
 def test_effects_report_sees_every_random_index_draw(tmp_path):
-    # ``randbelow`` draws through ``rng.getrandbits``; the Random policy's
-    # pick, eviction and contest and the query cache's pop draw through
-    # it, and ``choose_victim`` is a class-body alias of ``select_best``.
-    # A draw the table loses is one RD006 can no longer catch.
+    # ``randbelow`` draws through ``rng.getrandbits``; the caches make every
+    # Random draw — a link cache's pong, ping target and contest (inline,
+    # in ``admit``), a query cache's pop — and the paths into them carry
+    # the draw.  A draw the table loses is one RD006 can no longer catch.
     report = tmp_path / "effects.tsv"
     argv = ["--rules", "RD006-RD010", "--effects-report", str(report), str(SRC)]
     assert main(argv) == 0
@@ -123,9 +123,15 @@ def test_effects_report_sees_every_random_index_draw(tmp_path):
     )
     for qualname in (
         "repro.sim.rng.randbelow",
-        "repro.core.policy_impls.RandomPolicy.select_best",
-        "repro.core.policy_impls.RandomPolicy.choose_victim",
-        "repro.core.policy_impls.RandomPolicy.choose_victim_from",
+        "repro.core.link_cache.LinkCache.select_top",
+        "repro.core.link_cache.LinkCache.select_best",
+        "repro.core.link_cache.LinkCache.admit",
+        "repro.core.link_cache.LinkCache.insert",
         "repro.core.query_cache.QueryCache.pop",
+        "repro.core.peer.GuessPeer.make_pong",
+        "repro.core.peer.GuessPeer.choose_ping_target",
+        "repro.core.peer.GuessPeer.import_pong_to_link_cache",
+        "repro.core.search.execute_query",
+        "repro.core.network_sim.GuessSimulation._seed_from_friend",
     ):
         assert "RNG_DRAW" in effects.get(qualname, ""), qualname

@@ -8,7 +8,7 @@ from repro.core.messages import CacheUpdate, CacheUpdateAck, Ping
 from repro.resilience.breaker import BreakerSpec, CLOSED, OPEN
 from repro.resilience.policy import ResiliencePolicy
 from tests.conftest import make_entry
-from tests.core.helpers import make_peer
+from tests.core.helpers import keep, make_peer
 
 
 def seeded_peer(*cached, resilience=None, cache_capacity=None):
@@ -16,7 +16,7 @@ def seeded_peer(*cached, resilience=None, cache_capacity=None):
         1, resilience=resilience, cache_capacity=cache_capacity
     )
     for addr in cached:
-        assert peer.offer_entry_to_link_cache(make_entry(addr), 0.0)
+        assert keep(peer, make_entry(addr))
     return peer
 
 

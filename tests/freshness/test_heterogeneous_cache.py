@@ -10,7 +10,7 @@ from repro.core.link_cache import LinkCache
 from repro.core.params import ProtocolParams
 from repro.core.policies import get_replacement_policy
 from tests.conftest import make_entry
-from tests.core.helpers import make_peer
+from tests.core.helpers import keep, make_peer
 
 
 @pytest.fixture
@@ -128,6 +128,6 @@ class TestPeerCapacityOverride:
         peer = make_peer(1, cache_capacity=0)
         pong = peer.make_pong(peer.policies.ping_pong, 1.0)
         assert pong.entries == ()
-        ok = peer.offer_entry_to_link_cache(make_entry(2), 1.0)
+        ok = keep(peer, make_entry(2), 1.0)
         assert not ok
         assert len(peer.link_cache) == 0

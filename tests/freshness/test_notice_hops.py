@@ -21,7 +21,7 @@ from repro.network.transport import Transport
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from tests.conftest import make_entry
-from tests.core.helpers import make_peer
+from tests.core.helpers import keep, make_peer
 
 VICTIM, A, B, C, D = 1, 2, 3, 4, 5
 CACHES = {VICTIM: (A, B), A: (VICTIM, C), B: (D,), C: (VICTIM, D), D: ()}
@@ -41,7 +41,7 @@ def departed_network(depth):
     for address, cached in CACHES.items():
         peer = make_peer(address, seed=address)
         for other in cached:
-            assert peer.offer_entry_to_link_cache(make_entry(other), 0.0)
+            assert keep(peer, make_entry(other))
         sim.store.add(peer)
         sim.transport.register(address, peer)
     victim = sim.store.remove(VICTIM)

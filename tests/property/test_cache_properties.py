@@ -77,8 +77,9 @@ def test_link_cache_first_writer_wins(entries, replacement_name):
 
 class _ListCache:
     """Reference the link cache must equal: residents in a plain list, the
-    victim Random's ``choose_victim`` draw over ``residents + [candidate]``,
-    or for a key-based policy ``min`` over them on the tuple-key oracle."""
+    victim ``randrange``'s pick from ``residents + [candidate]`` for
+    Random, or for a key-based policy ``min`` over them on the tuple-key
+    oracle."""
 
     def __init__(self, capacity, owner):
         self.capacity = capacity
@@ -96,7 +97,7 @@ class _ListCache:
         if len(self.residents) >= self.capacity:
             contestants = self.residents + [entry]
             if policy.randomized:
-                victim = policy.choose_victim(contestants, now, rng)
+                victim = contestants[rng.randrange(len(contestants))]
             else:
                 victim = min(contestants, key=_oracle_rank(policy.name))
             if victim is entry:
@@ -199,10 +200,10 @@ def test_query_cache_never_admits_seen_or_excluded(entries, excluded, policy_nam
     cache = make_query_cache(policy_name, link_entries)
     admitted = set()
     for entry in entries:
-        seen = cache.was_seen(entry.address)
-        assert cache.add(entry) is not seen
-        if not seen:
-            admitted.add(entry.address)
+        seen = entry.address in admitted | excluded | {0}
+        kept = cache.add([entry], False, 0.0)
+        assert [e.address for e in kept] == ([] if seen else [entry.address])
+        admitted.update(e.address for e in kept)
     # Nothing excluded or owned was admitted; no duplicates possible.
     assert 0 not in admitted
     assert admitted.isdisjoint(excluded)
@@ -218,12 +219,11 @@ def test_query_cache_never_admits_seen_or_excluded(entries, excluded, policy_nam
 def test_query_cache_pop_is_terminal(entries, policy_name):
     """A popped address can never re-enter the scratch space."""
     cache = make_query_cache(policy_name)
-    for entry in entries:
-        cache.add(entry)
+    cache.add(entries, False, 0.0)
     popped = [cache.pop().address for _ in range(min(5, len(cache)))]
     for entry in entries:
         if entry.address in popped:
-            assert not cache.add(entry)
+            assert cache.add([entry], False, 0.0) == []
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +263,17 @@ _ranked_ops = st.one_of(
               st.integers(min_value=0, max_value=6)),
     st.tuples(st.just("ping"), st.sampled_from(_KEYED + ["Random"])),
 )
+
+
+def _sample(residents, k, rng):
+    """A Random pong on the stdlib: ``sample``, or a shuffle of them all."""
+    if k <= 0 or not residents:
+        return []
+    if k >= len(residents):
+        shuffled = list(residents)
+        rng.shuffle(shuffled)
+        return shuffled
+    return rng.sample(residents, k)
 
 
 def _fields(entries):
@@ -314,9 +325,11 @@ def test_every_ranking_is_a_fresh_oracle_sort(ops, capacity, replacement_name,
                 got = cache.select_best(policy, 0.0, rng_cache)
             if policy.randomized:
                 want = (
-                    policy.select_top(residents, k[0], 0.0, rng_model)
+                    _sample(residents, k[0], rng_model)
                     if op == "pong"
-                    else policy.select_best(residents, 0.0, rng_model)
+                    else residents[rng_model.randrange(len(residents))]
+                    if residents
+                    else None
                 )
             else:
                 asked[name] = policy

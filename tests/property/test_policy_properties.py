@@ -96,8 +96,8 @@ def test_select_top_prefix_of_order(entries, policy_name):
 @given(st.integers(min_value=0, max_value=2**63 - 1))
 @settings(max_examples=10)
 def test_random_select_top_is_random_sample_draw_for_draw(seed):
-    """``RandomPolicy.select_top`` spells ``random.sample`` out; the stdlib
-    is the oracle.  Every n in [0, 300] and k in [0, 12] — ``sample``'s
+    """``LinkCache.select_top`` spells ``random.sample`` out for Random; the
+    stdlib is the oracle.  Every n in [0, 300] and k in [0, 12] — ``sample``'s
     pool branch (n <= 21, or <= 85 once k > 5), its rejection branch and
     the shuffle at k >= n — must return the same objects in the same
     order and leave the stream in the same state, or a pong differs and
@@ -107,8 +107,9 @@ def test_random_select_top_is_random_sample_draw_for_draw(seed):
     population = [CacheEntry(address=a) for a in range(300)]
     for n in range(301):
         entries = population[:n]
+        cache = cache_of(entries)
         for k in range(13):
-            top = policy.select_top(entries, k, 1e5, ours)
+            top = cache.select_top(policy, k, 1e5, ours)
             if k == 0:
                 expected = []
             elif k >= n:
@@ -126,7 +127,11 @@ def test_random_select_top_is_random_sample_draw_for_draw(seed):
 def test_replacement_victim_is_member(entries, replacement_name):
     policy = get_replacement_policy(replacement_name)
     if policy.randomized:
-        victim = policy.choose_victim(entries, 1e5, random.Random(0))
+        victim = (
+            contest(policy, entries[:-1], entries[-1], 1e5, random.Random(0))
+            if entries
+            else None
+        )
     else:
         victim = victim_end(policy, entries)
     if entries:
