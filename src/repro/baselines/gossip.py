@@ -53,16 +53,18 @@ return path), and satisfaction is judged on the honest channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import filterfalse
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.baselines.extent import PopulationView
 from repro.baselines.gnutella import GnutellaOverlay
-from repro.core.messages import GossipPush
+from repro.core.entry import entry_values, entry_views
+from repro.core.messages import GossipPush, Pong
 from repro.errors import TopologyError, WorkloadError
 from repro.network.address import Address
 from repro.network.transport import ProbeStatus
-from repro.sim.events import EventPriority
 from repro.sim.rng import RngRegistry
 from repro.workload.content import ContentModel
 
@@ -411,9 +413,9 @@ class GossipPlan:
             raise WorkloadError(f"fanout must be >= 0, got {self.fanout}")
         if self.ttl < 0:
             raise WorkloadError(f"ttl must be >= 0, got {self.ttl}")
-        if self.hop_delay <= 0:
+        if not 0 < self.hop_delay < math.inf:
             raise WorkloadError(
-                f"hop_delay must be > 0, got {self.hop_delay}"
+                f"hop_delay must be finite and > 0, got {self.hop_delay}"
             )
 
     def is_noop(self) -> bool:
@@ -430,7 +432,7 @@ class GossipRelay:
     via :meth:`from_plan`, which returns ``None`` for disabled plans.
     """
 
-    __slots__ = ("plan", "_rng", "_sim")
+    __slots__ = ("plan", "_rng", "_sim", "_handler")
 
     def __init__(
         self, plan: GossipPlan, rng: RngRegistry, sim: GuessSimulation
@@ -438,6 +440,8 @@ class GossipRelay:
         self.plan = plan
         self._rng = rng.stream("gossip:relay")
         self._sim = sim
+        # Bound once: every pending hop event holds this one object.
+        self._handler = self._hop
 
     @classmethod
     def from_plan(
@@ -454,20 +458,20 @@ class GossipRelay:
         return cls(plan, rng, sim)
 
     def pick_targets(
-        self, candidates: Sequence[Address], seen: Set[Address]
+        self, candidates: Iterable[Address], seen: Set[Address]
     ) -> List[Address]:
         """Up to ``fanout`` addresses from ``candidates`` not yet rumored.
 
-        ``candidates`` must arrive in a deterministic order (link caches
-        iterate in insertion order); the sample preserves determinism by
-        drawing only from the ``gossip:relay`` stream.
+        ``candidates`` must arrive in a deterministic order (a link cache's
+        ``addresses()``: insertion order), and are listed before this
+        returns; the sample draws only from the ``gossip:relay`` stream.
         """
-        fresh = [address for address in candidates if address not in seen]
+        fresh = list(filterfalse(seen.__contains__, candidates))
         if len(fresh) <= self.plan.fanout:
             return fresh
         return self._rng.sample(fresh, self.plan.fanout)
 
-    def seed_rumor(self, carrier: GuessPeer, pong, now: float) -> None:
+    def seed_rumor(self, carrier: GuessPeer, pong: Pong, now: float) -> None:
         """Start one epidemic rumor from a freshly harvested pong.
 
         The probing peer becomes the rumor's origin/first carrier; the
@@ -477,39 +481,38 @@ class GossipRelay:
         event args — events fire deterministically, so the mutation
         order (hence every target choice) is reproducible.
 
-        A pong shows the responder's own entries and is valid for the
-        exchange only; the rumor outlives this event, so it carries a
-        snapshot taken now.
+        A pong shows the responder's own entries, valid for the exchange
+        only; the rumor outlives this event, so it holds their values
+        taken now (:func:`~repro.core.entry.entry_values`), not clones.
         """
         sim = self._sim
         sim.collector.record_gossip_rumor(now)
         origin = carrier.address
         seen = {origin, pong.sender}
-        entries = tuple(entry.copy() for entry in pong.entries)
+        values = entry_values(pong.entries)
         sim.engine.schedule(
             now + self.plan.hop_delay,
-            self._hop,
-            priority=EventPriority.PROTOCOL,
+            self._handler,
             label="gossip",
-            args=(origin, origin, entries, self.plan.ttl, seen),
+            args=(origin, origin, values, self.plan.ttl, seen),
         )
 
     def _hop(
         self,
         carrier_address: Address,
         origin: Address,
-        entries,
+        values: tuple,
         ttl: int,
         seen: Set[Address],
     ) -> None:
         """Push the rumor from one carrier to up to ``fanout`` fresh contacts.
 
-        Delivered pushes import entries at the receiver (attributed to
-        the rumor's origin) and — while ``ttl`` lasts — make the
-        receiver the next hop's carrier.  Malicious peers and
-        suppress-mode faulty reporters accept rumors but never relay
-        them (the suppression is counted).  A carrier that died before
-        its hop fired drops the rumor, exactly like a lost packet.
+        The pushes show ``EntryView`` tuples of the rumor's values, and
+        delivered ones import them at the receiver (attributed to the
+        rumor's origin) and — while ``ttl`` lasts — make the receiver the
+        next hop's carrier.  Malicious peers and suppress-mode faulty
+        reporters accept rumors but never relay them (counted).  A carrier
+        that died before its hop fired drops the rumor like a lost packet.
         """
         sim = self._sim
         now = sim.engine.now
@@ -517,23 +520,17 @@ class GossipRelay:
         carrier = store.get(carrier_address)
         if carrier is None or not carrier.is_alive(now):
             return
-        targets = self.pick_targets(
-            [entry.address for entry in carrier.link_cache.entries()], seen
-        )
+        targets = self.pick_targets(carrier.link_cache.addresses(), seen)
         if not targets:
             return
-        message = GossipPush(
-            sender=carrier_address, origin=origin, entries=entries, ttl=ttl
-        )
+        message = GossipPush(carrier_address, origin, entry_views(values), ttl)
         probe = sim.transport.probe
         record_push = sim.collector.record_gossip_push
         for target_address in targets:
             seen.add(target_address)
             outcome = probe(carrier_address, target_address, message, now)
             if outcome.status is ProbeStatus.DELIVERED:
-                record_push(
-                    now, delivered=True, imported=outcome.response.imported
-                )
+                record_push(now, delivered=True, imported=outcome.response.imported)
                 if ttl <= 1:
                     continue
                 target = store.get(target_address)
@@ -544,14 +541,10 @@ class GossipRelay:
                     continue
                 sim.engine.schedule(
                     now + self.plan.hop_delay,
-                    self._hop,
-                    priority=EventPriority.PROTOCOL,
+                    self._handler,
                     label="gossip",
-                    args=(target_address, origin, entries, ttl - 1, seen),
+                    args=(target_address, origin, values, ttl - 1, seen),
                 )
             else:
-                record_push(
-                    now,
-                    delivered=False,
-                    refused=outcome.status is ProbeStatus.REFUSED,
-                )
+                refused = outcome.status is ProbeStatus.REFUSED
+                record_push(now, delivered=False, refused=refused)

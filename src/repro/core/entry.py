@@ -34,8 +34,8 @@ stores only the keeper's clone, :meth:`CacheEntry.copy` stamped with the
 import time.  The two keepers are the caches' intakes —
 :meth:`~repro.core.link_cache.LinkCache.admit` of a pong and
 :meth:`~repro.core.query_cache.QueryCache.add` — and each clones an
-entry only once it has decided to keep it; the gossip rumor relay, which
-holds a pong past its event, snapshots the entries when it seeds.  An
+entry only once it has decided to keep it; the rumor relay, which holds
+a pong past its event, holds :func:`entry_values` and clones nothing.  An
 entry the receiver does not keep — most of them: the query cache has
 usually seen the address already, and a full link cache's contest is
 usually lost — is never cloned.
@@ -44,6 +44,10 @@ usually lost — is never cloned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Tuple
 
 from repro.network.address import Address
 
@@ -69,8 +73,10 @@ class CacheEntry:
     born: float = 0.0
 
     def copy(
-        self, born: float | None = None, reset_num_results: bool = False
-    ) -> "CacheEntry":
+        self: CacheEntry | EntryView,
+        born: float | None = None,
+        reset_num_results: bool = False,
+    ) -> CacheEntry:
         """An independent copy, for whoever keeps an entry it was shown.
 
         An import passes its time as ``born`` — acquisition age is the
@@ -102,3 +108,31 @@ class CacheEntry:
             raise ValueError(f"num_results must be >= 0, got {num_results}")
         self.num_res = num_results
         self.touch(now)
+
+
+class EntryView(NamedTuple):
+    """An entry's fields, read (and cloned) like the entry."""
+
+    address: Address
+    ts: float
+    num_files: int
+    num_res: int
+    born: float
+
+    def copy(self, born: float | None = None, reset: bool = False) -> CacheEntry:
+        """The keeper's clone: :meth:`CacheEntry.copy` of these fields."""
+        return CacheEntry.copy(self, born, reset)
+
+
+_FIELDS = attrgetter(*EntryView._fields)
+_VIEW = partial(tuple.__new__, EntryView)
+
+
+def entry_values(entries: Iterable[CacheEntry]) -> tuple:
+    """``entries``' fields as one flat tuple of numbers (no GC tracking)."""
+    return tuple(chain.from_iterable(map(_FIELDS, entries)))
+
+
+def entry_views(values: tuple) -> Tuple[EntryView, ...]:
+    """:func:`entry_values`' tuple read back as views, built in C."""
+    return tuple(map(_VIEW, zip(*[iter(values)] * len(EntryView._fields))))

@@ -26,10 +26,10 @@ candidates — a purge is also a refresh opportunity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Tuple
 
-from repro.core.entry import CacheEntry
+from repro.core.entry import CacheEntry, EntryView
 from repro.network.address import Address
 
 
@@ -64,8 +64,7 @@ class Pong(_PongFields):
     them: a receiver reads them and stores only its own clone
     (:meth:`~repro.core.entry.CacheEntry.copy` stamped with the import
     time, made by the cache that keeps the entry), never mutates them in
-    place, and a component that holds a pong past its event (the gossip
-    rumor relay) snapshots them first.
+    place.  (A rumor relay holds values; its hops show views of them.)
 
     A named tuple, like :class:`QueryReply` and
     :class:`~repro.network.transport.ProbeOutcome`: one is built per
@@ -76,7 +75,7 @@ class Pong(_PongFields):
     __slots__ = ()
 
     def __new__(
-        cls, sender: Address, entries: Iterable[CacheEntry] = ()
+        cls, sender: Address, entries: Iterable[CacheEntry | EntryView] = ()
     ) -> "Pong":
         if type(entries) is not tuple:
             entries = tuple(entries)
@@ -117,30 +116,24 @@ class Refusal:
     sender: Address
 
 
-@dataclass(frozen=True, slots=True)
-class GossipPush:
+class GossipPush(NamedTuple):
     """Epidemic pong-harvest rumor (gossip-assisted GUESS).
 
     Attributes:
         sender: the peer forwarding the rumor (this hop's carrier).
         origin: the peer whose ping harvest seeded the rumor.
-        entries: the rumor's snapshot of the harvested pong's entries.
+        entries: the hop's views of the rumor's snapshot of the pong.
         ttl: remaining forwarding hops after this delivery.
     """
 
     sender: Address
     origin: Address
-    entries: Tuple[CacheEntry, ...] = field(default_factory=tuple)
+    entries: Tuple[EntryView, ...] = ()
     ttl: int = 1
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(self.entries))
 
-
-@dataclass(frozen=True, slots=True)
-class GossipAck:
-    """Reply to a :class:`GossipPush`.
+class GossipAck(NamedTuple):
+    """Reply to a :class:`GossipPush` (a named tuple: one per delivery).
 
     Attributes:
         sender: the acknowledging peer.

@@ -272,10 +272,8 @@ class GuessPeer:
         the forwarding carrier); no introduction coin is flipped — a
         rumor carries no advertised file count.
         """
-        imported = self.import_pong_to_link_cache(
-            Pong(message.origin, message.entries), time
-        )
-        return GossipAck(sender=self.address, imported=imported)
+        pong = Pong(message.origin, message.entries)
+        return GossipAck(self.address, self.import_pong_to_link_cache(pong, time))
 
     def _handle_cache_update(
         self, message: CacheUpdate, time: float

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.network.address import Address
@@ -107,8 +107,7 @@ class RetryPolicy:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class RetriedProbe:
+class RetriedProbe(NamedTuple):
     """One logical probe's final fate after up to ``max_attempts`` sends.
 
     Attributes:
@@ -165,10 +164,8 @@ def probe_with_retry(
     """
     outcome = transport.probe(src, dst, message, time)
     if outcome.status is not ProbeStatus.TIMEOUT or not retry.enabled:
-        return RetriedProbe(outcome, attempts=1, recovered=False, delay=0.0)
-    attempts = 1
-    delay = 0.0
-    denied = False
+        return RetriedProbe(outcome, 1, False, 0.0)
+    attempts, delay, denied = 1, 0.0, False
     while attempts < retry.max_attempts:
         next_delay = delay + outcome.rtt + retry.delay(attempts - 1)
         if budget is not None and not budget.try_spend(time + next_delay):
@@ -178,11 +175,7 @@ def probe_with_retry(
         outcome = transport.probe(src, dst, message, time + delay)
         attempts += 1
         if outcome.status is not ProbeStatus.TIMEOUT:
-            final = outcome._replace(rtt=delay + outcome.rtt)
-            return RetriedProbe(
-                final, attempts=attempts, recovered=True, delay=delay
-            )
+            break
+    recovered = outcome.status is not ProbeStatus.TIMEOUT
     final = outcome._replace(rtt=delay + outcome.rtt)
-    return RetriedProbe(
-        final, attempts=attempts, recovered=False, delay=delay, denied=denied
-    )
+    return RetriedProbe(final, attempts, recovered, delay, denied)

@@ -14,14 +14,14 @@ follows (:class:`~repro.faults.injector.FaultInjector`,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set
+from itertools import filterfalse
+from typing import TYPE_CHECKING, Iterable, List, Optional, Set
 
 from repro.core.messages import CacheUpdate, CacheUpdateAck
 from repro.freshness.plan import FreshnessPlan
 from repro.network.address import Address
 from repro.network.transport import ProbeStatus
 from repro.resilience.breaker import OPEN
-from repro.sim.events import EventPriority
 from repro.sim.rng import RngRegistry
 
 if TYPE_CHECKING:  # annotation-only: network_sim imports this module
@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # annotation-only: network_sim imports this module
 class FreshnessMediator:
     """Randomness, policy decisions and notice hops of an armed plan."""
 
-    __slots__ = ("plan", "_notify_rng", "_sizing_rng", "_sim")
+    __slots__ = ("plan", "_notify_rng", "_sizing_rng", "_sim", "_handler")
 
     def __init__(
         self, plan: FreshnessPlan, rng: RngRegistry, sim: GuessSimulation
@@ -45,6 +45,8 @@ class FreshnessMediator:
         # Reached for engine, transport, peer store and collector, and
         # only when a notice is sent.
         self._sim = sim
+        # Bound once: every pending hop event holds this one object.
+        self._handler = self._hop
 
     @classmethod
     def from_plan(
@@ -74,15 +76,15 @@ class FreshnessMediator:
         return sizing.capacity_for(base, num_files, self._sizing_rng)
 
     def pick_contacts(
-        self, candidates: Sequence[Address], seen: Set[Address]
+        self, candidates: Iterable[Address], seen: Set[Address]
     ) -> List[Address]:
         """Up to ``notify_budget`` addresses not yet notified.
 
-        ``candidates`` must arrive in a deterministic order (link caches
-        iterate in insertion order); the sample draws only from the
-        ``freshness:notify`` stream.
+        ``candidates`` must arrive in a deterministic order (a link cache's
+        ``addresses()``: insertion order), and are listed before this
+        returns; the sample draws only from the ``freshness:notify`` stream.
         """
-        fresh = [address for address in candidates if address not in seen]
+        fresh = list(filterfalse(seen.__contains__, candidates))
         if len(fresh) <= self.plan.notify_budget:
             return fresh
         return self._notify_rng.sample(fresh, self.plan.notify_budget)
@@ -119,8 +121,7 @@ class FreshnessMediator:
             origin = prober.address
             self._sim.engine.schedule(
                 now + plan.notify_delay,
-                self._hop,
-                priority=EventPriority.PROTOCOL,
+                self._handler,
                 label="freshness",
                 args=(origin, subject, plan.depth, {origin, subject}, False),
             )
@@ -137,7 +138,7 @@ class FreshnessMediator:
         """Send a cache-update notice one interest-path hop.
 
         The carrier (a peer that held — and purged or demoted — the
-        stale entry) warns up to ``notify_budget`` of its own contacts.
+        stale entry) warns up to ``notify_budget`` of its cached addresses.
         Only receivers that also held the entry (``ack.purged``) extend
         the path, so propagation follows interest and dies out where
         nobody cached the subject.  Each delivered ack piggybacks a
@@ -147,45 +148,31 @@ class FreshnessMediator:
         """
         sim = self._sim
         now = sim.engine.now
-        if victim is None:
-            carrier = sim.store.get(carrier_address)
-            if carrier is None or not carrier.is_alive(now):
-                return
-        else:
-            carrier = victim
-        contacts = self.pick_contacts(
-            [entry.address for entry in carrier.link_cache.entries()], seen
-        )
+        carrier = sim.store.get(carrier_address) if victim is None else victim
+        if carrier is None or (victim is None and not carrier.is_alive(now)):
+            return
+        contacts = self.pick_contacts(carrier.link_cache.addresses(), seen)
         if not contacts:
             return
-        message = CacheUpdate(
-            sender=carrier_address, subject=subject, departed=departed
-        )
-        collector = sim.collector
+        message = CacheUpdate(carrier_address, subject, departed)
+        probe = sim.transport.probe
+        record_notice = sim.collector.record_freshness_notice
         for target_address in contacts:
             seen.add(target_address)
-            outcome = sim.transport.probe(
-                carrier_address, target_address, message, now
-            )
+            outcome = probe(carrier_address, target_address, message, now)
             if outcome.status is ProbeStatus.DELIVERED:
                 ack: CacheUpdateAck = outcome.response
-                collector.record_freshness_notice(
-                    now, delivered=True, purged=ack.purged
-                )
+                record_notice(now, delivered=True, purged=ack.purged)
                 if victim is None and ack.pong.entries:
                     imported = carrier.import_pong_to_link_cache(ack.pong, now)
-                    collector.record_freshness_refresh(now, imported)
+                    sim.collector.record_freshness_refresh(now, imported)
                 if ack.purged and ttl > 1:
                     sim.engine.schedule(
                         now + self.plan.notify_delay,
-                        self._hop,
-                        priority=EventPriority.PROTOCOL,
+                        self._handler,
                         label="freshness",
                         args=(target_address, subject, ttl - 1, seen, departed),
                     )
             else:
-                collector.record_freshness_notice(
-                    now,
-                    delivered=False,
-                    refused=outcome.status is ProbeStatus.REFUSED,
-                )
+                refused = outcome.status is ProbeStatus.REFUSED
+                record_notice(now, delivered=False, refused=refused)

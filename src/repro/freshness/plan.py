@@ -31,6 +31,7 @@ All armed randomness draws from dedicated ``freshness:*`` substreams
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Tuple
@@ -83,8 +84,8 @@ class CacheSizing:
             raise FreshnessError(
                 f"reference_files must be >= 1, got {self.reference_files}"
             )
-        if self.alpha <= 1.0:
-            raise FreshnessError(f"alpha must be > 1, got {self.alpha}")
+        if not 1.0 < self.alpha < math.inf:
+            raise FreshnessError(f"alpha must be finite and > 1, got {self.alpha}")
         if self.min_capacity < 0:
             raise FreshnessError(
                 f"min_capacity must be >= 0, got {self.min_capacity}"
@@ -167,9 +168,9 @@ from_plan` returns ``None`` and trace digests are bit-identical to a run
             )
         if self.depth < 0:
             raise FreshnessError(f"depth must be >= 0, got {self.depth}")
-        if self.notify_delay <= 0:
+        if not 0 < self.notify_delay < math.inf:
             raise FreshnessError(
-                f"notify_delay must be > 0, got {self.notify_delay}"
+                f"notify_delay must be finite and > 0, got {self.notify_delay}"
             )
         if not isinstance(self.sizing, CacheSizing):
             raise FreshnessError(

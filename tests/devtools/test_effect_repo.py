@@ -135,3 +135,16 @@ def test_effects_report_sees_every_random_index_draw(tmp_path):
         "repro.core.network_sim.GuessSimulation._seed_from_friend",
     ):
         assert "RNG_DRAW" in effects.get(qualname, ""), qualname
+    # The armed hops pick from addresses through a stored handler; the
+    # table must still see each relay draw on its own stream and schedule
+    # the next hop, or RD007 (``gossip:*`` / ``freshness:*`` only) proves
+    # nothing about them.
+    gossip, freshness = "repro.baselines.gossip.", "repro.freshness.mediator."
+    for qualname, wanted in (
+        (gossip + "GossipRelay._hop", "RNG_DRAW+SCHEDULE"),
+        (gossip + "GossipRelay.seed_rumor", "SCHEDULE"),
+        (gossip + "GossipRelay.pick_targets", "RNG_DRAW"),
+        (freshness + "FreshnessMediator._hop", "RNG_DRAW+SCHEDULE"),
+        (freshness + "FreshnessMediator.pick_contacts", "RNG_DRAW"),
+    ):
+        assert effects.get(qualname) == wanted, qualname

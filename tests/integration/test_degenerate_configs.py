@@ -18,9 +18,15 @@ import pytest
 from repro.baselines.gossip import GossipPlan
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
-from repro.errors import ConfigError, ScenarioError, SimulationError
+from repro.errors import (
+    ConfigError,
+    FreshnessError,
+    ScenarioError,
+    SimulationError,
+    WorkloadError,
+)
 from repro.extensions.selfish import ProbeBudget
-from repro.freshness import FreshnessPlan
+from repro.freshness import CacheSizing, FreshnessPlan
 from repro.metrics.collectors import SimulationReport
 from repro.resilience import ChurnStorm, ScenarioPlan
 from repro.resilience.breaker import BreakerSpec
@@ -163,7 +169,10 @@ def test_degenerate_configuration_fails_typed_or_reports(case):
 
 #: Specs whose NaN or infinite knob was accepted, then misbehaved: the
 #: bucket refilled at every tick, or the breaker never opened or never
-#: half-opened, or ``available()`` raised an untyped ``OverflowError``.
+#: half-opened, or ``available()`` raised an untyped ``OverflowError``;
+#: an infinite hop delay parked every rumor at t = inf, a NaN one raised
+#: mid-run, and a non-finite Pareto shape died building the first peer
+#: with a builtin ``ValueError``.
 SPECS = {
     "budget-refill-interval-nan": (
         lambda: BudgetSpec(refill_interval=math.nan),
@@ -182,6 +191,24 @@ SPECS = {
     "probe-budget-capacity-inf": (
         lambda: ProbeBudget(refill_rate=1.0, capacity=math.inf),
         ConfigError,
+    ),
+    "gossip-hop-delay-inf": (lambda: GossipPlan(hop_delay=math.inf), WorkloadError),
+    "gossip-hop-delay-nan": (lambda: GossipPlan(hop_delay=math.nan), WorkloadError),
+    "freshness-notify-delay-inf": (
+        lambda: FreshnessPlan(notify_delay=math.inf),
+        FreshnessError,
+    ),
+    "freshness-notify-delay-nan": (
+        lambda: FreshnessPlan(notify_delay=math.nan),
+        FreshnessError,
+    ),
+    "cache-sizing-alpha-inf": (
+        lambda: CacheSizing(policy="power-law", alpha=math.inf),
+        FreshnessError,
+    ),
+    "cache-sizing-alpha-nan": (
+        lambda: CacheSizing(policy="power-law", alpha=math.nan),
+        FreshnessError,
     ),
 }
 

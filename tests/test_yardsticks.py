@@ -8,6 +8,7 @@ one takes the code somewhere it belongs instead of raising the number.
 from __future__ import annotations
 
 import ast
+import gc
 import importlib.util
 import inspect
 import random
@@ -17,7 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from repro.baselines.gossip import GossipRelay
-from repro.core.entry import CacheEntry
+from repro.core.entry import CacheEntry, EntryView
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
 from repro.core.policies import Policy, get_ordering_policy, registered_policy_names
@@ -38,8 +39,8 @@ def test_src_size():
     # 19 688 before the metrics registry went, 19 171 before query spans,
     # 18 778 before the link cache kept the keyed orders, 18 776 before a
     # probe's outcome was applied and booked in one place, 18 684 before a
-    # pong was taken in one pass.
-    assert sum(line_count(path) for path in SRC.rglob("*.py")) <= 18663
+    # pong was taken in one pass, 18 663 before a pending rumor held values.
+    assert sum(line_count(path) for path in SRC.rglob("*.py")) <= 18662
 
 
 def test_network_sim_runs_the_lifecycle_only():
@@ -310,13 +311,70 @@ def test_an_entry_is_cloned_by_whoever_keeps_it(monkeypatch):
 
 
 def test_armed_gossip_adds_only_the_rumor_snapshot(monkeypatch):
-    # The one holder of a pong past its event snapshots what it was shown.
+    # The one holder of a pong past its event snapshots what it was shown
+    # as values (``entry_values``), not clones: with every layer armed,
+    # every clone is still an admission — a rumor's views included.
     recipe = pins.TestAllArmedPin
     copies, admitted, snapshotted = _clone_counts(
         monkeypatch, recipe.SYSTEM, recipe.PROTOCOL, **recipe.PLANS
     )
     assert admitted > 0 and snapshotted > 0
-    assert copies == admitted + snapshotted
+    assert copies == admitted
+
+
+def _reached(root):
+    """Every object reachable from ``root`` through tuples and sets."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            if isinstance(obj, (tuple, set, frozenset)):
+                stack.extend(obj)
+    return list(seen.values())
+
+
+def test_a_pending_rumor_holds_values(monkeypatch):
+    # A rumor waits in the queue for up to ~265 s (a query seeds it at its
+    # forward-looking cursor), so what it holds is what every full pass of
+    # the garbage collector walks.  Three tracked objects per rumor — the
+    # event tuple, its args tuple and the ``seen`` set — beside one handler
+    # per relay and a snapshot of numbers the collector stops tracking
+    # after one pass.  Cloned entries would make it ten: five
+    # ``CacheEntry`` objects, their tuple and a fresh bound method.
+    recipe = pins.TestAllArmedPin
+    sim = GuessSimulation(recipe.SYSTEM, recipe.PROTOCOL, seed=7, **recipe.PLANS)
+    engine, hops = sim.engine, []
+    schedule = engine.schedule
+
+    def recorded(time, action, *, label="", **kwargs):
+        if label in ("gossip", "freshness"):
+            hops.append((time, action, label, kwargs["args"]))
+        schedule(time, action, label=label, **kwargs)
+
+    monkeypatch.setattr(engine, "schedule", recorded)
+    pending = {"gossip": 0, "freshness": 0}
+    # Checkpoints: three just after an overload notice is scheduled.
+    for until in (11.65, 14.68, 26.65, 60.0, 100.0):
+        sim.run(until - engine.now)
+        gc.collect()
+        handlers = {label: set() for label in pending}
+        for time, action, label, args in hops:
+            if time <= engine.now:
+                continue  # fired
+            pending[label] += 1
+            handlers[label].add(id(action))  # all kept alive: distinct ids
+            reached = _reached(args)
+            assert not any(isinstance(o, (CacheEntry, EntryView)) for o in reached)
+            seen = next(o for o in args if isinstance(o, set))
+            assert [o for o in reached if gc.is_tracked(o)] == [args, seen], label
+            if label == "gossip":
+                values = args[2]
+                assert {type(v) for v in values} <= {int, float}, values
+                assert not gc.is_tracked(values)
+        # One bound handler per relay, stored once: no bound method per event.
+        assert all(len(ids) <= 1 for ids in handlers.values()), handlers
+    assert pending["gossip"] > 1_000 and pending["freshness"] > 0, pending
 
 
 def _key_calls(monkeypatch, **policies):
