@@ -209,12 +209,12 @@ class GuessSimulation:
         )
         self._allocator = AddressAllocator()
         ghosts = self._allocator.allocate_many(GHOST_ADDRESS_COUNT)
-        self.directory = AttackDirectory(ghost_addresses=ghosts)
-        # Struct-of-arrays peer registry: the live-peer object map plus
-        # scalar columns (alive/role flags) indexed by dense address —
-        # the hot membership checks below are bytearray loads, not
-        # dict/set hashing.
+        # Struct-of-arrays peer registry: the live-peer object map, the
+        # ascending live rosters, plus scalar columns (alive/role flags)
+        # indexed by dense address — the hot membership checks below are
+        # bytearray loads, not dict/set hashing.
         self._store = PeerStore(reserve=GHOST_ADDRESS_COUNT)
+        self.directory = AttackDirectory(self._store, ghost_addresses=ghosts)
         self._health_interval = health_sample_interval
         self._reported = False
         self._bootstrap()
@@ -387,7 +387,6 @@ class GuessSimulation:
 
         self._store.add(peer)
         self.transport.register(address, peer)
-        self.directory.record_birth(address, malicious)
         if is_rebirth:
             self.collector.record_birth(now)
 
@@ -460,7 +459,6 @@ class GuessSimulation:
         if self._store.remove(address) is None:  # already handled (defensive)
             return
         self.transport.unregister(address, time=now)
-        self.directory.record_death(address)
         self.collector.record_death(now)
         self.collector.harvest_peer(
             peer.address,
@@ -531,8 +529,8 @@ class GuessSimulation:
     def _pick_friend(self) -> Optional[GuessPeer]:
         """One uniformly random live peer (the newborn's "friend").
 
-        The store's live index mirrors the peer map's insertion order,
-        so the k-th live address equals ``list(peers.keys())[k]``
+        Birth order is ascending address order, so the k-th of the
+        store's ascending live addresses is ``list(peers.keys())[k]``
         without the O(n) list rebuild — same RNG draw, same friend,
         same digest.
         """

@@ -1,4 +1,4 @@
-"""Struct-of-arrays peer store: scalar columns keyed by dense addresses.
+"""Struct-of-arrays peer store: the one live roster, keyed by dense addresses.
 
 At million-peer scale the simulation's hot membership questions — *is
 this address alive?  is it malicious?* — were answered by hashing into
@@ -21,19 +21,25 @@ Columns (all indexed by address):
 
 The store also owns the live-peer **object map** (a ``dict`` preserving
 birth order — iteration order is digest-load-bearing for health
-sampling) and the Fenwick-backed
-:class:`~repro.core.live_index.LiveAddressIndex` used for O(log n)
-uniform friend sampling.  Everything stays bit-identical to the
-dict/set spelling: columns only change *how* membership is answered,
-never *what* the answer is, and the golden trace digests in
-``tests/integration`` pin that.
+sampling) and the one live roster every draw reads: the live addresses
+as **ascending lists**, one for all peers and one per role, plus
+``departed``, the dead in death order.  The simulation allocates an
+address and adds its peer in the same call, above the reserved ghost
+block, so birth order *is* ascending address order (:meth:`add` enforces
+it): the k-th live peer is ``live[k]``, and the role lists are the
+sorted rosters the attackers draw from
+(:class:`~repro.core.malicious.AttackDirectory`).  A birth appends; a
+death is a ``bisect`` and a ``del``.  Everything stays bit-identical to
+the dict/set spelling: the store only changes *how* these questions are
+answered, never *what* the answer is, and the golden trace digests and
+report pins in ``tests/integration`` pin that.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional
 
-from repro.core.live_index import LiveAddressIndex
 from repro.core.peer import GuessPeer
 from repro.network.address import Address
 
@@ -60,14 +66,25 @@ class PeerStore:
 
     __slots__ = (
         "_peers",
-        "_live_index",
+        "_live",
+        "live_malicious",
+        "live_good",
+        "departed",
+        "_floor",
         "_alive",
         "_malicious",
     )
 
     def __init__(self, reserve: int = 0) -> None:
         self._peers: Dict[Address, GuessPeer] = {}
-        self._live_index = LiveAddressIndex()
+        self._live: List[Address] = []
+        #: Live addresses by role, ascending; and the removed, in death
+        #: order.  Read-only outside the store.
+        self.live_malicious: List[Address] = []
+        self.live_good: List[Address] = []
+        self.departed: List[Address] = []
+        #: The lowest address :meth:`add` still accepts.
+        self._floor = reserve
         self._alive = bytearray(reserve)
         self._malicious = bytearray(reserve)
 
@@ -125,22 +142,39 @@ class PeerStore:
     # ------------------------------------------------------------------
 
     def add(self, peer: GuessPeer) -> None:
-        """Register a newborn peer and set its alive/role flags."""
+        """Register a newborn peer and set its alive/role flags.
+
+        Raises ``ValueError`` for an address not above every address the
+        store has held (reserve included): the ascending lists rest on it.
+        """
         address = peer.address
+        if address < self._floor:
+            raise ValueError(
+                f"address {address!r} is not above every address the "
+                f"store has held (next allowed: {self._floor})"
+            )
+        self._floor = address + 1
         self._ensure(address)
         self._peers[address] = peer
-        self._live_index.add(address)
+        self._live.append(address)
         self._alive[address] = 1
         if peer.malicious:
             self._malicious[address] = 1
+            self.live_malicious.append(address)
+        else:
+            self.live_good.append(address)
 
     def remove(self, address: Address) -> Optional[GuessPeer]:
         """Unregister a departing peer; returns it (None if absent)."""
         peer = self._peers.pop(address, None)
         if peer is None:
             return None
-        self._live_index.discard(address)
+        live = self._live
+        del live[bisect_left(live, address)]
+        role = self.live_malicious if peer.malicious else self.live_good
+        del role[bisect_left(role, address)]
         self._alive[address] = 0
+        self.departed.append(address)
         return peer
 
     # ------------------------------------------------------------------
@@ -148,8 +182,15 @@ class PeerStore:
     # ------------------------------------------------------------------
 
     def kth_live(self, k: int) -> GuessPeer:
-        """The k-th live peer (0-based) in birth order, O(log n)."""
-        return self._peers[self._live_index.kth(k)]
+        """The k-th live peer (0-based) in birth order.
+
+        ``IndexError`` unless ``0 <= k < len(self)``: a bare list index
+        would wrap a negative k round to the newest peer.
+        """
+        live = self._live
+        if not 0 <= k < len(live):
+            raise IndexError(f"kth_live({k}) out of range for {len(live)} live")
+        return self._peers[live[k]]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

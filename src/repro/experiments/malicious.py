@@ -28,6 +28,7 @@ from repro.experiments.runner import (
     ExperimentResult,
     Metric,
     run_sweep,
+    suite_main,
 )
 
 #: Policy stacks compared in Figures 16-21.
@@ -35,6 +36,9 @@ POLICIES: Tuple[str, ...] = ("Random", "MR", "MR*", "MFS")
 
 #: Attacker percentages swept on the x-axis.
 BAD_PERCENTS: Tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
+
+#: One sweep's cells: (policy, PercentBadPeers) -> metric -> mean.
+Sweep = Dict[Tuple[str, float], Dict[str, float]]
 
 METRICS: Dict[str, Metric] = {
     "probes": "probes_per_query",
@@ -75,53 +79,36 @@ def cells(
     }
 
 
-def _series(
-    sweep: Dict[Tuple[str, float], Dict[str, float]], metric: str
-) -> Dict[str, List[Tuple[float, float]]]:
+def _series(sweep: Sweep, metric: str) -> Dict[str, List[Tuple[float, float]]]:
     series: Dict[str, List[Tuple[float, float]]] = {}
-    for (policy, bad), cell in sorted(
-        sweep.items(), key=lambda kv: (kv[0][0], kv[0][1])
-    ):
-        series.setdefault(policy, []).append((bad, cell[metric]))
+    for policy, bad in sorted(sweep):
+        series.setdefault(policy, []).append((bad, sweep[policy, bad][metric]))
     return series
 
 
 def _three_figures(
-    sweep: Dict[Tuple[str, float], Dict[str, float]],
-    ids: Tuple[str, str, str],
-    collusion: bool,
+    sweep: Sweep, ids: Tuple[str, str, str], collusion: bool
 ) -> List[ExperimentResult]:
     mode = "colluding (Bad pongs)" if collusion else "non-colluding (Dead pongs)"
     vulnerable = "MR and MFS" if collusion else "MFS only"
-    probes_id, unsat_id, entries_id = ids
+    rows = (  # (metric, what the figure plots, its expected shape)
+        ("probes", "Average probes per query",
+         f"cost rises with attacker share; worst for {vulnerable}"),
+        ("unsat", "Unsatisfied queries",
+         f"{vulnerable} collapse toward ~100% unsatisfied by 20% "
+         "attackers; Random and MR* stay near the no-attack level"),
+        ("good_entries", "Average good (live, non-malicious) link-cache entries",
+         f"good-entry counts collapse for {vulnerable}"),
+    )
     return [
         ExperimentResult(
-            experiment_id=probes_id,
-            title=f"Average probes per query vs PercentBadPeers — {mode}",
-            series=_series(sweep, "probes"),
+            experiment_id=experiment_id,
+            title=f"{what} vs PercentBadPeers — {mode}",
+            series=_series(sweep, metric),
             x_label="PercentBadPeers",
-            notes=f"cost rises with attacker share; worst for {vulnerable}",
-        ),
-        ExperimentResult(
-            experiment_id=unsat_id,
-            title=f"Unsatisfied queries vs PercentBadPeers — {mode}",
-            series=_series(sweep, "unsat"),
-            x_label="PercentBadPeers",
-            notes=(
-                f"{vulnerable} collapse toward ~100% unsatisfied by 20% "
-                "attackers; Random and MR* stay near the no-attack level"
-            ),
-        ),
-        ExperimentResult(
-            experiment_id=entries_id,
-            title=(
-                "Average good (live, non-malicious) link-cache entries vs "
-                f"PercentBadPeers — {mode}"
-            ),
-            series=_series(sweep, "good_entries"),
-            x_label="PercentBadPeers",
-            notes=f"good-entry counts collapse for {vulnerable}",
-        ),
+            notes=notes,
+        )
+        for experiment_id, (metric, what, notes) in zip(ids, rows)
     ]
 
 
@@ -156,3 +143,12 @@ def run_suite(
     return run_fig16_18(profile, executor=executor) + run_fig19_21(
         profile, executor=executor
     )
+
+
+def main(argv: List[str] | None = None) -> int:
+    """Module CLI; see :func:`~repro.experiments.runner.suite_main`."""
+    return suite_main(run_suite, "Run the cache-poisoning suite (Figs 16-21).", argv)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -8,6 +8,7 @@ from repro.core.entry import CacheEntry
 from repro.core.malicious import AttackDirectory, MaliciousPeer
 from repro.core.params import BadPongBehavior, ProtocolParams
 from repro.core.peer import GuessPeer
+from repro.core.peer_store import PeerStore
 from repro.core.policies import PolicySet
 from repro.resilience.policy import ResiliencePolicy
 
@@ -63,7 +64,8 @@ def make_malicious_peer(
     return MaliciousPeer(
         address,
         behavior=behavior,
-        directory=directory or AttackDirectory(ghost_addresses=[9001, 9002]),
+        directory=directory
+        or AttackDirectory(PeerStore(), ghost_addresses=[9001, 9002]),
         attack_rng=random.Random(seed + 2),
         num_files=0,
         library=frozenset(),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.messages import Query
@@ -91,7 +93,11 @@ class TestChurn:
         )
         sim.run(1500.0)
         live = {p.address for p in sim.live_peers}
-        assert live.isdisjoint(sim.directory.dead_addresses)
+        assert sim.store.departed
+        assert live.isdisjoint(sim.store.departed)
+        # DEAD pongs draw from exactly that list once a peer has died.
+        picks = sim.directory.sample_dead(random.Random(0), 20)
+        assert set(picks) <= set(sim.store.departed)
 
     def test_newborns_have_seeded_caches(self):
         sim = small_sim(
@@ -273,5 +279,9 @@ class TestMaliciousComposition:
         sim.run(500.0)
         live_bad = {p.address for p in sim.live_peers if p.malicious}
         live_good = {p.address for p in sim.live_peers if not p.malicious}
-        assert sim.directory.live_malicious == live_bad
-        assert sim.directory.live_good == live_good
+        assert sim.store.live_malicious == sorted(live_bad)
+        assert sim.store.live_good == sorted(live_good)
+        # The directory hands out the whole roster when k exceeds it.
+        rng = random.Random(0)
+        assert sim.directory.sample_malicious(rng, 60, exclude=-1) == sorted(live_bad)
+        assert sim.directory.sample_good(rng, 60) == sorted(live_good)
