@@ -323,7 +323,7 @@ def test_random_select_top_per_sec(benchmark):
         rng = random.Random(0)
         picked = 0
         for _ in range(count):
-            picked += len(cache.select_top(policy, 5, 0.0, rng))
+            picked += len(cache.select_top(policy, 5, rng))
         return picked
 
     assert benchmark(run) == count * 5
@@ -345,7 +345,7 @@ def test_random_pool_select_top_per_sec(benchmark):
         rng = random.Random(0)
         picked = 0
         for _ in range(count):
-            picked += len(cache.select_top(policy, 5, 0.0, rng))
+            picked += len(cache.select_top(policy, 5, rng))
         return picked
 
     assert benchmark(run) == count * 5
@@ -392,7 +392,7 @@ def test_keyed_select_top_per_sec(benchmark):
     def run():
         picked = 0
         for _ in range(count):
-            picked += len(cache.select_top(policy, 5, 0.0, rng))
+            picked += len(cache.select_top(policy, 5, rng))
         return picked
 
     assert benchmark(run) == count * 5

@@ -11,13 +11,11 @@ Public surface:
   and importing a leaf runs this file first.
 * :class:`~repro.core.peer.GuessPeer` /
   :class:`~repro.core.malicious.MaliciousPeer` — peer behaviours.
-* The policy framework (:mod:`repro.core.policies`,
-  :mod:`repro.core.policy_impls`) and caches
+* The policy table (:mod:`repro.core.policies`) and caches
   (:mod:`repro.core.link_cache`, :mod:`repro.core.query_cache`).
 * :func:`~repro.core.search.execute_query` — the serial-probe search loop.
 """
 
-from repro.core import policy_impls as _policy_impls  # registers policies
 from repro.core.entry import CacheEntry
 from repro.core.link_cache import LinkCache
 from repro.core.malicious import (
@@ -42,8 +40,6 @@ from repro.core.policies import (
 )
 from repro.core.query_cache import QueryCache
 from repro.core.search import QueryResult, execute_query
-
-del _policy_impls
 
 __all__ = [
     "CacheEntry",

@@ -41,7 +41,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from math import ceil, log
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.entry import CacheEntry
@@ -51,6 +51,7 @@ from repro.network.address import Address
 from repro.sim.rng import randbelow
 
 _ADDRESS = attrgetter("address")
+_RANK = itemgetter(0)
 
 
 class Ranking:
@@ -58,25 +59,22 @@ class Ranking:
 
     ``entries`` runs preferred end first, ties lowest address first, so
     the victim end is the lowest value at the highest address (the
-    paper's tie rules).  ``ranks`` holds each one's field value, negated
-    when the high end is preferred: both lists ascend on ``(rank,
-    address)``, so a position is found by ``bisect``.
+    paper's tie rules).  ``ranks`` holds each one's :meth:`Policy.rank`:
+    both lists ascend on ``(rank, address)``, so a position is found by
+    ``bisect``.
     """
 
-    __slots__ = ("field", "_value", "_negate", "ranks", "entries")
+    __slots__ = ("field", "rank", "ranks", "entries")
 
     def __init__(self, policy: Policy, residents: Iterable[CacheEntry]) -> None:
         self.field = policy.field
-        self._value = attrgetter(policy.field)
-        self._negate = not policy.prefers_low
-        # Two stable sorts, the minor key first; reverse=True keeps ties.
-        self.entries = sorted(residents, key=_ADDRESS)
-        self.entries.sort(key=self._value, reverse=self._negate)
-        self.ranks = list(map(self.rank, self.entries))
-
-    def rank(self, entry: CacheEntry):
-        value = self._value(entry)
-        return -value if self._negate else value
+        self.rank = policy.rank
+        # One rank call per resident, in address order; the stable sort on
+        # the ranks alone then keeps ties lowest address first.
+        by_address = sorted(residents, key=_ADDRESS)
+        placed = sorted(zip(map(self.rank, by_address), by_address), key=_RANK)
+        self.ranks = [rank for rank, _ in placed]
+        self.entries = [entry for _, entry in placed]
 
     def _index(self, rank, address: Address) -> int:
         lo = bisect_left(self.ranks, rank)
@@ -165,7 +163,7 @@ class LinkCache:
         return ranking
 
     def select_top(
-        self, policy: Policy, k: int, now: float, rng: random.Random
+        self, policy: Policy, k: int, rng: random.Random
     ) -> List[CacheEntry]:
         """The ``k`` entries ``policy`` prefers most (pong construction).
 
@@ -208,7 +206,7 @@ class LinkCache:
         return [order[j] for j in picked]
 
     def select_best(
-        self, policy: Policy, now: float, rng: random.Random
+        self, policy: Policy, rng: random.Random
     ) -> Optional[CacheEntry]:
         """The entry ``policy`` prefers most (the ping target), or None."""
         if policy.randomized:

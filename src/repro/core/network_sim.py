@@ -560,7 +560,7 @@ class GuessSimulation:
 
     def _do_ping(self, peer: GuessPeer, now: float) -> None:
         """One maintenance ping per Section 2.2 (see :meth:`GuessPeer.probe_entry`)."""
-        entry = peer.choose_ping_target(now)
+        entry = peer.choose_ping_target()
         if entry is None:
             return
         tally = ProbeTally()

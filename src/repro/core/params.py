@@ -19,31 +19,15 @@ import math
 from dataclasses import dataclass, replace
 from typing import Tuple
 
+from repro.core.policies import ORDERINGS, REPLACEMENTS
 from repro.errors import ConfigError
 
 #: Policy names accepted for ordering roles (QueryProbe, QueryPong,
-#: PingProbe, PingPong).  ``MR*`` is MR restricted to first-hand
+#: PingProbe, PingPong) and for the CacheReplacement role, named after
+#: what it evicts.  ``MR*`` / ``LR*`` are MR / LR restricted to first-hand
 #: experience (see ``ProtocolParams.reset_num_results``).
-ORDERING_POLICY_NAMES: Tuple[str, ...] = (
-    "Random",
-    "MRU",
-    "LRU",
-    "MFS",
-    "MR",
-    "MR*",
-)
-
-#: Policy names accepted for the CacheReplacement role.  Replacement
-#: policies are named after what they evict (paper Section 4), so the
-#: retain-goal of MFS is spelled LFS here, MR is LR, and MRU/LRU swap.
-REPLACEMENT_POLICY_NAMES: Tuple[str, ...] = (
-    "Random",
-    "LRU",
-    "MRU",
-    "LFS",
-    "LR",
-    "LR*",
-)
+ORDERING_POLICY_NAMES: Tuple[str, ...] = tuple(ORDERINGS)
+REPLACEMENT_POLICY_NAMES: Tuple[str, ...] = tuple(REPLACEMENTS)
 
 
 class BadPongBehavior(enum.Enum):
@@ -104,9 +88,11 @@ class SystemParams:
             raise ConfigError(
                 f"num_desired_results must be >= 1, got {self.num_desired_results}"
             )
-        if self.lifespan_multiplier <= 0:
+        # Written so that NaN fails; an infinite one means no peer dies.
+        if not 0 < self.lifespan_multiplier < math.inf:
             raise ConfigError(
-                f"lifespan_multiplier must be > 0, got {self.lifespan_multiplier}"
+                "lifespan_multiplier must be finite and > 0, "
+                f"got {self.lifespan_multiplier}"
             )
         # An infinite rate would repeat bursts forever at one instant.
         if not 0 <= self.query_rate < math.inf:
@@ -236,9 +222,10 @@ class ProtocolParams:
                 f"cache_replacement must be one of {REPLACEMENT_POLICY_NAMES}, "
                 f"got {self.cache_replacement!r}"
             )
-        if self.ping_interval <= 0:
+        # Written so that NaN fails; an infinite one means no peer pings.
+        if not 0 < self.ping_interval < math.inf:
             raise ConfigError(
-                f"ping_interval must be > 0, got {self.ping_interval}"
+                f"ping_interval must be finite and > 0, got {self.ping_interval}"
             )
         if self.cache_size < 1:
             raise ConfigError(f"cache_size must be >= 1, got {self.cache_size}")
@@ -278,16 +265,15 @@ class ProtocolParams:
 
     def uses_starred_policy(self) -> bool:
         """True if any role selects the trust-local MR*/LR* variant."""
-        starred = {"MR*", "LR*"}
-        return bool(
-            starred
-            & {
+        return any(
+            name.endswith("*")
+            for name in (
                 self.query_probe,
                 self.query_pong,
                 self.ping_probe,
                 self.ping_pong,
                 self.cache_replacement,
-            }
+            )
         )
 
     def normalized(self) -> "ProtocolParams":
@@ -323,14 +309,8 @@ class ProtocolParams:
         (MFS → LFS, MR → LR, MRU ↔ LRU) so that the *retain goal* matches
         the ordering goal, exactly as the paper pairs them.
         """
-        replacement_for = {
-            "Random": "Random",
-            "MRU": "LRU",
-            "LRU": "MRU",
-            "MFS": "LFS",
-            "MR": "LR",
-            "MR*": "LR*",
-        }
+        # Both name lists run in the policy table's order, starred pair last.
+        replacement_for = dict(zip(ORDERING_POLICY_NAMES, REPLACEMENT_POLICY_NAMES))
         if policy not in replacement_for:
             raise ConfigError(
                 f"policy must be one of {sorted(replacement_for)}, got {policy!r}"

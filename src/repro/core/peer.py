@@ -314,7 +314,7 @@ class GuessPeer:
         ``QueryCache.add``), so an entry nobody keeps costs nothing.
         """
         selected = self.link_cache.select_top(
-            pong_policy, self.protocol.pong_size, time, self._policy_rng
+            pong_policy, self.protocol.pong_size, self._policy_rng
         )
         return Pong(self.address, tuple(selected))
 
@@ -436,11 +436,9 @@ class GuessPeer:
                 breakers.discard(address)
         return outcome, delay
 
-    def choose_ping_target(self, now: float) -> Optional[CacheEntry]:
+    def choose_ping_target(self) -> Optional[CacheEntry]:
         """The entry the PingProbe policy says to ping next."""
-        return self.link_cache.select_best(
-            self.policies.ping_probe, now, self._policy_rng
-        )
+        return self.link_cache.select_best(self.policies.ping_probe, self._policy_rng)
 
     def ping_message(self) -> Ping:
         """The Ping this peer sends when maintaining its cache."""

@@ -12,10 +12,9 @@ CacheReplacement      which entry is evicted from a full link cache
 
 All five reduce to one piece of data: **a field and a direction**.  A
 key-based policy names the :class:`~repro.core.entry.CacheEntry`
-attribute it ranks on and the end it prefers — MRU ``ts`` high, LRU
-``ts`` low, MFS ``num_files`` high, MR ``num_res`` high — and every
-role reads one order over that field, which each link cache keeps
-(:class:`~repro.core.link_cache.Ranking`):
+attribute it ranks on and the end it prefers, and every role reads the
+one order :meth:`Policy.rank` defines (each link cache keeps it, a
+:class:`~repro.core.link_cache.Ranking`; a query cache's heap pops it):
 
 * Probe/pong roles prefer the entry at the preferred end; entries tied
   on the field go lowest address first.
@@ -23,142 +22,119 @@ role reads one order over that field, which each link cache keeps
   address among those tied there, and the paper names replacement
   policies after what they evict — so replacement "LFS" (evict Least
   Files Shared) ranks with the MFS field, replacement "MRU" with the LRU
-  one, and so on.  :data:`REPLACEMENT_KEY_POLICY` encodes that reversal.
+  one, and so on.
 
 Ties are the common case (``NumRes`` is mostly 0, free riders all share
 0 files), so both tie rules are part of every digest.  ``Random`` has no
 field: it declares ``randomized``, and the caches draw for it (a link
-cache its pongs, ping targets and contests, a query cache its pops).  A
-policy is a declaration and holds no code that reads entries.  Concrete
-declarations live in :mod:`repro.core.policy_impls`; this module defines
-the interface and the registry.
+cache its pongs, ping targets and contests, a query cache its pops).
+
+Every policy is one row of :data:`POLICY_TABLE`; adding one is adding a
+row.  ``MR*`` / ``LR*`` rank as MR: their star is an ingestion rule
+(``ProtocolParams.reset_num_results``), not an order.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Type
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.entry import CacheEntry
 from repro.errors import PolicyError
 from repro.faults.retry import RetryPolicy
 
 
+@dataclass(frozen=True)
 class Policy:
-    """A ranking over cache entries: a field and a direction.
+    """One ordering over cache entries: a field and a direction.
 
-    Subclasses declare :attr:`field` (and :attr:`prefers_low`), or
-    :attr:`randomized`, and no code: each link cache keeps the order they
-    define (:class:`~repro.core.link_cache.Ranking`) or draws for Random,
-    and the query cache's heap ranks on :meth:`key`.
+    Attributes:
+        name: the ordering-role name (``"MFS"``).
+        field: the ``CacheEntry`` attribute ranked on; empty only for Random.
+        prefers_low: True when the low end of ``field`` is the preferred one.
+        randomized: True only for Random: the caches draw instead of
+            reading a field.
     """
 
-    #: Registry name; set by subclasses.
-    name: str = ""
-
-    #: True only for the Random policy: the caches draw instead of
-    #: reading a field, without isinstance checks.
+    name: str
+    field: str = ""
+    prefers_low: bool = False
     randomized: bool = False
 
-    #: The ``CacheEntry`` attribute ranked on; empty only for Random.
-    field: str = ""
-
-    #: True when the low end of :attr:`field` is the preferred one.
-    prefers_low: bool = False
-
-    _value: Callable[[CacheEntry], float]
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        if cls.field:
-            cls._value = attrgetter(cls.field)
-        elif not cls.randomized:
+    def __post_init__(self) -> None:
+        if not (self.field or self.randomized):
             raise PolicyError(
-                f"{cls.__name__} must name the CacheEntry field it ranks on"
+                f"policy {self.name!r} must name the CacheEntry field it ranks on"
             )
 
-    def key(self, entry: CacheEntry, now: float) -> float:
-        """Ranking key for ``entry``; higher is preferred.
+    def rank(self, entry: CacheEntry):
+        """``entry``'s place: ascending is preferred first (ties: lowest
+        address first, which the caller's sort or heap tuple breaks).
 
-        The raw field, negated for the low end: ``num_files`` / ``num_res``
-        stay ints, which order exactly as their floats below 2**53 (the
-        largest claim anyone makes is ``FAKE_NUM_FILES``, 60 000).
+        The raw field, negated when the high end is preferred:
+        ``num_files`` / ``num_res`` stay ints, which order exactly as their
+        floats below 2**53 (the largest claim is ``FAKE_NUM_FILES``, 60 000).
         """
-        del now  # no field ages
-        value = self._value(entry)
-        return -value if self.prefers_low else value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"
+        value = getattr(entry, self.field)
+        return value if self.prefers_low else -value
 
 
-_ORDERING_REGISTRY: Dict[str, Type[Policy]] = {}
+#: Each ordering beside the name the CacheReplacement role gives it:
+#: replacement policies are named after what they evict, so the retain
+#: goal MFS is "LFS" there, MR is "LR", and MRU and LRU swap.
+POLICY_TABLE: Tuple[Tuple[Policy, str], ...] = (
+    (Policy("Random", randomized=True), "Random"),
+    (Policy("MRU", "ts"), "LRU"),
+    (Policy("LRU", "ts", prefers_low=True), "MRU"),
+    (Policy("MFS", "num_files"), "LFS"),
+    (Policy("MR", "num_res"), "LR"),
+)
 
+#: Ordering-role name -> its policy.
+ORDERINGS: Dict[str, Policy] = {p.name: p for p, _ in POLICY_TABLE}
+ORDERINGS["MR*"] = ORDERINGS["MR"]
 
-def register_policy(cls: Type[Policy]) -> Type[Policy]:
-    """Class decorator adding a Policy subclass to the registry."""
-    if not cls.name:
-        raise PolicyError("policy classes must set a non-empty name")
-    if cls.name in _ORDERING_REGISTRY:
-        raise PolicyError(f"duplicate policy name {cls.name!r}")
-    _ORDERING_REGISTRY[cls.name] = cls
-    return cls
-
-
-#: Replacement-role name -> the ordering policy whose least-preferred
-#: entry it evicts.
-REPLACEMENT_KEY_POLICY: Dict[str, str] = {
-    "Random": "Random",
-    "LRU": "MRU",   # evict least-recently-used -> min TS -> MRU key
-    "MRU": "LRU",   # evict most-recently-used  -> max TS -> LRU key
-    "LFS": "MFS",   # evict least files shared  -> min NumFiles -> MFS key
-    "LR": "MR",     # evict least results       -> min NumRes  -> MR key
-    "LR*": "MR",    # starred variant normalises to MR + reset flag
-}
+#: Replacement-role name -> the ordering whose least-preferred entry it evicts.
+REPLACEMENTS: Dict[str, Policy] = {evicts: p for p, evicts in POLICY_TABLE}
+REPLACEMENTS["LR*"] = ORDERINGS["MR"]
 
 
 def get_ordering_policy(name: str) -> Policy:
-    """Instantiate the ordering policy registered as ``name``.
-
-    ``MR*`` — the one starred ordering the paper defines — resolves to
-    the MR ordering (the starred behaviour lives in entry ingestion, not
-    ranking — see ``ProtocolParams.normalized``).
+    """The ordering policy named ``name`` (``MR*`` is MR).
 
     Raises:
         PolicyError: for unknown names, a star on anything else included.
     """
     try:
-        return _ORDERING_REGISTRY["MR" if name == "MR*" else name]()
+        return ORDERINGS[name]
     except KeyError:
         raise PolicyError(
-            f"unknown ordering policy {name!r}; "
-            f"known: {sorted(_ORDERING_REGISTRY)} and 'MR*'"
+            f"unknown ordering policy {name!r}; known: {sorted(ORDERINGS)}"
         ) from None
 
 
 def get_replacement_policy(name: str) -> Policy:
-    """Instantiate the key policy for replacement role ``name``.
+    """The ordering whose victim end replacement role ``name`` evicts.
 
     Raises:
         PolicyError: for unknown names.
     """
     try:
-        key_name = REPLACEMENT_KEY_POLICY[name]
+        return REPLACEMENTS[name]
     except KeyError:
         raise PolicyError(
-            f"unknown replacement policy {name!r}; "
-            f"known: {sorted(REPLACEMENT_KEY_POLICY)}"
+            f"unknown replacement policy {name!r}; known: {sorted(REPLACEMENTS)}"
         ) from None
-    return get_ordering_policy(key_name)
 
 
 def registered_policy_names() -> List[str]:
-    """Names of all registered ordering policies."""
-    return sorted(_ORDERING_REGISTRY)
+    """Names of the five orderings."""
+    return sorted(p.name for p, _ in POLICY_TABLE)
 
 
+@dataclass(frozen=True)
 class PolicySet:
-    """The five instantiated policies a peer runs with.
+    """The five policies a peer runs with.
 
     Built from a (normalised) :class:`~repro.core.params.ProtocolParams`;
     policies are stateless, so one set is shared by every peer in a
@@ -175,37 +151,17 @@ class PolicySet:
             the probe paths then take the exact single-send code path.
     """
 
-    __slots__ = (
-        "query_probe",
-        "query_pong",
-        "ping_probe",
-        "ping_pong",
-        "replacement",
-        "reset_num_results",
-        "retry",
-    )
-
-    def __init__(
-        self,
-        query_probe: Policy,
-        query_pong: Policy,
-        ping_probe: Policy,
-        ping_pong: Policy,
-        replacement: Policy,
-        reset_num_results: bool = False,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        self.query_probe = query_probe
-        self.query_pong = query_pong
-        self.ping_probe = ping_probe
-        self.ping_pong = ping_pong
-        self.replacement = replacement
-        self.reset_num_results = bool(reset_num_results)
-        self.retry = retry
+    query_probe: Policy
+    query_pong: Policy
+    ping_probe: Policy
+    ping_pong: Policy
+    replacement: Policy
+    reset_num_results: bool = False
+    retry: Optional[RetryPolicy] = None
 
     @classmethod
     def from_protocol(cls, protocol) -> "PolicySet":
-        """Instantiate the set from protocol params (normalising MR*/LR*)."""
+        """The set protocol params name (normalising MR*/LR*)."""
         normalized = protocol.normalized()
         return cls(
             query_probe=get_ordering_policy(normalized.query_probe),
@@ -219,14 +175,4 @@ class PolicySet:
                 if normalized.probe_retries > 0
                 else None
             ),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PolicySet(query_probe={self.query_probe.name}, "
-            f"query_pong={self.query_pong.name}, "
-            f"ping_probe={self.ping_probe.name}, "
-            f"ping_pong={self.ping_pong.name}, "
-            f"replacement_key={self.replacement.name}, "
-            f"reset_num_results={self.reset_num_results})"
         )

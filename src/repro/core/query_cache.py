@@ -16,14 +16,16 @@ can hold.  Properties the paper specifies:
 An admitted entry is wanted for one thing only — to be popped, best
 first — so the cache *is* the query's candidate pool and holds unprobed
 candidates in the pop structure alone.  For key-based policies that is a
-max-heap on ``(key, -address)``: keys are fixed at admission, which is
-exact for every policy in the paper (an entry's rank only changes when
-it is probed, at which point it has already left the pool).  For the
-Random policy it is an array with O(1) swap-remove random pops.
+min-heap on ``(Policy.rank, address)``, the order a link cache's
+:class:`~repro.core.link_cache.Ranking` keeps: ranks are fixed at
+admission, which is exact for every policy in the paper (an entry's rank
+only changes when it is probed, at which point it has already left the
+pool).  For the Random policy it is an array with O(1) swap-remove
+random pops.
 
 Determinism audit (RD003): ``_seen`` is a set used for membership tests
 only and is never iterated; pop order is the heap's total order on
-``(key, address)``, or the bag's insertion order under the policy stream.
+``(rank, address)``, or the bag's insertion order under the policy stream.
 """
 
 from __future__ import annotations
@@ -45,31 +47,28 @@ class QueryCache:
         owner: the querying peer's address (never admitted).
         policy: the QueryProbe policy ordering the pops.
         rng: policy randomness stream (drawn from by Random pops only).
-        now: query issue time, at which admission keys are taken.
         link_entries: the link-cache contents at query start — the first
             candidates; pong entries duplicating them are not re-added.
     """
 
-    __slots__ = ("_policy", "_rng", "_now", "_seen", "_heap", "_bag")
+    __slots__ = ("_policy", "_rng", "_seen", "_heap", "_bag")
 
     def __init__(
         self,
         owner: Address,
         policy: Policy,
         rng: random.Random,
-        now: float,
         link_entries: Sequence[CacheEntry],
     ) -> None:
         self._policy = policy
         self._rng = rng
-        self._now = now
         self._seen: Set[Address] = {entry.address for entry in link_entries}
         self._seen.add(owner)
         self._bag = list(link_entries) if policy.randomized else []
         self._heap: List[Tuple[float, Address, CacheEntry]] = []
         if not policy.randomized:
-            key = policy.key
-            self._heap = [(-key(e, now), e.address, e) for e in link_entries]
+            rank = policy.rank
+            self._heap = [(rank(e), e.address, e) for e in link_entries]
             heapq.heapify(self._heap)
 
     def __len__(self) -> int:
@@ -97,9 +96,9 @@ class QueryCache:
         if self._policy.randomized:
             self._bag += kept
         else:
-            key, at, heap = self._policy.key, self._now, self._heap
+            rank, heap = self._policy.rank, self._heap
             for entry in kept:
-                heapq.heappush(heap, (-key(entry, at), entry.address, entry))
+                heapq.heappush(heap, (rank(entry), entry.address, entry))
         return kept
 
     def pop(self) -> Optional[CacheEntry]:

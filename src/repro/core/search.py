@@ -178,7 +178,7 @@ def execute_query(
     replacement, policy_rng = policies.replacement, peer._policy_rng
     reset = policies.reset_num_results
     query_cache = QueryCache(
-        peer.address, policies.query_probe, rng, now, link_cache.entries()
+        peer.address, policies.query_probe, rng, link_cache.entries()
     )
 
     message = peer.query_message(target_file)

@@ -62,11 +62,11 @@ def make_entry(
 
 def make_query_cache(
     policy: str = "Random", link_entries=(), *, owner: int = 0,
-    rng: random.Random | None = None, now: float = 0.0,
+    rng: random.Random | None = None,
 ) -> QueryCache:
     """A query's scratch cache under the named QueryProbe policy."""
     return QueryCache(
-        owner, get_ordering_policy(policy), rng or random.Random(13), now,
+        owner, get_ordering_policy(policy), rng or random.Random(13),
         list(link_entries),
     )
 

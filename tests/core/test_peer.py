@@ -178,7 +178,7 @@ class TestImportPong:
 
 class TestInitiatorHelpers:
     def test_choose_ping_target_empty_cache(self):
-        assert make_peer(1).choose_ping_target(0.0) is None
+        assert make_peer(1).choose_ping_target() is None
 
     def test_choose_ping_target_uses_policy(self):
         protocol = ProtocolParams(cache_size=10, ping_probe="MFS")
@@ -188,7 +188,7 @@ class TestInitiatorHelpers:
                 make_entry(a, num_files=files),
                 peer.policies.replacement, 0.0, peer._policy_rng,
             )
-        assert peer.choose_ping_target(1.0).address == 3
+        assert peer.choose_ping_target().address == 3
 
     def test_ping_and_query_messages(self):
         peer = make_peer(1, num_files=12)

@@ -39,7 +39,7 @@ class TestDoPing:
     def test_live_target_ts_refreshed(self):
         sim = build_sim(ping_probe="LRU")  # stalest first: deterministic
         pinger = sim.live_good_peers[0]
-        target = pinger.choose_ping_target(5.0)
+        target = pinger.choose_ping_target()
         sim._do_ping(pinger, now=5.0)
         assert cached(pinger.link_cache, target.address).ts == 5.0
 

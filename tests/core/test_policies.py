@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.params import ProtocolParams
 from repro.core.policies import (
-    REPLACEMENT_KEY_POLICY,
     Policy,
     PolicySet,
     get_ordering_policy,
@@ -59,35 +58,34 @@ class TestRegistry:
 
     def test_a_key_based_policy_must_name_its_field(self):
         with pytest.raises(PolicyError, match="field"):
-
-            class Fieldless(Policy):
-                name = "fieldless"
+            Policy("x")
 
     def test_replacement_reversal_table(self):
         # Replacement names are what gets *evicted*; the key policy is
         # the retain-goal's ordering.
-        assert REPLACEMENT_KEY_POLICY["LFS"] == "MFS"
-        assert REPLACEMENT_KEY_POLICY["LR"] == "MR"
-        assert REPLACEMENT_KEY_POLICY["LRU"] == "MRU"
-        assert REPLACEMENT_KEY_POLICY["MRU"] == "LRU"
+        assert get_replacement_policy("LFS").name == "MFS"
+        assert get_replacement_policy("LR").name == "MR"
+        assert get_replacement_policy("LR*").name == "MR"
+        assert get_replacement_policy("LRU").name == "MRU"
+        assert get_replacement_policy("MRU").name == "LRU"
 
 
 class TestOrderingSemantics:
     def test_mru_prefers_recent(self, entries, rng):
         policy = get_ordering_policy("MRU")
-        assert cache_of(entries).select_best(policy, 100.0, rng).address == 2
+        assert cache_of(entries).select_best(policy, rng).address == 2
 
     def test_lru_prefers_stale(self, entries, rng):
         policy = get_ordering_policy("LRU")
-        assert cache_of(entries).select_best(policy, 100.0, rng).address == 4
+        assert cache_of(entries).select_best(policy, rng).address == 4
 
     def test_mfs_prefers_many_files(self, entries, rng):
         policy = get_ordering_policy("MFS")
-        assert cache_of(entries).select_best(policy, 100.0, rng).address == 1
+        assert cache_of(entries).select_best(policy, rng).address == 1
 
     def test_mr_prefers_many_results(self, entries, rng):
         policy = get_ordering_policy("MR")
-        assert cache_of(entries).select_best(policy, 100.0, rng).address == 2
+        assert cache_of(entries).select_best(policy, rng).address == 2
 
     def test_order_is_sorted_by_key(self, entries, rng):
         policy = get_ordering_policy("MFS")
@@ -96,21 +94,21 @@ class TestOrderingSemantics:
 
     def test_select_top_k(self, entries, rng):
         policy = get_ordering_policy("MFS")
-        top2 = cache_of(entries).select_top(policy, 2, 100.0, rng)
+        top2 = cache_of(entries).select_top(policy, 2, rng)
         assert [e.address for e in top2] == [1, 3]
 
     def test_select_top_zero(self, entries, rng):
         policy = get_ordering_policy("MFS")
-        assert cache_of(entries).select_top(policy, 0, 0.0, rng) == []
+        assert cache_of(entries).select_top(policy, 0, rng) == []
 
     def test_select_best_empty(self, rng):
         policy = get_ordering_policy("MFS")
-        assert cache_of([]).select_best(policy, 0.0, rng) is None
+        assert cache_of([]).select_best(policy, rng) is None
 
     def test_deterministic_tiebreak_on_address(self, rng):
         policy = get_ordering_policy("MFS")
         tied = [make_entry(7, num_files=10), make_entry(3, num_files=10)]
-        assert cache_of(tied).select_best(policy, 0.0, rng).address == 3
+        assert cache_of(tied).select_best(policy, rng).address == 3
 
 
 class TestEvictionSemantics:
@@ -143,24 +141,24 @@ class TestRandomPolicy:
         policy = get_ordering_policy("Random")
         rng = random.Random(0)
         cache = cache_of(entries)
-        picks = {cache.select_best(policy, 0.0, rng).address for _ in range(200)}
+        picks = {cache.select_best(policy, rng).address for _ in range(200)}
         assert picks == {1, 2, 3, 4}
 
     def test_order_is_permutation(self, entries):
         policy = get_ordering_policy("Random")
-        ordered = cache_of(entries).select_top(policy, 4, 0.0, random.Random(1))
+        ordered = cache_of(entries).select_top(policy, 4, random.Random(1))
         assert sorted(e.address for e in ordered) == [1, 2, 3, 4]
 
     def test_select_top_k_distinct(self, entries):
         policy = get_ordering_policy("Random")
-        top = cache_of(entries).select_top(policy, 3, 0.0, random.Random(2))
+        top = cache_of(entries).select_top(policy, 3, random.Random(2))
         addresses = [e.address for e in top]
         assert len(addresses) == 3
         assert len(set(addresses)) == 3
 
     def test_select_top_k_larger_than_pool(self, entries):
         policy = get_ordering_policy("Random")
-        top = cache_of(entries).select_top(policy, 10, 0.0, random.Random(3))
+        top = cache_of(entries).select_top(policy, 10, random.Random(3))
         assert sorted(e.address for e in top) == [1, 2, 3, 4]
 
     def test_victim_uniform(self, entries):

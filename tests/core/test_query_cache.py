@@ -99,10 +99,10 @@ class TestConsumption:
         assert drain(cache) == [1, 2, 4, 9]
 
     def test_keys_are_taken_at_the_query_issue_time(self):
-        # An admission key is fixed when the entry is pooled: refreshing
-        # the entry afterwards (as a probe of it does) cannot reorder pops.
+        # An entry's rank is fixed when it is pooled: refreshing the
+        # entry afterwards (as a probe of it does) cannot reorder pops.
         old, new = make_entry(1, ts=10.0), make_entry(2, ts=20.0)
-        cache = make_cache(link_entries=[old, new], policy="MRU", now=30.0)
+        cache = make_cache(link_entries=[old, new], policy="MRU")
         old.ts = 99.0
         assert drain(cache) == [2, 1]
 

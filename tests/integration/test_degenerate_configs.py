@@ -106,14 +106,14 @@ CASES = {
     # An infinite rate repeats bursts forever at one instant (a hang).
     "query-rate-inf": (dict(system=dict(query_rate=math.inf)), ConfigError),
     "query-rate-nan": (dict(system=dict(query_rate=math.nan)), ConfigError),
-    # A NaN time never enters the engine: the first schedule refuses it.
+    # A NaN lifetime or ping period is refused before the first peer.
     "lifespan-multiplier-nan": (
         dict(system=dict(lifespan_multiplier=math.nan)),
-        SimulationError,
+        ConfigError,
     ),
     "ping-interval-nan": (
         dict(protocol=dict(ping_interval=math.nan)),
-        SimulationError,
+        ConfigError,
     ),
     "run-for-nan": (dict(runs=(math.nan,)), SimulationError),
     # A probe time is a finite number: 0 * inf is NaN, and a NaN-stamped
@@ -172,8 +172,20 @@ def test_degenerate_configuration_fails_typed_or_reports(case):
 #: half-opened, or ``available()`` raised an untyped ``OverflowError``;
 #: an infinite hop delay parked every rumor at t = inf, a NaN one raised
 #: mid-run, and a non-finite Pareto shape died building the first peer
-#: with a builtin ``ValueError``.
+#: with a builtin ``ValueError``.  A NaN ping period or lifetime scale
+#: raised ``SimulationError`` building the first peer; an infinite one
+#: ran with no ping sent, or with no peer ever dying.
 SPECS = {
+    "ping-interval-nan": (lambda: ProtocolParams(ping_interval=math.nan), ConfigError),
+    "ping-interval-inf": (lambda: ProtocolParams(ping_interval=math.inf), ConfigError),
+    "lifespan-multiplier-nan": (
+        lambda: SystemParams(lifespan_multiplier=math.nan),
+        ConfigError,
+    ),
+    "lifespan-multiplier-inf": (
+        lambda: SystemParams(lifespan_multiplier=math.inf),
+        ConfigError,
+    ),
     "budget-refill-interval-nan": (
         lambda: BudgetSpec(refill_interval=math.nan),
         ScenarioError,

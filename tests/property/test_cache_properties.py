@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.entry import CacheEntry
 from repro.core.link_cache import LinkCache
 from repro.core.policies import (
-    REPLACEMENT_KEY_POLICY,
+    REPLACEMENTS,
     get_ordering_policy,
     get_replacement_policy,
 )
@@ -283,7 +283,7 @@ def _fields(entries):
 @given(
     st.lists(_ranked_ops, min_size=5, max_size=80),
     st.sampled_from([0, 1, 3, 10, 30]),
-    st.sampled_from(sorted(REPLACEMENT_KEY_POLICY)),
+    st.sampled_from(sorted(REPLACEMENTS)),
     st.sets(st.sampled_from(_KEYED)),
     st.booleans(),
     st.integers(min_value=0, max_value=2**16),
@@ -320,9 +320,9 @@ def test_every_ranking_is_a_fresh_oracle_sort(ops, capacity, replacement_name,
             policy = get_ordering_policy(name)
             residents = cache.entries()
             if op == "pong":
-                got = cache.select_top(policy, k[0], 0.0, rng_cache)
+                got = cache.select_top(policy, k[0], rng_cache)
             else:
-                got = cache.select_best(policy, 0.0, rng_cache)
+                got = cache.select_best(policy, rng_cache)
             if policy.randomized:
                 want = (
                     _sample(residents, k[0], rng_model)

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from repro.core.entry import CacheEntry
 from repro.core.policies import (
-    REPLACEMENT_KEY_POLICY,
+    REPLACEMENTS,
     get_ordering_policy,
     get_replacement_policy,
 )
-from tests.conftest import cache_of, contest, victim_end
+from tests.conftest import cache_of, contest, make_query_cache, victim_end
 
 # Unique addresses so ties break deterministically but entries differ.
 entry_lists = st.lists(
@@ -37,7 +37,7 @@ all_policies = st.sampled_from(["Random", "MRU", "LRU", "MFS", "MR"])
 def test_order_is_permutation(entries, policy_name, seed):
     policy = get_ordering_policy(policy_name)
     cache = cache_of(entries)
-    ordered = cache.select_top(policy, len(entries), 1e5, random.Random(seed))
+    ordered = cache.select_top(policy, len(entries), random.Random(seed))
     assert sorted(e.address for e in ordered) == sorted(
         e.address for e in entries
     )
@@ -48,22 +48,22 @@ def test_order_is_permutation(entries, policy_name, seed):
 def test_order_sorted_by_key(entries, policy_name):
     policy = get_ordering_policy(policy_name)
     ordered = cache_of(entries).ranking(policy).entries
-    keys = [policy.key(e, 1e5) for e in ordered]
-    assert keys == sorted(keys, reverse=True)
+    ranks = [policy.rank(e) for e in ordered]
+    assert ranks == sorted(ranks)
 
 
 @given(entry_lists, deterministic_policies)
 @settings(max_examples=100)
 def test_best_and_victim_are_extremes(entries, policy_name):
     policy = get_ordering_policy(policy_name)
-    best = cache_of(entries).select_best(policy, 1e5, random.Random(0))
+    best = cache_of(entries).select_best(policy, random.Random(0))
     victim = victim_end(policy, entries)
     if not entries:
         assert best is None and victim is None
         return
-    keys = [policy.key(e, 1e5) for e in entries]
-    assert policy.key(best, 1e5) == max(keys)
-    assert policy.key(victim, 1e5) == min(keys)
+    ranks = [policy.rank(e) for e in entries]
+    assert policy.rank(best) == min(ranks)
+    assert policy.rank(victim) == max(ranks)
 
 
 @given(
@@ -75,7 +75,7 @@ def test_best_and_victim_are_extremes(entries, policy_name):
 @settings(max_examples=100)
 def test_select_top_size_and_membership(entries, k, policy_name, seed):
     policy = get_ordering_policy(policy_name)
-    top = cache_of(entries).select_top(policy, k, 1e5, random.Random(seed))
+    top = cache_of(entries).select_top(policy, k, random.Random(seed))
     assert len(top) == min(k, len(entries))
     addresses = [e.address for e in top]
     assert len(set(addresses)) == len(addresses)
@@ -89,7 +89,7 @@ def test_select_top_prefix_of_order(entries, policy_name):
     policy = get_ordering_policy(policy_name)
     cache = cache_of(entries)
     ordered = cache.ranking(policy).entries
-    top3 = cache.select_top(policy, 3, 1e5, random.Random(0))
+    top3 = cache.select_top(policy, 3, random.Random(0))
     assert [e.address for e in top3] == [e.address for e in ordered[:3]]
 
 
@@ -109,7 +109,7 @@ def test_random_select_top_is_random_sample_draw_for_draw(seed):
         entries = population[:n]
         cache = cache_of(entries)
         for k in range(13):
-            top = cache.select_top(policy, k, 1e5, ours)
+            top = cache.select_top(policy, k, ours)
             if k == 0:
                 expected = []
             elif k >= n:
@@ -122,7 +122,7 @@ def test_random_select_top_is_random_sample_draw_for_draw(seed):
         assert ours.getstate() == stdlib.getstate(), n
 
 
-@given(entry_lists, st.sampled_from(sorted(REPLACEMENT_KEY_POLICY)))
+@given(entry_lists, st.sampled_from(sorted(REPLACEMENTS)))
 @settings(max_examples=100)
 def test_replacement_victim_is_member(entries, replacement_name):
     policy = get_replacement_policy(replacement_name)
@@ -191,13 +191,13 @@ def test_selection_matches_the_tuple_key_oracle(entries, policy_name):
     # Built from the residents in any insertion order: the same ranking.
     _same_objects(cache_of(entries[::-1]).ranking(policy).entries, ordered)
     for k in range(len(entries) + 2):
-        _same_objects(cache.select_top(policy, k, 60.0, rng), ordered[:k])
-    best = cache.select_best(policy, 60.0, rng)
+        _same_objects(cache.select_top(policy, k, rng), ordered[:k])
+    best = cache.select_best(policy, rng)
     victim = victim_end(policy, entries)
     if entries:
         assert best is max(entries, key=rank)
         assert victim is min(entries, key=rank)
-        assert [policy.key(e, 60.0) for e in entries] == [key(e) for e in entries]
+        assert [policy.rank(e) for e in entries] == [-key(e) for e in entries]
     else:
         assert best is None and victim is None
     assert rng.getstate() == state
@@ -239,3 +239,15 @@ def test_contest_matches_the_tuple_key_oracle(entries, policy_name, standing, wh
     if standing != "tied":
         assert (victim is candidate) == (standing == "worst")
     assert rng.getstate() == state
+
+
+@given(tied_entry_lists, deterministic_policies)
+@settings(max_examples=150, deadline=None)
+def test_query_cache_pops_the_link_cache_ranking(entries, policy_name):
+    # The two readers of ``Policy.rank``: a query cache's heap and a link
+    # cache's kept ranking pop and list the same order, ties included.
+    policy = get_ordering_policy(policy_name)
+    pool = make_query_cache(policy_name, entries, owner=-1)
+    popped = [pool.pop() for _ in entries]
+    assert pool.pop() is None
+    _same_objects(popped, cache_of(entries).ranking(policy).entries)

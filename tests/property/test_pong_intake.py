@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.core.entry import CacheEntry
 from repro.core.link_cache import LinkCache
 from repro.core.policies import (
-    REPLACEMENT_KEY_POLICY,
+    REPLACEMENTS,
     get_ordering_policy,
     get_replacement_policy,
 )
@@ -118,7 +118,7 @@ _steps = st.one_of(
 
 @given(
     st.lists(_steps, min_size=1, max_size=25),
-    st.sampled_from(sorted(REPLACEMENT_KEY_POLICY)),
+    st.sampled_from(sorted(REPLACEMENTS)),
     st.sampled_from(["Random", "MRU", "LRU", "MFS", "MR"]),
     st.booleans(),
     st.sampled_from([0, 1, 3, 10]),
@@ -141,7 +141,7 @@ def test_one_pass_intake_is_the_per_entry_loop(
             resident = CacheEntry(address, ts=12.5, num_files=address % 3)
             assert cache.insert(resident.copy(), replacement, 0.0, rng)
             assert model.insert(resident.copy(), replacement, 0.0, rng_model)
-    pool = QueryCache(0, probe, rng, 0.0, cache.entries())
+    pool = QueryCache(0, probe, rng, cache.entries())
     pool_model = _ListQueryCache(0, probe_name, model.residents)
 
     for step, *args in steps:
@@ -152,7 +152,7 @@ def test_one_pass_intake_is_the_per_entry_loop(
             )
         elif step == "random pong":
             (k,) = args
-            got = cache.select_top(get_ordering_policy("Random"), k, 0.0, rng)
+            got = cache.select_top(get_ordering_policy("Random"), k, rng)
             assert _fields(got) == _fields(_sample(model.residents, k, rng_model))
         elif step == "evict":
             (address,) = args
@@ -186,7 +186,7 @@ def test_one_pass_intake_is_the_per_entry_loop(
                 assert clone.address in before or held is None or held is clone
         assert _fields(cache.entries()) == _fields(model.residents)
         # A Random ping target after every step: one index into the order.
-        target = cache.select_best(get_ordering_policy("Random"), 0.0, rng)
+        target = cache.select_best(get_ordering_policy("Random"), rng)
         residents = model.residents
         expected = residents[rng_model.randrange(len(residents))] if residents else None
         assert _fields([target] if target else []) == _fields(

@@ -48,7 +48,7 @@ def test_random_select_best_and_victim_are_one_randrange(seed, size):
     contest a candidate holds with ``size - 1`` residents (a full cache)."""
     entries = _population(size)
     ours, stdlib = random.Random(seed), random.Random(seed)
-    picked = cache_of(entries).select_best(get_ordering_policy("Random"), 0.0, ours)
+    picked = cache_of(entries).select_best(get_ordering_policy("Random"), ours)
     assert picked is (entries[stdlib.randrange(size)] if entries else None)
     assert ours.getstate() == stdlib.getstate()
     if size < 2:

@@ -21,7 +21,7 @@ from repro.baselines.gossip import GossipRelay
 from repro.core.entry import CacheEntry, EntryView
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
-from repro.core.policies import Policy, get_ordering_policy, registered_policy_names
+from repro.core.policies import Policy
 from repro.core.query_cache import QueryCache
 from tests.integration import test_determinism as pins
 
@@ -40,8 +40,9 @@ def test_src_size():
     # 18 778 before the link cache kept the keyed orders, 18 776 before a
     # probe's outcome was applied and booked in one place, 18 684 before a
     # pong was taken in one pass, 18 663 before a pending rumor held values,
-    # 18 662 before the peer store became the one live roster.
-    assert sum(line_count(path) for path in SRC.rglob("*.py")) <= 18500
+    # 18 662 before the peer store became the one live roster, 18 500
+    # before a policy was a row of one table.
+    assert sum(line_count(path) for path in SRC.rglob("*.py")) <= 18337
 
 
 def test_network_sim_runs_the_lifecycle_only():
@@ -378,32 +379,30 @@ def test_a_pending_rumor_holds_values(monkeypatch):
     assert pending["gossip"] > 1_000 and pending["freshness"] > 0, pending
 
 
-def _key_calls(monkeypatch, **policies):
-    """``(Policy.key calls, query-cache seeds + admissions)`` over 60 sim-s."""
-    counts = {"key": 0, "ranked": 0}
-    init, add = QueryCache.__init__, QueryCache.add
+def _rank_calls(monkeypatch, **policies):
+    """``(Policy.rank calls, those the query caches made, entries they
+    were seeded with or admitted)`` over 60 sim-s."""
+    counts = {"rank": 0, "heap": 0, "pooled": 0}
+    rank, init, add = Policy.rank, QueryCache.__init__, QueryCache.add
 
-    def counted(key):
-        def counted_key(policy, entry, now):
-            counts["key"] += 1
-            return key(policy, entry, now)
+    def counted_rank(policy, entry):
+        counts["rank"] += 1
+        return rank(policy, entry)
 
-        return counted_key
-
-    def counted_init(cache, owner, policy, rng, now, link_entries):
-        counts["ranked"] += len(link_entries)
-        init(cache, owner, policy, rng, now, link_entries)
+    def counted_init(cache, owner, policy, rng, link_entries):
+        before = counts["rank"]
+        init(cache, owner, policy, rng, link_entries)
+        counts["heap"] += counts["rank"] - before
+        counts["pooled"] += len(link_entries)
 
     def counted_add(cache, entries, reset_num_results, now):
+        before = counts["rank"]
         kept = add(cache, entries, reset_num_results, now)
-        counts["ranked"] += len(kept)
+        counts["heap"] += counts["rank"] - before
+        counts["pooled"] += len(kept)
         return kept
 
-    # Every spelling of ``key``: the base's and any a subclass grows back.
-    policy_classes = {type(get_ordering_policy(n)) for n in registered_policy_names()}
-    for owner in {base for cls in policy_classes for base in cls.__mro__}:
-        if "key" in vars(owner):
-            monkeypatch.setattr(owner, "key", counted(vars(owner)["key"]))
+    monkeypatch.setattr(Policy, "rank", counted_rank)
     monkeypatch.setattr(QueryCache, "__init__", counted_init)
     monkeypatch.setattr(QueryCache, "add", counted_add)
     protocol = ProtocolParams(
@@ -412,39 +411,36 @@ def _key_calls(monkeypatch, **policies):
     sim = GuessSimulation(SystemParams(network_size=300), protocol, seed=7)
     sim.run(60.0)
     assert sim.transport.probes_sent > 5_000
-    return counts["key"], counts["ranked"]
+    return counts["rank"], counts["heap"], counts["pooled"]
 
 
 def test_ranking_calls_back_into_python_once_per_heap_push(monkeypatch):
-    # Exact, not a ceiling: a key-based pong or eviction contest ranks on
-    # the entry's field in C (``core/policies.py``); a ``key()`` call per
-    # entry per pong is ~100 per probe, millions over this run.
-    keyed, _ = _key_calls(monkeypatch)
-    assert keyed == 0
-    # The one caller left is the query cache's heap: one key per entry it
-    # is seeded with or admits, when QueryProbe is key-based.
-    keyed, ranked = _key_calls(monkeypatch, query_probe="MFS")
-    assert ranked > 10_000
-    assert keyed == ranked
+    # Exact, not a ceiling: ``Policy.rank`` is called once per entry a
+    # query cache's heap takes and once per entry a link cache's ranking
+    # places, re-places or drops.  A key-based pong or eviction contest
+    # reads the kept ranking and calls none; a call per entry per pong
+    # would be ~100 per probe, millions over this run.  The counts are
+    # ``Policy.key`` + ``Ranking.rank`` calls before the two were one rule.
+    assert _rank_calls(monkeypatch) == (24_910, 0, 14_421)
+    # A key-based QueryProbe adds one call per heap push.
+    assert _rank_calls(monkeypatch, query_probe="MFS") == (27_986, 10_381, 10_381)
 
 
 def test_policies_are_declarations():
     policies = SRC / "core" / "policies.py"
     # The tuple-key spelling lives in tests/property only.
     assert "lambda" not in policies.read_text(encoding="utf-8")
-    # Ceiling may only be lowered: 504 lines before the link cache kept
-    # the keyed orders, 386 before the caches made Random's draws.
-    impls = SRC / "core" / "policy_impls.py"
-    assert line_count(policies) + line_count(impls) <= 313
-    # A policy is a declaration: no policy class defines a method, and the
-    # base only its heap key (the query cache's) and repr.
-    for cls in {type(get_ordering_policy(n)) for n in registered_policy_names()}:
-        assert not [
-            name for name, value in vars(cls).items() if inspect.isfunction(value)
-        ], cls.__name__
+    # Ceiling may only be lowered: 504 lines (with ``policy_impls.py``)
+    # before the link cache kept the keyed orders, 386 before the caches
+    # made Random's draws, 313 before a policy was a row of one table.
+    assert not (SRC / "core" / "policy_impls.py").exists()
+    assert line_count(policies) <= 178
+    # A policy is a row of the table, holding one method: its order.
+    assert not Policy.__subclasses__()
     assert [
-        name for name, value in vars(Policy).items() if inspect.isfunction(value)
-    ] == ["key", "__repr__"]
+        name for name, value in vars(Policy).items()
+        if inspect.isfunction(value) and not name.startswith("__")
+    ] == ["rank"]
 
 
 def test_a_keyed_run_never_ranks_a_whole_cache(monkeypatch):
@@ -455,13 +451,17 @@ def test_a_keyed_run_never_ranks_a_whole_cache(monkeypatch):
     # cache with and a newborn copies from its friend; a pong or contest
     # that ranked the residents again would read them per operation.  Each
     # cache sorts its residents once per ranking, the first time a
-    # key-based role asks for it.
+    # key-based role asks for it, one ``Policy.rank`` call per resident.
     from repro.core.link_cache import LinkCache, Ranking
 
-    counts = {"snapshots": 0, "queries": 0, "caches": 0, "births": 0}
+    counts = {"snapshots": 0, "queries": 0, "caches": 0, "births": 0, "ranks": 0}
     built = []
     entries, init = LinkCache.entries, Ranking.__init__
-    cache_init = LinkCache.__init__
+    cache_init, rank = LinkCache.__init__, Policy.rank
+
+    def counted_rank(policy, entry):
+        counts["ranks"] += 1
+        return rank(policy, entry)
 
     def counted_cache(cache, capacity, owner):
         counts["caches"] += 1
@@ -471,9 +471,9 @@ def test_a_keyed_run_never_ranks_a_whole_cache(monkeypatch):
         counts["snapshots"] += 1
         return entries(cache)
 
-    def counted_init(cache, owner, policy, rng, now, link_entries):
+    def counted_init(cache, owner, policy, rng, link_entries):
         counts["queries"] += 1
-        QueryCache_init(cache, owner, policy, rng, now, link_entries)
+        QueryCache_init(cache, owner, policy, rng, link_entries)
 
     def counted_build(ranking, policy, residents):
         built.append((policy.field, policy.prefers_low))
@@ -490,6 +490,7 @@ def test_a_keyed_run_never_ranks_a_whole_cache(monkeypatch):
     monkeypatch.setattr(LinkCache, "entries", counted_entries)
     monkeypatch.setattr(QueryCache, "__init__", counted_init)
     monkeypatch.setattr(Ranking, "__init__", counted_build)
+    monkeypatch.setattr(Policy, "rank", counted_rank)
     recipe = pins.TestKeyedPin
     sim = GuessSimulation(recipe.SYSTEM, recipe.PROTOCOL, seed=7)
     sim.run(200.0)
@@ -500,6 +501,8 @@ def test_a_keyed_run_never_ranks_a_whole_cache(monkeypatch):
     assert set(built) == {("num_files", False), ("ts", False),
                           ("ts", True), ("num_res", False)}
     assert len(built) <= 4 * counts["caches"]
+    # ``Policy.key`` + ``Ranking.rank`` calls before the two were one rule.
+    assert counts["ranks"] == 32_059
 
 
 def test_random_draws_are_one_frame():
@@ -508,7 +511,7 @@ def test_random_draws_are_one_frame():
     # out over ``getrandbits`` (DESIGN.md "Kernel hot paths").  The caches
     # make every Random draw; a policy makes none.
     for relative in (
-        "core/policy_impls.py", "core/query_cache.py", "core/link_cache.py"
+        "core/policies.py", "core/query_cache.py", "core/link_cache.py"
     ):
         source = (SRC / relative).read_text(encoding="utf-8")
         assert ".randrange(" not in source and ".sample(" not in source, relative
@@ -583,8 +586,7 @@ def test_every_module_has_a_user():
     # (EXPERIMENTS.md "Execution census").  A package ``__init__`` that
     # re-exports a name is no use of its module: the use is wherever the
     # name is imported, through the package or not.  An ``__init__`` that
-    # imports a module itself (``from repro.core import policy_impls``)
-    # runs it.
+    # imports a module itself (``from repro.core import entry``) runs it.
     modules = {
         _module_name(path): path
         for path in SRC.rglob("*.py")
