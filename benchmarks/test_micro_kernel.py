@@ -194,7 +194,7 @@ def _full_cache_inserts_per_sec(benchmark, replacement, entries) -> float:
     def run():
         cache = LinkCache(capacity=100, owner=0)
         for entry in entries:
-            cache.insert(entry, policy, 0.0, rng)
+            cache.insert(entry, policy, rng)
         return len(cache)
 
     assert benchmark(run) == 100
@@ -245,7 +245,7 @@ def test_link_cache_random_inserts_per_sec(benchmark):
         rng = random.Random(0)
         cache = LinkCache(capacity=100, owner=0)
         for step, entry in enumerate(entries):
-            cache.insert(entry, policy, 0.0, rng)
+            cache.insert(entry, policy, rng)
             if step % 4 == 3:
                 cache.evict(entry.address - 50)
         return len(cache)
@@ -367,7 +367,7 @@ def test_random_contest_per_sec(benchmark):
         rng = random.Random(0)
         cache = LinkCache(capacity=10, owner=0)
         for entry in entries:
-            cache.insert(entry, policy, 0.0, rng)
+            cache.insert(entry, policy, rng)
         return len(cache)
 
     assert benchmark(run) == 10
@@ -386,7 +386,7 @@ def test_keyed_select_top_per_sec(benchmark):
     cache = LinkCache(capacity=100, owner=0)
     for i in range(1, 101):
         files = 60_000 if i == 41 else rng.choice((0, rng.randrange(1, 1000)))
-        cache.insert(CacheEntry(address=i, num_files=files), policy, 0.0, rng)
+        cache.insert(CacheEntry(address=i, num_files=files), policy, rng)
     count = _KNOBS["inserts"]
 
     def run():

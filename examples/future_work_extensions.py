@@ -1,17 +1,13 @@
 #!/usr/bin/env python3
 """Future-work extensions: the threads the paper left open, measured.
 
-Four mini-demos on top of the reproduced core:
+Three mini-demos on top of the reproduced core:
 
-1. **Adaptive PingInterval** (§6.1) — a controller that tightens
-   maintenance when probes keep finding corpses.
-2. **Adaptive parallel probing** (§6.2) — start serial, double the wave
-   width on dry spells; rare items get fast answers without blowing up
-   the probe bill for popular ones.
-3. **Selfish peers and probe payments** (§3.3) — a selfish peer blasts
+1. **Selfish peers and probe payments** (§3.3) — a selfish peer blasts
    the whole network per query; a token-bucket probe budget caps it.
-4. **Malicious-peer detection** (§6.4) — pong-provenance heuristics
+2. **Malicious-peer detection** (§6.4) — pong-provenance heuristics
    rescue the MR policy from the colluding attack that defeats it.
+3. **What the defense learns** — one peer's view of a poisoning source.
 
 Run:
     python examples/future_work_extensions.py
@@ -26,7 +22,6 @@ from repro import (
     SystemParams,
 )
 from repro.extensions import (
-    AdaptivePingController,
     DefenseConfig,
     PongDefense,
     ProbeBudget,
@@ -35,20 +30,8 @@ from repro.extensions import (
 from repro.extensions.detection import install_defense
 
 
-def demo_adaptive_ping() -> None:
-    print("1) adaptive PingInterval")
-    controller = AdaptivePingController(initial_interval=120.0)
-    print(f"   start at {controller.interval:.0f}s between pings")
-    for _ in range(10):  # a burst of dead probes: churn got worse
-        controller.observe(dead=True)
-    print(f"   after 10 dead probes  : {controller.interval:.0f}s (tightened)")
-    for _ in range(30):  # long healthy streak: relax again
-        controller.observe(dead=False)
-    print(f"   after 30 live probes  : {controller.interval:.0f}s (relaxing)\n")
-
-
 def demo_selfish_and_payments() -> None:
-    print("2) selfish peers vs probe payments")
+    print("1) selfish peers vs probe payments")
     sim = GuessSimulation(
         SystemParams(network_size=300), ProtocolParams(), seed=3
     )
@@ -75,7 +58,7 @@ def demo_selfish_and_payments() -> None:
 
 
 def demo_detection() -> None:
-    print("3) detection vs the colluding attack (MR stack, 20% attackers)")
+    print("2) detection vs the colluding attack (MR stack, 20% attackers)")
     for defended in (False, True):
         sim = GuessSimulation(
             SystemParams(
@@ -100,7 +83,7 @@ def demo_detection() -> None:
 
 
 def demo_defense_object() -> None:
-    print("4) what the defense learns (one peer's view)")
+    print("3) what the defense learns (one peer's view)")
     defense = PongDefense(DefenseConfig(min_observations=5))
     # A poisoner (address 66) keeps sharing entries that die on probe.
     for fake in range(900, 908):
@@ -114,7 +97,6 @@ def demo_defense_object() -> None:
 
 
 def main() -> None:
-    demo_adaptive_ping()
     demo_selfish_and_payments()
     demo_detection()
     demo_defense_object()

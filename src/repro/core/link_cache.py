@@ -222,10 +222,14 @@ class LinkCache:
     # ------------------------------------------------------------------
 
     def insert(
-        self, entry: CacheEntry, replacement: Policy, now: float, rng: random.Random
+        self, entry: CacheEntry, replacement: Policy, rng: random.Random
     ) -> bool:
-        """:meth:`admit` of one entry the caller owns: True if now cached."""
-        return self.admit((entry,), replacement, now, rng) == 1
+        """:meth:`admit` of one entry the caller owns: True if now cached.
+
+        An owned entry is stored as it is, so ``admit`` never reads its
+        ``now`` (only a shown entry's clone is stamped ``born=now``).
+        """
+        return self.admit((entry,), replacement, 0.0, rng) == 1
 
     def admit(
         self, entries: Iterable[CacheEntry], replacement: Policy, now: float,

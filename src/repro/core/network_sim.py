@@ -445,7 +445,7 @@ class GuessSimulation:
             born=now,
         )
         newborn.link_cache.insert(
-            friend_entry, self.policies.replacement, now, policy_rng
+            friend_entry, self.policies.replacement, policy_rng
         )
         newborn.link_cache.admit(
             friend.link_cache.entries(), self.policies.replacement, now,

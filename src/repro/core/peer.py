@@ -333,7 +333,7 @@ class GuessPeer:
             born=time,
         )
         self.link_cache.insert(
-            entry, self.policies.replacement, time, self._policy_rng
+            entry, self.policies.replacement, self._policy_rng
         )
 
     # ------------------------------------------------------------------

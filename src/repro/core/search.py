@@ -248,7 +248,7 @@ def execute_query(
                 if reply.num_results > 0:
                     # A productive query-cache entry qualifies for the link
                     # cache ("qualifying entries may be inserted", §2.3).
-                    link_cache.insert(entry, replacement, wave_time, policy_rng)
+                    link_cache.insert(entry, replacement, policy_rng)
 
             results += reply.num_results
             honest_results += reply.verified_results

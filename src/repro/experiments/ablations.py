@@ -140,7 +140,7 @@ def _build_static_network(n: int, seed: int):
         transport.register(index, peer)
         querier.link_cache.insert(
             CacheEntry(address=index, num_files=len(library)),
-            querier.policies.replacement, 0.0, querier._policy_rng,
+            querier.policies.replacement, querier._policy_rng,
         )
     targets = view.draw_query_targets(rng, 150)
     return querier, transport, targets

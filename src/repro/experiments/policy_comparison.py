@@ -132,16 +132,6 @@ def run_fig10_12(
     return [fig10, fig12]
 
 
-def run_fig10(profile: Profile) -> ExperimentResult:
-    """Figure 10 alone (shares a sweep with Figure 12 via run_fig10_12)."""
-    return run_fig10_12(profile)[0]
-
-
-def run_fig12(profile: Profile) -> ExperimentResult:
-    """Figure 12 alone (shares a sweep with Figure 10 via run_fig10_12)."""
-    return run_fig10_12(profile)[1]
-
-
 def run_fig11(
     profile: Profile, executor: TrialExecutor | None = None
 ) -> ExperimentResult:

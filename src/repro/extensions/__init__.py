@@ -4,9 +4,6 @@ The paper closes several threads with "future work"; this subpackage
 implements them on top of the reproduced core so they can be measured
 with the same harness:
 
-* :mod:`repro.extensions.adaptive_ping` — runtime PingInterval control
-  (§6.1's concluding guidance: shrink the interval when probes keep
-  finding corpses, relax it when everything is live).
 * :mod:`repro.extensions.adaptive_search` — adaptive k-parallel probing
   (§6.2: double the probe rate when successive waves return nothing),
   as a wave-width rule the core probe loop asks.
@@ -22,7 +19,6 @@ Everything here is explicitly an *extension*: the experiment modules for
 the paper's figures never import it.
 """
 
-from repro.extensions.adaptive_ping import AdaptivePingController
 from repro.extensions.adaptive_search import (
     EscalatingWidth,
     execute_adaptive_query,
@@ -32,7 +28,6 @@ from repro.extensions.selfish import ProbeBudget, execute_selfish_query
 from repro.extensions.selfish_sim import SelfishGuessSimulation, SelfishReport
 
 __all__ = [
-    "AdaptivePingController",
     "EscalatingWidth",
     "execute_adaptive_query",
     "DefenseConfig",

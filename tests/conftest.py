@@ -85,7 +85,7 @@ def cache_of(entries) -> LinkCache:
     cache = LinkCache(len(entries), owner=None)
     fill = get_replacement_policy("Random")
     for entry in entries:
-        assert cache.insert(entry, fill, 0.0, random.Random(0))
+        assert cache.insert(entry, fill, random.Random(0))
     return cache
 
 
@@ -95,12 +95,12 @@ def victim_end(policy, entries):
     return next(reversed(cache_of(entries).ranking(policy).entries), None)
 
 
-def contest(policy, residents, candidate, now, rng) -> CacheEntry:
+def contest(policy, residents, candidate, rng) -> CacheEntry:
     """The victim of one eviction contest: ``candidate`` offered to a full
     cache of ``residents`` under replacement ``policy``."""
     cache = LinkCache(len(residents), owner=None)
     for entry in residents:
-        cache.insert(entry, policy, now, rng)
-    if not cache.insert(candidate, policy, now, rng):
+        cache.insert(entry, policy, rng)
+    if not cache.insert(candidate, policy, rng):
         return candidate
     return next(e for e in residents if e.address not in cache)

@@ -44,10 +44,10 @@ def make_peer(
     )
 
 
-def keep(peer: GuessPeer, entry: CacheEntry, now: float = 0.0) -> bool:
+def keep(peer: GuessPeer, entry: CacheEntry) -> bool:
     """Offer ``entry`` (the caller's own) to ``peer``'s link cache."""
     return peer.link_cache.insert(
-        entry, peer.policies.replacement, now, peer._policy_rng
+        entry, peer.policies.replacement, peer._policy_rng
     )
 
 

@@ -88,8 +88,7 @@ class TestSearchHooks:
         transport.register(3, live)
         for address in (dead_addr, 3):
             querier.link_cache.insert(
-                make_entry(address), querier.policies.replacement,
-                0.0, querier._policy_rng,
+                make_entry(address), querier.policies.replacement, querier._policy_rng,
             )
         return querier, transport
 
@@ -123,10 +122,10 @@ class TestSearchHooks:
         for peer in (querier, relay, owner_blocked):
             transport.register(peer.address, peer)
         relay.link_cache.insert(
-            make_entry(50), relay.policies.replacement, 0.0, relay._policy_rng
+            make_entry(50), relay.policies.replacement, relay._policy_rng
         )
         querier.link_cache.insert(
-            make_entry(2), querier.policies.replacement, 0.0,
+            make_entry(2), querier.policies.replacement,
             querier._policy_rng,
         )
         result = execute_query(querier, 42, transport, 0.0, rng=rng)

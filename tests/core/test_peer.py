@@ -52,7 +52,7 @@ class TestPingHandling:
         peer = make_peer(1, protocol=protocol)
         for a in range(2, 12):
             peer.link_cache.insert(
-                make_entry(a), peer.policies.replacement, 0.0, peer._policy_rng
+                make_entry(a), peer.policies.replacement, peer._policy_rng
             )
         _, pong = peer.receive_probe(Ping(sender=99), 1.0)
         assert len(pong.entries) == 3
@@ -186,7 +186,7 @@ class TestInitiatorHelpers:
         for a, files in ((2, 5), (3, 50), (4, 1)):
             peer.link_cache.insert(
                 make_entry(a, num_files=files),
-                peer.policies.replacement, 0.0, peer._policy_rng,
+                peer.policies.replacement, peer._policy_rng,
             )
         assert peer.choose_ping_target().address == 3
 

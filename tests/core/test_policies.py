@@ -166,7 +166,7 @@ class TestRandomPolicy:
         rng = random.Random(4)
         residents, candidate = entries[:-1], entries[-1]
         victims = {
-            contest(policy, residents, candidate, 0.0, rng).address
+            contest(policy, residents, candidate, rng).address
             for _ in range(200)
         }
         assert victims == {1, 2, 3, 4}
@@ -215,7 +215,7 @@ class TestChooseVictimFrom:
             expected = contestants[rng_a.randrange(len(contestants))]
         else:
             expected = victim_end(policy, entries + [candidate])
-        actual = contest(policy, entries, candidate, 60.0, rng_b)
+        actual = contest(policy, entries, candidate, rng_b)
         assert actual is expected
         # Identical RNG consumption: the streams stay in lockstep.
         assert rng_a.random() == rng_b.random()
@@ -224,7 +224,7 @@ class TestChooseVictimFrom:
         policy = get_replacement_policy("LRU")
         # LRU evicts the oldest ts; make the candidate oldest.
         candidate = make_entry(9, ts=1.0)
-        victim = contest(policy, entries, candidate, 60.0, random.Random(0))
+        victim = contest(policy, entries, candidate, random.Random(0))
         assert victim is candidate
 
     def test_candidate_wins_a_tie_only_against_lower_addresses(self):
@@ -232,5 +232,5 @@ class TestChooseVictimFrom:
         for address, victim in ((9, 9), (7, 8), (1, 8)):
             residents = [make_entry(a) for a in (4, 8, 6)]
             candidate = make_entry(address)
-            picked = contest(policy, residents, candidate, 0.0, random.Random(0))
+            picked = contest(policy, residents, candidate, random.Random(0))
             assert picked.address == victim

@@ -88,7 +88,7 @@ def arrange(breakers, do_backoff, setup, retries, budget, salt=0):
     born = DEPARTED + 0.3 if setup == "fresh" else 0.0
     entry = CacheEntry(address=target.address, ts=0.0, num_files=5, born=born)
     prober.link_cache.insert(
-        entry, prober.policies.replacement, 0.0, prober._policy_rng
+        entry, prober.policies.replacement, prober._policy_rng
     )
     if setup == "refused":
         while target._limiter.try_record(NOW):

@@ -34,7 +34,6 @@ def cache_entries_for(querier, peers):
         querier.link_cache.insert(
             make_entry(peer.address, num_files=peer.num_files),
             querier.policies.replacement,
-            0.0,
             querier._policy_rng,
         )
 
@@ -163,7 +162,7 @@ class TestPongChaining:
         owner = make_peer(2, protocol=protocol, library=frozenset({42}))
         relay.link_cache.insert(
             make_entry(2, num_files=5),
-            relay.policies.replacement, 0.0, relay._policy_rng,
+            relay.policies.replacement, relay._policy_rng,
         )
         transport = wire(querier, [relay, owner])
         cache_entries_for(querier, [relay])
@@ -178,8 +177,8 @@ class TestPongChaining:
         a = make_peer(1, protocol=protocol, library=frozenset())
         b = make_peer(2, protocol=protocol, library=frozenset())
         # a and b point at each other: the pong chain cycles.
-        a.link_cache.insert(make_entry(2), a.policies.replacement, 0.0, a._policy_rng)
-        b.link_cache.insert(make_entry(1), b.policies.replacement, 0.0, b._policy_rng)
+        a.link_cache.insert(make_entry(2), a.policies.replacement, a._policy_rng)
+        b.link_cache.insert(make_entry(1), b.policies.replacement, b._policy_rng)
         transport = wire(querier, [a, b])
         cache_entries_for(querier, [a, b])
         result = execute_query(querier, 42, transport, 0.0, rng=rng)
@@ -191,7 +190,7 @@ class TestPongChaining:
         relay = make_peer(1, protocol=protocol, library=frozenset())
         owner = make_peer(2, protocol=protocol, library=frozenset({42}))
         relay.link_cache.insert(
-            make_entry(2), relay.policies.replacement, 0.0, relay._policy_rng
+            make_entry(2), relay.policies.replacement, relay._policy_rng
         )
         transport = wire(querier, [relay, owner])
         cache_entries_for(querier, [relay])
@@ -228,7 +227,7 @@ class TestPongIngestCopies:
         for peer, addresses in ((a, (0, 2)), (b, (0, 1))):
             for address in addresses:
                 peer.link_cache.insert(
-                    make_entry(address), peer.policies.replacement, 0.0, peer._policy_rng
+                    make_entry(address), peer.policies.replacement, peer._policy_rng
                 )
         transport = wire(querier, [a, b])
         cache_entries_for(querier, [a, b])
@@ -255,7 +254,7 @@ class TestPongIngestCopies:
             for address in addresses:
                 peer.link_cache.insert(
                     make_entry(address, num_files=address),
-                    peer.policies.replacement, 0.0, peer._policy_rng,
+                    peer.policies.replacement, peer._policy_rng,
                 )
         querier = peers[0]
         transport = wire(querier, peers[1:])
@@ -289,7 +288,7 @@ class TestPongIngestCopies:
         owner = make_peer(2, protocol=protocol, library=frozenset({42}))
         resident = make_entry(2, ts=0.0, num_files=9)
         assert relay.link_cache.insert(
-            resident, relay.policies.replacement, 0.0, relay._policy_rng
+            resident, relay.policies.replacement, relay._policy_rng
         )
         transport = wire(querier, [relay, owner])
         cache_entries_for(querier, [relay])

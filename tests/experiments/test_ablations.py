@@ -1,7 +1,9 @@
 """Micro-scale tests for the ablation experiment producers.
 
-The detection ablation runs a fixed 900-simulated-second attack and is
-exercised by its benchmark; the cheaper producers are validated here.
+The detection ablation runs a fixed 900-simulated-second attack; its
+claim is held by ``tests/extensions/test_detection.py``.  The cheaper
+producers are validated here, and four ablations' claims are rows of
+``tests/integration/claims.py``.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ def build_network(num_misses, owner_files=None, protocol=None):
     for peer in peers:
         querier.link_cache.insert(
             make_entry(peer.address, num_files=peer.num_files),
-            querier.policies.replacement, 0.0, querier._policy_rng,
+            querier.policies.replacement, querier._policy_rng,
         )
     return querier, transport
 
@@ -97,8 +97,7 @@ class TestEscalation:
             peer = make_peer(i, protocol=protocol, library=library)
             transport.register(i, peer)
             querier.link_cache.insert(
-                make_entry(i), querier.policies.replacement,
-                0.0, querier._policy_rng,
+                make_entry(i), querier.policies.replacement, querier._policy_rng,
             )
         result = execute_adaptive_query(
             querier, 42, transport, 0.0, rng=rng,
@@ -127,7 +126,7 @@ class TestImportedPointerAge:
                     make_peer(address, protocol=peer.protocol, library=frozenset()),
                 )
                 peer.link_cache.insert(
-                    make_entry(address), peer.policies.replacement, 0.0,
+                    make_entry(address), peer.policies.replacement,
                     peer._policy_rng,
                 )
         execute_adaptive_query(querier, 42, transport, 50.0, rng=rng)

@@ -45,7 +45,7 @@ def two_owner_network():
         library = frozenset({42}) if i in (5, 25) else frozenset()
         transport.register(i, make_peer(i, protocol=protocol, library=library))
         querier.link_cache.insert(
-            make_entry(i), querier.policies.replacement, 0.0, querier._policy_rng
+            make_entry(i), querier.policies.replacement, querier._policy_rng
         )
     return querier, transport
 
@@ -143,7 +143,7 @@ def network(protocol=None, resilience=None, faults=None):
             i, make_peer(i, protocol=protocol, library=frozenset())
         )
         querier.link_cache.insert(
-            make_entry(i), querier.policies.replacement, 0.0, querier._policy_rng
+            make_entry(i), querier.policies.replacement, querier._policy_rng
         )
     return querier, transport
 
@@ -177,7 +177,7 @@ class TestInheritedFromTheOneLoop:
         querier, transport = network()
         transport.register(9, make_faulty_reporter(9, report_offset=3))
         querier.link_cache.insert(
-            make_entry(9), querier.policies.replacement, 0.0, querier._policy_rng
+            make_entry(9), querier.policies.replacement, querier._policy_rng
         )
         result = search(
             querier, 42, transport, 0.0, rng=random.Random(1),

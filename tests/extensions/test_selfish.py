@@ -30,8 +30,7 @@ def build_network(num_peers, owner_index=None):
         peer = make_peer(i, protocol=protocol, library=library)
         transport.register(i, peer)
         querier.link_cache.insert(
-            make_entry(i), querier.policies.replacement,
-            0.0, querier._policy_rng,
+            make_entry(i), querier.policies.replacement, querier._policy_rng,
         )
     return querier, transport
 

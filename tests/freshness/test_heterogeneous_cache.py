@@ -31,7 +31,7 @@ def lfs():
 class TestZeroSlotCache:
     def test_refuses_every_insert(self, random_replacement, rng):
         cache = LinkCache(capacity=0, owner=0)
-        assert not cache.insert(make_entry(1), random_replacement, 0.0, rng)
+        assert not cache.insert(make_entry(1), random_replacement, rng)
         assert len(cache) == 0
 
     def test_refusal_burns_no_policy_draw(self, random_replacement):
@@ -42,7 +42,7 @@ class TestZeroSlotCache:
         cache = LinkCache(capacity=0, owner=0)
         rng = random.Random(9)
         before = rng.getstate()
-        cache.insert(make_entry(1), random_replacement, 0.0, rng)
+        cache.insert(make_entry(1), random_replacement, rng)
         assert rng.getstate() == before
 
     def test_evict_and_iterate_safe(self, random_replacement, rng):
@@ -55,17 +55,17 @@ class TestZeroSlotCache:
 class TestOneSlotCache:
     def test_single_resident(self, random_replacement, rng):
         cache = LinkCache(capacity=1, owner=0)
-        assert cache.insert(make_entry(1), random_replacement, 0.0, rng)
+        assert cache.insert(make_entry(1), random_replacement, rng)
         assert len(cache) == cache.capacity == 1
 
     def test_eviction_contest_is_head_to_head(self, lfs, rng):
         cache = LinkCache(capacity=1, owner=0)
-        cache.insert(make_entry(1, num_files=5), lfs, 0.0, rng)
+        cache.insert(make_entry(1, num_files=5), lfs, rng)
         # LFS: 50-file newcomer displaces the 5-file resident.
-        assert cache.insert(make_entry(2, num_files=50), lfs, 1.0, rng)
+        assert cache.insert(make_entry(2, num_files=50), lfs, rng)
         assert set(cache.addresses()) == {2}
         # ...and a 1-file newcomer loses to the 50-file resident.
-        assert not cache.insert(make_entry(3, num_files=1), lfs, 2.0, rng)
+        assert not cache.insert(make_entry(3, num_files=1), lfs, rng)
         assert set(cache.addresses()) == {2}
         assert len(cache) == 1
 
@@ -88,7 +88,7 @@ class TestMixedSizesUnderChurn:
                 assert cache.evict(victim) is True
                 model.remove(victim)
             elif addr not in model:
-                if cache.insert(make_entry(addr), random_replacement, float(step), rng):
+                if cache.insert(make_entry(addr), random_replacement, rng):
                     # A full cache dropped one resident for the newcomer;
                     # survivors keep their order, the newcomer goes last.
                     model = [a for a in model if a in cache] + [addr]
@@ -99,17 +99,17 @@ class TestMixedSizesUnderChurn:
     def test_refill_keeps_insertion_order(self, random_replacement, rng):
         cache = LinkCache(capacity=4, owner=0)
         for a in (1, 2, 3, 4):
-            cache.insert(make_entry(a), random_replacement, 0.0, rng)
+            cache.insert(make_entry(a), random_replacement, rng)
         cache.evict(1)
         cache.evict(3)
-        cache.insert(make_entry(5), random_replacement, 1.0, rng)
-        cache.insert(make_entry(6), random_replacement, 1.0, rng)
+        cache.insert(make_entry(5), random_replacement, rng)
+        cache.insert(make_entry(6), random_replacement, rng)
         # Survivors first (in original order), then re-fills.
         assert [e.address for e in cache.entries()] == [2, 4, 5, 6]
         assert list(cache.addresses()) == [2, 4, 5, 6]
         # A re-inserted address goes to the end, not back to its old place.
         cache.evict(2)
-        cache.insert(make_entry(2), random_replacement, 2.0, rng)
+        cache.insert(make_entry(2), random_replacement, rng)
         assert list(cache.addresses()) == [4, 5, 6, 2]
 
 
@@ -128,6 +128,6 @@ class TestPeerCapacityOverride:
         peer = make_peer(1, cache_capacity=0)
         pong = peer.make_pong(peer.policies.ping_pong, 1.0)
         assert pong.entries == ()
-        ok = keep(peer, make_entry(2), 1.0)
+        ok = keep(peer, make_entry(2))
         assert not ok
         assert len(peer.link_cache) == 0

@@ -47,7 +47,7 @@ def test_link_cache_invariants(entries, capacity, replacement_name):
     policy = get_replacement_policy(replacement_name)
     rng = random.Random(1)
     for entry in entries:
-        cache.insert(entry, policy, entry.ts, rng)
+        cache.insert(entry, policy, rng)
         assert len(cache) <= capacity
         addresses = list(cache.addresses())
         assert len(addresses) == len(set(addresses))
@@ -63,7 +63,7 @@ def test_link_cache_first_writer_wins(entries, replacement_name):
     rng = random.Random(2)
     first_seen = {}
     for entry in entries:
-        cache.insert(entry, policy, entry.ts, rng)
+        cache.insert(entry, policy, rng)
         if entry.address in cache and entry.address not in first_seen:
             first_seen[entry.address] = (
                 cached(cache, entry.address).ts,
@@ -89,7 +89,7 @@ class _ListCache:
     def get(self, address):
         return next((e for e in self.residents if e.address == address), None)
 
-    def insert(self, entry, policy, now, rng):
+    def insert(self, entry, policy, rng):
         if entry.address == self.owner or self.get(entry.address) is not None:
             return False
         if self.capacity == 0:
@@ -142,7 +142,6 @@ _model_ops = st.one_of(
             num_files=st.integers(min_value=0, max_value=20),
             num_res=st.integers(min_value=0, max_value=5),
         ),
-        _model_times,
     ),
     st.tuples(st.just("evict"), _model_addresses),
     st.tuples(st.just("touch"), _model_addresses, _model_times),
@@ -171,13 +170,13 @@ def test_link_cache_equals_list_model(ops, capacity, replacement_name, prefill, 
     cache, model = LinkCache(capacity, owner=0), _ListCache(capacity, owner=0)
     rng_cache, rng_model = random.Random(seed), random.Random(seed)
     if prefill:
-        fill = [("insert", CacheEntry(100 + i, num_files=i % 7), 0.0) for i in range(capacity)]
+        fill = [("insert", CacheEntry(100 + i, num_files=i % 7)) for i in range(capacity)]
         ops = fill + ops
     for op, *args in ops:
         if op == "insert":
-            entry, now = args
-            got = cache.insert(entry.copy(), policy, now, rng_cache)
-            want = model.insert(entry.copy(), policy, now, rng_model)
+            (entry,) = args
+            got = cache.insert(entry.copy(), policy, rng_cache)
+            want = model.insert(entry.copy(), policy, rng_model)
         else:
             got = getattr(cache, op)(*args)
             want = getattr(model, op)(*args)
@@ -313,8 +312,8 @@ def test_every_ranking_is_a_fresh_oracle_sort(ops, capacity, replacement_name,
     for op, *args in ops:
         if op == "insert":
             (entry,) = args
-            got = cache.insert(entry.copy(), replacement, 0.0, rng_cache)
-            want = model.insert(entry.copy(), replacement, 0.0, rng_model)
+            got = cache.insert(entry.copy(), replacement, rng_cache)
+            want = model.insert(entry.copy(), replacement, rng_model)
         elif op in ("pong", "ping"):
             name, *k = args
             policy = get_ordering_policy(name)

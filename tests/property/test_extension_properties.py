@@ -5,36 +5,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.extensions.adaptive_ping import AdaptivePingController
 from repro.extensions.detection import DefenseConfig, PongDefense
 from repro.extensions.selfish import ProbeBudget
-
-
-@given(
-    st.floats(min_value=1.0, max_value=1000.0, allow_nan=False),
-    st.lists(st.booleans(), max_size=200),
-)
-@settings(max_examples=100)
-def test_adaptive_ping_interval_stays_in_band(initial, outcomes):
-    """Whatever the probe-outcome stream, the interval stays clamped."""
-    controller = AdaptivePingController(
-        initial, min_interval=5.0, max_interval=600.0, window=7
-    )
-    for dead in outcomes:
-        controller.observe(dead=dead)
-        assert 5.0 <= controller.interval <= 600.0
-
-
-@given(st.lists(st.booleans(), min_size=1, max_size=100))
-@settings(max_examples=100)
-def test_adaptive_ping_all_dead_never_relaxes(pattern):
-    """A 100%-dead stream can only tighten (or hold) the interval."""
-    controller = AdaptivePingController(120.0, window=5)
-    previous = controller.interval
-    for _ in pattern:
-        controller.observe(dead=True)
-        assert controller.interval <= previous
-        previous = controller.interval
 
 
 @given(

@@ -128,7 +128,7 @@ def test_replacement_victim_is_member(entries, replacement_name):
     policy = get_replacement_policy(replacement_name)
     if policy.randomized:
         victim = (
-            contest(policy, entries[:-1], entries[-1], 1e5, random.Random(0))
+            contest(policy, entries[:-1], entries[-1], random.Random(0))
             if entries
             else None
         )
@@ -234,7 +234,7 @@ def test_contest_matches_the_tuple_key_oracle(entries, policy_name, standing, wh
     candidate = CacheEntry(address=address, **fields)
     rng = random.Random(3)
     state = rng.getstate()
-    victim = contest(policy, entries, candidate, 60.0, rng)
+    victim = contest(policy, entries, candidate, rng)
     assert victim is min(entries + [candidate], key=rank)
     if standing != "tied":
         assert (victim is candidate) == (standing == "worst")

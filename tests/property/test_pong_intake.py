@@ -139,8 +139,8 @@ def test_one_pass_intake_is_the_per_entry_loop(
     if prefill:
         for address in range(1, capacity + 1):
             resident = CacheEntry(address, ts=12.5, num_files=address % 3)
-            assert cache.insert(resident.copy(), replacement, 0.0, rng)
-            assert model.insert(resident.copy(), replacement, 0.0, rng_model)
+            assert cache.insert(resident.copy(), replacement, rng)
+            assert model.insert(resident.copy(), replacement, rng_model)
     pool = QueryCache(0, probe, rng, cache.entries())
     pool_model = _ListQueryCache(0, probe_name, model.residents)
 
@@ -163,7 +163,7 @@ def test_one_pass_intake_is_the_per_entry_loop(
                 shown, replacement, now, rng, shown=True, reset_num_results=reset
             )
             want = sum(
-                model.insert(_imported(e, reset, now), replacement, now, rng_model)
+                model.insert(_imported(e, reset, now), replacement, rng_model)
                 for e in shown
             )
             assert got == want
@@ -177,7 +177,7 @@ def test_one_pass_intake_is_the_per_entry_loop(
                 clone = pool_model.add(entry, reset, now)
                 if clone is not None:
                     kept_model.append(clone)
-                    want += model.insert(clone, replacement, now, rng_model)
+                    want += model.insert(clone, replacement, rng_model)
             assert _fields(kept) == _fields(kept_model)
             assert got == want
             # The link cache keeps the query cache's clone, not a second one.

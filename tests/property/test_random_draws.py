@@ -54,7 +54,7 @@ def test_random_select_best_and_victim_are_one_randrange(seed, size):
     if size < 2:
         return  # no resident to contest: a zero-slot cache draws nothing
     *residents, candidate = entries
-    victim = contest(get_replacement_policy("Random"), residents, candidate, 0.0, ours)
+    victim = contest(get_replacement_policy("Random"), residents, candidate, ours)
     assert victim is entries[stdlib.randrange(size)]
     assert ours.getstate() == stdlib.getstate()
 
@@ -73,7 +73,7 @@ def test_random_contest_is_one_randrange_over_residents_and_candidate(seed, size
         candidate = CacheEntry(address=address)
         contestants = cache.entries() + [candidate]
         victim = contestants[stdlib.randrange(len(contestants))]
-        assert cache.insert(candidate, policy, 0.0, ours) is (victim is not candidate)
+        assert cache.insert(candidate, policy, ours) is (victim is not candidate)
         assert cache.entries() == [e for e in contestants if e is not victim]
     assert ours.getstate() == stdlib.getstate()
 

@@ -77,13 +77,13 @@ def test_search_accounting_invariants(shape):
             if j != i:
                 peer.link_cache.insert(
                     CacheEntry(address=j),
-                    peer.policies.replacement, 0.0, peer._policy_rng,
+                    peer.policies.replacement, peer._policy_rng,
                 )
 
     for address in cached:
         querier.link_cache.insert(
             CacheEntry(address=address),
-            querier.policies.replacement, 0.0, querier._policy_rng,
+            querier.policies.replacement, querier._policy_rng,
         )
 
     result = execute_query(

@@ -52,7 +52,7 @@ class TestBucketedRateLimiter:
         "an exhaustive query's forward-looking stamp hundreds of seconds "
         "past the clock, so the current second is forgotten and a full "
         "peer admits again; the fix needs the engine clock and may move "
-        "refusal counts (ROADMAP item 3(d))",
+        "refusal counts (ROADMAP 'From reproducible to right')",
     )
     def test_prune_never_forgets_the_current_second(self):
         limiter = BucketedRateLimiter(window=1.0, limit=3)
