@@ -95,11 +95,11 @@ class GuessSimulation:
             seconds, > 0; ``None`` disables sampling (saves time in
             ping-only sweeps).
         faults: optional :class:`~repro.faults.plan.FaultPlan` making
-            the wire unreliable (packet loss, brownouts, partitions,
-            jitter).  ``None`` or an all-zeros plan builds no injector
-            and reproduces the fault-free trace digest bit-for-bit.
-            Fault randomness draws only from ``fault:*`` substreams, so
-            protocol streams are never perturbed.
+            the wire lose probes.  ``None`` or a zero plan builds no
+            injector and reproduces the fault-free trace digest
+            bit-for-bit.  The loss coin draws only from the
+            ``fault:loss`` substream, so protocol streams are never
+            perturbed.
         trace_hash: enable the engine's determinism sanitizer — every
             fired event is folded into a digest exposed as
             :attr:`trace_digest`, so two same-``(seed, params)`` runs can

@@ -178,14 +178,9 @@ class ProtocolParams:
             (0 = the paper's one-shot probes).  Retries apply to both
             query probes and maintenance pings; over a lossy network
             they distinguish "lost packet" from "dead peer" at the cost
-            of extra probes and waiting.
-        retry_backoff: ``"fixed"`` or ``"exponential"`` — how the gap
-            between retry attempts grows (see
-            :class:`~repro.faults.retry.RetryPolicy`).
-        retry_base: first backoff gap in seconds; ``None`` defaults to
-            ``probe_spacing`` so retried probes stay on the serial grid.
-        retry_multiplier: exponential backoff growth factor (ignored for
-            fixed backoff).
+            of extra probes and waiting.  A retry waits one
+            ``probe_spacing`` after the timeout, so retried probes stay
+            on the serial grid.
     """
 
     query_probe: str = "Random"
@@ -202,9 +197,6 @@ class ProtocolParams:
     probe_spacing: float = 0.2
     parallel_probes: int = 1
     probe_retries: int = 0
-    retry_backoff: str = "fixed"
-    retry_base: float | None = None
-    retry_multiplier: float = 2.0
 
     def __post_init__(self) -> None:
         for role, name in (
@@ -247,20 +239,6 @@ class ProtocolParams:
         if self.probe_retries < 0:
             raise ConfigError(
                 f"probe_retries must be >= 0, got {self.probe_retries}"
-            )
-        if self.retry_backoff not in ("fixed", "exponential"):
-            raise ConfigError(
-                "retry_backoff must be 'fixed' or 'exponential', "
-                f"got {self.retry_backoff!r}"
-            )
-        if self.retry_base is not None and not 0 <= self.retry_base < math.inf:
-            raise ConfigError(
-                f"retry_base must be finite and >= 0, or None, got {self.retry_base}"
-            )
-        if not 1.0 <= self.retry_multiplier < math.inf:
-            raise ConfigError(
-                "retry_multiplier must be finite and >= 1, "
-                f"got {self.retry_multiplier}"
             )
 
     def uses_starred_policy(self) -> bool:

@@ -147,7 +147,7 @@ class PolicySet:
         reset_num_results: the MR*/LR* ingestion flag, carried here so
             entry-import paths need only the policy set.
         retry: the :class:`~repro.faults.retry.RetryPolicy` the protocol's
-            retry knobs describe, or ``None`` at ``probe_retries == 0`` —
+            ``probe_retries`` describes, or ``None`` at ``probe_retries == 0`` —
             the probe paths then take the exact single-send code path.
     """
 

@@ -14,8 +14,7 @@ and callers often want to handle them differently:
 * **execution time** — :class:`ExecutionError`: the *harness* around the
   simulation failed (a worker process crashed, a watchdog fired, a sweep
   was interrupted) even though the configuration and simulation logic
-  were sound.  :class:`ChaosError` is the deliberate, test-only variant
-  raised by the crash-injection hook.
+  were sound.
 
 :class:`TrialFailure` is not an exception but the picklable *record* of a
 trial that exhausted every retry under supervised execution; it stands in
@@ -91,15 +90,6 @@ class ExecutionError(ReproError, RuntimeError):
     journal that does not match its manifest, or a sweep interrupted
     before completion.  Distinct from :class:`SimulationError`, which
     means the simulation itself was driven incorrectly.
-    """
-
-
-class ChaosError(ExecutionError):
-    """Deliberate failure raised by the crash-injection (chaos) hook.
-
-    Only ever raised when a :class:`~repro.experiments.executor.TrialSpec`
-    carries a ``chaos`` field in ``raise`` mode — i.e. in tests and smoke
-    drills of the supervisor.  Seeing one outside a chaos run is a bug.
     """
 
 

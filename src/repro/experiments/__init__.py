@@ -1,11 +1,14 @@
 """Experiment harness: one module per paper table/figure.
 
-Every experiment follows the same contract: ``run_<id>(profile)`` takes a
+Every experiment module follows the same contract:
+``run_suite(profile, executor)`` takes a
 :class:`~repro.experiments.profiles.Profile` (scale knobs: durations,
-network sizes, trial counts) and returns one or more
-:class:`~repro.experiments.runner.ExperimentResult` records that render
-to the table/series the paper reports; ``run_suite(profile, executor)``
-returns a module's whole list (``run_all.SUITES`` is the registry).
+network sizes, trial counts), runs the module's sweep as one batch and
+returns its :class:`~repro.experiments.runner.ExperimentResult` records,
+which render to the tables/series the paper reports
+(``run_all.SUITES`` is the registry).  Where one sweep feeds several
+figures, ``run_<id>(profile, sweep)`` builds one figure's result from
+the already-folded sweep and runs nothing itself.
 
 ========================  ==========================================
 ``cache_size``            Table 3, Figures 3, 4, 5
@@ -26,7 +29,6 @@ Run everything via ``python -m repro.experiments.run_all --profile quick``.
 """
 
 from repro.experiments.executor import (
-    ChaosSpec,
     ProcessTrialExecutor,
     SerialTrialExecutor,
     TrialExecutor,
@@ -49,7 +51,6 @@ __all__ = [
     "run_guess_config",
     "TrialExecutor",
     "TrialSpec",
-    "ChaosSpec",
     "SerialTrialExecutor",
     "ProcessTrialExecutor",
     "SupervisedTrialExecutor",

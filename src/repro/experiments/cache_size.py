@@ -18,7 +18,6 @@ Expected shapes:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Tuple
 
 from repro.core.params import ProtocolParams, SystemParams
@@ -51,9 +50,7 @@ METRICS: Dict[str, Metric] = {
 }
 
 
-def cells(
-    profile: Profile, network_sizes: Tuple[int, ...] | None = None
-) -> Dict[SweepKey, Cell]:
+def cells(profile: Profile) -> Dict[SweepKey, Cell]:
     """The (NetworkSize × CacheSize) grid, shared across the figures.
 
     CacheSize is clamped to the network size (clamped duplicates are
@@ -68,7 +65,7 @@ def cells(
             ProtocolParams(cache_size=cache),
             hash_seed(n, cache),
         )
-        for n in network_sizes or profile.network_sizes
+        for n in profile.network_sizes
         for cache in dict.fromkeys(min(c, n) for c in profile.cache_sizes)
     }
 
@@ -78,19 +75,12 @@ def hash_seed(n: int, cache: int) -> int:
     return (n * 1_000_003 + cache) & 0x7FFFFFFF
 
 
-def run_table3(
-    profile: Profile, sweep: Dict[SweepKey, dict] | None = None
-) -> ExperimentResult:
+def run_table3(profile: Profile, sweep: Dict[SweepKey, dict]) -> ExperimentResult:
     """Table 3: live-entry breakdown vs CacheSize at the reference size."""
     n = profile.reference_size
     cache_sizes = [min(c, n) for c in TABLE3_CACHE_SIZES if c <= n] or [
         min(TABLE3_CACHE_SIZES[0], n)
     ]
-    if sweep is None:
-        narrowed = replace(
-            profile, cache_sizes=tuple(dict.fromkeys(cache_sizes))
-        )
-        sweep = run_sweep(cells(narrowed, network_sizes=(n,)), METRICS)
     rows = []
     for cache in dict.fromkeys(cache_sizes):
         cell = sweep.get((n, cache))
@@ -109,12 +99,8 @@ def run_table3(
     )
 
 
-def run_fig3(
-    profile: Profile, sweep: Dict[SweepKey, dict] | None = None
-) -> ExperimentResult:
+def run_fig3(profile: Profile, sweep: Dict[SweepKey, dict]) -> ExperimentResult:
     """Figure 3: probes/query vs CacheSize, one series per NetworkSize."""
-    if sweep is None:
-        sweep = run_sweep(cells(profile), METRICS)
     series = _series_by_network(sweep, "probes_per_query")
     return ExperimentResult(
         experiment_id="fig3",
@@ -125,12 +111,8 @@ def run_fig3(
     )
 
 
-def run_fig4(
-    profile: Profile, sweep: Dict[SweepKey, dict] | None = None
-) -> ExperimentResult:
+def run_fig4(profile: Profile, sweep: Dict[SweepKey, dict]) -> ExperimentResult:
     """Figure 4: unsatisfaction vs CacheSize, one series per NetworkSize."""
-    if sweep is None:
-        sweep = run_sweep(cells(profile), METRICS)
     series = _series_by_network(sweep, "unsatisfied")
     return ExperimentResult(
         experiment_id="fig4",
@@ -144,13 +126,9 @@ def run_fig4(
     )
 
 
-def run_fig5(
-    profile: Profile, sweep: Dict[SweepKey, dict] | None = None
-) -> ExperimentResult:
+def run_fig5(profile: Profile, sweep: Dict[SweepKey, dict]) -> ExperimentResult:
     """Figure 5: dead vs good probes per query at the reference size."""
     n = profile.reference_size
-    if sweep is None:
-        sweep = run_sweep(cells(profile, network_sizes=(n,)), METRICS)
     dead = []
     good = []
     for (net, cache), cell in sorted(sweep.items()):

@@ -53,12 +53,9 @@ def cells(profile: Profile) -> Dict[Tuple[int, int], Cell]:
 
 
 def run_fig14(
-    profile: Profile,
-    sweep: Dict[Tuple[int, int], Dict[str, float]] | None = None,
+    profile: Profile, sweep: Dict[Tuple[int, int], Dict[str, float]]
 ) -> ExperimentResult:
     """Figure 14: probe breakdown vs (NetworkSize, capacity), MR policies."""
-    if sweep is None:
-        sweep = run_sweep(cells(profile), METRICS)
     rows = tuple(
         (
             n,
@@ -90,12 +87,9 @@ def run_fig14(
 
 
 def run_fig15(
-    profile: Profile,
-    sweep: Dict[Tuple[int, int], Dict[str, float]] | None = None,
+    profile: Profile, sweep: Dict[Tuple[int, int], Dict[str, float]]
 ) -> ExperimentResult:
     """Figure 15: unsatisfaction vs capacity, one series per NetworkSize."""
-    if sweep is None:
-        sweep = run_sweep(cells(profile), METRICS)
     series: Dict[str, List[Tuple[float, float]]] = {}
     for (n, capacity), cell in sorted(sweep.items()):
         series.setdefault(f"N={n}", []).append(

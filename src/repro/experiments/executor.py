@@ -40,80 +40,13 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar
 from repro.baselines.gossip import GossipPlan
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
-from repro.errors import ChaosError, ConfigError
+from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
 from repro.freshness.plan import FreshnessPlan
 from repro.metrics.collectors import SimulationReport
 from repro.observe.profiler import active_profiler
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.scenarios import ScenarioPlan
-
-#: Chaos failure modes understood by :func:`execute_trial`.
-CHAOS_MODES = ("raise", "exit", "hang")
-
-
-@dataclass(frozen=True)
-class ChaosSpec:
-    """Deterministic crash injection carried on a :class:`TrialSpec`.
-
-    The hook fires in :func:`execute_trial` *before* the simulation is
-    constructed, so an attempt that survives chaos produces a report
-    byte-identical to one that never carried chaos at all — which is how
-    the supervisor's retry path stays inside the determinism contract.
-
-    Attributes:
-        mode: ``"raise"`` (raise :class:`~repro.errors.ChaosError`),
-            ``"exit"`` (``os._exit`` — kills the worker process and
-            breaks a process pool), or ``"hang"`` (sleep past any
-            watchdog deadline).
-        times: sabotage only the first ``times`` attempts, then run
-            clean; ``None`` sabotages every attempt (the quarantine
-            path).  Attempt counting crosses process boundaries via a
-            marker file, so ``times`` requires ``marker_dir``.
-        marker_dir: directory for the attempt-count marker file.
-        key: marker-file stem; must be unique per sabotaged trial.
-        hang_seconds: sleep length for ``"hang"`` mode.
-    """
-
-    mode: str
-    times: Optional[int] = None
-    marker_dir: Optional[str] = None
-    key: str = "chaos"
-    hang_seconds: float = 3600.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in CHAOS_MODES:
-            raise ConfigError(
-                f"chaos mode must be one of {CHAOS_MODES}, got {self.mode!r}"
-            )
-        if self.times is not None and self.marker_dir is None:
-            raise ConfigError(
-                "bounded chaos (times=N) needs marker_dir to count "
-                "attempts across worker processes"
-            )
-
-
-def _apply_chaos(chaos: ChaosSpec) -> None:
-    """Fire the chaos failure mode unless its sabotage budget is spent."""
-    if chaos.times is not None:
-        path = os.path.join(chaos.marker_dir, f"{chaos.key}.attempts")
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                spent = int(handle.read().strip() or 0)
-        except (FileNotFoundError, ValueError):
-            spent = 0
-        if spent >= chaos.times:
-            return
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(str(spent + 1))
-    if chaos.mode == "raise":
-        raise ChaosError(f"injected failure (key={chaos.key})")
-    if chaos.mode == "exit":
-        os._exit(23)
-    # "hang": sleep far past any reasonable deadline.  The watchdog is
-    # expected to kill this worker long before the sleep returns.
-    time.sleep(chaos.hang_seconds)  # repro: allow-wallclock (chaos hook)
-
 
 @dataclass(frozen=True)
 class TrialSpec:
@@ -129,9 +62,6 @@ class TrialSpec:
         faults: optional fault plan (frozen, hence picklable); ``None``
             or an all-zeros plan runs the fault-free code path.
         trace_hash: enable the engine's determinism sanitizer.
-        chaos: optional crash injection (:class:`ChaosSpec`); fires in
-            :func:`execute_trial` before the simulation exists, so a
-            surviving attempt's report is untouched by it.
         scenarios: optional correlated-failure plan (churn storms, flash
             crowds; frozen, hence picklable); ``None`` or an all-noop
             plan runs the scenario-free code path bit-identically.
@@ -159,7 +89,6 @@ class TrialSpec:
     health_sample_interval: Optional[float] = 60.0
     faults: Optional[FaultPlan] = None
     trace_hash: bool = False
-    chaos: Optional[ChaosSpec] = None
     scenarios: Optional[ScenarioPlan] = None
     resilience: Optional[ResiliencePolicy] = None
     satisfaction_window: Optional[float] = None
@@ -193,8 +122,6 @@ def build_simulation(spec: TrialSpec) -> GuessSimulation:
 
 def execute_trial(spec: TrialSpec) -> SimulationReport:
     """Run one trial to completion (module-level, hence process-picklable)."""
-    if spec.chaos is not None:
-        _apply_chaos(spec.chaos)
     sim = build_simulation(spec)
     # Profiling hook: when a profiler is active in this process, the
     # engine reports this trial's (events, wall, sim-seconds) sample.

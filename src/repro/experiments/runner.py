@@ -39,7 +39,6 @@ from typing import (
 from repro.core.params import ProtocolParams, SystemParams
 from repro.errors import TrialFailure
 from repro.experiments.executor import (
-    ChaosSpec,
     ProcessTrialExecutor,
     SerialTrialExecutor,
     TrialExecutor,
@@ -139,8 +138,6 @@ class Cell:
 def run_cells(
     cells: Mapping[Hashable, Cell],
     executor: Optional[TrialExecutor] = None,
-    *,
-    chaos: Optional[Mapping[int, ChaosSpec]] = None,
 ) -> Dict[Hashable, list]:
     """Run every trial of every cell as one batch.
 
@@ -148,7 +145,6 @@ def run_cells(
     ``executor.run_trials`` call (serial when ``executor`` is omitted),
     the reports are cut back per cell, and each cell is recorded into
     the active manifest in cell order, exactly as if it had run alone.
-    ``chaos`` maps positions in the flattened batch to crash injections.
 
     Returns:
         ``{key: reports}`` in trial order.  Under a supervised executor
@@ -167,11 +163,6 @@ def run_cells(
         for template, swept in zip(templates, cells.values())
         for trial in range(swept.trials)
     ]
-    if chaos is not None:
-        batch = [
-            replace(spec, chaos=chaos.get(position))
-            for position, spec in enumerate(batch)
-        ]
     reports = (executor or SerialTrialExecutor()).run_trials(batch)
     results: Dict[Hashable, list] = {}
     done = 0
@@ -275,7 +266,6 @@ def run_guess_config(
     workers: int = 1,
     executor: Optional[TrialExecutor] = None,
     trace_hash: bool = False,
-    chaos: Optional[Mapping[int, ChaosSpec]] = None,
     **spec_fields: Any,
 ) -> List[SimulationReport]:
     """Run one configuration ``trials`` times with derived seeds.
@@ -297,9 +287,6 @@ def run_guess_config(
             carries per-trial digests that
             :func:`~repro.observe.manifest.replay_config` can verify bit
             for bit.
-        chaos: optional ``{trial index: ChaosSpec}`` crash injection for
-            supervisor drills — the chosen trials sabotage themselves in
-            the worker before their simulation is built.
         **spec_fields: any other :class:`TrialSpec` field by name
             (``keep_queries``, ``health_sample_interval``, ``faults`` and
             the optional plans), applied to every trial and recorded in
@@ -318,7 +305,7 @@ def run_guess_config(
     cells = {None: Cell(spec, base_seed, trials)}
     owned = get_executor(workers) if executor is None else nullcontext(executor)
     with owned as running:
-        return run_cells(cells, running, chaos=chaos)[None]
+        return run_cells(cells, running)[None]
 
 
 def averaged(

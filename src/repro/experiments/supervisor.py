@@ -29,11 +29,12 @@ trace digests to a one-shot serial run.  The supervisor can promise
 this because it never *creates* work, only re-dispatches it: seeds are
 derived pre-dispatch in the parent and frozen into each
 :class:`~repro.experiments.executor.TrialSpec`, every retry resubmits
-the spec verbatim, results are slotted by spec index regardless of
-completion order, and the chaos hook (when present) fires *before* the
-simulation is constructed, so a surviving attempt's report carries no
-scar tissue.  ``tests/experiments/test_supervisor.py`` pins all of it,
-including the three golden digests run under supervision.
+the spec verbatim, and results are slotted by spec index regardless of
+completion order.  ``tests/experiments/test_supervisor.py`` pins all of
+it, including the three golden digests run under supervision; its crash
+drills (raise, exit, hang) wrap the trial function test-side and
+sabotage an attempt before its simulation is built, so a surviving
+attempt's report carries no scar tissue.
 
 **Blame attribution.**  A raised exception or an expired deadline is
 attributable to exactly one trial.  A broken pool is not: every

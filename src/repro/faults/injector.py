@@ -1,79 +1,26 @@
 """Runtime fault injection driven by a :class:`~repro.faults.plan.FaultPlan`.
 
-The injector is the only stateful piece of the fault subsystem.  It is
-consulted by :meth:`repro.network.transport.Transport.probe` on every
-probe:
-
-* :meth:`should_drop` decides whether the round trip is lost (partition
-  cut, brownout stall, burst-channel loss, independent loss — checked in
-  that order);
-* :meth:`extra_rtt` prices the latency jitter of a delivered probe.
+The injector is the only stateful piece of the fault subsystem.
+:meth:`repro.network.transport.Transport.probe` consults
+:meth:`FaultInjector.should_drop` on every probe to a live endpoint to
+decide whether the round trip is lost.
 
 Determinism contract
 --------------------
 
-Every fault source draws from its **own named substream** of the run's
-:class:`~repro.sim.rng.RngRegistry` (``fault:loss``, ``fault:burst``,
-``fault:jitter``), so
-
-* fault draws never perturb protocol streams (``policies``, ``queries``,
-  ...) — stream independence is the registry's core guarantee — and
-* toggling one fault source never perturbs another source's stream
-  (asserted by hypothesis tests in ``tests/property``).
-
-Brownout schedules and partition sides must not depend on *probe order*
-(two queries racing to the same peer must agree on whether it is
-stalled), so they avoid shared stream state entirely: each address's
-brownout window sequence is generated by a private generator seeded from
-``(master_seed, "fault:brownout:<address>")``, and partition sides are a
-pure hash of ``(salt, address)``.
+The loss coin draws from its **own named substream** of the run's
+:class:`~repro.sim.rng.RngRegistry` (``fault:loss``), so fault draws
+never perturb protocol streams (``policies``, ``queries``, ...) — stream
+independence is the registry's core guarantee.
 """
 
 from __future__ import annotations
 
-import bisect
-import random
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 from repro.faults.plan import FaultPlan
 from repro.network.address import Address
-from repro.sim.rng import RngRegistry, derive_seed
-
-#: 2**64, the range of :func:`~repro.sim.rng.derive_seed` outputs; hashes
-#: are mapped to [0, 1) by dividing by this.
-_SEED_SPAN = float(2**64)
-
-
-class _BrownoutSchedule:
-    """Lazily generated stall windows for one address.
-
-    Windows are consecutive: after each window ends, the gap to the next
-    onset is drawn exponentially (mean ``1 / rate``) from a private
-    generator, so the schedule is a pure function of ``(seed, rate,
-    duration)`` and supports queries at arbitrary (non-monotonic) times
-    by memoising every generated window.
-    """
-
-    __slots__ = ("_rng", "_rate", "_duration", "_windows", "_horizon")
-
-    def __init__(self, seed: int, rate: float, duration: float) -> None:
-        self._rng = random.Random(seed)
-        self._rate = rate
-        self._duration = duration
-        self._windows: List[Tuple[float, float]] = []
-        self._horizon = 0.0
-
-    def stalled(self, time: float) -> bool:
-        """Whether the address is browned out at ``time``."""
-        while self._horizon <= time:
-            start = self._horizon + self._rng.expovariate(self._rate)
-            self._horizon = start + self._duration
-            self._windows.append((start, self._horizon))
-        index = bisect.bisect_right(self._windows, (time, float("inf"))) - 1
-        if index < 0:
-            return False
-        start, end = self._windows[index]
-        return start <= time < end
+from repro.sim.rng import RngRegistry
 
 
 class FaultInjector:
@@ -81,32 +28,17 @@ class FaultInjector:
 
     Build via :meth:`from_plan` (which returns ``None`` for no-op plans
     so the transport keeps its exact fault-free code path) rather than
-    calling the constructor with an all-zeros plan.
+    calling the constructor with a zero plan.
 
     Args:
         plan: the fault configuration.
         rng: the simulation's stream registry; the injector only ever
-            touches ``fault:*`` streams.
+            touches the ``fault:loss`` stream.
     """
 
     def __init__(self, plan: FaultPlan, rng: RngRegistry) -> None:
         self.plan = plan
-        self._master_seed = rng.master_seed
-        self._loss_rng = rng.stream("fault:loss") if plan.loss_rate > 0 else None
-        self._burst_rng = rng.stream("fault:burst") if plan.burst.enabled else None
-        self._jitter_rng = rng.stream("fault:jitter") if plan.jitter > 0 else None
-        self._burst_bad = False
-        self._brownouts: Dict[Address, _BrownoutSchedule] = {}
-        # Memoised partition sides, one dict per window (sides depend on
-        # the window's salt).
-        self._sides: Tuple[Dict[Address, bool], ...] = tuple(
-            {} for _ in plan.partitions
-        )
-        # Drop counters by cause (diagnostics and tests).
-        self.drops_partition = 0
-        self.drops_brownout = 0
-        self.drops_burst = 0
-        self.drops_loss = 0
+        self._loss_rng = rng.stream("fault:loss")
 
     @classmethod
     def from_plan(
@@ -114,103 +46,21 @@ class FaultInjector:
     ) -> Optional["FaultInjector"]:
         """The injector for ``plan``, or None if the plan can do nothing.
 
-        Returning None (not an inert injector) is what makes the
-        all-zeros plan contractually invisible: the transport's fault-free
-        branch is taken unchanged, with zero extra draws or float ops.
+        Returning None (not an inert injector) is what makes the zero
+        plan contractually invisible: the transport's fault-free branch
+        is taken unchanged, with zero extra draws.
         """
         if plan is None or plan.is_noop():
             return None
         return cls(plan, rng)
 
-    # ------------------------------------------------------------------
-    # Drop decision
-    # ------------------------------------------------------------------
-
     def should_drop(self, src: Address, dst: Address, time: float) -> bool:
         """Whether the ``src -> dst`` round trip at ``time`` is lost.
 
-        Pure checks (partition cut, brownout stall) run first and
-        consume no randomness; the burst channel steps once per probe
-        that reaches it, then the independent loss coin is flipped.
+        One independent coin per probe; the endpoints and the time do
+        not enter the decision.
         """
-        if self._sides and self._cut(src, dst, time):
-            self.drops_partition += 1
-            return True
-        if self.plan.brownouts.enabled and self._stalled(dst, time):
-            self.drops_brownout += 1
-            return True
-        if self._burst_rng is not None and self._burst_step():
-            self.drops_burst += 1
-            return True
-        if self._loss_rng is not None:
-            if self._loss_rng.random() < self.plan.loss_rate:
-                self.drops_loss += 1
-                return True
-        return False
-
-    def extra_rtt(self) -> float:
-        """Jitter added to a delivered probe's round-trip time."""
-        if self._jitter_rng is None:
-            return 0.0
-        return self._jitter_rng.random() * self.plan.jitter
-
-    # ------------------------------------------------------------------
-    # Individual fault sources
-    # ------------------------------------------------------------------
-
-    def _cut(self, src: Address, dst: Address, time: float) -> bool:
-        for index, window in enumerate(self.plan.partitions):
-            if not window.covers(time):
-                continue
-            if self._side(index, src) != self._side(index, dst):
-                return True
-        return False
-
-    def _side(self, window_index: int, address: Address) -> bool:
-        sides = self._sides[window_index]
-        side = sides.get(address)
-        if side is None:
-            window = self.plan.partitions[window_index]
-            # Not a stream draw: a stateless hash of the window salt, so
-            # partition side assignment never advances any fault:* stream.
-            draw = derive_seed(window.salt, f"side:{address}") / _SEED_SPAN  # repro: allow-effect-fault-substream
-            side = draw < window.fraction
-            sides[address] = side
-        return side
-
-    def _stalled(self, address: Address, time: float) -> bool:
-        schedule = self._brownouts.get(address)
-        if schedule is None:
-            spec = self.plan.brownouts
-            schedule = _BrownoutSchedule(
-                derive_seed(self._master_seed, f"fault:brownout:{address}"),
-                spec.rate,
-                spec.duration,
-            )
-            self._brownouts[address] = schedule
-        return schedule.stalled(time)
-
-    def _burst_step(self) -> bool:
-        """Advance the Gilbert-Elliott chain one probe; True if lost."""
-        burst = self.plan.burst
-        rng = self._burst_rng
-        assert rng is not None
-        if self._burst_bad:
-            if rng.random() < burst.p_bad_to_good:
-                self._burst_bad = False
-        else:
-            if rng.random() < burst.p_good_to_bad:
-                self._burst_bad = True
-        loss = burst.loss_bad if self._burst_bad else burst.loss_good
-        if loss <= 0.0:
-            return False
-        return rng.random() < loss
+        return self._loss_rng.random() < self.plan.loss_rate
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        drops = (
-            self.drops_partition
-            + self.drops_brownout
-            + self.drops_burst
-            + self.drops_loss
-        )
-        return f"FaultInjector(plan={self.plan!r}, drops={drops})"
+        return f"FaultInjector(plan={self.plan!r})"

@@ -19,8 +19,7 @@ count per query at one.
 
 An optional :class:`~repro.faults.injector.FaultInjector` makes the wire
 itself unreliable: probes to *live* endpoints may be dropped (packet
-loss, brownouts, partitions) and delivered round trips may pick up
-latency jitter.  A fault-dropped probe to a live endpoint is a **spurious
+loss).  A fault-dropped probe to a live endpoint is a **spurious
 timeout** — indistinguishable from a death to the prober, but flagged on
 the outcome so omniscient metrics can separate wrongful evictions from
 real corpse collection.  Without an injector the probe path is exactly
@@ -71,8 +70,8 @@ class ProbeOutcome(NamedTuple):
             :attr:`ProbeStatus.DELIVERED` or a refusal notice).
         rtt: round-trip time in seconds, per the rules above.
         spurious: True only for a :attr:`ProbeStatus.TIMEOUT` caused by
-            fault injection against a **live** endpoint — a lost packet,
-            brownout stall, or partition cut, not a death.  The protocol
+            fault injection against a **live** endpoint — a lost
+            packet, not a death.  The protocol
             layers never branch on this (the prober cannot tell); it
             exists purely for omniscient metrics (wrongful-eviction and
             spurious-timeout accounting).
@@ -108,10 +107,10 @@ class Transport:
             The GUESS spec's inter-probe spacing (0.2 s) is used as the
             default.  A delivered or refused probe costs ``timeout / 4``.
         faults: optional fault injector; when set, probes to live
-            endpoints may be dropped (spurious timeouts) and delivered
-            RTTs may pick up jitter.  ``None`` (the default, and what an
-            all-zeros :class:`~repro.faults.plan.FaultPlan` resolves to)
-            keeps the exact fault-free code path.
+            endpoints may be dropped (spurious timeouts).  ``None`` (the
+            default, and what a zero
+            :class:`~repro.faults.plan.FaultPlan` resolves to) keeps the
+            exact fault-free code path.
     """
 
     def __init__(
@@ -187,10 +186,9 @@ class Transport:
 
         Returns:
             A :class:`ProbeOutcome`; timeouts carry ``rtt == timeout``,
-            refusals and deliveries ``timeout / 4`` plus any fault jitter.
+            refusals and deliveries ``timeout / 4``.
         """
         self.probes_sent += 1
-        faults = self._faults
         endpoint = self._directory.get(dst)
         if endpoint is None or not endpoint.is_alive(time):
             # Dead targets never consume fault randomness: the outcome is
@@ -198,18 +196,15 @@ class Transport:
             # streams a pure function of the live-probe sequence.
             self.timeouts += 1
             return ProbeOutcome(ProbeStatus.TIMEOUT, None, self.timeout)
-        if faults is not None and faults.should_drop(src, dst, time):
+        if self._faults is not None and self._faults.should_drop(src, dst, time):
             self.timeouts += 1
             self.spurious_timeouts += 1
             return ProbeOutcome(ProbeStatus.TIMEOUT, None, self.timeout, True)
         accepted, response = endpoint.receive_probe(message, time)
-        rtt = self._rtt
-        if faults is not None:
-            rtt += faults.extra_rtt()
         if not accepted:
             self.refusals += 1
-            return ProbeOutcome(ProbeStatus.REFUSED, response, rtt)
-        return ProbeOutcome(ProbeStatus.DELIVERED, response, rtt)
+            return ProbeOutcome(ProbeStatus.REFUSED, response, self._rtt)
+        return ProbeOutcome(ProbeStatus.DELIVERED, response, self._rtt)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

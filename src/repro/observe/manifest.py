@@ -56,8 +56,31 @@ MANIFEST_VERSION = 1
 
 #: An entry is one :class:`TrialSpec` minus the fields that differ per
 #: trial (or that the recorder forces), plus the keys describing the run.
-PER_TRIAL_FIELDS = ("seed", "trace_hash", "chaos")
+PER_TRIAL_FIELDS = ("seed", "trace_hash")
 RUN_KEYS = ("trials", "base_seed", "seeds", "trace_digests")
+
+#: Fields gone from a class, with the JSON value a manifest written
+#: before they went holds when the field was left unset.  Such a key is
+#: skipped; at any other value the entry ran something this code cannot
+#: replay, so it fails typed.
+RETIRED: Dict[str, Dict[str, Any]] = {
+    "ProtocolParams": {
+        "retry_backoff": "fixed",
+        "retry_base": None,
+        "retry_multiplier": 2.0,
+    },
+    "FaultPlan": {
+        "burst": {
+            "loss_good": 0.0,
+            "loss_bad": 0.0,
+            "p_good_to_bad": 0.0,
+            "p_bad_to_good": 0.0,
+        },
+        "jitter": 0.0,
+        "brownouts": {"rate": 0.0, "duration": 0.0},
+        "partitions": [],
+    },
+}
 
 
 # ----------------------------------------------------------------------
@@ -86,11 +109,13 @@ def from_jsonable(kind: Any, data: Any, path: str = "") -> Any:
     ``kind`` is a dataclass, an enum, ``Optional[X]`` / ``X | None``,
     ``Tuple[X, ...]`` or a scalar type.  A key a dataclass dict lacks
     falls back to the field's default, so manifests written before the
-    field existed still load.
+    field existed still load; a :data:`RETIRED` key at its unset value
+    is skipped, so manifests written before the field went load too.
 
     Raises:
-        ConfigError: naming the dotted ``path`` of an unknown field, an
-            unknown enum name or a wrongly shaped container.
+        ConfigError: naming the dotted ``path`` of an unknown field, a
+            retired field at a value it was set to, an unknown enum name
+            or a wrongly shaped container.
     """
     if get_origin(kind) in (Union, UnionType):
         if data is None:
@@ -113,8 +138,17 @@ def from_jsonable(kind: Any, data: Any, path: str = "") -> Any:
     if not isinstance(data, dict):
         raise _malformed(path, f"expected an object, got {data!r}")
     hints = get_type_hints(kind)
+    retired = RETIRED.get(kind.__name__, {})
     values = {}
     for name, value in data.items():
+        if name in retired:
+            if value == retired[name]:
+                continue
+            raise _malformed(
+                f"{path}.{name}",
+                f"retired field of {kind.__name__} set to {value!r}; "
+                f"only {retired[name]!r} replays",
+            )
         if name not in declared:
             raise _malformed(f"{path}.{name}", f"unknown field of {kind.__name__}")
         values[name] = from_jsonable(hints[name], value, f"{path}.{name}")

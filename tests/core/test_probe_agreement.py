@@ -17,7 +17,7 @@ from repro.core.entry import CacheEntry
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
 from repro.core.search import execute_query
-from repro.faults.plan import FaultPlan, PartitionWindow
+from repro.faults.plan import FaultPlan
 from repro.resilience.policy import BreakerSpec, BudgetSpec, ResiliencePolicy
 
 NOW = 1.0
@@ -25,7 +25,7 @@ DEPARTED = 0.5
 
 #: ``(name, arms breakers, do_backoff, setup)``; setup is one of
 #: "delivered", "refused", "stale", "fresh", "lossy", "cut", "suppressed".
-#: "cut" drops the first send only: a partition that heals before a retry.
+#: "cut" drops the first send only: a wire that heals before a retry.
 OUTCOMES = [
     ("delivered", False, True, "delivered"),
     ("refused-breakers", True, True, "refused"),
@@ -56,31 +56,37 @@ QUERY_COUNTS = (
 )
 
 
-def arrange(breakers, do_backoff, setup, retries, budget, salt=0):
+class DropsUntil:
+    """An injector double: every send made before ``heals`` is lost."""
+
+    def __init__(self, heals):
+        self.heals = heals
+
+    def should_drop(self, src, dst, time):
+        return time < self.heals
+
+
+def arrange(breakers, do_backoff, setup, retries, budget):
     """A 20-peer simulation whose prober caches exactly one entry."""
     resilience = ResiliencePolicy(
         breaker=BreakerSpec(failure_threshold=1) if breakers else None,
         # One token: the first re-send spends it, the second is denied.
         budget=BudgetSpec(capacity=1, refill_interval=1e6) if budget else None,
     )
-    faults = {
-        "lossy": FaultPlan(loss_rate=1.0),
-        "cut": FaultPlan(partitions=(PartitionWindow(0.0, NOW + 0.1, salt=salt),)),
-    }.get(setup)
     sim = GuessSimulation(
         SystemParams(network_size=20, query_rate=0.0),
         ProtocolParams(cache_size=10, probe_retries=retries, do_backoff=do_backoff),
         seed=3,
         health_sample_interval=None,
-        faults=faults,
+        faults=FaultPlan(loss_rate=1.0) if setup == "lossy" else None,
         resilience=resilience,
     )
+    if setup == "cut":
+        sim.transport._faults = DropsUntil(NOW + 0.1)
     prober, target = sorted(
         (p for p in sim.live_good_peers if p.death_time > 100.0),
         key=lambda p: p.address,
     )[:2]
-    if setup == "cut" and not sim.faults._cut(prober.address, target.address, NOW):
-        return arrange(breakers, do_backoff, setup, retries, budget, salt + 1)
     for peer in (prober, target):
         for address in list(peer.link_cache.addresses()):
             peer.link_cache.evict(address)

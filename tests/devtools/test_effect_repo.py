@@ -82,7 +82,6 @@ def test_stale_baseline_entry_is_an_error(repo_sources):
 @pytest.mark.parametrize(
     "relpath, pragma, rule_id",
     [
-        ("repro/faults/injector.py", "allow-effect-fault-substream", "RD007"),
         ("repro/sim/engine.py", "allow-effect-kernel-io", "RD010"),
     ],
 )

@@ -19,7 +19,6 @@ from repro.errors import ConfigError
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
 from repro.experiments.executor import (
-    ChaosSpec,
     ProcessTrialExecutor,
     SerialTrialExecutor,
     TrialSpec,
@@ -29,6 +28,7 @@ from repro.experiments.executor import (
 from repro.experiments.runner import run_guess_config
 from repro.experiments.supervisor import SupervisedTrialExecutor
 from repro.observe.profiler import GLOBAL_PHASE, Profiler, activated
+from tests.experiments.helpers import ChaosSpec, chaotic_trial
 
 SYSTEM = SystemParams(network_size=30)
 PROTOCOL = ProtocolParams(cache_size=8)
@@ -167,18 +167,10 @@ class TestPoolLifecycle:
         # A worker dying mid-batch poisons the ProcessPoolExecutor; the
         # executor must surface the error, retire the dead pool, and
         # serve the next batch from a fresh one.
-        crash = _spec(seed=6)
-        crash = TrialSpec(
-            system=crash.system,
-            protocol=crash.protocol,
-            duration=crash.duration,
-            warmup=crash.warmup,
-            seed=crash.seed,
-            chaos=ChaosSpec(mode="exit"),
-        )
+        crash = (_spec(seed=6), ChaosSpec(mode="exit"))
         with ProcessTrialExecutor(workers=2) as executor:
             with pytest.raises(BrokenProcessPool):
-                executor.run_trials([crash, _spec(seed=7)])
+                executor.map(chaotic_trial, [crash, (_spec(seed=7), None)])
             assert executor._pool is None
             reports = executor.run_trials([_spec(seed=8), _spec(seed=9)])
         assert _report_fields(reports[0]) == _report_fields(
@@ -186,17 +178,10 @@ class TestPoolLifecycle:
         )
 
     def test_close_after_broken_pool_is_safe(self):
-        crash = TrialSpec(
-            system=SYSTEM,
-            protocol=PROTOCOL,
-            duration=40.0,
-            warmup=5.0,
-            seed=6,
-            chaos=ChaosSpec(mode="exit"),
-        )
+        crash = (_spec(seed=6), ChaosSpec(mode="exit"))
         executor = ProcessTrialExecutor(workers=2)
         with pytest.raises(BrokenProcessPool):
-            executor.run_trials([crash, _spec(seed=7)])
+            executor.map(chaotic_trial, [crash, (_spec(seed=7), None)])
         executor.close()
         executor.close()
 

@@ -5,8 +5,10 @@ visible in the results: a sweep whose workers crashed (raise /
 ``os._exit`` / hang) and that was killed and resumed from its journal
 produces reports and trace digests byte-identical to a one-shot serial
 run.  These tests drive every failure mode through the deterministic
-chaos hook and pin that guarantee — including the three golden digests
-from ``tests/integration/test_determinism.py`` run under supervision.
+crash injection of ``tests/experiments/helpers.py`` (``chaotic_trial``
+mapped over ``(spec, chaos)`` items) and pin that guarantee — including
+the three golden digests from ``tests/integration/test_determinism.py``
+run under supervision.
 """
 
 from __future__ import annotations
@@ -17,13 +19,8 @@ import os
 import pytest
 
 from repro.core.params import BadPongBehavior, ProtocolParams, SystemParams
-from repro.errors import ChaosError, ConfigError, TrialFailure
-from repro.experiments.executor import (
-    ChaosSpec,
-    TrialSpec,
-    _apply_chaos,
-    execute_trial,
-)
+from repro.errors import ConfigError, TrialFailure
+from repro.experiments.executor import TrialSpec, execute_trial
 from repro.experiments.runner import averaged, run_guess_config
 from repro.experiments.supervisor import (
     SupervisedTrialExecutor,
@@ -34,12 +31,18 @@ from repro.experiments.supervisor import (
 )
 from repro.faults.plan import FaultPlan
 from repro.observe.manifest import ManifestRecorder, activated
+from tests.experiments.helpers import (
+    ChaosError,
+    ChaosSpec,
+    _apply_chaos,
+    chaotic_trial,
+)
 
 SYSTEM = SystemParams(network_size=30)
 PROTOCOL = ProtocolParams(cache_size=8)
 
 
-def _spec(seed: int, *, chaos: ChaosSpec | None = None) -> TrialSpec:
+def _spec(seed: int) -> TrialSpec:
     return TrialSpec(
         system=SYSTEM,
         protocol=PROTOCOL,
@@ -47,8 +50,16 @@ def _spec(seed: int, *, chaos: ChaosSpec | None = None) -> TrialSpec:
         warmup=5.0,
         seed=seed,
         trace_hash=True,
-        chaos=chaos,
     )
+
+
+def _sabotaged(specs, chaos) -> list:
+    """``(spec, chaos)`` items for ``chaotic_trial``; ``chaos`` by position."""
+    return [(spec, chaos.get(index)) for index, spec in enumerate(specs)]
+
+
+def _drill(seeds, chaos) -> list:
+    return _sabotaged([_spec(seed) for seed in seeds], chaos)
 
 
 def _fields(report) -> dict:
@@ -57,6 +68,21 @@ def _fields(report) -> dict:
 
 def _serial(seeds) -> list:
     return [execute_trial(_spec(seed)) for seed in seeds]
+
+
+class _Sabotaging(SupervisedTrialExecutor):
+    """A supervisor whose trial batches run through ``chaotic_trial``.
+
+    ``chaos`` maps positions in each batch to crash injections, so a
+    suite-level call (``run_guess_config``) can be drilled unchanged.
+    """
+
+    def __init__(self, chaos, **kwargs):
+        super().__init__(**kwargs)
+        self._chaos = chaos
+
+    def run_trials(self, specs):
+        return self.map(chaotic_trial, _sabotaged(specs, self._chaos))
 
 
 class TestConstruction:
@@ -89,9 +115,9 @@ class TestSupervisedBasics:
         # Unlike ProcessTrialExecutor's in-process bypass, a supervised
         # single-item batch runs in a worker: an os._exit must kill a
         # worker, never the parent.
-        chaos = ChaosSpec(mode="exit")
+        chaos = {0: ChaosSpec(mode="exit")}
         with SupervisedTrialExecutor(workers=2, max_attempts=1) as executor:
-            [result] = executor.run_trials([_spec(1, chaos=chaos)])
+            [result] = executor.map(chaotic_trial, _drill([1], chaos))
         assert isinstance(result, TrialFailure)
         assert result.kind == "crash"
 
@@ -120,7 +146,7 @@ class TestChaosHook:
         # A surviving attempt's report must carry no trace of chaos:
         # the hook runs before the simulation exists.
         with pytest.raises(ChaosError):
-            execute_trial(_spec(3, chaos=ChaosSpec(mode="raise")))
+            chaotic_trial((_spec(3), ChaosSpec(mode="raise")))
 
 
 class TestCrashRetry:
@@ -129,9 +155,10 @@ class TestCrashRetry:
         chaos = ChaosSpec(
             mode=mode, times=1, marker_dir=str(tmp_path), key=f"c-{mode}"
         )
-        specs = [_spec(21), _spec(22, chaos=chaos), _spec(23)]
         with SupervisedTrialExecutor(workers=2) as executor:
-            supervised = executor.run_trials(specs)
+            supervised = executor.map(
+                chaotic_trial, _drill([21, 22, 23], {1: chaos})
+            )
             assert executor.failures == []
         for left, right in zip(supervised, _serial([21, 22, 23])):
             assert _fields(left) == _fields(right)
@@ -144,11 +171,10 @@ class TestCrashRetry:
             key="h",
             hang_seconds=300.0,
         )
-        specs = [_spec(31, chaos=chaos), _spec(32)]
         with SupervisedTrialExecutor(
             workers=2, trial_timeout=5.0
         ) as executor:
-            supervised = executor.run_trials(specs)
+            supervised = executor.map(chaotic_trial, _drill([31, 32], {0: chaos}))
             assert executor.failures == []
         for left, right in zip(supervised, _serial([31, 32])):
             assert _fields(left) == _fields(right)
@@ -156,10 +182,9 @@ class TestCrashRetry:
 
 class TestQuarantine:
     def test_exhausted_trial_becomes_failure_without_aborting_siblings(self):
-        specs = [_spec(41), _spec(42, chaos=ChaosSpec(mode="raise")),
-                 _spec(43)]
+        items = _drill([41, 42, 43], {1: ChaosSpec(mode="raise")})
         with SupervisedTrialExecutor(workers=2, max_attempts=2) as executor:
-            results = executor.run_trials(specs)
+            results = executor.map(chaotic_trial, items)
             assert [f.index for f in executor.failures] == [1]
         failure = results[1]
         assert isinstance(failure, TrialFailure)
@@ -169,7 +194,7 @@ class TestQuarantine:
         assert failure.trace_digest is None
         for index in (0, 2):
             assert _fields(results[index]) == _fields(
-                execute_trial(specs[index])
+                execute_trial(items[index][0])
             )
 
     def test_quarantined_trial_reruns_on_resume(self, tmp_path):
@@ -180,16 +205,16 @@ class TestQuarantine:
         chaos = ChaosSpec(
             mode="raise", times=2, marker_dir=str(tmp_path), key="q"
         )
-        specs = [_spec(51), _spec(52, chaos=chaos)]
+        items = _drill([51, 52], {1: chaos})
         with SupervisedTrialExecutor(
             workers=2, max_attempts=2, journal=journal
         ) as executor:
-            first = executor.run_trials(specs)
+            first = executor.map(chaotic_trial, items)
         assert isinstance(first[1], TrialFailure)
         with SupervisedTrialExecutor(
             workers=2, max_attempts=2, journal=journal, resume=True
         ) as executor:
-            resumed = executor.run_trials(specs)
+            resumed = executor.map(chaotic_trial, items)
             assert executor.failures == []
         serial = _serial([51, 52])
         for left, right in zip(resumed, serial):
@@ -197,13 +222,11 @@ class TestQuarantine:
 
     def test_run_guess_config_surfaces_failure_in_suite_output(self):
         kwargs = dict(duration=40.0, warmup=5.0, trials=3, base_seed=77)
-        with SupervisedTrialExecutor(workers=2, max_attempts=1) as executor:
+        with _Sabotaging(
+            {1: ChaosSpec(mode="raise")}, workers=2, max_attempts=1
+        ) as executor:
             reports = run_guess_config(
-                SYSTEM,
-                PROTOCOL,
-                executor=executor,
-                chaos={1: ChaosSpec(mode="raise")},
-                **kwargs,
+                SYSTEM, PROTOCOL, executor=executor, **kwargs
             )
         serial = run_guess_config(SYSTEM, PROTOCOL, **kwargs)
         assert len(reports) == 3
@@ -322,30 +345,26 @@ class TestResumeEqualsFresh:
         marker = str(tmp_path)
         journal_path = str(tmp_path / "t.journal.jsonl")
         seeds = [101, 102, 103, 104, 105]
-        chaos = {
+        items = _drill(seeds, {
             1: ChaosSpec(mode="raise", times=1, marker_dir=marker, key="r"),
             2: ChaosSpec(mode="exit", times=1, marker_dir=marker, key="e"),
             4: ChaosSpec(
                 mode="hang", times=1, marker_dir=marker, key="g",
                 hang_seconds=300.0,
             ),
-        }
-        specs = [
-            _spec(seed, chaos=chaos.get(index))
-            for index, seed in enumerate(seeds)
-        ]
+        })
         # First run survives raise + exit crashes, then is "killed"
         # (simulated by running only a prefix of the sweep).
         with SupervisedTrialExecutor(
             workers=2, trial_timeout=5.0, journal=journal_path
         ) as executor:
-            executor.run_trials(specs[:3])
+            executor.map(chaotic_trial, items[:3])
             assert executor.failures == []
         # Resume runs only the missing trials (one of them hangs once).
         with SupervisedTrialExecutor(
             workers=2, trial_timeout=5.0, journal=journal_path, resume=True
         ) as executor:
-            resumed = executor.run_trials(specs)
+            resumed = executor.map(chaotic_trial, items)
             assert executor.failures == []
         serial = _serial(seeds)
         assert [r.trace_digest for r in resumed] == [

@@ -41,61 +41,24 @@ class TestRetryPolicy:
         with pytest.raises(ConfigError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ConfigError):
-            RetryPolicy(backoff="quadratic")
-        with pytest.raises(ConfigError):
-            RetryPolicy(base_delay=-0.1)
-        with pytest.raises(ConfigError):
-            RetryPolicy(multiplier=0.5)
-        # A retried send's time is finite: NaN and inf fail both bounds.
+            RetryPolicy(gap=-0.1)
+        # A retried send's time is finite: NaN and inf fail the bound.
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigError):
-                RetryPolicy(base_delay=bad)
-            with pytest.raises(ConfigError):
-                RetryPolicy(backoff="exponential", multiplier=bad)
+                RetryPolicy(gap=bad)
 
     def test_enabled(self):
         assert not RetryPolicy().enabled
         assert RetryPolicy(max_attempts=2).enabled
 
-    def test_fixed_backoff_schedule(self):
-        policy = RetryPolicy(max_attempts=4, backoff="fixed", base_delay=0.3)
-        assert [policy.delay(i) for i in range(3)] == [0.3, 0.3, 0.3]
-
-    def test_exponential_backoff_schedule(self):
-        policy = RetryPolicy(
-            max_attempts=4,
-            backoff="exponential",
-            base_delay=0.1,
-            multiplier=2.0,
-        )
-        assert [policy.delay(i) for i in range(3)] == pytest.approx(
-            [0.1, 0.2, 0.4]
-        )
-
     def test_from_protocol_defaults_base_to_probe_spacing(self):
         protocol = ProtocolParams(probe_retries=2)
         policy = RetryPolicy.from_protocol(protocol)
-        assert policy.max_attempts == 3
-        assert policy.base_delay == protocol.probe_spacing
-
-    def test_from_protocol_explicit_knobs(self):
-        protocol = ProtocolParams(
-            probe_retries=1,
-            retry_backoff="exponential",
-            retry_base=0.5,
-            retry_multiplier=3.0,
-        )
-        policy = RetryPolicy.from_protocol(protocol)
-        assert policy == RetryPolicy(
-            max_attempts=2,
-            backoff="exponential",
-            base_delay=0.5,
-            multiplier=3.0,
-        )
+        assert policy == RetryPolicy(max_attempts=3, gap=protocol.probe_spacing)
 
 
 class TestProbeWithRetry:
-    POLICY = RetryPolicy(max_attempts=3, backoff="fixed", base_delay=0.1)
+    POLICY = RetryPolicy(max_attempts=3, gap=0.1)
 
     def test_immediate_delivery_passes_outcome_through_untouched(self):
         outcome = delivered()
@@ -155,17 +118,3 @@ class TestProbeWithRetry:
         )
         result = probe_with_retry(transport, self.POLICY, 1, 2, "m", 0.0)
         assert result.outcome.spurious
-
-    def test_exponential_backoff_spaces_attempts(self):
-        policy = RetryPolicy(
-            max_attempts=3,
-            backoff="exponential",
-            base_delay=0.1,
-            multiplier=2.0,
-        )
-        transport = ScriptedTransport([timeout(rtt=0.2)] * 3)
-        probe_with_retry(transport, policy, 1, 2, "m", 0.0)
-        # Gaps: 0.2+0.1, then 0.2+0.2.
-        assert [t for _, t in transport.sent] == pytest.approx(
-            [0.0, 0.3, 0.7]
-        )

@@ -120,35 +120,6 @@ CASES = {
     # probe counts as dead.
     "probe-spacing-inf": (dict(protocol=dict(probe_spacing=math.inf)), ConfigError),
     "probe-spacing-nan": (dict(protocol=dict(probe_spacing=math.nan)), ConfigError),
-    "retry-base-inf": (
-        dict(protocol=dict(probe_retries=2, retry_base=math.inf)),
-        ConfigError,
-    ),
-    "retry-base-nan": (
-        dict(protocol=dict(probe_retries=2, retry_base=math.nan)),
-        ConfigError,
-    ),
-    "retry-multiplier-inf": (
-        dict(
-            protocol=dict(
-                probe_retries=2,
-                retry_backoff="exponential",
-                retry_base=0.0,
-                retry_multiplier=math.inf,
-            )
-        ),
-        ConfigError,
-    ),
-    "retry-multiplier-nan": (
-        dict(
-            protocol=dict(
-                probe_retries=2,
-                retry_backoff="exponential",
-                retry_multiplier=math.nan,
-            )
-        ),
-        ConfigError,
-    ),
     # Pings reschedule forever, so an infinite run never drains (a hang).
     "run-for-inf": (dict(runs=(math.inf,)), SimulationError),
 }

@@ -16,7 +16,7 @@ from repro.core.network_sim import GuessSimulation
 from repro.core.params import BadPongBehavior, ProtocolParams, SystemParams
 from repro.experiments.executor import ProcessTrialExecutor, TrialSpec
 from repro.experiments.runner import run_guess_config
-from repro.faults.plan import BrownoutSpec, FaultPlan, PartitionWindow
+from repro.faults.plan import FaultPlan
 from repro.freshness import CacheSizing, FreshnessPlan
 from repro.observe.profiler import GLOBAL_PHASE, Profiler
 from repro.resilience import (
@@ -493,12 +493,7 @@ class TestFaultDeterminism:
     changing the run.
     """
 
-    FAULTY = FaultPlan(
-        loss_rate=0.05,
-        jitter=0.02,
-        brownouts=BrownoutSpec(rate=0.001, duration=30.0),
-        partitions=(PartitionWindow(start=150.0, end=250.0, salt=7),),
-    )
+    FAULTY = FaultPlan(loss_rate=0.05)
 
     def test_all_zero_plan_reproduces_pinned_golden_digest(self):
         digest, _ = run_once(7, faults=FaultPlan())

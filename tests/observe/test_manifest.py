@@ -14,16 +14,12 @@ from repro.core.params import BadPongBehavior, ProtocolParams, SystemParams
 from repro.errors import ConfigError
 from repro.experiments.executor import SerialTrialExecutor, TrialSpec
 from repro.experiments.runner import run_guess_config
-from repro.faults.plan import (
-    BrownoutSpec,
-    FaultPlan,
-    GilbertElliott,
-    PartitionWindow,
-)
+from repro.faults.plan import FaultPlan
 from repro.freshness.plan import CacheSizing, FreshnessPlan
 from repro.observe.manifest import (
     MANIFEST_VERSION,
     PER_TRIAL_FIELDS,
+    RETIRED,
     RUN_KEYS,
     ManifestRecorder,
     activated,
@@ -46,19 +42,8 @@ from repro.resilience import (
 )
 from repro.sim.rng import derive_seed
 
-#: Full-featured fault plan: every nested spec populated.
-RICH_FAULTS = FaultPlan(
-    loss_rate=0.05,
-    burst=GilbertElliott(
-        loss_good=0.01, loss_bad=0.4, p_good_to_bad=0.02, p_bad_to_good=0.3
-    ),
-    jitter=0.02,
-    brownouts=BrownoutSpec(rate=0.001, duration=30.0),
-    partitions=(
-        PartitionWindow(start=10.0, end=20.0, fraction=0.25, salt=3),
-        PartitionWindow(start=40.0, end=50.0),
-    ),
-)
+#: Full-featured fault plan: every field populated.
+RICH_FAULTS = FaultPlan(loss_rate=0.05)
 
 SMALL_SYSTEM = SystemParams(network_size=40)
 SMALL_KW = dict(duration=20.0, warmup=0.0, trials=2, base_seed=9)
@@ -285,10 +270,23 @@ class TestScenarioReplay:
         assert replay_config(legacy) == tuple(legacy["trace_digests"])
 
 
+#: Written by 49a30fa, the last commit with the burst, jitter, brownout
+#: and partition fault models and the backoff knobs, running exactly
+#: :func:`_armed_run` under an active recorder.  It holds every retired
+#: key (:data:`~repro.observe.manifest.RETIRED`) at its unset value.
+ARMED_MANIFEST = Path(__file__).parent / "data" / "manifest_v1_armed_loss.json"
+
 #: Written by the parent of the commit that introduced the type-driven
-#: codec (70e773a, ten hand-written codec functions), running exactly
-#: :func:`_armed_run` under an active recorder.
-ARMED_MANIFEST = Path(__file__).parent / "data" / "manifest_v1_armed.json"
+#: codec (70e773a, ten hand-written codec functions): the same run with
+#: burst, jitter, brownouts and a partition armed, which this code can
+#: no longer replay.
+RETIRED_ARMED_MANIFEST = Path(__file__).parent / "data" / "manifest_v1_armed.json"
+
+#: The keys :data:`ARMED_MANIFEST` holds that the current classes lack.
+RETIRED_KEYS = {
+    "protocol": ("retry_backoff", "retry_base", "retry_multiplier"),
+    "faults": ("burst", "jitter", "brownouts", "partitions"),
+}
 
 
 class _RecordingExecutor(SerialTrialExecutor):
@@ -318,18 +316,7 @@ def _armed_run(executor):
         executor=executor,
         keep_queries=True,
         health_sample_interval=10.0,
-        faults=FaultPlan(
-            loss_rate=0.05,
-            burst=GilbertElliott(
-                loss_good=0.01, loss_bad=0.4,
-                p_good_to_bad=0.02, p_bad_to_good=0.3,
-            ),
-            jitter=0.02,
-            brownouts=BrownoutSpec(rate=0.001, duration=3.0),
-            partitions=(
-                PartitionWindow(start=8.0, end=12.0, fraction=0.25, salt=3),
-            ),
-        ),
+        faults=FaultPlan(loss_rate=0.05),
         scenarios=ScenarioPlan(
             storms=(ChurnStorm(start=10.0, width=5.0, fraction=0.3),),
             crowds=(FlashCrowd(start=10.0, end=20.0, multiplier=3.0),),
@@ -349,6 +336,16 @@ def _configs_text(manifest):
     return json.dumps(manifest["configs"], indent=2, sort_keys=True)
 
 
+def _without_retired(manifest):
+    """``manifest`` with exactly :data:`RETIRED_KEYS` taken out."""
+    manifest = json.loads(json.dumps(manifest))
+    for entry in manifest["configs"]:
+        for section, keys in RETIRED_KEYS.items():
+            for key in keys:
+                del entry[section][key]
+    return manifest
+
+
 class TestLayoutPinnedFromOutside:
     """The v1 layout is whatever the committed parent-written file holds."""
 
@@ -366,7 +363,7 @@ class TestLayoutPinnedFromOutside:
     def test_recorder_emits_the_parents_configs_bytes(self, armed):
         manifest, _ = armed
         assert _configs_text(manifest) == _configs_text(
-            load_manifest(ARMED_MANIFEST)
+            _without_retired(load_manifest(ARMED_MANIFEST))
         )
 
     def test_specs_for_entry_rebuilds_the_specs_that_ran(self, armed):
@@ -412,8 +409,8 @@ MALFORMED = {
     "unknown-plan-field": (_set(("gossip", "hops"), 3), "gossip.hops"),
     "unknown-entry-key": (_set(("schedulr",), "heap"), "schedulr"),
     "unknown-nested-field": (
-        _set(("faults", "partitions", 0, "bogus"), 1),
-        "faults.partitions[0].bogus",
+        _set(("scenarios", "storms", 0, "bogus"), 1),
+        "scenarios.storms[0].bogus",
     ),
     "unknown-enum-name": (
         _set(("system", "bad_pong_behavior"), "NOPE"),
@@ -424,9 +421,10 @@ MALFORMED = {
         "system.bad_pong_behavior",
     ),
     "object-where-list": (
-        _set(("faults", "partitions"), {"start": 1.0, "end": 2.0}),
-        "faults.partitions",
+        _set(("scenarios", "storms"), {"start": 1.0, "width": 2.0}),
+        "scenarios.storms",
     ),
+    "retired-key-set": (_set(("faults", "jitter"), 0.02), "faults.jitter"),
     "list-where-object": (_set(("scenarios",), []), "scenarios"),
     "scalar-where-object": (_set(("freshness", "sizing"), 7), "freshness.sizing"),
     "missing-required-field": (_drop("duration"), "duration"),
@@ -456,3 +454,37 @@ class TestMalformedEntriesFailTyped:
         write_manifest(path, manifest)
         assert main([str(path)]) == 1
         assert capsys.readouterr().out.startswith("config 0: gossip.hops")
+
+
+class TestRetiredKeys:
+    """A field that went still loads from a manifest that left it unset."""
+
+    def test_table_names_exactly_the_retired_keys(self):
+        assert {
+            name: tuple(keys) for name, keys in RETIRED.items()
+        } == {
+            "ProtocolParams": RETIRED_KEYS["protocol"],
+            "FaultPlan": RETIRED_KEYS["faults"],
+        }
+
+    def test_retired_keys_at_their_unset_values_load(self):
+        (entry,) = load_manifest(ARMED_MANIFEST)["configs"]
+        for section, keys in RETIRED_KEYS.items():
+            assert set(keys) <= set(entry[section])
+        (first, _) = specs_for_entry(entry)
+        assert first.faults == FaultPlan(loss_rate=0.05)
+        assert first.protocol.probe_retries == 1
+
+    def test_a_retired_key_alone_loads_at_its_unset_value(self):
+        for name, retired in RETIRED.items():
+            kind = {"ProtocolParams": ProtocolParams, "FaultPlan": FaultPlan}[name]
+            for key, unset in retired.items():
+                assert from_jsonable(kind, {key: unset}) == kind()
+
+    def test_a_set_retired_key_fails_typed_with_its_path(self):
+        manifest = load_manifest(RETIRED_ARMED_MANIFEST)
+        (entry,) = manifest["configs"]
+        with pytest.raises(ConfigError) as caught:
+            specs_for_entry(entry)
+        assert str(caught.value).startswith("faults.brownouts: ")
+        assert verify_manifest(manifest) == [f"config 0: {caught.value}"]

@@ -1,15 +1,10 @@
 """Property tests for the fault subsystem's determinism contract.
 
-Two guarantees, mirroring the RNG-registry properties the fault
-substreams are built on:
-
-* **Source independence** — each fault source (loss, burst, jitter)
-  draws from its own named substream, so enabling or exercising one
-  source never perturbs another source's decision sequence;
-* **No-op invisibility** — an all-zeros :class:`FaultPlan` builds no
-  injector, draws nothing, and reproduces the fault-free trace digest
-  bit-for-bit (the golden-digest pins in ``tests/integration`` rely on
-  this; here it is checked across arbitrary seeds).
+* **No-op invisibility** — a zero :class:`FaultPlan` builds no injector,
+  draws nothing, and reproduces the fault-free trace digest bit-for-bit
+  (the golden-digest pins in ``tests/integration`` rely on this; here it
+  is checked across arbitrary seeds);
+* **Replay** — a lossy plan replays its run exactly under the same seed.
 """
 
 from __future__ import annotations
@@ -19,91 +14,12 @@ from hypothesis import strategies as st
 
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, GilbertElliott
-from repro.sim.rng import RngRegistry
+from repro.faults.plan import FaultPlan
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 rates = st.floats(
     min_value=0.01, max_value=0.99, allow_nan=False, allow_infinity=False
 )
-interleaves = st.lists(st.booleans(), min_size=1, max_size=40)
-
-
-def drop_sequence(injector: FaultInjector, count: int) -> list:
-    return [injector.should_drop(1, 2, float(t)) for t in range(count)]
-
-
-@given(seed=seeds, loss=rates, jitter=rates, interleave=interleaves)
-@settings(max_examples=60)
-def test_jitter_draws_never_perturb_the_loss_stream(
-    seed, loss, jitter, interleave
-):
-    """Toggling jitter on — and actually drawing it — leaves every
-    loss decision unchanged."""
-    loss_only = FaultInjector(FaultPlan(loss_rate=loss), RngRegistry(seed))
-    both = FaultInjector(
-        FaultPlan(loss_rate=loss, jitter=jitter), RngRegistry(seed)
-    )
-    expected, observed = [], []
-    for flag in interleave:
-        if flag:
-            expected.append(loss_only.should_drop(1, 2, 0.0))
-            observed.append(both.should_drop(1, 2, 0.0))
-        else:
-            both.extra_rtt()  # extra jitter draws interleaved arbitrarily
-    assert observed == expected
-
-
-@given(seed=seeds, loss=rates, jitter=rates, interleave=interleaves)
-@settings(max_examples=60)
-def test_loss_draws_never_perturb_the_jitter_stream(
-    seed, loss, jitter, interleave
-):
-    jitter_only = FaultInjector(FaultPlan(jitter=jitter), RngRegistry(seed))
-    both = FaultInjector(
-        FaultPlan(loss_rate=loss, jitter=jitter), RngRegistry(seed)
-    )
-    expected, observed = [], []
-    for flag in interleave:
-        if flag:
-            expected.append(jitter_only.extra_rtt())
-            observed.append(both.extra_rtt())
-        else:
-            both.should_drop(1, 2, 0.0)  # extra loss draws interleaved
-    assert observed == expected
-
-
-@given(seed=seeds, loss=rates, p_flip=rates)
-@settings(max_examples=40)
-def test_burst_chain_never_perturbs_the_independent_loss_stream(
-    seed, loss, p_flip
-):
-    """The Gilbert-Elliott chain has its own stream: adding it changes
-    *which probes also face burst loss*, never the independent coin."""
-    # An (almost) lossless chain still steps its own stream per probe.
-    plain = FaultInjector(FaultPlan(loss_rate=loss), RngRegistry(seed))
-    chained = FaultInjector(
-        FaultPlan(
-            loss_rate=loss,
-            burst=GilbertElliott(
-                loss_bad=1e-12, p_good_to_bad=p_flip, p_bad_to_good=p_flip
-            ),
-        ),
-        RngRegistry(seed),
-    )
-    # The chain's draws come from fault:burst, so the independent-loss
-    # verdicts match the burst-free injector draw for draw — up to the
-    # (probability ~1e-12) event of an actual burst drop, after which a
-    # burst drop short-circuits the loss coin and the streams offset.
-    for t in range(60):
-        before = chained.drops_burst
-        verdict_plain = plain.should_drop(1, 2, float(t))
-        verdict_chained = chained.should_drop(1, 2, float(t))
-        if chained.drops_burst != before:
-            assert verdict_chained
-            break
-        assert verdict_chained == verdict_plain
 
 
 @given(seed=seeds)
