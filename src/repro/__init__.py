@@ -60,13 +60,10 @@ from repro.errors import (
 from repro.faults import FaultPlan, RetryPolicy
 from repro.metrics import LoadDistribution, MetricsCollector, SimulationReport
 from repro.resilience import (
-    BreakerSpec,
-    BudgetSpec,
     ChurnStorm,
     FlashCrowd,
     ResiliencePolicy,
     ScenarioPlan,
-    SheddingSpec,
 )
 
 __version__ = "1.0.0"
@@ -92,14 +89,11 @@ __all__ = [
     "GossipPlan",
     "GossipSearch",
     "GossipSummary",
-    "BreakerSpec",
-    "BudgetSpec",
     "ChurnStorm",
     "FlashCrowd",
     "ResiliencePolicy",
     "ScenarioError",
     "ScenarioPlan",
-    "SheddingSpec",
     "ConfigError",
     "ExecutionError",
     "PolicyError",

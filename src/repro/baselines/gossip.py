@@ -53,7 +53,6 @@ return path), and satisfaction is judged on the honest channel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import filterfalse
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
@@ -77,6 +76,10 @@ GOSSIP_MODES: Tuple[str, ...] = ("push", "pull", "push-pull")
 
 #: Faulty-reporter behaviours (see module docstring).
 FAULTY_MODES: Tuple[str, ...] = ("inflate", "suppress")
+
+#: Virtual seconds between a gossip-assisted rumor's hops (through the
+#: engine, so the fault layer applies).
+HOP_DELAY = 0.05
 
 
 @dataclass(frozen=True)
@@ -394,9 +397,9 @@ class GossipPlan:
 
     A harvested pong is normally consumed only by the probing peer; with
     an enabled plan the harvest is also pushed to ``fanout`` link-cache
-    contacts per hop, for ``ttl`` hops, each hop ``hop_delay`` seconds
-    after the previous one (through the engine, so the fault layer
-    applies).
+    contacts per hop, for ``ttl`` hops, each hop :data:`HOP_DELAY`
+    seconds after the previous one (through the engine, so the fault
+    layer applies).
 
     ``fanout=0`` or ``ttl=0`` is the documented no-op: the simulation
     keeps the exact pre-gossip code path (:meth:`GossipRelay.from_plan`
@@ -406,17 +409,12 @@ class GossipPlan:
 
     fanout: int = 0
     ttl: int = 1
-    hop_delay: float = 0.05
 
     def __post_init__(self) -> None:
         if self.fanout < 0:
             raise WorkloadError(f"fanout must be >= 0, got {self.fanout}")
         if self.ttl < 0:
             raise WorkloadError(f"ttl must be >= 0, got {self.ttl}")
-        if not 0 < self.hop_delay < math.inf:
-            raise WorkloadError(
-                f"hop_delay must be finite and > 0, got {self.hop_delay}"
-            )
 
     def is_noop(self) -> bool:
         """True when the plan cannot disseminate anything."""
@@ -475,7 +473,7 @@ class GossipRelay:
         """Start one epidemic rumor from a freshly harvested pong.
 
         The probing peer becomes the rumor's origin/first carrier; the
-        first hop fires ``hop_delay`` later so dissemination rides the
+        first hop fires :data:`HOP_DELAY` later so dissemination rides the
         engine (the fault layer and receiver rate limits both
         apply).  The per-rumor ``seen`` set is shared through
         event args — events fire deterministically, so the mutation
@@ -491,7 +489,7 @@ class GossipRelay:
         seen = {origin, pong.sender}
         values = entry_values(pong.entries)
         sim.engine.schedule(
-            now + self.plan.hop_delay,
+            now + HOP_DELAY,
             self._handler,
             label="gossip",
             args=(origin, origin, values, self.plan.ttl, seen),
@@ -540,7 +538,7 @@ class GossipRelay:
                     sim.collector.record_gossip_suppressed_forward(now)
                     continue
                 sim.engine.schedule(
-                    now + self.plan.hop_delay,
+                    now + HOP_DELAY,
                     self._handler,
                     label="gossip",
                     args=(target_address, origin, values, ttl - 1, seen),

@@ -90,7 +90,6 @@ class GuessSimulation:
             synthetic Saroiu-like trace scaled by
             ``system.lifespan_multiplier``).
         file_model: shared-file-count model override.
-        keep_queries: retain every individual query result in the report.
         health_sample_interval: spacing of cache-health samples in
             seconds, > 0; ``None`` disables sampling (saves time in
             ping-only sweeps).
@@ -114,9 +113,8 @@ class GuessSimulation:
         resilience: optional
             :class:`~repro.resilience.policy.ResiliencePolicy` arming
             per-peer graceful degradation (link-cache circuit breakers,
-            retry-token budgets, graded load shedding).  ``None`` or an
-            all-off policy is normalized away and keeps every pre-existing
-            code path.
+            retry-token budgets, graded load shedding).  ``None`` keeps
+            every pre-existing code path.
         satisfaction_window: width in seconds of the collector's
             satisfaction-tracking windows (feeds the time-to-recovery
             metric); ``None`` disables the channel.
@@ -156,7 +154,6 @@ class GuessSimulation:
         content: Optional[ContentModel] = None,
         lifetime_model: Optional[LifetimeModel] = None,
         file_model: Optional[FileCountModel] = None,
-        keep_queries: bool = False,
         health_sample_interval: Optional[float] = DEFAULT_HEALTH_SAMPLE_INTERVAL,
         faults: Optional[FaultPlan] = None,
         trace_hash: bool = False,
@@ -179,7 +176,7 @@ class GuessSimulation:
         # Both follow the from_plan -> None invisibility contract: a
         # missing/no-op plan leaves the hot paths branch-free.
         self.scenario = ScenarioDriver.from_plan(scenarios, self.rng)
-        self.resilience = ResiliencePolicy.normalize(resilience)
+        self.resilience = resilience
         # None for a missing/no-op plan (fanout=0 or ttl=0): the ping
         # success path then carries no gossip branch at all, and the
         # gossip:* substreams are never instantiated.
@@ -192,9 +189,7 @@ class GuessSimulation:
             timeout=self.protocol.probe_spacing, faults=self.faults
         )
         self.collector = MetricsCollector(
-            warmup=warmup,
-            keep_queries=keep_queries,
-            satisfaction_window=satisfaction_window,
+            warmup=warmup, satisfaction_window=satisfaction_window
         )
         self.content = content or ContentModel()
         self.lifetimes = lifetime_model or LifetimeModel(

@@ -10,10 +10,11 @@ cycle and query loop, driven by :mod:`repro.core.network_sim` and
 * answer Queries with a result count (does my library hold the target?)
   and a piggybacked Pong built by the QueryPong policy;
 * refuse probes beyond ``MaxProbesPerSecond`` (Section 6.3) — with the
-  optional graded-shedding refinement from
-  :class:`~repro.resilience.policy.SheddingSpec`, which refuses *pings*
-  at a soft threshold below the hard limit so the remaining capacity
-  keeps serving queries;
+  optional graded-shedding refinement a
+  :class:`~repro.resilience.policy.ResiliencePolicy` arms, which refuses
+  *pings* at a soft threshold below the hard limit
+  (:data:`~repro.resilience.policy.SOFT_FRACTION` of it) so the
+  remaining capacity keeps serving queries;
 * apply the introduction rule: cache the prober with probability
   ``IntroProb`` (Section 2.2);
 * import a pong's entries through the CacheReplacement policy in one
@@ -47,7 +48,7 @@ from repro.network.address import Address
 from repro.network.transport import ProbeOutcome, ProbeStatus, Transport
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.budget import RetryBudget
-from repro.resilience.policy import ResiliencePolicy
+from repro.resilience.policy import SOFT_FRACTION, ResiliencePolicy
 from repro.sim.windows import BucketedRateLimiter
 from repro.workload.content import ContentModel
 
@@ -89,10 +90,9 @@ class GuessPeer:
         policy_rng: stream used for policy randomness (Random policy,
             eviction contests).
         intro_rng: stream used for introduction coin flips.
-        resilience: graceful-degradation mechanisms to arm (breakers,
-            retry budget, graded shedding); ``None`` (or an all-off
-            policy, which the simulation normalizes away) keeps the
-            plain-paper behaviour on every code path.
+        resilience: a policy arms all three graceful-degradation
+            mechanisms (breakers, retry budget, graded shedding);
+            ``None`` keeps the plain-paper behaviour on every code path.
         cache_capacity: per-peer link-cache capacity override
             (heterogeneous :class:`~repro.freshness.plan.CacheSizing`);
             ``None`` uses the global ``protocol.cache_size``.
@@ -182,22 +182,12 @@ class GuessPeer:
         # Resilience mechanisms (repro.resilience).  All default to the
         # do-nothing None so an unarmed peer runs the exact pre-existing
         # code paths.
-        self.breakers = (
-            BreakerBoard(resilience.breaker)
-            if resilience is not None and resilience.breaker is not None
-            else None
-        )
-        self.retry_budget = (
-            RetryBudget(resilience.budget)
-            if resilience is not None and resilience.budget is not None
-            else None
-        )
-        shedding = resilience.shedding if resilience is not None else None
+        armed = resilience is not None
+        self.breakers = BreakerBoard() if armed else None
+        self.retry_budget = RetryBudget() if armed else None
         self._soft_limit = (
-            max(1, int(shedding.soft_fraction * max_probes_per_second))
-            if shedding is not None
-            and shedding.enabled
-            and max_probes_per_second is not None
+            max(1, int(SOFT_FRACTION * max_probes_per_second))
+            if armed and max_probes_per_second is not None
             else None
         )
         # Lifetime counters harvested by the metrics collector.

@@ -111,7 +111,7 @@ def _build_static_network(n: int, seed: int):
     """A static (no churn) network whose content follows the workload."""
     rng = random.Random(seed)
     view = PopulationView.synthesize(n, rng)
-    protocol = ProtocolParams(cache_size=n, probe_spacing=0.2)
+    protocol = ProtocolParams(cache_size=n)
     transport = Transport()
 
     # Local import avoids a cycle: the test helpers build peers the same

@@ -72,12 +72,12 @@ BASE_SEED = 0xF4E5
 
 PROTOCOL = ProtocolParams(cache_size=30)
 
-#: Median sharer holds DEFAULT_MEDIAN_FILES = 100 files, so a median
-#: peer keeps the base capacity; free riders drop to the floor and the
-#: Pareto-tail whales are capped at 4x base rather than tracking their
-#: (unbounded) libraries.
+#: Median sharer holds DEFAULT_MEDIAN_FILES = 100 files, the sizing's
+#: ``REFERENCE_FILES``, so a median peer keeps the base capacity; free
+#: riders drop to the floor and the Pareto-tail whales are capped at 4x
+#: base rather than tracking their (unbounded) libraries.
 SIZING = CacheSizing(
-    policy="proportional", reference_files=100, min_capacity=5,
+    policy="proportional", min_capacity=5,
     max_capacity=4 * PROTOCOL.cache_size,
 )
 

@@ -57,8 +57,6 @@ class TrialSpec:
         duration: measured simulation seconds (after warmup).
         warmup: seconds before metrics collection starts.
         seed: the trial's master seed, already derived by the caller.
-        keep_queries: retain per-query records in the report.
-        health_sample_interval: cache-health sampling period (None = off).
         faults: optional fault plan (frozen, hence picklable); ``None``
             or an all-zeros plan runs the fault-free code path.
         trace_hash: enable the engine's determinism sanitizer.
@@ -85,8 +83,6 @@ class TrialSpec:
     duration: float
     warmup: float
     seed: int
-    keep_queries: bool = False
-    health_sample_interval: Optional[float] = 60.0
     faults: Optional[FaultPlan] = None
     trace_hash: bool = False
     scenarios: Optional[ScenarioPlan] = None
@@ -108,8 +104,6 @@ def build_simulation(spec: TrialSpec) -> GuessSimulation:
         spec.protocol,
         seed=spec.seed,
         warmup=spec.warmup,
-        keep_queries=spec.keep_queries,
-        health_sample_interval=spec.health_sample_interval,
         faults=spec.faults,
         trace_hash=spec.trace_hash,
         scenarios=spec.scenarios,

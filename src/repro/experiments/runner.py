@@ -288,10 +288,10 @@ def run_guess_config(
             :func:`~repro.observe.manifest.replay_config` can verify bit
             for bit.
         **spec_fields: any other :class:`TrialSpec` field by name
-            (``keep_queries``, ``health_sample_interval``, ``faults`` and
-            the optional plans), applied to every trial and recorded in
-            the manifest; the spec's docstring describes each one, and a
-            name it does not declare is a ``TypeError``.
+            (``faults``, ``satisfaction_window`` and the optional plans),
+            applied to every trial and recorded in the manifest; the
+            spec's docstring describes each one, and a name it does not
+            declare is a ``TypeError``.
 
     Returns:
         One report per trial, in trial order.  Under a supervised

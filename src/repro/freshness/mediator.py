@@ -18,7 +18,7 @@ from itertools import filterfalse
 from typing import TYPE_CHECKING, Iterable, List, Optional, Set
 
 from repro.core.messages import CacheUpdate, CacheUpdateAck
-from repro.freshness.plan import FreshnessPlan
+from repro.freshness.plan import NOTIFY_DELAY, FreshnessPlan
 from repro.network.address import Address
 from repro.network.transport import ProbeStatus
 from repro.resilience.breaker import OPEN
@@ -115,12 +115,12 @@ class FreshnessMediator:
         pointer before paying their own refusals.
         """
         plan = self.plan
-        if not (plan.on_overload and plan.invalidates):
+        if not plan.invalidates:
             return
         if prober.breakers is not None and prober.breakers.state_of(subject) == OPEN:
             origin = prober.address
             self._sim.engine.schedule(
-                now + plan.notify_delay,
+                now + NOTIFY_DELAY,
                 self._handler,
                 label="freshness",
                 args=(origin, subject, plan.depth, {origin, subject}, False),
@@ -168,7 +168,7 @@ class FreshnessMediator:
                     sim.collector.record_freshness_refresh(now, imported)
                 if ack.purged and ttl > 1:
                     sim.engine.schedule(
-                        now + self.plan.notify_delay,
+                        now + NOTIFY_DELAY,
                         self._handler,
                         label="freshness",
                         args=(target_address, subject, ttl - 1, seen, departed),

@@ -31,7 +31,6 @@ All armed randomness draws from dedicated ``freshness:*`` substreams
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Tuple
@@ -40,6 +39,18 @@ from repro.errors import FreshnessError
 
 #: Per-peer link-cache capacity policies.
 CACHE_SIZING_POLICIES: Tuple[str, ...] = ("uniform", "proportional", "power-law")
+
+#: File count that maps to exactly the base capacity under
+#: ``"proportional"`` sizing (the median sharer's library).
+REFERENCE_FILES = 100
+
+#: Pareto shape of ``"power-law"`` sizing; above 1, so the mean factor is
+#: finite (the draw is normalized to mean 1).
+ALPHA = 2.0
+
+#: Virtual seconds between a notice's propagation hops (through the
+#: engine, so the fault layer applies).
+NOTIFY_DELAY = 0.05
 
 
 @dataclass(frozen=True)
@@ -54,13 +65,9 @@ class CacheSizing:
         policy: ``"uniform"`` (every peer gets the base — the documented
             no-op), ``"proportional"`` (capacity scales linearly with the
             peer's advertised file count, normalized by
-            ``reference_files``), or ``"power-law"`` (capacity is the
-            base times a normalized Pareto factor with shape ``alpha``,
-            drawn on the ``freshness:sizing`` substream).
-        reference_files: file count that maps to exactly the base
-            capacity under ``"proportional"``.
-        alpha: Pareto shape for ``"power-law"``; must exceed 1 so the
-            mean factor is finite (the draw is normalized to mean 1).
+            :data:`REFERENCE_FILES`), or ``"power-law"`` (capacity is the
+            base times a normalized Pareto factor with shape
+            :data:`ALPHA`, drawn on the ``freshness:sizing`` substream).
         min_capacity: floor applied after scaling (0 allows cacheless
             peers — a zero-slot :class:`~repro.core.link_cache.LinkCache`
             refuses every insert).
@@ -69,8 +76,6 @@ class CacheSizing:
     """
 
     policy: str = "uniform"
-    reference_files: int = 100
-    alpha: float = 2.0
     min_capacity: int = 1
     max_capacity: int = 0
 
@@ -80,12 +85,6 @@ class CacheSizing:
                 f"policy must be one of {CACHE_SIZING_POLICIES}, "
                 f"got {self.policy!r}"
             )
-        if self.reference_files < 1:
-            raise FreshnessError(
-                f"reference_files must be >= 1, got {self.reference_files}"
-            )
-        if not 1.0 < self.alpha < math.inf:
-            raise FreshnessError(f"alpha must be finite and > 1, got {self.alpha}")
         if self.min_capacity < 0:
             raise FreshnessError(
                 f"min_capacity must be >= 0, got {self.min_capacity}"
@@ -115,11 +114,11 @@ class CacheSizing:
         substream, keeping protocol streams untouched.
         """
         if self.policy == "proportional":
-            factor = num_files / self.reference_files
+            factor = num_files / REFERENCE_FILES
         elif self.policy == "power-law":
             # Pareto(alpha) has mean alpha/(alpha-1); rescale to mean 1
             # so the population's expected capacity stays at the base.
-            factor = rng.paretovariate(self.alpha) * (self.alpha - 1.0) / self.alpha
+            factor = rng.paretovariate(ALPHA) * (ALPHA - 1.0) / ALPHA
         else:
             return base
         capacity = max(self.min_capacity, round(base * factor))
@@ -140,14 +139,13 @@ class FreshnessPlan:
         depth: maximum propagation hops along interest paths; 1 notifies
             only the subject's direct contacts.  0 disables push
             invalidation entirely.
-        notify_delay: virtual seconds between propagation hops (through
-            the engine, so the fault layer applies).
-        on_overload: whether a maintenance ping tripping a circuit
-            breaker (the target shed load past the failure threshold)
-            also triggers a notice wave about the overloaded address.
-            Requires an armed :class:`~repro.resilience.policy.\
-ResiliencePolicy` breaker to ever fire.
         sizing: the per-peer capacity policy (:class:`CacheSizing`).
+
+    Hops are :data:`NOTIFY_DELAY` apart.  Besides departures, a
+    maintenance ping that trips the prober's circuit breaker (the target
+    shed load past the failure threshold) sends a notice wave about the
+    overloaded address; that needs an armed
+    :class:`~repro.resilience.policy.ResiliencePolicy` to ever fire.
 
     ``notify_budget=0`` (or ``depth=0``) with uniform sizing is the
     documented no-op: :meth:`~repro.freshness.mediator.FreshnessMediator.\
@@ -157,8 +155,6 @@ from_plan` returns ``None`` and trace digests are bit-identical to a run
 
     notify_budget: int = 0
     depth: int = 1
-    notify_delay: float = 0.05
-    on_overload: bool = True
     sizing: CacheSizing = CacheSizing()
 
     def __post_init__(self) -> None:
@@ -168,10 +164,6 @@ from_plan` returns ``None`` and trace digests are bit-identical to a run
             )
         if self.depth < 0:
             raise FreshnessError(f"depth must be >= 0, got {self.depth}")
-        if not 0 < self.notify_delay < math.inf:
-            raise FreshnessError(
-                f"notify_delay must be finite and > 0, got {self.notify_delay}"
-            )
         if not isinstance(self.sizing, CacheSizing):
             raise FreshnessError(
                 f"sizing must be a CacheSizing, got {type(self.sizing).__name__}"

@@ -64,9 +64,6 @@ class MetricsCollector:
         warmup: queries and pings before this time are ignored, letting
             caches reach steady state before measurement (the load and
             cache-health channels also honour it).
-        keep_queries: retain every :class:`QueryResult` (needed only by
-            analyses that want full distributions; the aggregate path is
-            default to keep long runs light).
         satisfaction_window: width in virtual seconds of the
             satisfaction-tracking windows (the raw material for the
             time-to-recovery metric in
@@ -78,7 +75,6 @@ class MetricsCollector:
     def __init__(
         self,
         warmup: float = 0.0,
-        keep_queries: bool = False,
         satisfaction_window: Optional[float] = None,
     ) -> None:
         # Written so that NaN fails both checks.
@@ -90,11 +86,9 @@ class MetricsCollector:
                 f"{satisfaction_window}"
             )
         self.warmup = float(warmup)
-        self.keep_queries = bool(keep_queries)
         self._tally = _Tally()
         self._response_time_sum = 0.0
         self._response_times = 0
-        self._queries: List[QueryResult] = []
         self._loads: Dict[Address, int] = {}
         self._refusals: Dict[Address, int] = {}
         self._health: List[CacheHealthSample] = []
@@ -145,8 +139,6 @@ class MetricsCollector:
         if result.response_time is not None:
             self._response_time_sum += result.response_time
             self._response_times += 1
-        if self.keep_queries:
-            self._queries.append(result)
 
     def record_ping(self, tally: "ProbeTally", time: float) -> None:
         """Book one maintenance ping's :class:`~repro.core.peer.ProbeTally`.
@@ -353,7 +345,6 @@ class MetricsCollector:
             loads=dict(self._loads),
             refusals=dict(self._refusals),
             health_samples=tuple(self._health),
-            query_results=tuple(self._queries) if self.keep_queries else (),
             satisfaction_windows=self._satisfaction_windows(),
             trace_digest=trace_digest,
         )
@@ -377,7 +368,6 @@ class SimulationReport:
     loads: Dict[Address, int] = field(default_factory=dict)
     refusals: Dict[Address, int] = field(default_factory=dict)
     health_samples: tuple = ()
-    query_results: tuple = ()
     #: Results actually returned across all queries (results-per-query).
     total_results: int = 0
     #: Query dead-probes whose target was live (fault-injected losses).

@@ -59,10 +59,11 @@ MANIFEST_VERSION = 1
 PER_TRIAL_FIELDS = ("seed", "trace_hash")
 RUN_KEYS = ("trials", "base_seed", "seeds", "trace_digests")
 
-#: Fields gone from a class, with the JSON value a manifest written
-#: before they went holds when the field was left unset.  Such a key is
-#: skipped; at any other value the entry ran something this code cannot
-#: replay, so it fails typed.
+#: Fields gone from a class, with the one JSON value the code still runs
+#: for each: the value every run held, which the code now hardwires as a
+#: constant (for ``ResiliencePolicy``, the tuning ``all_on()`` armed).
+#: Such a key is skipped; at any other value the entry ran something
+#: this code cannot replay, so it fails typed.
 RETIRED: Dict[str, Dict[str, Any]] = {
     "ProtocolParams": {
         "retry_backoff": "fixed",
@@ -79,6 +80,15 @@ RETIRED: Dict[str, Dict[str, Any]] = {
         "jitter": 0.0,
         "brownouts": {"rate": 0.0, "duration": 0.0},
         "partitions": [],
+    },
+    "TrialSpec": {"keep_queries": False, "health_sample_interval": 60.0},
+    "GossipPlan": {"hop_delay": 0.05},
+    "FreshnessPlan": {"notify_delay": 0.05, "on_overload": True},
+    "CacheSizing": {"reference_files": 100, "alpha": 2.0},
+    "ResiliencePolicy": {
+        "breaker": {"failure_threshold": 3, "cooldown": 30.0},
+        "budget": {"capacity": 10, "refill_interval": 5.0},
+        "shedding": {"soft_fraction": 0.5},
     },
 }
 
@@ -109,12 +119,13 @@ def from_jsonable(kind: Any, data: Any, path: str = "") -> Any:
     ``kind`` is a dataclass, an enum, ``Optional[X]`` / ``X | None``,
     ``Tuple[X, ...]`` or a scalar type.  A key a dataclass dict lacks
     falls back to the field's default, so manifests written before the
-    field existed still load; a :data:`RETIRED` key at its unset value
-    is skipped, so manifests written before the field went load too.
+    field existed still load; a :data:`RETIRED` key at the value the
+    code hardwires is skipped, so manifests written before the field
+    went load too.
 
     Raises:
         ConfigError: naming the dotted ``path`` of an unknown field, a
-            retired field at a value it was set to, an unknown enum name
+            retired field at any other value, an unknown enum name
             or a wrongly shaped container.
     """
     if get_origin(kind) in (Union, UnionType):

@@ -19,13 +19,9 @@ draws stay on the ``scenario:*`` RNG substream; breakers, budgets, and
 recovery math draw no randomness at all.
 """
 
-from repro.resilience.breaker import (
-    BreakerBoard,
-    BreakerSpec,
-    CircuitBreaker,
-)
-from repro.resilience.budget import BudgetSpec, RetryBudget
-from repro.resilience.policy import ResiliencePolicy, SheddingSpec
+from repro.resilience.breaker import BreakerBoard, CircuitBreaker
+from repro.resilience.budget import RetryBudget
+from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.recovery import (
     SatisfactionWindow,
     baseline_rate,
@@ -40,8 +36,6 @@ from repro.resilience.scenarios import (
 
 __all__ = [
     "BreakerBoard",
-    "BreakerSpec",
-    "BudgetSpec",
     "ChurnStorm",
     "CircuitBreaker",
     "FlashCrowd",
@@ -50,7 +44,6 @@ __all__ = [
     "SatisfactionWindow",
     "ScenarioDriver",
     "ScenarioPlan",
-    "SheddingSpec",
     "baseline_rate",
     "time_to_recovery",
 ]

@@ -8,9 +8,9 @@ circuit breaker replaces that reflex with the classic three-state
 automaton:
 
 * **closed** — probes flow; consecutive refusals are counted.
-* **open** — after ``failure_threshold`` consecutive refusals the
+* **open** — after :data:`FAILURE_THRESHOLD` consecutive refusals the
   breaker opens and the prober *suppresses* probes to that address for
-  ``cooldown`` virtual seconds, keeping the entry cached.
+  :data:`COOLDOWN` virtual seconds, keeping the entry cached.
 * **half-open** — once the cool-down expires, exactly one trial probe
   is allowed; success closes the breaker, another refusal re-opens it
   for a fresh cool-down.
@@ -24,11 +24,7 @@ target is dead and eviction remains the right answer.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Dict
-
-from repro.errors import ScenarioError
 
 #: Breaker states.  Plain string constants (not an Enum) so records and
 #: debug output stay trivially picklable and comparable.
@@ -36,40 +32,20 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
+#: Consecutive refusals that open a breaker.
+FAILURE_THRESHOLD = 3
 
-@dataclass(frozen=True)
-class BreakerSpec:
-    """Tuning for every breaker on one peer's link cache.
-
-    Attributes:
-        failure_threshold: consecutive refusals that open the breaker.
-        cooldown: virtual seconds an open breaker suppresses probes
-            before allowing a half-open trial.
-    """
-
-    failure_threshold: int = 3
-    cooldown: float = 30.0
-
-    def __post_init__(self) -> None:
-        # Written so that NaN fails both checks.
-        if not 1 <= self.failure_threshold < math.inf:
-            raise ScenarioError(
-                "failure_threshold must be >= 1 and finite, got "
-                f"{self.failure_threshold}"
-            )
-        if not 0.0 < self.cooldown < math.inf:
-            raise ScenarioError(
-                f"cooldown must be > 0 and finite, got {self.cooldown}"
-            )
+#: Virtual seconds an open breaker suppresses probes before it allows a
+#: half-open trial.
+COOLDOWN = 30.0
 
 
 class CircuitBreaker:
     """One breaker guarding one cached address."""
 
-    __slots__ = ("_spec", "state", "failures", "open_until")
+    __slots__ = ("state", "failures", "open_until")
 
-    def __init__(self, spec: BreakerSpec) -> None:
-        self._spec = spec
+    def __init__(self) -> None:
         self.state = CLOSED
         self.failures = 0
         self.open_until = 0.0
@@ -101,12 +77,12 @@ class CircuitBreaker:
         """
         if self.state == HALF_OPEN:
             self.state = OPEN
-            self.open_until = now + self._spec.cooldown
+            self.open_until = now + COOLDOWN
             return
         self.failures += 1
-        if self.failures >= self._spec.failure_threshold:
+        if self.failures >= FAILURE_THRESHOLD:
             self.state = OPEN
-            self.open_until = now + self._spec.cooldown
+            self.open_until = now + COOLDOWN
 
 
 class BreakerBoard:
@@ -117,10 +93,9 @@ class BreakerBoard:
     the board's footprint tracks the cache, not the network.
     """
 
-    __slots__ = ("spec", "_breakers")
+    __slots__ = ("_breakers",)
 
-    def __init__(self, spec: BreakerSpec) -> None:
-        self.spec = spec
+    def __init__(self) -> None:
         self._breakers: Dict[int, CircuitBreaker] = {}
 
     def allow(self, address: int, now: float) -> bool:
@@ -140,7 +115,7 @@ class BreakerBoard:
         """Note a refusal, creating the breaker on first sight."""
         breaker = self._breakers.get(address)
         if breaker is None:
-            breaker = CircuitBreaker(self.spec)
+            breaker = CircuitBreaker()
             self._breakers[address] = breaker
         breaker.record_refusal(now)
 

@@ -20,58 +20,33 @@ RD006 over this module proves it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+#: Maximum (and initial) token count of one peer's bucket.
+CAPACITY = 10
 
-from repro.errors import ScenarioError
-
-
-@dataclass(frozen=True)
-class BudgetSpec:
-    """Tuning for one peer's retry-token bucket.
-
-    Attributes:
-        capacity: maximum (and initial) token count.
-        refill_interval: virtual seconds to mint one token.
-    """
-
-    capacity: int = 10
-    refill_interval: float = 5.0
-
-    def __post_init__(self) -> None:
-        # Written so that NaN fails both checks.
-        if not self.capacity >= 1:
-            raise ScenarioError(
-                f"capacity must be >= 1, got {self.capacity}"
-            )
-        if not self.refill_interval > 0.0:
-            raise ScenarioError(
-                f"refill_interval must be > 0, got {self.refill_interval}"
-            )
+#: Virtual seconds to mint one token.
+REFILL_INTERVAL = 5.0
 
 
 class RetryBudget:
     """Virtual-time token bucket; one per peer.
 
     Tokens are fractional internally so refill is exact: waiting half a
-    ``refill_interval`` banks half a token.  ``try_spend`` only grants
+    :data:`REFILL_INTERVAL` banks half a token.  ``try_spend`` only grants
     whole tokens.
     """
 
-    __slots__ = ("_spec", "_tokens", "_last", "denied")
+    __slots__ = ("_tokens", "_last", "denied")
 
-    def __init__(self, spec: BudgetSpec) -> None:
-        self._spec = spec
-        self._tokens = float(spec.capacity)
+    def __init__(self) -> None:
+        self._tokens = float(CAPACITY)
         self._last = 0.0
         #: Retry attempts refused for lack of a token (telemetry).
         self.denied = 0
 
     def _refill(self, now: float) -> None:
         if now > self._last:
-            minted = (now - self._last) / self._spec.refill_interval
-            self._tokens = min(
-                float(self._spec.capacity), self._tokens + minted
-            )
+            minted = (now - self._last) / REFILL_INTERVAL
+            self._tokens = min(float(CAPACITY), self._tokens + minted)
             self._last = now
 
     def try_spend(self, now: float) -> bool:

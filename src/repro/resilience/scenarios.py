@@ -37,6 +37,7 @@ profile the crowd windows describe).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -61,7 +62,7 @@ class ChurnStorm:
 
     Attributes:
         start: storm onset, simulation seconds.
-        width: seconds over which the departures spread (> 0).
+        width: seconds over which the departures spread (> 0, finite).
         fraction: fraction of the live population that departs.
     """
 
@@ -70,10 +71,11 @@ class ChurnStorm:
     fraction: float
 
     def __post_init__(self) -> None:
-        if self.start < 0.0:
-            raise ScenarioError(f"start must be >= 0, got {self.start}")
-        if self.width <= 0.0:
-            raise ScenarioError(f"width must be > 0, got {self.width}")
+        # Written so that NaN fails every check.
+        if not 0.0 <= self.start < math.inf:
+            raise ScenarioError(f"start must be >= 0 and finite, got {self.start}")
+        if not 0.0 < self.width < math.inf:
+            raise ScenarioError(f"width must be > 0 and finite, got {self.width}")
         if not 0.0 <= self.fraction <= 1.0:
             raise ScenarioError(
                 f"fraction must be in [0, 1], got {self.fraction}"
@@ -91,9 +93,9 @@ class FlashCrowd:
 
     Attributes:
         start: window start (inclusive), simulation seconds.
-        end: window end (exclusive); must exceed ``start``.
-        multiplier: arrival-intensity factor inside the window (> 0;
-            1.0 is a no-op, values below 1 model droughts).
+        end: window end (exclusive, finite); must exceed ``start``.
+        multiplier: arrival-intensity factor inside the window (> 0 and
+            finite; 1.0 is a no-op, values below 1 model droughts).
     """
 
     start: float
@@ -101,15 +103,18 @@ class FlashCrowd:
     multiplier: float
 
     def __post_init__(self) -> None:
-        if self.start < 0.0:
-            raise ScenarioError(f"start must be >= 0, got {self.start}")
-        if self.end <= self.start:
+        # Written so that NaN fails every check.  An infinite multiplier
+        # would re-time every burst in the window to a zero delay, so the
+        # run would never leave that instant.
+        if not 0.0 <= self.start < math.inf:
+            raise ScenarioError(f"start must be >= 0 and finite, got {self.start}")
+        if not self.start < self.end < math.inf:
             raise ScenarioError(
-                f"end {self.end} must exceed start {self.start}"
+                f"end {self.end} must exceed start {self.start} and be finite"
             )
-        if self.multiplier <= 0.0:
+        if not 0.0 < self.multiplier < math.inf:
             raise ScenarioError(
-                f"multiplier must be > 0, got {self.multiplier}"
+                f"multiplier must be > 0 and finite, got {self.multiplier}"
             )
 
     @property

@@ -73,23 +73,17 @@ class Simulator:
         sim.schedule(10.0, lambda: print("hello at t=10"))
         sim.run_until(100.0)
 
+    The clock starts at 0.
+
     Args:
-        start_time: initial clock value (seconds).  Defaults to 0.
         trace_hash: when True, fold every fired event into a
             :class:`TraceHasher` so two same-seed runs can be compared
             via :attr:`trace_digest` (the determinism sanitizer).  Off
             by default — it costs one hash update per event.
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        *,
-        trace_hash: bool = False,
-    ) -> None:
-        if start_time < 0:
-            raise SimulationError(f"start_time must be >= 0, got {start_time}")
-        self._now = float(start_time)
+    def __init__(self, *, trace_hash: bool = False) -> None:
+        self._now = 0.0
         self._queue = HeapScheduler()
         self._seq = 0
         self._running = False

@@ -18,7 +18,9 @@ from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
 from repro.core.search import execute_query
 from repro.faults.plan import FaultPlan
-from repro.resilience.policy import BreakerSpec, BudgetSpec, ResiliencePolicy
+from repro.resilience.breaker import FAILURE_THRESHOLD
+from repro.resilience.budget import CAPACITY
+from repro.resilience.policy import ResiliencePolicy
 
 NOW = 1.0
 DEPARTED = 0.5
@@ -38,7 +40,9 @@ OUTCOMES = [
     ("suppressed", True, True, "suppressed"),
 ]
 
-#: ``(name, probe_retries, arms a retry budget)``.
+#: ``(name, probe_retries, arms a retry budget)``.  Breakers and budgets
+#: are armed together, as one :class:`ResiliencePolicy`: a row that arms
+#: either runs with both.
 RETRIES = [("no-retry", 0, False), ("retry", 2, False), ("budget", 2, True)]
 
 #: The ping channel's report fields, in the order of the query's
@@ -68,11 +72,7 @@ class DropsUntil:
 
 def arrange(breakers, do_backoff, setup, retries, budget):
     """A 20-peer simulation whose prober caches exactly one entry."""
-    resilience = ResiliencePolicy(
-        breaker=BreakerSpec(failure_threshold=1) if breakers else None,
-        # One token: the first re-send spends it, the second is denied.
-        budget=BudgetSpec(capacity=1, refill_interval=1e6) if budget else None,
-    )
+    resilience = ResiliencePolicy.all_on() if breakers or budget else None
     sim = GuessSimulation(
         SystemParams(network_size=20, query_rate=0.0),
         ProtocolParams(cache_size=10, probe_retries=retries, do_backoff=do_backoff),
@@ -96,13 +96,23 @@ def arrange(breakers, do_backoff, setup, retries, budget):
     prober.link_cache.insert(
         entry, prober.policies.replacement, prober._policy_rng
     )
+    if budget:
+        # One token left: the first re-send spends it, the second is
+        # denied (a token takes seconds to mint; the probe takes less).
+        for _ in range(CAPACITY - 1):
+            assert prober.retry_budget.try_spend(0.0)
     if setup == "refused":
         while target._limiter.try_record(NOW):
             pass
+        if breakers:
+            # The probe's refusal is the one that trips the breaker.
+            for _ in range(FAILURE_THRESHOLD - 1):
+                prober.breakers.record_refusal(target.address, 0.0)
     elif setup in ("stale", "fresh"):
         sim.transport.unregister(target.address, DEPARTED)
     elif setup == "suppressed":
-        prober.breakers.record_refusal(target.address, 0.0)
+        for _ in range(FAILURE_THRESHOLD):
+            prober.breakers.record_refusal(target.address, 0.0)
     return sim, prober, target.address
 
 

@@ -27,7 +27,7 @@ from repro.extensions.selfish import execute_selfish_query
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.network.transport import Transport
-from repro.resilience.policy import BreakerSpec, ResiliencePolicy
+from repro.resilience.policy import ResiliencePolicy
 from repro.sim.rng import RngRegistry
 from tests.conftest import make_entry
 from tests.core.helpers import make_peer
@@ -188,11 +188,9 @@ class TestInheritedFromTheOneLoop:
         assert result.honest_satisfied is False
 
     def test_an_open_breaker_suppresses_the_probe(self, search):
-        resilience = ResiliencePolicy(
-            breaker=BreakerSpec(failure_threshold=1, cooldown=30.0)
-        )
-        querier, transport = network(resilience=resilience)
-        querier.breakers.record_refusal(4, 0.0)
+        querier, transport = network(resilience=ResiliencePolicy.all_on())
+        for _ in range(3):
+            querier.breakers.record_refusal(4, 0.0)
         result = search(querier, 42, transport, 1.0, rng=random.Random(1))
         assert result.suppressed_probes == 1
         assert result.probes == 7

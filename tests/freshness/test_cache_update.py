@@ -5,10 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.messages import CacheUpdate, CacheUpdateAck, Ping
-from repro.resilience.breaker import BreakerSpec, CLOSED, OPEN
+from repro.resilience.breaker import CLOSED, OPEN
 from repro.resilience.policy import ResiliencePolicy
 from tests.conftest import make_entry
 from tests.core.helpers import keep, make_peer
+
+
+#: The one resilience policy: breakers, budgets and shedding armed.
+ARMED = ResiliencePolicy.all_on()
 
 
 def seeded_peer(*cached, resilience=None, cache_capacity=None):
@@ -42,9 +46,9 @@ class TestDepartureNotice:
         assert 6 in peer.link_cache
 
     def test_discards_breaker_state_with_the_entry(self):
-        policy = ResiliencePolicy(breaker=BreakerSpec(failure_threshold=1))
-        peer = seeded_peer(5, resilience=policy)
-        peer.breakers.record_refusal(5, 0.5)
+        peer = seeded_peer(5, resilience=ARMED)
+        for _ in range(3):
+            peer.breakers.record_refusal(5, 0.5)
         assert peer.breakers.state_of(5) == OPEN
         _, ack = peer.receive_probe(
             CacheUpdate(sender=9, subject=5, departed=True), 1.0
@@ -65,8 +69,10 @@ class TestDepartureNotice:
 
 class TestOverloadNotice:
     def test_breaker_armed_receiver_keeps_entry_behind_breaker(self):
-        policy = ResiliencePolicy(breaker=BreakerSpec(failure_threshold=1))
-        peer = seeded_peer(5, resilience=policy)
+        peer = seeded_peer(5, resilience=ARMED)
+        # Two refusals of its own; the relayed one is the third.
+        for _ in range(2):
+            peer.breakers.record_refusal(5, 0.5)
         _, ack = peer.receive_probe(
             CacheUpdate(sender=9, subject=5, departed=False), 1.0
         )
@@ -75,8 +81,7 @@ class TestOverloadNotice:
         assert peer.breakers.state_of(5) == OPEN
 
     def test_sub_threshold_relay_just_counts(self):
-        policy = ResiliencePolicy(breaker=BreakerSpec(failure_threshold=3))
-        peer = seeded_peer(5, resilience=policy)
+        peer = seeded_peer(5, resilience=ARMED)
         _, ack = peer.receive_probe(
             CacheUpdate(sender=9, subject=5, departed=False), 1.0
         )
@@ -107,13 +112,7 @@ class TestRateLimiting:
         """CacheUpdate rides the soft-shed lane with pings and gossip:
         above the soft threshold it is refused without burning window
         capacity reserved for queries."""
-        from repro.resilience.policy import SheddingSpec
-
-        peer = make_peer(
-            1,
-            max_probes_per_second=2,
-            resilience=ResiliencePolicy(shedding=SheddingSpec(soft_fraction=0.5)),
-        )
+        peer = make_peer(1, max_probes_per_second=2, resilience=ARMED)
         ok_first, _ = peer.receive_probe(
             Ping(sender=2, sender_num_files=1), 0.0
         )

@@ -10,6 +10,7 @@ import pytest
 from repro.errors import FreshnessError
 from repro.freshness import CACHE_SIZING_POLICIES, CacheSizing, FreshnessPlan
 from repro.freshness.mediator import FreshnessMediator
+from repro.freshness.plan import ALPHA
 from repro.sim.rng import RngRegistry
 
 #: These tests pick contacts and draw capacities; nothing is ever sent,
@@ -28,14 +29,6 @@ class TestCacheSizingValidation:
     def test_unknown_policy_rejected(self):
         with pytest.raises(FreshnessError):
             CacheSizing(policy="lognormal")
-
-    def test_reference_files_must_be_positive(self):
-        with pytest.raises(FreshnessError):
-            CacheSizing(reference_files=0)
-
-    def test_alpha_must_exceed_one(self):
-        with pytest.raises(FreshnessError):
-            CacheSizing(policy="power-law", alpha=1.0)
 
     def test_negative_bounds_rejected(self):
         with pytest.raises(FreshnessError):
@@ -58,7 +51,8 @@ class TestCacheSizingCapacities:
         assert CacheSizing().capacity_for(30, 10_000, rng) == 30
 
     def test_proportional_scales_with_files(self):
-        sizing = CacheSizing(policy="proportional", reference_files=100)
+        # REFERENCE_FILES = 100 files map to the base.
+        sizing = CacheSizing(policy="proportional")
         rng = random.Random(1)
         assert sizing.capacity_for(30, 100, rng) == 30
         assert sizing.capacity_for(30, 200, rng) == 60
@@ -80,24 +74,22 @@ class TestCacheSizingCapacities:
         assert sizing.capacity_for(30, 0, random.Random(1)) == 0
 
     def test_ceiling_applied(self):
-        sizing = CacheSizing(
-            policy="proportional", reference_files=10, max_capacity=40
-        )
+        sizing = CacheSizing(policy="proportional", max_capacity=40)
         assert sizing.capacity_for(30, 1000, random.Random(1)) == 40
 
     def test_power_law_mean_normalized_to_base(self):
-        sizing = CacheSizing(policy="power-law", alpha=3.0, min_capacity=0)
+        sizing = CacheSizing(policy="power-law", min_capacity=0)
         rng = random.Random(11)
         draws = [sizing.capacity_for(30, 10, rng) for _ in range(4000)]
         mean = sum(draws) / len(draws)
-        # Pareto(3) normalized to mean 1 -> population mean ~ base.
+        # Pareto(ALPHA) normalized to mean 1 -> population mean ~ base.
         assert 27.0 < mean < 33.0
 
     def test_power_law_draws_exactly_once(self):
         sizing = CacheSizing(policy="power-law")
         a, b = random.Random(5), random.Random(5)
         sizing.capacity_for(30, 10, a)
-        b.paretovariate(sizing.alpha)
+        b.paretovariate(ALPHA)
         assert a.getstate() == b.getstate()
 
 
@@ -130,10 +122,6 @@ class TestFreshnessPlanValidation:
         with pytest.raises(FreshnessError):
             FreshnessPlan(depth=-1)
 
-    def test_nonpositive_delay_rejected(self):
-        with pytest.raises(FreshnessError):
-            FreshnessPlan(notify_delay=0.0)
-
     def test_sizing_type_checked(self):
         with pytest.raises(FreshnessError):
             FreshnessPlan(sizing={"policy": "uniform"})  # type: ignore[arg-type]
@@ -147,7 +135,7 @@ class TestFreshnessPlanValidation:
     def test_plan_pickles(self):
         plan = FreshnessPlan(
             notify_budget=3, depth=2,
-            sizing=CacheSizing(policy="power-law", alpha=2.5),
+            sizing=CacheSizing(policy="power-law", max_capacity=30),
         )
         assert pickle.loads(pickle.dumps(plan)) == plan
 

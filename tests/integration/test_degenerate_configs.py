@@ -28,9 +28,8 @@ from repro.errors import (
 from repro.extensions.selfish import ProbeBudget
 from repro.freshness import CacheSizing, FreshnessPlan
 from repro.metrics.collectors import SimulationReport
-from repro.resilience import ChurnStorm, ScenarioPlan
-from repro.resilience.breaker import BreakerSpec
-from repro.resilience.budget import BudgetSpec
+from repro.observe.manifest import from_jsonable
+from repro.resilience import ChurnStorm, FlashCrowd, ResiliencePolicy, ScenarioPlan
 
 TIMEOUT_SECONDS = 20
 
@@ -138,6 +137,16 @@ def test_degenerate_configuration_fails_typed_or_reports(case):
     assert expected(report), report
 
 
+def decoded(kind, **data):
+    """Decode ``data`` as a manifest's ``kind`` object, when called."""
+    return lambda: from_jsonable(kind, data)
+
+
+#: ``all_on()``'s tuning as an old manifest records it.
+BREAKER = {"failure_threshold": 3, "cooldown": 30.0}
+BUDGET = {"capacity": 10, "refill_interval": 5.0}
+
+
 #: Specs whose NaN or infinite knob was accepted, then misbehaved: the
 #: bucket refilled at every tick, or the breaker never opened or never
 #: half-opened, or ``available()`` raised an untyped ``OverflowError``;
@@ -145,7 +154,14 @@ def test_degenerate_configuration_fails_typed_or_reports(case):
 #: mid-run, and a non-finite Pareto shape died building the first peer
 #: with a builtin ``ValueError``.  A NaN ping period or lifetime scale
 #: raised ``SimulationError`` building the first peer; an infinite one
-#: ran with no ping sent, or with no peer ever dying.
+#: ran with no ping sent, or with no peer ever dying.  An infinite crowd
+#: multiplier re-timed every burst in its window to a zero delay, so the
+#: run never left that instant (a hang); a NaN one, or a NaN or infinite
+#: window edge, failed only mid-run, as ``SimulationError``.
+#:
+#: The breaker, budget, hop-delay, notify-delay and Pareto-shape tunings
+#: are module constants now; the one way such a value still comes in is
+#: an old manifest, whose decoder refuses it typed.
 SPECS = {
     "ping-interval-nan": (lambda: ProtocolParams(ping_interval=math.nan), ConfigError),
     "ping-interval-inf": (lambda: ProtocolParams(ping_interval=math.inf), ConfigError),
@@ -158,14 +174,23 @@ SPECS = {
         ConfigError,
     ),
     "budget-refill-interval-nan": (
-        lambda: BudgetSpec(refill_interval=math.nan),
-        ScenarioError,
+        decoded(
+            ResiliencePolicy,
+            breaker=BREAKER, budget={**BUDGET, "refill_interval": math.nan},
+        ),
+        ConfigError,
     ),
-    "breaker-cooldown-nan": (lambda: BreakerSpec(cooldown=math.nan), ScenarioError),
-    "breaker-cooldown-inf": (lambda: BreakerSpec(cooldown=math.inf), ScenarioError),
+    "breaker-cooldown-nan": (
+        decoded(ResiliencePolicy, breaker={**BREAKER, "cooldown": math.nan}),
+        ConfigError,
+    ),
+    "breaker-cooldown-inf": (
+        decoded(ResiliencePolicy, breaker={**BREAKER, "cooldown": math.inf}),
+        ConfigError,
+    ),
     "breaker-threshold-nan": (
-        lambda: BreakerSpec(failure_threshold=math.nan),
-        ScenarioError,
+        decoded(ResiliencePolicy, breaker={**BREAKER, "failure_threshold": math.nan}),
+        ConfigError,
     ),
     "probe-budget-refill-rate-nan": (
         lambda: ProbeBudget(refill_rate=math.nan, capacity=10),
@@ -175,23 +200,63 @@ SPECS = {
         lambda: ProbeBudget(refill_rate=1.0, capacity=math.inf),
         ConfigError,
     ),
-    "gossip-hop-delay-inf": (lambda: GossipPlan(hop_delay=math.inf), WorkloadError),
-    "gossip-hop-delay-nan": (lambda: GossipPlan(hop_delay=math.nan), WorkloadError),
+    "gossip-hop-delay-inf": (decoded(GossipPlan, hop_delay=math.inf), ConfigError),
+    "gossip-hop-delay-nan": (decoded(GossipPlan, hop_delay=math.nan), ConfigError),
     "freshness-notify-delay-inf": (
-        lambda: FreshnessPlan(notify_delay=math.inf),
-        FreshnessError,
+        decoded(FreshnessPlan, notify_delay=math.inf),
+        ConfigError,
     ),
     "freshness-notify-delay-nan": (
-        lambda: FreshnessPlan(notify_delay=math.nan),
-        FreshnessError,
+        decoded(FreshnessPlan, notify_delay=math.nan),
+        ConfigError,
     ),
     "cache-sizing-alpha-inf": (
-        lambda: CacheSizing(policy="power-law", alpha=math.inf),
-        FreshnessError,
+        decoded(CacheSizing, policy="power-law", alpha=math.inf),
+        ConfigError,
     ),
     "cache-sizing-alpha-nan": (
-        lambda: CacheSizing(policy="power-law", alpha=math.nan),
-        FreshnessError,
+        decoded(CacheSizing, policy="power-law", alpha=math.nan),
+        ConfigError,
+    ),
+    "flash-crowd-multiplier-inf": (
+        lambda: FlashCrowd(start=10.0, end=20.0, multiplier=math.inf),
+        ScenarioError,
+    ),
+    "flash-crowd-multiplier-nan": (
+        lambda: FlashCrowd(start=10.0, end=20.0, multiplier=math.nan),
+        ScenarioError,
+    ),
+    "flash-crowd-start-nan": (
+        lambda: FlashCrowd(start=math.nan, end=20.0, multiplier=3.0),
+        ScenarioError,
+    ),
+    "flash-crowd-start-inf": (
+        lambda: FlashCrowd(start=math.inf, end=math.inf, multiplier=3.0),
+        ScenarioError,
+    ),
+    "flash-crowd-end-nan": (
+        lambda: FlashCrowd(start=10.0, end=math.nan, multiplier=3.0),
+        ScenarioError,
+    ),
+    "flash-crowd-end-inf": (
+        lambda: FlashCrowd(start=10.0, end=math.inf, multiplier=3.0),
+        ScenarioError,
+    ),
+    "churn-storm-start-nan": (
+        lambda: ChurnStorm(start=math.nan, width=5.0, fraction=0.3),
+        ScenarioError,
+    ),
+    "churn-storm-start-inf": (
+        lambda: ChurnStorm(start=math.inf, width=5.0, fraction=0.3),
+        ScenarioError,
+    ),
+    "churn-storm-width-nan": (
+        lambda: ChurnStorm(start=10.0, width=math.nan, fraction=0.3),
+        ScenarioError,
+    ),
+    "churn-storm-width-inf": (
+        lambda: ChurnStorm(start=10.0, width=math.inf, fraction=0.3),
+        ScenarioError,
     ),
 }
 

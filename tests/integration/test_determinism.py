@@ -410,9 +410,9 @@ class TestObservationInvisibility:
 class TestScenarioInvisibility:
     """The resilience layer's side of the determinism contract.
 
-    An all-noop :class:`ScenarioPlan` and an all-off (default)
-    :class:`ResiliencePolicy` must be *contractually invisible* — the
-    identical event stream, pinned against the golden digests above.
+    An all-noop :class:`ScenarioPlan` and ``resilience=None`` must be
+    *contractually invisible* — the identical event stream, pinned
+    against the golden digests above.
     Armed scenarios must be deterministic while actually changing the
     run.
     """
@@ -431,28 +431,28 @@ class TestScenarioInvisibility:
 
     def test_noop_plan_reproduces_clean_pin(self):
         digest, _ = run_once(
-            7, scenarios=self.NOOP, resilience=ResiliencePolicy()
+            7, scenarios=self.NOOP, resilience=None
         )
         assert digest == "6433f3abe18fda0f316241089d67313b"
 
     def test_noop_plan_reproduces_attack_pin(self):
         digest, _ = run_once(
             11, percent_bad=10.0, behavior=BadPongBehavior.BAD,
-            scenarios=self.NOOP, resilience=ResiliencePolicy(),
+            scenarios=self.NOOP, resilience=None,
         )
         assert digest == "23d74325e25c2c9e44279d38a317edbe"
 
     def test_noop_plan_reproduces_loss_retry_pin(self):
         digest, _ = run_once(
             7, faults=FaultPlan(loss_rate=0.05), probe_retries=2,
-            scenarios=self.NOOP, resilience=ResiliencePolicy(),
+            scenarios=self.NOOP, resilience=None,
         )
         assert digest == "6433f3abe18fda0f316241089d67313b"
 
     def test_reports_identical_with_and_without_noop_plan(self):
         _, plain = run_once(7)
         _, gated = run_once(
-            7, scenarios=self.NOOP, resilience=ResiliencePolicy()
+            7, scenarios=self.NOOP, resilience=None
         )
         assert plain == gated
 
@@ -539,10 +539,10 @@ class TestFaultDeterminism:
 
 class TestAllArmedPin:
     """Sixth pin, and the first armed *combination*: resilience (breakers
-    included), gossip and freshness with ``on_overload=True`` in one run.
+    included), gossip and freshness in one run.
 
     It is the only cell in which a breaker trip sends an overload notice
-    (559 notices against 21 with ``on_overload=False``), so it is what
+    (559 notices against 24 with ``resilience=None``), so it is what
     holds the gossip and invalidation hop handlers — and the overload
     branch of the ping path — still while they move between modules.
     Recorded at 9ccef5c, before the handlers left ``network_sim.py``.
@@ -555,7 +555,7 @@ class TestAllArmedPin:
     PLANS = dict(
         resilience=ResiliencePolicy.all_on(),
         gossip=GossipPlan(fanout=2, ttl=2),
-        freshness=FreshnessPlan(notify_budget=3, depth=2, on_overload=True),
+        freshness=FreshnessPlan(notify_budget=3, depth=2),
     )
     PIN = "688aed3fb71c039e6a0c2d320e8631dd"
     OP_COUNTS = {
@@ -585,9 +585,8 @@ class TestAllArmedPin:
         assert counts == self.OP_COUNTS
 
     def test_overload_notices_actually_fire(self):
-        digest, report = self.run_cell(
-            freshness=FreshnessPlan(notify_budget=3, depth=2, on_overload=False)
-        )
+        # Without breakers no ping trips one: departures alone notify.
+        digest, report = self.run_cell(resilience=None)
         assert digest != self.PIN
         assert report.freshness_notices < self.OP_COUNTS["freshness_notices"]
 

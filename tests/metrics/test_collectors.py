@@ -80,17 +80,6 @@ class TestQueryAggregation:
         assert report.unsatisfied_rate == 0.0
         assert report.mean_response_time is None
 
-    def test_keep_queries_retains_records(self):
-        collector = MetricsCollector(keep_queries=True)
-        collector.record_query(query_result(), 1.0)
-        report = collector.build_report()
-        assert len(report.query_results) == 1
-
-    def test_default_drops_records(self):
-        collector = MetricsCollector()
-        collector.record_query(query_result(), 1.0)
-        assert collector.build_report().query_results == ()
-
     def test_negative_warmup_rejected(self):
         with pytest.raises(ValueError):
             MetricsCollector(warmup=-1.0)

@@ -33,13 +33,7 @@ from repro.observe.manifest import (
     verify_manifest,
     write_manifest,
 )
-from repro.resilience import (
-    BreakerSpec,
-    ChurnStorm,
-    FlashCrowd,
-    ResiliencePolicy,
-    ScenarioPlan,
-)
+from repro.resilience import ChurnStorm, FlashCrowd, ResiliencePolicy, ScenarioPlan
 from repro.sim.rng import derive_seed
 
 #: Full-featured fault plan: every field populated.
@@ -74,12 +68,9 @@ ROUND_TRIPS = {
     ),
     "resilience-none": (Optional[ResiliencePolicy], None),
     "resilience-all-on": (ResiliencePolicy, ResiliencePolicy.all_on()),
-    "resilience-breaker-only": (
-        ResiliencePolicy,
-        ResiliencePolicy(breaker=BreakerSpec(failure_threshold=5)),
-    ),
+    # A policy has no fields: it is written as an empty object.
     "resilience-empty": (ResiliencePolicy, ResiliencePolicy()),
-    "gossip": (GossipPlan, GossipPlan(fanout=2, ttl=3, hop_delay=0.1)),
+    "gossip": (GossipPlan, GossipPlan(fanout=2, ttl=3)),
     "freshness-with-sizing": (
         FreshnessPlan,
         FreshnessPlan(
@@ -270,11 +261,21 @@ class TestScenarioReplay:
         assert replay_config(legacy) == tuple(legacy["trace_digests"])
 
 
+#: Written by 85f2055, the last commit with the tuning fields a run held
+#: at one value (``keep_queries``, ``health_sample_interval``,
+#: ``hop_delay``, ``notify_delay``, ``on_overload``, ``reference_files``,
+#: ``alpha`` and the resilience specs), running exactly :func:`_armed_run`
+#: under an active recorder.  It holds each of those keys at the one
+#: value the code now hardwires.
+ARMED_MANIFEST = Path(__file__).parent / "data" / "manifest_v1_armed_knobs.json"
+
 #: Written by 49a30fa, the last commit with the burst, jitter, brownout
-#: and partition fault models and the backoff knobs, running exactly
-#: :func:`_armed_run` under an active recorder.  It holds every retired
-#: key (:data:`~repro.observe.manifest.RETIRED`) at its unset value.
-ARMED_MANIFEST = Path(__file__).parent / "data" / "manifest_v1_armed_loss.json"
+#: and partition fault models and the backoff knobs: the same run with
+#: ``keep_queries`` and a 10 s ``health_sample_interval`` set, which
+#: this code can no longer replay.
+KEPT_QUERIES_MANIFEST = (
+    Path(__file__).parent / "data" / "manifest_v1_armed_loss.json"
+)
 
 #: Written by the parent of the commit that introduced the type-driven
 #: codec (70e773a, ten hand-written codec functions): the same run with
@@ -282,10 +283,25 @@ ARMED_MANIFEST = Path(__file__).parent / "data" / "manifest_v1_armed_loss.json"
 #: no longer replay.
 RETIRED_ARMED_MANIFEST = Path(__file__).parent / "data" / "manifest_v1_armed.json"
 
-#: The keys :data:`ARMED_MANIFEST` holds that the current classes lack.
+#: The keys :data:`ARMED_MANIFEST` holds that the current classes lack,
+#: by their path in an entry.
 RETIRED_KEYS = {
-    "protocol": ("retry_backoff", "retry_base", "retry_multiplier"),
-    "faults": ("burst", "jitter", "brownouts", "partitions"),
+    (): ("keep_queries", "health_sample_interval"),
+    ("gossip",): ("hop_delay",),
+    ("freshness",): ("notify_delay", "on_overload"),
+    ("freshness", "sizing"): ("reference_files", "alpha"),
+    ("resilience",): ("breaker", "budget", "shedding"),
+}
+
+#: Every class a field went from, with the fields in :data:`RETIRED`.
+RETIRED_BY_CLASS = {
+    ProtocolParams: ("retry_backoff", "retry_base", "retry_multiplier"),
+    FaultPlan: ("burst", "jitter", "brownouts", "partitions"),
+    TrialSpec: ("keep_queries", "health_sample_interval"),
+    GossipPlan: ("hop_delay",),
+    FreshnessPlan: ("notify_delay", "on_overload"),
+    CacheSizing: ("reference_files", "alpha"),
+    ResiliencePolicy: ("breaker", "budget", "shedding"),
 }
 
 
@@ -314,8 +330,6 @@ def _armed_run(executor):
         trials=2,
         base_seed=14,
         executor=executor,
-        keep_queries=True,
-        health_sample_interval=10.0,
         faults=FaultPlan(loss_rate=0.05),
         scenarios=ScenarioPlan(
             storms=(ChurnStorm(start=10.0, width=5.0, fraction=0.3),),
@@ -336,13 +350,19 @@ def _configs_text(manifest):
     return json.dumps(manifest["configs"], indent=2, sort_keys=True)
 
 
+def _section(entry, path):
+    for key in path:
+        entry = entry[key]
+    return entry
+
+
 def _without_retired(manifest):
     """``manifest`` with exactly :data:`RETIRED_KEYS` taken out."""
     manifest = json.loads(json.dumps(manifest))
     for entry in manifest["configs"]:
-        for section, keys in RETIRED_KEYS.items():
+        for path, keys in RETIRED_KEYS.items():
             for key in keys:
-                del entry[section][key]
+                del _section(entry, path)[key]
     return manifest
 
 
@@ -425,6 +445,16 @@ MALFORMED = {
         "scenarios.storms",
     ),
     "retired-key-set": (_set(("faults", "jitter"), 0.02), "faults.jitter"),
+    "retired-trial-key-set": (_set(("keep_queries",), True), "keep_queries"),
+    "retired-delay-set": (_set(("gossip", "hop_delay"), 0.1), "gossip.hop_delay"),
+    "retired-nested-key-set": (
+        _set(("freshness", "sizing", "alpha"), 3.0),
+        "freshness.sizing.alpha",
+    ),
+    "retired-tuning-set": (
+        _set(("resilience", "breaker", "cooldown"), 10.0),
+        "resilience.breaker",
+    ),
     "list-where-object": (_set(("scenarios",), []), "scenarios"),
     "scalar-where-object": (_set(("freshness", "sizing"), 7), "freshness.sizing"),
     "missing-required-field": (_drop("duration"), "duration"),
@@ -457,29 +487,33 @@ class TestMalformedEntriesFailTyped:
 
 
 class TestRetiredKeys:
-    """A field that went still loads from a manifest that left it unset."""
+    """A field that went still loads at the one value the code runs."""
 
     def test_table_names_exactly_the_retired_keys(self):
         assert {
             name: tuple(keys) for name, keys in RETIRED.items()
-        } == {
-            "ProtocolParams": RETIRED_KEYS["protocol"],
-            "FaultPlan": RETIRED_KEYS["faults"],
-        }
+        } == {kind.__name__: keys for kind, keys in RETIRED_BY_CLASS.items()}
 
     def test_retired_keys_at_their_unset_values_load(self):
         (entry,) = load_manifest(ARMED_MANIFEST)["configs"]
-        for section, keys in RETIRED_KEYS.items():
-            assert set(keys) <= set(entry[section])
+        for path, keys in RETIRED_KEYS.items():
+            assert set(keys) <= set(_section(entry, path))
         (first, _) = specs_for_entry(entry)
-        assert first.faults == FaultPlan(loss_rate=0.05)
-        assert first.protocol.probe_retries == 1
+        assert first.resilience == ResiliencePolicy.all_on()
+        assert first.gossip == GossipPlan(fanout=2, ttl=2)
+        assert first.freshness == FreshnessPlan(
+            notify_budget=3,
+            depth=2,
+            sizing=CacheSizing(policy="power-law", max_capacity=30),
+        )
 
     def test_a_retired_key_alone_loads_at_its_unset_value(self):
-        for name, retired in RETIRED.items():
-            kind = {"ProtocolParams": ProtocolParams, "FaultPlan": FaultPlan}[name]
-            for key, unset in retired.items():
-                assert from_jsonable(kind, {key: unset}) == kind()
+        spec = TrialSpec(SMALL_SYSTEM, ProtocolParams(), 20.0, 0.0, seed=1)
+        for kind, keys in RETIRED_BY_CLASS.items():
+            base = to_jsonable(spec) if kind is TrialSpec else {}
+            for key in keys:
+                retired = {**base, key: RETIRED[kind.__name__][key]}
+                assert from_jsonable(kind, retired) == from_jsonable(kind, base)
 
     def test_a_set_retired_key_fails_typed_with_its_path(self):
         manifest = load_manifest(RETIRED_ARMED_MANIFEST)
@@ -488,3 +522,22 @@ class TestRetiredKeys:
             specs_for_entry(entry)
         assert str(caught.value).startswith("faults.brownouts: ")
         assert verify_manifest(manifest) == [f"config 0: {caught.value}"]
+
+    def test_kept_queries_and_a_set_sample_interval_fail_typed(self):
+        # Keys decode in the file's (sorted) order: the sample interval
+        # fails first, and without it ``keep_queries`` does.
+        manifest = load_manifest(KEPT_QUERIES_MANIFEST)
+        (entry,) = manifest["configs"]
+        assert (entry["keep_queries"], entry["health_sample_interval"]) == (True, 10.0)
+        with pytest.raises(ConfigError) as caught:
+            specs_for_entry(entry)
+        assert str(caught.value).startswith("health_sample_interval: ")
+        assert verify_manifest(manifest) == [f"config 0: {caught.value}"]
+        del entry["health_sample_interval"]
+        with pytest.raises(ConfigError, match=r"^keep_queries: retired field"):
+            specs_for_entry(entry)
+        # Every key the older commits retired still loads at its value.
+        del entry["keep_queries"]
+        (first, _) = specs_for_entry(entry)
+        assert first.faults == FaultPlan(loss_rate=0.05)
+        assert first.protocol.probe_retries == 1

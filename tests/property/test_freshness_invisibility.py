@@ -1,8 +1,8 @@
 """Property: all-noop freshness plans are invisible.
 
 For random small configurations, a run with an all-noop
-:class:`FreshnessPlan` (arbitrary delays and uniform-sizing tunings,
-with invalidation disarmed by a zero budget or zero depth) produces the
+:class:`FreshnessPlan` (arbitrary uniform-sizing bounds, with
+invalidation disarmed by a zero budget or zero depth) produces the
 *bit-identical* trace digest — and an equal report — to a run with no
 plan at all.  This is the dynamic, randomized counterpart of the
 pinned-digest checks in
@@ -21,7 +21,6 @@ from repro.resilience import ChurnStorm, ScenarioPlan
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 cache_sizes = st.sampled_from([5, 10, 30])
-delays = st.floats(min_value=0.001, max_value=10.0)
 counts = st.integers(min_value=0, max_value=8)
 
 
@@ -30,8 +29,8 @@ def noop_plans(draw):
     """Plans whose every knob is set but which arm nothing.
 
     Invalidation needs budget > 0 AND depth > 0, so zero out at least
-    one of them; sizing stays on the uniform policy, whose remaining
-    tunings (reference_files, alpha, bounds) must all be dormant.
+    one of them; sizing stays on the uniform policy, whose bounds must
+    both be dormant.
     """
     budget = draw(counts)
     depth = draw(counts)
@@ -42,16 +41,12 @@ def noop_plans(draw):
             depth = 0
     sizing = CacheSizing(
         policy="uniform",
-        reference_files=draw(st.integers(min_value=1, max_value=500)),
-        alpha=draw(st.floats(min_value=1.1, max_value=5.0)),
         min_capacity=draw(st.integers(min_value=0, max_value=3)),
         max_capacity=0,
     )
     return FreshnessPlan(
         notify_budget=budget,
         depth=depth,
-        notify_delay=draw(delays),
-        on_overload=draw(st.booleans()),
         sizing=sizing,
     )
 

@@ -1,10 +1,9 @@
-"""Property: all-noop scenario plans and all-off policies are invisible.
+"""Property: all-noop scenario plans are invisible.
 
 For random small configurations, a run with an all-noop
 :class:`ScenarioPlan` (disabled storms and crowds at arbitrary window
-positions) and an all-off :class:`ResiliencePolicy` produces the
-*bit-identical* trace digest — and an equal report — to a run with no
-scenarios at all.  This is the dynamic, randomized counterpart of the
+positions) produces the *bit-identical* trace digest — and an equal
+report — to a run with no scenarios at all.  This is the dynamic, randomized counterpart of the
 pinned-digest checks in
 ``tests/integration/test_determinism.py::TestScenarioInvisibility``.
 """
@@ -16,13 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
-from repro.resilience import (
-    ChurnStorm,
-    FlashCrowd,
-    ResiliencePolicy,
-    ScenarioPlan,
-    SheddingSpec,
-)
+from repro.resilience import ChurnStorm, FlashCrowd, ScenarioPlan
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 cache_sizes = st.sampled_from([5, 10, 30])
@@ -72,12 +65,11 @@ def test_noop_scenarios_are_invisible_to_trace_digests(
     seed, cache_size, probe_retries, plan
 ):
     assert plan.is_noop()
-    off_policy = ResiliencePolicy(shedding=SheddingSpec(soft_fraction=1.0))
     plain_digest, plain_report = _run(
         seed, cache_size, probe_retries, None, None
     )
     gated_digest, gated_report = _run(
-        seed, cache_size, probe_retries, plan, off_policy
+        seed, cache_size, probe_retries, plan, None
     )
     assert gated_digest == plain_digest
     assert gated_report == plain_report

@@ -13,15 +13,10 @@ class TestScheduling:
     def test_starts_at_zero(self):
         assert Simulator().now == 0.0
 
-    def test_custom_start_time(self):
-        assert Simulator(start_time=5.0).now == 5.0
-
-    def test_negative_start_time_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(start_time=-1.0)
-
     def test_schedule_in_past_rejected(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.run_until(10.0)
+        assert sim.now == 10.0
         with pytest.raises(SimulationError):
             sim.schedule(5.0, lambda: None)
 

@@ -43,8 +43,9 @@ def test_src_size():
     # 18 662 before the peer store became the one live roster, 18 500
     # before a policy was a row of one table, 18 337 before the unused
     # adaptive-ping controller and figure wrappers went, 18 197 before the
-    # fault models, backoff knobs and crash injection only tests set went.
-    assert sum(line_count(path) for path in SRC.rglob("*.py")) <= 17744
+    # fault models, backoff knobs and crash injection only tests set went,
+    # 17 744 before every knob held at one value became a constant.
+    assert sum(line_count(path) for path in SRC.rglob("*.py")) <= 17569
 
 
 def test_faults_size():
@@ -93,7 +94,6 @@ def test_a_count_is_an_int():
     assert parameters(Transport.__init__) == ["timeout", "faults"]
     assert parameters(MetricsCollector.__init__) == [
         "warmup",
-        "keep_queries",
         "satisfaction_window",
     ]
 
@@ -561,26 +561,66 @@ def test_a_churn_run_draws_through_getrandbits_alone(monkeypatch):
 def test_simulation_keyword_arguments():
     parameters = inspect.signature(GuessSimulation.__init__).parameters
     # Ceiling may only be lowered; self, system and protocol are not kwargs.
-    assert len(parameters) - 3 <= 14
+    assert len(parameters) - 3 <= 13
+
+
+def _plan_kinds() -> tuple:
+    """The params, plan and spec dataclasses a run is described by."""
+    from repro.baselines.gossip import GossipPlan
+    from repro.experiments.executor import TrialSpec
+    from repro.faults.plan import FaultPlan
+    from repro.freshness.plan import CacheSizing, FreshnessPlan
+    from repro.resilience.policy import ResiliencePolicy
+    from repro.resilience.scenarios import ChurnStorm, FlashCrowd, ScenarioPlan
+
+    return (
+        SystemParams, ProtocolParams, TrialSpec, FaultPlan, ScenarioPlan,
+        ChurnStorm, FlashCrowd, ResiliencePolicy, GossipPlan, FreshnessPlan,
+        CacheSizing,
+    )
+
+
+def _defaulted_keywords(kind) -> list:
+    return [
+        name
+        for name, parameter in inspect.signature(kind.__init__).parameters.items()
+        if parameter.default is not inspect.Parameter.empty
+    ]
+
+
+def _settable() -> list:
+    """``Class.name`` for every value a caller can set: each field of a
+    params, plan or spec dataclass, and each defaulted keyword of the
+    constructors a run is built from."""
+    from repro.metrics.collectors import MetricsCollector
+    from repro.sim.engine import Simulator
+
+    names = [f"{kind.__name__}.{f.name}" for kind in _plan_kinds() for f in fields(kind)]
+    for kind in (GuessSimulation, MetricsCollector, Simulator):
+        names += [f"{kind.__name__}.{name}" for name in _defaulted_keywords(kind)]
+    return names
+
+
+def test_settable_values_only_shrink():
+    # Ceiling may only be lowered: 87 before every knob no entry point
+    # varies became a module constant (DESIGN.md "Knobs no entry point
+    # varies").  A new knob comes with a caller that sets it.
+    assert len(_settable()) <= 69
 
 
 #: Defaulted knobs that no suite, example, CLI or bench workload sets.
 #: May only shrink; each has a verdict in DESIGN.md "Knobs no entry
-#: point sets".
+#: point varies".
 UNSET_KNOBS = {
-    "FreshnessPlan.notify_delay",
-    "FreshnessPlan.on_overload",
-    "GossipPlan.hop_delay",
     "GuessSimulation.content",
-    "GuessSimulation.keep_queries",
     "GuessSimulation.lifetime_model",
     "ProtocolParams.ping_pong",
     "ProtocolParams.ping_probe",
+    "ProtocolParams.probe_spacing",
     "SystemParams.faulty_report_offset",
     "SystemParams.faulty_reporter_mode",
     "SystemParams.num_desired_results",
     "SystemParams.percent_faulty_reporters",
-    "TrialSpec.keep_queries",
 }
 
 
@@ -588,25 +628,14 @@ def _knobs() -> dict:
     """``{"Class.field": field}`` for every defaulted knob a user could set."""
     from dataclasses import MISSING
 
-    from repro.baselines.gossip import GossipPlan
-    from repro.experiments.executor import TrialSpec
-    from repro.faults.plan import FaultPlan
-    from repro.freshness.plan import FreshnessPlan
-    from repro.resilience.policy import ResiliencePolicy
-    from repro.resilience.scenarios import ScenarioPlan
-
     knobs = {
         f"{kind.__name__}.{f.name}": f.name
-        for kind in (
-            SystemParams, ProtocolParams, TrialSpec, FaultPlan,
-            ScenarioPlan, ResiliencePolicy, GossipPlan, FreshnessPlan,
-        )
+        for kind in _plan_kinds()
         for f in fields(kind)
         if f.default is not MISSING or f.default_factory is not MISSING
     }
-    for name, parameter in inspect.signature(GuessSimulation.__init__).parameters.items():
-        if parameter.default is not inspect.Parameter.empty:
-            knobs[f"GuessSimulation.{name}"] = name
+    for name in _defaulted_keywords(GuessSimulation):
+        knobs[f"GuessSimulation.{name}"] = name
     return knobs
 
 
@@ -615,7 +644,7 @@ def _keyword_setters() -> set:
 
     A forwarding keyword sets nothing: ``name=name`` with ``name`` a
     parameter of the enclosing function, or a value that reads an
-    attribute of the same name (``keep_queries=spec.keep_queries``).
+    attribute of the same name (``faults=spec.faults``).
     """
     names = set()
 
