@@ -12,7 +12,7 @@ quantifies that exposure for a snapshot:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Set
 
 from repro.errors import TopologyError
 from repro.metrics.summary import quantile
@@ -66,33 +66,24 @@ class OverlayStats:
         Returns:
             Size of the largest surviving weakly connected component.
         """
-        if not 0.0 <= remove_fraction < 1.0:
-            raise TopologyError(
-                f"remove_fraction must be in [0, 1), got {remove_fraction}"
-            )
-        count = int(len(self.snapshot.live) * remove_fraction)
-        doomed = {address for address, _ in self.most_referenced(count)}
-        survivors = self.snapshot.live - doomed
-        if not survivors:
-            return 0
-        uf = UnionFind(survivors)
-        for owner, targets in self.snapshot.edges.items():
-            if owner in doomed:
-                continue
-            for target in targets:
-                if target not in doomed:
-                    uf.union(owner, target)
-        return uf.largest_component_size()
+        count = self._removal_count(remove_fraction)
+        return self._lcc_without({a for a, _ in self.most_referenced(count)})
 
     def random_removal_lcc(self, remove_fraction: float, rng) -> int:
         """LCC after removing uniformly random peers (attack control)."""
+        count = self._removal_count(remove_fraction)
+        live = sorted(self.snapshot.live)
+        return self._lcc_without(set(rng.sample(live, count)) if count else set())
+
+    def _removal_count(self, remove_fraction: float) -> int:
         if not 0.0 <= remove_fraction < 1.0:
             raise TopologyError(
                 f"remove_fraction must be in [0, 1), got {remove_fraction}"
             )
-        live = sorted(self.snapshot.live)
-        count = int(len(live) * remove_fraction)
-        doomed = set(rng.sample(live, count)) if count else set()
+        return int(len(self.snapshot.live) * remove_fraction)
+
+    def _lcc_without(self, doomed: Set[Address]) -> int:
+        """Size of the largest weakly connected component left by ``doomed``."""
         survivors = self.snapshot.live - doomed
         if not survivors:
             return 0

@@ -53,7 +53,7 @@ from repro.metrics.collectors import (
     MetricsCollector,
     SimulationReport,
 )
-from repro.network.address import Address, AddressAllocator
+from repro.network.address import AddressAllocator
 from repro.network.overlay import OverlaySnapshot
 from repro.network.transport import ProbeStatus, Transport
 from repro.resilience.policy import ResiliencePolicy
@@ -267,26 +267,26 @@ class GuessSimulation:
             for role in roles
         ]
 
-        # Seed each cache with CacheSeedSize random living peers.
-        topology_rng = self.rng.stream("topology")
+        # Seed each cache with CacheSeedSize random living peers (randbelow inlined).
+        getrandbits = self.rng.stream("topology").getrandbits
         policy_rng = self.rng.stream("policies")
         replacement = self.policies.replacement
-        addresses = [p.address for p in peers]
-        num_files = {p.address: p.num_files for p in peers}
-        k = min(self.cache_seed_size, n - 1)
-        for peer in peers:
-            own = peer.address
-            picked: set[Address] = set()
+        bits, k = n.bit_length(), min(self.cache_seed_size, n - 1)
+        for i, peer in enumerate(peers):
+            picked: set[int] = set()
             while len(picked) < k:
-                candidate = addresses[randbelow(topology_rng, n)]
-                if candidate != own:
-                    picked.add(candidate)
-            # Sorted so cache contents (hence ping-target order) never
-            # depend on set iteration order.
+                j = getrandbits(bits)
+                while j >= n:
+                    j = getrandbits(bits)
+                if j != i:
+                    picked.add(j)
+            # Sorted (addresses ascend with the index) so cache contents never
+            # depend on set order; (address, ts, num_files) positionally, at
+            # half a keyword call's cost over 50 entries per peer.
             peer.link_cache.admit(
                 [
-                    CacheEntry(address=address, num_files=num_files[address])
-                    for address in sorted(picked)
+                    CacheEntry(seed.address, 0.0, seed.num_files)
+                    for seed in map(peers.__getitem__, sorted(picked))
                 ],
                 replacement, 0.0, policy_rng,
             )

@@ -44,9 +44,6 @@ from typing import List, Optional, Tuple
 from repro.errors import ScenarioError
 from repro.sim.rng import RngRegistry
 
-#: The RNG substream every scenario draw lives on.
-SCENARIO_STREAM = "scenario:churn"
-
 
 @dataclass(frozen=True)
 class ChurnStorm:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left
+from functools import lru_cache
 from typing import Collection, Iterable, Iterator
 
 from repro.errors import WorkloadError
@@ -81,6 +82,9 @@ class Library:
 #: cache-poisoning attackers).
 EMPTY_LIBRARY = Library()
 
+#: One sampler per ``(catalog_size, exponent)`` per process, built on first use.
+_zipf = lru_cache(maxsize=None, typed=True)(ZipfSampler)
+
 
 class ContentModel:
     """Assigns libraries to peers and draws query targets.
@@ -113,8 +117,8 @@ class ContentModel:
             )
         self.catalog_size = int(catalog_size)
         self.nonexistent_p = float(nonexistent_p)
-        self._ownership = ZipfSampler(catalog_size, ownership_exponent)
-        self._queries = ZipfSampler(catalog_size, query_exponent)
+        self._ownership = _zipf(catalog_size, ownership_exponent)
+        self._queries = _zipf(catalog_size, query_exponent)
 
     # ------------------------------------------------------------------
     # Libraries

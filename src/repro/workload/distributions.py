@@ -2,16 +2,17 @@
 
 All samplers draw from a caller-supplied :class:`random.Random` stream so
 that every consumer participates in the named-stream determinism scheme
-(:mod:`repro.sim.rng`).  Samplers precompute whatever they can (e.g. the
-Zipf CDF) so per-draw cost is a binary search or a couple of arithmetic
-operations.
+(:mod:`repro.sim.rng`).  Samplers precompute whatever they can (the Zipf
+CDF and its guide table) so a draw is one ``random()`` call and a table
+lookup, a short binary search or a couple of arithmetic operations.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
+from bisect import bisect_left
+from itertools import accumulate
 from typing import List, Sequence
 
 from repro.errors import WorkloadError
@@ -21,41 +22,52 @@ class ZipfSampler:
     """Samples ranks 1..n with probability proportional to ``1 / rank**s``.
 
     Zipf-distributed popularity is the standard model for both file
-    replication and query frequency in P2P measurement studies.  The
-    sampler precomputes the cumulative distribution and draws by inverse
-    transform (binary search), so each draw is O(log n).
+    replication and query frequency in P2P measurement studies.  A draw
+    inverts the CDF at one ``u = rng.random()`` through an exact guide
+    table (DESIGN.md §2): the rank is ``bisect_left(cdf, u) + 1``.
 
     Args:
         n: number of ranks (>= 1).
-        exponent: the Zipf skew parameter ``s`` (>= 0; 0 is uniform).
+        exponent: the Zipf skew parameter ``s`` (finite, >= 0; 0 is uniform).
     """
 
     def __init__(self, n: int, exponent: float = 1.0) -> None:
         if n < 1:
             raise WorkloadError(f"Zipf n must be >= 1, got {n}")
-        if exponent < 0:
-            raise WorkloadError(f"Zipf exponent must be >= 0, got {exponent}")
-        self.n = int(n)
-        self.exponent = float(exponent)
-        weights = [1.0 / (rank ** exponent) for rank in range(1, n + 1)]
+        if not (exponent >= 0 and math.isfinite(exponent)):
+            raise WorkloadError(f"Zipf exponent must be finite, >= 0: {exponent}")
+        try:
+            weights = [1.0 / (rank ** exponent) for rank in range(1, n + 1)]
+        except OverflowError:
+            raise WorkloadError(f"Zipf weight overflows: {n}**{exponent}") from None
         total = math.fsum(weights)
-        cdf: List[float] = []
-        acc = 0.0
-        for w in weights:
-            acc += w / total
-            cdf.append(acc)
+        # Led by a sentinel below every draw, so an index is the rank itself.
+        cdf = [-1.0, *accumulate(w / total for w in weights)]
         cdf[-1] = 1.0  # guard against float round-off
-        self._cdf = cdf
+        # lo[b]: the first index whose floor(cdf * m) >= b, so floor(u * m) == b
+        # puts u's index in lo[b]..lo[b + 1] (DESIGN.md §2); fixed[b]: the only one.
+        m = 1 << (n.bit_length() - 1)
+        lo: List[int] = []
+        for j, c in enumerate(cdf):
+            lo += [j] * (math.floor(c * m) + 1 - len(lo))
+        self._cdf, self._m, self._lo = cdf, m, lo
+        self._fixed = [a if a == b else 0 for a, b in zip(lo, lo[1:])]
 
     def sample(self, rng: random.Random) -> int:
         """Draw a rank in ``[1, n]``."""
-        return bisect.bisect_left(self._cdf, rng.random()) + 1
+        return self.sample_many(rng, 1)[0]
 
     def sample_many(self, rng: random.Random, count: int) -> List[int]:
-        """Draw ``count`` i.i.d. ranks."""
-        cdf = self._cdf
+        """Draw ``count`` i.i.d. ranks, one ``rng.random()`` call each."""
+        cdf, m, lo, fixed = self._cdf, self._m, self._lo, self._fixed
         rand = rng.random
-        return [bisect.bisect_left(cdf, rand()) + 1 for _ in range(count)]
+        floor = math.floor  # a float's floor() is twice int()'s speed
+        return [
+            fixed[b] or bisect_left(cdf, u, lo[b], lo[b + 1])
+            for _ in range(count)
+            for u in [rand()]
+            for b in [floor(u * m)]
+        ]
 
 
 class LogNormalSampler:
@@ -66,16 +78,15 @@ class LogNormalSampler:
     (``mu = ln(median)``).
 
     Args:
-        median: median of the distribution (> 0).
-        sigma: shape parameter (> 0); larger values mean a heavier tail.
+        median: median of the distribution (finite, > 0).
+        sigma: shape parameter (finite, > 0); larger values mean a heavier tail.
     """
 
     def __init__(self, median: float, sigma: float) -> None:
-        if median <= 0:
-            raise WorkloadError(f"median must be > 0, got {median}")
-        if sigma <= 0:
-            raise WorkloadError(f"sigma must be > 0, got {sigma}")
-        self.median = float(median)
+        if not (median > 0 and math.isfinite(median)):
+            raise WorkloadError(f"median must be finite and > 0, got {median}")
+        if not (sigma > 0 and math.isfinite(sigma)):
+            raise WorkloadError(f"sigma must be finite and > 0, got {sigma}")
         self.sigma = float(sigma)
         self._mu = math.log(median)
 
@@ -92,23 +103,21 @@ class BoundedParetoSampler:
     finite upper bound to stay well-behaved.
 
     Args:
-        alpha: tail index (> 0); smaller is heavier.
+        alpha: tail index (finite, > 0); smaller is heavier.
         lower: inclusive lower bound (> 0).
-        upper: inclusive upper bound (> lower).
+        upper: inclusive upper bound (finite, > lower).
     """
 
     def __init__(self, alpha: float, lower: float, upper: float) -> None:
-        if alpha <= 0:
-            raise WorkloadError(f"alpha must be > 0, got {alpha}")
-        if lower <= 0:
+        if not (alpha > 0 and math.isfinite(alpha)):
+            raise WorkloadError(f"alpha must be finite and > 0, got {alpha}")
+        if not lower > 0:
             raise WorkloadError(f"lower must be > 0, got {lower}")
-        if upper <= lower:
+        if not (upper > lower and math.isfinite(upper)):
             raise WorkloadError(
-                f"upper must exceed lower, got [{lower}, {upper}]"
+                f"upper must be finite and exceed lower, got [{lower}, {upper}]"
             )
         self.alpha = float(alpha)
-        self.lower = float(lower)
-        self.upper = float(upper)
         # Precompute the CDF normaliser for the truncated support.
         self._l_a = lower**alpha
         self._ratio = (lower / upper) ** alpha
@@ -135,7 +144,7 @@ class EmpiricalSampler:
     def __init__(self, observations: Sequence[float]) -> None:
         if not observations:
             raise WorkloadError("EmpiricalSampler needs at least one observation")
-        values = sorted(float(v) for v in observations)
+        values = tuple(sorted(float(v) for v in observations))
         if not all(math.isfinite(v) for v in values):
             raise WorkloadError("observations must be finite")
         self._values = values

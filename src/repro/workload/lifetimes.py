@@ -15,6 +15,7 @@ describes, so swapping in a real trace later is a one-liner.
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Optional, Sequence
 
 from repro.errors import WorkloadError
@@ -34,12 +35,7 @@ DEFAULT_SAMPLE_SIZE = 10_000
 MIN_LIFETIME_S = 10.0
 
 
-def synthesize_lifetime_sample(
-    size: int = DEFAULT_SAMPLE_SIZE,
-    median: float = DEFAULT_MEDIAN_LIFETIME_S,
-    sigma: float = DEFAULT_SIGMA,
-    seed: int = 0x5A601,
-) -> list[float]:
+def synthesize_lifetime_sample(size: int = DEFAULT_SAMPLE_SIZE) -> list[float]:
     """Generate the synthetic stand-in for the [18] session-time trace.
 
     The sample is produced from its own fixed-seed stream so that every
@@ -48,9 +44,15 @@ def synthesize_lifetime_sample(
     """
     if size < 1:
         raise WorkloadError(f"sample size must be >= 1, got {size}")
-    sampler = LogNormalSampler(median=median, sigma=sigma)
-    rng = random.Random(seed)
+    sampler = LogNormalSampler(median=DEFAULT_MEDIAN_LIFETIME_S, sigma=DEFAULT_SIGMA)
+    rng = random.Random(0x5A601)
     return [max(MIN_LIFETIME_S, sampler.sample(rng)) for _ in range(size)]
+
+
+@cache
+def _default_trace() -> EmpiricalSampler:
+    """The synthetic trace's sampler, built once per process on first use."""
+    return EmpiricalSampler(synthesize_lifetime_sample())
 
 
 class LifetimeModel:
@@ -75,14 +77,11 @@ class LifetimeModel:
         sample: Optional[Sequence[float]] = None,
     ) -> None:
         if multiplier <= 0:
-            raise WorkloadError(
-                f"LifespanMultiplier must be > 0, got {multiplier}"
-            )
+            raise WorkloadError(f"LifespanMultiplier must be > 0, got {multiplier}")
         self.multiplier = float(multiplier)
-        trace = sample if sample is not None else synthesize_lifetime_sample()
-        if any(v <= 0 for v in trace):
+        if sample is not None and any(v <= 0 for v in sample):
             raise WorkloadError("lifetimes must be positive")
-        self._sampler = EmpiricalSampler(trace)
+        self._sampler = _default_trace() if sample is None else EmpiricalSampler(sample)
 
     def sample(self, rng: random.Random) -> float:
         """Draw one lifetime in seconds (scaled by the multiplier)."""

@@ -30,6 +30,7 @@ from repro.freshness import CacheSizing, FreshnessPlan
 from repro.metrics.collectors import SimulationReport
 from repro.observe.manifest import from_jsonable
 from repro.resilience import ChurnStorm, FlashCrowd, ResiliencePolicy, ScenarioPlan
+from repro.workload import ContentModel, FileCountModel
 
 TIMEOUT_SECONDS = 20
 
@@ -159,6 +160,11 @@ BUDGET = {"capacity": 10, "refill_interval": 5.0}
 #: run never left that instant (a hang); a NaN one, or a NaN or infinite
 #: window edge, failed only mid-run, as ``SimulationError``.
 #:
+#: A NaN Zipf exponent ran with every rank 1 and satisfaction 0.0, a huge
+#: one raised a bare ``OverflowError``; a NaN median file count raised a
+#: builtin ``ValueError`` at the first spawn, an infinite sigma an
+#: ``OverflowError``.
+#:
 #: The breaker, budget, hop-delay, notify-delay and Pareto-shape tunings
 #: are module constants now; the one way such a value still comes in is
 #: an old manifest, whose decoder refuses it typed.
@@ -258,6 +264,27 @@ SPECS = {
         lambda: ChurnStorm(start=10.0, width=math.inf, fraction=0.3),
         ScenarioError,
     ),
+    "ownership-exponent-nan": (
+        lambda: ContentModel(ownership_exponent=math.nan),
+        WorkloadError,
+    ),
+    "ownership-exponent-inf": (
+        lambda: ContentModel(ownership_exponent=math.inf),
+        WorkloadError,
+    ),
+    "query-exponent-overflows": (
+        lambda: ContentModel(query_exponent=1e308),
+        WorkloadError,
+    ),
+    "median-files-nan": (lambda: FileCountModel(median_files=math.nan), WorkloadError),
+    "median-files-inf": (lambda: FileCountModel(median_files=math.inf), WorkloadError),
+    "file-sigma-nan": (lambda: FileCountModel(sigma=math.nan), WorkloadError),
+    "file-sigma-inf": (lambda: FileCountModel(sigma=math.inf), WorkloadError),
+    "tail-alpha-nan": (lambda: FileCountModel(tail_alpha=math.nan), WorkloadError),
+    "tail-alpha-inf": (lambda: FileCountModel(tail_alpha=math.inf), WorkloadError),
+    "tail-lower-nan": (lambda: FileCountModel(tail_lower=math.nan), WorkloadError),
+    "tail-upper-nan": (lambda: FileCountModel(tail_upper=math.nan), WorkloadError),
+    "tail-upper-inf": (lambda: FileCountModel(tail_upper=math.inf), WorkloadError),
 }
 
 

@@ -23,7 +23,7 @@ def rng():
 
 def pmf(sampler, rank):
     """Probability mass of ``rank``, read off the sampler's CDF."""
-    cdf = sampler._cdf
+    cdf = sampler._cdf[1:]  # past the sentinel
     return cdf[rank - 1] - (cdf[rank - 2] if rank >= 2 else 0.0)
 
 
