@@ -7,7 +7,7 @@ this module) as an array of ``[[contract]]`` tables::
     rule = "RD006"
     scope = ["repro.observe"]
     forbid = ["RNG_DRAW", "SCHEDULE"]
-    exempt = ["repro.observe.manifest.replay_config"]
+    exempt = ["repro.observe.manifest.verify_manifest"]
     reason = "arming observation must never perturb a run"
 
 Fields:

@@ -427,16 +427,31 @@ class _ModuleExtractor(ast.NodeVisitor):
     def visit_Assign(self, node: ast.Assign) -> None:
         self.generic_visit(node)
         # ``getrandbits = rng.getrandbits``: a later ``getrandbits(k)`` draws.
-        value = node.value
-        drawn = (
-            value.attr
-            if isinstance(value, ast.Attribute)
-            and value.attr in RNG_DRAW_METHODS
-            and UnorderedIterationVisitor._is_rngish(value.value)
-            else None
-        )
-        for target in node.targets:
-            if isinstance(target, ast.Name):
+        # A tuple target takes a tuple value element by element
+        # (``rand, floor = rng.random, math.floor``); a name with no value
+        # of its own (``a, b = pair``) binds no alias.
+        pairs: List[Tuple[ast.expr, Optional[ast.expr]]] = [
+            (target, node.value) for target in node.targets
+        ]
+        while pairs:
+            target, value = pairs.pop(0)
+            if isinstance(target, (ast.Tuple, ast.List)):
+                values: List[Optional[ast.expr]] = [None] * len(target.elts)
+                if (
+                    isinstance(value, (ast.Tuple, ast.List))
+                    and len(value.elts) == len(target.elts)
+                    and not any(isinstance(v, ast.Starred) for v in value.elts)
+                ):
+                    values = list(value.elts)
+                pairs.extend(zip(target.elts, values))
+            elif isinstance(target, ast.Name):
+                drawn = (
+                    value.attr
+                    if isinstance(value, ast.Attribute)
+                    and value.attr in RNG_DRAW_METHODS
+                    and UnorderedIterationVisitor._is_rngish(value.value)
+                    else None
+                )
                 if drawn is None:
                     self._draw_aliases.pop(target.id, None)
                 else:

@@ -29,20 +29,11 @@ the same peers at the same times: the stale-dead-probe delta between
 the ``off`` and ``invalidate`` rows is push invalidation's doing alone
 (freshness draws live on ``freshness:*`` RNG substreams).
 
-Run via ``python -m repro.experiments.run_all --suite cache_freshness``
-or directly::
-
-    python -m repro.experiments.cache_freshness --profile smoke --workers 2
-
-The module CLI's ``--verify-parallel`` flag re-runs the suite serially
-and on a process pool and fails unless the rendered reports are
-byte-identical — the freshness subsystem's serial-vs-parallel
-determinism check used by the ``suite-smoke`` CI job.
+Run via ``python -m repro.experiments.run_all --only cache_freshness``.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.params import ProtocolParams, SystemParams
@@ -61,7 +52,6 @@ from repro.experiments.runner import (
     grid_curves,
     grid_table,
     run_sweep,
-    suite_main,
 )
 from repro.freshness import CacheSizing, FreshnessPlan
 from repro.metrics.summary import mean, ratio
@@ -174,14 +164,3 @@ def run_suite(
         ),
     )
     return [grid, recovery]
-
-
-def main(argv: List[str] | None = None) -> int:
-    """Module CLI; see :func:`~repro.experiments.runner.suite_main`."""
-    return suite_main(
-        run_suite, "Run the cache-freshness-under-churn suite.", argv
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

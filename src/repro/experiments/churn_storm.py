@@ -27,20 +27,11 @@ mechanisms-off and mechanisms-on rows is the resilience layer's doing
 alone (scenario draws live on ``scenario:*`` RNG substreams and the
 mechanisms themselves draw no RNG at all).
 
-Run via ``python -m repro.experiments.run_all --suite churn_storm`` or
-directly::
-
-    python -m repro.experiments.churn_storm --profile smoke --workers 2
-
-The module CLI's ``--verify-parallel`` flag re-runs the suite serially
-and on a process pool and fails unless the rendered reports are
-byte-identical — the resilience subsystem's serial-vs-parallel
-determinism check used by the ``suite-smoke`` CI job.
+Run via ``python -m repro.experiments.run_all --only churn_storm``.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.params import ProtocolParams, SystemParams
@@ -53,7 +44,6 @@ from repro.experiments.runner import (
     grid_curves,
     grid_table,
     run_sweep,
-    suite_main,
 )
 from repro.metrics.collectors import SimulationReport
 from repro.metrics.summary import mean
@@ -212,14 +202,3 @@ def run_suite(
         ),
     )
     return [grid, recovery]
-
-
-def main(argv: List[str] | None = None) -> int:
-    """Module CLI; see :func:`~repro.experiments.runner.suite_main`."""
-    return suite_main(
-        run_suite, "Run the churn-storm resilience suite.", argv
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

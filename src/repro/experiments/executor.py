@@ -16,8 +16,8 @@ core.  This module supplies the missing abstraction:
   :class:`ProcessTrialExecutor` (a lazily started
   :class:`~concurrent.futures.ProcessPoolExecutor`) implementations;
 * :func:`get_executor` — the ``workers=N`` factory used by
-  :func:`~repro.experiments.runner.run_guess_config`, the suites' module
-  CLI, and ``run_all --workers N``.
+  :func:`~repro.experiments.runner.run_guess_config`, ``run_all
+  --workers N`` and the manifest replay.
 
 Determinism guarantee: each trial owns a private
 :class:`~repro.sim.rng.RngRegistry` seeded from its spec — no RNG state

@@ -25,21 +25,12 @@ simulated GUESS cells are one
 :func:`~repro.experiments.runner.run_sweep` at the same base seed, so
 every row of a table shares its population story.
 
-Run via ``python -m repro.experiments.run_all --suite gossip_search`` or
-directly::
-
-    python -m repro.experiments.gossip_search --profile smoke --workers 2
-
-The module CLI's ``--verify-parallel`` flag re-runs the suite serially
-and on a process pool and fails unless the rendered reports are
-byte-identical — the gossip subsystem's serial-vs-parallel determinism
-check used by the ``suite-smoke`` CI job.
+Run via ``python -m repro.experiments.run_all --only gossip_search``.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.extent import PopulationView
@@ -53,7 +44,6 @@ from repro.experiments.runner import (
     ExperimentResult,
     Metric,
     run_sweep,
-    suite_main,
 )
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.workload.content import ContentModel
@@ -351,14 +341,3 @@ def run_suite(
         run_gossip_compare(profile, executor),
         run_gossip_faulty(profile),
     ]
-
-
-def main(argv: List[str] | None = None) -> int:
-    """Module CLI; see :func:`~repro.experiments.runner.suite_main`."""
-    return suite_main(
-        run_suite, "Run the gossip-search comparison suite.", argv
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

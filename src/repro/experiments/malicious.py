@@ -28,7 +28,6 @@ from repro.experiments.runner import (
     ExperimentResult,
     Metric,
     run_sweep,
-    suite_main,
 )
 
 #: Policy stacks compared in Figures 16-21.
@@ -143,12 +142,3 @@ def run_suite(
     return run_fig16_18(profile, executor=executor) + run_fig19_21(
         profile, executor=executor
     )
-
-
-def main(argv: List[str] | None = None) -> int:
-    """Module CLI; see :func:`~repro.experiments.runner.suite_main`."""
-    return suite_main(run_suite, "Run the cache-poisoning suite (Figs 16-21).", argv)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -26,20 +26,11 @@ same peers, lifetimes, and query workload: differences between cells are
 the fault model's doing alone (fault draws live on ``fault:*`` RNG
 substreams and cannot perturb the protocol streams).
 
-Run via ``python -m repro.experiments.run_all --suite packet_loss`` or
-directly::
-
-    python -m repro.experiments.packet_loss --profile smoke --workers 2
-
-The module CLI's ``--verify-parallel`` flag re-runs the suite serially
-and on a process pool and fails unless the rendered reports are
-byte-identical — the fault subsystem's serial-vs-parallel determinism
-check used by the ``suite-smoke`` CI job.
+Run via ``python -m repro.experiments.run_all --only packet_loss``.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List, Tuple
 
 from repro.core.params import ProtocolParams, SystemParams
@@ -52,7 +43,6 @@ from repro.experiments.runner import (
     grid_curves,
     grid_table,
     run_sweep,
-    suite_main,
 )
 from repro.faults.plan import FaultPlan
 
@@ -124,14 +114,3 @@ def run_suite(
         ),
     )
     return [grid, satisfaction]
-
-
-def main(argv: List[str] | None = None) -> int:
-    """Module CLI; see :func:`~repro.experiments.runner.suite_main`."""
-    return suite_main(
-        run_suite, "Run the packet-loss robustness suite.", argv
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

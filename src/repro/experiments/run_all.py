@@ -4,14 +4,18 @@ Usage::
 
     python -m repro.experiments.run_all --profile quick
     python -m repro.experiments.run_all --profile smoke --only fig8 fig13
-    python -m repro.experiments.run_all --suite packet_loss --workers 2
+    python -m repro.experiments.run_all --only packet_loss --workers 2
     python -m repro.experiments.run_all --workers 2 --supervise
     python -m repro.experiments.run_all --workers 2 --resume supervise.d
     repro-experiments --profile full --output results.txt
 
 ``--only`` takes experiment ids or suite names — :data:`SUITES` is the
-one table of both, and ``--help`` lists it; ``--suite`` is an alias
-accepting the same tokens.
+one table of both, and ``--help`` lists it.
+
+Serial and parallel runs are checked against each other through the
+manifest: ``python -m repro.observe.manifest manifest.json --workers 2``
+replays a run's every trial on two worker processes and compares each
+report's trace digest and fingerprint with the recorded ones.
 
 ``--supervise`` runs every trial under
 :class:`~repro.experiments.supervisor.SupervisedTrialExecutor`:
@@ -166,13 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--suite",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="suite to run (repeatable; alias for --only NAME)",
-    )
-    parser.add_argument(
         "--output",
         default=None,
         help="also write the rendered results to this file",
@@ -253,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "write a reproducibility manifest (params, fault plans, "
-            "derived seeds, per-trial trace digests, package version) to "
+            "derived seeds, per-trial trace digests and report "
+            "fingerprints, package version) to "
             "PATH (default: manifest.json); verify it later with "
             "'python -m repro.observe.manifest PATH'"
         ),
@@ -276,8 +274,7 @@ def main(argv: List[str] | None = None) -> int:
         parser.error(f"--max-attempts must be >= 1, got {args.max_attempts}")
 
     profile = get_profile(args.profile)
-    tokens = (args.only or []) + (args.suite or [])
-    suites = resolve_suites(tokens or None)
+    suites = resolve_suites(args.only)
 
     supervise = args.supervise or args.resume is not None
     checkpoint_dir = args.resume or args.checkpoint_dir

@@ -6,21 +6,21 @@ a trial count) plus a ``{column: metric}`` mapping.  :func:`run_cells`
 runs every trial of every cell as **one** executor batch,
 :func:`run_sweep` folds the reports to ``{key: {column: value}}``, and
 :func:`grid_table` / :func:`grid_curves` package that as the
-:class:`ExperimentResult` records the CLI renders.
-:func:`run_guess_config` is the one-cell call of the same runner;
-:func:`suite_main` is the module CLI every stand-alone suite shares.
+:class:`ExperimentResult` records ``run_all`` renders.
+:func:`run_guess_config` is the one-cell call of the same runner.
 
 Trials are independent seeded runs.  Seeds derive in the parent before
 dispatch (``derive_seed(base_seed, "trial:i")``, whatever else is in
 the batch) and reports come back in (cell, trial) order, so a sweep on a
 process pool is byte-identical to a serial one — and because the whole
 grid is one batch, the pool has work even when every cell has one trial.
+The check of that promise is the manifest's: every trial a sweep runs is
+recorded, and ``python -m repro.observe.manifest M --workers 2`` replays
+a serial run's trials on a pool and compares each report's fingerprint.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -39,13 +39,12 @@ from typing import (
 from repro.core.params import ProtocolParams, SystemParams
 from repro.errors import TrialFailure
 from repro.experiments.executor import (
-    ProcessTrialExecutor,
     SerialTrialExecutor,
     TrialExecutor,
     TrialSpec,
     get_executor,
 )
-from repro.experiments.profiles import PROFILES, Profile, get_profile
+from repro.experiments.profiles import Profile
 from repro.metrics.collectors import SimulationReport
 from repro.metrics.summary import mean
 from repro.observe.manifest import active_manifest_recorder
@@ -176,7 +175,7 @@ def run_cells(
                 trials=swept.trials,
                 base_seed=swept.base_seed,
                 seeds=[spec.seed for spec in batch[span]],
-                digests=[report.trace_digest for report in reports[span]],
+                reports=reports[span],
             )
     return results
 
@@ -285,7 +284,7 @@ def run_guess_config(
             (:attr:`SimulationReport.trace_digest`).  Forced on while a
             manifest recorder is active, so every recorded configuration
             carries per-trial digests that
-            :func:`~repro.observe.manifest.replay_config` can verify bit
+            :func:`~repro.observe.manifest.verify_manifest` can verify bit
             for bit.
         **spec_fields: any other :class:`TrialSpec` field by name
             (``faults``, ``satisfaction_window`` and the optional plans),
@@ -323,82 +322,3 @@ def averaged(
         for report in reports
         if not isinstance(report, TrialFailure)
     ])
-
-
-def _render(results: List[ExperimentResult]) -> str:
-    return "\n\n".join(result.render() for result in results)
-
-
-def suite_main(
-    run_suite: Callable[..., List[ExperimentResult]],
-    description: str,
-    argv: Optional[List[str]] = None,
-) -> int:
-    """The module CLI shared by the stand-alone suites.
-
-    ``run_suite(profile, executor)`` is the suite's entry point; this
-    function owns the ``--workers`` pool.  ``--verify-parallel`` runs
-    the suite serially and on ``--workers`` processes and fails unless
-    the rendered reports are byte-identical (the serial-vs-parallel
-    determinism check the ``suite-smoke`` CI job runs) — and fails if
-    the parallel arm never reached a worker process, since a serial run
-    compared with a serial run checks nothing.  Returns an exit code.
-    """
-    parser = argparse.ArgumentParser(description=description)
-    parser.add_argument(
-        "--profile",
-        default="smoke",
-        choices=sorted(PROFILES),
-        help="scale profile (default: smoke)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="trial-level parallelism (0 = one per CPU, default: serial)",
-    )
-    parser.add_argument(
-        "--verify-parallel",
-        action="store_true",
-        help=(
-            "run the suite serially AND on --workers processes and fail "
-            "unless the rendered reports are byte-identical"
-        ),
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        help="also write the rendered results to this file",
-    )
-    args = parser.parse_args(argv)
-    if args.workers < 0:
-        parser.error(f"--workers must be >= 0, got {args.workers}")
-    profile = get_profile(args.profile)
-
-    if args.verify_parallel:
-        if args.workers == 1:
-            parser.error("--verify-parallel needs --workers N (N != 1)")
-        text = _render(run_suite(profile))
-        with ProcessTrialExecutor(args.workers) as pool:
-            parallel = _render(run_suite(profile, pool))
-            if not pool.pool_started:
-                print(
-                    "FAIL: no batch reached a worker process; the parallel "
-                    "run was serial, so nothing was verified",
-                    file=sys.stderr,
-                )
-                return 1
-        if text != parallel:
-            print("FAIL: serial and parallel reports differ", file=sys.stderr)
-            return 1
-        print(f"serial == workers={args.workers}: reports byte-identical")
-    else:
-        with get_executor(args.workers) as executor:
-            text = _render(run_suite(profile, executor))
-
-    print(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    return 0

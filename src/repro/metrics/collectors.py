@@ -454,10 +454,11 @@ class SimulationReport:
         """sha256 over everything the run measured, the trace digest excepted.
 
         Every scalar field by name, plus the per-peer ``loads`` and
-        ``refusals`` in address order and the health samples in time
-        order.  The trace digest folds fired events only, so two runs
-        whose queries probed differently can share it; they never share
-        this.
+        ``refusals`` in address order, the health samples in time order
+        and, when the run kept any, the satisfaction windows.  The trace
+        digest folds fired events only, so two runs whose queries probed
+        differently can share it; they never share this.  Every field
+        but the digest is hashed, so equal fingerprints are equal reports.
         """
         scalars = {
             f.name: getattr(self, f.name)
@@ -471,6 +472,10 @@ class SimulationReport:
             "refusals": sorted(self.refusals.items()),
             "health": [astuple(s) for s in self.health_samples],
         }
+        if self.satisfaction_windows:
+            # Keyed only when present, so a run without the channel
+            # hashes as it always did.
+            payload["windows"] = self.satisfaction_windows
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

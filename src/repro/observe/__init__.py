@@ -7,8 +7,8 @@ Two channels, one contract:
   ``run_all --profile-report``;
 * **run manifests** (:mod:`repro.observe.manifest`) — a JSON record of
   every executed configuration (params, fault plan, derived seeds,
-  trace digests, package version) from which the run can be replayed
-  and verified bit for bit.
+  trace digests, report fingerprints, package version) from which the
+  run can be replayed and verified bit for bit.
 
 The counts a report is built from are not an observer: they are plain
 ``int`` tallies on the transport and the collector
@@ -37,7 +37,6 @@ from repro.observe.staleness import StalenessSummary, summarize_staleness
 _MANIFEST_EXPORTS = frozenset({
     "ManifestRecorder",
     "load_manifest",
-    "replay_config",
     "verify_manifest",
     "write_manifest",
 })
@@ -58,7 +57,6 @@ __all__ = [
     "active_profiler",
     "load_manifest",
     "summarize_staleness",
-    "replay_config",
     "verify_manifest",
     "write_manifest",
 ]

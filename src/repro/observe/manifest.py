@@ -1,23 +1,25 @@
 """Run manifests: the reproducibility record of an experiment run.
 
 Every ``run_all`` invocation writes a ``manifest.json`` capturing, for
-each configuration :func:`~repro.experiments.runner.run_guess_config`
-executed: every field of its
+each configuration a suite's sweep executed: every field of its
 :class:`~repro.experiments.executor.TrialSpec` (parameters and plans),
-the derived per-trial seeds, and each trial's trace digest — plus the
-package version, profile, suite list and wall clock.  Any published
-number is then reproducible from its manifest alone:
-:func:`replay_config` re-runs a recorded configuration and
-:func:`verify_manifest` asserts the digests match bit for bit
+the derived per-trial seeds, and each trial's trace digest and report
+fingerprint — plus the package version, profile, suite list and wall
+clock.  Any published number is then reproducible from its manifest
+alone: :func:`verify_manifest` re-runs every recorded trial as one batch
+and asserts the digests and fingerprints match bit for bit
 (``python -m repro.observe.manifest manifest.json`` from the CLI).
+Replayed on ``--workers N`` it is also the serial-vs-parallel check:
+a serial run's reports, reproduced on a process pool.
 
 Capture piggybacks on the one choke point all suites share:
-:func:`run_guess_config` consults :func:`active_manifest_recorder` and,
-when a recorder is installed (via :func:`activated`), forces
-``trace_hash=True`` on every trial and appends one config entry after
-the reports return.  Suites that drive simulations directly (the
-ping-interval LCC snapshots) contribute no config entries; the manifest
-still records the exact command to re-launch them.
+:func:`~repro.experiments.runner.run_cells` consults
+:func:`active_manifest_recorder` and, when a recorder is installed (via
+:func:`activated`), forces ``trace_hash=True`` on every trial and
+appends one config entry per cell after the reports return.  Suites
+that drive simulations directly (the ping-interval LCC snapshots)
+contribute no config entries; the manifest still records the exact
+command to re-launch them.
 """
 
 from __future__ import annotations
@@ -45,19 +47,22 @@ from typing import (
     get_type_hints,
 )
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TrialFailure
 from repro.sim.rng import derive_seed
 
 if TYPE_CHECKING:
     from repro.experiments.executor import TrialSpec
+    from repro.metrics.collectors import SimulationReport
 
-#: Bumped when the manifest layout changes incompatibly.
-MANIFEST_VERSION = 1
+#: Bumped when the manifest layout changes incompatibly.  Version 2
+#: added ``fingerprints``; a version-1 entry lacks them and verifies by
+#: its trace digests alone.
+MANIFEST_VERSION = 2
 
 #: An entry is one :class:`TrialSpec` minus the fields that differ per
 #: trial (or that the recorder forces), plus the keys describing the run.
 PER_TRIAL_FIELDS = ("seed", "trace_hash")
-RUN_KEYS = ("trials", "base_seed", "seeds", "trace_digests")
+RUN_KEYS = ("trials", "base_seed", "seeds", "trace_digests", "fingerprints")
 
 #: Fields gone from a class, with the one JSON value the code still runs
 #: for each: the value every run held, which the code now hardwires as a
@@ -179,7 +184,7 @@ def _malformed(path: str, message: str) -> ConfigError:
 
 
 class ManifestRecorder:
-    """Accumulates one config entry per :func:`run_guess_config` call."""
+    """Accumulates one config entry per executed sweep cell."""
 
     def __init__(self) -> None:
         self.configs: List[Dict[str, Any]] = []
@@ -191,12 +196,14 @@ class ManifestRecorder:
         trials: int,
         base_seed: int,
         seeds: Sequence[int],
-        digests: Sequence[Optional[str]],
+        reports: Sequence[Union[SimulationReport, TrialFailure]],
     ) -> None:
-        """Append one executed configuration with its seeds and digests.
+        """Append one executed configuration with its seeds and reports.
 
         ``spec`` is any one of its trials; every field outside
         :data:`PER_TRIAL_FIELDS` is written, whatever fields there are.
+        Each report is kept as its trace digest and its fingerprint; a
+        quarantined trial's slot holds ``None`` in both.
         """
         entry: Dict[str, Any] = to_jsonable(spec)
         for name in PER_TRIAL_FIELDS:
@@ -205,7 +212,11 @@ class ManifestRecorder:
             trials=trials,
             base_seed=base_seed,
             seeds=list(seeds),
-            trace_digests=list(digests),
+            trace_digests=[report.trace_digest for report in reports],
+            fingerprints=[
+                None if isinstance(report, TrialFailure) else report.fingerprint()
+                for report in reports
+            ],
         )
         self.configs.append(entry)
 
@@ -280,12 +291,12 @@ def specs_for_entry(entry: Dict[str, Any]) -> List[TrialSpec]:
     """Reconstruct a config entry's :class:`TrialSpec` list exactly.
 
     The one decoder of manifest entries: rebuilds the specs the way
-    :func:`~repro.experiments.runner.run_guess_config` built them —
-    seeds re-derived from ``base_seed``, ``trace_hash`` forced on as the
-    recorder forces it.  :func:`replay_config` runs these specs and the
-    supervisor verifies its journal (keyed by spec fingerprints) against
-    them.  The executor import is lazy because the runner imports this
-    module for the active-recorder hook.
+    :func:`~repro.experiments.runner.run_cells` built them — seeds
+    re-derived from ``base_seed``, ``trace_hash`` forced on as the
+    recorder forces it.  :func:`verify_manifest` runs these specs and
+    the supervisor verifies its journal (keyed by spec fingerprints)
+    against them.  The executor import is lazy because the runner
+    imports this module for the active-recorder hook.
 
     Raises:
         ConfigError: the entry is malformed (see :func:`from_jsonable`).
@@ -305,46 +316,77 @@ def specs_for_entry(entry: Dict[str, Any]) -> List[TrialSpec]:
     ]
 
 
-def replay_config(entry: Dict[str, Any], *, workers: int = 1) -> Tuple[str, ...]:
-    """Re-run one recorded configuration; return its trace digests."""
+def verify_manifest(manifest: Dict[str, Any], *, workers: int = 1) -> List[str]:
+    """Replay every recorded trial; return human-readable mismatch lines.
+
+    Every entry that decodes and re-derives its seeds joins one batch on
+    one executor, as :func:`~repro.experiments.runner.run_cells` ran
+    them, so ``workers=N`` spreads even one-trial configs over the pool.
+    Each trial's trace digest and (from version 2 on) report
+    fingerprint must match the recorded ones.  An empty return means
+    the manifest reproduced bit for bit.  With ``workers`` > 1 a replay
+    that never reached a worker process is a problem too: it compared a
+    serial run with a serial run.
+    """
     from repro.experiments.executor import get_executor
 
-    with get_executor(workers) as executor:
-        reports = executor.run_trials(specs_for_entry(entry))
-    return tuple(report.trace_digest for report in reports)
-
-
-def verify_manifest(manifest: Dict[str, Any], *, workers: int = 1) -> List[str]:
-    """Replay every config entry; return human-readable mismatch lines.
-
-    An empty return means the manifest reproduced bit for bit: every
-    entry decodes, every seed re-derives and every trace digest matches.
-    """
-    problems: List[str] = []
+    problems: List[Tuple[int, str]] = []
+    replayed: List[Tuple[int, List[Tuple[Any, Any]], int]] = []
+    batch: List[TrialSpec] = []
     for index, entry in enumerate(manifest.get("configs", [])):
         try:
             specs = specs_for_entry(entry)
         except ConfigError as error:
-            problems.append(f"config {index}: {error}")
+            problems.append((index, str(error)))
             continue
         if [spec.seed for spec in specs] != entry["seeds"]:
-            problems.append(
-                f"config {index}: recorded seeds do not re-derive from "
-                f"base_seed {entry['base_seed']}"
-            )
+            problems.append((
+                index,
+                "recorded seeds do not re-derive from "
+                f"base_seed {entry['base_seed']}",
+            ))
             continue
-        digests = replay_config(entry, workers=workers)
-        expected = tuple(entry["trace_digests"])
-        if digests != expected:
-            problems.append(
-                f"config {index}: trace digests diverge "
-                f"(expected {expected}, got {digests})"
-            )
-    return problems
+        digests = entry["trace_digests"]
+        # A version-1 entry has no fingerprints: its digests alone verify.
+        fingerprints = entry.get("fingerprints", [None] * len(digests))
+        if not len(digests) == len(fingerprints) == len(specs):
+            problems.append((
+                index,
+                f"records {len(digests)} digest(s) and {len(fingerprints)} "
+                f"fingerprint(s) for {len(specs)} trials",
+            ))
+            continue
+        replayed.append((index, list(zip(digests, fingerprints)), len(batch)))
+        batch.extend(specs)
+    with get_executor(workers) as executor:
+        reports = executor.run_trials(batch)
+    for index, recorded, start in replayed:
+        got = reports[start:start + len(recorded)]
+        for trial, (report, (digest, fingerprint)) in enumerate(zip(got, recorded)):
+            if report.trace_digest != digest:
+                problems.append((
+                    index,
+                    f"trial {trial}: trace digest diverges "
+                    f"(expected {digest}, got {report.trace_digest})",
+                ))
+            if fingerprint is not None and report.fingerprint() != fingerprint:
+                problems.append((
+                    index,
+                    f"trial {trial}: report fingerprint diverges "
+                    f"(expected {fingerprint}, got {report.fingerprint()})",
+                ))
+    problems.sort(key=lambda problem: problem[0])
+    lines = [f"config {index}: {problem}" for index, problem in problems]
+    if workers > 1 and not getattr(executor, "pool_started", False):
+        lines.append(
+            f"no trial reached a worker process: the workers={workers} "
+            "replay ran serially, so it compared nothing with a parallel run"
+        )
+    return lines
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: re-run a manifest's configs and verify their digests."""
+    """CLI: re-run a manifest's trials and verify digests and fingerprints."""
     parser = argparse.ArgumentParser(
         description="Verify that a run manifest reproduces bit for bit."
     )
@@ -354,7 +396,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="trial-level parallelism for the replay (default: serial)",
+        help=(
+            "replay every trial as one batch on N worker processes "
+            "(default: serial); with N > 1 it fails unless a trial "
+            "reached a worker — the serial-vs-parallel check"
+        ),
     )
     args = parser.parse_args(argv)
     manifest = load_manifest(args.manifest)

@@ -11,7 +11,6 @@ from typing import Optional
 from repro.errors import ConfigError, ExecutionError
 from repro.experiments.executor import execute_trial
 from repro.experiments.profiles import Profile
-from repro.experiments.runner import ExperimentResult
 
 #: Far below the ``smoke`` registry profile: a whole suite in about a second.
 MICRO = Profile(
@@ -42,31 +41,6 @@ def pinned(results, digest: str):
     )
     assert sha256(rendered.encode("utf-8")).hexdigest() == digest
     return results
-
-
-def canned_suite(experiment_id: str, title: str | None = None):
-    """A ``run_suite`` stand-in for the module-CLI tests.
-
-    It hands its executor a two-item batch (so a process pool has to
-    start) and returns one canned result; without a fixed ``title`` the
-    result names the executor's worker count, so a serial and a parallel
-    run render differently.
-    """
-
-    def run_suite(profile, executor=None):
-        if executor is not None:
-            executor.map(abs, [-1, -2])
-        workers = getattr(executor, "workers", 1)
-        return [
-            ExperimentResult(
-                experiment_id=experiment_id,
-                title=title or f"canned workers={workers}",
-                columns=("A",),
-                rows=((1.0,),),
-            )
-        ]
-
-    return run_suite
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,8 @@ from repro.experiments import churn_storm
 from repro.experiments.executor import get_executor
 from repro.experiments.profiles import get_profile
 from repro.experiments.runner import ExperimentResult, run_sweep
-from tests.experiments.helpers import MICRO, canned_suite, pinned
+from repro.observe.manifest import ManifestRecorder, activated, verify_manifest
+from tests.experiments.helpers import MICRO, pinned
 
 
 def grid_cells(grid: ExperimentResult) -> dict:
@@ -137,36 +138,13 @@ class TestParallelEquality:
             r.render() for r in parallel
         ]
 
-
-class TestCli:
-    def test_verify_parallel_passes_on_identical_reports(
-        self, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(
-            churn_storm, "run_suite", canned_suite("storm_grid", "canned x")
+    def test_recorded_sweep_replays_on_two_workers(self):
+        # What CI's suite-smoke job runs: a serial run's manifest,
+        # replayed trial by trial on a pool.
+        recorder = ManifestRecorder()
+        with activated(recorder):
+            churn_storm.run_suite(MICRO)
+        manifest = recorder.build(
+            profile="micro", suites=["churn_storm"], workers=1, wall_clock_seconds=0.0
         )
-        assert churn_storm.main(
-            ["--profile", "smoke", "--workers", "2", "--verify-parallel"]
-        ) == 0
-        assert "byte-identical" in capsys.readouterr().out
-
-    def test_verify_parallel_fails_on_divergent_reports(
-        self, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(churn_storm, "run_suite", canned_suite("storm_grid"))
-        assert churn_storm.main(
-            ["--profile", "smoke", "--workers", "2", "--verify-parallel"]
-        ) == 1
-        assert "differ" in capsys.readouterr().err
-
-    def test_verify_parallel_requires_workers(self):
-        with pytest.raises(SystemExit):
-            churn_storm.main(["--verify-parallel"])
-
-    def test_output_file_written(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(
-            churn_storm, "run_suite", canned_suite("storm_grid", "canned x")
-        )
-        target = tmp_path / "storm.txt"
-        assert churn_storm.main(["--output", str(target)]) == 0
-        assert "canned x" in target.read_text()
+        assert verify_manifest(manifest, workers=2) == []

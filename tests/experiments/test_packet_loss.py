@@ -15,7 +15,8 @@ from repro.core.params import ProtocolParams
 from repro.experiments import packet_loss, policy_comparison
 from repro.experiments.executor import get_executor
 from repro.experiments.runner import ExperimentResult, run_sweep
-from tests.experiments.helpers import MICRO, canned_suite, pinned
+from repro.observe.manifest import ManifestRecorder, activated, verify_manifest
+from tests.experiments.helpers import MICRO, pinned
 
 
 def grid_cells(grid: ExperimentResult) -> dict:
@@ -110,37 +111,13 @@ class TestParallelEquality:
             r.render() for r in parallel
         ]
 
-
-class TestCli:
-    def test_verify_parallel_passes_on_identical_reports(
-        self, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(
-            packet_loss, "run_suite", canned_suite("loss_grid", "canned x")
+    def test_recorded_sweep_replays_on_two_workers(self):
+        # What CI's suite-smoke job runs: a serial run's manifest,
+        # replayed trial by trial on a pool.
+        recorder = ManifestRecorder()
+        with activated(recorder):
+            packet_loss.run_suite(MICRO)
+        manifest = recorder.build(
+            profile="micro", suites=["packet_loss"], workers=1, wall_clock_seconds=0.0
         )
-        assert packet_loss.main(
-            ["--profile", "smoke", "--workers", "2", "--verify-parallel"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "byte-identical" in out
-
-    def test_verify_parallel_fails_on_divergent_reports(
-        self, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(packet_loss, "run_suite", canned_suite("loss_grid"))
-        assert packet_loss.main(
-            ["--profile", "smoke", "--workers", "2", "--verify-parallel"]
-        ) == 1
-        assert "differ" in capsys.readouterr().err
-
-    def test_verify_parallel_requires_workers(self):
-        with pytest.raises(SystemExit):
-            packet_loss.main(["--verify-parallel"])
-
-    def test_output_file_written(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(
-            packet_loss, "run_suite", canned_suite("loss_grid", "canned x")
-        )
-        target = tmp_path / "loss.txt"
-        assert packet_loss.main(["--output", str(target)]) == 0
-        assert "canned x" in target.read_text()
+        assert verify_manifest(manifest, workers=2) == []

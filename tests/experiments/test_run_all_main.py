@@ -35,10 +35,10 @@ class TestMain:
         # Also printed to stdout.
         assert "fig8" in capsys.readouterr().out
 
-    def test_suite_flag_is_an_only_alias(self, tmp_path, capsys):
+    def test_only_takes_a_suite_name(self, tmp_path, capsys):
         code = main([
             "--profile", "smoke",
-            "--suite", "flexible_extent",
+            "--only", "flexible_extent",
             "--manifest", str(tmp_path / "manifest.json"),
         ])
         assert code == 0
@@ -82,6 +82,7 @@ class TestMain:
         for entry in manifest["configs"]:
             assert len(entry["trace_digests"]) == entry["trials"]
             assert all(entry["trace_digests"])
+            assert all(entry["fingerprints"])
         # Acceptance check: the manifest reproduces bit for bit.
         assert verify_manifest(manifest) == []
         # And it is plain JSON all the way down.

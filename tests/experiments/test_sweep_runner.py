@@ -30,7 +30,6 @@ from repro.experiments.runner import (
     run_cells,
     run_guess_config,
     run_sweep,
-    suite_main,
 )
 from repro.metrics.summary import mean
 from repro.observe.manifest import ManifestRecorder, activated
@@ -192,29 +191,6 @@ class TestFold:
         }
         scalar_keys = grid_table("t", "T", ("K",), {7: {"V": 1.0}}, notes="")
         assert scalar_keys.rows == ((7, 1.0),)
-
-
-def one_trial_suite(profile, executor=None):
-    """A one-cell, one-trial suite: nothing a pool could share."""
-    cells = {"only": Cell.at(TINY, SYSTEM, ProtocolParams(cache_size=8), 1)}
-    measured = run_sweep(cells, {"Probes": "probes_per_query"}, executor)
-    return [grid_table("only", "One trial", ("Cell",), measured, notes="")]
-
-
-class TestVerifyParallelChecksSomething:
-    def test_a_parallel_arm_that_stayed_serial_fails(self, capsys):
-        code = suite_main(
-            one_trial_suite, "one trial",
-            ["--workers", "2", "--verify-parallel"],
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "no batch reached a worker process" in captured.err
-        assert "byte-identical" not in captured.out
-
-    def test_without_the_flag_the_suite_just_runs(self, capsys):
-        assert suite_main(one_trial_suite, "one trial", ["--workers", "2"]) == 0
-        assert "== only: One trial ==" in capsys.readouterr().out
 
 
 #: ``run_trials`` calls each suite makes: one per declared sweep

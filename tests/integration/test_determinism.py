@@ -18,6 +18,7 @@ from repro.experiments.executor import ProcessTrialExecutor, TrialSpec
 from repro.experiments.runner import run_guess_config
 from repro.faults.plan import FaultPlan
 from repro.freshness import CacheSizing, FreshnessPlan
+from repro.observe.manifest import ManifestRecorder, activated, verify_manifest
 from repro.observe.profiler import GLOBAL_PHASE, Profiler
 from repro.resilience import (
     ChurnStorm,
@@ -252,8 +253,8 @@ class TestGossipAssistedPins:
         assert digest == "6433f3abe18fda0f316241089d67313b"
 
     def test_parallel_trials_identical_to_serial(self):
-        """``--workers 2 --verify-parallel`` for the gossip cell: trial
-        fan-out over a process pool returns byte-identical reports."""
+        """Serial == ``workers=2`` for the gossip cell: trial fan-out
+        over a process pool returns byte-identical reports."""
         kwargs = dict(
             duration=120.0,
             warmup=40.0,
@@ -347,9 +348,9 @@ class TestFreshnessPins:
         assert report.stale_dead_query_probes + report.stale_dead_pings > 0
 
     def test_parallel_trials_identical_to_serial(self):
-        """``--workers 2 --verify-parallel`` for the freshness cell:
-        trial fan-out over a process pool returns byte-identical
-        reports (the plan, nested sizing included, must pickle)."""
+        """Serial == ``workers=2`` for the freshness cell: trial fan-out
+        over a process pool returns byte-identical reports (the plan,
+        nested sizing included, must pickle)."""
         # Notices fire only at (post-warmup) departures, so this cell
         # runs longer than the gossip one to guarantee a few deaths.
         kwargs = dict(
@@ -749,3 +750,20 @@ class TestDigestBlindness:
         serial, wide = one_and_ten_walkers
         assert serial.trace_digest == wide.trace_digest
         assert serial.fingerprint() != wide.fingerprint()
+
+    def test_a_manifest_doctored_to_ten_walkers_fails_to_verify(self):
+        recorder = ManifestRecorder()
+        with activated(recorder):
+            run_guess_config(
+                SystemParams(network_size=100), ProtocolParams(cache_size=30),
+                duration=DURATION, warmup=0.0, trials=1, base_seed=7,
+            )
+        manifest = recorder.build(
+            profile="micro", suites=["pair"], workers=1, wall_clock_seconds=0.0
+        )
+        (entry,) = manifest["configs"]
+        assert entry["protocol"]["parallel_probes"] == 1
+        entry["protocol"]["parallel_probes"] = 10
+        # The digest still matches; the fingerprint does not.
+        (problem,) = verify_manifest(manifest)
+        assert problem.startswith("config 0: trial 0: report fingerprint diverges")

@@ -299,6 +299,19 @@ class TestSatisfactionWindows:
         windows = collector.build_report().satisfaction_windows
         assert windows == ((20.0, 30.0, 1, 1),)
 
+    def test_a_difference_only_in_the_windows_changes_the_fingerprint(self):
+        # The churn-storm Recovery(s) column reads the windows, so a
+        # replay that checks fingerprints must see them.
+        collector = MetricsCollector(satisfaction_window=10.0)
+        collector.record_query(query_result(satisfied=True), 1.0)
+        collector.record_query(query_result(satisfied=False), 15.0)
+        report = collector.build_report()
+        dropped = replace(
+            report, satisfaction_windows=report.satisfaction_windows[:1]
+        )
+        assert dropped.queries == report.queries
+        assert dropped.fingerprint() != report.fingerprint()
+
 
 def registry_windows(width, warmup, queries):
     """The satisfaction rows the windowed ``MetricsRegistry`` used to give.

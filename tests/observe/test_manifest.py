@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -12,7 +14,8 @@ import pytest
 from repro.baselines.gossip import GossipPlan
 from repro.core.params import BadPongBehavior, ProtocolParams, SystemParams
 from repro.errors import ConfigError
-from repro.experiments.executor import SerialTrialExecutor, TrialSpec
+from repro.experiments import executor as executor_module
+from repro.experiments.executor import SerialTrialExecutor, TrialSpec, execute_trial
 from repro.experiments.runner import run_guess_config
 from repro.faults.plan import FaultPlan
 from repro.freshness.plan import CacheSizing, FreshnessPlan
@@ -27,7 +30,6 @@ from repro.observe.manifest import (
     from_jsonable,
     load_manifest,
     main,
-    replay_config,
     specs_for_entry,
     to_jsonable,
     verify_manifest,
@@ -112,6 +114,7 @@ class TestRecorderCapture:
         assert all(
             isinstance(digest, str) for digest in entry["trace_digests"]
         )
+        assert entry["fingerprints"] == [r.fingerprint() for r in reports]
 
     def test_untracked_run_records_nothing(self):
         recorder = ManifestRecorder()
@@ -162,8 +165,13 @@ class TestReplayAndVerify:
         assert json.loads(json.dumps(recorded)) == recorded
 
     def test_replay_reproduces_digests(self, recorded):
-        (entry,) = recorded["configs"]
-        assert replay_config(entry) == tuple(entry["trace_digests"])
+        # A version-1 entry has no fingerprints: its digests alone verify.
+        v1 = json.loads(json.dumps(recorded))
+        del v1["configs"][0]["fingerprints"]
+        assert verify_manifest(v1) == []
+        v1["configs"][0]["trace_digests"][1] = "0" * 32
+        (problem,) = verify_manifest(v1)
+        assert problem.startswith("config 0: trial 1: trace digest diverges")
 
     def test_verify_ok(self, recorded):
         assert verify_manifest(recorded) == []
@@ -173,7 +181,15 @@ class TestReplayAndVerify:
         tampered["configs"][0]["trace_digests"][0] = "0" * 32
         problems = verify_manifest(tampered)
         assert len(problems) == 1
-        assert "diverge" in problems[0]
+        assert "trace digest diverges" in problems[0]
+
+    def test_verify_flags_a_dropped_trial_record(self, recorded):
+        for key in ("trace_digests", "fingerprints"):
+            tampered = json.loads(json.dumps(recorded))
+            del tampered["configs"][0][key][1]
+            (problem,) = verify_manifest(tampered)
+            assert problem.startswith("config 0: records ")
+            assert problem.endswith(" for 2 trials")
 
     def test_verify_flags_tampered_seed(self, recorded):
         tampered = json.loads(json.dumps(recorded))
@@ -238,8 +254,11 @@ class TestScenarioReplay:
         assert json.loads(json.dumps(recorded)) == recorded
 
     def test_replay_reproduces_scenario_digests(self, recorded):
+        # Two trials: the replay spreads them over both workers, windows
+        # (in the fingerprint) included.
         (entry,) = recorded["configs"]
-        assert replay_config(entry) == tuple(entry["trace_digests"])
+        assert all(entry["fingerprints"])
+        assert verify_manifest(recorded, workers=2) == []
 
     def test_verify_ok(self, recorded):
         assert verify_manifest(recorded) == []
@@ -258,7 +277,78 @@ class TestScenarioReplay:
             for key, value in entry.items()
             if key not in ("scenarios", "resilience", "satisfaction_window")
         }
-        assert replay_config(legacy) == tuple(legacy["trace_digests"])
+        assert verify_manifest({"configs": [legacy]}) == []
+
+
+def _perturbed_in_workers(spec):
+    """:func:`execute_trial` with one probe more, in a worker process only."""
+    report = execute_trial(spec)
+    if multiprocessing.parent_process() is None:
+        return report
+    return replace(report, total_probes=report.total_probes + 1)
+
+
+@pytest.fixture()
+def pooled(monkeypatch):
+    """The item count of every ``map`` a process pool is handed."""
+    mapped = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            items = list(iterables[0])
+            mapped.append(len(items))
+            return super().map(fn, items, **kwargs)
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", CountingPool)
+    return mapped
+
+
+@pytest.fixture(scope="module")
+def one_trial_configs():
+    """Three configs of one trial each, as a smoke-profile sweep records."""
+    recorder = ManifestRecorder()
+    with activated(recorder):
+        for cache_size in (5, 8, 12):
+            run_guess_config(
+                SMALL_SYSTEM, ProtocolParams(cache_size=cache_size),
+                duration=20.0, warmup=0.0, trials=1, base_seed=cache_size,
+            )
+    return recorder.build(
+        profile="micro", suites=["sweep"], workers=1, wall_clock_seconds=0.0
+    )
+
+
+class TestParallelReplay:
+    """A serial run's reports, reproduced trial by trial on a pool: the
+    one serial-vs-parallel check."""
+
+    def test_one_trial_configs_replay_as_one_batch_on_the_pool(
+        self, one_trial_configs, pooled
+    ):
+        assert verify_manifest(one_trial_configs, workers=2) == []
+        assert pooled == [3]
+
+    def test_a_replay_that_stayed_serial_fails(
+        self, one_trial_configs, tmp_path, capsys
+    ):
+        single = {"configs": one_trial_configs["configs"][:1]}
+        path = tmp_path / "single.json"
+        write_manifest(path, single)
+        assert main([str(path)]) == 0
+        capsys.readouterr()
+        assert main([str(path), "--workers", "2"]) == 1
+        assert "no trial reached a worker process" in capsys.readouterr().out
+
+    def test_a_worker_only_perturbation_fails_the_replay(
+        self, recorded, monkeypatch
+    ):
+        monkeypatch.setattr(executor_module, "execute_trial", _perturbed_in_workers)
+        assert verify_manifest(recorded) == []
+        problems = verify_manifest(recorded, workers=2)
+        assert [problem.split(" (")[0] for problem in problems] == [
+            "config 0: trial 0: report fingerprint diverges",
+            "config 0: trial 1: report fingerprint diverges",
+        ]
 
 
 #: Written by 85f2055, the last commit with the tuning fields a run held
@@ -350,6 +440,14 @@ def _configs_text(manifest):
     return json.dumps(manifest["configs"], indent=2, sort_keys=True)
 
 
+def _without_fingerprints(manifest):
+    """``manifest`` as version 1 wrote it: no ``fingerprints`` key."""
+    manifest = json.loads(json.dumps(manifest))
+    for entry in manifest["configs"]:
+        del entry["fingerprints"]
+    return manifest
+
+
 def _section(entry, path):
     for key in path:
         entry = entry[key]
@@ -367,7 +465,8 @@ def _without_retired(manifest):
 
 
 class TestLayoutPinnedFromOutside:
-    """The v1 layout is whatever the committed parent-written file holds."""
+    """The v1 layout is whatever the committed parent-written file holds;
+    v2 adds only the ``fingerprints`` key."""
 
     @pytest.fixture(scope="class")
     def armed(self):
@@ -381,8 +480,9 @@ class TestLayoutPinnedFromOutside:
         return manifest, executor.specs
 
     def test_recorder_emits_the_parents_configs_bytes(self, armed):
+        # Version 2 adds the fingerprints; every other byte is version 1's.
         manifest, _ = armed
-        assert _configs_text(manifest) == _configs_text(
+        assert _configs_text(_without_fingerprints(manifest)) == _configs_text(
             _without_retired(load_manifest(ARMED_MANIFEST))
         )
 

@@ -44,8 +44,10 @@ def test_src_size():
     # before a policy was a row of one table, 18 337 before the unused
     # adaptive-ping controller and figure wrappers went, 18 197 before the
     # fault models, backoff knobs and crash injection only tests set went,
-    # 17 744 before every knob held at one value became a constant.
-    assert sum(line_count(path) for path in SRC.rglob("*.py")) <= 17569
+    # 17 744 before every knob held at one value became a constant,
+    # 17 569 before the manifest replay became the one serial-vs-parallel
+    # check and the five suite CLIs went.
+    assert sum(line_count(path) for path in SRC.rglob("*.py")) <= 17456
 
 
 def test_faults_size():
@@ -184,9 +186,17 @@ def test_experiments_are_declarations():
     # a metrics mapping on the one runner (ROADMAP 'Finish the seam,
     # then shrink what sits on it').
     experiments = SRC / "experiments"
-    assert sum(line_count(p) for p in experiments.glob("*.py")) <= 4296
+    assert sum(line_count(p) for p in experiments.glob("*.py")) <= 4113
     grids = ("packet_loss", "churn_storm", "cache_freshness", "gossip_search")
-    assert sum(line_count(experiments / f"{g}.py") for g in grids) <= 915
+    assert sum(line_count(experiments / f"{g}.py") for g in grids) <= 829
+
+
+def test_run_all_is_the_one_experiments_cli():
+    # ``run_all --only S`` runs any one suite, and the manifest replay is
+    # the one serial-vs-parallel check: a suite module with a CLI of its
+    # own is a second entry point.
+    clis = [p.name for p in sorted((SRC / "experiments").glob("*.py")) if _is_cli(p)]
+    assert clis == ["run_all.py"]
 
 
 def test_a_trial_is_its_spec():
@@ -612,11 +622,22 @@ def test_settable_values_only_shrink():
 #: May only shrink; each has a verdict in DESIGN.md "Knobs no entry
 #: point varies".
 UNSET_KNOBS = {
+    "ContentModel.catalog_size",
+    "ContentModel.nonexistent_p",
+    "ContentModel.ownership_exponent",
+    "ContentModel.query_exponent",
+    "FileCountModel.free_rider_p",
+    "FileCountModel.median_files",
+    "FileCountModel.tail_alpha",
+    "FileCountModel.tail_lower",
+    "FileCountModel.tail_upper",
     "GuessSimulation.content",
     "GuessSimulation.lifetime_model",
     "ProtocolParams.ping_pong",
     "ProtocolParams.ping_probe",
     "ProtocolParams.probe_spacing",
+    "QueryBurstProcess.max_burst",
+    "QueryBurstProcess.min_burst",
     "SystemParams.faulty_report_offset",
     "SystemParams.faulty_reporter_mode",
     "SystemParams.num_desired_results",
@@ -625,8 +646,14 @@ UNSET_KNOBS = {
 
 
 def _knobs() -> dict:
-    """``{"Class.field": field}`` for every defaulted knob a user could set."""
+    """``{"Class.field": field}`` for every defaulted knob a user could set:
+    the plan dataclasses' fields, and the defaulted keywords of the
+    simulation and of the workload models it builds."""
     from dataclasses import MISSING
+
+    from repro.workload.content import ContentModel
+    from repro.workload.files import FileCountModel
+    from repro.workload.queries import QueryBurstProcess
 
     knobs = {
         f"{kind.__name__}.{f.name}": f.name
@@ -634,8 +661,9 @@ def _knobs() -> dict:
         for f in fields(kind)
         if f.default is not MISSING or f.default_factory is not MISSING
     }
-    for name in _defaulted_keywords(GuessSimulation):
-        knobs[f"GuessSimulation.{name}"] = name
+    for kind in (GuessSimulation, FileCountModel, ContentModel, QueryBurstProcess):
+        for name in _defaulted_keywords(kind):
+            knobs[f"{kind.__name__}.{name}"] = name
     return knobs
 
 
