@@ -203,7 +203,7 @@ class LinkCache:
             while j >= n or j in picked:
                 j = getrandbits(bits)
             picked[t] = j
-        return [order[j] for j in picked]
+        return [*map(order.__getitem__, picked)]
 
     def select_best(
         self, policy: Policy, rng: random.Random
@@ -314,12 +314,20 @@ class LinkCache:
                 ranking.move(entry, rank)
 
     def record_results(self, address: Address, num_results: int, now: float) -> bool:
-        """Reset NumRes for ``address`` after a query reply; False if absent."""
+        """Reset NumRes for ``address`` after a query reply; False if absent.
+
+        :meth:`CacheEntry.record_results` spelled out, so a reply costs
+        this one frame: most query replies come from residents.
+        """
         entry = self._entries.get(address)
         if entry is None:
             return False
+        if num_results < 0:
+            raise ValueError(f"num_results must be >= 0, got {num_results}")
         placed = self._placed(entry, ("ts", "num_res")) if self._rankings else ()
-        entry.record_results(num_results, now)
+        entry.num_res = num_results
+        if now > entry.ts:
+            entry.ts = now
         for ranking, rank in placed:
             ranking.move(entry, rank)
         return True

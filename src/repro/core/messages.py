@@ -69,7 +69,8 @@ class Pong(_PongFields):
     A named tuple, like :class:`QueryReply` and
     :class:`~repro.network.transport.ProbeOutcome`: one is built per
     delivered probe, and a tuple is immutable without a per-field
-    ``object.__setattr__``.
+    ``object.__setattr__``.  Per probe, all three are built by
+    ``tuple.__new__`` itself, without the Python frame of a ``__new__``.
     """
 
     __slots__ = ()

@@ -30,6 +30,14 @@ ORDERING_POLICY_NAMES: Tuple[str, ...] = tuple(ORDERINGS)
 REPLACEMENT_POLICY_NAMES: Tuple[str, ...] = tuple(REPLACEMENTS)
 
 
+def _require_count(params: object, name: str, floor: int) -> None:
+    """``params.name`` must be an ``int`` (a ``bool`` is not) ``>= floor``:
+    a count of 2.5 would fail mid-run, or run as some other count."""
+    value = getattr(params, name)
+    if type(value) is bool or not isinstance(value, int) or value < floor:
+        raise ConfigError(f"{name} must be an int >= {floor}, got {value!r}")
+
+
 class BadPongBehavior(enum.Enum):
     """What a malicious peer puts in its Pong messages (Table 1).
 
@@ -80,14 +88,10 @@ class SystemParams:
     faulty_report_offset: int = 3
 
     def __post_init__(self) -> None:
-        if self.network_size < 2:
-            raise ConfigError(
-                f"network_size must be >= 2, got {self.network_size}"
-            )
-        if self.num_desired_results < 1:
-            raise ConfigError(
-                f"num_desired_results must be >= 1, got {self.num_desired_results}"
-            )
+        _require_count(self, "network_size", 2)
+        _require_count(self, "num_desired_results", 1)
+        if self.max_probes_per_second is not None:  # None: no capacity limit
+            _require_count(self, "max_probes_per_second", 1)
         # Written so that NaN fails; an infinite one means no peer dies.
         if not 0 < self.lifespan_multiplier < math.inf:
             raise ConfigError(
@@ -98,14 +102,6 @@ class SystemParams:
         if not 0 <= self.query_rate < math.inf:
             raise ConfigError(
                 f"query_rate must be >= 0 and finite, got {self.query_rate}"
-            )
-        if (
-            self.max_probes_per_second is not None
-            and self.max_probes_per_second < 1
-        ):
-            raise ConfigError(
-                "max_probes_per_second must be >= 1 or None, "
-                f"got {self.max_probes_per_second}"
             )
         if not 0.0 <= self.percent_bad_peers <= 100.0:
             raise ConfigError(
@@ -219,10 +215,8 @@ class ProtocolParams:
             raise ConfigError(
                 f"ping_interval must be finite and > 0, got {self.ping_interval}"
             )
-        if self.cache_size < 1:
-            raise ConfigError(f"cache_size must be >= 1, got {self.cache_size}")
-        if self.pong_size < 0:
-            raise ConfigError(f"pong_size must be >= 0, got {self.pong_size}")
+        _require_count(self, "cache_size", 1)
+        _require_count(self, "pong_size", 0)
         if not 0.0 <= self.intro_prob <= 1.0:
             raise ConfigError(
                 f"intro_prob must be in [0, 1], got {self.intro_prob}"
@@ -232,14 +226,8 @@ class ProtocolParams:
             raise ConfigError(
                 f"probe_spacing must be finite and > 0, got {self.probe_spacing}"
             )
-        if self.parallel_probes < 1:
-            raise ConfigError(
-                f"parallel_probes must be >= 1, got {self.parallel_probes}"
-            )
-        if self.probe_retries < 0:
-            raise ConfigError(
-                f"probe_retries must be >= 0, got {self.probe_retries}"
-            )
+        _require_count(self, "parallel_probes", 1)
+        _require_count(self, "probe_retries", 0)
 
     def uses_starred_policy(self) -> bool:
         """True if any role selects the trust-local MR*/LR* variant."""

@@ -50,7 +50,7 @@ from repro.resilience.breaker import BreakerBoard
 from repro.resilience.budget import RetryBudget
 from repro.resilience.policy import SOFT_FRACTION, ResiliencePolicy
 from repro.sim.windows import BucketedRateLimiter
-from repro.workload.content import ContentModel
+from repro.workload.content import NONEXISTENT_FILE
 
 
 class ProbeTally:
@@ -210,6 +210,9 @@ class GuessPeer:
     def receive_probe(self, message, time: float) -> Tuple[bool, object]:
         """Handle an incoming Ping, Query, GossipPush, or CacheUpdate probe.
 
+        A ping or query is answered first; then the introduction rule is
+        applied here, in the one frame both kinds of probe enter.
+
         Returns:
             ``(accepted, response)`` per the transport's Endpoint
             contract; a refusal carries a :class:`Refusal` notice.
@@ -232,27 +235,36 @@ class GuessPeer:
                 self.probes_refused += 1
                 return False, Refusal(self.address)
         if isinstance(message, Ping):
-            return True, self._handle_ping(message, time)
-        if isinstance(message, Query):
-            return True, self._handle_query(message, time)
-        if isinstance(message, GossipPush):
+            response = self.make_pong(self.policies.ping_pong, time)
+        elif isinstance(message, Query):
+            response = self._handle_query(message, time)
+        elif isinstance(message, GossipPush):
             return True, self._handle_gossip(message, time)
-        if isinstance(message, CacheUpdate):
+        elif isinstance(message, CacheUpdate):
             return True, self._handle_cache_update(message, time)
-        raise TypeError(f"unsupported probe message: {message!r}")
-
-    def _handle_ping(self, message: Ping, time: float) -> Pong:
-        pong = self.make_pong(self.policies.ping_pong, time)
-        self._maybe_introduce(message.sender, message.sender_num_files, time)
-        return pong
+        else:
+            raise TypeError(f"unsupported probe message: {message!r}")
+        # The introduction rule (Section 2.2): cache the prober with
+        # probability IntroProb, after the reply's pong drew its entries.
+        intro_prob, prober = self.protocol.intro_prob, message.sender
+        if (
+            intro_prob > 0.0
+            and prober != self.address
+            and prober not in self.link_cache._entries
+            and self._intro_rng.random() < intro_prob
+        ):
+            entry = CacheEntry(
+                address=prober, ts=time, num_files=message.sender_num_files,
+                num_res=0, born=time,
+            )
+            self.link_cache.insert(entry, self.policies.replacement, self._policy_rng)
+        return True, response
 
     def _handle_query(self, message: Query, time: float) -> QueryReply:
-        num_results = (
-            1 if ContentModel.matches(self.library, message.target_file) else 0
-        )
+        target = message.target_file  # ``ContentModel.matches``, written inline
+        num_results = 1 if target != NONEXISTENT_FILE and target in self.library else 0
         pong = self.make_pong(self.policies.query_pong, time)
-        self._maybe_introduce(message.sender, message.sender_num_files, time)
-        return QueryReply(self.address, num_results, pong)
+        return tuple.__new__(QueryReply, (self.address, num_results, pong, None))
 
     def _handle_gossip(self, message: GossipPush, time: float) -> GossipAck:
         """Ingest an epidemically disseminated pong harvest.
@@ -293,7 +305,7 @@ class GuessPeer:
         return CacheUpdateAck(sender=self.address, purged=purged, pong=pong)
 
     # ------------------------------------------------------------------
-    # Pong construction and the introduction rule
+    # Pong construction
     # ------------------------------------------------------------------
 
     def make_pong(self, pong_policy, time: float) -> Pong:
@@ -306,25 +318,7 @@ class GuessPeer:
         selected = self.link_cache.select_top(
             pong_policy, self.protocol.pong_size, self._policy_rng
         )
-        return Pong(self.address, tuple(selected))
-
-    def _maybe_introduce(
-        self, prober: Address, prober_num_files: int, time: float
-    ) -> None:
-        """Cache the prober with probability ``IntroProb`` (Section 2.2)."""
-        if self.protocol.intro_prob <= 0.0:
-            return
-        if prober == self.address or prober in self.link_cache:
-            return
-        if self._intro_rng.random() >= self.protocol.intro_prob:
-            return
-        entry = CacheEntry(
-            address=prober, ts=time, num_files=prober_num_files, num_res=0,
-            born=time,
-        )
-        self.link_cache.insert(
-            entry, self.policies.replacement, self._policy_rng
-        )
+        return tuple.__new__(Pong, (self.address, tuple(selected)))
 
     # ------------------------------------------------------------------
     # Initiator-side helpers (used by the ping cycle and query loop)

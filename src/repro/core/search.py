@@ -17,9 +17,9 @@ live peer, **dead** probes time out ("DeadIPs" / wasted probes), and
 **refused** probes hit an overloaded peer.
 
 Each probe goes through :meth:`GuessPeer.probe_entry`, which re-sends a
-timed-out probe when ``probe_retries > 0``.  Retry waiting is charged honestly: every backoff
-gap shifts the remaining waves' virtual timestamps, extends the query's
-duration, and is folded into the satisfying reply's response time.
+timed-out probe when ``probe_retries > 0``.  Every backoff gap shifts the
+remaining waves' timestamps, extends the query's duration, and is folded
+into the satisfying reply's response time.
 """
 
 from __future__ import annotations
@@ -125,11 +125,7 @@ class QueryResult:
     @property
     def verified_satisfied(self) -> bool:
         """Honest satisfaction (equals ``satisfied`` absent liars)."""
-        return (
-            self.satisfied
-            if self.honest_satisfied is None
-            else self.honest_satisfied
-        )
+        return self.satisfied if self.honest_satisfied is None else self.honest_satisfied
 
 
 def execute_query(
@@ -158,21 +154,20 @@ def execute_query(
         harvests: optional sink the non-empty pong of every delivered
             query reply is appended to, so the caller can seed gossip
             rumors from query harvests exactly like ping harvests
-            (gossip-assisted GUESS).  ``None`` (the default, and the
-            only value ever passed when the gossip plan is disabled)
-            keeps the loop append-free and the trace digest untouched.
+            (gossip-assisted GUESS).  ``None``, the value whenever the
+            gossip plan is disarmed, keeps the loop append-free.
         width: optional per-query :class:`WaveWidth` rule, asked after each
             wave for the next one's width; ``None`` is ``parallel_probes``.
 
     Returns:
         A :class:`QueryResult`.
     """
-    protocol = peer.protocol
-    policies = peer.policies
+    protocol, policies = peer.protocol, peer.policies
     spacing = protocol.probe_spacing
     walkers = protocol.parallel_probes if width is None else width.initial
 
     link_cache = peer.link_cache  # a resident changes only through it
+    residents = link_cache._entries  # read: is a replier resident?
     # The peer's own stream decides its contests, as on every other path
     # into its link cache; ``rng`` orders this query's pops.
     replacement, policy_rng = policies.replacement, peer._policy_rng
@@ -183,7 +178,7 @@ def execute_query(
 
     message = peer.query_message(target_file)
     results = 0
-    honest_results = 0
+    lie = 0  # honest count - claimed count, over falsified replies
     falsified = False
     tally = ProbeTally()
     waves = 0
@@ -241,32 +236,39 @@ def execute_query(
             reply = outcome.response
             if not isinstance(reply, QueryReply):
                 raise TypeError(f"query probe returned {reply!r}")
+            _, num_results, pong, true_results = reply
 
             # Reset NumRes from this response (Section 2.1); refresh TS.
-            if not link_cache.record_results(address, reply.num_results, wave_time):
-                entry.record_results(reply.num_results, wave_time)  # not resident
-                if reply.num_results > 0:
+            if address in residents:
+                link_cache.record_results(address, num_results, wave_time)
+            elif num_results < 0:
+                raise ValueError(f"num_results must be >= 0, got {num_results}")
+            else:  # ``CacheEntry.record_results``, on the popped entry
+                entry.num_res = num_results
+                if wave_time > entry.ts:
+                    entry.ts = wave_time
+                if num_results > 0:
                     # A productive query-cache entry qualifies for the link
                     # cache ("qualifying entries may be inserted", §2.3).
                     link_cache.insert(entry, replacement, policy_rng)
 
-            results += reply.num_results
-            honest_results += reply.verified_results
-            if reply.true_results is not None:
+            results += num_results
+            if true_results is not None:  # a lie: the claim is not the count
                 falsified = True
+                lie += true_results - num_results
             if results >= desired_results and response_time is None:
                 # outcome.rtt already folds in any retry waiting.
                 response_time = wave_offset + outcome.rtt
 
             if defense is not None:
-                defense.record_answer(address, reply.num_results)
+                defense.record_answer(address, num_results)
 
-            if harvests is not None and reply.pong.entries:
-                harvests.append(reply.pong)
+            if harvests is not None and pong.entries:
+                harvests.append(pong)
 
             # Ingest the piggybacked pong: the clones the query cache
             # admits are offered to the link cache too, the same objects.
-            shown = reply.pong.entries if defense is None else peer.screen(reply.pong)
+            shown = pong.entries if defense is None else peer.screen(pong)
             kept = query_cache.add(shown, reset, wave_time)
             if kept:
                 link_cache.admit(kept, replacement, wave_time, policy_rng)
@@ -286,8 +288,6 @@ def execute_query(
         **{name: getattr(tally, name) for name in ProbeTally.__slots__},
         # The None sentinel keeps falsification-free queries (the
         # overwhelmingly common case) carrying no redundant state.
-        honest_results=honest_results if falsified else None,
-        honest_satisfied=(
-            honest_results >= desired_results if falsified else None
-        ),
+        honest_results=results + lie if falsified else None,
+        honest_satisfied=results + lie >= desired_results if falsified else None,
     )

@@ -29,6 +29,7 @@ the historical fault-free code, bit for bit.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional, Protocol
 
 from repro.network.address import Address
@@ -81,6 +82,11 @@ class ProbeOutcome(NamedTuple):
     response: Any = None
     rtt: float = 0.0
     spurious: bool = False
+
+
+#: ``ProbeOutcome((status, response, rtt, spurious))`` built in C: the
+#: named tuple's generated ``__new__`` is a Python frame per probe.
+_OUTCOME = partial(tuple.__new__, ProbeOutcome)
 
 
 class Endpoint(Protocol):
@@ -195,16 +201,16 @@ class Transport:
             # a timeout either way, and skipping the draw keeps fault
             # streams a pure function of the live-probe sequence.
             self.timeouts += 1
-            return ProbeOutcome(ProbeStatus.TIMEOUT, None, self.timeout)
+            return _OUTCOME((ProbeStatus.TIMEOUT, None, self.timeout, False))
         if self._faults is not None and self._faults.should_drop(src, dst, time):
             self.timeouts += 1
             self.spurious_timeouts += 1
-            return ProbeOutcome(ProbeStatus.TIMEOUT, None, self.timeout, True)
+            return _OUTCOME((ProbeStatus.TIMEOUT, None, self.timeout, True))
         accepted, response = endpoint.receive_probe(message, time)
         if not accepted:
             self.refusals += 1
-            return ProbeOutcome(ProbeStatus.REFUSED, response, self._rtt)
-        return ProbeOutcome(ProbeStatus.DELIVERED, response, self._rtt)
+            return _OUTCOME((ProbeStatus.REFUSED, response, self._rtt, False))
+        return _OUTCOME((ProbeStatus.DELIVERED, response, self._rtt, False))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -42,27 +42,23 @@ class BucketedRateLimiter:
         self._buckets: dict[int, int] = {}
         self._max_bucket = -1
 
-    def _bucket(self, now: float) -> int:
-        return int(now / self.window)
-
     def count(self, now: float) -> int:
         """Events recorded in the bucket containing ``now``."""
-        return self._buckets.get(self._bucket(now), 0)
-
-    def _store(self, bucket: int, count: int) -> None:
-        self._buckets[bucket] = count
-        if bucket > self._max_bucket:
-            self._max_bucket = bucket
-        if len(self._buckets) > self._PRUNE_THRESHOLD:
-            self._prune()
+        return self._buckets.get(int(now / self.window), 0)
 
     def try_record(self, now: float) -> bool:
-        """Record unless the bucket is full; True if admitted."""
-        bucket = self._bucket(now)
-        count = self._buckets.get(bucket, 0)
+        """Record unless the bucket is full; True if admitted.  One frame:
+        every probe a limited peer receives passes through here."""
+        buckets = self._buckets
+        bucket = int(now / self.window)
+        count = buckets.get(bucket, 0)
         if self.limit is not None and count >= self.limit:
             return False
-        self._store(bucket, count + 1)
+        buckets[bucket] = count + 1
+        if bucket > self._max_bucket:
+            self._max_bucket = bucket
+        if len(buckets) > self._PRUNE_THRESHOLD:
+            self._prune()
         return True
 
     def _prune(self) -> None:

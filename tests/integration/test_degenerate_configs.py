@@ -285,6 +285,27 @@ SPECS = {
     "tail-lower-nan": (lambda: FileCountModel(tail_lower=math.nan), WorkloadError),
     "tail-upper-nan": (lambda: FileCountModel(tail_upper=math.nan), WorkloadError),
     "tail-upper-inf": (lambda: FileCountModel(tail_upper=math.inf), WorkloadError),
+    # A count is an ``int`` that is not a ``bool``.  A pong size of 2.5 died
+    # mid-run in ``LinkCache.select_top`` and a network size of 50.5 at
+    # set-up, both with a builtin ``TypeError``; 1.5 walkers ran two-wide
+    # waves, 1.5 desired results needed 2, and the rest ran as is.
+    "pong-size-float": (lambda: ProtocolParams(pong_size=2.5), ConfigError),
+    "pong-size-bool": (lambda: ProtocolParams(pong_size=True), ConfigError),
+    "cache-size-float": (lambda: ProtocolParams(cache_size=10.5), ConfigError),
+    "parallel-probes-float": (
+        lambda: ProtocolParams(parallel_probes=1.5),
+        ConfigError,
+    ),
+    "probe-retries-float": (lambda: ProtocolParams(probe_retries=0.5), ConfigError),
+    "network-size-float": (lambda: SystemParams(network_size=50.5), ConfigError),
+    "num-desired-results-float": (
+        lambda: SystemParams(num_desired_results=1.5),
+        ConfigError,
+    ),
+    "max-probes-per-second-float": (
+        lambda: SystemParams(max_probes_per_second=2.5),
+        ConfigError,
+    ),
 }
 
 

@@ -13,6 +13,7 @@ import importlib.util
 import inspect
 import random
 import re
+import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -46,8 +47,9 @@ def test_src_size():
     # fault models, backoff knobs and crash injection only tests set went,
     # 17 744 before every knob held at one value became a constant,
     # 17 569 before the manifest replay became the one serial-vs-parallel
-    # check and the five suite CLIs went.
-    assert sum(line_count(path) for path in SRC.rglob("*.py")) <= 17456
+    # check and the five suite CLIs went, 17 456 before the query probe
+    # round trip was fused.
+    assert sum(line_count(path) for path in SRC.rglob("*.py")) <= 17449
 
 
 def test_faults_size():
@@ -539,13 +541,9 @@ def test_random_draws_are_one_frame():
         assert ".randrange(" not in source and ".sample(" not in source, relative
 
 
-def test_a_churn_run_draws_through_getrandbits_alone(monkeypatch):
-    # Exact, not a ceiling: a churn-like run (pings, deaths, births; no
-    # queries) from bootstrap to 60 sim-s.  The getrandbits count is the
-    # one ``randrange`` / ``sample`` made before ``randbelow`` replaced
-    # them, so the draws are the same; a count of either says the frames
-    # are back.
-    counts = {"getrandbits": 0, "randrange": 0, "sample": 0}
+def _counted_draws(monkeypatch, *names) -> dict:
+    """Calls of each ``random.Random`` method named, counted from now on."""
+    counts = dict.fromkeys(names, 0)
 
     def counted(name):
         method = getattr(random.Random, name)
@@ -558,6 +556,16 @@ def test_a_churn_run_draws_through_getrandbits_alone(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(random.Random, name, counted(name))
+    return counts
+
+
+def test_a_churn_run_draws_through_getrandbits_alone(monkeypatch):
+    # Exact, not a ceiling: a churn-like run (pings, deaths, births; no
+    # queries) from bootstrap to 60 sim-s.  The getrandbits count is the
+    # one ``randrange`` / ``sample`` made before ``randbelow`` replaced
+    # them, so the draws are the same; a count of either says the frames
+    # are back.
+    counts = _counted_draws(monkeypatch, "getrandbits", "randrange", "sample")
     sim = GuessSimulation(
         SystemParams(network_size=300, query_rate=0.0),
         ProtocolParams(cache_size=10),
@@ -566,6 +574,62 @@ def test_a_churn_run_draws_through_getrandbits_alone(monkeypatch):
     sim.run(60.0)
     assert sim.transport.probes_sent == 601
     assert counts == {"getrandbits": 7802, "randrange": 0, "sample": 0}
+
+
+#: The query recipe: Table-1/2 defaults at 300 peers, seed 7.
+QUERY_RUN = (SystemParams(network_size=300), ProtocolParams())
+
+
+def test_a_query_run_draws_what_it_drew_before_the_probe_was_fused(monkeypatch):
+    # Exact, not a ceiling: the query-path twin of the churn gate, over
+    # 60 sim-s.  These are the counts from before the query probe round
+    # trip was fused (DESIGN.md "Kernel hot paths"): a fusion that moved,
+    # added or dropped a draw changes one of them.  The 56 ``randrange``
+    # calls are query bursts' ``randint``.  Set-up is left out, as the
+    # first build in a process also samples the per-process tables
+    # (101 746 ``getrandbits`` and 147 707 ``random`` from a fresh start).
+    sim = GuessSimulation(*QUERY_RUN, seed=7)
+    counts = _counted_draws(monkeypatch, "getrandbits", "random", "randrange", "sample")
+    sim.run(60.0)
+    assert sim.transport.probes_sent == 10_847
+    assert counts == {
+        "getrandbits": 99_817, "random": 10_016, "randrange": 56, "sample": 0,
+    }
+
+
+def test_calls_per_query_probe():
+    # Ceiling may only be lowered (ROADMAP 'Count, don't time'): Python
+    # calls into ``src/repro`` per probe over 60 sim-s of the query recipe,
+    # after 10 s of warm-up.  25.5 before the query probe round trip was
+    # fused (DESIGN.md "Kernel hot paths"), 16.37 after, on 3.11.  Code
+    # objects named ``<...>`` are skipped, as 3.12 inlines comprehensions,
+    # and ``co_name`` is read, as 3.10 has no ``co_qualname``; the 3.10 and
+    # 3.12 CI legs are what hold the count on those versions.
+    import repro
+
+    package = str(Path(repro.__file__).parent)
+    sim = GuessSimulation(*QUERY_RUN, seed=7)
+    sim.run(10.0)
+    before, calls = sim.transport.probes_sent, 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if (
+            event == "call"
+            and code.co_filename.startswith(package)
+            and not code.co_name.startswith("<")
+        ):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        sim.run(60.0)
+    finally:
+        sys.setprofile(previous)
+    per_probe = calls / (sim.transport.probes_sent - before)
+    assert 10.0 < per_probe <= 16.4, per_probe
 
 
 def test_simulation_keyword_arguments():
