@@ -102,13 +102,6 @@ class CacheEntry:
         if now > self.ts:
             self.ts = now
 
-    def record_results(self, num_results: int, now: float) -> None:
-        """Reset NumRes from the response to a query probe (Section 2.1)."""
-        if num_results < 0:
-            raise ValueError(f"num_results must be >= 0, got {num_results}")
-        self.num_res = num_results
-        self.touch(now)
-
 
 class EntryView(NamedTuple):
     """An entry's fields, read (and cloned) like the entry."""

@@ -316,8 +316,12 @@ class LinkCache:
     def record_results(self, address: Address, num_results: int, now: float) -> bool:
         """Reset NumRes for ``address`` after a query reply; False if absent.
 
-        :meth:`CacheEntry.record_results` spelled out, so a reply costs
-        this one frame: most query replies come from residents.
+        Section 2.1's rule: NumRes becomes the reply's result count and TS
+        advances (never rolls back), in this one frame: most query
+        replies come from residents.
+
+        Raises:
+            ValueError: if ``num_results`` is negative.
         """
         entry = self._entries.get(address)
         if entry is None:

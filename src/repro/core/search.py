@@ -243,7 +243,7 @@ def execute_query(
                 link_cache.record_results(address, num_results, wave_time)
             elif num_results < 0:
                 raise ValueError(f"num_results must be >= 0, got {num_results}")
-            else:  # ``CacheEntry.record_results``, on the popped entry
+            else:  # ``LinkCache.record_results``'s rule, on the popped entry
                 entry.num_res = num_results
                 if wave_time > entry.ts:
                     entry.ts = wave_time

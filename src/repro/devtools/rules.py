@@ -248,8 +248,8 @@ RD010 = register_rule(
         rationale=(
             "The event kernel is the innermost loop of every experiment; "
             "file I/O or wall-clock reads there leak host speed into "
-            "results and wreck throughput.  Profiling reads are the only "
-            "sanctioned exception and carry explicit pragmas."
+            "results and wreck throughput.  There is no exception: a "
+            "sweep is timed outside the kernel, around sim.run."
         ),
     )
 )

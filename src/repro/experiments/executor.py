@@ -115,16 +115,26 @@ def build_simulation(spec: TrialSpec) -> GuessSimulation:
 
 
 def execute_trial(spec: TrialSpec) -> SimulationReport:
-    """Run one trial to completion (module-level, hence process-picklable)."""
+    """Run one trial to completion (module-level, hence process-picklable).
+
+    Under an active profiler the trial is one sample: the engine's event
+    count, wall seconds and simulated seconds of ``sim.run``.  The clock
+    is read around the run, never inside it, so the simulation is
+    untouched.  A pool worker's sample never reaches the parent's
+    profiler (a forked worker records into its own copy, then drops it).
+    """
     sim = build_simulation(spec)
-    # Profiling hook: when a profiler is active in this process, the
-    # engine reports this trial's (events, wall, sim-seconds) sample.
-    # The profiler only reads engine counters — the simulation itself is
-    # untouched.  Pool workers see no active profiler (it does not cross
-    # process boundaries); their wall time is covered by the parent's
-    # batch samples.
-    sim.engine.profiler = active_profiler()
-    sim.run(spec.warmup + spec.duration)
+    profiler = active_profiler()
+    if profiler is None:
+        sim.run(spec.warmup + spec.duration)
+    else:
+        started = time.perf_counter()  # repro: allow-wallclock (profiling)
+        sim.run(spec.warmup + spec.duration)
+        profiler.record_trial(
+            events=sim.engine.events_executed,
+            wall_seconds=time.perf_counter() - started,  # repro: allow-wallclock
+            sim_seconds=sim.engine.now,
+        )
     report = sim.report()
     # A finished simulation is cyclic garbage (the queue holds its bound
     # methods): free it now, or a sweep's peak memory counts the trials
@@ -176,22 +186,6 @@ class TrialExecutor(ABC):
         self.close()
 
 
-def profiled_batch(run: Callable[[], List[Any]], size: int) -> List[Any]:
-    """``run()``, timed for the active profiler (if any) as one batch of ``size``.
-
-    Every executor's ``map`` dispatches through this; a batch that raises
-    is not recorded.
-    """
-    profiler = active_profiler()
-    if profiler is None:
-        return run()
-    started = time.perf_counter()  # repro: allow-wallclock (profiling)
-    results = run()
-    elapsed = time.perf_counter() - started  # repro: allow-wallclock
-    profiler.record_batch(size, elapsed)
-    return results
-
-
 class SerialTrialExecutor(TrialExecutor):
     """Run work items one after another in the calling process."""
 
@@ -202,8 +196,7 @@ class SerialTrialExecutor(TrialExecutor):
         fn: Callable[[_Item], Any],
         items: Iterable[_Item],
     ) -> List[Any]:
-        items = list(items)
-        return profiled_batch(lambda: [fn(item) for item in items], len(items))
+        return [fn(item) for item in items]
 
 
 class ProcessTrialExecutor(TrialExecutor):
@@ -259,7 +252,7 @@ class ProcessTrialExecutor(TrialExecutor):
     ) -> List[Any]:
         items = list(items)
         if len(items) <= 1 or self.workers == 1:
-            return profiled_batch(lambda: [fn(item) for item in items], len(items))
+            return [fn(item) for item in items]
         pool = self._ensure_pool()
         # Executor.map preserves input order regardless of which worker
         # finishes first — the trial-order-stability guarantee.  Any
@@ -269,7 +262,7 @@ class ProcessTrialExecutor(TrialExecutor):
         # mid-iteration error would leave queued work running with no
         # one reading the results.
         try:
-            return profiled_batch(lambda: list(pool.map(fn, items)), len(items))
+            return list(pool.map(fn, items))
         except BaseException:
             self._discard_pool()
             raise

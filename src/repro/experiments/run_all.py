@@ -36,8 +36,7 @@ import argparse
 import os
 import signal
 import sys
-import time
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import (
@@ -317,15 +316,14 @@ def main(argv: List[str] | None = None) -> int:
         f"trials={profile.trials}, workers={args.workers})"
     ]
     recorder = None if args.no_manifest else ManifestRecorder()
-    profiler = Profiler() if args.profile_report else None
-    timings: List[tuple] = []
+    # The one clock of a run: each suite is a phase, and the headers, the
+    # wall-clock summary and the manifest read their seconds from it.
+    profiler = Profiler()
     interrupted = False
-    started = time.time()  # repro: allow-wallclock (reporting-only timing)
     with ExitStack() as stack:
         if recorder is not None:
             stack.enter_context(manifest_activated(recorder))
-        if profiler is not None:
-            stack.enter_context(profiler_activated(profiler))
+        stack.enter_context(profiler_activated(profiler))
         executor = supervised
         if supervised is None:
             # One pool for the whole run, shared by every suite.
@@ -354,42 +352,37 @@ def main(argv: List[str] | None = None) -> int:
             if supervised is not None and supervised.stop_requested:
                 interrupted = True
                 break
-            suite_started = time.time()  # repro: allow-wallclock
-            phase = (
-                profiler.phase(suite_name)
-                if profiler is not None
-                else nullcontext()
-            )
             try:
-                with phase:
+                with profiler.phase(suite_name):
                     run_suite = SUITES[suite_name][0]
                     results: List[ExperimentResult] = run_suite(
                         profile, executor
                     )
             except SweepInterrupted:
                 interrupted = True
-                elapsed = time.time() - suite_started  # repro: allow-wallclock
-                timings.append((suite_name, elapsed))
                 blocks.append(
                     f"-- suite {suite_name} interrupted after "
-                    f"{elapsed:.1f}s (completed trials journaled) --"
+                    f"{profiler.wall_seconds(suite_name):.1f}s "
+                    "(completed trials journaled) --"
                 )
                 break
-            elapsed = time.time() - suite_started  # repro: allow-wallclock
-            timings.append((suite_name, elapsed))
-            blocks.append(f"-- suite {suite_name} ({elapsed:.1f}s) --")
+            blocks.append(
+                f"-- suite {suite_name} "
+                f"({profiler.wall_seconds(suite_name):.1f}s) --"
+            )
             for result in results:
                 blocks.append(result.render())
-    total = time.time() - started  # repro: allow-wallclock
+    total = sum(profiler.wall_seconds(name) for name in profiler.phases)
     summary = ["-- wall-clock summary --"]
-    for suite_name, elapsed in timings:
+    for suite_name in profiler.phases:
+        elapsed = profiler.wall_seconds(suite_name)
         share = 100.0 * elapsed / total if total > 0 else 0.0
         summary.append(f"{suite_name:<20} {elapsed:9.1f}s  ({share:4.1f}%)")
     summary.append(
         f"{'total wall time':<20} {total:9.1f}s  (workers={args.workers})"
     )
     blocks.append("\n".join(summary))
-    if profiler is not None:
+    if args.profile_report:
         blocks.append(profiler.render())
     if supervised is not None and supervised.failures:
         quarantine = ["-- quarantined trials --"]

@@ -53,7 +53,7 @@ import os
 import pickle
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -61,7 +61,7 @@ from hashlib import sha256
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional
 
 from repro.errors import ConfigError, ExecutionError, TrialFailure
-from repro.experiments.executor import TrialExecutor, execute_trial, profiled_batch
+from repro.experiments.executor import ProcessTrialExecutor, execute_trial
 
 #: Journal filename used by ``run_all --supervise`` inside its
 #: checkpoint directory (gitignored via the ``*.journal.jsonl`` pattern).
@@ -219,14 +219,16 @@ class _Flight:
     deadline: Optional[float]
 
 
-class SupervisedTrialExecutor(TrialExecutor):
+class SupervisedTrialExecutor(ProcessTrialExecutor):
     """A process-pool executor with watchdogs, retries, and a journal.
 
-    Unlike :class:`~repro.experiments.executor.ProcessTrialExecutor`,
-    *every* item runs in a worker process — even single-item batches —
-    because crash isolation is the point: an ``os._exit`` or a hang must
-    take down a worker, never the parent.  ``workers=1`` therefore still
-    supervises (a pool of one), it just doesn't parallelise.
+    The pool's lifecycle (lazy start, discard, close) is
+    :class:`~repro.experiments.executor.ProcessTrialExecutor`'s; the
+    dispatch is not: *every* item runs in a worker process — even
+    single-item batches — because crash isolation is the point: an
+    ``os._exit`` or a hang must take down a worker, never the parent.
+    ``workers=1`` therefore still supervises (a pool of one), it just
+    doesn't parallelise.
 
     Args:
         workers: pool size; ``None`` or 0 means ``os.cpu_count()``.
@@ -253,9 +255,7 @@ class SupervisedTrialExecutor(TrialExecutor):
         journal=None,
         resume: bool = False,
     ) -> None:
-        resolved = workers or os.cpu_count() or 1
-        if resolved < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
+        super().__init__(workers)
         if max_attempts < 1:
             raise ConfigError(
                 f"max_attempts must be >= 1, got {max_attempts}"
@@ -264,7 +264,6 @@ class SupervisedTrialExecutor(TrialExecutor):
             raise ConfigError(
                 f"trial_timeout must be positive, got {trial_timeout}"
             )
-        self.workers = int(resolved)
         self.trial_timeout = trial_timeout
         self.max_attempts = max_attempts
         self.failures: List[TrialFailure] = []
@@ -272,7 +271,6 @@ class SupervisedTrialExecutor(TrialExecutor):
             TrialJournal(journal, resume=resume) if journal is not None
             else None
         )
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._stop = False
 
     # -- lifecycle ------------------------------------------------------
@@ -296,31 +294,9 @@ class SupervisedTrialExecutor(TrialExecutor):
         self._stop = True
 
     def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=True)
-            except Exception:  # broken pools shut down best-effort
-                pass
+        super().close()
         if self._journal is not None:
             self._journal.close()
-
-    # -- pool management ------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def _discard_pool(self) -> None:
-        """Retire a broken pool; the next submit respawns a fresh one."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
 
     def _kill_pool(self) -> None:
         """Forcibly terminate the pool's workers (watchdog path).
@@ -363,9 +339,6 @@ class SupervisedTrialExecutor(TrialExecutor):
         :class:`SweepInterrupted` if a stop request left items undone.
         """
         items = list(items)
-        return profiled_batch(lambda: self._supervised(fn, items), len(items))
-
-    def _supervised(self, fn: Callable, items: List[Any]) -> List[Any]:
         results: List[Any] = [_PENDING] * len(items)
         fingerprints: List[Optional[str]] = [None] * len(items)
         queue: Deque[int] = deque()

@@ -2,9 +2,10 @@
 
 Two channels, one contract:
 
-* **profiling hooks** (:mod:`repro.observe.profiler`) — per-phase
-  wall-clock and engine events/s sampling, surfaced by
-  ``run_all --profile-report``;
+* **the sweep profiler** (:mod:`repro.observe.profiler`) — per-suite
+  wall time and one engine sample per in-process trial, taken by
+  ``execute_trial`` around ``sim.run``; ``run_all`` reads its suite
+  times and ``run_all --profile-report`` appends its table;
 * **run manifests** (:mod:`repro.observe.manifest`) — a JSON record of
   every executed configuration (params, fault plan, derived seeds,
   trace digests, report fingerprints, package version) from which the
@@ -15,12 +16,13 @@ The counts a report is built from are not an observer: they are plain
 (:mod:`repro.metrics.collectors`), read once at the end of a run, and
 :class:`~repro.core.search.QueryResult` is the one per-query record.
 
-The contract: observation never perturbs the simulation.  A profiler on
-the engine only reads the event counts the engine already keeps, and an
-active manifest recorder only forces the trace digest on and appends a
-config entry once the reports are back.  Neither schedules events, draws
-randomness, or mutates protocol state: a profiled run has the same trace
-digest and report, and a recorded one the same report fingerprint.
+The contract: observation never perturbs the simulation.  The kernel
+holds no observer and reads no clock; a profiler only reads the event
+count the engine already keeps, after the run, and an active manifest
+recorder only forces the trace digest on and appends a config entry once
+the reports are back.  Neither schedules events, draws randomness, or
+mutates protocol state: a profiled run has the same trace digest and
+report, and a recorded one the same report fingerprint.
 ``tests/integration/test_determinism.py`` and
 ``tests/property/test_observe_invisibility.py`` hold this line.
 """

@@ -1,27 +1,28 @@
 """Phase-structured wall-clock profiling for experiment sweeps.
 
-A :class:`Profiler` aggregates three sample kinds under named phases
-(typically one phase per suite):
+A :class:`Profiler` aggregates two sample kinds under named phases
+(``run_all`` opens one phase per suite):
 
-* **phase wall time** — :meth:`Profiler.phase` context-manager spans;
-* **engine samples** — per-``run_until`` event counts, wall seconds and
-  simulated seconds, recorded by :class:`~repro.sim.engine.Simulator`
-  when its ``profiler`` attribute is set;
-* **batch samples** — trial-batch sizes and wall seconds, recorded by
-  the executors in :mod:`repro.experiments.executor`.
+* **phase wall time** — :meth:`Profiler.phase` context-manager spans,
+  which ``run_all``'s suite headers and wall-clock summary read;
+* **trial samples** — one per in-process
+  :func:`~repro.experiments.executor.execute_trial` call: the engine's
+  event count, wall seconds and simulated seconds of ``sim.run``.
 
 The active profiler travels through a module-level context
 (:func:`activated` / :func:`active_profiler`) rather than through every
 call signature, because trials are dispatched through a deep call chain
 (``run_all`` → suite → ``run_guess_config`` → executor → trial) that
-should not grow a threading parameter.  Process-pool workers have no
-access to the parent's profiler, so their engine samples are absent by
-design — batch wall-clock (measured in the parent) still covers them.
+should not grow a threading parameter.  A process-pool worker's trial
+samples never reach the parent's profiler, so pooled trials are absent
+from the engine and trial columns by design; the phase wall time still
+covers them.
 
 Determinism contract: the profiler reads the wall clock (that is its
-job) but never influences the simulation — it only *observes* event
-counts the engine already tracks.  Wall-clock reads are confined to this
-module and the engine hook, each carrying an ``allow-wallclock`` pragma.
+job) but never influences the simulation — a trial sample reads the
+event count the engine already keeps, after the run.  The kernel itself
+reads no clock: a sweep is timed here and in ``execute_trial``, each
+read carrying an ``allow-wallclock`` pragma.
 """
 
 from __future__ import annotations
@@ -39,30 +40,18 @@ GLOBAL_PHASE = "(global)"
 class _PhaseStats:
     """Accumulated samples for one phase."""
 
-    __slots__ = (
-        "wall_seconds",
-        "engine_events",
-        "engine_wall",
-        "engine_sim",
-        "engine_samples",
-        "batch_items",
-        "batch_wall",
-        "batches",
-    )
+    __slots__ = ("wall_seconds", "events", "trial_wall", "sim_seconds", "trials")
 
     def __init__(self) -> None:
         self.wall_seconds = 0.0
-        self.engine_events = 0
-        self.engine_wall = 0.0
-        self.engine_sim = 0.0
-        self.engine_samples = 0
-        self.batch_items = 0
-        self.batch_wall = 0.0
-        self.batches = 0
+        self.events = 0
+        self.trial_wall = 0.0
+        self.sim_seconds = 0.0
+        self.trials = 0
 
 
 class Profiler:
-    """Collects per-phase wall-clock and engine throughput samples."""
+    """Collects per-phase wall-clock and per-trial engine samples."""
 
     def __init__(self) -> None:
         self._order: List[str] = []
@@ -94,22 +83,15 @@ class Profiler:
             self._phase_stats(name).wall_seconds += elapsed
             self._current = previous
 
-    def record_engine(
+    def record_trial(
         self, *, events: int, wall_seconds: float, sim_seconds: float
     ) -> None:
-        """Absorb one engine ``run_until`` sample into the current phase."""
+        """Absorb one trial's engine sample into the current phase."""
         stats = self._phase_stats(self._current)
-        stats.engine_events += events
-        stats.engine_wall += wall_seconds
-        stats.engine_sim += sim_seconds
-        stats.engine_samples += 1
-
-    def record_batch(self, items: int, wall_seconds: float) -> None:
-        """Absorb one executor batch sample into the current phase."""
-        stats = self._phase_stats(self._current)
-        stats.batch_items += items
-        stats.batch_wall += wall_seconds
-        stats.batches += 1
+        stats.events += events
+        stats.trial_wall += wall_seconds
+        stats.sim_seconds += sim_seconds
+        stats.trials += 1
 
     # ------------------------------------------------------------------
     # Reporting
@@ -120,12 +102,10 @@ class Profiler:
         """Phase names in first-seen order."""
         return list(self._order)
 
-    def events_per_second(self, name: str) -> Optional[float]:
-        """Engine events/s for phase ``name`` (None without samples)."""
+    def wall_seconds(self, name: str) -> float:
+        """Wall seconds spent inside phase ``name`` (0.0 if never entered)."""
         stats = self._stats.get(name)
-        if stats is None or not stats.engine_wall:
-            return None
-        return stats.engine_events / stats.engine_wall
+        return 0.0 if stats is None else stats.wall_seconds
 
     def render(self) -> str:
         """Plain-text profile table, one row per phase."""
@@ -140,23 +120,14 @@ class Profiler:
         rows = []
         for name in self._order:
             stats = self._stats[name]
-            events_rate = (
-                stats.engine_events / stats.engine_wall
-                if stats.engine_wall
-                else float("nan")
-            )
-            sim_rate = (
-                stats.engine_sim / stats.engine_wall
-                if stats.engine_wall
-                else float("nan")
-            )
+            wall = stats.trial_wall or float("nan")
             rows.append((
                 name,
                 stats.wall_seconds,
-                stats.engine_events,
-                events_rate,
-                sim_rate,
-                stats.batch_items,
+                stats.events,
+                stats.events / wall,
+                stats.sim_seconds / wall,
+                stats.trials,
             ))
         return format_table(columns, rows, title="profile report")
 

@@ -22,11 +22,7 @@ offline environment.
 from __future__ import annotations
 
 import hashlib
-import time
-from typing import TYPE_CHECKING, Any, Callable, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observe.profiler import Profiler
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import EventPriority
@@ -89,12 +85,6 @@ class Simulator:
         self._running = False
         self._events_executed = 0
         self._tracer: Optional[TraceHasher] = TraceHasher() if trace_hash else None
-        #: Optional :class:`~repro.observe.profiler.Profiler`; when set,
-        #: every ``run_until`` reports (events, wall seconds, simulated
-        #: seconds) to it.  The profiler only *reads* engine counters —
-        #: it can never influence scheduling, so attaching one leaves
-        #: the trace digest untouched.
-        self.profiler: Optional["Profiler"] = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -233,10 +223,6 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run_until is not re-entrant")
         self._running = True
-        profiler = self.profiler
-        if profiler is not None:
-            wall_started = time.perf_counter()  # repro: allow-wallclock, allow-effect-kernel-io (profiling)
-            sim_started = self._now
         executed = 0
         pop_next = self._queue.pop_next
         fire = self._fire
@@ -250,12 +236,6 @@ class Simulator:
         finally:
             self._running = False
         self._now = float(end_time)
-        if profiler is not None:
-            profiler.record_engine(
-                events=executed,
-                wall_seconds=time.perf_counter() - wall_started,  # repro: allow-wallclock
-                sim_seconds=self._now - sim_started,
-            )
         return executed
 
     def run_all(self, max_events: Optional[int] = None) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.entry import CacheEntry
+from tests.conftest import cache_of
 
 
 class TestCopy:
@@ -54,17 +55,19 @@ class TestTouch:
 
 
 class TestRecordResults:
+    # The NumRes/TS reset of a query reply (Section 2.1) is written where
+    # an entry is kept: ``LinkCache.record_results`` for a resident.
     def test_sets_num_res_and_ts(self):
         entry = CacheEntry(address=1, ts=0.0, num_res=5)
-        entry.record_results(2, now=3.0)
+        assert cache_of([entry]).record_results(1, 2, now=3.0)
         assert entry.num_res == 2
         assert entry.ts == 3.0
 
     def test_zero_results_resets(self):
         entry = CacheEntry(address=1, num_res=5)
-        entry.record_results(0, now=1.0)
+        cache_of([entry]).record_results(1, 0, now=1.0)
         assert entry.num_res == 0
 
     def test_negative_results_rejected(self):
         with pytest.raises(ValueError):
-            CacheEntry(address=1).record_results(-1, now=1.0)
+            cache_of([CacheEntry(address=1)]).record_results(1, -1, now=1.0)

@@ -4,8 +4,9 @@ hatch is load-bearing.
 The first test is the static proof itself: RD006-RD010 over ``src/``
 with the committed contracts and baseline produce zero findings.  The
 rest demonstrate that each suppression is *necessary* — removing any one
-pragma, baseline entry, or contract exemption makes the run fail — so
-the escape hatches cannot silently rot into dead weight.
+baseline entry or contract exemption makes the run fail — so the escape
+hatches cannot silently rot into dead weight, and that the kernel, which
+has none, fails on a clock read.
 """
 
 from __future__ import annotations
@@ -79,20 +80,22 @@ def test_stale_baseline_entry_is_an_error(repo_sources):
     assert any("stale baseline entry" in e for e in result.errors)
 
 
-@pytest.mark.parametrize(
-    "relpath, pragma, rule_id",
-    [
-        ("repro/sim/engine.py", "allow-effect-kernel-io", "RD010"),
-    ],
-)
-def test_removing_any_pragma_fails_the_run(repo_sources, relpath, pragma, rule_id):
-    module = relpath[: -len(".py")].replace("/", ".")
+def test_a_clock_read_in_the_kernel_fails_the_run(repo_sources):
+    # The kernel carries no effect pragma: RD010 holds on ``repro.sim``
+    # with no exception, and a host-clock read in its loop is a finding.
+    module = "repro.sim.engine"
     path, source = repo_sources[module]
-    assert pragma in source, f"{relpath} no longer carries {pragma}"
+    assert "allow-effect" not in source
+    loop = "        self._running = True\n"
+    assert loop in source
     mutated = dict(repo_sources)
-    mutated[module] = (path, source.replace(pragma, "allow-RD002"))
+    mutated[module] = (
+        path,
+        source.replace("import hashlib\n", "import hashlib\nimport time\n")
+        .replace(loop, loop + "        time.perf_counter()\n"),
+    )
     result = run_check(mutated)
-    assert rule_id in {v.rule.id for v in result.violations}, "\n".join(
+    assert "RD010" in {v.rule.id for v in result.violations}, "\n".join(
         v.render() for v in result.violations
     )
 

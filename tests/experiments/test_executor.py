@@ -26,8 +26,6 @@ from repro.experiments.executor import (
     get_executor,
 )
 from repro.experiments.runner import run_guess_config
-from repro.experiments.supervisor import SupervisedTrialExecutor
-from repro.observe.profiler import GLOBAL_PHASE, Profiler, activated
 from tests.experiments.helpers import ChaosSpec, chaotic_trial
 
 SYSTEM = SystemParams(network_size=30)
@@ -185,31 +183,3 @@ class TestPoolLifecycle:
         executor.close()
         executor.close()
 
-
-class TestProfilerBatches:
-    def test_serial_executor_records_batch(self):
-        profiler = Profiler()
-        with activated(profiler):
-            with SerialTrialExecutor() as executor:
-                executor.map(abs, [-1, 2, -3])
-        stats = profiler._stats[GLOBAL_PHASE]
-        assert stats.batches == 1
-        assert stats.batch_items == 3
-
-    def test_process_executor_records_batch(self):
-        profiler = Profiler()
-        with activated(profiler):
-            with ProcessTrialExecutor(workers=2) as executor:
-                executor.map(abs, [-1, 2, -3])
-        stats = profiler._stats[GLOBAL_PHASE]
-        assert stats.batches == 1
-        assert stats.batch_items == 3
-
-    def test_supervised_executor_records_batch(self):
-        profiler = Profiler()
-        with activated(profiler):
-            with SupervisedTrialExecutor(workers=2) as executor:
-                executor.map(abs, [-1, 2, -3])
-        stats = profiler._stats[GLOBAL_PHASE]
-        assert stats.batches == 1
-        assert stats.batch_items == 3

@@ -202,14 +202,23 @@ class TestMain:
         assert "refusing to resume" in capsys.readouterr().err
 
     def test_profile_report_appended(self, tmp_path, capsys):
-        code = main([
-            "--profile", "smoke",
-            "--only", "fig8",
-            "--manifest", str(tmp_path / "manifest.json"),
-            "--profile-report",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "profile report" in out
-        assert "events/s" in out
-        assert "flexible_extent" in out
+        # On the pool path the trials run in workers, whose samples never
+        # reach the parent: the suite's row keeps its wall time and counts
+        # no trial.
+        for workers, trials in (("1", 2), ("2", 0)):
+            code = main([
+                "--profile", "smoke",
+                "--only", "fig8",
+                "--workers", workers,
+                "--manifest", str(tmp_path / "manifest.json"),
+                "--profile-report",
+            ])
+            assert code == 0
+            out = capsys.readouterr().out
+            assert "profile report" in out
+            assert "events/s" in out
+            (row,) = [
+                line for line in out.splitlines()
+                if line.startswith("|") and "flexible_extent |" in line
+            ]
+            assert int(row.split("|")[-2]) == trials, row

@@ -14,12 +14,17 @@ import pytest
 from repro.baselines.gossip import GossipPlan
 from repro.core.network_sim import GuessSimulation
 from repro.core.params import BadPongBehavior, ProtocolParams, SystemParams
-from repro.experiments.executor import ProcessTrialExecutor, TrialSpec
+from repro.experiments.executor import (
+    ProcessTrialExecutor,
+    TrialSpec,
+    execute_trial,
+)
 from repro.experiments.runner import run_guess_config
 from repro.faults.plan import FaultPlan
 from repro.freshness import CacheSizing, FreshnessPlan
 from repro.observe.manifest import ManifestRecorder, activated, verify_manifest
 from repro.observe.profiler import GLOBAL_PHASE, Profiler
+from repro.observe.profiler import activated as profiling
 from repro.resilience import (
     ChurnStorm,
     FlashCrowd,
@@ -64,14 +69,19 @@ def run_once(seed: int, *, percent_bad: float = 0.0,
              resilience: ResiliencePolicy | None = None,
              gossip: GossipPlan | None = None,
              freshness: FreshnessPlan | None = None):
-    """One small, full-featured run; returns (digest, report)."""
-    sim = GuessSimulation(
+    """One small, full-featured trial; returns (digest, report).
+
+    With a ``profiler`` the trial runs under it, as ``run_all`` runs one.
+    """
+    spec = TrialSpec(
         SystemParams(
             network_size=100,
             percent_bad_peers=percent_bad,
             bad_pong_behavior=behavior,
         ),
         ProtocolParams(cache_size=30, probe_retries=probe_retries),
+        duration=DURATION,
+        warmup=0.0,
         seed=seed,
         faults=faults,
         trace_hash=True,
@@ -80,10 +90,12 @@ def run_once(seed: int, *, percent_bad: float = 0.0,
         gossip=gossip,
         freshness=freshness,
     )
-    sim.engine.profiler = profiler
-    sim.run(DURATION)
-    report = sim.report()
-    return sim.trace_digest, report
+    if profiler is None:
+        report = execute_trial(spec)
+    else:
+        with profiling(profiler):
+            report = execute_trial(spec)
+    return report.trace_digest, report
 
 
 class TestSameSeedBitForBit:
@@ -375,10 +387,11 @@ class TestFreshnessPins:
 class TestObservationInvisibility:
     """Observers attached ⇒ every pinned digest still bit-identical.
 
-    The observability layer's core contract: a profiler on the engine
-    only reads the event counts the engine already keeps — it never
-    schedules events, draws randomness, or mutates protocol state — so
-    attaching one reproduces the golden digests exactly.
+    The observability layer's core contract: a trial run under a
+    profiler only has the event count the engine already keeps read
+    after it — the profiler never schedules events, draws randomness, or
+    mutates protocol state — so profiling reproduces the golden digests
+    exactly.
     """
 
     def test_clean_pin_reproduced_with_observation(self):
@@ -386,7 +399,7 @@ class TestObservationInvisibility:
         digest, report = run_once(7, profiler=profiler)
         assert digest == "6433f3abe18fda0f316241089d67313b"
         assert report.queries > 0
-        assert profiler._stats[GLOBAL_PHASE].engine_events > 0
+        assert profiler._stats[GLOBAL_PHASE].events > 0
 
     def test_attack_pin_reproduced_with_observation(self):
         digest, _ = run_once(

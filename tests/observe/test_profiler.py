@@ -1,9 +1,9 @@
-"""Tests for phase-structured profiling and its host hooks."""
+"""Tests for phase-structured profiling and its one trial sample."""
 
 from __future__ import annotations
 
-from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
+from repro.experiments.executor import TrialSpec, execute_trial
 from repro.experiments.runner import run_guess_config
 from repro.observe.profiler import (
     GLOBAL_PHASE,
@@ -26,37 +26,42 @@ class TestPhases:
     def test_samples_attribute_to_current_phase(self):
         profiler = Profiler()
         with profiler.phase("suite"):
-            profiler.record_engine(events=100, wall_seconds=0.5, sim_seconds=10.0)
-            profiler.record_batch(4, 0.25)
-        profiler.record_engine(events=7, wall_seconds=0.1, sim_seconds=1.0)
+            profiler.record_trial(events=100, wall_seconds=0.5, sim_seconds=10.0)
+            profiler.record_trial(events=4, wall_seconds=0.25, sim_seconds=1.0)
+        profiler.record_trial(events=7, wall_seconds=0.1, sim_seconds=1.0)
         assert profiler.phases == ["suite", GLOBAL_PHASE]
         suite = profiler._stats["suite"]
-        assert suite.engine_events == 100
-        assert suite.batch_items == 4
-        assert suite.batches == 1
-        assert profiler._stats[GLOBAL_PHASE].engine_events == 7
+        assert suite.events == 104
+        assert suite.trials == 2
+        assert profiler._stats[GLOBAL_PHASE].events == 7
 
     def test_nested_phase_restores_previous(self):
         profiler = Profiler()
         with profiler.phase("outer"):
             with profiler.phase("inner"):
-                profiler.record_engine(
+                profiler.record_trial(
                     events=1, wall_seconds=0.1, sim_seconds=1.0
                 )
-            profiler.record_engine(events=2, wall_seconds=0.1, sim_seconds=1.0)
-        assert profiler._stats["inner"].engine_events == 1
-        assert profiler._stats["outer"].engine_events == 2
+            profiler.record_trial(events=2, wall_seconds=0.1, sim_seconds=1.0)
+        assert profiler._stats["inner"].events == 1
+        assert profiler._stats["outer"].events == 2
+        assert profiler.wall_seconds("outer") >= profiler.wall_seconds("inner")
+        assert profiler.wall_seconds("missing") == 0.0
 
     def test_events_per_second(self):
+        # The table's rates are per second of trial wall time.
         profiler = Profiler()
-        profiler.record_engine(events=100, wall_seconds=0.5, sim_seconds=10.0)
-        assert profiler.events_per_second(GLOBAL_PHASE) == 200.0
-        assert profiler.events_per_second("missing") is None
+        profiler.record_trial(events=100, wall_seconds=0.5, sim_seconds=10.0)
+        (row,) = [
+            line for line in profiler.render().splitlines()
+            if GLOBAL_PHASE in line
+        ]
+        assert [float(cell) for cell in row.split("|")[4:6]] == [200.0, 20.0], row
 
     def test_render_lists_phases(self):
         profiler = Profiler()
         with profiler.phase("alpha"):
-            profiler.record_engine(
+            profiler.record_trial(
                 events=50, wall_seconds=0.5, sim_seconds=25.0
             )
         with profiler.phase("beta"):
@@ -66,7 +71,7 @@ class TestPhases:
         assert "alpha" in text
         assert "beta" in text
         assert "events/s" in text
-        # A phase without engine samples renders nan rates, not a crash.
+        # A phase without trial samples renders nan rates, not a crash.
         assert "nan" in text
 
 
@@ -86,35 +91,33 @@ class TestActivation:
         assert active_profiler() is None
 
 
+def _spec(trace_hash: bool = False) -> TrialSpec:
+    return TrialSpec(
+        SystemParams(network_size=40),
+        ProtocolParams(),
+        duration=30.0,
+        warmup=0.0,
+        seed=3,
+        trace_hash=trace_hash,
+    )
+
+
 class TestEngineHook:
     def test_simulator_records_engine_samples(self):
         profiler = Profiler()
-        sim = GuessSimulation(
-            SystemParams(network_size=40), ProtocolParams(), seed=3
-        )
-        sim.engine.profiler = profiler
-        sim.run(30.0)
+        with activated(profiler):
+            execute_trial(_spec())
         stats = profiler._stats[GLOBAL_PHASE]
-        assert stats.engine_samples == 1
-        assert stats.engine_events > 0
-        assert stats.engine_sim == 30.0
-        assert stats.engine_wall > 0.0
+        assert stats.trials == 1
+        assert stats.events > 0
+        assert stats.sim_seconds == 30.0
+        assert stats.trial_wall > 0.0
 
     def test_profiling_does_not_change_results(self):
-        def run(profiler):
-            sim = GuessSimulation(
-                SystemParams(network_size=40),
-                ProtocolParams(),
-                seed=3,
-                trace_hash=True,
-            )
-            if profiler is not None:
-                sim.engine.profiler = profiler
-            sim.run(30.0)
-            return sim.trace_digest, sim.report()
-
-        plain = run(None)
-        profiled = run(Profiler())
+        plain = execute_trial(_spec(trace_hash=True))
+        with activated(Profiler()):
+            profiled = execute_trial(_spec(trace_hash=True))
+        assert plain.trace_digest is not None
         assert plain == profiled
 
 
@@ -131,7 +134,6 @@ class TestExecutorHook:
             )
         assert len(reports) == 2
         stats = profiler._stats[GLOBAL_PHASE]
-        assert stats.batches == 1
-        assert stats.batch_items == 2
-        # Serial trials run in-process, so engine samples flow too.
-        assert stats.engine_samples == 2
+        # Serial trials run in-process: one sample per trial.
+        assert stats.trials == 2
+        assert stats.sim_seconds == 40.0

@@ -122,7 +122,9 @@ class _ListCache:
         entry = self.get(address)
         if entry is None:
             return False
-        entry.record_results(num_results, now)
+        entry.num_res = num_results
+        if now > entry.ts:
+            entry.ts = now
         return True
 
 

@@ -1,8 +1,8 @@
 """Property: observation never perturbs the simulation.
 
-For random small configurations, a run with a :class:`Profiler` on its
-engine produces the *bit-identical* trace digest — and an equal report —
-to a run without one, and a configuration run under an active
+For random small configurations, a trial run under an active
+:class:`Profiler` produces the *bit-identical* trace digest — and an
+equal report — to a run without one, and a configuration run under an active
 :class:`ManifestRecorder` reports the same ``fingerprint()`` as one run
 without it.  This is the dynamic, randomized counterpart of the
 pinned-digest checks in
@@ -14,12 +14,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.network_sim import GuessSimulation
 from repro.core.params import ProtocolParams, SystemParams
+from repro.experiments.executor import TrialSpec, execute_trial
 from repro.experiments.runner import run_guess_config
 from repro.faults.plan import FaultPlan
 from repro.observe.manifest import ManifestRecorder, activated
 from repro.observe.profiler import GLOBAL_PHASE, Profiler
+from repro.observe.profiler import activated as profiling
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 cache_sizes = st.sampled_from([5, 10, 30])
@@ -30,16 +31,21 @@ SYSTEM = SystemParams(network_size=40)
 
 
 def _run(seed, cache_size, probe_retries, loss, profiler):
-    sim = GuessSimulation(
+    spec = TrialSpec(
         SYSTEM,
         ProtocolParams(cache_size=cache_size, probe_retries=probe_retries),
+        duration=80.0,
+        warmup=0.0,
         seed=seed,
         faults=FaultPlan(loss_rate=loss) if loss else None,
         trace_hash=True,
     )
-    sim.engine.profiler = profiler
-    sim.run(80.0)
-    return sim.trace_digest, sim.report()
+    if profiler is None:
+        report = execute_trial(spec)
+    else:
+        with profiling(profiler):
+            report = execute_trial(spec)
+    return report.trace_digest, report
 
 
 def _fingerprint(seed, cache_size, probe_retries, loss):
@@ -88,7 +94,7 @@ def test_observers_actually_observe(seed):
     profiler = Profiler()
     _, report = _run(seed, 10, 0, 0.0, profiler)
     assert report.queries > 0
-    assert profiler._stats[GLOBAL_PHASE].engine_events > 0
+    assert profiler._stats[GLOBAL_PHASE].events > 0
 
     recorder = ManifestRecorder()
     with activated(recorder):
